@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from cohomolab import verify as verify_mod
@@ -152,12 +151,7 @@ def cmd_compute(args) -> int:
             ]
         return entry
 
-    degrees = list(range(lo, hi + 1))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, degrees))
-    else:
-        results = [one(n) for n in degrees]
+    results = [one(n) for n in range(lo, hi + 1)]
 
     payload = {
         "group": list(spec.orders),
@@ -374,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", required=True, help="inclusive range a..b")
     p.add_argument("--resolution", choices=("minimal", "bar"), default="minimal")
     p.add_argument("--representatives", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_compute)
 

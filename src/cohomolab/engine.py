@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from cohomolab.group_ring import RingElement, RingMatrix
@@ -102,46 +103,21 @@ class Cochain:
 # Block assembly
 
 
-def _act_table(M: GModule, D: RingMatrix) -> dict[tuple[int, int], IntMatrix]:
-    cache: dict[RingElement, IntMatrix] = {}
-    out = {}
-    for (i, j), elem in D.entries.items():
-        hit = cache.get(elem)
-        if hit is None:
-            hit = cache[elem] = M.act(elem)
-        out[(i, j)] = hit
-    return out
+def _hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, int]]]:
+    """Rows of the map phi -> phi . D between Hom-spaces, as sparse
+    (index, coeff) lists, streamed.
 
-
-def _hom_matrix(M: GModule, D: RingMatrix) -> IntMatrix:
-    """The map phi -> phi . D between Hom-spaces, as a dense block matrix.
-
-    Output block-row j (source column of D), block-col i (target row of D)
-    holds act(D[i, j]); dimensions (d*cols(D)) x (d*rows(D)).
+    Block-row j (source column of D), block-col i (target row of D) holds
+    act(D[i, j]); dimensions (d*cols(D)) x (d*rows(D)).  This is the only
+    block assembler: the tensor side passes ``D.antipode_transpose()``.
     """
     d = M.rank
-    acts = _act_table(M, D)
-    rows = [[0] * (d * D.rows) for _ in range(d * D.cols)]
-    for (i, j), blk in acts.items():
-        for t in range(d):
-            dst = rows[j * d + t]
-            base = i * d
-            brow = blk.data[t]
-            for u in range(d):
-                if brow[u]:
-                    dst[base + u] += brow[u]
-    if M.modulus:
-        N = M.modulus
-        rows = [[x % N for x in r] for r in rows]
-    return IntMatrix.from_rows(rows, cols=d * D.rows)
-
-
-def _hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, int]]]:
-    """Rows of :func:`_hom_matrix` as sparse (index, coeff) lists, streamed."""
-    d = M.rank
-    acts = _act_table(M, D)
+    cache: dict[RingElement, IntMatrix] = {}
     by_source: dict[int, list[tuple[int, IntMatrix]]] = {}
-    for (i, j), blk in acts.items():
+    for (i, j), elem in D.entries.items():
+        blk = cache.get(elem)
+        if blk is None:
+            blk = cache[elem] = M.act(elem)
         by_source.setdefault(j, []).append((i, blk))
     for j in range(D.cols):
         blocks = by_source.get(j, ())
@@ -155,48 +131,25 @@ def _hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, 
             yield row
 
 
-def _tensor_matrix(M: GModule, D: RingMatrix) -> IntMatrix:
-    """The induced map on (resolution) tensor M, converting the left action
-    through the antipode; block (i, j) is act(antipode(D[i, j]))."""
-    d = M.rank
-    cache: dict[RingElement, IntMatrix] = {}
-    rows = [[0] * (d * D.cols) for _ in range(d * D.rows)]
-    for (i, j), elem in D.entries.items():
-        blk = cache.get(elem)
-        if blk is None:
-            blk = cache[elem] = M.act(elem.antipode())
-        for t in range(d):
-            dst = rows[i * d + t]
-            base = j * d
-            brow = blk.data[t]
-            for u in range(d):
-                if brow[u]:
-                    dst[base + u] += brow[u]
-    if M.modulus:
-        N = M.modulus
-        rows = [[x % N for x in r] for r in rows]
-    return IntMatrix.from_rows(rows, cols=d * D.cols)
+def _hom_matrix(M: GModule, D: RingMatrix) -> IntMatrix:
+    """:func:`_hom_constraint_rows` as a dense block matrix, reduced mod the
+    module's modulus."""
+    width = M.rank * D.rows
+    N = M.modulus
+    rows = []
+    for sparse in _hom_constraint_rows(M, D):
+        row = [0] * width
+        for k, c in sparse:
+            row[k] = c % N if N else c
+        rows.append(row)
+    return IntMatrix.from_rows(rows, cols=width)
 
 
-def _tensor_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, int]]]:
-    d = M.rank
-    cache: dict[RingElement, IntMatrix] = {}
-    by_target: dict[int, list[tuple[int, IntMatrix]]] = {}
-    for (i, j), elem in D.entries.items():
-        blk = cache.get(elem)
-        if blk is None:
-            blk = cache[elem] = M.act(elem.antipode())
-        by_target.setdefault(i, []).append((j, blk))
-    for i in range(D.rows):
-        blocks = by_target.get(i, ())
-        for t in range(d):
-            row = []
-            for j, blk in blocks:
-                brow = blk.data[t]
-                for u in range(d):
-                    if brow[u]:
-                        row.append((j * d + u, brow[u]))
-            yield row
+def _apply(M: GModule, D: RingMatrix, flat: Sequence[int]) -> list[int]:
+    """The flat cochain phi . D for a flat cochain phi, reduced mod the
+    module's modulus."""
+    out = [sum(c * flat[k] for k, c in row) for row in _hom_constraint_rows(M, D)]
+    return [x % M.modulus for x in out] if M.modulus else out
 
 
 def hom_complex_map(M: GModule, resolution: Resolution, n: int) -> IntMatrix:
@@ -317,13 +270,9 @@ def _extract_representatives(
     return tuple(torsion_reps + free_reps)
 
 
-def _as_column(vec) -> IntMatrix:
-    return IntMatrix.from_columns([list(vec)], dim=len(vec))
-
-
 def _zero_checker(A: IntMatrix, mod: int | None):
     def check(flat: Sequence[int]) -> bool:
-        out = A.mul(_as_column(flat))
+        out = A.mul(IntMatrix.from_columns([list(flat)], dim=len(flat)))
         if mod:
             return all(x % mod == 0 for row in out.data for x in row)
         return out.is_zero()
@@ -335,11 +284,12 @@ def _zero_checker(A: IntMatrix, mod: int | None):
 # Cohomology of the Hom complex
 
 
-def _lattice_hom_group(
+def _hom_group(
     M: GModule,
-    diff_in: Callable[[], RingMatrix] | None,
+    D_in: RingMatrix | None,
     diff_out: Callable[[], RingMatrix] | None,
     dim: int,
+    out_dim: int,
     *,
     degree: int,
     kind: str,
@@ -347,109 +297,60 @@ def _lattice_hom_group(
     finite_degree: bool,
     want_representatives: bool | None,
     limits: EngineLimits,
-    tensor: bool = False,
 ) -> CohomologyResult:
-    """ker/im of integer block maps; diff_in feeds the image, diff_out the
-    kernel.  Differentials arrive as thunks so a route that never touches
-    one (the shortcut skips diff_out entirely) never pays for it.
-    ``finite_degree`` permits the cokernel-torsion shortcut."""
-    assemble = _tensor_matrix if tensor else _hom_matrix
-    want = want_representatives
-    if want is None:
-        want = dim <= _AUTO_REPRESENTATIVE_DIM
-    if not want and finite_degree and diff_in is not None:
-        B = assemble(M, diff_in())
-        torsion = cokernel_torsion(B)
-        return CohomologyResult(
-            degree,
-            kind,
-            AbelianInvariants(0, tuple(torsion)),
-            M.label,
-            resolution,
-            "cokernel-torsion",
-        )
-    limits.check_cells(dim, dim, "kernel presentation")
-    if diff_out is not None:
-        A = assemble(M, diff_out())
-        K = kernel_basis(A)
-        kcols = K.columns()
-        checker = _zero_checker(A, None)
-    else:
-        kcols = IntMatrix.identity(dim).columns()
-        checker = None
-    icols = assemble(M, diff_in()).columns() if diff_in is not None else []
-    icols = [c for c in icols if any(c)]
-    pres = quotient_presentation(kcols, icols, dim)
-    if not want:
-        return CohomologyResult(
-            degree, kind, pres.invariants(), M.label, resolution, "kernel"
-        )
-    boundary = column_hnf(icols, dim)
-    reps = _extract_representatives(
-        pres, boundary, degree, dim // M.rank, M.rank, None, checker
-    )
-    return CohomologyResult(
-        degree,
-        kind,
-        pres.invariants(),
-        M.label,
-        resolution,
-        "kernel",
-        representatives=reps,
-        _presentation=pres,
-        _boundary_hnf=boundary,
-        _count=dim // M.rank,
-        _rank=M.rank,
-    )
-
-
-def _finite_hom_group(
-    M: GModule,
-    diff_in: Callable[[], RingMatrix] | None,
-    diff_out: Callable[[], RingMatrix] | None,
-    dim: int,
-    n_constraints: int,
-    *,
-    degree: int,
-    kind: str,
-    resolution: str,
-    want_representatives: bool | None,
-    limits: EngineLimits,
-    tensor: bool = False,
-) -> CohomologyResult:
+    """ker/im of integer block maps; D_in feeds the image, diff_out the
+    kernel, both already in Hom form.  The outgoing differential arrives as
+    a thunk so a route that never touches it (the shortcut) never pays for
+    it; ``out_dim`` sizes its matrix before it is built.  Lattice
+    coefficients in a ``finite_degree`` may take the cokernel-torsion
+    shortcut; a modulus N switches kernels and quotients to congruences."""
     N = M.modulus
-    assert N
-    rows_of = _tensor_constraint_rows if tensor else _hom_constraint_rows
-    assemble = _tensor_matrix if tensor else _hom_matrix
+    mod = N or None
     want = want_representatives
     if want is None:
         want = dim <= _AUTO_REPRESENTATIVE_DIM
-    out_mat: RingMatrix | None = None
+    if not N and not want and finite_degree and D_in is not None:
+        route = "cokernel-torsion"
+    else:
+        route = "congruence" if N else "kernel"
+    # every matrix is capped on its own shape before it is built
+    if D_in is not None:
+        limits.check_cells(M.rank * D_in.cols, M.rank * D_in.rows, f"{route} image")
+    if route == "cokernel-torsion":
+        inv = AbelianInvariants(0, tuple(cokernel_torsion(_hom_matrix(M, D_in))))
+        return CohomologyResult(degree, kind, inv, M.label, resolution, route)
+    # a presentation costs about dim^3; the transform-free congruence
+    # invariants do not, so they skip this cap
+    if want or not N:
+        limits.check_cells(dim, dim, f"{route} presentation")
+    checker = None
     if diff_out is not None:
-        limits.check_cells(n_constraints, dim, "congruence kernel")
-        out_mat = diff_out()
-        kcols = congruence_kernel_columns(rows_of(M, out_mat), dim, N)
-        kcols = [c for c in kcols if any(c)]
+        limits.check_cells(out_dim, dim, f"{route} outgoing map")
+        D_out = diff_out()
+        if N:
+            kcols = congruence_kernel_columns(_hom_constraint_rows(M, D_out), dim, N)
+            kcols = [c for c in kcols if any(c)]
+            if want:
+                checker = _zero_checker(_hom_matrix(M, D_out), N)
+        else:
+            A = _hom_matrix(M, D_out)
+            kcols = kernel_basis(A).columns()
+            # the kernel matrix doubles as the cocycle checker
+            checker = _zero_checker(A, None)
     else:
         kcols = IntMatrix.identity(dim).columns()
-    if diff_in is not None:
-        icols = [[x % N for x in c] for c in assemble(M, diff_in()).columns()]
-        icols = [c for c in icols if any(c)]
-    else:
-        icols = []
+    icols = _hom_matrix(M, D_in).columns() if D_in is not None else []
+    icols = [c for c in icols if any(c)]
     if not want:
-        inv = quotient_invariants_mod(kcols, icols, dim, N)
-        return CohomologyResult(
-            degree, kind, inv, M.label, resolution, "congruence"
-        )
-    limits.check_cells(dim, dim, "congruence presentation")
-    pres = quotient_presentation(kcols, icols, dim, mod=N)
-    boundary = column_hnf(icols, dim, mod=N)
-    checker = None
-    if out_mat is not None:
-        checker = _zero_checker(assemble(M, out_mat), N)
+        if N:
+            inv = quotient_invariants_mod(kcols, icols, dim, N)
+        else:
+            inv = quotient_presentation(kcols, icols, dim).invariants()
+        return CohomologyResult(degree, kind, inv, M.label, resolution, route)
+    pres = quotient_presentation(kcols, icols, dim, mod=mod)
+    boundary = column_hnf(icols, dim, mod=mod)
     reps = _extract_representatives(
-        pres, boundary, degree, dim // M.rank, M.rank, N, checker
+        pres, boundary, degree, dim // M.rank, M.rank, mod, checker
     )
     return CohomologyResult(
         degree,
@@ -457,7 +358,7 @@ def _finite_hom_group(
         pres.invariants(),
         M.label,
         resolution,
-        "congruence",
+        route,
         representatives=reps,
         _presentation=pres,
         _boundary_hnf=boundary,
@@ -472,6 +373,65 @@ def _guard_group(M: GModule, limits: EngineLimits) -> None:
             f"group order {M.spec.order} exceeds the configured maximum "
             f"{limits.max_group_order}"
         )
+
+
+def _complex_group(
+    M: GModule,
+    n: int,
+    kind: str,
+    resolution: str,
+    limits: EngineLimits | None,
+    want_representatives: bool | None,
+) -> CohomologyResult:
+    """The shared body of the three entry points.
+
+    Cohomology maps degree n towards n+1, homology towards n-1 through the
+    antipode-transposed (tensor side) differentials.  A neighbouring degree
+    exists when it is >= 0, or always on the complete resolution.
+    """
+    limits = limits or EngineLimits.from_env()
+    _guard_group(M, limits)
+    tate = kind == "tate"
+    if not tate and n < 0:
+        name = "homology" if kind == "homology" else "ordinary cohomology"
+        raise ValueError(f"{name} is defined in degrees >= 0")
+    lo = limits.min_tate_degree if tate else 0
+    if resolution == "minimal" and not lo <= n <= limits.max_tate_degree:
+        raise ValueError(
+            f"degree {n} outside the supported window [{lo}, {limits.max_tate_degree}]"
+        )
+    if tate and not M.is_lattice and n < 0:
+        raise ValueError(
+            "negative-degree complete cohomology needs lattice coefficients; "
+            "wrap the module as a divisible dual instead"
+        )
+    res = make_resolution(M.spec, resolution, limits)
+    if tate:
+        rank, diff = partial(complete_rank, res), partial(complete_diff, res)
+    else:
+        rank, diff = res.rank, res.diff
+    step = -1 if kind == "homology" else 1
+
+    def leg(k: int) -> RingMatrix:
+        D = diff(max(n, k))
+        return D.antipode_transpose() if step < 0 else D
+
+    d = M.rank
+    has_in = tate or n - step >= 0
+    has_out = tate or n + step >= 0
+    return _hom_group(
+        M,
+        leg(n - step) if has_in else None,
+        (lambda: leg(n + step)) if has_out else None,
+        d * rank(n),
+        d * rank(n + step) if has_out else 0,
+        degree=n,
+        kind=kind,
+        resolution=resolution,
+        finite_degree=n >= 1 or tate,
+        want_representatives=want_representatives,
+        limits=limits,
+    )
 
 
 def ordinary_cohomology(
@@ -491,45 +451,7 @@ def ordinary_cohomology(
         if n == 0:
             raise ValueError("degree-0 cohomology of a divisible dual is not finite")
         return dual_tate(M.inner, n, limits=limits)
-    limits = limits or EngineLimits.from_env()
-    _guard_group(M, limits)
-    if n < 0:
-        raise ValueError("ordinary cohomology is defined in degrees >= 0")
-    if resolution == "minimal" and n > limits.max_tate_degree:
-        raise ValueError(
-            f"degree {n} outside the supported window "
-            f"[0, {limits.max_tate_degree}]"
-        )
-    res = make_resolution(M.spec, resolution, limits)
-    d = M.rank
-    dim = d * res.rank(n)
-    diff_out = lambda: res.diff(n + 1)
-    diff_in = (lambda: res.diff(n)) if n >= 1 else None
-    if M.is_lattice:
-        return _lattice_hom_group(
-            M,
-            diff_in,
-            diff_out,
-            dim,
-            degree=n,
-            kind="ordinary",
-            resolution=resolution,
-            finite_degree=n >= 1,
-            want_representatives=want_representatives,
-            limits=limits,
-        )
-    return _finite_hom_group(
-        M,
-        diff_in,
-        diff_out,
-        dim,
-        d * res.rank(n + 1),
-        degree=n,
-        kind="ordinary",
-        resolution=resolution,
-        want_representatives=want_representatives,
-        limits=limits,
-    )
+    return _complex_group(M, n, "ordinary", resolution, limits, want_representatives)
 
 
 def tate_cohomology(
@@ -546,48 +468,7 @@ def tate_cohomology(
     """
     if isinstance(M, DualDivisible):
         return dual_tate(M.inner, n, limits=limits)
-    limits = limits or EngineLimits.from_env()
-    _guard_group(M, limits)
-    if not (limits.min_tate_degree <= n <= limits.max_tate_degree):
-        raise ValueError(
-            f"degree {n} outside the supported window "
-            f"[{limits.min_tate_degree}, {limits.max_tate_degree}]"
-        )
-    if not M.is_lattice and n < 0:
-        raise ValueError(
-            "negative-degree complete cohomology needs lattice coefficients; "
-            "wrap the module as a divisible dual instead"
-        )
-    res = make_resolution(M.spec, "minimal", limits)
-    d = M.rank
-    dim = d * complete_rank(res, n)
-    diff_out = lambda: complete_diff(res, n + 1)
-    diff_in = lambda: complete_diff(res, n)
-    if M.is_lattice:
-        return _lattice_hom_group(
-            M,
-            diff_in,
-            diff_out,
-            dim,
-            degree=n,
-            kind="tate",
-            resolution="minimal",
-            finite_degree=True,
-            want_representatives=want_representatives,
-            limits=limits,
-        )
-    return _finite_hom_group(
-        M,
-        diff_in,
-        diff_out,
-        dim,
-        d * complete_rank(res, n + 1),
-        degree=n,
-        kind="tate",
-        resolution="minimal",
-        want_representatives=want_representatives,
-        limits=limits,
-    )
+    return _complex_group(M, n, "tate", "minimal", limits, want_representatives)
 
 
 def homology(
@@ -601,49 +482,7 @@ def homology(
     """H_n(G, M) of the tensored resolution; degree 0 gives coinvariants."""
     if isinstance(M, DualDivisible):
         raise ValueError("homology of a divisible dual is not supported")
-    limits = limits or EngineLimits.from_env()
-    _guard_group(M, limits)
-    if n < 0:
-        raise ValueError("homology is defined in degrees >= 0")
-    if resolution == "minimal" and n > limits.max_tate_degree:
-        raise ValueError(
-            f"degree {n} outside the supported window "
-            f"[0, {limits.max_tate_degree}]"
-        )
-    res = make_resolution(M.spec, resolution, limits)
-    d = M.rank
-    dim = d * res.rank(n)
-    # the boundary leaving degree n feeds the kernel here
-    diff_out = (lambda: res.diff(n)) if n >= 1 else None
-    diff_in = lambda: res.diff(n + 1)
-    if M.is_lattice:
-        return _lattice_hom_group(
-            M,
-            diff_in,
-            diff_out,
-            dim,
-            degree=n,
-            kind="homology",
-            resolution=resolution,
-            finite_degree=n >= 1,
-            want_representatives=want_representatives,
-            limits=limits,
-            tensor=True,
-        )
-    n_constraints = d * res.rank(n - 1) if n >= 1 else 0
-    return _finite_hom_group(
-        M,
-        diff_in,
-        diff_out,
-        dim,
-        n_constraints,
-        degree=n,
-        kind="homology",
-        resolution=resolution,
-        want_representatives=want_representatives,
-        limits=limits,
-        tensor=True,
-    )
+    return _complex_group(M, n, "homology", resolution, limits, want_representatives)
 
 
 def dual_tate(
@@ -704,16 +543,12 @@ def _cocycle_check(M: GModule, c: Cochain, limits: EngineLimits | None) -> Cocyc
         raise ValueError(
             f"degree-{n} cochain needs {D.rows} value vectors, got {len(c.values)}"
         )
-    out = _hom_matrix(M, D).mul(_as_column(c.flat()))
-    N = M.modulus
+    flat = _apply(M, D, c.flat())
     d = M.rank
     targets = monomial_basis(M.spec.ngens, n + 1)
     violations = []
-    flat = [row[0] for row in out.data]
     for j, expo in enumerate(targets):
         vec = flat[j * d : (j + 1) * d]
-        if N:
-            vec = [x % N for x in vec]
         if any(vec):
             violations.append(f"{_monomial_name(expo)}: obstruction {tuple(vec)}")
     return CocycleCheck(not violations, tuple(violations))
@@ -741,11 +576,7 @@ def coboundary_0(M: GModule, u: Sequence[int]) -> Cochain:
     from cohomolab.resolutions import minimal_diff
 
     D = minimal_diff(M.spec, 1)
-    out = _hom_matrix(M, D).mul(_as_column(u))
-    flat = [row[0] for row in out.data]
-    if M.modulus:
-        flat = [x % M.modulus for x in flat]
-    return Cochain.from_flat(1, flat, D.cols, M.rank)
+    return Cochain.from_flat(1, _apply(M, D, u), D.cols, M.rank)
 
 
 def coboundary_1(M: GModule, xi: Cochain) -> Cochain:
@@ -757,11 +588,7 @@ def coboundary_1(M: GModule, xi: Cochain) -> Cochain:
     D = minimal_diff(M.spec, 2)
     if len(xi.values) != D.rows:
         raise ValueError("cochain does not match the resolution basis")
-    out = _hom_matrix(M, D).mul(_as_column(xi.flat()))
-    flat = [row[0] for row in out.data]
-    if M.modulus:
-        flat = [x % M.modulus for x in flat]
-    return Cochain.from_flat(2, flat, D.cols, M.rank)
+    return Cochain.from_flat(2, _apply(M, D, xi.flat()), D.cols, M.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -830,27 +657,13 @@ def to_factor_set(M: GModule, gamma: Cochain, *, limits: EngineLimits | None = N
     pairs = bar_basis(spec, 2)
     index = {pair: col for col, pair in enumerate(pairs)}
     d = M.rank
-    N = M.modulus
+    flat = _apply(M, s2, gamma.flat())
     table = {}
     ident = spec.identity()
-    cache: dict[RingElement, IntMatrix] = {}
     for g, h in itertools.product(spec.elements(), repeat=2):
         if g == ident or h == ident:
             table[(g, h)] = (0,) * d
-            continue
-        col = index[(g, h)]
-        vec = [0] * d
-        for i in range(s2.rows):
-            elem = s2.entry(i, col)
-            if not elem:
-                continue
-            blk = cache.get(elem)
-            if blk is None:
-                blk = cache[elem] = M.act(elem)
-            gi = gamma.values[i]
-            for t in range(d):
-                vec[t] += sum(blk.data[t][u] * gi[u] for u in range(d))
-        if N:
-            vec = [x % N for x in vec]
-        table[(g, h)] = tuple(vec)
+        else:
+            col = index[(g, h)]
+            table[(g, h)] = tuple(flat[col * d : (col + 1) * d])
     return FactorSet(M, table)

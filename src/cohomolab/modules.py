@@ -429,8 +429,11 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def _read_action_file(path: str) -> list[IntMatrix]:
-    with open(path, encoding="utf-8") as fh:
-        content = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            content = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read matrix file {path!r}: {exc.strerror}") from exc
     blocks = [b for b in content.split("\n\n") if b.strip()]
     out = []
     for b in blocks:

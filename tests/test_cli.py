@@ -90,13 +90,6 @@ def test_compute_bar_resolution_degree_zero_is_ordinary(capsys):
     assert got == {0: (1, []), 1: (0, []), 2: (0, [2, 2])}
 
 
-def test_compute_jobs_output_is_deterministic(capsys):
-    args = ("compute", "--group", "2,4", "--module", "trivial", "--degrees", "0..3")
-    serial = run_json(capsys, *args)
-    threaded = run_json(capsys, *args, "--jobs", "4")
-    assert serial == threaded
-
-
 def test_compute_representatives_emitted(capsys):
     payload = run_json(
         capsys,
@@ -175,6 +168,28 @@ def test_cell_cap_is_exit_three(capsys, monkeypatch):
         "bar",
     )
     assert code == EXIT_CAP and "cap" in err
+
+
+def test_cell_cap_binds_on_cokernel_torsion_image(capsys, monkeypatch):
+    # rank 60 takes the cokernel-torsion route, whose 180 x 120 image
+    # matrix is over the cap even though no kernel is ever assembled
+    monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "1000")
+    code, _, err = run(
+        capsys, "compute", "--group", "2,2", "--module", "trivial:60", "--degrees", "2..2"
+    )
+    assert code == EXIT_CAP and "180 x 120" in err
+
+
+@pytest.mark.parametrize("verb", ["compute", "factor-set"])
+def test_unreadable_action_file_is_exit_two(capsys, tmp_path, verb):
+    args = {
+        "compute": ("compute", "--degrees", "1..1"),
+        "factor-set": ("factor-set", "--case", "trivial-H2", "--indices", "1"),
+    }[verb] + ("--group", "2")
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, _, err = run(capsys, *args, "--module", f"zmod:2:@{path}")
+        assert code == EXIT_PARSE
+        assert err.startswith("error: cannot read matrix file")
 
 
 def test_degree_window_flag(capsys):

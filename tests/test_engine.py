@@ -7,6 +7,7 @@ cross-resolution oracle (the standard resolution knows nothing about the
 monomial one, so agreement pins both).
 """
 
+import itertools
 import random
 
 import pytest
@@ -181,6 +182,28 @@ def test_route_selection_and_equality():
     small = ordinary_cohomology(Z, 3, resolution="minimal")
     assert small.route == "kernel"
     assert small.invariants == fast.invariants
+    # every entry point, coefficient type and representative setting goes
+    # through one group function; pin the route it picks for each
+    entry_points = {
+        "ordinary": ordinary_cohomology,
+        "tate": tate_cohomology,
+        "homology": homology,
+    }
+    routes = {  # module -> route without / with representatives
+        "cyclo:2:1:1,1": ("cokernel-torsion", "kernel"),
+        "reduce:4(trivial)": ("congruence", "congruence"),
+    }
+    for (kind, fn), (text, pinned), orders in itertools.product(
+        entry_points.items(), routes.items(), [(2, 2), (2, 4)]
+    ):
+        case = (kind, text, orders)
+        M = parse_module(text, GroupSpec.of(*orders))
+        fast = fn(M, 2, want_representatives=False)
+        slow = fn(M, 2, want_representatives=True)
+        assert (fast.route, slow.route) == pinned, case
+        assert fast.representatives is None, case
+        assert slow.invariants == fast.invariants, case
+        assert slow.class_group_generated_by(slow.representatives) == slow.invariants, case
 
 
 def test_finite_invariants_only_route_matches_presentation():
@@ -211,6 +234,20 @@ def test_cell_cap_raises():
     M = parse_module("reduce:4(trivial)", G)
     with pytest.raises(ResourceCapExceeded):
         ordinary_cohomology(M, 2, resolution="bar", limits=EngineLimits(max_cells=100))
+
+
+@pytest.mark.parametrize(
+    "compute, text, n, what",
+    [
+        (tate_cohomology, "trivial:60", 2, "cokernel-torsion image"),
+        (homology, "trivial:30", 0, "kernel image"),
+        (homology, "reduce:4(trivial:30)", 0, "congruence image"),
+    ],
+)
+def test_cell_cap_binds_on_every_assembled_matrix(compute, text, n, what):
+    M = parse_module(text, G22)
+    with pytest.raises(ResourceCapExceeded, match=what):
+        compute(M, n, limits=EngineLimits(max_cells=1000))
 
 
 # ---------------------------------------------------------------------------
