@@ -1,10 +1,14 @@
 """Exact integer linear algebra: Smith normal form, kernels, lattice quotients.
 
 Everything here runs on Python's arbitrary-precision integers; there is no
-floating point anywhere.  Matrices are immutable tuples of row tuples, small
-enough in this project that dense storage is fine.  The workhorses are
+floating point anywhere.  Matrices are immutable tuples of row tuples.  The
+workhorses are
 
 * :func:`snf` -- Smith normal form with unimodular transforms,
+* :func:`smith_diagonal` -- the Smith diagonal alone, by sparse elimination:
+  the resolution matrices are over 99% zero with mostly unit entries, so it
+  clears dividing pivots on dict rows and leaves only what has none to the
+  dense elimination behind :func:`snf`,
 * :func:`kernel_basis` -- saturated basis of an integer kernel,
 * :func:`quotient_invariants` -- structure of a lattice quotient L1/L2.
 
@@ -17,21 +21,10 @@ coefficient pipeline in the engine relies on this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
-# int64 fast paths bail out (and the pure-int path reruns from scratch) when
-# any intermediate could reach this magnitude
-_INT64_GUARD = 1 << 62
-
-
-class _NumericRisk(Exception):
-    """An int64 fast path cannot guarantee exactness; retry with Python ints."""
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -110,20 +103,6 @@ class IntMatrix:
             tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data
         )
         return IntMatrix(self.rows, other.cols, out)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(
-            self.rows,
-            self.cols + other.cols,
-            tuple(a + b for a, b in zip(self.data, other.data)),
-        )
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(self.rows + other.rows, self.cols, self.data + other.data)
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self.data))
@@ -463,84 +442,120 @@ def snf(A: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(U, D, V, invariants, zero_entries)
 
 
-def _smith_diagonal_np(rows: Sequence[Sequence[int]], m: int, n: int, mod: int | None) -> list[int]:
-    """Vectorized Smith diagonal on int64; the diagonal itself is canonical,
-    so this only needs to agree with the Python path mathematically, not
-    operation for operation.  Raises :class:`_NumericRisk` near overflow."""
-    np = _np
-    a = np.array([list(r) for r in rows], dtype=np.int64).reshape(m, n)
-    if mod:
-        a %= mod
-    elif a.size and int(np.abs(a).max()) >= _INT64_GUARD:
-        raise _NumericRisk
-    big = np.iinfo(np.int64).max
-    diag: list[int] = []
-    t = 0
-    while t < min(m, n):
-        sub = a[t:, t:]
-        vals = np.where(sub != 0, np.abs(sub), big)
-        flat = int(vals.argmin())
-        if int(vals.reshape(-1)[flat]) == big:
-            break
-        pi, pj = divmod(flat, n - t)
-        if pi:
-            a[[t, t + pi], :] = a[[t + pi, t], :]
-        if pj:
-            a[:, [t, t + pj]] = a[:, [t + pj, t]]
-        if a[t, t] < 0:
-            a[t, :] = -a[t, :]
-        while True:
-            if not mod and int(np.abs(a).max()) >= (1 << 31):
-                raise _NumericRisk
-            p = int(a[t, t])
-            qs = a[t + 1 :, t] // p
-            if np.any(qs):
-                a[t + 1 :, :] -= qs[:, None] * a[t, :][None, :]
-                if mod:
-                    a[t + 1 :, :] %= mod
-            rem = a[t + 1 :, t]
-            if np.any(rem):
-                cand = np.where(rem != 0, rem, big)  # remainders are in [0, p)
-                i0 = t + 1 + int(cand.argmin())
-                a[[t, i0], :] = a[[i0, t], :]
-                continue
-            p = int(a[t, t])
-            qs = a[t, t + 1 :] // p
-            if np.any(qs):
-                a[:, t + 1 :] -= a[:, t][:, None] * qs[None, :]
-                if mod:
-                    a[:, t + 1 :] %= mod
-            rem = a[t, t + 1 :]
-            if np.any(rem):
-                cand = np.where(rem != 0, rem, big)
-                j0 = t + 1 + int(cand.argmin())
-                a[:, [t, j0]] = a[:, [j0, t]]
-                continue
-            p = int(a[t, t])
-            if p > 1:
-                badmask = (a[t + 1 :, t + 1 :] % p) != 0
-                rows_bad = badmask.any(axis=1)
-                if rows_bad.any():
-                    i = t + 1 + int(rows_bad.argmax())
-                    a[t, :] += a[i, :]
-                    if mod:
-                        a[t, :] %= mod
-                    continue
-            break
-        diag.append(int(a[t, t]))
-        t += 1
-    return diag
-
-
 def smith_diagonal(rows: Sequence[Sequence[int]], m: int, n: int, mod: int | None = None) -> list[int]:
-    """Just the diagonal of the Smith form (no transforms tracked)."""
-    if _np is not None and m * n >= _NP_MIN_CELLS and (not mod or mod < (1 << 31)):
-        try:
-            return _smith_diagonal_np(rows, m, n, mod)
-        except (_NumericRisk, OverflowError):
-            pass
-    el = _Eliminator(rows, m, n, mod=mod)
-    return _smith_eliminate(el)
+    """Nonzero diagonal of the Smith form of an m x n matrix, no transforms.
+
+    Returns rank-many entries in ascending divisibility, units first.  With
+    ``mod`` the matrix is read over Z/mod: each entry is gcd(d, mod), and
+    entries equal to mod (zero in Z/mod) are dropped.
+
+    Sparse elimination: take the shortest row holding a dividing pivot (an
+    entry whose gcd with the modulus divides its row and its column; a unit
+    always does), clear the pivot's column by exact row operations, drop the
+    pivot's row and column.  The rest of that row is a multiple of the
+    pivot, so column operations would clear it; they are never carried out.
+    What is left without such a pivot goes to the dense
+    :func:`_smith_eliminate`.
+
+    >>> smith_diagonal([[2, 4], [6, 8]], 2, 2)
+    [2, 4]
+    >>> smith_diagonal([[4, 0], [0, 6]], 2, 2, mod=12)
+    [2]
+    """
+    N = mod or 0  # gcd(x, 0) == abs(x), so N == 0 reads the matrix over Z
+    live: dict[int, dict[int, int]] = {}  # row -> {column: nonzero entry}
+    cols: dict[int, set[int]] = {j: set() for j in range(n)}  # column -> rows
+    for i, r in enumerate(rows):
+        if N:
+            r = [x % N for x in r]
+        row = dict(zip(compress(range(n), r), compress(r, r)))
+        if row:
+            live[i] = row
+            for j in row:
+                cols[j].add(i)
+    pivots: list[int] = []
+    heap = [(len(r), i) for i, r in live.items()]
+    heapify(heap)
+    stalled: set[int] = set()  # rows seen without a pivot
+    progress = False
+    while heap or (progress and stalled):
+        if not heap:
+            # eliminations since these rows stalled may have freed a pivot
+            heap = [(len(live[i]), i) for i in stalled if i in live]
+            heapify(heap)
+            stalled.clear()
+            progress = False
+            continue
+        size, i = heappop(heap)
+        row = live.get(i)
+        if row is None or len(row) != size:
+            continue  # eliminated, or queued again under its new length
+        g = gcd(*row.values(), N)
+        best = None
+        for j, x in row.items():
+            if gcd(x, N) == g and (best is None or len(cols[j]) < len(cols[best])):
+                if g == 1 or all(live[k][j] % g == 0 for k in cols[j]):
+                    best = j
+        if best is None:
+            stalled.add(i)
+            continue
+        p = row[best]
+        # the multiplier q solves q * p = x (mod N) for every x that g divides
+        inv = pow(p // g, -1, N // g) if N else p // g
+        del live[i]
+        for j in row:
+            cols[j].discard(i)
+        for k in list(cols[best]):
+            other = live[k]
+            q = other[best] // g * inv
+            for j, x in row.items():
+                y = other.get(j, 0) - q * x
+                if N:
+                    y %= N
+                if y:
+                    if j not in other:
+                        cols[j].add(k)
+                    other[j] = y
+                elif other.pop(j, 0):
+                    cols[j].discard(k)
+            if other:
+                heappush(heap, (len(other), k))
+            else:
+                del live[k]
+            stalled.discard(k)
+        pivots.append(g)
+        progress = True
+    if live:
+        used = sorted({j for row in live.values() for j in row})
+        dense = [[row.get(j, 0) for j in used] for row in live.values()]
+        el = _Eliminator(dense, len(dense), len(used), mod=mod)
+        pivots.extend(gcd(d, N) for d in _smith_eliminate(el))
+    return _invariant_chain(pivots, N)
+
+
+def _invariant_chain(diag: Iterable[int], N: int = 0) -> list[int]:
+    """Smith diagonal of diag(d1, d2, ...), all d > 0, units first.
+
+    Pairs are merged as (a, b) -> (gcd, lcm), which keeps the diagonal
+    equivalent; nothing is factored.  With a modulus N every entry divides
+    N, and entries equal to N are zero in Z/N and dropped.
+    """
+    units = 0
+    chain: list[int] = []
+    for x in sorted(diag):
+        if x == 1:
+            units += 1
+            continue
+        if chain and x % chain[-1]:
+            # merging x up the chain keeps each entry dividing the next: the
+            # new entry gcd(c_k, lcm(...)) divides both c_k and the carry
+            for k, c in enumerate(chain):
+                g = gcd(c, x)
+                chain[k], x = g, c // g * x
+        chain.append(x)
+    while N and chain and chain[-1] == N:
+        chain.pop()
+    return [1] * units + chain
 
 
 # ---------------------------------------------------------------------------
@@ -566,25 +581,28 @@ def _echelon_insert(pivots: dict[int, list[int]], row: list[int], mod: int | Non
                 row = [-x for x in row]
             pivots[j] = row
             return
+        # both rows vanish left of the pivot column, so only their tails change
         a, b = p[j], row[j]
         if b % a == 0:
             q = b // a
-            row = [x - q * y for x, y in zip(row, p)]
+            tail = [x - q * y for x, y in zip(row[j:], p[j:])]
         else:
             g, x, y = xgcd(a, b)
             qa, qb = a // g, b // g
-            new_p = [x * pa + y * rb for pa, rb in zip(p, row)]
-            row = [qa * rb - qb * pa for pa, rb in zip(p, row)]
+            ptail, rtail = p[j:], row[j:]
+            new_p = [x * pa + y * rb for pa, rb in zip(ptail, rtail)]
+            tail = [qa * rb - qb * pa for pa, rb in zip(ptail, rtail)]
             if mod:
                 new_p = [v % mod for v in new_p]
-            pivots[j] = new_p
+            pivots[j] = p[:j] + new_p
         if mod:
-            row = [x % mod for x in row]
+            tail = [x % mod for x in tail]
+        row[j:] = tail
         j = _first_nonzero(row, j + 1)
 
 
-def _echelon_vectors_py(
-    vectors: Iterable[Sequence[int]], width: int, mod: int | None, seed_mod: bool
+def _echelon_vectors(
+    vectors: Iterable[Sequence[int]], width: int, mod: int | None, seed_mod: bool = False
 ) -> list[list[int]]:
     pivots: dict[int, list[int]] = {}
     if seed_mod:
@@ -595,86 +613,6 @@ def _echelon_vectors_py(
     for v in vectors:
         _echelon_insert(pivots, list(v), mod=mod)
     return [pivots[j] for j in sorted(pivots)]
-
-
-def _np_first_nonzero(row, start: int = 0) -> int | None:
-    nz = _np.nonzero(row[start:])[0]
-    return None if nz.size == 0 else start + int(nz[0])
-
-
-def _echelon_vectors_np(
-    vectors: Sequence[Sequence[int]], width: int, mod: int | None, seed_mod: bool
-) -> list[list[int]]:
-    """int64 mirror of :func:`_echelon_vectors_py`, identical operation order.
-
-    Raises :class:`_NumericRisk` if a combination could leave int64 range;
-    with ``mod`` set everything stays in [0, mod) and cannot overflow for
-    mod below 2^31.
-    """
-    np = _np
-    pivots: dict[int, "_np.ndarray"] = {}
-    if seed_mod:
-        for i in range(width):
-            seed = np.zeros(width, dtype=np.int64)
-            seed[i] = mod
-            pivots[i] = seed
-    amax = lambda v: int(np.abs(v).max()) if v.size else 0
-    for vec in vectors:
-        row = np.array(vec, dtype=np.int64)
-        if not mod and amax(row) >= _INT64_GUARD:
-            raise _NumericRisk
-        if mod:
-            row %= mod
-        j = _np_first_nonzero(row)
-        while j is not None:
-            p = pivots.get(j)
-            if p is None:
-                if row[j] < 0:
-                    row = -row
-                pivots[j] = row
-                break
-            a, b = int(p[j]), int(row[j])
-            if b % a == 0:
-                q = b // a
-                if not mod and abs(q) * amax(p) + amax(row) >= _INT64_GUARD:
-                    raise _NumericRisk
-                row = row - q * p
-            else:
-                g, x, y = xgcd(a, b)
-                qa, qb = a // g, b // g
-                if not mod:
-                    bound = (abs(x) + abs(qb)) * amax(p) + (abs(y) + abs(qa)) * amax(row)
-                    if bound >= _INT64_GUARD:
-                        raise _NumericRisk
-                new_p = x * p + y * row
-                row = qa * row - qb * p
-                if mod:
-                    new_p %= mod
-                pivots[j] = new_p
-            if mod:
-                row %= mod
-            j = _np_first_nonzero(row, j + 1)
-    return [[int(x) for x in pivots[j]] for j in sorted(pivots)]
-
-
-# below this size the numpy call overhead outweighs the vectorization win
-_NP_MIN_CELLS = 4096
-
-
-def _echelon_vectors(
-    vectors: Iterable[Sequence[int]], width: int, mod: int | None, seed_mod: bool = False
-) -> list[list[int]]:
-    vlist = [v if isinstance(v, list) else list(v) for v in vectors]
-    if (
-        _np is not None
-        and width * max(len(vlist), 1) >= _NP_MIN_CELLS
-        and (not mod or mod < (1 << 31))
-    ):
-        try:
-            return _echelon_vectors_np(vlist, width, mod, seed_mod)
-        except (_NumericRisk, OverflowError):
-            pass
-    return _echelon_vectors_py(vlist, width, mod, seed_mod)
 
 
 def echelon_rows(rows: Iterable[Sequence[int]], mod: int | None = None) -> list[list[int]]:
@@ -722,19 +660,34 @@ def hermite_reduce(vec: Sequence[int], hnf_cols: Sequence[Sequence[int]]) -> lis
 
 def solve_in_span(hnf_cols: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int] | None:
     """Integer coordinates of ``vec`` in the Hermite basis, or None if outside."""
+    return _solve(_pivot_tails(hnf_cols), vec)
+
+
+def _pivot_tails(hnf_cols: Sequence[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
+    # an echelon column vanishes above its pivot p, so only c[p:] acts
+    return [(p, c[p:]) for c, p in zip(hnf_cols, map(_first_nonzero, hnf_cols))]
+
+
+def _solve(tails: list[tuple[int, Sequence[int]]], vec: Sequence[int]) -> list[int] | None:
     v = list(vec)
     coords = []
-    for c in hnf_cols:
-        p = _first_nonzero(c)
-        q, r = divmod(v[p], c[p])
+    for p, tail in tails:
+        q, r = divmod(v[p], tail[0])
         if r:
             return None
         if q:
-            v = [a - q * b for a, b in zip(v, c)]
+            v[p:] = [a - q * b for a, b in zip(v[p:], tail)]
         coords.append(q)
-    if any(v):
-        return None
-    return coords
+    return None if any(v) else coords
+
+
+def _coords_in_span(hnf_cols, targets) -> list[list[int]]:
+    """:func:`solve_in_span` for many targets; raises if one lies outside."""
+    tails = _pivot_tails(hnf_cols)
+    out = [_solve(tails, t) for t in targets]
+    if None in out:
+        raise ValueError("relation columns do not lie in the spanned lattice")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -762,47 +715,6 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(vcols, dim=A.cols)
 
 
-def _congruence_reduce_np(
-    rows: Iterable[Sequence[tuple[int, int]]], n: int, N: int
-) -> list[list[int]]:
-    """int64 mirror of the pure congruence reduction, same operation order.
-
-    Everything stays in [0, N); for N below 2^31 the worst intermediate is
-    a sum of two products under 2^62, so int64 cannot overflow.
-    """
-    np = _np
-    B = np.eye(n, dtype=np.int64)
-    for constraint in rows:
-        w = np.zeros(n, dtype=np.int64)
-        for i, c in constraint:
-            c %= N
-            if c:
-                w = (w + c * B[i]) % N
-        nz = np.nonzero(w)[0]
-        if nz.size == 0:
-            continue
-        j0 = int(nz[0])
-        for k in nz[1:]:
-            k = int(k)
-            a, b = int(w[j0]), int(w[k])
-            if b % a == 0:
-                q = b // a
-                B[:, k] = (B[:, k] - q * B[:, j0]) % N
-            else:
-                g, x, y = xgcd(a, b)
-                qa, qb = a // g, b // g
-                cj = B[:, j0].copy()
-                ck = B[:, k].copy()
-                B[:, j0] = (x * cj + y * ck) % N
-                B[:, k] = (qa * ck - qb * cj) % N
-                w[j0] = g
-        g = int(w[j0])
-        f = N // gcd(g, N)
-        if f > 1:
-            B[:, j0] = (B[:, j0] * f) % N
-    return [[int(B[i, j]) for i in range(n)] for j in range(n)]
-
-
 def congruence_kernel_columns(
     rows: Iterable[Sequence[tuple[int, int]]], n: int, N: int
 ) -> list[list[int]]:
@@ -812,42 +724,38 @@ def congruence_kernel_columns(
     The returned list holds n columns; callers append N*e_i themselves when
     a full generating set is needed.
     """
-    if _np is not None and n >= 64 and 1 < N < (1 << 31):
-        return _congruence_reduce_np(rows, n, N)
-    B = [[int(i == j) for j in range(n)] for i in range(n)]  # row-major state
+    B = [[int(i == j) for i in range(n)] for j in range(n)]  # columns
+    live = list(range(n))  # the columns not yet zero; a zero column stays zero
     for constraint in rows:
-        w = [0] * n
+        cols = [B[j] for j in live]
+        w = [0] * len(live)
         for i, c in constraint:
             c %= N
-            if not c:
-                continue
-            bi = B[i]
-            for j in range(n):
-                w[j] = (w[j] + c * bi[j]) % N
-        nz = [j for j in range(n) if w[j]]
-        if not nz:
+            if c:
+                w = [x + c * col[i] for x, col in zip(w, cols)]
+        w = {j: x % N for j, x in zip(live, w) if x % N}
+        if not w:
             continue
-        j0 = nz[0]
-        for k in nz[1:]:
+        j0, *rest = w
+        for k in rest:
             a, b = w[j0], w[k]
+            cj, ck = B[j0], B[k]
             if b % a == 0:
                 q = b // a
-                for row in B:
-                    row[k] = (row[k] - q * row[j0]) % N
+                B[k] = [(y - q * x) % N for x, y in zip(cj, ck)]
             else:
                 g, x, y = xgcd(a, b)
                 qa, qb = a // g, b // g
-                for row in B:
-                    rj, rk = row[j0], row[k]
-                    row[j0] = (x * rj + y * rk) % N
-                    row[k] = (qa * rk - qb * rj) % N
+                B[j0] = [(x * u + y * v) % N for u, v in zip(cj, ck)]
+                B[k] = [(qa * v - qb * u) % N for u, v in zip(cj, ck)]
                 w[j0] = g
         g = w[j0]
         f = N // gcd(g, N)
         if f > 1:
-            for row in B:
-                row[j0] = (row[j0] * f) % N
-    return [[B[i][j] for i in range(n)] for j in range(n)]
+            B[j0] = [x * f % N for x in B[j0]]
+            if not any(B[j0]):
+                live.remove(j0)
+    return B
 
 
 # ---------------------------------------------------------------------------
@@ -866,12 +774,7 @@ def quotient_invariants(K: IntMatrix, I: IntMatrix) -> AbelianInvariants:
     if K.rows != I.rows:
         raise ValueError("ambient dimension mismatch")
     hk = column_hnf(K.columns(), K.rows)
-    coords = []
-    for c in I.columns():
-        y = solve_in_span(hk, c)
-        if y is None:
-            raise ValueError("relation columns do not lie in the spanned lattice")
-        coords.append(y)
+    coords = _coords_in_span(hk, I.columns())
     r = len(hk)
     if r == 0:
         return AbelianInvariants(0, ())
@@ -943,19 +846,12 @@ def quotient_presentation(
     """
     hk = column_hnf(basis_cols, dim, mod=mod)
     r = len(hk)
-    coords: list[list[int]] = []
-    for c in relation_cols:
-        y = solve_in_span(hk, c)
-        if y is None:
-            raise ValueError("relation columns do not lie in the spanned lattice")
-        coords.append(y)
+    targets = list(relation_cols)
     if mod:
         # the modulus sublattice is part of the relations; its coordinate
         # vectors are generally not mod*e_i, so add them explicitly
-        for i in range(dim):
-            target = [0] * dim
-            target[i] = mod
-            coords.append(solve_in_span(hk, target))
+        targets += [[mod * (i == j) for j in range(dim)] for i in range(dim)]
+    coords = _coords_in_span(hk, targets)
     ech = echelon_rows(coords, mod=mod)
     # relation matrix: r rows (coordinate space), one column per relation
     rel_cols = ech  # each echelon row is one relation vector of length r
@@ -978,56 +874,10 @@ def cokernel_torsion(A: IntMatrix) -> list[int]:
     """Invariant factors (> 1) of Z^rows / colspan(A), ascending.
 
     The free part of the cokernel is deliberately dropped, so this is only
-    meaningful when the finite piece is what the caller is after.
+    meaningful when the finite piece is what the caller is after.  A and its
+    transpose share a Smith form, so the rows of A go in as they are.
     """
-    cols = [c for c in A.columns() if any(c)]
-    if not cols:
-        return []
-    ech = _echelon_vectors(cols, A.rows, None)
-    diag = smith_diagonal(ech, len(ech), A.rows)
-    return [d for d in diag if d > 1]
-
-
-def _coords_in_span_py(hnf_cols, targets) -> list[list[int]]:
-    out = []
-    for t in targets:
-        y = solve_in_span(hnf_cols, t)
-        if y is None:
-            raise ValueError("relation columns do not lie in the spanned lattice")
-        out.append(y)
-    return out
-
-
-def _coords_in_span_np(hnf_cols, targets, dim: int) -> list[list[int]]:
-    """Batch :func:`solve_in_span` with the same quotient sequence per target."""
-    np = _np
-    H = np.array([list(c) for c in hnf_cols], dtype=np.int64)
-    V = np.array([list(t) for t in targets], dtype=np.int64)
-    coords = np.zeros((V.shape[0], len(hnf_cols)), dtype=np.int64)
-    for k, col in enumerate(hnf_cols):
-        p = _first_nonzero(col)
-        q, rem = np.divmod(V[:, p], int(H[k, p]))
-        if rem.any():
-            raise ValueError("relation columns do not lie in the spanned lattice")
-        if q.any():
-            bound = int(np.abs(q).max()) * int(np.abs(H[k]).max()) + int(np.abs(V).max())
-            if bound >= _INT64_GUARD:
-                raise _NumericRisk
-            V -= q[:, None] * H[k][None, :]
-        coords[:, k] = q
-    if V.any():
-        raise ValueError("relation columns do not lie in the spanned lattice")
-    return [[int(x) for x in row] for row in coords]
-
-
-def _coords_in_span(hnf_cols, targets, dim: int) -> list[list[int]]:
-    tlist = [list(t) for t in targets]
-    if _np is not None and hnf_cols and tlist and dim * len(tlist) >= _NP_MIN_CELLS:
-        try:
-            return _coords_in_span_np(hnf_cols, tlist, dim)
-        except (_NumericRisk, OverflowError):
-            pass
-    return _coords_in_span_py(hnf_cols, tlist)
+    return [d for d in smith_diagonal(A.data, A.rows, A.cols) if d > 1]
 
 
 def quotient_invariants_mod(
@@ -1046,12 +896,9 @@ def quotient_invariants_mod(
     r = len(hk)
     if r == 0:
         return AbelianInvariants(0, ())
-    targets = [list(c) for c in relation_cols]
-    for i in range(dim):
-        t = [0] * dim
-        t[i] = mod
-        targets.append(t)
-    coords = _coords_in_span(hk, targets, dim)
+    targets = list(relation_cols)
+    targets += [[mod * (i == j) for j in range(dim)] for i in range(dim)]
+    coords = _coords_in_span(hk, targets)
     ech = echelon_rows(coords, mod=mod)
     diag = smith_diagonal(ech, len(ech), r, mod=mod) if ech else []
     full = list(diag) + [0] * (r - len(diag))
