@@ -9,6 +9,9 @@ Route selection is about cost, never about semantics:
 
 * ``kernel``            exact kernel + quotient presentation, keeps
                         representatives; used whenever dimensions are small.
+                        The kernel is eliminated sparsely from the streamed
+                        constraint rows (:func:`kernel_columns`), which also
+                        check each representative; no dense matrix is built.
 * ``cokernel-torsion``  lattice coefficients in a degree where the group is
                         known to be finite: the invariant factors of the
                         cokernel of the incoming map already are the answer,
@@ -42,7 +45,7 @@ from cohomolab.intlinalg import (
     column_hnf,
     congruence_kernel_columns,
     hermite_reduce,
-    kernel_basis,
+    kernel_columns,
     quotient_invariants,
     quotient_invariants_mod,
     quotient_presentation,
@@ -270,16 +273,6 @@ def _extract_representatives(
     return tuple(torsion_reps + free_reps)
 
 
-def _zero_checker(A: IntMatrix, mod: int | None):
-    def check(flat: Sequence[int]) -> bool:
-        out = A.mul(IntMatrix.from_columns([list(flat)], dim=len(flat)))
-        if mod:
-            return all(x % mod == 0 for row in out.data for x in row)
-        return out.is_zero()
-
-    return check
-
-
 # ---------------------------------------------------------------------------
 # Cohomology of the Hom complex
 
@@ -326,17 +319,22 @@ def _hom_group(
     checker = None
     if diff_out is not None:
         limits.check_cells(out_dim, dim, f"{route} outgoing map")
-        D_out = diff_out()
+        rows: Iterable[list[tuple[int, int]]] = _hom_constraint_rows(M, diff_out())
+        if want:
+            # the kernel's constraint rows double as the cocycle checker
+            rows = list(rows)
+
+            def checker(flat: Sequence[int]) -> bool:
+                for row in rows:
+                    s = sum(c * flat[k] for k, c in row)
+                    if s % N if N else s:
+                        return False
+                return True
+
         if N:
-            kcols = congruence_kernel_columns(_hom_constraint_rows(M, D_out), dim, N)
-            kcols = [c for c in kcols if any(c)]
-            if want:
-                checker = _zero_checker(_hom_matrix(M, D_out), N)
+            kcols = [c for c in congruence_kernel_columns(rows, dim, N) if any(c)]
         else:
-            A = _hom_matrix(M, D_out)
-            kcols = kernel_basis(A).columns()
-            # the kernel matrix doubles as the cocycle checker
-            checker = _zero_checker(A, None)
+            kcols = kernel_columns(rows, dim)
     else:
         kcols = IntMatrix.identity(dim).columns()
     icols = _hom_matrix(M, D_in).columns() if D_in is not None else []

@@ -5,12 +5,18 @@ floating point anywhere.  Matrices are immutable tuples of row tuples.  The
 workhorses are
 
 * :func:`snf` -- Smith normal form with unimodular transforms,
-* :func:`smith_diagonal` -- the Smith diagonal alone, by sparse elimination:
-  the resolution matrices are over 99% zero with mostly unit entries, so it
-  clears dividing pivots on dict rows and leaves only what has none to the
-  dense elimination behind :func:`snf`,
-* :func:`kernel_basis` -- saturated basis of an integer kernel,
+* :func:`smith_diagonal` -- the Smith diagonal alone,
+* :func:`kernel_columns` -- saturated basis of an integer kernel, from
+  sparse rows (:func:`kernel_basis` takes a dense matrix),
 * :func:`quotient_invariants` -- structure of a lattice quotient L1/L2.
+
+The resolution matrices are over 99% zero with mostly unit entries, so the
+Smith diagonal and the kernel share one sparse elimination loop
+(:func:`_sparse_eliminate`): it clears dividing pivots on {column: value}
+rows, which never grows coefficients, and leaves only what has none to the
+dense elimination behind :func:`snf`.  The gcd row echelon behind
+:func:`echelon_rows` and :func:`column_hnf` also works on {column: value}
+rows and densifies its result once.
 
 The elimination kernels accept an optional modulus: when the column span of
 the input is known to contain N*Z^n, every entry may be reduced mod N without
@@ -442,38 +448,35 @@ def snf(A: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(U, D, V, invariants, zero_entries)
 
 
-def smith_diagonal(rows: Sequence[Sequence[int]], m: int, n: int, mod: int | None = None) -> list[int]:
-    """Nonzero diagonal of the Smith form of an m x n matrix, no transforms.
+def _dict_row(r: Sequence[int], N: int = 0) -> dict[int, int]:
+    """The nonzero entries of a dense row as {column: value}, reduced mod N."""
+    if N:
+        r = [x % N for x in r]
+    return dict(zip(compress(range(len(r)), r), compress(r, r)))
 
-    Returns rank-many entries in ascending divisibility, units first.  With
-    ``mod`` the matrix is read over Z/mod: each entry is gcd(d, mod), and
-    entries equal to mod (zero in Z/mod) are dropped.
 
-    Sparse elimination: take the shortest row holding a dividing pivot (an
-    entry whose gcd with the modulus divides its row and its column; a unit
-    always does), clear the pivot's column by exact row operations, drop the
-    pivot's row and column.  The rest of that row is a multiple of the
-    pivot, so column operations would clear it; they are never carried out.
-    What is left without such a pivot goes to the dense
-    :func:`_smith_eliminate`.
+def _sparse_eliminate(
+    rows: Sequence[dict[int, int]], n: int, N: int
+) -> tuple[list[tuple[int, int, dict[int, int]]], list[dict[int, int]]]:
+    """Clear dividing pivots from {column: nonzero entry} rows, in place.
 
-    >>> smith_diagonal([[2, 4], [6, 8]], 2, 2)
-    [2, 4]
-    >>> smith_diagonal([[4, 0], [0, 6]], 2, 2, mod=12)
-    [2]
+    A dividing pivot is an entry whose gcd g with N (N == 0 reads the rows
+    over Z) equals the gcd of its row with N and divides every entry of its
+    column; a unit always is one.  The loop takes the shortest row holding
+    one, in its column with the fewest entries, subtracts exact multiples of
+    that row from the others to clear the column, and drops the row.  Rows
+    that stall are retried once a later elimination may have freed a pivot.
+
+    Returns the pivots in elimination order as (g, column, row), ``row``
+    being the pivot's row as it stood when dropped, and the residual rows.
+    No residual row, and no later pivot row, touches an earlier pivot column.
     """
-    N = mod or 0  # gcd(x, 0) == abs(x), so N == 0 reads the matrix over Z
-    live: dict[int, dict[int, int]] = {}  # row -> {column: nonzero entry}
+    live = {i: row for i, row in enumerate(rows) if row}
     cols: dict[int, set[int]] = {j: set() for j in range(n)}  # column -> rows
-    for i, r in enumerate(rows):
-        if N:
-            r = [x % N for x in r]
-        row = dict(zip(compress(range(n), r), compress(r, r)))
-        if row:
-            live[i] = row
-            for j in row:
-                cols[j].add(i)
-    pivots: list[int] = []
+    for i, row in live.items():
+        for j in row:
+            cols[j].add(i)
+    pivots: list[tuple[int, int, dict[int, int]]] = []
     heap = [(len(r), i) for i, r in live.items()]
     heapify(heap)
     stalled: set[int] = set()  # rows seen without a pivot
@@ -523,14 +526,38 @@ def smith_diagonal(rows: Sequence[Sequence[int]], m: int, n: int, mod: int | Non
             else:
                 del live[k]
             stalled.discard(k)
-        pivots.append(g)
+        pivots.append((g, best, row))
         progress = True
-    if live:
-        used = sorted({j for row in live.values() for j in row})
-        dense = [[row.get(j, 0) for j in used] for row in live.values()]
+    return pivots, list(live.values())
+
+
+def smith_diagonal(rows: Sequence[Sequence[int]], m: int, n: int, mod: int | None = None) -> list[int]:
+    """Nonzero diagonal of the Smith form of an m x n matrix, no transforms.
+
+    Returns rank-many entries in ascending divisibility, units first.  With
+    ``mod`` the matrix is read over Z/mod: each entry is gcd(d, mod), and
+    entries equal to mod (zero in Z/mod) are dropped.
+
+    Sparse elimination (:func:`_sparse_eliminate`) contributes one diagonal
+    entry per dividing pivot: the rest of a pivot's row is a multiple of the
+    pivot, so column operations would clear it; they are never carried out.
+    What is left without such a pivot goes to the dense
+    :func:`_smith_eliminate`.
+
+    >>> smith_diagonal([[2, 4], [6, 8]], 2, 2)
+    [2, 4]
+    >>> smith_diagonal([[4, 0], [0, 6]], 2, 2, mod=12)
+    [2]
+    """
+    N = mod or 0  # gcd(x, 0) == abs(x), so N == 0 reads the matrix over Z
+    pivots, residual = _sparse_eliminate([_dict_row(r, N) for r in rows], n, N)
+    diag = [g for g, _, _ in pivots]
+    if residual:
+        used = sorted({j for row in residual for j in row})
+        dense = [[row.get(j, 0) for j in used] for row in residual]
         el = _Eliminator(dense, len(dense), len(used), mod=mod)
-        pivots.extend(gcd(d, N) for d in _smith_eliminate(el))
-    return _invariant_chain(pivots, N)
+        diag.extend(gcd(d, N) for d in _smith_eliminate(el))
+    return _invariant_chain(diag, N)
 
 
 def _invariant_chain(diag: Iterable[int], N: int = 0) -> list[int]:
@@ -562,57 +589,71 @@ def _invariant_chain(diag: Iterable[int], N: int = 0) -> list[int]:
 # Integer row echelon / Hermite machinery
 
 
-def _first_nonzero(row: Sequence[int], start: int = 0) -> int | None:
-    for j in range(start, len(row)):
+def _first_nonzero(row: Sequence[int]) -> int | None:
+    for j in range(len(row)):
         if row[j]:
             return j
     return None
 
 
-def _echelon_insert(pivots: dict[int, list[int]], row: list[int], mod: int | None = None) -> None:
-    """Insert one row into a gcd row-echelon accumulator (span preserving)."""
-    if mod:
-        row = [x % mod for x in row]
-    j = _first_nonzero(row)
-    while j is not None:
+def _echelon_insert(
+    pivots: dict[int, dict[int, int]], row: dict[int, int], mod: int | None = None
+) -> None:
+    """Insert one {column: nonzero} row, reduced mod ``mod``, into a gcd
+    row-echelon accumulator (span preserving)."""
+    while row:
+        j = min(row)
         p = pivots.get(j)
         if p is None:
             if row[j] < 0:
-                row = [-x for x in row]
+                row = {k: -x for k, x in row.items()}
             pivots[j] = row
             return
         # both rows vanish left of the pivot column, so only their tails change
         a, b = p[j], row[j]
         if b % a == 0:
             q = b // a
-            tail = [x - q * y for x, y in zip(row[j:], p[j:])]
+            for k, y in p.items():
+                x = row.get(k, 0) - q * y
+                if mod:
+                    x %= mod
+                if x:
+                    row[k] = x
+                else:
+                    row.pop(k, None)
         else:
             g, x, y = xgcd(a, b)
             qa, qb = a // g, b // g
-            ptail, rtail = p[j:], row[j:]
-            new_p = [x * pa + y * rb for pa, rb in zip(ptail, rtail)]
-            tail = [qa * rb - qb * pa for pa, rb in zip(ptail, rtail)]
-            if mod:
-                new_p = [v % mod for v in new_p]
-            pivots[j] = p[:j] + new_p
-        if mod:
-            tail = [x % mod for x in tail]
-        row[j:] = tail
-        j = _first_nonzero(row, j + 1)
+            new_p, tail = {}, {}
+            for k in p.keys() | row.keys():
+                pa, rb = p.get(k, 0), row.get(k, 0)
+                u, v = x * pa + y * rb, qa * rb - qb * pa
+                if mod:
+                    u, v = u % mod, v % mod
+                if u:
+                    new_p[k] = u
+                if v:
+                    tail[k] = v
+            pivots[j] = new_p
+            row = tail
 
 
 def _echelon_vectors(
     vectors: Iterable[Sequence[int]], width: int, mod: int | None, seed_mod: bool = False
 ) -> list[list[int]]:
-    pivots: dict[int, list[int]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     if seed_mod:
         for i in range(width):
-            seed = [0] * width
-            seed[i] = mod  # type: ignore[assignment]
-            pivots[i] = seed
+            pivots[i] = {i: mod}  # type: ignore[dict-item]
     for v in vectors:
-        _echelon_insert(pivots, list(v), mod=mod)
-    return [pivots[j] for j in sorted(pivots)]
+        _echelon_insert(pivots, _dict_row(v, mod or 0), mod=mod)
+    out = []
+    for j in sorted(pivots):
+        row = [0] * width
+        for k, x in pivots[j].items():
+            row[k] = x
+        out.append(row)
+    return out
 
 
 def echelon_rows(rows: Iterable[Sequence[int]], mod: int | None = None) -> list[list[int]]:
@@ -703,16 +744,59 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     >>> kernel_basis(IntMatrix.from_rows([[2, 3]])).columns()
     [[3, -2]]
     """
-    if A.cols == 0:
-        return IntMatrix.from_columns([], dim=0)
-    ech = echelon_rows(A.data)
-    if not ech:
-        return IntMatrix.identity(A.cols)
-    el = _Eliminator(ech, len(ech), A.cols, want_v=True)
-    diag = _smith_eliminate(el)
-    rank = len(diag)
-    vcols = [[el.v[i][j] for i in range(A.cols)] for j in range(rank, A.cols)]
-    return IntMatrix.from_columns(vcols, dim=A.cols)
+    rows = ([(j, x) for j, x in enumerate(r) if x] for r in A.data)
+    return IntMatrix.from_columns(kernel_columns(rows, A.cols), dim=A.cols)
+
+
+def kernel_columns(rows: Iterable[Iterable[tuple[int, int]]], n: int) -> list[list[int]]:
+    """Saturated basis of {x in Z^n : A x = 0}, as columns.
+
+    ``rows`` yields the rows of A as sparse (index, coefficient) pairs, as
+    for :func:`congruence_kernel_columns`.  :func:`_sparse_eliminate` clears
+    the dividing pivots; each pivot row (g, j, row) then fixes
+    x_j = -sum_{k != j} (row[k] / row[j]) x_k exactly, since g divides the
+    whole row.  The residual rows touch only non-pivot columns, and their
+    saturated kernel comes from the dense echelon and Smith elimination;
+    non-pivot columns they do not touch are free.  Each kernel vector on
+    the non-pivot columns extends to one of A by back-substituting the
+    pivots in reverse elimination order.
+
+    >>> kernel_columns([[(0, 2), (1, 3)]], 2)
+    [[3, -2]]
+    >>> kernel_columns([[(0, 1), (1, -1), (2, 2)], [(2, 3)]], 4)
+    [[1, 1, 0, 0], [0, 0, 0, 1]]
+    """
+    sparse = []
+    for r in rows:
+        row: dict[int, int] = {}
+        for k, c in r:
+            row[k] = row.get(k, 0) + c
+        sparse.append({k: c for k, c in row.items() if c})
+    pivots, residual = _sparse_eliminate(sparse, n, 0)
+    used = sorted({j for row in residual for j in row})
+    basis: list[dict[int, int]] = []  # kernel vectors on the non-pivot columns
+    if residual:
+        ech = echelon_rows([[row.get(j, 0) for j in used] for row in residual])
+        el = _Eliminator(ech, len(ech), len(used), want_v=True)
+        rank = len(_smith_eliminate(el))
+        for t in range(rank, len(used)):
+            basis.append({j: v[t] for j, v in zip(used, el.v) if v[t]})
+    bound = set(used).union(j for _, j, _ in pivots)
+    basis += ({j: 1} for j in range(n) if j not in bound)
+    # x_j = sum of -(row[k] / row[j]) * x_k, pivots in reverse order
+    steps = [
+        (j, [(k, -(c // row[j])) for k, c in row.items() if k != j])
+        for _, j, row in reversed(pivots)
+    ]
+    out = []
+    for vec in basis:
+        x = [0] * n
+        for j, v in vec.items():
+            x[j] = v
+        for j, terms in steps:
+            x[j] = sum(q * x[k] for k, q in terms)
+        out.append(x)
+    return out
 
 
 def congruence_kernel_columns(

@@ -67,7 +67,13 @@ class GModule:
         return self.modulus == 0
 
     def action_power(self, i: int, k: int) -> IntMatrix:
-        return _action_power(self, i, k % self.spec.orders[i])
+        k %= self.spec.orders[i]
+        powers = _action_powers(self, i)
+        if len(powers) <= k:
+            A = [[(j, x) for j, x in enumerate(r) if x] for r in self.actions[i].data]
+            while len(powers) <= k:
+                powers.append(self._reduce(_times_sparse(powers[-1], A)))
+        return powers[k]
 
     def act(self, x: RingElement) -> IntMatrix:
         """Matrix of x in Z[G] acting on the module (reduced mod N if finite)."""
@@ -128,8 +134,27 @@ def _mat_pow(A: IntMatrix, k: int) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _action_power(module: GModule, i: int, k: int) -> IntMatrix:
-    return module._reduce(_mat_pow(module.actions[i], k))
+def _action_powers(module: GModule, i: int) -> list[IntMatrix]:
+    """The powers A^0, A^1, ... of generator i's action found so far.
+
+    :meth:`GModule.action_power` extends the list by one product with the
+    sparse A per new power, so the first call on a module costs about the
+    same whichever powers it asks for.
+    """
+    return [IntMatrix.identity(module.rank)]
+
+
+def _times_sparse(P: IntMatrix, A: list[list[tuple[int, int]]]) -> IntMatrix:
+    """P times the square matrix whose rows have the nonzero entries A."""
+    out = []
+    for prow in P.data:
+        acc = [0] * P.cols
+        for a, arow in zip(prow, A):
+            if a:
+                for j, x in arow:
+                    acc[j] += a * x
+        out.append(tuple(acc))
+    return IntMatrix(P.rows, P.cols, tuple(out))
 
 
 def trivial_module(spec: GroupSpec, rank: int = 1) -> GModule:

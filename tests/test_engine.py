@@ -463,6 +463,27 @@ def test_representative_verification_cannot_be_disabled_silently():
     assert all(is_cocycle_2(Z, rep) for rep in r.representatives)
 
 
+@pytest.mark.parametrize("text", ["trivial", "reduce:4(trivial)"])
+def test_representative_checker_rejects_a_non_cocycle(monkeypatch, text):
+    # kernel and congruence routes: a residue moved off the cocycles raises
+    import cohomolab.engine as engine
+
+    real = engine.hermite_reduce
+    monkeypatch.setattr(engine, "hermite_reduce", lambda v, h: [x + 1 for x in real(v, h)])
+    with pytest.raises(VerificationError):
+        ordinary_cohomology(parse_module(text, G22), 2, want_representatives=True)
+
+
+def test_bar_representatives_without_coefficient_blowup():
+    # the kernel of a 3825 x 450 bar matrix: minutes under a dense gcd
+    # echelon of the whole matrix, under a second with sparse elimination
+    M = parse_module("cyclo:2:2:1,1", GroupSpec.of(4, 4))
+    r = ordinary_cohomology(M, 2, resolution="bar", want_representatives=True)
+    assert r.invariants == ordinary_cohomology(M, 2).invariants
+    assert r.invariants.as_list() == [2] and r.free_rank == 0
+    assert r.class_group_generated_by(r.representatives) == r.invariants
+
+
 # ---------------------------------------------------------------------------
 # Cocycle predicates and coboundaries
 

@@ -27,6 +27,7 @@ from cohomolab.intlinalg import (
     echelon_rows,
     hermite_reduce,
     kernel_basis,
+    kernel_columns,
     quotient_invariants,
     quotient_invariants_mod,
     quotient_presentation,
@@ -181,6 +182,11 @@ def test_kernel_basis_injective_map():
     assert K.cols == 0
 
 
+def test_kernel_columns_sums_repeated_indices():
+    # the row reads 2*x0 - 2*x1 = 0
+    assert kernel_columns([[(0, 1), (0, 1), (1, -2)]], 2) == [[1, 1]]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_matrices(max_dim=4, bound=9))
 def test_kernel_basis_properties(A):
@@ -193,8 +199,67 @@ def test_kernel_basis_properties(A):
         assert snf(K).invariants == ()
 
 
+def _dense_kernel_reference(rows, n):
+    """The whole-matrix route: gcd echelon, then Smith elimination with V."""
+    ech = echelon_rows(rows)
+    if not ech:
+        return [[int(i == j) for i in range(n)] for j in range(n)], 0
+    el = il._Eliminator(ech, len(ech), n, want_v=True)
+    rank = len(il._smith_eliminate(el))
+    return [[el.v[i][j] for i in range(n)] for j in range(rank, n)], rank
+
+
+def test_kernel_columns_sparse_draws_match_dense_reference():
+    # sparse 0/+-1/+-2 rows, the shape of resolution matrices: unit pivots,
+    # non-unit dividing pivots, a dense residual and back-substitution
+    rng = random.Random(2024)
+    seen = {"unit": 0, "non-unit": 0, "residual": 0, "back-substituted": 0}
+    for _ in range(200):
+        m = rng.randint(1, 10)
+        n = rng.randint(1, 14)
+        rows = [[rng.choice((0, 0, 0, 0, 0, 1, -1, 2, -2)) for _ in range(n)] for _ in range(m)]
+        want, rank = _dense_kernel_reference(rows, n)
+        K = kernel_columns(([(j, x) for j, x in enumerate(r) if x] for r in rows), n)
+        A = IntMatrix.from_rows(rows, cols=n)
+        assert A.mul(IntMatrix.from_columns(K, dim=n)).is_zero()
+        assert len(K) == n - rank
+        if K:
+            # saturated: the ambient quotient by the kernel is torsion free
+            assert snf(IntMatrix.from_columns(K, dim=n)).invariants == ()
+        assert column_hnf(K, n) == column_hnf(want, n), rows
+        pivots, residual = il._sparse_eliminate([il._dict_row(r) for r in rows], n, 0)
+        seen["unit"] += any(g == 1 for g, _, _ in pivots)
+        seen["non-unit"] += any(g > 1 for g, _, _ in pivots)
+        seen["residual"] += bool(residual)
+        seen["back-substituted"] += bool(pivots and K)
+    assert all(seen.values()), seen
+
+
 # ---------------------------------------------------------------------------
 # echelon / hermite
+
+
+def test_echelon_pinned():
+    # fixed outputs of the dense-row gcd echelon; the dict-row one must match
+    assert echelon_rows([[2, 4, 6], [4, 1, 0]]) == [[2, 4, 6], [0, 7, 12]]  # exact quotient
+    assert echelon_rows([[4, 6, 1], [6, 3, 5]]) == [[2, -3, 4], [0, 12, -7]]  # xgcd merge
+    assert echelon_rows([[-3, 1, 2], [0, -2, 5], [0, 4, -1]]) == [
+        [3, -1, -2], [0, 2, -5], [0, 0, 9],
+    ]  # negative leading entries
+    assert echelon_rows(
+        [[0, 2, 0, 0, 3], [0, 4, 0, 1, 0], [0, 0, 0, 0, -5], [1, 0, 0, 0, 0], [0, 6, 0, 9, 0]]
+    ) == [[1, 0, 0, 0, 0], [0, 2, 0, 0, 3], [0, 0, 0, 1, -6], [0, 0, 0, 0, 5]]
+    assert echelon_rows([[3, 5, 7], [6, 1, 2], [0, 4, 4]], mod=8) == [
+        [3, 5, 7], [0, 1, 4], [0, 0, 4],
+    ]
+    # seed_mod: the modulus sublattice is seeded before the columns go in
+    assert column_hnf([[2, 3, 0], [4, 1, 6]], 3, mod=6) == [[2, 0, 0], [0, 1, 0], [0, 0, 6]]
+    assert il._echelon_vectors([[0, 3, 1]], 3, 9, seed_mod=True) == [
+        [9, 0, 0], [0, 3, 1], [0, 0, 3],
+    ]
+    assert column_hnf([[0, 2, -4, 1], [0, -3, 1, 0], [0, 0, 5, 5]], 4) == [
+        [0, 1, 3, 12], [0, 0, 5, 5], [0, 0, 0, 13],
+    ]
 
 
 def test_echelon_rows_preserves_row_membership():

@@ -116,6 +116,28 @@ def test_module_rejects_wrong_order():
         GModule(G, 1, 0, (IntMatrix.from_rows([[-1]]),))
 
 
+def _dense_power(M, i, k):
+    out = IntMatrix.identity(M.rank)
+    for _ in range(k):
+        out = out.mul(M.actions[i])
+        if M.modulus:
+            out = out.mod(M.modulus)
+    return out
+
+
+@pytest.mark.parametrize("module", ["lattice", "mod"])
+def test_action_power_table_any_call_order(module):
+    G = GroupSpec.of(5, 25)
+    M = _cyclo(G, 5, 2, [0, 1])
+    if module == "mod":
+        M = reduce_mod(star_dual(M), 6)
+    order = list(range(-30, 60))
+    random.Random(3).shuffle(order)
+    for k in order:
+        for i, o in enumerate(G.orders):
+            assert M.action_power(i, k) == _dense_power(M, i, k % o)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_act_is_a_ring_homomorphism(data):
