@@ -113,7 +113,7 @@ def cmd_compute(args) -> int:
     limits = _limits(args)
     _guard_order(spec, limits)
     try:
-        module = parse_module(args.module, spec)
+        module = parse_module(args.module, spec, limits)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     lo, hi = _parse_degrees(args.degrees)
@@ -189,7 +189,8 @@ def cmd_compute(args) -> int:
 
 def cmd_factor_set(args) -> int:
     spec = _parse_group(args.group)
-    _guard_order(spec, _limits(args))
+    limits = _limits(args)
+    _guard_order(spec, limits)
     if args.case not in GENERATOR_CASES:
         raise CliError(f"unknown case {args.case!r}; choose from {GENERATOR_CASES}")
     if not args.case.endswith("H2"):
@@ -204,7 +205,7 @@ def cmd_factor_set(args) -> int:
         raise CliError(str(exc)) from exc
     if args.module is not None:
         try:
-            wanted = parse_module(args.module, spec)
+            wanted = parse_module(args.module, spec, limits)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         have = gen.module

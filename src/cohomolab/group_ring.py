@@ -254,9 +254,16 @@ class RingMatrix:
         """Transpose with the antipode applied entrywise.
 
         This is the matrix of the dual map under the standard identification
-        of Hom(Z[G]^n, Z[G]) with Z[G]^n via f -> sum_g f(g) g.
+        of Hom(Z[G]^n, Z[G]) with Z[G]^n via f -> sum_g f(g) g.  Entries
+        that share one element object share its antipode too.
         """
-        out = {(j, i): v.antipode() for (i, j), v in self.entries.items()}
+        dual: dict[int, RingElement] = {}
+        out = {}
+        for (i, j), v in self.entries.items():
+            w = dual.get(id(v))
+            if w is None:
+                w = dual[id(v)] = v.antipode()
+            out[(j, i)] = w
         return RingMatrix(self.group, self.cols, self.rows, out)
 
     def __eq__(self, other: object) -> bool:

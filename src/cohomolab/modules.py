@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, isqrt
 from typing import Sequence
 
 from cohomolab.group_ring import GroupSpec, RingElement
@@ -24,6 +25,7 @@ from cohomolab.intlinalg import (
     quotient_invariants,
     quotient_presentation,
 )
+from cohomolab.limits import EngineLimits, ResourceCapExceeded
 
 
 @dataclass(frozen=True)
@@ -67,35 +69,86 @@ class GModule:
         return self.modulus == 0
 
     def action_power(self, i: int, k: int) -> IntMatrix:
+        return self._power_entry(i, k)[0]
+
+    def _power_entry(self, i: int, k: int) -> tuple[IntMatrix, list[list[tuple[int, int]]]]:
         k %= self.spec.orders[i]
         powers = _action_powers(self, i)
         if len(powers) <= k:
-            A = [[(j, x) for j, x in enumerate(r) if x] for r in self.actions[i].data]
+            A = _sparse_rows(self.actions[i])
             while len(powers) <= k:
-                powers.append(self._reduce(_times_sparse(powers[-1], A)))
+                P = self._reduce(_times_sparse(powers[-1][0], A))
+                powers.append((P, _sparse_rows(P)))
         return powers[k]
 
     def act(self, x: RingElement) -> IntMatrix:
-        """Matrix of x in Z[G] acting on the module (reduced mod N if finite)."""
+        """Matrix of x in Z[G] acting on the module (reduced mod N if finite).
+
+        x is evaluated by Horner over the generators: its support is grouped
+        by the exponent e of generator 0, the remaining generators are
+        evaluated recursively on each group's sub-element, and A_0^e times
+        that inner matrix is added to the result, multiplying by the nonzero
+        entries of A_0^e only.  Identity factors (e = 0) add the inner
+        matrix with no product, and each distinct sub-element (its tail
+        exponents and coefficients) is evaluated once per call.  So the full
+        norm costs o_0 - 1 sparse products and a single group element at
+        most s - 1; the result is reduced mod N once, at the end.
+
+        There is deliberately no cross-call cache of element matrices: one
+        made each cell's cost depend on which cell first asked for an
+        element, and keeping the blocks of large differentials alive raised
+        peak memory.  Only the per-generator power table is kept.
+        """
         if x.group != self.spec:
             raise ValueError("ring element is over a different group")
-        out = IntMatrix.zeros(self.rank, self.rank)
-        for g, c in x.items():
-            m = None
-            for i, e in enumerate(g):
-                p = self.action_power(i, e)
-                m = p if m is None else m.mul(p)
-            if m is None:
-                m = IntMatrix.identity(self.rank)
-            out = IntMatrix(
-                self.rank,
-                self.rank,
-                tuple(
-                    tuple(a + c * b for a, b in zip(ra, rb))
-                    for ra, rb in zip(out.data, m.data)
-                ),
-            )
-        return self._reduce(out)
+        d = self.rank
+        memo: dict[tuple, int | list[list[int]]] = {}
+
+        def horner(i: int, terms: tuple) -> int | list[list[int]]:
+            # the sum of c * A_i^(g[0]) * A_(i+1)^(g[1]) * ... over the terms
+            # (g, c), g the exponents of generators i, i+1, ...; an int c
+            # stands for c times the identity
+            groups: dict[int, list] = {}
+            for g, c in terms:
+                groups.setdefault(g[0], []).append((g[1:], c))
+            scalar = 0
+            rows: list[list[int]] | None = None
+            for e, sub in groups.items():
+                if len(sub) == 1 and not any(sub[0][0]):
+                    inner = sub[0][1]  # c times the identity element
+                else:
+                    key = tuple(sub)
+                    inner = memo.get(key)
+                    if inner is None:
+                        inner = memo[key] = horner(i + 1, key)
+                if e == 0 and isinstance(inner, int):
+                    scalar += inner
+                    continue
+                if rows is None:
+                    rows = [[0] * d for _ in range(d)]
+                if e == 0:
+                    for r, irow in zip(rows, inner):
+                        r[:] = [a + b for a, b in zip(r, irow)]
+                elif isinstance(inner, int):
+                    for r, prow in zip(rows, self._power_entry(i, e)[1]):
+                        for u, a in prow:
+                            r[u] += inner * a
+                else:
+                    for t, prow in enumerate(self._power_entry(i, e)[1]):
+                        r = rows[t]
+                        for u, a in prow:
+                            r[:] = [v + a * b for v, b in zip(r, inner[u])]
+            if rows is None:
+                return scalar
+            if scalar:
+                for t in range(d):
+                    rows[t][t] += scalar
+            return rows
+
+        out = horner(0, tuple(x.items()))
+        if isinstance(out, int):
+            return self._reduce(IntMatrix.identity(d).scale(out))
+        return self._reduce(IntMatrix(d, d, tuple(tuple(r) for r in out)))
 
     def relabel(self, label: str) -> "GModule":
         return GModule(self.spec, self.rank, self.modulus, self.actions, label)
@@ -134,14 +187,20 @@ def _mat_pow(A: IntMatrix, k: int) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _action_powers(module: GModule, i: int) -> list[IntMatrix]:
-    """The powers A^0, A^1, ... of generator i's action found so far.
+def _action_powers(module: GModule, i: int) -> list[tuple[IntMatrix, list[list[tuple[int, int]]]]]:
+    """The powers A^0, A^1, ... of generator i's action found so far, each
+    with its nonzero entries row by row.
 
     :meth:`GModule.action_power` extends the list by one product with the
     sparse A per new power, so the first call on a module costs about the
     same whichever powers it asks for.
     """
-    return [IntMatrix.identity(module.rank)]
+    eye = IntMatrix.identity(module.rank)
+    return [(eye, _sparse_rows(eye))]
+
+
+def _sparse_rows(A: IntMatrix) -> list[list[tuple[int, int]]]:
+    return [[(j, x) for j, x in enumerate(r) if x] for r in A.data]
 
 
 def _times_sparse(P: IntMatrix, A: list[list[tuple[int, int]]]) -> IntMatrix:
@@ -184,7 +243,7 @@ class CyclotomicSpec:
     exps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, self.p)):
+        if self.p < 2 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
             raise ValueError("p must be prime")
         if self.m < 1:
             raise ValueError("m must be >= 1")
@@ -200,8 +259,6 @@ class CyclotomicSpec:
 
     def is_normalized(self) -> bool:
         """First generator hits a primitive root, the others act trivially."""
-        from math import gcd
-
         q = self.root_order
         if gcd(self.exps[0], q) != 1:
             return False
@@ -345,21 +402,32 @@ def coinvariants(m: GModule) -> AbelianInvariants:
 #   | reduce:N(<module>)
 
 
-def parse_module(text: str, spec: GroupSpec) -> GModule | DualDivisible:
+def parse_module(
+    text: str, spec: GroupSpec, limits: EngineLimits | None = None
+) -> GModule | DualDivisible:
+    """Build the module a description names.
+
+    Every module's rank x rank action matrices count against
+    ``limits.max_cells`` (default :meth:`EngineLimits.from_env`), and the
+    check runs before anything of that size is built, so an oversized
+    request raises :class:`ResourceCapExceeded` at once.
+    """
     text = text.strip()
-    mod = _parse_inner(text, spec)
+    mod = _parse_inner(text, spec, limits or EngineLimits.from_env())
     if isinstance(mod, GModule) and not mod.label:
         mod = mod.relabel(text)
     return mod
 
 
-def _parse_inner(text: str, spec: GroupSpec) -> GModule | DualDivisible:
+def _parse_inner(text: str, spec: GroupSpec, limits: EngineLimits) -> GModule | DualDivisible:
     if text.startswith("trivial"):
         rest = text[len("trivial") :]
         if rest == "":
             return trivial_module(spec, 1)
         if rest.startswith(":"):
-            return trivial_module(spec, _parse_int(rest[1:], "rank"))
+            rank = _parse_int(rest[1:], "rank")
+            limits.check_cells(rank, rank, f"module {text!r}")
+            return trivial_module(spec, rank)
         raise ValueError(f"bad module description {text!r}")
     if text.startswith("zmod:"):
         body = text[len("zmod:") :]
@@ -372,6 +440,7 @@ def _parse_inner(text: str, spec: GroupSpec) -> GModule | DualDivisible:
             raise ValueError(
                 f"matrix file has {len(actions)} blocks, group has {spec.ngens} generators"
             )
+        limits.check_cells(actions[0].rows, actions[0].rows, f"module {text!r}")
         return zmod_module(spec, n, actions, label=text)
     if text.startswith("cyclo:"):
         parts = text[len("cyclo:") :].split(":")
@@ -380,31 +449,47 @@ def _parse_inner(text: str, spec: GroupSpec) -> GModule | DualDivisible:
         p = _parse_int(parts[0], "p")
         m = _parse_int(parts[1], "m")
         exps = tuple(_parse_int(e, "exponent") for e in parts[2].split(","))
+        _check_cyclotomic_rank(p, m, text, limits)
         return cyclotomic_module(CyclotomicSpec(spec, p, m, exps))
     for head, wrap in (("star(", "star"), ("dualD(", "dualD")):
         if text.startswith(head) and text.endswith(")"):
-            inner = _parse_inner(text[len(head) : -1], spec)
+            inner = _parse_inner(text[len(head) : -1], spec, limits)
             if isinstance(inner, DualDivisible):
                 raise ValueError(f"cannot apply {wrap} to a divisible dual")
             if wrap == "star":
                 return star_dual(inner).relabel(text)
             return DualDivisible(inner, label=text)
     if text.startswith("tensor(") and text.endswith(")"):
-        return _parse_tensor(text[len("tensor(") : -1], spec, text)
+        return _parse_tensor(text[len("tensor(") : -1], spec, text, limits)
     if text.startswith("reduce:"):
         body = text[len("reduce:") :]
         npart, sep, rest = body.partition("(")
         if not sep or not rest.endswith(")"):
             raise ValueError("reduction format is reduce:N(<module>)")
         n = _parse_int(npart, "modulus")
-        inner = _parse_inner(rest[:-1], spec)
+        inner = _parse_inner(rest[:-1], spec, limits)
         if isinstance(inner, DualDivisible):
             raise ValueError("cannot reduce a divisible dual")
         return reduce_mod(inner, n).relabel(text)
     raise ValueError(f"bad module description {text!r}")
 
 
-def _parse_tensor(body: str, spec: GroupSpec, text: str) -> GModule:
+def _check_cyclotomic_rank(p: int, m: int, text: str, limits: EngineLimits) -> None:
+    """Cap the rank (p-1)p^(m-1) squared without forming a huge power of p:
+    once m - 1 passes the bit length of the cap, the rank is over it."""
+    if p < 2 or m < 1:
+        return  # CyclotomicSpec rejects these
+    if m - 1 > limits.max_cells.bit_length():
+        raise ResourceCapExceeded(
+            f"module {text!r} has rank {p - 1}*{p}^{m - 1}, "
+            f"over the cap of {limits.max_cells} cells",
+            cap=limits.max_cells,
+        )
+    rank = (p - 1) * p ** (m - 1)
+    limits.check_cells(rank, rank, f"module {text!r}")
+
+
+def _parse_tensor(body: str, spec: GroupSpec, text: str, limits: EngineLimits) -> GModule:
     # Exponent lists inside cyclo:... use bare commas, so every top-level
     # comma is a candidate split point.  A split is accepted when both sides
     # parse over the full group (diagonal action) or over a prefix/suffix
@@ -415,22 +500,29 @@ def _parse_tensor(body: str, spec: GroupSpec, text: str) -> GModule:
     for cut in splits:
         left, right = body[:cut], body[cut + 1 :]
         try:
-            m1 = _parse_inner(left, spec)
-            m2 = _parse_inner(right, spec)
+            m1 = _parse_inner(left, spec, limits)
+            m2 = _parse_inner(right, spec, limits)
             if not isinstance(m1, DualDivisible) and not isinstance(m2, DualDivisible):
+                _check_tensor_rank(m1, m2, text, limits)
                 return tensor_diagonal(m1, m2).relabel(text)
         except ValueError:
             pass
         for k in range(1, spec.ngens):
             try:
-                m1 = _parse_inner(left, GroupSpec(spec.orders[:k]))
-                m2 = _parse_inner(right, GroupSpec(spec.orders[k:]))
+                m1 = _parse_inner(left, GroupSpec(spec.orders[:k]), limits)
+                m2 = _parse_inner(right, GroupSpec(spec.orders[k:]), limits)
             except ValueError:
                 continue
             if isinstance(m1, DualDivisible) or isinstance(m2, DualDivisible):
                 continue
+            _check_tensor_rank(m1, m2, text, limits)
             return tensor_outer(m1, m2).relabel(text)
     raise ValueError(f"cannot interpret tensor factors in {text!r} over this group")
+
+
+def _check_tensor_rank(m1: GModule, m2: GModule, text: str, limits: EngineLimits) -> None:
+    rank = m1.rank * m2.rank
+    limits.check_cells(rank, rank, f"module {text!r}")
 
 
 def _top_level_commas(body: str) -> list[int]:

@@ -59,10 +59,21 @@ def minimal_diff(spec: GroupSpec, n: int) -> RingMatrix:
     (k_1, ..., k_s) contributes the coefficient (-1)^(k_1+...+k_(i-1)) times
     (a_i - 1) for odd k_i, or the partial norm 1 + a_i + ... + a_i^(o_i - 1)
     for even k_i > 0.
+
+    The at most 4s distinct coefficients, +-(a_i - 1) and +-N_i for each i,
+    are built once per call and shared by every entry that uses them, so a
+    block cache keyed on them sees few distinct elements.
     """
     if n < 1:
         raise ValueError("differential starts at degree 1")
     s = spec.ngens
+    one = RingElement.one(spec)
+    # shared[i][k_i % 2][sign]: the coefficient for an odd or even k_i
+    shared = []
+    for i in range(s):
+        norm = partial_norm(spec, i, spec.orders[i])
+        step = RingElement.generator(spec, i) - one
+        shared.append(((norm, -norm), (step, -step)))
     src = monomial_basis(s, n)
     dst = monomial_basis(s, n - 1)
     dst_index = {m: i for i, m in enumerate(dst)}
@@ -71,16 +82,9 @@ def minimal_diff(spec: GroupSpec, n: int) -> RingMatrix:
         ksum = 0
         for i, k in enumerate(mono):
             if k:
+                # distinct i give distinct targets, so no entry is hit twice
                 target = mono[:i] + (k - 1,) + mono[i + 1 :]
-                if k % 2 == 1:
-                    coeff = RingElement.generator(spec, i) - RingElement.one(spec)
-                else:
-                    coeff = partial_norm(spec, i, spec.orders[i])
-                if ksum % 2 == 1:
-                    coeff = -coeff
-                row = dst_index[target]
-                key = (row, col)
-                entries[key] = entries[key] + coeff if key in entries else coeff
+                entries[(dst_index[target], col)] = shared[i][k % 2][ksum % 2]
             ksum += k
     return RingMatrix(spec, len(dst), len(src), entries)
 

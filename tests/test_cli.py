@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -172,12 +173,42 @@ def test_cell_cap_is_exit_three(capsys, monkeypatch):
 
 def test_cell_cap_binds_on_cokernel_torsion_image(capsys, monkeypatch):
     # rank 60 takes the cokernel-torsion route, whose 180 x 120 image
-    # matrix is over the cap even though no kernel is ever assembled
-    monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "1000")
+    # matrix is over the cap even though no kernel is ever assembled; the
+    # module's own 60 x 60 actions fit under it
+    monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "4000")
     code, _, err = run(
         capsys, "compute", "--group", "2,2", "--module", "trivial:60", "--degrees", "2..2"
     )
     assert code == EXIT_CAP and "180 x 120" in err
+
+
+@pytest.mark.parametrize(
+    "verb, module, named",
+    [
+        ("compute", "trivial:1500", "trivial:1500"),
+        ("compute", "cyclo:1009:1:1", "cyclo:1009:1:1"),
+        ("compute", "cyclo:2:99999999999:1", "cyclo:2:99999999999:1"),
+        ("compute", "tensor(trivial:20,trivial:20)", "tensor(trivial:20,trivial:20)"),
+        ("compute", "reduce:4(star(trivial:40))", "trivial:40"),
+        ("factor-set", "trivial:1500", "trivial:1500"),
+    ],
+)
+def test_module_size_is_capped_before_it_is_built(capsys, monkeypatch, verb, module, named):
+    # rank x rank cells count against the cap before any action matrix is
+    # built: ranks 1500, 1008, 2^99999999998, 400 (from two rank-20
+    # factors) and 40, against 1000 cells; the message names the first
+    # (sub)module over the cap
+    monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "1000")
+    args = {
+        "compute": ("compute", "--degrees", "1..1"),
+        "factor-set": ("factor-set", "--case", "trivial-H2", "--indices", "1"),
+    }[verb] + ("--group", "2", "--module", module)
+    start = time.perf_counter()
+    code, _, err = run(capsys, *args)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CAP
+    assert err.startswith("resource cap exceeded")
+    assert f"module {named!r}" in err
 
 
 @pytest.mark.parametrize("verb", ["compute", "factor-set"])

@@ -1,13 +1,15 @@
 """Coefficient module constructions and the description grammar."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomolab.group_ring import GroupSpec, RingElement, partial_norm
+from cohomolab.group_ring import GroupSpec, RingElement, full_norm, partial_norm
 from cohomolab.intlinalg import AbelianInvariants, IntMatrix
+from cohomolab.limits import EngineLimits, ResourceCapExceeded
 from cohomolab.modules import (
     CyclotomicSpec,
     DualDivisible,
@@ -116,13 +118,23 @@ def test_module_rejects_wrong_order():
         GModule(G, 1, 0, (IntMatrix.from_rows([[-1]]),))
 
 
+@lru_cache(maxsize=None)
+def _dense_powers(M):
+    """Every A_i^k, 0 <= k < o_i, by repeated dense products, mod N after
+    each one; computed once per module."""
+    table = {}
+    for i, o in enumerate(M.spec.orders):
+        out = IntMatrix.identity(M.rank)
+        for k in range(o):
+            table[(i, k)] = out
+            out = out.mul(M.actions[i])
+            if M.modulus:
+                out = out.mod(M.modulus)
+    return table
+
+
 def _dense_power(M, i, k):
-    out = IntMatrix.identity(M.rank)
-    for _ in range(k):
-        out = out.mul(M.actions[i])
-        if M.modulus:
-            out = out.mod(M.modulus)
-    return out
+    return _dense_powers(M)[(i, k)]
 
 
 @pytest.mark.parametrize("module", ["lattice", "mod"])
@@ -136,6 +148,75 @@ def test_action_power_table_any_call_order(module):
     for k in order:
         for i, o in enumerate(G.orders):
             assert M.action_power(i, k) == _dense_power(M, i, k % o)
+
+
+def _act_reference(M, x):
+    """The sum over the support of x of c * prod_i A_i^(g_i), mod N."""
+    d = M.rank
+    out = [[0] * d for _ in range(d)]
+    for g, c in x.items():
+        m = IntMatrix.identity(d)
+        for i, e in enumerate(g):
+            m = m.mul(_dense_power(M, i, e))
+        for row, mrow in zip(out, m.data):
+            row[:] = [a + c * b for a, b in zip(row, mrow)]
+    ref = IntMatrix.from_rows(out, cols=d)
+    return ref.mod(M.modulus) if M.modulus else ref
+
+
+_ACT_MODULES = {
+    "cyclo(5,25)": ((5, 25), "cyclo:5:2:0,1"),
+    "reduce-star(5,25)": ((5, 25), "reduce:6(star(cyclo:5:2:0,1))"),
+    "outer(2,4,8)": ((2, 4, 8), "tensor(cyclo:2:1:1,tensor(cyclo:2:2:1,cyclo:2:3:1))"),
+}
+
+
+@lru_cache(maxsize=None)
+def _act_module(name):
+    orders, text = _ACT_MODULES[name]
+    return parse_module(text, GroupSpec(orders))
+
+
+@pytest.mark.parametrize("name", sorted(_ACT_MODULES))
+def test_act_matches_dense_reference_on_resolution_entries(name):
+    M = _act_module(name)
+    G = M.spec
+    one = RingElement.one(G)
+    xs = [RingElement.zero(G), one, -one.scale(3), full_norm(G)]
+    for i, o in enumerate(G.orders):
+        xs += [partial_norm(G, i, o), RingElement.generator(G, i) - one]
+        xs += [-partial_norm(G, i, o), one - RingElement.generator(G, i)]
+    for x in xs:
+        assert M.act(x) == _act_reference(M, x), x
+
+
+@pytest.mark.parametrize("name", sorted(_ACT_MODULES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_act_matches_dense_reference_on_shared_tails(name, data):
+    # several heads (exponents of generator 0) over one sub-element, and
+    # others over a multiple of it, so that act reuses the sub-element it
+    # evaluated once but tells it from the multiple; plus loose terms
+    M = _act_module(name)
+    G = M.spec
+    o0, rest = G.orders[0], G.orders[1:]
+    head = st.integers(0, o0 - 1)
+    tail = st.tuples(*(st.integers(0, o - 1) for o in rest))
+    coeff = st.integers(-3, 3).filter(bool)
+    sub = data.draw(st.dictionaries(tail, coeff, min_size=1, max_size=3))
+    heads = data.draw(st.sets(head, min_size=1, max_size=o0))
+    scaled = data.draw(st.sets(head, max_size=o0))
+    k = data.draw(st.sampled_from([-2, 2, 3]))
+    loose = data.draw(st.lists(st.tuples(head, tail, coeff), max_size=3))
+    terms = {}
+    for h, t, c in (
+        [(h, t, c) for h in heads for t, c in sub.items()]
+        + [(h, t, k * c) for h in scaled for t, c in sub.items()]
+        + loose
+    ):
+        terms[(h,) + t] = terms.get((h,) + t, 0) + c
+    x = RingElement(G, terms)
+    assert M.act(x) == _act_reference(M, x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,3 +415,31 @@ def test_parse_errors():
     for bad in ["nonsense", "trivial:x", "cyclo:2:1", "zmod:4", "tensor(trivial)"]:
         with pytest.raises(ValueError):
             parse_module(bad, G)
+
+
+def test_parse_caps_module_rank_before_building():
+    G = GroupSpec.of(2)
+    small = EngineLimits(max_cells=100)
+    assert parse_module("trivial:10", G, small).rank == 10
+    assert parse_module("tensor(trivial:2,trivial:5)", G, small).rank == 10
+    for text, rank in [
+        ("trivial:11", 11),
+        ("cyclo:11:1:1", 10),  # capped before its action is found invalid
+        ("tensor(trivial:3,trivial:4)", 12),
+        ("star(trivial:11)", 11),
+    ]:
+        limits = EngineLimits(max_cells=(rank - 1) ** 2)
+        with pytest.raises(ResourceCapExceeded):
+            parse_module(text, G, limits)
+    with pytest.raises(ResourceCapExceeded):
+        parse_module("cyclo:3:10000000000000:1", G, small)
+
+
+def test_cyclotomic_primality_by_trial_division():
+    G = GroupSpec.of(1009)
+    assert CyclotomicSpec(G, 1009, 1, (1,)).p == 1009
+    for composite in (4, 9, 25, 1007, 1021 * 1031):
+        with pytest.raises(ValueError, match="prime"):
+            CyclotomicSpec(G, composite, 1, (1,))
+    for prime in (2, 3, 5, 1021):
+        assert CyclotomicSpec(G, prime, 1, (1,)).p == prime
