@@ -15,11 +15,21 @@ Route selection is about cost, never about semantics:
 * ``cokernel-torsion``  lattice coefficients in a degree where the group is
                         known to be finite: the invariant factors of the
                         cokernel of the incoming map already are the answer,
-                        so the outgoing map is never assembled.
-* ``congruence``        finite coefficient modulus N: kernels are computed
-                        as congruence lattices mod N.
+                        so the outgoing map is never assembled.  Its rows are
+                        streamed into :func:`smith_diagonal` as they are built.
+* ``universal-coefficients``
+                        a reduction L/NL of a lattice, invariants only: two
+                        Smith diagonals mod N, of the incoming and the
+                        outgoing map, streamed the same way.
+* ``congruence``        any other finite coefficient modulus N, and every
+                        finite-coefficient call that wants representatives:
+                        kernels are computed as congruence lattices mod N.
 * ``dual-shift``        divisible coefficients, evaluated on the dual
                         lattice one degree up.
+
+The image of the incoming map, where one is needed, is the transpose of the
+same streamed rows; only :func:`hom_complex_map` still builds a dense Hom
+matrix.
 
 The cokernel-torsion shortcut is justified in two lines: torsion classes of
 coker(d^{n-1}) are killed by some k, so k*t lies in ker(d^n) and therefore
@@ -27,6 +37,18 @@ d^n(t) is torsion in a torsion-free module, i.e. zero; conversely H^n in
 these degrees is finite, hence torsion in the cokernel.  Both inclusions
 together give equality, and the same argument applies verbatim to homology
 in positive degrees and to every complete-resolution degree.
+
+The universal-coefficients route, in two lines: Hom(P_n, L/N) is
+Hom(P_n, L) (x) Z/N, a complex of free abelian groups, so H^n(L/N) =
+H^n(L) (x) Z/N + Tor(H^{n+1}(L), Z/N) (homology: Tor of H_{n-1}); the torsion
+of H^{n+1}(L) is that of coker d_out, and over Z/N each Smith entry d
+becomes gcd(d, N).  Hence H = (Z/N)^(dim - r_in - r_out) + the sum of Z/e
+over the non-unit entries e of both mod-N diagonals, r being their lengths.
+This needs a lift with d o d = 0 over Z, which only
+:func:`~cohomolab.modules.reduce_mod` vouches for (``GModule.lifts_to_lattice``).
+Over C2 the action [[1, 2], [0, 1]] has order 2 mod 4 but not over Z; in
+degree 1 its diagonals are (2) and (2, 2), so r_in + r_out = 3 exceeds
+dim = 2 and no formula in them gives the true H^1 = Z/2.
 """
 
 from __future__ import annotations
@@ -41,7 +63,6 @@ from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
     QuotientPresentation,
-    cokernel_torsion,
     column_hnf,
     congruence_kernel_columns,
     hermite_reduce,
@@ -49,6 +70,7 @@ from cohomolab.intlinalg import (
     quotient_invariants,
     quotient_invariants_mod,
     quotient_presentation,
+    smith_diagonal,
 )
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
 from cohomolab.modules import DualDivisible, GModule, star_dual
@@ -132,6 +154,23 @@ def _hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, 
                     if brow[u]:
                         row.append((i * d + u, brow[u]))
             yield row
+
+
+def _image_columns(M: GModule, D: RingMatrix) -> list[list[int]]:
+    """The nonzero columns of the map phi -> phi . D, in column order,
+    reduced mod the module's modulus: the streamed rows, transposed."""
+    dim = M.rank * D.cols
+    cols: dict[int, dict[int, int]] = {}
+    for r, row in enumerate(_hom_constraint_rows(M, D)):
+        for k, c in row:
+            cols.setdefault(k, {})[r] = c
+    out = []
+    for k in sorted(cols):
+        col = [0] * dim
+        for r, c in cols[k].items():
+            col[r] = c
+        out.append(col)
+    return out
 
 
 def _hom_matrix(M: GModule, D: RingMatrix) -> IntMatrix:
@@ -296,29 +335,50 @@ def _hom_group(
     a thunk so a route that never touches it (the shortcut) never pays for
     it; ``out_dim`` sizes its matrix before it is built.  Lattice
     coefficients in a ``finite_degree`` may take the cokernel-torsion
-    shortcut; a modulus N switches kernels and quotients to congruences."""
+    shortcut, and reductions L/NL the universal-coefficients one; any other
+    modulus N switches kernels and quotients to congruences."""
     N = M.modulus
     mod = N or None
     want = want_representatives
     if want is None:
         want = dim <= _AUTO_REPRESENTATIVE_DIM
-    if not N and not want and finite_degree and D_in is not None:
+    if N:
+        route = "universal-coefficients" if M.lifts_to_lattice and not want else "congruence"
+    elif not want and finite_degree and D_in is not None:
         route = "cokernel-torsion"
     else:
-        route = "congruence" if N else "kernel"
+        route = "kernel"
     # every matrix is capped on its own shape before it is built
     if D_in is not None:
-        limits.check_cells(M.rank * D_in.cols, M.rank * D_in.rows, f"{route} image")
+        in_width = M.rank * D_in.rows
+        limits.check_cells(M.rank * D_in.cols, in_width, f"{route} image")
     if route == "cokernel-torsion":
-        inv = AbelianInvariants(0, tuple(cokernel_torsion(_hom_matrix(M, D_in))))
+        # SNF(A) = SNF(A^T): the streamed rows go in as they are
+        diag = smith_diagonal(map(dict, _hom_constraint_rows(M, D_in)), dim, in_width)
+        inv = AbelianInvariants(0, tuple(d for d in diag if d > 1))
         return CohomologyResult(degree, kind, inv, M.label, resolution, route)
-    # a presentation costs about dim^3; the transform-free congruence
-    # invariants do not, so they skip this cap
+    # a presentation costs about dim^3; the transform-free invariants of a
+    # finite module do not, so they skip this cap
     if want or not N:
         limits.check_cells(dim, dim, f"{route} presentation")
-    checker = None
     if diff_out is not None:
         limits.check_cells(out_dim, dim, f"{route} outgoing map")
+    if route == "universal-coefficients":
+        # the Smith diagonals mod N of both maps; see the module docstring
+        diags = []
+        if D_in is not None:
+            rows_in = map(dict, _hom_constraint_rows(M, D_in))
+            diags.append(smith_diagonal(rows_in, dim, in_width, mod=N))
+        if diff_out is not None:
+            rows_out = map(dict, _hom_constraint_rows(M, diff_out()))
+            diags.append(smith_diagonal(rows_out, out_dim, dim, mod=N))
+        free = dim - sum(map(len, diags))
+        if free < 0:
+            raise VerificationError(f"ranks of the degree-{degree} maps exceed {dim}")
+        inv = AbelianInvariants.from_diagonal([N] * free + [e for dg in diags for e in dg])
+        return CohomologyResult(degree, kind, inv, M.label, resolution, route)
+    checker = None
+    if diff_out is not None:
         rows: Iterable[list[tuple[int, int]]] = _hom_constraint_rows(M, diff_out())
         if want:
             # the kernel's constraint rows double as the cocycle checker
@@ -337,8 +397,7 @@ def _hom_group(
             kcols = kernel_columns(rows, dim)
     else:
         kcols = IntMatrix.identity(dim).columns()
-    icols = _hom_matrix(M, D_in).columns() if D_in is not None else []
-    icols = [c for c in icols if any(c)]
+    icols = _image_columns(M, D_in) if D_in is not None else []
     if not want:
         if N:
             inv = quotient_invariants_mod(kcols, icols, dim, N)

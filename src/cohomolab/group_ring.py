@@ -95,12 +95,16 @@ class GroupSpec:
 
 
 class RingElement:
-    """Sparse element of the integral group ring Z[G]."""
+    """Sparse element of the integral group ring Z[G].
 
-    __slots__ = ("group", "coeffs")
+    Elements are treated as immutable: the hash is computed once and kept.
+    """
+
+    __slots__ = ("group", "coeffs", "_hash")
 
     def __init__(self, group: GroupSpec, coeffs: Mapping[tuple[int, ...], int] | None = None):
         self.group = group
+        self._hash: int | None = None
         self.coeffs: dict[tuple[int, ...], int] = {}
         if coeffs:
             for g, c in coeffs.items():
@@ -135,7 +139,10 @@ class RingElement:
         )
 
     def __hash__(self) -> int:
-        return hash((self.group, tuple(sorted(self.coeffs.items()))))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.group, tuple(sorted(self.coeffs.items()))))
+        return h
 
     def __add__(self, other: "RingElement") -> "RingElement":
         out = dict(self.coeffs)

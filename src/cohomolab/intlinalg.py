@@ -165,8 +165,11 @@ class AbelianInvariants:
 
     @staticmethod
     def from_diagonal(diag: Iterable[int], free_rank: int = 0) -> "AbelianInvariants":
-        torsion = tuple(sorted(d for d in diag if d > 1))
-        zeros = sum(1 for d in diag if d == 0)
+        """The group Z^free_rank + sum of Z/d over ``diag`` (0 gives Z); the
+        entries need not form a divisibility chain."""
+        diag = list(diag)
+        torsion = tuple(d for d in _invariant_chain(d for d in diag if d > 1))
+        zeros = diag.count(0)
         return AbelianInvariants(free_rank + zeros, torsion)
 
     @staticmethod
@@ -448,8 +451,13 @@ def snf(A: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(U, D, V, invariants, zero_entries)
 
 
-def _dict_row(r: Sequence[int], N: int = 0) -> dict[int, int]:
-    """The nonzero entries of a dense row as {column: value}, reduced mod N."""
+def _dict_row(r: Sequence[int] | dict[int, int], N: int = 0) -> dict[int, int]:
+    """The nonzero entries of a dense or dict row as a new {column: value}
+    dict, reduced mod N."""
+    if isinstance(r, dict):
+        if N:
+            return {j: y for j, x in r.items() if (y := x % N)}
+        return {j: x for j, x in r.items() if x}
     if N:
         r = [x % N for x in r]
     return dict(zip(compress(range(len(r)), r), compress(r, r)))
@@ -531,12 +539,18 @@ def _sparse_eliminate(
     return pivots, list(live.values())
 
 
-def smith_diagonal(rows: Sequence[Sequence[int]], m: int, n: int, mod: int | None = None) -> list[int]:
+def smith_diagonal(
+    rows: Iterable[Sequence[int] | dict[int, int]], m: int, n: int, mod: int | None = None
+) -> list[int]:
     """Nonzero diagonal of the Smith form of an m x n matrix, no transforms.
 
-    Returns rank-many entries in ascending divisibility, units first.  With
-    ``mod`` the matrix is read over Z/mod: each entry is gcd(d, mod), and
-    entries equal to mod (zero in Z/mod) are dropped.
+    ``rows`` may be streamed; each row is either dense, or a dict
+    {column: value} of its nonzero entries (columns below ``n``), which is
+    how the engine feeds the rows it assembles without ever building the
+    dense matrix.  Dict rows are copied, never modified.  Returns rank-many
+    entries in ascending divisibility, units first.  With ``mod`` the
+    matrix is read over Z/mod: each entry is gcd(d, mod), and entries equal
+    to mod (zero in Z/mod) are dropped.
 
     Sparse elimination (:func:`_sparse_eliminate`) contributes one diagonal
     entry per dividing pivot: the rest of a pivot's row is a multiple of the
@@ -545,6 +559,8 @@ def smith_diagonal(rows: Sequence[Sequence[int]], m: int, n: int, mod: int | Non
     :func:`_smith_eliminate`.
 
     >>> smith_diagonal([[2, 4], [6, 8]], 2, 2)
+    [2, 4]
+    >>> smith_diagonal([{0: 2, 1: 4}, {0: 6, 1: 8}], 2, 2)
     [2, 4]
     >>> smith_diagonal([[4, 0], [0, 6]], 2, 2, mod=12)
     [2]
@@ -959,7 +975,8 @@ def cokernel_torsion(A: IntMatrix) -> list[int]:
 
     The free part of the cokernel is deliberately dropped, so this is only
     meaningful when the finite piece is what the caller is after.  A and its
-    transpose share a Smith form, so the rows of A go in as they are.
+    transpose share a Smith form, so the rows of A go in as they are; the
+    engine streams its rows into :func:`smith_diagonal` the same way.
     """
     return [d for d in smith_diagonal(A.data, A.rows, A.cols) if d > 1]
 

@@ -12,8 +12,7 @@ resolves through the dual-degree identity on the lattice inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Sequence
 
@@ -35,6 +34,15 @@ class GModule:
     modulus: int  # 0 = lattice over Z, N > 0 = free module over Z/N
     actions: tuple[IntMatrix, ...]
     label: str = ""
+    # set by reduce_mod alone (relabel keeps it): the module is L/NL for a
+    # lattice L, so its Hom complexes lift to complexes of free abelian groups
+    lifts_to_lattice: bool = field(default=False, init=False, compare=False, repr=False)
+    # generator i -> [(A^k, nonzero entries of A^k row by row) for k = 0, 1,
+    # ...]: grown by one sparse product per new power, so a module's first
+    # call costs about the same whichever powers it asks for
+    _powers: dict[int, list[tuple[IntMatrix, list[list[tuple[int, int]]]]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -50,14 +58,17 @@ class GModule:
             reduced = tuple(A.mod(self.modulus) for A in self.actions)
             if reduced != self.actions:
                 object.__setattr__(self, "actions", reduced)
+        # sparse products: the actions are mostly permutation-like, so this
+        # costs about rank^2 per product rather than rank^3
         eye = IntMatrix.identity(self.rank)
+        sparse = [_sparse_rows(A) for A in self.actions]
         for i, (A, o) in enumerate(zip(self.actions, self.spec.orders)):
-            if self._reduce(_mat_pow(A, o)) != eye:
+            if _mat_pow(A, o, self.modulus) != eye:
                 raise ValueError(f"action {i} does not have order dividing {o}")
         for i in range(len(self.actions)):
             for j in range(i + 1, len(self.actions)):
-                ab = self.actions[i].mul(self.actions[j])
-                ba = self.actions[j].mul(self.actions[i])
+                ab = _times_sparse(self.actions[i], sparse[j])
+                ba = _times_sparse(self.actions[j], sparse[i])
                 if self._reduce(ab) != self._reduce(ba):
                     raise ValueError(f"actions {i} and {j} do not commute")
 
@@ -73,7 +84,10 @@ class GModule:
 
     def _power_entry(self, i: int, k: int) -> tuple[IntMatrix, list[list[tuple[int, int]]]]:
         k %= self.spec.orders[i]
-        powers = _action_powers(self, i)
+        powers = self._powers.get(i)
+        if powers is None:
+            eye = IntMatrix.identity(self.rank)
+            powers = self._powers[i] = [(eye, _sparse_rows(eye))]
         if len(powers) <= k:
             A = _sparse_rows(self.actions[i])
             while len(powers) <= k:
@@ -151,7 +165,9 @@ class GModule:
         return self._reduce(IntMatrix(d, d, tuple(tuple(r) for r in out)))
 
     def relabel(self, label: str) -> "GModule":
-        return GModule(self.spec, self.rank, self.modulus, self.actions, label)
+        out = GModule(self.spec, self.rank, self.modulus, self.actions, label)
+        object.__setattr__(out, "lifts_to_lattice", self.lifts_to_lattice)
+        return out
 
     def __repr__(self) -> str:
         base = self.label or f"module(rank={self.rank})"
@@ -175,28 +191,22 @@ class DualDivisible:
             raise ValueError("divisible dual is only defined for lattices")
 
 
-def _mat_pow(A: IntMatrix, k: int) -> IntMatrix:
+def _mat_pow(A: IntMatrix, k: int, mod: int = 0) -> IntMatrix:
+    """A^k by repeated squaring with sparse products, reduced mod ``mod``
+    after each product when it is set."""
     out = IntMatrix.identity(A.rows)
     base = A
     while k:
         if k & 1:
-            out = out.mul(base)
-        base = base.mul(base)
+            out = _times_sparse(out, _sparse_rows(base))
+            if mod:
+                out = out.mod(mod)
         k >>= 1
+        if k:
+            base = _times_sparse(base, _sparse_rows(base))
+            if mod:
+                base = base.mod(mod)
     return out
-
-
-@lru_cache(maxsize=None)
-def _action_powers(module: GModule, i: int) -> list[tuple[IntMatrix, list[list[tuple[int, int]]]]]:
-    """The powers A^0, A^1, ... of generator i's action found so far, each
-    with its nonzero entries row by row.
-
-    :meth:`GModule.action_power` extends the list by one product with the
-    sparse A per new power, so the first call on a module costs about the
-    same whichever powers it asks for.
-    """
-    eye = IntMatrix.identity(module.rank)
-    return [(eye, _sparse_rows(eye))]
 
 
 def _sparse_rows(A: IntMatrix) -> list[list[tuple[int, int]]]:
@@ -342,7 +352,9 @@ def reduce_mod(m: GModule, n: int) -> GModule:
         raise ValueError("can only reduce a lattice")
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    return GModule(m.spec, m.rank, n, m.actions, f"reduce:{n}({m.label})")
+    out = GModule(m.spec, m.rank, n, m.actions, f"reduce:{n}({m.label})")
+    object.__setattr__(out, "lifts_to_lattice", True)
+    return out
 
 
 def _augmentation_columns(m: GModule) -> list[list[int]]:

@@ -15,6 +15,8 @@ import pytest
 from cohomolab.engine import (
     Cochain,
     VerificationError,
+    _hom_matrix,
+    _image_columns,
     coboundary_0,
     coboundary_1,
     dual_tate,
@@ -27,16 +29,20 @@ from cohomolab.engine import (
     to_factor_set,
 )
 from cohomolab.group_ring import GroupSpec
-from cohomolab.intlinalg import AbelianInvariants
+from cohomolab.intlinalg import AbelianInvariants, IntMatrix
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
 from cohomolab.modules import (
     DualDivisible,
+    GModule,
     invariants_structure,
     parse_module,
+    reduce_mod,
     star_dual,
     trivial_module,
+    zmod_module,
 )
 from cohomolab.resolutions import make_resolution
+from cohomolab.verify import _oracle_modules
 
 G2 = GroupSpec.of(2)
 G22 = GroupSpec.of(2, 2)
@@ -191,7 +197,7 @@ def test_route_selection_and_equality():
     }
     routes = {  # module -> route without / with representatives
         "cyclo:2:1:1,1": ("cokernel-torsion", "kernel"),
-        "reduce:4(trivial)": ("congruence", "congruence"),
+        "reduce:4(trivial)": ("universal-coefficients", "congruence"),
     }
     for (kind, fn), (text, pinned), orders in itertools.product(
         entry_points.items(), routes.items(), [(2, 2), (2, 4)]
@@ -213,6 +219,104 @@ def test_finite_invariants_only_route_matches_presentation():
     b = ordinary_cohomology(M, 2, resolution="bar", want_representatives=True)
     assert a.invariants == b.invariants
     assert a.representatives is None and b.representatives is not None
+
+
+def _lattice_texts(orders):
+    return [t for t in _oracle_modules(orders) if not t.startswith("reduce")]
+
+
+def _bar_degrees(orders, text):
+    # the congruence route with representatives grows fast on the bar
+    # resolution, so degree 3 is checked for trivial over (2, 2) only
+    if orders != (2, 2):
+        return range(2)
+    return range(4) if text == "trivial" else range(3)
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (2, 4), (3, 3)])
+def test_universal_coefficients_matches_congruence(orders):
+    # reduce:N(L) without representatives takes two Smith diagonals mod N;
+    # with them, the congruence route; both must give the same group
+    G = GroupSpec.of(*orders)
+    for text, N in itertools.product(_lattice_texts(orders), (2, 4, 6, 9)):
+        M = parse_module(f"reduce:{N}({text})", G)
+        calls = [(tate_cohomology, {}, range(4))]
+        for fn in (ordinary_cohomology, homology):
+            calls.append((fn, {"resolution": "minimal"}, range(4)))
+            calls.append((fn, {"resolution": "bar"}, _bar_degrees(orders, text)))
+        for fn, kw, degrees in calls:
+            for n in degrees:
+                case = (text, N, fn.__name__, kw, n)
+                fast = fn(M, n, want_representatives=False, **kw)
+                slow = fn(M, n, want_representatives=True, **kw)
+                assert (fast.route, slow.route) == ("universal-coefficients", "congruence"), case
+                assert fast.invariants == slow.invariants, case
+
+
+@pytest.mark.parametrize(
+    "N, action",
+    [(4, [[1, 2], [0, 1]]), (8, [[1, 4], [0, 1]])],
+)
+def test_universal_coefficients_needs_a_lattice_lift(N, action):
+    # A has order 2 mod N but not over Z, so no lift with d o d = 0 is
+    # known: in degree 1 the two mod-N Smith diagonals hold three entries on
+    # a 2-dimensional space ((2), (2, 2) mod 4; (4), (2, 2) mod 8), against
+    # the true H^1 = Z/2, so every such call stays on congruence
+    M = zmod_module(G2, N, [IntMatrix.from_rows(action)])
+    assert not M.lifts_to_lattice
+    assert not M.relabel("renamed").lifts_to_lattice
+    calls = [(tate_cohomology, {})]
+    for fn, res in itertools.product((ordinary_cohomology, homology), ("minimal", "bar")):
+        calls.append((fn, {"resolution": res}))
+    for (fn, kw), want in itertools.product(calls, (False, True, None)):
+        r = fn(M, 1, want_representatives=want, **kw)
+        assert r.route == "congruence", (fn.__name__, kw, want)
+        assert _inv(r) == (0, [2]), (fn.__name__, kw, want)
+
+
+def test_lattice_lift_flag_is_set_by_reduction_alone():
+    L = parse_module("cyclo:2:1:1,1", G22)
+    R = reduce_mod(L, 4)
+    assert R.lifts_to_lattice and R.relabel("x").lifts_to_lattice
+    assert parse_module("reduce:4(cyclo:2:1:1,1)", G22).lifts_to_lattice
+    assert not L.lifts_to_lattice
+    # a tensor with a reduction is L/NL too, but nothing marks it
+    T = parse_module("tensor(reduce:4(trivial),cyclo:2:1:1,1)", G22)
+    assert T.modulus == 4 and not T.lifts_to_lattice
+    assert R == GModule(R.spec, R.rank, R.modulus, R.actions, R.label)
+
+
+def _dense_columns(M, H):
+    cols = H.columns()
+    if M.modulus:
+        cols = [[x % M.modulus for x in c] for c in cols]
+    return [c for c in cols if any(c)]
+
+
+@pytest.mark.parametrize(
+    "text, orders, resolution",
+    [
+        ("cyclo:2:1:1,1", (2, 2), "minimal"),
+        ("star(cyclo:2:2:0,1)", (2, 4), "bar"),
+        ("reduce:4(cyclo:3:1:1,1)", (3, 3), "minimal"),
+        ("reduce:6(star(cyclo:2:2:0,1))", (2, 4), "bar"),
+    ],
+)
+def test_streamed_image_columns_match_the_dense_map(text, orders, resolution):
+    G = GroupSpec.of(*orders)
+    M = parse_module(text, G)
+    res = make_resolution(G, resolution)
+    for n in (0, 1, 2):
+        # cohomology: the image in degree n + 1
+        D = res.diff(n + 1)
+        got = _image_columns(M, D)
+        assert got == _dense_columns(M, hom_complex_map(M, res, n)), n
+        # homology: the antipode-transposed leg into degree n, whose rows
+        # are wider (degree n + 1) than the degree-n chains
+        T = D.antipode_transpose()
+        assert T.rows > T.cols
+        got = _image_columns(M, T)
+        assert got == _dense_columns(M, _hom_matrix(M, T)), n
 
 
 def test_ordinary_rejects_negative_degree_and_window():

@@ -500,6 +500,24 @@ def test_smith_diagonal_matches_dense_reference():
         assert got == want, f"{rows} mod={mod}"
 
 
+def test_smith_diagonal_dict_rows_match_snf():
+    # the engine streams {column: value} rows of sparse 0/+-1/+-2 maps
+    rng = random.Random(502)
+    for mod in (None, 2, 4, 8):
+        for _ in range(40):
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            rows = [[rng.choice((0, 0, 0, 0, 0, 1, -1, 2, -2)) for _ in range(n)] for _ in range(m)]
+            dicts = [{j: x for j, x in enumerate(r) if x} for r in rows]
+            kept = [dict(r) for r in dicts]
+            got = il.smith_diagonal((r for r in dicts), m, n, mod)
+            assert dicts == kept  # dict rows are copied, never modified
+            diag = [d for d in snf(IntMatrix.from_rows(rows, cols=n)).diagonal() if d]
+            if mod:
+                diag = [gcd(d, mod) for d in diag if d % mod]
+            assert got == diag, f"{rows} mod={mod}"
+            assert il.smith_diagonal(rows, m, n, mod) == got
+
+
 def test_smith_diagonal_never_factors():
     # the first entry is a product of two primes of about 31 bits each
     A = IntMatrix.from_rows([[2147483647 * 2147483629, 0], [0, 6]])

@@ -1,6 +1,7 @@
 """Coefficient module constructions and the description grammar."""
 
 import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -116,6 +117,43 @@ def test_module_rejects_wrong_order():
     G = GroupSpec.of(3)
     with pytest.raises(ValueError):
         GModule(G, 1, 0, (IntMatrix.from_rows([[-1]]),))
+
+
+def test_module_validation_is_sparse():
+    # order and commutation are checked with sparse products: a dense
+    # O(rank^3) check took about 7 s here
+    G = GroupSpec.of(2)
+    start = time.perf_counter()
+    M = parse_module("trivial:300", G)
+    assert time.perf_counter() - start < 1.0
+    assert M.rank == 300
+    # a 300-cycle has order 300, not 2 or 3
+    cycle = IntMatrix.from_rows([[int(j == (i + 1) % 300) for j in range(300)] for i in range(300)])
+    for orders in ((2,), (3,)):
+        with pytest.raises(ValueError, match="order"):
+            GModule(GroupSpec.of(*orders), 300, 0, (cycle,))
+    assert GModule(GroupSpec.of(300), 300, 0, (cycle,)).rank == 300
+    flip = IntMatrix.from_rows([[1, 0], [0, -1]])
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="commute"):
+        GModule(GroupSpec.of(2, 2), 2, 0, (flip, swap))
+    # mod 2 the two commute (-1 = 1), and mod 3 the order of [[1, 1], [0, 1]] is 3
+    assert GModule(GroupSpec.of(2, 2), 2, 2, (flip, swap)).modulus == 2
+    shear = IntMatrix.from_rows([[1, 1], [0, 1]])
+    assert GModule(GroupSpec.of(3), 2, 3, (shear,)).modulus == 3
+    with pytest.raises(ValueError, match="order"):
+        GModule(GroupSpec.of(3), 2, 0, (shear,))
+
+
+def test_power_table_belongs_to_the_module():
+    G = GroupSpec.of(2, 4)
+    M = parse_module("cyclo:2:2:0,1", G)
+    twin = parse_module("cyclo:2:2:0,1", G)
+    M.action_power(1, 3)
+    # the table is filled per instance and takes no part in equality
+    assert M == twin and hash(M) == hash(twin)
+    assert len(M._powers[1]) == 4 and not twin._powers
+    assert twin.action_power(1, 3) == M.action_power(1, 3)
 
 
 @lru_cache(maxsize=None)
