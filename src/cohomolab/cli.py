@@ -68,14 +68,6 @@ def _limits(args) -> EngineLimits:
     )
 
 
-def _guard_order(spec: GroupSpec, limits: EngineLimits) -> None:
-    if spec.order > limits.max_group_order:
-        raise ResourceCapExceeded(
-            f"group order {spec.order} exceeds the configured maximum "
-            f"{limits.max_group_order} (raise --max-group-order to override)"
-        )
-
-
 def _fmt_invariants(inv: AbelianInvariants) -> str:
     if inv.free_rank:
         return f"Z^{inv.free_rank} + {inv.as_list()}"
@@ -111,7 +103,7 @@ def _closed_form_entry(module_text, spec, degree, kind, got):
 def cmd_compute(args) -> int:
     spec = _parse_group(args.group)
     limits = _limits(args)
-    _guard_order(spec, limits)
+    limits.check_group_order(spec.order)
     try:
         module = parse_module(args.module, spec, limits)
     except ValueError as exc:
@@ -190,7 +182,7 @@ def cmd_compute(args) -> int:
 def cmd_factor_set(args) -> int:
     spec = _parse_group(args.group)
     limits = _limits(args)
-    _guard_order(spec, limits)
+    limits.check_group_order(spec.order)
     if args.case not in GENERATOR_CASES:
         raise CliError(f"unknown case {args.case!r}; choose from {GENERATOR_CASES}")
     if not args.case.endswith("H2"):
@@ -296,7 +288,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     spec = _parse_group(args.group)
     limits = _limits(args)
-    _guard_order(spec, limits)
+    limits.check_group_order(spec.order)
     minimal = make_resolution(spec, "minimal", limits)
     bar = make_resolution(spec, "bar", limits)
     Z = trivial_module(spec)

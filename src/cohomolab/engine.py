@@ -8,15 +8,18 @@ Tate and homology groups together with canonical cocycle representatives.
 Route selection is about cost, never about semantics:
 
 * ``kernel``            exact kernel + quotient presentation, keeps
-                        representatives; used whenever dimensions are small.
-                        The kernel is eliminated sparsely from the streamed
-                        constraint rows (:func:`kernel_columns`), which also
-                        check each representative; no dense matrix is built.
-* ``cokernel-torsion``  lattice coefficients in a degree where the group is
-                        known to be finite: the invariant factors of the
-                        cokernel of the incoming map already are the answer,
-                        so the outgoing map is never assembled.  Its rows are
-                        streamed into :func:`smith_diagonal` as they are built.
+                        representatives; used for lattice coefficients
+                        with representatives.  The kernel is eliminated
+                        sparsely from the streamed constraint rows
+                        (:func:`kernel_columns`), which also check each
+                        representative; no dense matrix is built.
+* ``cokernel-torsion``  lattice coefficients, invariants only: the free rank
+                        dim - rk d_in - rk d_out plus the torsion of the
+                        Smith diagonal of the incoming map.  With both maps
+                        the free rank is 0 and the outgoing map is never
+                        assembled; degree 0 lacks one map and builds the
+                        other.  Rows are streamed into :func:`smith_diagonal`
+                        as they are built.
 * ``universal-coefficients``
                         a reduction L/NL of a lattice, invariants only: two
                         Smith diagonals mod N, of the incoming and the
@@ -31,12 +34,14 @@ The image of the incoming map, where one is needed, is the transpose of the
 same streamed rows; only :func:`hom_complex_map` still builds a dense Hom
 matrix.
 
-The cokernel-torsion shortcut is justified in two lines: torsion classes of
-coker(d^{n-1}) are killed by some k, so k*t lies in ker(d^n) and therefore
-d^n(t) is torsion in a torsion-free module, i.e. zero; conversely H^n in
-these degrees is finite, hence torsion in the cokernel.  Both inclusions
-together give equality, and the same argument applies verbatim to homology
-in positive degrees and to every complete-resolution degree.
+The cokernel-torsion formula: Z^dim / ker d_out embeds in a
+free group, so ker d_out is saturated, of rank dim - rk d_out, and the
+torsion of H = ker d_out / im d_in is that of coker d_in, read off its Smith
+diagonal (Dumas, Heckenbach, Saunders and Welker build homology the same
+way).  When both maps exist (every complete-resolution degree, and positive
+degrees otherwise) H is killed by |G|, so its free rank is 0 and d_out is
+not needed; when one is missing (degree 0) its rank is 0.  Which maps exist
+is known from the degree alone, so no finiteness flag is needed.
 
 The universal-coefficients route, in two lines: Hom(P_n, L/N) is
 Hom(P_n, L) (x) Z/N, a complex of free abelian groups, so H^n(L/N) =
@@ -68,7 +73,6 @@ from cohomolab.intlinalg import (
     hermite_reduce,
     kernel_columns,
     quotient_invariants,
-    quotient_invariants_mod,
     quotient_presentation,
     smith_diagonal,
 )
@@ -281,9 +285,7 @@ class CohomologyResult:
                 rels.append(e)
         if not cols or k == 0:
             return AbelianInvariants(0, ())
-        K = IntMatrix.from_columns(cols + rels, dim=k)
-        R = IntMatrix.from_columns(rels, dim=k)
-        return quotient_invariants(K, R)
+        return quotient_invariants(cols + rels, rels, k)
 
 
 def _extract_representatives(
@@ -326,57 +328,54 @@ def _hom_group(
     degree: int,
     kind: str,
     resolution: str,
-    finite_degree: bool,
     want_representatives: bool | None,
     limits: EngineLimits,
 ) -> CohomologyResult:
     """ker/im of integer block maps; D_in feeds the image, diff_out the
     kernel, both already in Hom form.  The outgoing differential arrives as
-    a thunk so a route that never touches it (the shortcut) never pays for
-    it; ``out_dim`` sizes its matrix before it is built.  Lattice
-    coefficients in a ``finite_degree`` may take the cokernel-torsion
-    shortcut, and reductions L/NL the universal-coefficients one; any other
-    modulus N switches kernels and quotients to congruences."""
+    a thunk so a route that never touches it never pays for it; ``out_dim``
+    sizes its matrix before it is built.  Invariants-only calls on a lattice
+    or a reduction L/NL read H off the Smith diagonals of the two maps; any
+    other modulus N switches kernels and quotients to congruences."""
     N = M.modulus
     mod = N or None
     want = want_representatives
     if want is None:
         want = dim <= _AUTO_REPRESENTATIVE_DIM
-    if N:
-        route = "universal-coefficients" if M.lifts_to_lattice and not want else "congruence"
-    elif not want and finite_degree and D_in is not None:
-        route = "cokernel-torsion"
+    smith = not want and (not N or M.lifts_to_lattice)
+    if smith:
+        route = "universal-coefficients" if N else "cokernel-torsion"
     else:
-        route = "kernel"
+        route = "congruence" if N else "kernel"
     # every matrix is capped on its own shape before it is built
     if D_in is not None:
         in_width = M.rank * D_in.rows
         limits.check_cells(M.rank * D_in.cols, in_width, f"{route} image")
-    if route == "cokernel-torsion":
-        # SNF(A) = SNF(A^T): the streamed rows go in as they are
-        diag = smith_diagonal(map(dict, _hom_constraint_rows(M, D_in)), dim, in_width)
-        inv = AbelianInvariants(0, tuple(d for d in diag if d > 1))
+    if smith:
+        # over Z with both maps H is killed by |G|: free rank 0, no d_out
+        out = diff_out if N or D_in is None else None
+        if out is not None:
+            limits.check_cells(out_dim, dim, f"{route} outgoing map")
+        # the Smith diagonals of both maps, see the module docstring; SNF(A)
+        # = SNF(A^T), so the streamed rows go in as they are
+        def diagonal(D: RingMatrix, m: int, n: int) -> list[int]:
+            return smith_diagonal(map(dict, _hom_constraint_rows(M, D)), m, n, mod=mod)
+
+        diag_in = diagonal(D_in, dim, in_width) if D_in is not None else []
+        diag_out = diagonal(out(), out_dim, dim) if out is not None else []
+        free = dim - len(diag_in) - len(diag_out) if out is diff_out else 0
+        if free < 0:
+            raise VerificationError(f"ranks of the degree-{degree} maps exceed {dim}")
+        inv = AbelianInvariants.from_diagonal(
+            [N] * free + diag_in + (diag_out if N else [])
+        )
         return CohomologyResult(degree, kind, inv, M.label, resolution, route)
     # a presentation costs about dim^3; the transform-free invariants of a
     # finite module do not, so they skip this cap
-    if want or not N:
+    if want:
         limits.check_cells(dim, dim, f"{route} presentation")
     if diff_out is not None:
         limits.check_cells(out_dim, dim, f"{route} outgoing map")
-    if route == "universal-coefficients":
-        # the Smith diagonals mod N of both maps; see the module docstring
-        diags = []
-        if D_in is not None:
-            rows_in = map(dict, _hom_constraint_rows(M, D_in))
-            diags.append(smith_diagonal(rows_in, dim, in_width, mod=N))
-        if diff_out is not None:
-            rows_out = map(dict, _hom_constraint_rows(M, diff_out()))
-            diags.append(smith_diagonal(rows_out, out_dim, dim, mod=N))
-        free = dim - sum(map(len, diags))
-        if free < 0:
-            raise VerificationError(f"ranks of the degree-{degree} maps exceed {dim}")
-        inv = AbelianInvariants.from_diagonal([N] * free + [e for dg in diags for e in dg])
-        return CohomologyResult(degree, kind, inv, M.label, resolution, route)
     checker = None
     if diff_out is not None:
         rows: Iterable[list[tuple[int, int]]] = _hom_constraint_rows(M, diff_out())
@@ -399,10 +398,7 @@ def _hom_group(
         kcols = IntMatrix.identity(dim).columns()
     icols = _image_columns(M, D_in) if D_in is not None else []
     if not want:
-        if N:
-            inv = quotient_invariants_mod(kcols, icols, dim, N)
-        else:
-            inv = quotient_presentation(kcols, icols, dim).invariants()
+        inv = quotient_invariants(kcols, icols, dim, mod=N)
         return CohomologyResult(degree, kind, inv, M.label, resolution, route)
     pres = quotient_presentation(kcols, icols, dim, mod=mod)
     boundary = column_hnf(icols, dim, mod=mod)
@@ -424,14 +420,6 @@ def _hom_group(
     )
 
 
-def _guard_group(M: GModule, limits: EngineLimits) -> None:
-    if M.spec.order > limits.max_group_order:
-        raise ValueError(
-            f"group order {M.spec.order} exceeds the configured maximum "
-            f"{limits.max_group_order}"
-        )
-
-
 def _complex_group(
     M: GModule,
     n: int,
@@ -447,7 +435,7 @@ def _complex_group(
     exists when it is >= 0, or always on the complete resolution.
     """
     limits = limits or EngineLimits.from_env()
-    _guard_group(M, limits)
+    limits.check_group_order(M.spec.order)
     tate = kind == "tate"
     if not tate and n < 0:
         name = "homology" if kind == "homology" else "ordinary cohomology"
@@ -485,7 +473,6 @@ def _complex_group(
         degree=n,
         kind=kind,
         resolution=resolution,
-        finite_degree=n >= 1 or tate,
         want_representatives=want_representatives,
         limits=limits,
     )
@@ -593,7 +580,7 @@ def _cocycle_check(M: GModule, c: Cochain, limits: EngineLimits | None) -> Cocyc
     from cohomolab.resolutions import minimal_diff, monomial_basis
 
     limits = limits or EngineLimits.from_env()
-    _guard_group(M, limits)
+    limits.check_group_order(M.spec.order)
     n = c.degree
     D = minimal_diff(M.spec, n + 1)
     if len(c.values) != D.rows:

@@ -8,7 +8,9 @@ workhorses are
 * :func:`smith_diagonal` -- the Smith diagonal alone,
 * :func:`kernel_columns` -- saturated basis of an integer kernel, from
   sparse rows (:func:`kernel_basis` takes a dense matrix),
-* :func:`quotient_invariants` -- structure of a lattice quotient L1/L2.
+* :func:`quotient_invariants` -- structure of a lattice quotient L1/L2, over Z
+  or with L1 and L2 taken modulo N*Z^n; :func:`quotient_presentation` adds
+  the generator transforms.
 
 The resolution matrices are over 99% zero with mostly unit entries, so the
 Smith diagonal and the kernel share one sparse elimination loop
@@ -862,27 +864,38 @@ def congruence_kernel_columns(
 # Lattice quotients
 
 
-def quotient_invariants(K: IntMatrix, I: IntMatrix) -> AbelianInvariants:
-    """Structure of (column span of K) / (column span of I).
+def _relation_echelon(hk, relation_cols, dim: int, mod: int | None) -> list[list[int]]:
+    """Echelon rows of the relations' coordinates in the echelon basis
+    ``hk``; with ``mod``, mod*Z^dim is part of the relations, and its
+    coordinate vectors are generally not mod*e_i, so they are added."""
+    targets = list(relation_cols)
+    if mod:
+        targets += [[mod * (i == j) for j in range(dim)] for i in range(dim)]
+    return echelon_rows(_coords_in_span(hk, targets), mod=mod)
 
-    Rejects input where span(I) is not contained in span(K).
 
-    >>> K = IntMatrix.from_columns([[1, 1]])
-    >>> quotient_invariants(K, IntMatrix.from_columns([[2, 2]]))
+def quotient_invariants(
+    basis_cols: Sequence[Sequence[int]],
+    relation_cols: Sequence[Sequence[int]],
+    dim: int,
+    mod: int | None = None,
+) -> AbelianInvariants:
+    """Structure of span(basis) / span(relations), without transforms.
+
+    With ``mod`` set both lattices include mod*Z^dim, as for
+    :func:`quotient_presentation`, which gives the same group with generator
+    lifts.  Rejects relations outside the spanned lattice.
+
+    >>> quotient_invariants([[1, 1]], [[2, 2]], 2)
     AbelianInvariants(free_rank=0, torsion=(2,))
+    >>> quotient_invariants([[1, 0], [0, 1]], [[2, 0]], 2, mod=4)
+    AbelianInvariants(free_rank=0, torsion=(2, 4))
     """
-    if K.rows != I.rows:
-        raise ValueError("ambient dimension mismatch")
-    hk = column_hnf(K.columns(), K.rows)
-    coords = _coords_in_span(hk, I.columns())
+    hk = _echelon_vectors(basis_cols, dim, mod, seed_mod=bool(mod))
     r = len(hk)
-    if r == 0:
-        return AbelianInvariants(0, ())
-    ech = echelon_rows(coords)  # compress the relation columns (width r)
-    if not ech:
-        return AbelianInvariants(r, ())
-    diag = smith_diagonal(ech, len(ech), r)
-    return AbelianInvariants.from_diagonal(diag, free_rank=r - len(diag))
+    ech = _relation_echelon(hk, relation_cols, dim, mod)
+    diag = smith_diagonal(ech, len(ech), r, mod=mod) if ech else []
+    return AbelianInvariants.from_diagonal(diag + [mod or 0] * (r - len(diag)))
 
 
 @dataclass
@@ -946,13 +959,7 @@ def quotient_presentation(
     """
     hk = column_hnf(basis_cols, dim, mod=mod)
     r = len(hk)
-    targets = list(relation_cols)
-    if mod:
-        # the modulus sublattice is part of the relations; its coordinate
-        # vectors are generally not mod*e_i, so add them explicitly
-        targets += [[mod * (i == j) for j in range(dim)] for i in range(dim)]
-    coords = _coords_in_span(hk, targets)
-    ech = echelon_rows(coords, mod=mod)
+    ech = _relation_echelon(hk, relation_cols, dim, mod)
     # relation matrix: r rows (coordinate space), one column per relation
     rel_cols = ech  # each echelon row is one relation vector of length r
     if rel_cols:
@@ -968,40 +975,3 @@ def quotient_presentation(
     if mod:
         full = [gcd(d, mod) if d else mod for d in full]
     return QuotientPresentation(dim, hk, u, uinv, full, mod)
-
-
-def cokernel_torsion(A: IntMatrix) -> list[int]:
-    """Invariant factors (> 1) of Z^rows / colspan(A), ascending.
-
-    The free part of the cokernel is deliberately dropped, so this is only
-    meaningful when the finite piece is what the caller is after.  A and its
-    transpose share a Smith form, so the rows of A go in as they are; the
-    engine streams its rows into :func:`smith_diagonal` the same way.
-    """
-    return [d for d in smith_diagonal(A.data, A.rows, A.cols) if d > 1]
-
-
-def quotient_invariants_mod(
-    basis_cols: Sequence[Sequence[int]],
-    relation_cols: Sequence[Sequence[int]],
-    dim: int,
-    mod: int,
-) -> AbelianInvariants:
-    """Invariants of (span(basis)+mod*Z^dim) / (span(relations)+mod*Z^dim).
-
-    Transform-free companion of :func:`quotient_presentation` with ``mod``
-    set: same group, but no generator lifts, so large dimensions stay cheap.
-    Relation columns must already be reduced into [0, mod).
-    """
-    hk = _echelon_vectors(basis_cols, dim, mod, seed_mod=True)
-    r = len(hk)
-    if r == 0:
-        return AbelianInvariants(0, ())
-    targets = list(relation_cols)
-    targets += [[mod * (i == j) for j in range(dim)] for i in range(dim)]
-    coords = _coords_in_span(hk, targets)
-    ech = echelon_rows(coords, mod=mod)
-    diag = smith_diagonal(ech, len(ech), r, mod=mod) if ech else []
-    full = list(diag) + [0] * (r - len(diag))
-    full = [gcd(d, mod) if d else mod for d in full]
-    return AbelianInvariants.from_diagonal(full)

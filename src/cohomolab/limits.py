@@ -50,6 +50,13 @@ class EngineLimits:
             raise ValueError(f"{ENV_MAX_CELLS} must be positive")
         return EngineLimits(max_cells=cells)
 
+    def check_group_order(self, order: int) -> None:
+        if order > self.max_group_order:
+            raise ResourceCapExceeded(
+                f"group order {order} exceeds the configured maximum "
+                f"{self.max_group_order} (raise --max-group-order to override)"
+            )
+
     def check_cells(self, rows: int, cols: int, what: str) -> None:
         cells = rows * cols
         if cells > self.max_cells:

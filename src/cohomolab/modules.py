@@ -22,7 +22,6 @@ from cohomolab.intlinalg import (
     IntMatrix,
     kernel_basis,
     quotient_invariants,
-    quotient_presentation,
 )
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
 
@@ -393,19 +392,13 @@ def invariants_structure(m: GModule) -> AbelianInvariants:
     basis = invariants_submodule(m)
     if m.is_lattice:
         return AbelianInvariants(basis.cols, ())
-    pres = quotient_presentation(basis.columns(), [], m.rank, mod=m.modulus)
-    return pres.invariants()
+    return quotient_invariants(basis.columns(), [], m.rank, mod=m.modulus)
 
 
 def coinvariants(m: GModule) -> AbelianInvariants:
     """Structure of M / (augmentation ideal) M."""
-    cols = _augmentation_columns(m)
-    if m.is_lattice:
-        return quotient_invariants(
-            IntMatrix.identity(m.rank), IntMatrix.from_columns(cols, dim=m.rank)
-        )
-    eye = [[int(i == j) for i in range(m.rank)] for j in range(m.rank)]
-    return quotient_presentation(eye, cols, m.rank, mod=m.modulus).invariants()
+    eye = IntMatrix.identity(m.rank).columns()
+    return quotient_invariants(eye, _augmentation_columns(m), m.rank, mod=m.modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,13 @@ def test_group_order_cap_is_exit_three(capsys):
     assert payload["results"][0]["invariant_factors"] == [128]
 
 
+def test_group_order_cap_is_exit_three_on_verify(capsys):
+    # the engine's own order check is a cap too, not an input error
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--max-group-order", "4")
+    assert code == EXIT_CAP, err
+    assert "group order 8 exceeds the configured maximum 4" in err
+
+
 def test_cell_cap_is_exit_three(capsys, monkeypatch):
     monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "2")
     code, _, err = run(

@@ -210,6 +210,38 @@ def test_route_selection_and_equality():
         assert fast.representatives is None, case
         assert slow.invariants == fast.invariants, case
         assert slow.class_group_generated_by(slow.representatives) == slow.invariants, case
+    # degree 0 has no incoming map in cohomology and no outgoing one in
+    # homology; without representatives the Smith branch reads the free rank
+    # off the ranks of the maps that exist
+    for orders in [(2, 2), (2, 4), (3, 3)]:
+        for text in _lattice_texts(orders):
+            M = parse_module(text, GroupSpec.of(*orders))
+            for fn, resolution in itertools.product(
+                [ordinary_cohomology, homology], ["minimal", "bar"]
+            ):
+                case = (fn.__name__, resolution, text, orders)
+                fast = fn(M, 0, resolution=resolution, want_representatives=False)
+                slow = fn(M, 0, resolution=resolution, want_representatives=True)
+                assert (fast.route, slow.route) == ("cokernel-torsion", "kernel"), case
+                assert slow.invariants == fast.invariants, case
+                reps = slow.representatives
+                assert slow.class_group_generated_by(reps) == slow.invariants, case
+
+
+def test_only_the_smith_branch_skips_the_outgoing_cap(monkeypatch):
+    # with representatives the outgoing map is built, so its cap binds even
+    # where the image and the dim x dim presentation fit under it
+    Z = trivial_module(GroupSpec.of(2, 2))
+    monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "5")
+    # degree 1: image 2 x 1, presentation 2 x 2, outgoing map 3 x 2
+    with pytest.raises(ResourceCapExceeded, match="kernel outgoing map needs a 3 x 2"):
+        ordinary_cohomology(Z, 1, want_representatives=True)
+    # over Z in a degree with both maps the Smith branch never builds it
+    assert ordinary_cohomology(Z, 1, want_representatives=False).route == "cokernel-torsion"
+    # degree 0 on the bar resolution: presentation 1 x 1, outgoing map 3 x 1
+    monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "2")
+    with pytest.raises(ResourceCapExceeded, match="kernel outgoing map needs a 3 x 1"):
+        ordinary_cohomology(Z, 0, resolution="bar", want_representatives=True)
 
 
 def test_finite_invariants_only_route_matches_presentation():
@@ -328,9 +360,12 @@ def test_ordinary_rejects_negative_degree_and_window():
 
 
 def test_group_order_cap():
+    # a cap, like the cell cap, so the CLI exits 3 on every verb
     G = GroupSpec.of(4, 4, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceCapExceeded, match="group order 64 exceeds"):
         ordinary_cohomology(trivial_module(G), 1)
+    with pytest.raises(ResourceCapExceeded, match="group order 64 exceeds"):
+        is_cocycle_1(trivial_module(G), Cochain(1, ((0,), (0,), (0,))))
 
 
 def test_cell_cap_raises():
