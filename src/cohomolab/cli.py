@@ -25,7 +25,7 @@ from cohomolab.engine import ordinary_cohomology, tate_cohomology, to_factor_set
 from cohomolab.group_ring import GroupSpec
 from cohomolab.intlinalg import AbelianInvariants
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
-from cohomolab.modules import parse_module, trivial_module
+from cohomolab.modules import GModule, parse_module, trivial_module
 from cohomolab.resolutions import make_resolution
 
 EXIT_OK = 0
@@ -201,11 +201,11 @@ def cmd_factor_set(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         have = gen.module
-        if (wanted.rank, wanted.modulus, wanted.actions) != (
-            have.rank,
-            have.modulus,
-            have.actions,
-        ):
+        if not isinstance(wanted, GModule) or (
+            wanted.rank,
+            wanted.modulus,
+            wanted.actions,
+        ) != (have.rank, have.modulus, have.actions):
             raise CliError(
                 f"case {args.case} lives on {have.label!r}, not {args.module!r}"
             )

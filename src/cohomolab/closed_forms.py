@@ -25,8 +25,7 @@ from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
     _factorize,
-    congruence_kernel_columns,
-    kernel_basis,
+    kernel_columns,
 )
 from cohomolab.modules import (
     CyclotomicSpec,
@@ -459,9 +458,8 @@ def _solve_exact(B: IntMatrix, target: Sequence[int]) -> list[int]:
     its generator (v, lam) has B v = lam * target, and lam = +-1 exactly
     when the target is in the image.
     """
-    cols = B.columns() + [[-t for t in target]]
-    ker = kernel_basis(IntMatrix.from_columns(cols, dim=B.rows))
-    for col in ker.columns():
+    rows = [[*r, -t] for r, t in zip(B.data, target)]
+    for col in kernel_columns((enumerate(r) for r in rows), B.cols + 1):
         lam = col[-1]
         if lam in (1, -1):
             return [lam * x for x in col[:-1]]
@@ -480,16 +478,16 @@ def _socle_element(module: GModule, p: int, K: int) -> tuple[int, ...]:
     """Order-p element killed by (first generator - 1) in a mod-p^K module.
 
     Taken as p^{K-1} times a mod-p kernel vector of the action matrix minus
-    the identity; the kernel is one-dimensional mod p because the map has
-    determinant +-p, so the choice is canonical up to a unit.
+    the identity.  The kernel is one-dimensional mod p because the map has
+    determinant +-p; the vector is scaled so that its first nonzero residue
+    is 1, which makes the element canonical.
     """
     d = module.rank
     A = module.actions[0]
-    q = p**K
     rows = ([(c, A.data[r][c] - (r == c)) for c in range(d)] for r in range(d))
-    for col in congruence_kernel_columns(rows, d, p):
-        if any(x % p for x in col):
-            return tuple(p ** (K - 1) * (x % p) % q for x in col)
+    for col in kernel_columns(rows, d, mod=p):
+        unit = pow(next(x for x in col if x), -1, p)
+        return tuple(p ** (K - 1) * (unit * x % p) for x in col)
     raise ArithmeticError("module has no socle generator")
 
 

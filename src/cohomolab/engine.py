@@ -26,7 +26,8 @@ Route selection is about cost, never about semantics:
                         outgoing map, streamed the same way.
 * ``congruence``        any other finite coefficient modulus N, and every
                         finite-coefficient call that wants representatives:
-                        kernels are computed as congruence lattices mod N.
+                        the same :func:`kernel_columns` as ``kernel``, with
+                        ``mod=N``, and quotients taken mod N.
 * ``dual-shift``        divisible coefficients, evaluated on the dual
                         lattice one degree up.
 
@@ -69,7 +70,6 @@ from cohomolab.intlinalg import (
     IntMatrix,
     QuotientPresentation,
     column_hnf,
-    congruence_kernel_columns,
     hermite_reduce,
     kernel_columns,
     quotient_invariants,
@@ -320,9 +320,10 @@ def _extract_representatives(
 
 def _hom_group(
     M: GModule,
-    D_in: RingMatrix | None,
+    diff_in: Callable[[], RingMatrix] | None,
     diff_out: Callable[[], RingMatrix] | None,
     dim: int,
+    in_dim: int,
     out_dim: int,
     *,
     degree: int,
@@ -331,12 +332,13 @@ def _hom_group(
     want_representatives: bool | None,
     limits: EngineLimits,
 ) -> CohomologyResult:
-    """ker/im of integer block maps; D_in feeds the image, diff_out the
-    kernel, both already in Hom form.  The outgoing differential arrives as
-    a thunk so a route that never touches it never pays for it; ``out_dim``
-    sizes its matrix before it is built.  Invariants-only calls on a lattice
-    or a reduction L/NL read H off the Smith diagonals of the two maps; any
-    other modulus N switches kernels and quotients to congruences."""
+    """ker/im of integer block maps; diff_in feeds the image, diff_out the
+    kernel, both already in Hom form.  The differentials arrive as thunks,
+    sized by ``in_dim`` and ``out_dim``, so every cap is checked before
+    either is built and a route that never touches one never pays for it.
+    Invariants-only calls on a lattice or a reduction L/NL read H off the
+    Smith diagonals of the two maps; any other modulus N switches kernels
+    and quotients to congruences."""
     N = M.modulus
     mod = N or None
     want = want_representatives
@@ -348,12 +350,11 @@ def _hom_group(
     else:
         route = "congruence" if N else "kernel"
     # every matrix is capped on its own shape before it is built
-    if D_in is not None:
-        in_width = M.rank * D_in.rows
-        limits.check_cells(M.rank * D_in.cols, in_width, f"{route} image")
+    if diff_in is not None:
+        limits.check_cells(dim, in_dim, f"{route} image")
     if smith:
         # over Z with both maps H is killed by |G|: free rank 0, no d_out
-        out = diff_out if N or D_in is None else None
+        out = diff_out if N or diff_in is None else None
         if out is not None:
             limits.check_cells(out_dim, dim, f"{route} outgoing map")
         # the Smith diagonals of both maps, see the module docstring; SNF(A)
@@ -361,7 +362,7 @@ def _hom_group(
         def diagonal(D: RingMatrix, m: int, n: int) -> list[int]:
             return smith_diagonal(map(dict, _hom_constraint_rows(M, D)), m, n, mod=mod)
 
-        diag_in = diagonal(D_in, dim, in_width) if D_in is not None else []
+        diag_in = diagonal(diff_in(), dim, in_dim) if diff_in is not None else []
         diag_out = diagonal(out(), out_dim, dim) if out is not None else []
         free = dim - len(diag_in) - len(diag_out) if out is diff_out else 0
         if free < 0:
@@ -377,8 +378,9 @@ def _hom_group(
     if diff_out is not None:
         limits.check_cells(out_dim, dim, f"{route} outgoing map")
     checker = None
+    rows: Iterable[list[tuple[int, int]]] = ()
     if diff_out is not None:
-        rows: Iterable[list[tuple[int, int]]] = _hom_constraint_rows(M, diff_out())
+        rows = _hom_constraint_rows(M, diff_out())
         if want:
             # the kernel's constraint rows double as the cocycle checker
             rows = list(rows)
@@ -390,21 +392,16 @@ def _hom_group(
                         return False
                 return True
 
-        if N:
-            kcols = [c for c in congruence_kernel_columns(rows, dim, N) if any(c)]
-        else:
-            kcols = kernel_columns(rows, dim)
-    else:
-        kcols = IntMatrix.identity(dim).columns()
-    icols = _image_columns(M, D_in) if D_in is not None else []
+    kcols = kernel_columns(rows, dim, mod=mod)
+    icols = _image_columns(M, diff_in()) if diff_in is not None else []
     if not want:
         inv = quotient_invariants(kcols, icols, dim, mod=N)
         return CohomologyResult(degree, kind, inv, M.label, resolution, route)
     pres = quotient_presentation(kcols, icols, dim, mod=mod)
     boundary = column_hnf(icols, dim, mod=mod)
-    reps = _extract_representatives(
-        pres, boundary, degree, dim // M.rank, M.rank, mod, checker
-    )
+    # a rank-0 module has no coordinates, and its cochains no values
+    count = dim // M.rank if M.rank else 0
+    reps = _extract_representatives(pres, boundary, degree, count, M.rank, mod, checker)
     return CohomologyResult(
         degree,
         kind,
@@ -415,7 +412,7 @@ def _hom_group(
         representatives=reps,
         _presentation=pres,
         _boundary_hnf=boundary,
-        _count=dim // M.rank,
+        _count=count,
         _rank=M.rank,
     )
 
@@ -450,6 +447,9 @@ def _complex_group(
             "negative-degree complete cohomology needs lattice coefficients; "
             "wrap the module as a divisible dual instead"
         )
+    if resolution == "bar":
+        # every route, whether or not it builds the outgoing map
+        limits.check_bar_degree(n + 1)
     res = make_resolution(M.spec, resolution, limits)
     if tate:
         rank, diff = partial(complete_rank, res), partial(complete_diff, res)
@@ -466,9 +466,10 @@ def _complex_group(
     has_out = tate or n + step >= 0
     return _hom_group(
         M,
-        leg(n - step) if has_in else None,
-        (lambda: leg(n + step)) if has_out else None,
+        partial(leg, n - step) if has_in else None,
+        partial(leg, n + step) if has_out else None,
         d * rank(n),
+        d * rank(n - step) if has_in else 0,
         d * rank(n + step) if has_out else 0,
         degree=n,
         kind=kind,

@@ -6,19 +6,20 @@ workhorses are
 
 * :func:`snf` -- Smith normal form with unimodular transforms,
 * :func:`smith_diagonal` -- the Smith diagonal alone,
-* :func:`kernel_columns` -- saturated basis of an integer kernel, from
-  sparse rows (:func:`kernel_basis` takes a dense matrix),
+* :func:`kernel_columns` -- the one kernel routine, from sparse rows: a
+  saturated basis of an integer kernel, or with a modulus N generators of
+  the solutions of A x = 0 mod N,
 * :func:`quotient_invariants` -- structure of a lattice quotient L1/L2, over Z
   or with L1 and L2 taken modulo N*Z^n; :func:`quotient_presentation` adds
   the generator transforms.
 
 The resolution matrices are over 99% zero with mostly unit entries, so the
-Smith diagonal and the kernel share one sparse elimination loop
-(:func:`_sparse_eliminate`): it clears dividing pivots on {column: value}
-rows, which never grows coefficients, and leaves only what has none to the
-dense elimination behind :func:`snf`.  The gcd row echelon behind
-:func:`echelon_rows` and :func:`column_hnf` also works on {column: value}
-rows and densifies its result once.
+Smith diagonal and the kernel, over Z and over Z/N alike, share one sparse
+elimination loop (:func:`_sparse_eliminate`): it clears dividing pivots on
+{column: value} rows, which never grows coefficients, and leaves only what
+has none to the dense elimination behind :func:`snf`.  The gcd row echelon
+behind :func:`echelon_rows` and :func:`column_hnf` also works on {column:
+value} rows and densifies its result once.
 
 The elimination kernels accept an optional modulus: when the column span of
 the input is known to contain N*Z^n, every entry may be reduced mod N without
@@ -753,111 +754,73 @@ def _coords_in_span(hnf_cols, targets) -> list[list[int]]:
 # Kernels
 
 
-def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Basis of {x : A x = 0} as matrix columns.
+def kernel_columns(
+    rows: Iterable[Iterable[tuple[int, int]]], n: int, mod: int | None = None
+) -> list[list[int]]:
+    """Generators of {x in Z^n : A x = 0}, or of {x : A x = 0 mod N} with
+    ``mod`` N, as columns.
 
-    The spanned lattice is saturated: it is the full integer kernel, so the
-    quotient of the ambient by it is torsion free.
+    ``rows`` yields the rows of A as sparse (index, coefficient) pairs;
+    repeated indices add up.  Over Z the columns are a saturated basis: the
+    quotient of Z^n by their span is torsion free.  With ``mod`` they
+    generate the solutions together with N*Z^n, every entry lies in [0, N)
+    and no column is zero.
 
-    >>> kernel_basis(IntMatrix.from_rows([[2, 3]])).columns()
-    [[3, -2]]
-    """
-    rows = ([(j, x) for j, x in enumerate(r) if x] for r in A.data)
-    return IntMatrix.from_columns(kernel_columns(rows, A.cols), dim=A.cols)
-
-
-def kernel_columns(rows: Iterable[Iterable[tuple[int, int]]], n: int) -> list[list[int]]:
-    """Saturated basis of {x in Z^n : A x = 0}, as columns.
-
-    ``rows`` yields the rows of A as sparse (index, coefficient) pairs, as
-    for :func:`congruence_kernel_columns`.  :func:`_sparse_eliminate` clears
-    the dividing pivots; each pivot row (g, j, row) then fixes
-    x_j = -sum_{k != j} (row[k] / row[j]) x_k exactly, since g divides the
-    whole row.  The residual rows touch only non-pivot columns, and their
-    saturated kernel comes from the dense echelon and Smith elimination;
-    non-pivot columns they do not touch are free.  Each kernel vector on
-    the non-pivot columns extends to one of A by back-substituting the
-    pivots in reverse elimination order.
+    :func:`_sparse_eliminate` clears the dividing pivots.  A pivot (g, j,
+    row) fixes x_j = -(row[j]/g)^-1 * sum_{k != j} (row[k]/g) x_k modulo
+    N/g, exactly over Z (where row[j] = +-g); with a modulus and g > 1,
+    (N/g)*e_j is one more generator.  The residual rows touch only
+    non-pivot columns.  Their echelon form goes through the Smith
+    elimination with V: a zero diagonal position frees its column of V, and
+    with a modulus an entry d frees N/gcd(d, N) times its column.
+    Non-pivot columns the residual rows do not touch are free.  Each
+    generator extends to a solution by adding the pivots'
+    back-substitution, in reverse elimination order.
 
     >>> kernel_columns([[(0, 2), (1, 3)]], 2)
     [[3, -2]]
     >>> kernel_columns([[(0, 1), (1, -1), (2, 2)], [(2, 3)]], 4)
     [[1, 1, 0, 0], [0, 0, 0, 1]]
+    >>> kernel_columns([[(0, 2), (1, 2)]], 2, mod=4)
+    [[2, 0], [3, 1]]
     """
+    N = mod or 0
     sparse = []
     for r in rows:
         row: dict[int, int] = {}
         for k, c in r:
             row[k] = row.get(k, 0) + c
-        sparse.append({k: c for k, c in row.items() if c})
-    pivots, residual = _sparse_eliminate(sparse, n, 0)
+        sparse.append(_dict_row(row, N))
+    pivots, residual = _sparse_eliminate(sparse, n, N)
     used = sorted({j for row in residual for j in row})
-    basis: list[dict[int, int]] = []  # kernel vectors on the non-pivot columns
+    basis: list[dict[int, int]] = []  # generators before back-substitution
     if residual:
-        ech = echelon_rows([[row.get(j, 0) for j in used] for row in residual])
-        el = _Eliminator(ech, len(ech), len(used), want_v=True)
-        rank = len(_smith_eliminate(el))
-        for t in range(rank, len(used)):
-            basis.append({j: v[t] for j, v in zip(used, el.v) if v[t]})
+        ech = echelon_rows([[row.get(j, 0) for j in used] for row in residual], mod=mod)
+        el = _Eliminator(ech, len(ech), len(used), mod=mod, want_v=True)
+        diag = _smith_eliminate(el)
+        for t in range(len(used)):
+            f = N // gcd(diag[t], N) if t < len(diag) else 1
+            if f and f != N:
+                basis.append({j: f * v[t] for j, v in zip(used, el.v) if v[t]})
+    basis += ({j: N // g} for g, j, _ in pivots if N and g > 1)
     bound = set(used).union(j for _, j, _ in pivots)
     basis += ({j: 1} for j in range(n) if j not in bound)
-    # x_j = sum of -(row[k] / row[j]) * x_k, pivots in reverse order
-    steps = [
-        (j, [(k, -(c // row[j])) for k, c in row.items() if k != j])
-        for _, j, row in reversed(pivots)
-    ]
+    # x_j += -(row[j]/g)^-1 * sum of (row[k]/g) * x_k, pivots in reverse order
+    steps = []
+    for g, j, row in reversed(pivots):
+        inv = pow(row[j] // g, -1, N // g) if N else row[j] // g
+        steps.append((j, [(k, -(c // g) * inv) for k, c in row.items() if k != j]))
     out = []
     for vec in basis:
         x = [0] * n
         for j, v in vec.items():
             x[j] = v
         for j, terms in steps:
-            x[j] = sum(q * x[k] for k, q in terms)
-        out.append(x)
+            x[j] += sum(q * x[k] for k, q in terms)
+            if N:
+                x[j] %= N
+        out.append([v % N for v in x] if N else x)
     return out
-
-
-def congruence_kernel_columns(
-    rows: Iterable[Sequence[tuple[int, int]]], n: int, N: int
-) -> list[list[int]]:
-    """Generators B of {x in Z^n : A x = 0 mod N}, as span(B) + N*Z^n.
-
-    ``rows`` yields sparse constraint rows as (index, coefficient) pairs.
-    The returned list holds n columns; callers append N*e_i themselves when
-    a full generating set is needed.
-    """
-    B = [[int(i == j) for i in range(n)] for j in range(n)]  # columns
-    live = list(range(n))  # the columns not yet zero; a zero column stays zero
-    for constraint in rows:
-        cols = [B[j] for j in live]
-        w = [0] * len(live)
-        for i, c in constraint:
-            c %= N
-            if c:
-                w = [x + c * col[i] for x, col in zip(w, cols)]
-        w = {j: x % N for j, x in zip(live, w) if x % N}
-        if not w:
-            continue
-        j0, *rest = w
-        for k in rest:
-            a, b = w[j0], w[k]
-            cj, ck = B[j0], B[k]
-            if b % a == 0:
-                q = b // a
-                B[k] = [(y - q * x) % N for x, y in zip(cj, ck)]
-            else:
-                g, x, y = xgcd(a, b)
-                qa, qb = a // g, b // g
-                B[j0] = [(x * u + y * v) % N for u, v in zip(cj, ck)]
-                B[k] = [(qa * v - qb * u) % N for u, v in zip(cj, ck)]
-                w[j0] = g
-        g = w[j0]
-        f = N // gcd(g, N)
-        if f > 1:
-            B[j0] = [x * f % N for x in B[j0]]
-            if not any(B[j0]):
-                live.remove(j0)
-    return B
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,16 @@ class EngineLimits:
                 f"{self.max_group_order} (raise --max-group-order to override)"
             )
 
+    def check_bar_degree(self, n: int) -> None:
+        """Cap the standard-resolution differential leaving degree n: cochains
+        live up to bar_degree_max, and their cocycle conditions need the
+        differential one degree above that."""
+        if n > self.bar_degree_max + 1:
+            raise ResourceCapExceeded(
+                f"standard-resolution degree {n} exceeds the configured maximum "
+                f"{self.bar_degree_max + 1}"
+            )
+
     def check_cells(self, rows: int, cols: int, what: str) -> None:
         cells = rows * cols
         if cells > self.max_cells:

@@ -20,7 +20,7 @@ from cohomolab.group_ring import GroupSpec, RingElement
 from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
-    kernel_basis,
+    kernel_columns,
     quotient_invariants,
 )
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
@@ -371,20 +371,12 @@ def invariants_submodule(m: GModule) -> IntMatrix:
 
     For a finite module the columns generate M^G together with N*Z^rank.
     """
-    stacked_rows: list[list[int]] = []
-    for A in m.actions:
-        for i in range(m.rank):
-            stacked_rows.append(
-                [A.data[i][j] - (1 if i == j else 0) for j in range(m.rank)]
-            )
-    if m.is_lattice:
-        return kernel_basis(IntMatrix.from_rows(stacked_rows, cols=m.rank))
-    from cohomolab.intlinalg import congruence_kernel_columns
-
-    sparse = [
-        [(j, row[j]) for j in range(m.rank) if row[j]] for row in stacked_rows
-    ]
-    cols = congruence_kernel_columns(sparse, m.rank, m.modulus)
+    rows = (
+        [(j, A.data[i][j] - (i == j)) for j in range(m.rank)]
+        for A in m.actions
+        for i in range(m.rank)
+    )
+    cols = kernel_columns(rows, m.rank, mod=m.modulus)
     return IntMatrix.from_columns(cols, dim=m.rank)
 
 

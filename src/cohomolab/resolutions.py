@@ -108,15 +108,7 @@ def bar_diff(spec: GroupSpec, n: int, limits: EngineLimits | None = None) -> Rin
     if n < 1:
         raise ValueError("differential starts at degree 1")
     if limits is not None:
-        # cochains live up to bar_degree_max; their cocycle conditions need
-        # the differential one degree above that
-        if n > limits.bar_degree_max + 1:
-            from cohomolab.limits import ResourceCapExceeded
-
-            raise ResourceCapExceeded(
-                f"standard-resolution degree {n} exceeds the configured maximum "
-                f"{limits.bar_degree_max + 1}"
-            )
+        limits.check_bar_degree(n)
         limits.check_cells((spec.order - 1) ** (n - 1), (spec.order - 1) ** n, "standard-resolution differential")
     src = bar_basis(spec, n)
     dst = bar_basis(spec, n - 1)

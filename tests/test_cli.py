@@ -1,9 +1,16 @@
+import io
 import json
+import os
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cohomolab.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
+from cohomolab.closed_forms import GENERATOR_CASES
 
 
 def run(capsys, *argv):
@@ -305,6 +312,23 @@ def test_factor_set_respects_module_argument(capsys):
     assert code == EXIT_PARSE and "lives on" in err
 
 
+def test_factor_set_rejects_a_divisible_dual_module(capsys):
+    # dualD(...) parses to a routing marker, not a module with actions
+    code, _, err = run(
+        capsys,
+        "factor-set",
+        "--group",
+        "2",
+        "--case",
+        "trivial-H2",
+        "--indices",
+        "1",
+        "--module",
+        "dualD(trivial)",
+    )
+    assert code == EXIT_PARSE and "lives on" in err
+
+
 def test_factor_set_rejects_degree_one_cases_and_bad_input(capsys):
     code, _, err = run(
         capsys, "factor-set", "--group", "2,2", "--case", "torsion-H1", "--indices", "1"
@@ -380,3 +404,88 @@ def test_bench_two_by_four(capsys):
     assert rows[2]["minimal_size"] == 3
     assert rows[2]["bar_size"] == 49
     assert rows[0]["minimal_size"] == rows[0]["bar_size"] == 1
+
+
+# ---------------------------------------------------------------------------
+# error contract: every input maps to exit 0, 2 or 3, never to a traceback
+
+_INT = st.integers(-2, 9).map(str)
+
+
+def _modules():
+    leaves = st.one_of(
+        st.just("trivial"),
+        st.builds("trivial:{}".format, _INT),
+        st.builds(
+            "cyclo:{}:{}:{}".format,
+            st.sampled_from(["2", "3", "4", "5", "0"]),
+            st.sampled_from(["0", "1", "2", "3"]),
+            st.lists(st.sampled_from("0123"), min_size=0, max_size=3).map(",".join),
+        ),
+        st.builds("zmod:{}:{}".format, _INT, st.sampled_from(["", "@", "@/no/such/file"])),
+    )
+
+    def wrap(inner):
+        return st.one_of(
+            st.builds("dualD({})".format, inner),
+            st.builds("star({})".format, inner),
+            st.builds("reduce:{}({})".format, _INT, inner),
+            st.builds("tensor({},{})".format, inner, inner),
+        )
+
+    texts = st.one_of(wrap(st.recursive(leaves, wrap, max_leaves=3)), leaves)
+    truncated = st.tuples(texts, st.integers(0, 12)).map(lambda t: t[0][: -t[1] or None])
+    junk = st.text(alphabet="trivalcyozdDsuemn:(),@0123456789- ", max_size=14)
+    return st.one_of(texts, texts, truncated, junk)
+
+
+_GROUPS = st.one_of(
+    st.sampled_from(["2", "3", "4", "5", "9", "2,2", "2,4", "3,3", "2,2,2"]),
+    st.lists(st.integers(1, 5), min_size=1, max_size=3).map(lambda o: ",".join(map(str, o))),
+    st.sampled_from(["", "0", "-2", "2,,2", "a", "16", "2,2,2,2"]),
+)
+
+
+@st.composite
+def _argv(draw):
+    common = [
+        "--group",
+        draw(_GROUPS),
+        "--max-group-order",
+        str(16 - draw(st.integers(0, 15))),  # mostly 16, so that groups pass
+        "--max-degree",
+        str(draw(st.integers(0, 6))),
+    ]
+    if draw(st.booleans()):
+        a = draw(st.integers(-4, 6))
+        b = draw(st.one_of(st.integers(a, a + 3).map(str), st.sampled_from(["", "x", "-9"])))
+        argv = ["compute", "--module", draw(_modules()), "--degrees", f"{a}..{b}"]
+        argv += ["--resolution", draw(st.sampled_from(["minimal", "bar"]))]
+        if draw(st.booleans()):
+            argv.append("--representatives")
+    else:
+        # mostly valid cases, so that the module check is reached
+        h2 = ("trivial-H2", "dual-cyclo-H2")
+        cases = st.sampled_from(h2 * 3 + GENERATOR_CASES + ("junk",))
+        argv = ["factor-set", "--case", draw(cases)]
+        argv += ["--indices", draw(st.sampled_from(["1", "1", "1", "2", "1,2", "", "x"]))]
+        if draw(st.integers(0, 3)) < 3:
+            argv += ["--module", draw(_modules())]
+    argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    return argv + common
+
+
+@settings(
+    max_examples=120, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(_argv())
+def test_cli_error_contract_fuzz(argv):
+    # in-process, so a traceback surfaces as the exception itself
+    with mock.patch.dict(os.environ, {"COHOMOLAB_MAX_CELLS": "3000"}):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_CAP), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -325,6 +325,23 @@ def test_truncation_data_recorded():
     assert dual.module.modulus == 16
 
 
+def test_socle_generator_is_normalized():
+    # the mod-p kernel vector is scaled to a first nonzero residue of 1
+    dual = generating_cocycle("dual-cyclo-H2", GroupSpec.of(9), (1,))
+    assert dual.socle_generator == (27,) * 6
+    assert dual.cochain.values == ((27,) * 6,)
+    for orders, p in [((9,), 3), ((5,), 5), ((25,), 5), ((5, 5), 5), ((3, 3), 3), ((2, 4), 2)]:
+        g = generating_cocycle("dual-cyclo-H2", GroupSpec.of(*orders), (1,))
+        u, M = g.socle_generator, g.module
+        q = M.modulus
+        A = M.actions[0].data
+        # killed by a_1 - 1, of order p, first nonzero entry p^(K-1)
+        moved = [sum(A[r][c] * u[c] for c in range(M.rank)) - u[r] for r in range(M.rank)]
+        assert all(x % q == 0 for x in moved), orders
+        assert any(x % q for x in u) and all(p * x % q == 0 for x in u), orders
+        assert next(x for x in u if x) == q // p, orders
+
+
 def test_generating_cocycle_rejects_bad_indices():
     with pytest.raises(ValueError):
         generating_cocycle("trivial-H2", G22, (3,))

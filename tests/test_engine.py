@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from cohomolab import resolutions
 from cohomolab.engine import (
     Cochain,
     VerificationError,
@@ -242,6 +243,46 @@ def test_only_the_smith_branch_skips_the_outgoing_cap(monkeypatch):
     monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "2")
     with pytest.raises(ResourceCapExceeded, match="kernel outgoing map needs a 3 x 1"):
         ordinary_cohomology(Z, 0, resolution="bar", want_representatives=True)
+
+
+@pytest.mark.parametrize("reps", [False, True])
+@pytest.mark.parametrize("compute", [ordinary_cohomology, tate_cohomology, homology])
+def test_incoming_map_is_capped_before_it_is_built(monkeypatch, compute, reps):
+    # both differentials arrive as thunks sized from the resolution ranks, so
+    # a degree whose image is over the cap builds no differential at all
+    built = []
+    real = resolutions.minimal_diff
+    monkeypatch.setattr(
+        resolutions, "minimal_diff", lambda spec, n: built.append(n) or real(spec, n)
+    )
+    Z = trivial_module(GroupSpec.of(2, 2, 2, 2))
+    limits = EngineLimits(max_cells=1000, max_tate_degree=40)
+    with pytest.raises(ResourceCapExceeded, match="image needs"):
+        compute(Z, 40, limits=limits, want_representatives=reps)
+    assert built == []
+
+
+@pytest.mark.parametrize("reps", [False, True])
+@pytest.mark.parametrize("text", ["trivial", "reduce:4(trivial)"])
+@pytest.mark.parametrize("compute", [ordinary_cohomology, homology])
+def test_bar_degree_window_binds_on_every_route(compute, text, reps):
+    # the window is |n| <= 3 whether or not a route builds the degree-(n+1) map
+    M = parse_module(text, G2)
+    with pytest.raises(
+        ResourceCapExceeded,
+        match="standard-resolution degree 5 exceeds the configured maximum 4",
+    ):
+        compute(M, 4, resolution="bar", want_representatives=reps)
+    assert compute(M, 3, resolution="bar", want_representatives=reps).degree == 3
+
+
+@pytest.mark.parametrize("text", ["trivial:0", "reduce:3(trivial:0)"])
+def test_rank_zero_module_with_representatives(text):
+    # the zero module: no coordinates, so every group and representative is empty
+    M = parse_module(text, G22)
+    for n in range(3):
+        r = ordinary_cohomology(M, n, want_representatives=True)
+        assert r.invariants == AbelianInvariants(0, ()) and r.representatives == ()
 
 
 def test_finite_invariants_only_route_matches_presentation():

@@ -22,10 +22,8 @@ from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
     column_hnf,
-    congruence_kernel_columns,
     echelon_rows,
     hermite_reduce,
-    kernel_basis,
     kernel_columns,
     quotient_invariants,
     quotient_presentation,
@@ -165,18 +163,24 @@ def test_snf_properties_hypothesis(A):
 # kernels
 
 
+def _kernel(A: IntMatrix) -> IntMatrix:
+    """:func:`kernel_columns` of a dense matrix, as matrix columns."""
+    rows = ([(j, x) for j, x in enumerate(r) if x] for r in A.data)
+    return IntMatrix.from_columns(kernel_columns(rows, A.cols), dim=A.cols)
+
+
 def test_kernel_basis_pinned():
-    K = kernel_basis(IntMatrix.from_rows([[2, 3]]))
+    K = _kernel(IntMatrix.from_rows([[2, 3]]))
     assert K.columns() == [[3, -2]]
 
 
 def test_kernel_basis_zero_map():
-    K = kernel_basis(IntMatrix.zeros(3, 4))
+    K = _kernel(IntMatrix.zeros(3, 4))
     assert K == IntMatrix.identity(4)
 
 
 def test_kernel_basis_injective_map():
-    K = kernel_basis(IntMatrix.from_rows([[1, 0], [0, 2], [3, 3]]))
+    K = _kernel(IntMatrix.from_rows([[1, 0], [0, 2], [3, 3]]))
     assert K.cols == 0
 
 
@@ -188,7 +192,7 @@ def test_kernel_columns_sums_repeated_indices():
 @settings(max_examples=100, deadline=None)
 @given(_matrices(max_dim=4, bound=9))
 def test_kernel_basis_properties(A):
-    K = kernel_basis(A)
+    K = _kernel(A)
     assert A.mul(K).is_zero()
     rank = len(_minor_gcd_invariants([list(r) for r in A.data], A.rows, A.cols))
     assert K.cols == A.cols - rank
@@ -401,7 +405,7 @@ def test_congruence_kernel_exhaustive_small():
         for _ in range(nrows):
             row = [(i, rng.randint(-5, 5)) for i in range(n) if rng.random() < 0.8]
             constraints.append(row)
-        cols = congruence_kernel_columns(constraints, n, N)
+        cols = kernel_columns(constraints, n, mod=N)
         h = column_hnf(cols, n, mod=N)
         got = set()
         for x in itertools.product(range(N), repeat=n):
@@ -409,6 +413,32 @@ def test_congruence_kernel_exhaustive_small():
                 got.add(x)
         want = _brute_congruence_solutions(constraints, n, N)
         assert got == want, f"trial {trial}: n={n} N={N} rows={constraints}"
+
+
+@st.composite
+def _sparse_congruences(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 6))
+    N = draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12]))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -3])
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    return rows, n, N
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_congruences())
+def test_congruence_kernel_matches_the_integer_kernel_route(case):
+    rows, n, N = case
+    sparse = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+    cols = kernel_columns(sparse, n, mod=N)
+    for x in cols:
+        assert any(x) and all(0 <= v < N for v in x)
+        assert all(sum(c * x[j] for j, c in r) % N == 0 for r in sparse)
+    # the same set through the N = 0 branch: A x = N y over Z, projected to x
+    m = len(rows)
+    aug = [[(j, x) for j, x in enumerate(r) if x] + [(n + i, -N)] for i, r in enumerate(rows)]
+    lifted = [c[:n] for c in kernel_columns(aug, n + m)]
+    assert column_hnf(cols, n, mod=N) == column_hnf(lifted, n, mod=N), case
 
 
 # ---------------------------------------------------------------------------
