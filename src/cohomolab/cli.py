@@ -210,7 +210,7 @@ def cmd_factor_set(args) -> int:
                 f"case {args.case} lives on {have.label!r}, not {args.module!r}"
             )
     try:
-        fs = to_factor_set(gen.module, gen.cochain)
+        fs = to_factor_set(gen.module, gen.cochain, limits=limits)
     except ValueError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -300,12 +300,14 @@ def cmd_bench(args) -> int:
             "bar_size": bar.rank(n),
         }
         t0 = time.perf_counter()
-        ordinary_cohomology(Z, n, limits=limits)
+        ordinary_cohomology(Z, n, limits=limits, want_representatives=False)
         row["minimal_ms"] = round(1000 * (time.perf_counter() - t0), 3)
         if n <= limits.bar_degree_max:
             try:
                 t0 = time.perf_counter()
-                ordinary_cohomology(Z, n, resolution="bar", limits=limits)
+                ordinary_cohomology(
+                    Z, n, resolution="bar", limits=limits, want_representatives=False
+                )
                 row["bar_ms"] = round(1000 * (time.perf_counter() - t0), 3)
             except ResourceCapExceeded:
                 row["bar_ms"] = "capped"

@@ -31,7 +31,10 @@ Route selection is about cost, never about semantics:
 * ``dual-shift``        divisible coefficients, evaluated on the dual
                         lattice one degree up.
 
-The image of the incoming map, where one is needed, is the transpose of the
+All three entry points run through :func:`_complex_group`: it sizes the
+incoming and outgoing maps of a degree from the resolution ranks, checks
+every cap, and only then builds the maps its route needs, each once.  The
+image of the incoming map, where one is needed, is the transpose of the
 same streamed rows; only :func:`hom_complex_map` still builds a dense Hom
 matrix.
 
@@ -61,8 +64,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cohomolab.group_ring import RingElement, RingMatrix
 from cohomolab.intlinalg import (
@@ -318,105 +320,6 @@ def _extract_representatives(
 # Cohomology of the Hom complex
 
 
-def _hom_group(
-    M: GModule,
-    diff_in: Callable[[], RingMatrix] | None,
-    diff_out: Callable[[], RingMatrix] | None,
-    dim: int,
-    in_dim: int,
-    out_dim: int,
-    *,
-    degree: int,
-    kind: str,
-    resolution: str,
-    want_representatives: bool | None,
-    limits: EngineLimits,
-) -> CohomologyResult:
-    """ker/im of integer block maps; diff_in feeds the image, diff_out the
-    kernel, both already in Hom form.  The differentials arrive as thunks,
-    sized by ``in_dim`` and ``out_dim``, so every cap is checked before
-    either is built and a route that never touches one never pays for it.
-    Invariants-only calls on a lattice or a reduction L/NL read H off the
-    Smith diagonals of the two maps; any other modulus N switches kernels
-    and quotients to congruences."""
-    N = M.modulus
-    mod = N or None
-    want = want_representatives
-    if want is None:
-        want = dim <= _AUTO_REPRESENTATIVE_DIM
-    smith = not want and (not N or M.lifts_to_lattice)
-    if smith:
-        route = "universal-coefficients" if N else "cokernel-torsion"
-    else:
-        route = "congruence" if N else "kernel"
-    # every matrix is capped on its own shape before it is built
-    if diff_in is not None:
-        limits.check_cells(dim, in_dim, f"{route} image")
-    if smith:
-        # over Z with both maps H is killed by |G|: free rank 0, no d_out
-        out = diff_out if N or diff_in is None else None
-        if out is not None:
-            limits.check_cells(out_dim, dim, f"{route} outgoing map")
-        # the Smith diagonals of both maps, see the module docstring; SNF(A)
-        # = SNF(A^T), so the streamed rows go in as they are
-        def diagonal(D: RingMatrix, m: int, n: int) -> list[int]:
-            return smith_diagonal(map(dict, _hom_constraint_rows(M, D)), m, n, mod=mod)
-
-        diag_in = diagonal(diff_in(), dim, in_dim) if diff_in is not None else []
-        diag_out = diagonal(out(), out_dim, dim) if out is not None else []
-        free = dim - len(diag_in) - len(diag_out) if out is diff_out else 0
-        if free < 0:
-            raise VerificationError(f"ranks of the degree-{degree} maps exceed {dim}")
-        inv = AbelianInvariants.from_diagonal(
-            [N] * free + diag_in + (diag_out if N else [])
-        )
-        return CohomologyResult(degree, kind, inv, M.label, resolution, route)
-    # a presentation costs about dim^3; the transform-free invariants of a
-    # finite module do not, so they skip this cap
-    if want:
-        limits.check_cells(dim, dim, f"{route} presentation")
-    if diff_out is not None:
-        limits.check_cells(out_dim, dim, f"{route} outgoing map")
-    checker = None
-    rows: Iterable[list[tuple[int, int]]] = ()
-    if diff_out is not None:
-        rows = _hom_constraint_rows(M, diff_out())
-        if want:
-            # the kernel's constraint rows double as the cocycle checker
-            rows = list(rows)
-
-            def checker(flat: Sequence[int]) -> bool:
-                for row in rows:
-                    s = sum(c * flat[k] for k, c in row)
-                    if s % N if N else s:
-                        return False
-                return True
-
-    kcols = kernel_columns(rows, dim, mod=mod)
-    icols = _image_columns(M, diff_in()) if diff_in is not None else []
-    if not want:
-        inv = quotient_invariants(kcols, icols, dim, mod=N)
-        return CohomologyResult(degree, kind, inv, M.label, resolution, route)
-    pres = quotient_presentation(kcols, icols, dim, mod=mod)
-    boundary = column_hnf(icols, dim, mod=mod)
-    # a rank-0 module has no coordinates, and its cochains no values
-    count = dim // M.rank if M.rank else 0
-    reps = _extract_representatives(pres, boundary, degree, count, M.rank, mod, checker)
-    return CohomologyResult(
-        degree,
-        kind,
-        pres.invariants(),
-        M.label,
-        resolution,
-        route,
-        representatives=reps,
-        _presentation=pres,
-        _boundary_hnf=boundary,
-        _count=count,
-        _rank=M.rank,
-    )
-
-
 def _complex_group(
     M: GModule,
     n: int,
@@ -425,11 +328,17 @@ def _complex_group(
     limits: EngineLimits | None,
     want_representatives: bool | None,
 ) -> CohomologyResult:
-    """The shared body of the three entry points.
+    """The shared body of the three entry points: H = ker d_out / im d_in.
 
     Cohomology maps degree n towards n+1, homology towards n-1 through the
     antipode-transposed (tensor side) differentials.  A neighbouring degree
-    exists when it is >= 0, or always on the complete resolution.
+    exists when it is >= 0, or always on the complete resolution, which
+    agrees with the resolution itself in every degree a non-Tate call meets.
+    Both maps are sized from the ranks and every cap is checked before either
+    is built, so a route that never touches one never pays for it.
+    Invariants-only calls on a lattice or a reduction L/NL read H off the
+    Smith diagonals of the two maps; any other modulus N switches kernels
+    and quotients to congruences.
     """
     limits = limits or EngineLimits.from_env()
     limits.check_group_order(M.spec.order)
@@ -451,31 +360,90 @@ def _complex_group(
         # every route, whether or not it builds the outgoing map
         limits.check_bar_degree(n + 1)
     res = make_resolution(M.spec, resolution, limits)
-    if tate:
-        rank, diff = partial(complete_rank, res), partial(complete_diff, res)
-    else:
-        rank, diff = res.rank, res.diff
     step = -1 if kind == "homology" else 1
+    k_in, k_out = n - step, n + step
+    has_in = tate or k_in >= 0
+    has_out = tate or k_out >= 0
+    dim = M.rank * complete_rank(res, n)
+    in_dim = M.rank * complete_rank(res, k_in) if has_in else 0
+    out_dim = M.rank * complete_rank(res, k_out) if has_out else 0
+    N = M.modulus
+    mod = N or None
+    want = want_representatives
+    if want is None:
+        want = dim <= _AUTO_REPRESENTATIVE_DIM
+    smith = not want and (not N or M.lifts_to_lattice)
+    if smith:
+        route = "universal-coefficients" if N else "cokernel-torsion"
+    else:
+        route = "congruence" if N else "kernel"
+    # over Z with both maps H is killed by |G|: free rank 0, no d_out
+    killed = smith and not N and has_in and has_out
+    # every matrix is capped on its own shape before any is built; a
+    # presentation costs about dim^3, the transform-free invariants do not
+    if has_in:
+        limits.check_cells(dim, in_dim, f"{route} image")
+    if want:
+        limits.check_cells(dim, dim, f"{route} presentation")
+    if has_out and not killed:
+        limits.check_cells(out_dim, dim, f"{route} outgoing map")
 
     def leg(k: int) -> RingMatrix:
-        D = diff(max(n, k))
+        D = complete_diff(res, max(n, k))
         return D.antipode_transpose() if step < 0 else D
 
-    d = M.rank
-    has_in = tate or n - step >= 0
-    has_out = tate or n + step >= 0
-    return _hom_group(
-        M,
-        partial(leg, n - step) if has_in else None,
-        partial(leg, n + step) if has_out else None,
-        d * rank(n),
-        d * rank(n - step) if has_in else 0,
-        d * rank(n + step) if has_out else 0,
-        degree=n,
-        kind=kind,
-        resolution=resolution,
-        want_representatives=want_representatives,
-        limits=limits,
+    if smith:
+        # the Smith diagonals of both maps, see the module docstring; SNF(A)
+        # = SNF(A^T), so the streamed rows go in as they are
+        def diagonal(k: int, rows: int, cols: int) -> list[int]:
+            return smith_diagonal(map(dict, _hom_constraint_rows(M, leg(k))), rows, cols, mod=mod)
+
+        diag_in = diagonal(k_in, dim, in_dim) if has_in else []
+        diag_out = diagonal(k_out, out_dim, dim) if has_out and not killed else []
+        free = 0 if killed else dim - len(diag_in) - len(diag_out)
+        if free < 0:
+            raise VerificationError(f"ranks of the degree-{n} maps exceed {dim}")
+        inv = AbelianInvariants.from_diagonal(
+            [N] * free + diag_in + (diag_out if N else [])
+        )
+        return CohomologyResult(n, kind, inv, M.label, resolution, route)
+    checker = None
+    rows: Iterable[list[tuple[int, int]]] = ()
+    if has_out:
+        rows = _hom_constraint_rows(M, leg(k_out))
+        if want:
+            # the kernel's constraint rows double as the cocycle checker
+            rows = list(rows)
+
+            def checker(flat: Sequence[int]) -> bool:
+                for row in rows:
+                    s = sum(c * flat[k] for k, c in row)
+                    if s % N if N else s:
+                        return False
+                return True
+
+    kcols = kernel_columns(rows, dim, mod=mod)
+    icols = _image_columns(M, leg(k_in)) if has_in else []
+    if not want:
+        inv = quotient_invariants(kcols, icols, dim, mod=N)
+        return CohomologyResult(n, kind, inv, M.label, resolution, route)
+    pres = quotient_presentation(kcols, icols, dim, mod=mod)
+    boundary = column_hnf(icols, dim, mod=mod)
+    # a rank-0 module has no coordinates, and its cochains no values
+    count = dim // M.rank if M.rank else 0
+    reps = _extract_representatives(pres, boundary, n, count, M.rank, mod, checker)
+    return CohomologyResult(
+        n,
+        kind,
+        pres.invariants(),
+        M.label,
+        resolution,
+        route,
+        representatives=reps,
+        _presentation=pres,
+        _boundary_hnf=boundary,
+        _count=count,
+        _rank=M.rank,
     )
 
 

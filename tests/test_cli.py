@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cohomolab import cli
 from cohomolab.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from cohomolab.closed_forms import GENERATOR_CASES
 
@@ -270,6 +271,28 @@ def test_factor_set_cyclic_two(capsys):
     assert payload["class_order"] == 2
 
 
+def test_factor_set_honours_a_raised_group_order_cap(capsys):
+    # the raised cap reaches the cocycle check too, not only the CLI's own check
+    code, out, err = run(
+        capsys,
+        "factor-set",
+        "--group",
+        "37",
+        "--case",
+        "trivial-H2",
+        "--indices",
+        "1",
+        "--max-group-order",
+        "40",
+    )
+    assert code == EXIT_OK, err
+    assert "order 37" in out
+    code, _, err = run(
+        capsys, "factor-set", "--group", "37", "--case", "trivial-H2", "--indices", "1"
+    )
+    assert code == EXIT_CAP and "group order 37" in err
+
+
 def test_factor_set_klein_sixteen_binary_entries(capsys):
     payload = run_json(
         capsys, "factor-set", "--group", "2,2", "--case", "trivial-H2", "--indices", "2"
@@ -398,6 +421,22 @@ def test_bench_sizes_exact(capsys):
     assert rows[4]["bar_ms"] is None  # beyond the bar window
 
 
+def test_bench_times_one_route_on_both_resolutions(capsys, monkeypatch):
+    # the bar/minimal time ratio compares resolutions, not algorithms
+    calls = []
+    real = cli.ordinary_cohomology
+
+    def spy(M, n, **kw):
+        r = real(M, n, **kw)
+        calls.append((kw.get("resolution", "minimal"), n, r.route))
+        return r
+
+    monkeypatch.setattr(cli, "ordinary_cohomology", spy)
+    run_json(capsys, "bench", "--group", "2,2,2", "--max-degree", "3")
+    assert {res for res, _, _ in calls} == {"minimal", "bar"}
+    assert all(route == "cokernel-torsion" for _, _, route in calls), calls
+
+
 def test_bench_two_by_four(capsys):
     payload = run_json(capsys, "bench", "--group", "2,4", "--max-degree", "2")
     rows = {r["degree"]: r for r in payload["results"]}
@@ -480,6 +519,10 @@ def _argv(draw):
 )
 @given(_argv())
 def test_cli_error_contract_fuzz(argv):
+    _assert_error_contract(argv)
+
+
+def _assert_error_contract(argv):
     # in-process, so a traceback surfaces as the exception itself
     with mock.patch.dict(os.environ, {"COHOMOLAB_MAX_CELLS": "3000"}):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
@@ -489,3 +532,26 @@ def test_cli_error_contract_fuzz(argv):
                 code = exc.code
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_CAP), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def _bench_argv(draw):
+    return [
+        "bench",
+        "--group",
+        draw(_GROUPS),
+        "--max-group-order",
+        str(16 - draw(st.integers(0, 15))),
+        "--max-degree",
+        str(draw(st.integers(-2, 8))),
+        "--format",
+        draw(st.sampled_from(["text", "json"])),
+    ]
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(_bench_argv())
+def test_cli_bench_error_contract_fuzz(argv):
+    _assert_error_contract(argv)

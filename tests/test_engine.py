@@ -248,8 +248,8 @@ def test_only_the_smith_branch_skips_the_outgoing_cap(monkeypatch):
 @pytest.mark.parametrize("reps", [False, True])
 @pytest.mark.parametrize("compute", [ordinary_cohomology, tate_cohomology, homology])
 def test_incoming_map_is_capped_before_it_is_built(monkeypatch, compute, reps):
-    # both differentials arrive as thunks sized from the resolution ranks, so
-    # a degree whose image is over the cap builds no differential at all
+    # both maps are sized from the resolution ranks and capped before either
+    # is built, so a degree whose image is over the cap builds no differential
     built = []
     real = resolutions.minimal_diff
     monkeypatch.setattr(
@@ -260,6 +260,53 @@ def test_incoming_map_is_capped_before_it_is_built(monkeypatch, compute, reps):
     with pytest.raises(ResourceCapExceeded, match="image needs"):
         compute(Z, 40, limits=limits, want_representatives=reps)
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "text, reps, route",
+    [
+        ("trivial", False, "cokernel-torsion"),
+        ("trivial", True, "kernel"),
+        ("reduce:4(trivial)", False, "universal-coefficients"),
+        ("reduce:4(trivial)", True, "congruence"),
+    ],
+)
+@pytest.mark.parametrize(
+    "compute, resolution",
+    [
+        (ordinary_cohomology, "minimal"),
+        (ordinary_cohomology, "bar"),
+        (homology, "minimal"),
+        (homology, "bar"),
+        (tate_cohomology, None),
+    ],
+)
+def test_each_differential_is_built_at_most_once(
+    monkeypatch, compute, resolution, text, reps, route
+):
+    # differentials are recorded by the degree they leave; a call builds each
+    # of its one or two maps once, and the cokernel-torsion route over Z only
+    # the incoming one wherever both exist
+    built = []
+    for name in ("minimal_diff", "bar_diff"):
+        real = getattr(resolutions, name)
+        monkeypatch.setattr(
+            resolutions,
+            name,
+            lambda spec, k, *rest, real=real: built.append(k) or real(spec, k, *rest),
+        )
+    M = parse_module(text, G22)
+    kw = {} if resolution is None else {"resolution": resolution}
+    tate = compute is tate_cohomology
+    for n in [-2, -1, 0, 1, 2] if tate and M.is_lattice else [0, 1, 2]:
+        built.clear()
+        r = compute(M, n, want_representatives=reps, **kw)
+        assert r.route == route
+        assert len(built) == len(set(built)), (n, built)
+        if route == "cokernel-torsion" and (tate or n > 0):
+            incoming = n + 1 if compute is homology else abs(n)
+            # Tate degree 0's incoming map is the norm, not a differential
+            assert built == ([incoming] if incoming else []), (n, built)
 
 
 @pytest.mark.parametrize("reps", [False, True])
