@@ -4,13 +4,15 @@ Four verbs: ``compute`` evaluates cohomology over a degree range,
 ``factor-set`` emits the group-pair table of an explicit degree-2 class,
 ``verify`` runs the cross-checking suites, ``bench`` compares resolution
 sizes and timings.  Exit codes: 0 success, 2 bad input, 3 resource cap,
-4 a verification that should have passed did not.
+4 a verification that should have passed did not; output cut short by a
+closed pipe (``| head``) still exits 0, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -411,7 +413,17 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_fold_degree_values(list(argv)))
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that went away shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): the output it wanted is
+        # written, so stop quietly, with stdout on devnull so that the
+        # flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -38,6 +38,17 @@ image of the incoming map, where one is needed, is the transpose of the
 same streamed rows; only :func:`hom_complex_map` still builds a dense Hom
 matrix.
 
+Where the rows come from: on the monomial resolution, every leg (a
+differential, the norm N_G in Tate degree 0, and the antipode-transposed
+legs of negative Tate degrees and of homology) is a signed pattern of at
+most 6s + 1 module blocks over monomial indices, so :func:`_minimal_rows`
+reads its rows off the indices and the module's block table
+(``GModule.block_rows``), with no group-ring matrix and no ``GModule.act``;
+the cocycle predicates and coboundaries use the same rows.  Standard
+(bar) legs and the comparison map ``sigma`` go through
+:func:`_hom_constraint_rows`, which evaluates each entry of a group-ring
+matrix with ``act``.
+
 The cokernel-torsion formula: Z^dim / ker d_out embeds in a
 free group, so ker d_out is saturated, of rank dim - rk d_out, and the
 torsion of H = ker d_out / im d_in is that of coker d_in, read off its Smith
@@ -82,9 +93,9 @@ from cohomolab.limits import EngineLimits, ResourceCapExceeded
 from cohomolab.modules import DualDivisible, GModule, star_dual
 from cohomolab.resolutions import (
     Resolution,
-    complete_diff,
     complete_rank,
     make_resolution,
+    monomial_basis,
     sigma,
 )
 
@@ -139,8 +150,10 @@ def _hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, 
     (index, coeff) lists, streamed.
 
     Block-row j (source column of D), block-col i (target row of D) holds
-    act(D[i, j]); dimensions (d*cols(D)) x (d*rows(D)).  This is the only
-    block assembler: the tensor side passes ``D.antipode_transpose()``.
+    act(D[i, j]); dimensions (d*cols(D)) x (d*rows(D)).  The tensor side
+    passes ``D.antipode_transpose()``.  It assembles the standard
+    resolution's legs and ``sigma``, and is the reference
+    :func:`_minimal_rows` is tested against.
     """
     d = M.rank
     cache: dict[RingElement, IntMatrix] = {}
@@ -162,12 +175,55 @@ def _hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, 
             yield row
 
 
-def _image_columns(M: GModule, D: RingMatrix) -> list[list[int]]:
-    """The nonzero columns of the map phi -> phi . D, in column order,
-    reduced mod the module's modulus: the streamed rows, transposed."""
-    dim = M.rank * D.cols
+def _minimal_rows(M: GModule, m: int, dual: bool = False) -> Iterator[list[tuple[int, int]]]:
+    """The rows of :func:`_hom_constraint_rows` over the complete monomial
+    resolution's differential leaving degree m, antipode-transposed when
+    ``dual``, read off monomial indices and the module's block table.
+
+    Degree 0 is the norm N_G, its own antipode, and a negative degree m the
+    dual of the differential leaving -m.  On a plain leg, source monomial
+    (k_1, ..., k_s) meets the target that drops one power of x_i, with sign
+    (-1)^(k_1+...+k_(i-1)) times A_i - I for odd k_i and N_i(A) for even
+    k_i > 0, as in :func:`~cohomolab.resolutions.minimal_diff`.  On a dual
+    leg, source r meets the target r + x_i through the antipode of that
+    entry, with A_i^-1 - I in place of A_i - I.  Both visit i in ascending
+    order, which is the pair order of :func:`_hom_constraint_rows`: entry
+    order on a plain leg, target order on a dual one.
+    """
+    d = M.rank
+    if m == 0:
+        yield from (list(r) for r in M.block_rows(None))
+        return
+    if m < 0:
+        m, dual = -m, not dual
+    s = M.spec.ngens
+    src_deg, shift = (m - 1, 1) if dual else (m, -1)
+    offset = {mono: j * d for j, mono in enumerate(monomial_basis(s, src_deg + shift))}
+    # the exponent of x_i in A_i - I (plain) or A_i^-1 - I (dual)
+    steps = [o - 1 if dual else 1 for o in M.spec.orders]
+    for mono in monomial_basis(s, src_deg):
+        entries = []
+        ksum = 0
+        for i, k in enumerate(mono):
+            # the exponent of x_i in the column of minimal_diff(m)
+            kd = k + 1 if dual else k
+            if kd:
+                blk = M.block_rows(i, steps[i] if kd % 2 else 0, ksum % 2 == 1)
+                target = mono[:i] + (k + shift,) + mono[i + 1 :]
+                entries.append((offset[target], blk))
+            ksum += k
+        for t in range(d):
+            row: list[tuple[int, int]] = []
+            for base, blk in entries:
+                row += [(base + u, c) for u, c in blk[t]]
+            yield row
+
+
+def _image_columns(rows: Iterable[list[tuple[int, int]]], dim: int) -> list[list[int]]:
+    """The nonzero columns of a map given by its ``dim`` streamed rows, in
+    column order: the rows, transposed."""
     cols: dict[int, dict[int, int]] = {}
-    for r, row in enumerate(_hom_constraint_rows(M, D)):
+    for r, row in enumerate(rows):
         for k, c in row:
             cols.setdefault(k, {})[r] = c
     out = []
@@ -179,24 +235,23 @@ def _image_columns(M: GModule, D: RingMatrix) -> list[list[int]]:
     return out
 
 
-def _hom_matrix(M: GModule, D: RingMatrix) -> IntMatrix:
-    """:func:`_hom_constraint_rows` as a dense block matrix, reduced mod the
-    module's modulus."""
-    width = M.rank * D.rows
+def _hom_matrix(M: GModule, rows: Iterable[list[tuple[int, int]]], width: int) -> IntMatrix:
+    """Streamed Hom rows as a dense block matrix, reduced mod the module's
+    modulus."""
     N = M.modulus
-    rows = []
-    for sparse in _hom_constraint_rows(M, D):
+    dense = []
+    for sparse in rows:
         row = [0] * width
         for k, c in sparse:
             row[k] = c % N if N else c
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cols=width)
+        dense.append(row)
+    return IntMatrix.from_rows(dense, cols=width)
 
 
-def _apply(M: GModule, D: RingMatrix, flat: Sequence[int]) -> list[int]:
-    """The flat cochain phi . D for a flat cochain phi, reduced mod the
-    module's modulus."""
-    out = [sum(c * flat[k] for k, c in row) for row in _hom_constraint_rows(M, D)]
+def _apply(M: GModule, rows: Iterable[list[tuple[int, int]]], flat: Sequence[int]) -> list[int]:
+    """The flat cochain phi . D for a flat cochain phi and the Hom rows of D,
+    reduced mod the module's modulus."""
+    out = [sum(c * flat[k] for k, c in row) for row in rows]
     return [x % M.modulus for x in out] if M.modulus else out
 
 
@@ -213,7 +268,11 @@ def hom_complex_map(M: GModule, resolution: Resolution, n: int) -> IntMatrix:
     """
     if n < 0:
         raise ValueError("ordinary Hom complex starts at degree 0")
-    return _hom_matrix(M, resolution.diff(n + 1))
+    if resolution.kind == "minimal":
+        rows = _minimal_rows(M, n + 1)
+    else:
+        rows = _hom_constraint_rows(M, resolution.diff(n + 1))
+    return _hom_matrix(M, rows, M.rank * resolution.rank(n))
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +447,19 @@ def _complex_group(
     if has_out and not killed:
         limits.check_cells(out_dim, dim, f"{route} outgoing map")
 
-    def leg(k: int) -> RingMatrix:
-        D = complete_diff(res, max(n, k))
-        return D.antipode_transpose() if step < 0 else D
+    def leg(k: int) -> Iterator[list[tuple[int, int]]]:
+        # the streamed Hom rows of the map between degrees n and k; a
+        # standard-resolution call meets only degrees >= 1 here
+        if resolution == "minimal":
+            return _minimal_rows(M, max(n, k), dual=step < 0)
+        D = res.diff(max(n, k))
+        return _hom_constraint_rows(M, D.antipode_transpose() if step < 0 else D)
 
     if smith:
         # the Smith diagonals of both maps, see the module docstring; SNF(A)
         # = SNF(A^T), so the streamed rows go in as they are
         def diagonal(k: int, rows: int, cols: int) -> list[int]:
-            return smith_diagonal(map(dict, _hom_constraint_rows(M, leg(k))), rows, cols, mod=mod)
+            return smith_diagonal(map(dict, leg(k)), rows, cols, mod=mod)
 
         diag_in = diagonal(k_in, dim, in_dim) if has_in else []
         diag_out = diagonal(k_out, out_dim, dim) if has_out and not killed else []
@@ -410,7 +473,7 @@ def _complex_group(
     checker = None
     rows: Iterable[list[tuple[int, int]]] = ()
     if has_out:
-        rows = _hom_constraint_rows(M, leg(k_out))
+        rows = leg(k_out)
         if want:
             # the kernel's constraint rows double as the cocycle checker
             rows = list(rows)
@@ -423,7 +486,7 @@ def _complex_group(
                 return True
 
     kcols = kernel_columns(rows, dim, mod=mod)
-    icols = _image_columns(M, leg(k_in)) if has_in else []
+    icols = _image_columns(leg(k_in), dim) if has_in else []
     if not want:
         inv = quotient_invariants(kcols, icols, dim, mod=N)
         return CohomologyResult(n, kind, inv, M.label, resolution, route)
@@ -546,17 +609,15 @@ def _monomial_name(expo: Sequence[int]) -> str:
 
 
 def _cocycle_check(M: GModule, c: Cochain, limits: EngineLimits | None) -> CocycleCheck:
-    from cohomolab.resolutions import minimal_diff, monomial_basis
-
     limits = limits or EngineLimits.from_env()
     limits.check_group_order(M.spec.order)
     n = c.degree
-    D = minimal_diff(M.spec, n + 1)
-    if len(c.values) != D.rows:
+    count = make_resolution(M.spec, "minimal").rank(n)
+    if len(c.values) != count:
         raise ValueError(
-            f"degree-{n} cochain needs {D.rows} value vectors, got {len(c.values)}"
+            f"degree-{n} cochain needs {count} value vectors, got {len(c.values)}"
         )
-    flat = _apply(M, D, c.flat())
+    flat = _apply(M, _minimal_rows(M, n + 1), c.flat())
     d = M.rank
     targets = monomial_basis(M.spec.ngens, n + 1)
     violations = []
@@ -586,22 +647,17 @@ def coboundary_0(M: GModule, u: Sequence[int]) -> Cochain:
     """The degree-1 coboundary of a module element: x_i maps to (a_i - 1) u."""
     if len(u) != M.rank:
         raise ValueError("element width must match the module rank")
-    from cohomolab.resolutions import minimal_diff
-
-    D = minimal_diff(M.spec, 1)
-    return Cochain.from_flat(1, _apply(M, D, u), D.cols, M.rank)
+    return Cochain.from_flat(1, _apply(M, _minimal_rows(M, 1), u), M.spec.ngens, M.rank)
 
 
 def coboundary_1(M: GModule, xi: Cochain) -> Cochain:
     """The degree-2 coboundary of a degree-1 cochain."""
     if xi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
-    from cohomolab.resolutions import minimal_diff
-
-    D = minimal_diff(M.spec, 2)
-    if len(xi.values) != D.rows:
+    if len(xi.values) != M.spec.ngens:
         raise ValueError("cochain does not match the resolution basis")
-    return Cochain.from_flat(2, _apply(M, D, xi.flat()), D.cols, M.rank)
+    count = make_resolution(M.spec, "minimal").rank(2)
+    return Cochain.from_flat(2, _apply(M, _minimal_rows(M, 2), xi.flat()), count, M.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +726,7 @@ def to_factor_set(M: GModule, gamma: Cochain, *, limits: EngineLimits | None = N
     pairs = bar_basis(spec, 2)
     index = {pair: col for col, pair in enumerate(pairs)}
     d = M.rank
-    flat = _apply(M, s2, gamma.flat())
+    flat = _apply(M, _hom_constraint_rows(M, s2), gamma.flat())
     table = {}
     ident = spec.identity()
     for g, h in itertools.product(spec.elements(), repeat=2):

@@ -42,6 +42,13 @@ class GModule:
     _powers: dict[int, list[tuple[IntMatrix, list[list[tuple[int, int]]]]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    # the blocks of the monomial resolution's differentials, by
+    # :meth:`block_rows` key, each filled on first use from the power table:
+    # +-(A_i - I), +-(A_i^-1 - I), +-N_i(A) and N_G(A), so at most 6s + 1
+    # entries, kept per instance like the power table
+    _blocks: dict[tuple, list[list[tuple[int, int]]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -93,6 +100,46 @@ class GModule:
                 P = self._reduce(_times_sparse(powers[-1][0], A))
                 powers.append((P, _sparse_rows(P)))
         return powers[k]
+
+    def block_rows(
+        self, i: int | None, e: int = 0, neg: bool = False
+    ) -> list[list[tuple[int, int]]]:
+        """Nonzero entries, row by row, of one block of the monomial
+        resolution's differentials, negated when ``neg``: A_i^e - I for
+        e >= 1 (e = 1 and the antipode e = o_i - 1 are used), N_i(A) =
+        I + A_i + ... + A_i^(o_i - 1) for e = 0, and N_G(A), the product of
+        the N_i(A), for i = None.  Entries are reduced mod N, so a negated
+        block is the one ``act`` gives for the negated element."""
+        key = (i, e, neg)
+        rows = self._blocks.get(key)
+        if rows is not None:
+            return rows
+        if i is None:
+            P = self._norm(0)
+            for j in range(1, self.spec.ngens):
+                P = self._reduce(_times_sparse(P, _sparse_rows(self._norm(j))))
+            dense = P.data
+        elif e:
+            P = self.action_power(i, e).data
+            dense = [[x - (t == u) for u, x in enumerate(r)] for t, r in enumerate(P)]
+        else:
+            dense = self._norm(i).data
+        sign = -1 if neg else 1
+        N = self.modulus
+        rows = self._blocks[key] = [
+            [(u, y) for u, x in enumerate(r) if (y := sign * x % N if N else sign * x)]
+            for r in dense
+        ]
+        return rows
+
+    def _norm(self, i: int) -> IntMatrix:
+        """N_i(A) from the power table, reduced mod N."""
+        acc = [[0] * self.rank for _ in range(self.rank)]
+        for k in range(self.spec.orders[i]):
+            for r, prow in zip(acc, self._power_entry(i, k)[1]):
+                for u, a in prow:
+                    r[u] += a
+        return self._reduce(IntMatrix(self.rank, self.rank, tuple(map(tuple, acc))))
 
     def act(self, x: RingElement) -> IntMatrix:
         """Matrix of x in Z[G] acting on the module (reduced mod N if finite).

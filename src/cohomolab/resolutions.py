@@ -61,8 +61,11 @@ def minimal_diff(spec: GroupSpec, n: int) -> RingMatrix:
     for even k_i > 0.
 
     The at most 4s distinct coefficients, +-(a_i - 1) and +-N_i for each i,
-    are built once per call and shared by every entry that uses them, so a
-    block cache keyed on them sees few distinct elements.
+    are built once per call and shared by every entry that uses them.  The
+    engine does not build this matrix: it reads the Hom rows of the same
+    pattern off monomial indices, and this is the reference the row source
+    is tested against (and the differential the resolution and sigma
+    checks multiply).
     """
     if n < 1:
         raise ValueError("differential starts at degree 1")

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -291,6 +293,33 @@ def test_factor_set_honours_a_raised_group_order_cap(capsys):
         capsys, "factor-set", "--group", "37", "--case", "trivial-H2", "--indices", "1"
     )
     assert code == EXIT_CAP and "group order 37" in err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_pipe_exits_zero_without_a_traceback(unbuffered):
+    # ``cohomolab factor-set ... | head -1``, with the reader gone before
+    # anything is written: unbuffered, the first print meets the closed
+    # pipe; buffered, the flush does
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["factor-set", "--group", "2,4", "--case", "trivial-H2", "--indices", "1"]
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cohomolab", *argv],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
 def test_factor_set_klein_sixteen_binary_entries(capsys):

@@ -11,11 +11,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohomolab import resolutions
+from cohomolab import engine, resolutions
 from cohomolab.engine import (
     Cochain,
     VerificationError,
+    _hom_constraint_rows,
     _hom_matrix,
     _image_columns,
     coboundary_0,
@@ -42,7 +45,7 @@ from cohomolab.modules import (
     trivial_module,
     zmod_module,
 )
-from cohomolab.resolutions import make_resolution
+from cohomolab.resolutions import complete_diff, make_resolution
 from cohomolab.verify import _oracle_modules
 
 G2 = GroupSpec.of(2)
@@ -249,11 +252,15 @@ def test_only_the_smith_branch_skips_the_outgoing_cap(monkeypatch):
 @pytest.mark.parametrize("compute", [ordinary_cohomology, tate_cohomology, homology])
 def test_incoming_map_is_capped_before_it_is_built(monkeypatch, compute, reps):
     # both maps are sized from the resolution ranks and capped before either
-    # is built, so a degree whose image is over the cap builds no differential
+    # is built, so a degree whose image is over the cap builds no leg
     built = []
-    real = resolutions.minimal_diff
+    real = engine._minimal_rows
     monkeypatch.setattr(
-        resolutions, "minimal_diff", lambda spec, n: built.append(n) or real(spec, n)
+        engine, "_minimal_rows", lambda M, m, dual=False: built.append(m) or real(M, m, dual)
+    )
+    real_diff = resolutions.minimal_diff
+    monkeypatch.setattr(
+        resolutions, "minimal_diff", lambda spec, n: built.append(n) or real_diff(spec, n)
     )
     Z = trivial_module(GroupSpec.of(2, 2, 2, 2))
     limits = EngineLimits(max_cells=1000, max_tate_degree=40)
@@ -284,17 +291,27 @@ def test_incoming_map_is_capped_before_it_is_built(monkeypatch, compute, reps):
 def test_each_differential_is_built_at_most_once(
     monkeypatch, compute, resolution, text, reps, route
 ):
-    # differentials are recorded by the degree they leave; a call builds each
-    # of its one or two maps once, and the cokernel-torsion route over Z only
-    # the incoming one wherever both exist
-    built = []
-    for name in ("minimal_diff", "bar_diff"):
-        real = getattr(resolutions, name)
-        monkeypatch.setattr(
-            resolutions,
-            name,
-            lambda spec, k, *rest, real=real: built.append(k) or real(spec, k, *rest),
-        )
+    # legs are recorded by the degree they leave: the minimal resolution's
+    # Hom rows and the bar differentials; a call builds each of its one or
+    # two maps once, the cokernel-torsion route over Z only the incoming one
+    # wherever both exist, and no call builds a minimal_diff RingMatrix
+    built, reference = [], []
+    real_rows = engine._minimal_rows
+    monkeypatch.setattr(
+        engine,
+        "_minimal_rows",
+        lambda M, m, dual=False: built.append(m) or real_rows(M, m, dual),
+    )
+    real_bar = resolutions.bar_diff
+    monkeypatch.setattr(
+        resolutions,
+        "bar_diff",
+        lambda spec, k, *rest: built.append(k) or real_bar(spec, k, *rest),
+    )
+    real_diff = resolutions.minimal_diff
+    monkeypatch.setattr(
+        resolutions, "minimal_diff", lambda spec, k: reference.append(k) or real_diff(spec, k)
+    )
     M = parse_module(text, G22)
     kw = {} if resolution is None else {"resolution": resolution}
     tate = compute is tate_cohomology
@@ -303,10 +320,11 @@ def test_each_differential_is_built_at_most_once(
         r = compute(M, n, want_representatives=reps, **kw)
         assert r.route == route
         assert len(built) == len(set(built)), (n, built)
+        assert reference == [], (n, reference)
         if route == "cokernel-torsion" and (tate or n > 0):
-            incoming = n + 1 if compute is homology else abs(n)
-            # Tate degree 0's incoming map is the norm, not a differential
-            assert built == ([incoming] if incoming else []), (n, built)
+            # Tate degree 0's incoming leg is the norm, which leaves degree 0
+            incoming = n + 1 if compute is homology else n
+            assert built == [incoming], (n, built)
 
 
 @pytest.mark.parametrize("reps", [False, True])
@@ -426,17 +444,67 @@ def test_streamed_image_columns_match_the_dense_map(text, orders, resolution):
     G = GroupSpec.of(*orders)
     M = parse_module(text, G)
     res = make_resolution(G, resolution)
+    d = M.rank
     for n in (0, 1, 2):
-        # cohomology: the image in degree n + 1
+        # cohomology: the image in degree n + 1 (on the minimal resolution
+        # hom_complex_map reads the rows off monomial indices instead)
         D = res.diff(n + 1)
-        got = _image_columns(M, D)
+        got = _image_columns(_hom_constraint_rows(M, D), d * D.cols)
         assert got == _dense_columns(M, hom_complex_map(M, res, n)), n
         # homology: the antipode-transposed leg into degree n, whose rows
         # are wider (degree n + 1) than the degree-n chains
         T = D.antipode_transpose()
         assert T.rows > T.cols
-        got = _image_columns(M, T)
-        assert got == _dense_columns(M, _hom_matrix(M, T)), n
+        got = _image_columns(_hom_constraint_rows(M, T), d * T.cols)
+        dense = _hom_matrix(M, _hom_constraint_rows(M, T), d * T.rows)
+        assert got == _dense_columns(M, dense), n
+
+
+_ROW_GROUPS = [(2,), (3,), (4,), (2, 2), (2, 4), (3, 3), (2, 3), (2, 2, 2), (2, 2, 4), (2, 2, 2, 2)]
+
+
+def _row_modules(orders, directory) -> list[str]:
+    """Module texts over the group: lattices, duals, tensors, reductions and
+    a Z/6 module read from a matrix file."""
+    texts = ["trivial", "trivial:2"]
+    for p, m in ((2, 1), (2, 2), (3, 1)):
+        exps = [int(o % p**m == 0) for o in orders]
+        if any(exps):
+            c = f"cyclo:{p}:{m}:{','.join(map(str, exps))}"
+            texts += [c, f"star({c})", f"tensor({c},trivial:2)", f"reduce:4({c})"]
+    # generator 0 swaps (even order) or rotates (order 3k) a rank-2 module
+    first = "0 1\n1 0" if orders[0] % 2 == 0 else "0 -1\n1 -1"
+    path = directory / ("zmod_" + "_".join(map(str, orders)) + ".txt")
+    path.write_text("\n\n".join([first] + ["1 0\n0 1"] * (len(orders) - 1)) + "\n")
+    return texts + [f"zmod:6:@{path}"]
+
+
+@pytest.fixture(scope="module")
+def row_modules(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("zmod")
+    return {orders: _row_modules(orders, directory) for orders in _ROW_GROUPS}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(_ROW_GROUPS), st.data(), st.integers(-7, 7), st.booleans())
+def test_minimal_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, dual):
+    # the index-arithmetic row source against blocks of act() over the
+    # RingMatrix differential, as lists: pair order included
+    G = GroupSpec(orders)
+    text = data.draw(st.sampled_from(row_modules[orders]))
+    M = parse_module(text, G)
+    res = make_resolution(G, "minimal")
+    for k in (m, 0):  # degree 0 is the norm N_G
+        D = complete_diff(res, k)
+        if dual:
+            D = D.antipode_transpose()
+        got = list(engine._minimal_rows(M, k, dual))
+        assert got == list(_hom_constraint_rows(M, D)), (text, k, dual)
+    # every block kind: N_G, both parities, plain and dual legs
+    for k in range(-2, 3):
+        for flip in (False, True):
+            list(engine._minimal_rows(M, k, flip))
+    assert len(M._blocks) <= 6 * G.ngens + 1
 
 
 def test_ordinary_rejects_negative_degree_and_window():
