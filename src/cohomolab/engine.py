@@ -47,7 +47,9 @@ reads its rows off the indices and the module's block table
 the cocycle predicates and coboundaries use the same rows.  Standard
 (bar) legs and the comparison map ``sigma`` go through
 :func:`_hom_constraint_rows`, which evaluates each entry of a group-ring
-matrix with ``act``.
+matrix with ``act``: a sum over its support of the matrices in the
+module's group-element table (``GModule.element_rows``), which the factor
+set check reads directly.
 
 The cokernel-torsion formula: Z^dim / ker d_out embeds in a
 free group, so ker d_out is saturated, of rank dim - rk d_out, and the
@@ -150,7 +152,9 @@ def _hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, 
     (index, coeff) lists, streamed.
 
     Block-row j (source column of D), block-col i (target row of D) holds
-    act(D[i, j]); dimensions (d*cols(D)) x (d*rows(D)).  The tensor side
+    act(D[i, j]), the sum over the support of D[i, j] of c times the
+    matrix of g from the module's group-element table; dimensions
+    (d*cols(D)) x (d*rows(D)).  The tensor side
     passes ``D.antipode_transpose()``.  It assembles the standard
     resolution's legs and ``sigma``, and is the reference
     :func:`_minimal_rows` is tested against.
@@ -682,28 +686,23 @@ class FactorSet:
         """Full enumeration of g f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0."""
         spec = self.module.spec
         N = self.module.modulus
-        acts = {
-            g: self.module.act(RingElement.of_element(spec, g))
-            for g in spec.elements()
-        }
-        for g, h, k in itertools.product(spec.elements(), repeat=3):
-            act_g = acts[g]
-            fhk = self.table[(h, k)]
-            first = [
-                sum(act_g.data[t][u] * fhk[u] for u in range(self.module.rank))
-                for t in range(self.module.rank)
-            ]
-            total = [
-                first[t]
-                - self.table[(spec.mul(g, h), k)][t]
-                + self.table[(g, spec.mul(h, k))][t]
-                - self.table[(g, h)][t]
-                for t in range(self.module.rank)
-            ]
-            if N:
-                total = [x % N for x in total]
-            if any(total):
-                return False
+        elements = spec.elements()
+        for g in elements:
+            act_g = self.module.element_rows(g)
+            for h, k in itertools.product(elements, repeat=2):
+                fhk = self.table[(h, k)]
+                first = [sum(a * fhk[u] for u, a in grow) for grow in act_g]
+                total = [
+                    first[t]
+                    - self.table[(spec.mul(g, h), k)][t]
+                    + self.table[(g, spec.mul(h, k))][t]
+                    - self.table[(g, h)][t]
+                    for t in range(self.module.rank)
+                ]
+                if N:
+                    total = [x % N for x in total]
+                if any(total):
+                    return False
         return True
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from cohomolab.group_ring import GroupSpec, RingElement
 from cohomolab.intlinalg import (
@@ -36,16 +36,22 @@ class GModule:
     # set by reduce_mod alone (relabel keeps it): the module is L/NL for a
     # lattice L, so its Hom complexes lift to complexes of free abelian groups
     lifts_to_lattice: bool = field(default=False, init=False, compare=False, repr=False)
-    # generator i -> [(A^k, nonzero entries of A^k row by row) for k = 0, 1,
-    # ...]: grown by one sparse product per new power, so a module's first
-    # call costs about the same whichever powers it asks for
-    _powers: dict[int, list[tuple[IntMatrix, list[list[tuple[int, int]]]]]] = field(
+    # group element g -> nonzero entries of its matrix, row by row, reduced
+    # mod N, filled on first use: a generator power g_i^k is g_i^(k-1) times
+    # A_i, any other element the product of its generator powers, one
+    # sparse product each.  At most |G| entries of rank^2 cells, and every
+    # route that fills it has passed a larger cap first: a bar leg's
+    # check_cells is at least rank^2 (|G| - 1), factor sets and sigma pass
+    # the order cap, and minimal legs fill powers of the generators only
+    _elements: dict[tuple[int, ...], list[list[tuple[int, int]]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
     # the blocks of the monomial resolution's differentials, by
-    # :meth:`block_rows` key, each filled on first use from the power table:
-    # +-(A_i - I), +-(A_i^-1 - I), +-N_i(A) and N_G(A), so at most 6s + 1
-    # entries, kept per instance like the power table
+    # :meth:`block_rows` key, each filled on first use from the element
+    # table: +-(A_i - I), +-(A_i^-1 - I), +-N_i(A) and N_G(A), so at most
+    # 6s + 1 entries, kept per instance like the element table.  N_G(A) is
+    # the product of the N_i(A), not a sum over |G| elements, which costs
+    # far more at large rank
     _blocks: dict[tuple, list[list[tuple[int, int]]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -67,15 +73,14 @@ class GModule:
         # sparse products: the actions are mostly permutation-like, so this
         # costs about rank^2 per product rather than rank^3
         eye = IntMatrix.identity(self.rank)
-        sparse = [_sparse_rows(A) for A in self.actions]
+        N = self.modulus
+        sparse = [_sparse_rows(A.data) for A in self.actions]
         for i, (A, o) in enumerate(zip(self.actions, self.spec.orders)):
-            if _mat_pow(A, o, self.modulus) != eye:
+            if _mat_pow(A, o, N) != eye:
                 raise ValueError(f"action {i} does not have order dividing {o}")
         for i in range(len(self.actions)):
             for j in range(i + 1, len(self.actions)):
-                ab = _times_sparse(self.actions[i], sparse[j])
-                ba = _times_sparse(self.actions[j], sparse[i])
-                if self._reduce(ab) != self._reduce(ba):
+                if _times_sparse(sparse[i], sparse[j], N) != _times_sparse(sparse[j], sparse[i], N):
                     raise ValueError(f"actions {i} and {j} do not commute")
 
     def _reduce(self, A: IntMatrix) -> IntMatrix:
@@ -86,20 +91,36 @@ class GModule:
         return self.modulus == 0
 
     def action_power(self, i: int, k: int) -> IntMatrix:
-        return self._power_entry(i, k)[0]
+        return _dense(self.element_rows(self.spec.generator(i, k)))
 
-    def _power_entry(self, i: int, k: int) -> tuple[IntMatrix, list[list[tuple[int, int]]]]:
-        k %= self.spec.orders[i]
-        powers = self._powers.get(i)
-        if powers is None:
-            eye = IntMatrix.identity(self.rank)
-            powers = self._powers[i] = [(eye, _sparse_rows(eye))]
-        if len(powers) <= k:
-            A = _sparse_rows(self.actions[i])
-            while len(powers) <= k:
-                P = self._reduce(_times_sparse(powers[-1][0], A))
-                powers.append((P, _sparse_rows(P)))
-        return powers[k]
+    def element_rows(self, g: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+        """Nonzero entries, row by row, of the matrix of the group element g,
+        reduced mod N, from the module's element table."""
+        g = tuple(e % o for e, o in zip(g, self.spec.orders))
+        table = self._elements
+        rows = table.get(g)
+        if rows is not None:
+            return rows
+        live = [i for i, e in enumerate(g) if e]
+        if not live:
+            rows = table[g] = [[(t, 1)] for t in range(self.rank)]
+        elif len(live) > 1:
+            i = live[-1]
+            head = self.element_rows(g[:i] + (0,) * (len(g) - i))
+            power = self.element_rows(self.spec.generator(i, g[i]))
+            rows = table[g] = _times_sparse(head, power, self.modulus)
+        else:
+            # from the highest power of g_i already in the table, one
+            # product per missing power
+            i = live[0]
+            k = g[i] - 1
+            while k and self.spec.generator(i, k) not in table:
+                k -= 1
+            rows = self.element_rows(self.spec.generator(i, k))
+            A = _sparse_rows(self.actions[i].data)
+            for k in range(k + 1, g[i] + 1):
+                rows = table[self.spec.generator(i, k)] = _times_sparse(rows, A, self.modulus)
+        return rows
 
     def block_rows(
         self, i: int | None, e: int = 0, neg: bool = False
@@ -117,98 +138,35 @@ class GModule:
         if i is None:
             P = self._norm(0)
             for j in range(1, self.spec.ngens):
-                P = self._reduce(_times_sparse(P, _sparse_rows(self._norm(j))))
-            dense = P.data
+                P = _times_sparse(P, self._norm(j), self.modulus)
+            terms = [(1, P)]
         elif e:
-            P = self.action_power(i, e).data
-            dense = [[x - (t == u) for u, x in enumerate(r)] for t, r in enumerate(P)]
+            eye = self.element_rows(self.spec.identity())
+            terms = [(1, self.element_rows(self.spec.generator(i, e))), (-1, eye)]
         else:
-            dense = self._norm(i).data
+            terms = [(1, self._norm(i))]
         sign = -1 if neg else 1
-        N = self.modulus
-        rows = self._blocks[key] = [
-            [(u, y) for u, x in enumerate(r) if (y := sign * x % N if N else sign * x)]
-            for r in dense
-        ]
+        rows = self._blocks[key] = _sparse_rows(
+            _combine([(sign * c, P) for c, P in terms], self.rank), self.modulus
+        )
         return rows
 
-    def _norm(self, i: int) -> IntMatrix:
-        """N_i(A) from the power table, reduced mod N."""
-        acc = [[0] * self.rank for _ in range(self.rank)]
-        for k in range(self.spec.orders[i]):
-            for r, prow in zip(acc, self._power_entry(i, k)[1]):
-                for u, a in prow:
-                    r[u] += a
-        return self._reduce(IntMatrix(self.rank, self.rank, tuple(map(tuple, acc))))
+    def _norm(self, i: int) -> list[list[tuple[int, int]]]:
+        """Nonzero entries of N_i(A), row by row, summed over the element
+        table and reduced mod N."""
+        G = self.spec
+        terms = [(1, self.element_rows(G.generator(i, k))) for k in range(G.orders[i])]
+        return _sparse_rows(_combine(terms, self.rank), self.modulus)
 
     def act(self, x: RingElement) -> IntMatrix:
-        """Matrix of x in Z[G] acting on the module (reduced mod N if finite).
-
-        x is evaluated by Horner over the generators: its support is grouped
-        by the exponent e of generator 0, the remaining generators are
-        evaluated recursively on each group's sub-element, and A_0^e times
-        that inner matrix is added to the result, multiplying by the nonzero
-        entries of A_0^e only.  Identity factors (e = 0) add the inner
-        matrix with no product, and each distinct sub-element (its tail
-        exponents and coefficients) is evaluated once per call.  So the full
-        norm costs o_0 - 1 sparse products and a single group element at
-        most s - 1; the result is reduced mod N once, at the end.
-
-        There is deliberately no cross-call cache of element matrices: one
-        made each cell's cost depend on which cell first asked for an
-        element, and keeping the blocks of large differentials alive raised
-        peak memory.  Only the per-generator power table is kept.
-        """
+        """Matrix of x in Z[G] acting on the module (reduced mod N if
+        finite): the sum over the support of x of c times the matrix of g,
+        read from the element table."""
         if x.group != self.spec:
             raise ValueError("ring element is over a different group")
         d = self.rank
-        memo: dict[tuple, int | list[list[int]]] = {}
-
-        def horner(i: int, terms: tuple) -> int | list[list[int]]:
-            # the sum of c * A_i^(g[0]) * A_(i+1)^(g[1]) * ... over the terms
-            # (g, c), g the exponents of generators i, i+1, ...; an int c
-            # stands for c times the identity
-            groups: dict[int, list] = {}
-            for g, c in terms:
-                groups.setdefault(g[0], []).append((g[1:], c))
-            scalar = 0
-            rows: list[list[int]] | None = None
-            for e, sub in groups.items():
-                if len(sub) == 1 and not any(sub[0][0]):
-                    inner = sub[0][1]  # c times the identity element
-                else:
-                    key = tuple(sub)
-                    inner = memo.get(key)
-                    if inner is None:
-                        inner = memo[key] = horner(i + 1, key)
-                if e == 0 and isinstance(inner, int):
-                    scalar += inner
-                    continue
-                if rows is None:
-                    rows = [[0] * d for _ in range(d)]
-                if e == 0:
-                    for r, irow in zip(rows, inner):
-                        r[:] = [a + b for a, b in zip(r, irow)]
-                elif isinstance(inner, int):
-                    for r, prow in zip(rows, self._power_entry(i, e)[1]):
-                        for u, a in prow:
-                            r[u] += inner * a
-                else:
-                    for t, prow in enumerate(self._power_entry(i, e)[1]):
-                        r = rows[t]
-                        for u, a in prow:
-                            r[:] = [v + a * b for v, b in zip(r, inner[u])]
-            if rows is None:
-                return scalar
-            if scalar:
-                for t in range(d):
-                    rows[t][t] += scalar
-            return rows
-
-        out = horner(0, tuple(x.items()))
-        if isinstance(out, int):
-            return self._reduce(IntMatrix.identity(d).scale(out))
-        return self._reduce(IntMatrix(d, d, tuple(tuple(r) for r in out)))
+        out = _combine([(c, self.element_rows(g)) for g, c in x.items()], d)
+        return self._reduce(IntMatrix(d, d, tuple(map(tuple, out))))
 
     def relabel(self, label: str) -> "GModule":
         out = GModule(self.spec, self.rank, self.modulus, self.actions, label)
@@ -240,36 +198,54 @@ class DualDivisible:
 def _mat_pow(A: IntMatrix, k: int, mod: int = 0) -> IntMatrix:
     """A^k by repeated squaring with sparse products, reduced mod ``mod``
     after each product when it is set."""
-    out = IntMatrix.identity(A.rows)
-    base = A
+    out = [[(t, 1)] for t in range(A.rows)]
+    base = _sparse_rows(A.data)
     while k:
         if k & 1:
-            out = _times_sparse(out, _sparse_rows(base))
-            if mod:
-                out = out.mod(mod)
+            out = _times_sparse(out, base, mod)
         k >>= 1
         if k:
-            base = _times_sparse(base, _sparse_rows(base))
-            if mod:
-                base = base.mod(mod)
+            base = _times_sparse(base, base, mod)
+    return _dense(out)
+
+
+def _sparse_rows(data: Iterable[Sequence[int]], mod: int = 0) -> list[list[tuple[int, int]]]:
+    """Nonzero entries, row by row, of the rows ``data``, reduced mod
+    ``mod`` when it is set."""
+    return [[(j, y) for j, x in enumerate(r) if (y := x % mod if mod else x)] for r in data]
+
+
+def _combine(terms: Iterable[tuple[int, list[list[tuple[int, int]]]]], d: int) -> list[list[int]]:
+    """The rows of the sum of c * R over the pairs (c, R) of ``terms``,
+    each R a d x d matrix given by the nonzero entries of its rows."""
+    out = [[0] * d for _ in range(d)]
+    for c, R in terms:
+        for r, row in zip(out, R):
+            for j, x in row:
+                r[j] += c * x
     return out
 
 
-def _sparse_rows(A: IntMatrix) -> list[list[tuple[int, int]]]:
-    return [[(j, x) for j, x in enumerate(r) if x] for r in A.data]
+def _dense(rows: list[list[tuple[int, int]]]) -> IntMatrix:
+    """The square matrix whose rows have the nonzero entries ``rows``."""
+    d = len(rows)
+    return IntMatrix(d, d, tuple(map(tuple, _combine([(1, rows)], d))))
 
 
-def _times_sparse(P: IntMatrix, A: list[list[tuple[int, int]]]) -> IntMatrix:
-    """P times the square matrix whose rows have the nonzero entries A."""
+def _times_sparse(
+    P: list[list[tuple[int, int]]], A: list[list[tuple[int, int]]], mod: int = 0
+) -> list[list[tuple[int, int]]]:
+    """The product of two square matrices, each given by the nonzero
+    entries of its rows, in the same form, reduced mod ``mod`` when it is
+    set."""
     out = []
-    for prow in P.data:
-        acc = [0] * P.cols
-        for a, arow in zip(prow, A):
-            if a:
-                for j, x in arow:
-                    acc[j] += a * x
-        out.append(tuple(acc))
-    return IntMatrix(P.rows, P.cols, tuple(out))
+    for prow in P:
+        acc = [0] * len(A)
+        for k, a in prow:
+            for j, x in A[k]:
+                acc[j] += a * x
+        out.append(acc)
+    return _sparse_rows(out, mod)
 
 
 def trivial_module(spec: GroupSpec, rank: int = 1) -> GModule:

@@ -135,14 +135,17 @@ def resolution_suite(limits: EngineLimits | None = None) -> list[CheckResult]:
 
 
 def sigma_suite(limits: EngineLimits | None = None) -> list[CheckResult]:
+    limits = limits or EngineLimits.from_env()
+    groups = [GroupSpec.of(*orders) for orders in _SIGMA_GROUPS]
+    for G in groups:
+        limits.check_group_order(G.order)
     out = []
-    for orders in _SIGMA_GROUPS:
-        G = GroupSpec.of(*orders)
-        ok1 = minimal_diff(G, 1).mul(sigma(G, 1)) == sigma(G, 0).mul(bar_diff(G, 1))
-        ok2 = minimal_diff(G, 2).mul(sigma(G, 2)) == sigma(G, 1).mul(bar_diff(G, 2))
+    for G in groups:
+        ok1 = minimal_diff(G, 1).mul(sigma(G, 1)) == sigma(G, 0).mul(bar_diff(G, 1, limits))
+        ok2 = minimal_diff(G, 2).mul(sigma(G, 2)) == sigma(G, 1).mul(bar_diff(G, 2, limits))
         out.append(
             CheckResult(
-                f"sigma/chain-map/{_gname(orders)}",
+                f"sigma/chain-map/{_gname(G.orders)}",
                 PASS if ok1 and ok2 else FAIL,
                 "degree-1 and degree-2 identities hold"
                 if ok1 and ok2

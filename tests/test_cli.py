@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cohomolab import cli
 from cohomolab.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from cohomolab.closed_forms import GENERATOR_CASES
+from cohomolab.verify import SUITE_NAMES
 
 
 def run(capsys, *argv):
@@ -295,16 +296,25 @@ def test_factor_set_honours_a_raised_group_order_cap(capsys):
     assert code == EXIT_CAP and "group order 37" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--group", "2,4", "--module", "trivial", "--degrees", "0..3"],
+        ["verify", "--suite", "sigma"],
+        ["bench", "--group", "2,2"],
+        ["factor-set", "--group", "2,4", "--case", "trivial-H2", "--indices", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
 @pytest.mark.parametrize("unbuffered", [True, False])
-def test_closed_pipe_exits_zero_without_a_traceback(unbuffered):
-    # ``cohomolab factor-set ... | head -1``, with the reader gone before
+def test_closed_pipe_exits_zero_without_a_traceback(unbuffered, argv):
+    # ``cohomolab <verb> ... | head -1``, with the reader gone before
     # anything is written: unbuffered, the first print meets the closed
     # pipe; buffered, the flush does
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = ["factor-set", "--group", "2,4", "--case", "trivial-H2", "--indices", "1"]
     r, w = os.pipe()
     os.close(r)
     try:
@@ -415,6 +425,18 @@ def test_verify_sigma_suite(capsys):
     names = {c["name"] for c in payload["checks"]}
     assert "sigma/chain-map/2,2,4" in names
     assert "sigma/chain-map/2,2,2,2" in names  # one rank beyond the hand-checked cases
+
+
+def test_verify_sigma_suite_honours_the_caps(capsys, monkeypatch):
+    # every group passes the order cap before anything is built
+    with mock.patch("cohomolab.verify.sigma", side_effect=AssertionError("built over the cap")):
+        code, _, err = run(capsys, "verify", "--suite", "sigma", "--max-group-order", "2")
+    assert code == EXIT_CAP, err
+    assert "group order 4 exceeds the configured maximum 2" in err
+    # and the standard-resolution legs are sized against the cell cap
+    monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "2")
+    code, _, err = run(capsys, "verify", "--suite", "sigma")
+    assert code == EXIT_CAP and "standard-resolution differential" in err
 
 
 def test_verify_closed_forms_flags(capsys):
@@ -583,4 +605,28 @@ def _bench_argv(draw):
 )
 @given(_bench_argv())
 def test_cli_bench_error_contract_fuzz(argv):
+    _assert_error_contract(argv)
+
+
+@st.composite
+def _verify_argv(draw):
+    # a failed check (exit 4) stays outside the contract: it is a real fault
+    return [
+        "verify",
+        "--suite",
+        draw(st.sampled_from(("all",) + SUITE_NAMES)),
+        "--max-group-order",
+        str(draw(st.integers(-2, 16))),
+        "--max-degree",
+        str(draw(st.integers(-2, 8))),
+        "--format",
+        draw(st.sampled_from(["text", "json"])),
+    ]
+
+
+@settings(
+    max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(_verify_argv())
+def test_cli_verify_error_contract_fuzz(argv):
     _assert_error_contract(argv)

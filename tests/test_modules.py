@@ -150,9 +150,10 @@ def test_power_table_belongs_to_the_module():
     M = parse_module("cyclo:2:2:0,1", G)
     twin = parse_module("cyclo:2:2:0,1", G)
     M.action_power(1, 3)
-    # the table is filled per instance and takes no part in equality
+    # the element table is filled per instance, only as far as it is used,
+    # and takes no part in equality
     assert M == twin and hash(M) == hash(twin)
-    assert len(M._powers[1]) == 4 and not twin._powers
+    assert sorted(M._elements) == [(0, k) for k in range(4)] and not twin._elements
     assert twin.action_power(1, 3) == M.action_power(1, 3)
 
 
@@ -181,11 +182,18 @@ def test_action_power_table_any_call_order(module):
     M = _cyclo(G, 5, 2, [0, 1])
     if module == "mod":
         M = reduce_mod(star_dual(M), 6)
-    order = list(range(-30, 60))
-    random.Random(3).shuffle(order)
-    for k in order:
-        for i, o in enumerate(G.orders):
-            assert M.action_power(i, k) == _dense_power(M, i, k % o)
+    # generator powers and whole group elements, the identity included,
+    # asked for in one shuffled order
+    calls = [(k, None) for k in range(-30, 60)] + [(None, g) for g in G.elements()]
+    random.Random(3).shuffle(calls)
+    for k, g in calls:
+        if g is None:
+            for i, o in enumerate(G.orders):
+                assert M.action_power(i, k) == _dense_power(M, i, k % o)
+        else:
+            # the stored rows are the reference's nonzero entries, in order
+            ref = _act_reference(M, RingElement.of_element(G, g))
+            assert M.element_rows(g) == [[(u, a) for u, a in enumerate(r) if a] for r in ref.data]
 
 
 def _act_reference(M, x):
@@ -232,9 +240,10 @@ def test_act_matches_dense_reference_on_resolution_entries(name):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_act_matches_dense_reference_on_shared_tails(name, data):
-    # several heads (exponents of generator 0) over one sub-element, and
-    # others over a multiple of it, so that act reuses the sub-element it
-    # evaluated once but tells it from the multiple; plus loose terms
+    # several heads (exponents of generator 0) over one sub-element, others
+    # over a multiple of it, plus loose terms: many elements that share
+    # their tail exponents, each of which act adds in from the element
+    # table with its own coefficient
     M = _act_module(name)
     G = M.spec
     o0, rest = G.orders[0], G.orders[1:]
