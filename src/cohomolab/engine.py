@@ -35,8 +35,10 @@ All three entry points run through :func:`_complex_group`: it sizes the
 incoming and outgoing maps of a degree from the resolution ranks, checks
 every cap, and only then builds the maps its route needs, each once.  The
 image of the incoming map, where one is needed, is the transpose of the
-same streamed rows; only :func:`hom_complex_map` still builds a dense Hom
-matrix.
+same streamed rows, kept as sparse {row: value} columns until the quotient
+takes their Hermite basis; that basis is also the coboundary lattice every
+representative is reduced by.  Only :func:`hom_complex_map` still builds a
+dense Hom matrix.
 
 Where the rows come from: on the monomial resolution, every leg (a
 differential, the norm N_G in Tate degree 0, and the antipode-transposed
@@ -84,7 +86,6 @@ from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
     QuotientPresentation,
-    column_hnf,
     hermite_reduce,
     kernel_columns,
     quotient_invariants,
@@ -223,20 +224,14 @@ def _minimal_rows(M: GModule, m: int, dual: bool = False) -> Iterator[list[tuple
             yield row
 
 
-def _image_columns(rows: Iterable[list[tuple[int, int]]], dim: int) -> list[list[int]]:
-    """The nonzero columns of a map given by its ``dim`` streamed rows, in
-    column order: the rows, transposed."""
+def _image_columns(rows: Iterable[list[tuple[int, int]]]) -> list[dict[int, int]]:
+    """The nonzero columns of a map given by its streamed rows, in column
+    order, as {row: value} dicts: the rows, transposed."""
     cols: dict[int, dict[int, int]] = {}
     for r, row in enumerate(rows):
         for k, c in row:
             cols.setdefault(k, {})[r] = c
-    out = []
-    for k in sorted(cols):
-        col = [0] * dim
-        for r, c in cols[k].items():
-            col[r] = c
-        out.append(col)
-    return out
+    return [cols[k] for k in sorted(cols)]
 
 
 def _hom_matrix(M: GModule, rows: Iterable[list[tuple[int, int]]], width: int) -> IntMatrix:
@@ -303,7 +298,6 @@ class CohomologyResult:
     _presentation: QuotientPresentation | None = field(
         default=None, repr=False, compare=False
     )
-    _boundary_hnf: list[list[int]] | None = field(default=None, repr=False, compare=False)
     _count: int = field(default=0, repr=False, compare=False)
     _rank: int = field(default=0, repr=False, compare=False)
 
@@ -314,22 +308,27 @@ class CohomologyResult:
     def free_rank(self) -> int:
         return self.invariants.free_rank
 
+    def _flat(self, c: Cochain) -> list[int]:
+        """The values of ``c``, once its degree and shape match the result's."""
+        if self._presentation is None:
+            raise ValueError("this result was computed without representative data")
+        shape = (c.degree, len(c.values), len(c.values[0]) if c.values else self._rank)
+        if shape != (self.degree, self._count, self._rank):
+            raise ValueError(
+                f"expected a degree-{self.degree} cochain of {self._count} value vectors"
+                f" of width {self._rank}, got (degree, count, width) = {shape}"
+            )
+        return c.flat()
+
     def reduce_cocycle(self, c: Cochain) -> Cochain:
         """Canonical representative of the class of ``c`` (same class, same
         output; requires a presentation-backed result)."""
-        if self._boundary_hnf is None:
-            raise ValueError("this result was computed without representative data")
-        vec = hermite_reduce(c.flat(), self._boundary_hnf)
-        if self._presentation is not None and self._presentation.mod:
-            N = self._presentation.mod
-            vec = [x % N for x in vec]
+        vec = hermite_reduce(self._flat(c), self._presentation.relation_hnf)
         return Cochain.from_flat(self.degree, vec, self._count, self._rank)
 
     def class_coordinates(self, c: Cochain) -> tuple[int, ...]:
         """Coordinates of the class of ``c`` in the reported decomposition."""
-        if self._presentation is None:
-            raise ValueError("this result was computed without representative data")
-        return tuple(self._presentation.coordinates(c.flat()))
+        return tuple(self._presentation.coordinates(self._flat(c)))
 
     def class_group_generated_by(self, cochains: Iterable[Cochain]) -> AbelianInvariants:
         """Structure of the subgroup generated by the classes of ``cochains``.
@@ -355,23 +354,22 @@ class CohomologyResult:
 
 def _extract_representatives(
     pres: QuotientPresentation,
-    boundary_hnf: list[list[int]],
+    M: GModule,
     degree: int,
     count: int,
-    rank: int,
-    mod: int | None,
-    checker,
+    rows: Sequence[list[tuple[int, int]]],
 ) -> tuple[Cochain, ...]:
+    """Each generator's residue modulo the coboundaries, checked against the
+    outgoing Hom ``rows``; torsion first.  Mod N the Hermite basis has a
+    pivot in every row, so the residues lie in [0, N)."""
     torsion_reps: list[Cochain] = []
     free_reps: list[Cochain] = []
     for i, d in enumerate(pres.diagonal):
         if d == 1:
             continue
-        vec = hermite_reduce(pres.generator_column(i), boundary_hnf)
-        if mod:
-            vec = [x % mod for x in vec]
-        rep = Cochain.from_flat(degree, vec, count, rank)
-        if checker is not None and not checker(rep.flat()):
+        vec = hermite_reduce(pres.generator_column(i), pres.relation_hnf)
+        rep = Cochain.from_flat(degree, vec, count, M.rank)
+        if any(_apply(M, rows, vec)):
             raise VerificationError(
                 f"extracted degree-{degree} representative is not a cocycle"
             )
@@ -474,31 +472,19 @@ def _complex_group(
             [N] * free + diag_in + (diag_out if N else [])
         )
         return CohomologyResult(n, kind, inv, M.label, resolution, route)
-    checker = None
     rows: Iterable[list[tuple[int, int]]] = ()
     if has_out:
-        rows = leg(k_out)
-        if want:
-            # the kernel's constraint rows double as the cocycle checker
-            rows = list(rows)
-
-            def checker(flat: Sequence[int]) -> bool:
-                for row in rows:
-                    s = sum(c * flat[k] for k, c in row)
-                    if s % N if N else s:
-                        return False
-                return True
-
+        # the kernel's constraint rows double as the cocycle check
+        rows = list(leg(k_out)) if want else leg(k_out)
     kcols = kernel_columns(rows, dim, mod=mod)
-    icols = _image_columns(leg(k_in), dim) if has_in else []
+    icols = _image_columns(leg(k_in)) if has_in else []
     if not want:
         inv = quotient_invariants(kcols, icols, dim, mod=N)
         return CohomologyResult(n, kind, inv, M.label, resolution, route)
     pres = quotient_presentation(kcols, icols, dim, mod=mod)
-    boundary = column_hnf(icols, dim, mod=mod)
     # a rank-0 module has no coordinates, and its cochains no values
     count = dim // M.rank if M.rank else 0
-    reps = _extract_representatives(pres, boundary, n, count, M.rank, mod, checker)
+    reps = _extract_representatives(pres, M, n, count, rows)
     return CohomologyResult(
         n,
         kind,
@@ -508,7 +494,6 @@ def _complex_group(
         route,
         representatives=reps,
         _presentation=pres,
-        _boundary_hnf=boundary,
         _count=count,
         _rank=M.rank,
     )

@@ -11,7 +11,8 @@ workhorses are
   the solutions of A x = 0 mod N,
 * :func:`quotient_invariants` -- structure of a lattice quotient L1/L2, over Z
   or with L1 and L2 taken modulo N*Z^n; :func:`quotient_presentation` adds
-  the generator transforms.
+  the generator transforms.  Relations enter both as their echelon basis
+  (Hermite with transforms); columns may be dense or {row: value} dicts.
 
 The resolution matrices are over 99% zero with mostly unit entries, so the
 Smith diagonal and the kernel, over Z and over Z/N alike, share one sparse
@@ -658,7 +659,10 @@ def _echelon_insert(
 
 
 def _echelon_vectors(
-    vectors: Iterable[Sequence[int]], width: int, mod: int | None, seed_mod: bool = False
+    vectors: Iterable[Sequence[int] | dict[int, int]],
+    width: int,
+    mod: int | None,
+    seed_mod: bool = False,
 ) -> list[list[int]]:
     pivots: dict[int, dict[int, int]] = {}
     if seed_mod:
@@ -683,8 +687,11 @@ def echelon_rows(rows: Iterable[Sequence[int]], mod: int | None = None) -> list[
     return _echelon_vectors(rlist, len(rlist[0]), mod)
 
 
-def column_hnf(cols: Iterable[Sequence[int]], dim: int, mod: int | None = None) -> list[list[int]]:
-    """Canonical column Hermite basis of the lattice spanned by ``cols``.
+def column_hnf(
+    cols: Iterable[Sequence[int] | dict[int, int]], dim: int, mod: int | None = None
+) -> list[list[int]]:
+    """Canonical column Hermite basis of the lattice spanned by ``cols``,
+    each dense or a dict {row: value}; the basis columns are dense.
 
     With ``mod`` set the lattice is span(cols) + mod*Z^dim: the modulus
     sublattice is seeded first, so the result always has a pivot in every
@@ -827,37 +834,28 @@ def kernel_columns(
 # Lattice quotients
 
 
-def _relation_echelon(hk, relation_cols, dim: int, mod: int | None) -> list[list[int]]:
-    """Echelon rows of the relations' coordinates in the echelon basis
-    ``hk``; with ``mod``, mod*Z^dim is part of the relations, and its
-    coordinate vectors are generally not mod*e_i, so they are added."""
-    targets = list(relation_cols)
-    if mod:
-        targets += [[mod * (i == j) for j in range(dim)] for i in range(dim)]
-    return echelon_rows(_coords_in_span(hk, targets), mod=mod)
-
-
 def quotient_invariants(
-    basis_cols: Sequence[Sequence[int]],
-    relation_cols: Sequence[Sequence[int]],
+    basis_cols: Sequence[Sequence[int] | dict[int, int]],
+    relation_cols: Sequence[Sequence[int] | dict[int, int]],
     dim: int,
     mod: int | None = None,
 ) -> AbelianInvariants:
     """Structure of span(basis) / span(relations), without transforms.
 
-    With ``mod`` set both lattices include mod*Z^dim, as for
-    :func:`quotient_presentation`, which gives the same group with generator
-    lifts.  Rejects relations outside the spanned lattice.
+    Columns are dense or {row: value} dicts.  With ``mod`` set both lattices
+    include mod*Z^dim, as for :func:`quotient_presentation`, which gives the
+    same group with generator lifts.  Rejects relations outside the spanned
+    lattice.
 
     >>> quotient_invariants([[1, 1]], [[2, 2]], 2)
     AbelianInvariants(free_rank=0, torsion=(2,))
-    >>> quotient_invariants([[1, 0], [0, 1]], [[2, 0]], 2, mod=4)
+    >>> quotient_invariants([[1, 0], [0, 1]], [{0: 2}], 2, mod=4)
     AbelianInvariants(free_rank=0, torsion=(2, 4))
     """
     hk = _echelon_vectors(basis_cols, dim, mod, seed_mod=bool(mod))
     r = len(hk)
-    ech = _relation_echelon(hk, relation_cols, dim, mod)
-    diag = smith_diagonal(ech, len(ech), r, mod=mod) if ech else []
+    rel = _coords_in_span(hk, _echelon_vectors(relation_cols, dim, mod, seed_mod=bool(mod)))
+    diag = smith_diagonal(rel, len(rel), r, mod=mod)
     return AbelianInvariants.from_diagonal(diag + [mod or 0] * (r - len(diag)))
 
 
@@ -865,15 +863,18 @@ def quotient_invariants(
 class QuotientPresentation:
     """Quotient of a lattice by a sublattice, with coordinate transforms.
 
-    The quotient is span(basis)/span(relations).  ``diagonal`` has one entry
-    per basis position: d_i > 0 means a Z/d_i summand (1 = trivial), 0 means
-    a free Z summand.  ``generator_column(i)`` lifts quotient generator i to
-    ambient coordinates; ``coordinates`` is the inverse direction, mapping a
-    lattice vector to its coordinate tuple in prod_i Z/d_i.
+    The quotient is span(basis)/span(relations), whose Hermite bases are
+    ``hnf_basis`` and ``relation_hnf``; :func:`hermite_reduce` by the latter
+    gives canonical residues.  ``diagonal`` has one entry per basis
+    position: d_i > 0 means a Z/d_i summand (1 = trivial), 0 means a free Z
+    summand.  ``generator_column(i)`` lifts quotient generator i to ambient
+    coordinates; ``coordinates`` is the inverse direction, mapping a lattice
+    vector to its coordinate tuple in prod_i Z/d_i.
     """
 
     dim: int
     hnf_basis: list[list[int]]
+    relation_hnf: list[list[int]]
     u: list[list[int]]
     uinv: list[list[int]]
     diagonal: list[int]
@@ -909,32 +910,38 @@ class QuotientPresentation:
 
 
 def quotient_presentation(
-    basis_cols: Sequence[Sequence[int]],
-    relation_cols: Sequence[Sequence[int]],
+    basis_cols: Sequence[Sequence[int] | dict[int, int]],
+    relation_cols: Sequence[Sequence[int] | dict[int, int]],
     dim: int,
     mod: int | None = None,
 ) -> QuotientPresentation:
     """Like :func:`quotient_invariants` but keeps transforms for generators.
 
-    With ``mod`` set, both lattices implicitly include mod*Z^dim (neither
-    generator list needs to spell that out) and all arithmetic stays reduced
-    mod ``mod``; the reported diagonal then divides the modulus.
+    Columns are dense or {row: value} dicts.  With ``mod`` set, both
+    lattices implicitly include mod*Z^dim (neither generator list needs to
+    spell that out) and all arithmetic stays reduced mod ``mod``; the
+    reported diagonal then divides the modulus.
+
+    The relations enter as their Hermite basis ``relation_hnf``, whose
+    coordinates in ``hnf_basis`` are echelon already and are the Smith input;
+    so the presentation depends on the two lattices alone, not on the order
+    or redundancy of either column list.
+
+    >>> p = quotient_presentation([[1, 0], [0, 1]], [[0, 6], [2, 10]], 2)
+    >>> p.relation_hnf, p.diagonal
+    ([[2, 4], [0, 6]], [2, 6])
+    >>> quotient_presentation([[1, 0], [0, 1]], [{0: 2}], 2, mod=4).relation_hnf
+    [[2, 0], [0, 4]]
     """
     hk = column_hnf(basis_cols, dim, mod=mod)
+    rel = column_hnf(relation_cols, dim, mod=mod)
     r = len(hk)
-    ech = _relation_echelon(hk, relation_cols, dim, mod)
-    # relation matrix: r rows (coordinate space), one column per relation
-    rel_cols = ech  # each echelon row is one relation vector of length r
-    if rel_cols:
-        x_rows = [[rc[i] for rc in rel_cols] for i in range(r)]
-        el = _Eliminator(x_rows, r, len(rel_cols), mod=mod, want_u=True, want_uinv=True)
-        diag = _smith_eliminate(el)
-        u, uinv = el.u, el.uinv
-    else:
-        diag = []
-        u = [[int(i == j) for j in range(r)] for i in range(r)]
-        uinv = [row[:] for row in u]
-    full = list(diag) + [0] * (r - len(diag))
+    coords = _coords_in_span(hk, rel)
+    # r rows (coordinate space), one column per relation
+    x_rows = [[c[i] for c in coords] for i in range(r)]
+    el = _Eliminator(x_rows, r, len(rel), mod=mod, want_u=True, want_uinv=True)
+    diag = _smith_eliminate(el)
+    full = diag + [0] * (r - len(diag))
     if mod:
         full = [gcd(d, mod) if d else mod for d in full]
-    return QuotientPresentation(dim, hk, u, uinv, full, mod)
+    return QuotientPresentation(dim, hk, rel, el.u, el.uinv, full, mod)

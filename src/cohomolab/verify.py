@@ -326,11 +326,12 @@ def duality_suite(limits: EngineLimits | None = None) -> list[CheckResult]:
     out = []
     for orders in _GROUPS:
         G = GroupSpec.of(*orders)
-        primes = sorted({p for o in orders for p in (2, 3, 5) if o % p == 0})
-        texts = ["trivial"]
-        for p in primes:
-            exps = ",".join("1" if o % p == 0 else "0" for o in orders)
-            texts.append(f"cyclo:{p}:1:{exps}")
+        # the oracle's trivial lattice and its cyclo:p:1 lattices
+        texts = [
+            t
+            for t in _oracle_modules(orders)
+            if t == "trivial" or (t.startswith("cyclo:") and t.split(":")[2] == "1")
+        ]
         for text in texts:
             M = parse_module(text, G)
             Mstar = star_dual(M)

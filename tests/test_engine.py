@@ -425,10 +425,12 @@ def test_lattice_lift_flag_is_set_by_reduction_alone():
 
 
 def _dense_columns(M, H):
+    """The nonzero columns of a dense map, reduced mod the module's modulus,
+    in the {row: value} form :func:`_image_columns` returns."""
     cols = H.columns()
     if M.modulus:
         cols = [[x % M.modulus for x in c] for c in cols]
-    return [c for c in cols if any(c)]
+    return [{r: x for r, x in enumerate(c) if x} for c in cols if any(c)]
 
 
 @pytest.mark.parametrize(
@@ -449,13 +451,13 @@ def test_streamed_image_columns_match_the_dense_map(text, orders, resolution):
         # cohomology: the image in degree n + 1 (on the minimal resolution
         # hom_complex_map reads the rows off monomial indices instead)
         D = res.diff(n + 1)
-        got = _image_columns(_hom_constraint_rows(M, D), d * D.cols)
+        got = _image_columns(_hom_constraint_rows(M, D))
         assert got == _dense_columns(M, hom_complex_map(M, res, n)), n
         # homology: the antipode-transposed leg into degree n, whose rows
         # are wider (degree n + 1) than the degree-n chains
         T = D.antipode_transpose()
         assert T.rows > T.cols
-        got = _image_columns(_hom_constraint_rows(M, T), d * T.cols)
+        got = _image_columns(_hom_constraint_rows(M, T))
         dense = _hom_matrix(M, _hom_constraint_rows(M, T), d * T.rows)
         assert got == _dense_columns(M, dense), n
 
@@ -739,6 +741,32 @@ def test_representatives_are_cocycles_and_stable_under_coboundaries():
                 rank,
             )
             assert r.reduce_cocycle(moved) == r.reduce_cocycle(rep)
+            if M.modulus:
+                # a lift shifted by N*Z^dim reduces into [0, N) all the same
+                N = M.modulus
+                lifted = [x - N * rng.randint(-9, 9) for x in rep.flat()]
+                lifted = Cochain.from_flat(2, lifted, count, rank)
+                assert r.reduce_cocycle(lifted) == r.reduce_cocycle(rep) == rep
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ((1,), (0,), (0,), (5,)),  # one value too many
+        ((1,), (0,)),  # one too few
+        ((1, 0), (0, 0), (0, 0)),  # too wide
+    ],
+)
+def test_result_methods_reject_cochains_of_the_wrong_shape(values):
+    r = ordinary_cohomology(trivial_module(G22), 2, want_representatives=True)
+    assert r._count == 3 and r._rank == 1
+    for c in (Cochain(2, values), Cochain(1, ((1,), (0,), (0,)))):
+        with pytest.raises(ValueError, match="degree-2 cochain of 3 value vectors of width 1"):
+            r.reduce_cocycle(c)
+        with pytest.raises(ValueError, match="degree-2 cochain of 3 value vectors of width 1"):
+            r.class_coordinates(c)
+        with pytest.raises(ValueError, match="degree-2 cochain of 3 value vectors of width 1"):
+            r.class_group_generated_by([c])
 
 
 def test_class_coordinates_of_representatives():

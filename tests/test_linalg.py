@@ -383,6 +383,60 @@ def test_quotient_presentation_with_modulus():
     assert pres.invariants() == AbelianInvariants(0, (2, 4))
 
 
+def _representatives(basis, relations, dim, N):
+    """The presentation's diagonal and each nontrivial generator reduced by
+    the relations' Hermite basis."""
+    pres = quotient_presentation(basis, relations, dim, mod=N or None)
+    reps = [
+        hermite_reduce(pres.generator_column(i), pres.relation_hnf)
+        for i, d in enumerate(pres.diagonal)
+        if d != 1
+    ]
+    return pres.diagonal, reps
+
+
+@st.composite
+def _quotient_variants(draw):
+    """A lattice quotient, and the same quotient with its relation columns
+    permuted, duplicated or extended by a sum of others, and with its basis
+    columns changed by a unimodular transform."""
+    N = draw(st.sampled_from([0, 4, 6, 8]))
+    dim = draw(st.integers(1, 4))
+    basis = [[draw(st.integers(-6, 6)) for _ in range(dim)] for _ in range(draw(st.integers(1, 4)))]
+    mults = [[draw(st.integers(-3, 3)) for _ in basis] for _ in range(draw(st.integers(0, 4)))]
+    relations = [[sum(q * b[i] for q, b in zip(mu, basis)) for i in range(dim)] for mu in mults]
+    rng = draw(st.randoms(use_true_random=False))
+    variants = [list(reversed(relations)), rng.sample(relations, len(relations))]
+    if relations:
+        variants.append(relations + [rng.choice(relations)])
+        total = [0] * dim
+        for rel in relations:
+            q = rng.randint(-2, 2)
+            total = [a + q * b for a, b in zip(total, rel)]
+        variants.append(rng.sample(relations, len(relations)) + [total])
+    changed = [list(b) for b in basis]
+    for _ in range(4):
+        j, k = rng.randrange(len(changed)), rng.randrange(len(changed))
+        if j != k:
+            q = rng.randint(-3, 3)
+            changed[j] = [a + q * b for a, b in zip(changed[j], changed[k])]
+        else:
+            changed[j] = [-a for a in changed[j]]
+    rng.shuffle(changed)
+    cases = [(basis, rels) for rels in variants] + [(changed, relations)]
+    return N, dim, basis, relations, cases
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_quotient_variants())
+def test_quotient_representatives_depend_only_on_the_lattices(case):
+    N, dim, basis, relations, cases = case
+    want = _representatives(basis, relations, dim, N)
+    for other_basis, other_relations in cases:
+        got = _representatives(other_basis, other_relations, dim, N)
+        assert got == want, (other_basis, other_relations)
+
+
 # ---------------------------------------------------------------------------
 # congruence kernels
 
