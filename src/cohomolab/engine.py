@@ -19,11 +19,13 @@ Route selection is about cost, never about semantics:
                         the free rank is 0 and the outgoing map is never
                         assembled; degree 0 lacks one map and builds the
                         other.  Rows are streamed into :func:`smith_diagonal`
-                        as they are built.
+                        as they are built, or, for a map with more rows
+                        than columns, its columns: SNF(A) = SNF(A^T), so
+                        every diagonal is eliminated over the short side.
 * ``universal-coefficients``
                         a reduction L/NL of a lattice, invariants only: two
                         Smith diagonals mod N, of the incoming and the
-                        outgoing map, streamed the same way.
+                        outgoing map, fed the same way.
 * ``congruence``        any other finite coefficient modulus N, and every
                         finite-coefficient call that wants representatives:
                         the same :func:`kernel_columns` as ``kernel``, with
@@ -46,12 +48,15 @@ legs of negative Tate degrees and of homology) is a signed pattern of at
 most 6s + 1 module blocks over monomial indices, so :func:`_minimal_rows`
 reads its rows off the indices and the module's block table
 (``GModule.block_rows``), with no group-ring matrix and no ``GModule.act``;
-the cocycle predicates and coboundaries use the same rows.  Standard
-(bar) legs and the comparison map ``sigma`` go through
+the cocycle predicates and coboundaries use the same rows.  On the
+standard (bar) resolution, :func:`_bar_rows` reads every leg off tuples of
+element indices: each source tuple meets its first face through one matrix
+of the module's group-element table (``GModule.element_rows``) and its
+other faces through +-I.  Neither row source builds a group-ring matrix.
+Only the comparison map ``sigma`` still goes through
 :func:`_hom_constraint_rows`, which evaluates each entry of a group-ring
-matrix with ``act``: a sum over its support of the matrices in the
-module's group-element table (``GModule.element_rows``), which the factor
-set check reads directly.
+matrix with ``act``, a sum over its support of the same table's matrices;
+the factor set check reads the table directly.
 
 The cokernel-torsion formula: Z^dim / ker d_out embeds in a
 free group, so ker d_out is saturated, of rank dim - rk d_out, and the
@@ -156,9 +161,9 @@ def _hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, 
     act(D[i, j]), the sum over the support of D[i, j] of c times the
     matrix of g from the module's group-element table; dimensions
     (d*cols(D)) x (d*rows(D)).  The tensor side
-    passes ``D.antipode_transpose()``.  It assembles the standard
-    resolution's legs and ``sigma``, and is the reference
-    :func:`_minimal_rows` is tested against.
+    passes ``D.antipode_transpose()``.  It assembles ``sigma``, and is the
+    reference :func:`_minimal_rows` and :func:`_bar_rows` are tested
+    against.
     """
     d = M.rank
     cache: dict[RingElement, IntMatrix] = {}
@@ -224,6 +229,100 @@ def _minimal_rows(M: GModule, m: int, dual: bool = False) -> Iterator[list[tuple
             yield row
 
 
+# a module block, as the nonzero entries of its rows
+_Block = list[list[tuple[int, int]]]
+
+
+def _bar_rows(
+    M: GModule, m: int, dual: bool = False, limits: EngineLimits | None = None
+) -> Iterator[list[tuple[int, int]]]:
+    """The rows of :func:`_hom_constraint_rows` over the standard
+    resolution's differential leaving degree m, antipode-transposed when
+    ``dual``, read off tuples of nonidentity-element indices and the
+    module's group-element table.
+
+    Source [g_1|...|g_m] meets its first face [g_2|...|g_m] through the
+    matrix of g_1, each merge face through (-1)^i I (none when g_i g_(i+1)
+    is the identity) and its last face through (-1)^m I, in that order, as
+    :func:`~cohomolab.resolutions.bar_diff` inserts them.  First and last
+    face coincide only when every g_i is equal (always for m = 1); that one
+    entry is act(g_1 + (-1)^m), which may vanish.  A dual leg has one row
+    per target tuple, its sources in ascending index, and each block that
+    of g^-1.  The caps of ``bar_diff`` are checked before the first tuple.
+
+    >>> from cohomolab.group_ring import GroupSpec
+    >>> from cohomolab.modules import trivial_module
+    >>> Z = trivial_module(GroupSpec.of(2))
+    >>> list(_bar_rows(Z, 1)), list(_bar_rows(Z, 2))
+    ([[]], [[(0, 2)]])
+    """
+    if m < 1:
+        raise ValueError("differential starts at degree 1")
+    G = M.spec
+    size = G.order - 1
+    limits = limits or EngineLimits.from_env()
+    limits.check_bar_degree(m)
+    limits.check_cells(size ** (m - 1), size ** m, "standard-resolution differential")
+    d, N = M.rank, M.modulus
+    elems = G.nonidentity_elements()
+    index = {g: a for a, g in enumerate(elems)}
+    # merged[a][b]: the index of g_a g_b, or -1 for the identity
+    merged = [[index.get(G.mul(g, h), -1) for h in elems] for g in elems]
+    first = [M.element_rows(G.inv(g) if dual else g) for g in elems]
+
+    def scalar(c: int) -> _Block:
+        # the rows of c I, reduced mod N as act reduces them
+        c = c % N if N else c
+        return [[(t, c)] if c else [] for t in range(d)]
+
+    def shifted(rows: _Block, c: int) -> _Block:
+        # the rows of A + c I for A given by ``rows``, reduced mod N
+        out = []
+        for t, row in enumerate(rows):
+            acc = dict(row)
+            acc[t] = acc.get(t, 0) + c
+            out.append([(u, y) for u in sorted(acc) if (y := acc[u] % N if N else acc[u])])
+        return out
+
+    sign = [scalar((-1) ** i) for i in range(m + 1)]
+    power = [size**k for k in range(m + 1)]
+
+    def faces() -> Iterator[tuple[int, list[tuple[int, _Block]]]]:
+        # each source index with its (target index, block) entries
+        for src, a in enumerate(itertools.product(range(size), repeat=m)):
+            f, last = src % power[m - 1], src // size
+            entries = [(f, shifted(first[a[0]], (-1) ** m) if f == last else first[a[0]])]
+            for i in range(1, m):
+                b = merged[a[i - 1]][a[i]]
+                if b >= 0:
+                    # the prefix g_1..g_(i-1), then b, then g_(i+2)..g_m
+                    lo = power[m - i - 1]
+                    hi = src // power[m - i + 1]
+                    entries.append(((hi * size + b) * lo + src % lo, sign[i]))
+            if f != last:
+                entries.append((last, sign[m]))
+            yield src, entries
+
+    def rows(entries: list[tuple[int, _Block]]) -> Iterator[list[tuple[int, int]]]:
+        for t in range(d):
+            row: list[tuple[int, int]] = []
+            for k, blk in entries:
+                base = k * d
+                row += [(base + u, c) for u, c in blk[t]]
+            yield row
+
+    if not dual:
+        for _, entries in faces():
+            yield from rows(entries)
+        return
+    by_target: list[list[tuple[int, _Block]]] = [[] for _ in range(power[m - 1])]
+    for src, entries in faces():
+        for k, blk in entries:
+            by_target[k].append((src, blk))
+    for entries in by_target:
+        yield from rows(entries)
+
+
 def _image_columns(rows: Iterable[list[tuple[int, int]]]) -> list[dict[int, int]]:
     """The nonzero columns of a map given by its streamed rows, in column
     order, as {row: value} dicts: the rows, transposed."""
@@ -254,8 +353,14 @@ def _apply(M: GModule, rows: Iterable[list[tuple[int, int]]], flat: Sequence[int
     return [x % M.modulus for x in out] if M.modulus else out
 
 
-def hom_complex_map(M: GModule, resolution: Resolution, n: int) -> IntMatrix:
-    """The degree-n to degree-(n+1) map of Hom(resolution, M).
+def hom_complex_map(
+    M: GModule, resolution: Resolution, n: int, *, limits: EngineLimits | None = None
+) -> IntMatrix:
+    """The degree-n to degree-(n+1) map of Hom(resolution, M), dense.
+
+    The group order, the standard resolution's degree window and the
+    rows x cols of the result are checked against ``limits`` before
+    anything is built.
 
     >>> from cohomolab.group_ring import GroupSpec
     >>> from cohomolab.modules import trivial_module
@@ -267,11 +372,15 @@ def hom_complex_map(M: GModule, resolution: Resolution, n: int) -> IntMatrix:
     """
     if n < 0:
         raise ValueError("ordinary Hom complex starts at degree 0")
-    if resolution.kind == "minimal":
-        rows = _minimal_rows(M, n + 1)
-    else:
-        rows = _hom_constraint_rows(M, resolution.diff(n + 1))
-    return _hom_matrix(M, rows, M.rank * resolution.rank(n))
+    limits = limits or EngineLimits.from_env()
+    limits.check_group_order(M.spec.order)
+    bar = resolution.kind == "bar"
+    if bar:
+        limits.check_bar_degree(n + 1)
+    width = M.rank * resolution.rank(n)
+    limits.check_cells(M.rank * resolution.rank(n + 1), width, "Hom complex map")
+    rows = _bar_rows(M, n + 1, limits=limits) if bar else _minimal_rows(M, n + 1)
+    return _hom_matrix(M, rows, width)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +563,15 @@ def _complex_group(
         # standard-resolution call meets only degrees >= 1 here
         if resolution == "minimal":
             return _minimal_rows(M, max(n, k), dual=step < 0)
-        D = res.diff(max(n, k))
-        return _hom_constraint_rows(M, D.antipode_transpose() if step < 0 else D)
+        return _bar_rows(M, max(n, k), dual=step < 0, limits=limits)
 
     if smith:
         # the Smith diagonals of both maps, see the module docstring; SNF(A)
-        # = SNF(A^T), so the streamed rows go in as they are
+        # = SNF(A^T), so a map with more rows than columns goes in as its
+        # columns and the elimination runs over the short side
         def diagonal(k: int, rows: int, cols: int) -> list[int]:
+            if rows > cols:
+                return smith_diagonal(_image_columns(leg(k)), cols, rows, mod=mod)
             return smith_diagonal(map(dict, leg(k)), rows, cols, mod=mod)
 
         diag_in = diagonal(k_in, dim, in_dim) if has_in else []

@@ -291,10 +291,10 @@ def test_incoming_map_is_capped_before_it_is_built(monkeypatch, compute, reps):
 def test_each_differential_is_built_at_most_once(
     monkeypatch, compute, resolution, text, reps, route
 ):
-    # legs are recorded by the degree they leave: the minimal resolution's
-    # Hom rows and the bar differentials; a call builds each of its one or
-    # two maps once, the cokernel-torsion route over Z only the incoming one
-    # wherever both exist, and no call builds a minimal_diff RingMatrix
+    # legs are recorded by the degree they leave: the Hom rows of either
+    # resolution; a call builds each of its one or two maps once, the
+    # cokernel-torsion route over Z only the incoming one wherever both
+    # exist, and no call builds a minimal_diff or bar_diff RingMatrix
     built, reference = [], []
     real_rows = engine._minimal_rows
     monkeypatch.setattr(
@@ -302,11 +302,17 @@ def test_each_differential_is_built_at_most_once(
         "_minimal_rows",
         lambda M, m, dual=False: built.append(m) or real_rows(M, m, dual),
     )
+    real_bar_rows = engine._bar_rows
+    monkeypatch.setattr(
+        engine,
+        "_bar_rows",
+        lambda M, m, *rest, **kw: built.append(m) or real_bar_rows(M, m, *rest, **kw),
+    )
     real_bar = resolutions.bar_diff
     monkeypatch.setattr(
         resolutions,
         "bar_diff",
-        lambda spec, k, *rest: built.append(k) or real_bar(spec, k, *rest),
+        lambda spec, k, *rest: reference.append(k) or real_bar(spec, k, *rest),
     )
     real_diff = resolutions.minimal_diff
     monkeypatch.setattr(
@@ -339,6 +345,40 @@ def test_bar_degree_window_binds_on_every_route(compute, text, reps):
     ):
         compute(M, 4, resolution="bar", want_representatives=reps)
     assert compute(M, 3, resolution="bar", want_representatives=reps).degree == 3
+
+
+@pytest.mark.parametrize("compute, n", [(ordinary_cohomology, 3), (homology, 2)])
+def test_bar_cell_cap_binds_on_a_rank_zero_module(compute, n):
+    # the engine's own caps read dim = 0 and pass; the row source still
+    # refuses the (|G| - 1)^m tuple walk, before it yields a row
+    M = parse_module("trivial:0", GroupSpec.of(36))
+    with pytest.raises(ResourceCapExceeded, match="standard-resolution differential needs"):
+        compute(M, n, resolution="bar")
+    msg = "standard-resolution differential needs a 1225 x 42875 matrix"
+    for dual in (False, True):
+        with pytest.raises(ResourceCapExceeded, match=msg):
+            next(engine._bar_rows(M, 3, dual))
+
+
+def test_hom_complex_map_checks_every_cap(monkeypatch):
+    # the dense map is sized and capped before anything is built, like the
+    # entry points: cells (from the environment or ``limits``), group order
+    # and the standard resolution's degree window
+    Z = trivial_module(G22)
+    bar = make_resolution(G22, "bar")
+    monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "10")
+    with pytest.raises(ResourceCapExceeded, match="27 x 9 matrix"):
+        hom_complex_map(Z, bar, 2)
+    monkeypatch.delenv("COHOMOLAB_MAX_CELLS")
+    C40 = GroupSpec.of(40)
+    for kind in ("minimal", "bar"):
+        with pytest.raises(ResourceCapExceeded, match="group order 40"):
+            hom_complex_map(trivial_module(C40), make_resolution(C40, kind), 1)
+    with pytest.raises(ResourceCapExceeded, match="standard-resolution degree 5"):
+        hom_complex_map(Z, bar, 4)
+    with pytest.raises(ResourceCapExceeded, match="27 x 9 matrix"):
+        hom_complex_map(Z, bar, 2, limits=EngineLimits(max_cells=26 * 9))
+    assert hom_complex_map(Z, bar, 2, limits=EngineLimits(max_cells=27 * 9)).rows == 27
 
 
 @pytest.mark.parametrize("text", ["trivial:0", "reduce:3(trivial:0)"])
@@ -507,6 +547,36 @@ def test_minimal_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, d
         for flip in (False, True):
             list(engine._minimal_rows(M, k, flip))
     assert len(M._blocks) <= 6 * G.ngens + 1
+
+
+_BAR_ROW_GROUPS = [orders for orders in _ROW_GROUPS if GroupSpec(orders).order <= 9]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(1, 3), st.booleans())
+def test_bar_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, dual):
+    # the tuple-arithmetic row source against blocks of act() over the
+    # bar_diff RingMatrix, as lists: pair order included.  Every leg has
+    # the sources [g|...|g], whose first and last faces meet in act(g +- 1)
+    G = GroupSpec(orders)
+    text = data.draw(st.sampled_from(row_modules[orders]))
+    M = parse_module(text, G)
+    D = resolutions.bar_diff(G, m)
+    if dual:
+        D = D.antipode_transpose()
+    got = list(engine._bar_rows(M, m, dual))
+    assert got == list(_hom_constraint_rows(M, D)), (text, m, dual)
+
+
+def test_bar_rows_merge_first_and_last_face():
+    # over C3 = {1, g, g^2}: [g|g] meets [g] through act(g + 1) and [g^2]
+    # through -I; act(g + 1) = 2 vanishes mod 2, and -1 reads 1 there
+    G = GroupSpec.of(3)
+    Z = trivial_module(G)
+    assert list(engine._bar_rows(Z, 1)) == [[], []]
+    assert list(engine._bar_rows(Z, 2))[0] == [(0, 2), (1, -1)]
+    Z2 = parse_module("reduce:2(trivial)", G)
+    assert list(engine._bar_rows(Z2, 2))[0] == [(1, 1)]
 
 
 def test_ordinary_rejects_negative_degree_and_window():

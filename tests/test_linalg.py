@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cohomolab.intlinalg as il
+from cohomolab.engine import _image_columns
 from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -591,6 +592,9 @@ def test_smith_diagonal_dict_rows_match_snf():
                 diag = [gcd(d, mod) for d in diag if d % mod]
             assert got == diag, f"{rows} mod={mod}"
             assert il.smith_diagonal(rows, m, n, mod) == got
+            # SNF(A) = SNF(A^T): the engine feeds a tall map as its columns
+            cols = _image_columns(list(r.items()) for r in dicts)
+            assert il.smith_diagonal(cols, n, m, mod) == got
 
 
 def _cokernel_torsion(A):
