@@ -61,6 +61,8 @@ def _parse_degrees(text: str) -> tuple[int, int]:
 
 
 def _limits(args) -> EngineLimits:
+    if args.max_degree < 0:
+        raise CliError("--max-degree must be >= 0")
     base = EngineLimits.from_env()
     return replace(
         base,

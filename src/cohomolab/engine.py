@@ -42,21 +42,18 @@ takes their Hermite basis; that basis is also the coboundary lattice every
 representative is reduced by.  Only :func:`hom_complex_map` still builds a
 dense Hom matrix.
 
-Where the rows come from: on the monomial resolution, every leg (a
-differential, the norm N_G in Tate degree 0, and the antipode-transposed
-legs of negative Tate degrees and of homology) is a signed pattern of at
-most 6s + 1 module blocks over monomial indices, so :func:`_minimal_rows`
-reads its rows off the indices and the module's block table
-(``GModule.block_rows``), with no group-ring matrix and no ``GModule.act``;
-the cocycle predicates and coboundaries use the same rows.  On the
-standard (bar) resolution, :func:`_bar_rows` reads every leg off tuples of
-element indices: each source tuple meets its first face through one matrix
-of the module's group-element table (``GModule.element_rows``) and its
-other faces through +-I.  Neither row source builds a group-ring matrix.
-Only the comparison map ``sigma`` still goes through
-:func:`_hom_constraint_rows`, which evaluates each entry of a group-ring
-matrix with ``act``, a sum over its support of the same table's matrices;
-the factor set check reads the table directly.
+Where the rows come from: every leg, the cocycle predicates and the
+coboundaries included, is read by :func:`_leg_rows`.  A resolution only
+lists the (target, block) pairs each source basis element meets, and
+:func:`_hom_rows` turns them into rows.  On the monomial resolution these
+are at most 6s + 1 blocks of the module's block table (``GModule.block_rows``)
+over monomial indices; on the standard resolution, tuples of element
+indices, whose first face meets one matrix of the group-element table
+(``GModule.element_rows``) and whose other faces meet +-I.  A dual leg
+(homology, negative Tate degrees) is the plain one regrouped by target,
+with antipode blocks.  No leg builds a group-ring matrix or calls
+``GModule.act``; only the comparison map ``sigma`` goes through
+:func:`_hom_constraint_rows`, which evaluates each entry with ``act``.
 
 The cokernel-torsion formula: Z^dim / ker d_out embeds in a
 free group, so ker d_out is saturated, of rank dim - rk d_out, and the
@@ -153,108 +150,83 @@ class Cochain:
 # Block assembly
 
 
-def _hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, int]]]:
-    """Rows of the map phi -> phi . D between Hom-spaces, as sparse
-    (index, coeff) lists, streamed.
-
-    Block-row j (source column of D), block-col i (target row of D) holds
-    act(D[i, j]), the sum over the support of D[i, j] of c times the
-    matrix of g from the module's group-element table; dimensions
-    (d*cols(D)) x (d*rows(D)).  The tensor side
-    passes ``D.antipode_transpose()``.  It assembles ``sigma``, and is the
-    reference :func:`_minimal_rows` and :func:`_bar_rows` are tested
-    against.
-    """
-    d = M.rank
-    cache: dict[RingElement, IntMatrix] = {}
-    by_source: dict[int, list[tuple[int, IntMatrix]]] = {}
-    for (i, j), elem in D.entries.items():
-        blk = cache.get(elem)
-        if blk is None:
-            blk = cache[elem] = M.act(elem)
-        by_source.setdefault(j, []).append((i, blk))
-    for j in range(D.cols):
-        blocks = by_source.get(j, ())
-        for t in range(d):
-            row = []
-            for i, blk in blocks:
-                brow = blk.data[t]
-                for u in range(d):
-                    if brow[u]:
-                        row.append((i * d + u, brow[u]))
-            yield row
+# a module block, as the nonzero entries of its rows
+_Block = list[list[tuple[int, int]]]
+# the (target index, block) pairs one source basis element meets
+_Source = list[tuple[int, _Block]]
 
 
-def _minimal_rows(M: GModule, m: int, dual: bool = False) -> Iterator[list[tuple[int, int]]]:
-    """The rows of :func:`_hom_constraint_rows` over the complete monomial
-    resolution's differential leaving degree m, antipode-transposed when
-    ``dual``, read off monomial indices and the module's block table.
-
-    Degree 0 is the norm N_G, its own antipode, and a negative degree m the
-    dual of the differential leaving -m.  On a plain leg, source monomial
-    (k_1, ..., k_s) meets the target that drops one power of x_i, with sign
-    (-1)^(k_1+...+k_(i-1)) times A_i - I for odd k_i and N_i(A) for even
-    k_i > 0, as in :func:`~cohomolab.resolutions.minimal_diff`.  On a dual
-    leg, source r meets the target r + x_i through the antipode of that
-    entry, with A_i^-1 - I in place of A_i - I.  Both visit i in ascending
-    order, which is the pair order of :func:`_hom_constraint_rows`: entry
-    order on a plain leg, target order on a dual one.
-    """
-    d = M.rank
-    if m == 0:
-        yield from (list(r) for r in M.block_rows(None))
-        return
-    if m < 0:
-        m, dual = -m, not dual
-    s = M.spec.ngens
-    src_deg, shift = (m - 1, 1) if dual else (m, -1)
-    offset = {mono: j * d for j, mono in enumerate(monomial_basis(s, src_deg + shift))}
-    # the exponent of x_i in A_i - I (plain) or A_i^-1 - I (dual)
-    steps = [o - 1 if dual else 1 for o in M.spec.orders]
-    for mono in monomial_basis(s, src_deg):
-        entries = []
-        ksum = 0
-        for i, k in enumerate(mono):
-            # the exponent of x_i in the column of minimal_diff(m)
-            kd = k + 1 if dual else k
-            if kd:
-                blk = M.block_rows(i, steps[i] if kd % 2 else 0, ksum % 2 == 1)
-                target = mono[:i] + (k + shift,) + mono[i + 1 :]
-                entries.append((offset[target], blk))
-            ksum += k
+def _hom_rows(d: int, sources: Iterable[_Source]) -> Iterator[list[tuple[int, int]]]:
+    """The Hom rows of a map given by the pairs each source meets: per
+    source and module coordinate t, row t of each block at its target's
+    coordinates, in pair order."""
+    for pairs in sources:
         for t in range(d):
             row: list[tuple[int, int]] = []
-            for base, blk in entries:
+            for k, blk in pairs:
+                base = k * d
                 row += [(base + u, c) for u, c in blk[t]]
             yield row
 
 
-# a module block, as the nonzero entries of its rows
-_Block = list[list[tuple[int, int]]]
+def _hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, int]]]:
+    """Rows of the map phi -> phi . D between Hom-spaces, as sparse
+    (index, coeff) lists, streamed.
+
+    Source j (a column of D) meets target i (a row of D) through act(D[i, j]),
+    in the entry order of D; dimensions (d*cols(D)) x (d*rows(D)).  It
+    assembles ``sigma``, and is the reference :func:`_leg_rows` is tested
+    against, over D and ``D.antipode_transpose()``: it shares only
+    :func:`_hom_rows` with it, not its blocks or its regroup.
+    """
+    cache: dict[RingElement, _Block] = {}
+    sources: list[_Source] = [[] for _ in range(D.cols)]
+    for (i, j), elem in D.entries.items():
+        blk = cache.get(elem)
+        if blk is None:
+            blk = cache[elem] = [[(u, c) for u, c in enumerate(r) if c] for r in M.act(elem).data]
+        sources[j].append((i, blk))
+    yield from _hom_rows(M.rank, sources)
 
 
-def _bar_rows(
-    M: GModule, m: int, dual: bool = False, limits: EngineLimits | None = None
-) -> Iterator[list[tuple[int, int]]]:
-    """The rows of :func:`_hom_constraint_rows` over the standard
-    resolution's differential leaving degree m, antipode-transposed when
-    ``dual``, read off tuples of nonidentity-element indices and the
-    module's group-element table.
+def _minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
+    """The pairs each source of the monomial resolution's differential
+    leaving degree m >= 1 meets, and the number of targets: monomial
+    (k_1, ..., k_s) meets the one that drops a power of x_i, for i ascending,
+    through (-1)^(k_1+...+k_(i-1)) times A_i - I (odd k_i) or N_i(A) (even
+    k_i > 0), as in :func:`~cohomolab.resolutions.minimal_diff`; with
+    ``dual``, through their antipodes A_i^-1 - I and N_i(A)."""
+    s = M.spec.ngens
+    index = {mono: j for j, mono in enumerate(monomial_basis(s, m - 1))}
+    # the exponent of x_i in A_i - I, or in its antipode A_i^-1 - I
+    steps = [o - 1 if dual else 1 for o in M.spec.orders]
+    sources = []
+    for mono in monomial_basis(s, m):
+        pairs = []
+        ksum = 0
+        for i, k in enumerate(mono):
+            if k:
+                target = mono[:i] + (k - 1,) + mono[i + 1 :]
+                blk = M.block_rows(i, steps[i] if k % 2 else 0, ksum % 2 == 1)
+                pairs.append((index[target], blk))
+            ksum += k
+        sources.append(pairs)
+    return sources, len(index)
+
+
+def _bar_faces(
+    M: GModule, m: int, dual: bool, limits: EngineLimits | None
+) -> tuple[Iterator[_Source], int]:
+    """The pairs each source of the standard resolution's differential
+    leaving degree m >= 1 meets, streamed, and the number of targets, after
+    the caps of ``bar_diff``.
 
     Source [g_1|...|g_m] meets its first face [g_2|...|g_m] through the
-    matrix of g_1, each merge face through (-1)^i I (none when g_i g_(i+1)
-    is the identity) and its last face through (-1)^m I, in that order, as
-    :func:`~cohomolab.resolutions.bar_diff` inserts them.  First and last
-    face coincide only when every g_i is equal (always for m = 1); that one
-    entry is act(g_1 + (-1)^m), which may vanish.  A dual leg has one row
-    per target tuple, its sources in ascending index, and each block that
-    of g^-1.  The caps of ``bar_diff`` are checked before the first tuple.
-
-    >>> from cohomolab.group_ring import GroupSpec
-    >>> from cohomolab.modules import trivial_module
-    >>> Z = trivial_module(GroupSpec.of(2))
-    >>> list(_bar_rows(Z, 1)), list(_bar_rows(Z, 2))
-    ([[]], [[(0, 2)]])
+    matrix of g_1 (of g_1^-1 when ``dual``), each merge face through (-1)^i I
+    (none when g_i g_(i+1) is the identity) and its last face through
+    (-1)^m I, in the order :func:`~cohomolab.resolutions.bar_diff` inserts
+    them.  First and last face coincide only when every g_i is equal (always
+    for m = 1); that one pair is act(g_1 + (-1)^m), which may vanish.
     """
     if m < 1:
         raise ValueError("differential starts at degree 1")
@@ -287,40 +259,55 @@ def _bar_rows(
     sign = [scalar((-1) ** i) for i in range(m + 1)]
     power = [size**k for k in range(m + 1)]
 
-    def faces() -> Iterator[tuple[int, list[tuple[int, _Block]]]]:
-        # each source index with its (target index, block) entries
+    def sources() -> Iterator[_Source]:
         for src, a in enumerate(itertools.product(range(size), repeat=m)):
             f, last = src % power[m - 1], src // size
-            entries = [(f, shifted(first[a[0]], (-1) ** m) if f == last else first[a[0]])]
+            pairs = [(f, shifted(first[a[0]], (-1) ** m) if f == last else first[a[0]])]
             for i in range(1, m):
                 b = merged[a[i - 1]][a[i]]
                 if b >= 0:
                     # the prefix g_1..g_(i-1), then b, then g_(i+2)..g_m
                     lo = power[m - i - 1]
                     hi = src // power[m - i + 1]
-                    entries.append(((hi * size + b) * lo + src % lo, sign[i]))
+                    pairs.append(((hi * size + b) * lo + src % lo, sign[i]))
             if f != last:
-                entries.append((last, sign[m]))
-            yield src, entries
+                pairs.append((last, sign[m]))
+            yield pairs
 
-    def rows(entries: list[tuple[int, _Block]]) -> Iterator[list[tuple[int, int]]]:
-        for t in range(d):
-            row: list[tuple[int, int]] = []
-            for k, blk in entries:
-                base = k * d
-                row += [(base + u, c) for u, c in blk[t]]
-            yield row
+    return sources(), power[m - 1]
 
-    if not dual:
-        for _, entries in faces():
-            yield from rows(entries)
-        return
-    by_target: list[list[tuple[int, _Block]]] = [[] for _ in range(power[m - 1])]
-    for src, entries in faces():
-        for k, blk in entries:
-            by_target[k].append((src, blk))
-    for entries in by_target:
-        yield from rows(entries)
+
+def _leg_rows(
+    M: GModule, resolution: str, m: int, dual: bool = False, limits: EngineLimits | None = None
+) -> Iterator[list[tuple[int, int]]]:
+    """The rows of :func:`_hom_constraint_rows` over the differential of
+    ``resolution`` leaving degree m, antipode-transposed when ``dual``,
+    from the pairs its faces function lists.  On the complete monomial
+    resolution degree 0 is the norm N_G, its own antipode, and a negative
+    degree m the dual of the differential leaving -m.  A dual leg is the
+    plain one regrouped by target, with antipode blocks, its sources in
+    ascending index: the pair order of the antipode-transposed matrix.
+
+    >>> from cohomolab.group_ring import GroupSpec
+    >>> from cohomolab.modules import trivial_module
+    >>> Z = trivial_module(GroupSpec.of(2))
+    >>> list(_leg_rows(Z, "bar", 1)), list(_leg_rows(Z, "bar", 2))
+    ([[]], [[(0, 2)]])
+    """
+    if resolution == "bar":
+        sources, targets = _bar_faces(M, m, dual, limits)
+    elif m:
+        dual ^= m < 0
+        sources, targets = _minimal_faces(M, abs(m), dual)
+    else:
+        sources, targets = [[(0, M.block_rows(None))]], 1
+    if dual:
+        by_target: list[_Source] = [[] for _ in range(targets)]
+        for src, pairs in enumerate(sources):
+            for k, blk in pairs:
+                by_target[k].append((src, blk))
+        sources = by_target
+    yield from _hom_rows(M.rank, sources)
 
 
 def _image_columns(rows: Iterable[list[tuple[int, int]]]) -> list[dict[int, int]]:
@@ -374,13 +361,11 @@ def hom_complex_map(
         raise ValueError("ordinary Hom complex starts at degree 0")
     limits = limits or EngineLimits.from_env()
     limits.check_group_order(M.spec.order)
-    bar = resolution.kind == "bar"
-    if bar:
+    if resolution.kind == "bar":
         limits.check_bar_degree(n + 1)
     width = M.rank * resolution.rank(n)
     limits.check_cells(M.rank * resolution.rank(n + 1), width, "Hom complex map")
-    rows = _bar_rows(M, n + 1, limits=limits) if bar else _minimal_rows(M, n + 1)
-    return _hom_matrix(M, rows, width)
+    return _hom_matrix(M, _leg_rows(M, resolution.kind, n + 1, limits=limits), width)
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +546,7 @@ def _complex_group(
     def leg(k: int) -> Iterator[list[tuple[int, int]]]:
         # the streamed Hom rows of the map between degrees n and k; a
         # standard-resolution call meets only degrees >= 1 here
-        if resolution == "minimal":
-            return _minimal_rows(M, max(n, k), dual=step < 0)
-        return _bar_rows(M, max(n, k), dual=step < 0, limits=limits)
+        return _leg_rows(M, resolution, max(n, k), step < 0, limits)
 
     if smith:
         # the Smith diagonals of both maps, see the module docstring; SNF(A)
@@ -708,16 +691,24 @@ def _monomial_name(expo: Sequence[int]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _cochain_flat(M: GModule, c: Cochain) -> list[int]:
+    """The values of ``c``, once it has one vector of the module's rank per
+    monomial basis element of its degree."""
+    count = make_resolution(M.spec, "minimal").rank(c.degree)
+    shape = (len(c.values), len(c.values[0]) if c.values else M.rank)
+    if shape != (count, M.rank):
+        raise ValueError(
+            f"expected a degree-{c.degree} cochain of {count} value vectors"
+            f" of width {M.rank}, got (count, width) = {shape}"
+        )
+    return c.flat()
+
+
 def _cocycle_check(M: GModule, c: Cochain, limits: EngineLimits | None) -> CocycleCheck:
     limits = limits or EngineLimits.from_env()
     limits.check_group_order(M.spec.order)
     n = c.degree
-    count = make_resolution(M.spec, "minimal").rank(n)
-    if len(c.values) != count:
-        raise ValueError(
-            f"degree-{n} cochain needs {count} value vectors, got {len(c.values)}"
-        )
-    flat = _apply(M, _minimal_rows(M, n + 1), c.flat())
+    flat = _apply(M, _leg_rows(M, "minimal", n + 1), _cochain_flat(M, c))
     d = M.rank
     targets = monomial_basis(M.spec.ngens, n + 1)
     violations = []
@@ -747,17 +738,16 @@ def coboundary_0(M: GModule, u: Sequence[int]) -> Cochain:
     """The degree-1 coboundary of a module element: x_i maps to (a_i - 1) u."""
     if len(u) != M.rank:
         raise ValueError("element width must match the module rank")
-    return Cochain.from_flat(1, _apply(M, _minimal_rows(M, 1), u), M.spec.ngens, M.rank)
+    return Cochain.from_flat(1, _apply(M, _leg_rows(M, "minimal", 1), u), M.spec.ngens, M.rank)
 
 
 def coboundary_1(M: GModule, xi: Cochain) -> Cochain:
     """The degree-2 coboundary of a degree-1 cochain."""
     if xi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
-    if len(xi.values) != M.spec.ngens:
-        raise ValueError("cochain does not match the resolution basis")
+    flat = _apply(M, _leg_rows(M, "minimal", 2), _cochain_flat(M, xi))
     count = make_resolution(M.spec, "minimal").rank(2)
-    return Cochain.from_flat(2, _apply(M, _minimal_rows(M, 2), xi.flat()), count, M.rank)
+    return Cochain.from_flat(2, flat, count, M.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -783,22 +773,24 @@ class FactorSet:
         spec = self.module.spec
         N = self.module.modulus
         elements = spec.elements()
-        for g in elements:
+        index = {g: a for a, g in enumerate(elements)}
+        # f and the products over element indices, each looked up once
+        f = [[self.table[(g, h)] for h in elements] for g in elements]
+        mul = [[index[spec.mul(g, h)] for h in elements] for g in elements]
+        for a, g in enumerate(elements):
             act_g = self.module.element_rows(g)
-            for h, k in itertools.product(elements, repeat=2):
-                fhk = self.table[(h, k)]
-                first = [sum(a * fhk[u] for u, a in grow) for grow in act_g]
-                total = [
-                    first[t]
-                    - self.table[(spec.mul(g, h), k)][t]
-                    + self.table[(g, spec.mul(h, k))][t]
-                    - self.table[(g, h)][t]
-                    for t in range(self.module.rank)
-                ]
-                if N:
-                    total = [x % N for x in total]
-                if any(total):
-                    return False
+            for b, fgh in enumerate(f[a]):
+                f_gh = f[mul[a][b]]
+                for c, fhk in enumerate(f[b]):
+                    f_ghk, f_g_hk = f_gh[c], f[a][mul[b][c]]
+                    total = [
+                        sum(x * fhk[u] for u, x in grow) - f_ghk[t] + f_g_hk[t] - fgh[t]
+                        for t, grow in enumerate(act_g)
+                    ]
+                    if N:
+                        total = [x % N for x in total]
+                    if any(total):
+                        return False
         return True
 
 

@@ -261,6 +261,23 @@ def test_degree_window_flag(capsys):
     assert payload["results"][0]["degree"] == 8
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--group", "2,2", "--module", "trivial", "--degrees", "0..1"],
+        ["verify", "--suite", "oracle"],
+        ["bench", "--group", "2,2"],
+        ["factor-set", "--group", "2", "--case", "trivial-H2", "--indices", "1"],
+    ],
+)
+def test_negative_max_degree_is_exit_two_on_every_verb(capsys, argv):
+    # one check in the shared limits, before any verb does work
+    code, out, err = run(capsys, *argv, "--max-degree", "-1")
+    assert code == EXIT_PARSE, (argv, out)
+    assert err == "error: --max-degree must be >= 0\n"
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # factor-set
 

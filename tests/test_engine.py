@@ -254,9 +254,11 @@ def test_incoming_map_is_capped_before_it_is_built(monkeypatch, compute, reps):
     # both maps are sized from the resolution ranks and capped before either
     # is built, so a degree whose image is over the cap builds no leg
     built = []
-    real = engine._minimal_rows
+    real = engine._leg_rows
     monkeypatch.setattr(
-        engine, "_minimal_rows", lambda M, m, dual=False: built.append(m) or real(M, m, dual)
+        engine,
+        "_leg_rows",
+        lambda M, res, m, *rest: built.append((res, m)) or real(M, res, m, *rest),
     )
     real_diff = resolutions.minimal_diff
     monkeypatch.setattr(
@@ -291,22 +293,17 @@ def test_incoming_map_is_capped_before_it_is_built(monkeypatch, compute, reps):
 def test_each_differential_is_built_at_most_once(
     monkeypatch, compute, resolution, text, reps, route
 ):
-    # legs are recorded by the degree they leave: the Hom rows of either
-    # resolution; a call builds each of its one or two maps once, the
-    # cokernel-torsion route over Z only the incoming one wherever both
-    # exist, and no call builds a minimal_diff or bar_diff RingMatrix
+    # legs are recorded by the resolution and the degree they leave: the
+    # Hom rows of either resolution; a call builds each of its one or two
+    # maps once, the cokernel-torsion route over Z only the incoming one
+    # wherever both exist, and no call builds a minimal_diff or bar_diff
+    # RingMatrix
     built, reference = [], []
-    real_rows = engine._minimal_rows
+    real_rows = engine._leg_rows
     monkeypatch.setattr(
         engine,
-        "_minimal_rows",
-        lambda M, m, dual=False: built.append(m) or real_rows(M, m, dual),
-    )
-    real_bar_rows = engine._bar_rows
-    monkeypatch.setattr(
-        engine,
-        "_bar_rows",
-        lambda M, m, *rest, **kw: built.append(m) or real_bar_rows(M, m, *rest, **kw),
+        "_leg_rows",
+        lambda M, res, m, *rest: built.append((res, m)) or real_rows(M, res, m, *rest),
     )
     real_bar = resolutions.bar_diff
     monkeypatch.setattr(
@@ -330,7 +327,7 @@ def test_each_differential_is_built_at_most_once(
         if route == "cokernel-torsion" and (tate or n > 0):
             # Tate degree 0's incoming leg is the norm, which leaves degree 0
             incoming = n + 1 if compute is homology else n
-            assert built == [incoming], (n, built)
+            assert built == [(resolution or "minimal", incoming)], (n, built)
 
 
 @pytest.mark.parametrize("reps", [False, True])
@@ -357,7 +354,7 @@ def test_bar_cell_cap_binds_on_a_rank_zero_module(compute, n):
     msg = "standard-resolution differential needs a 1225 x 42875 matrix"
     for dual in (False, True):
         with pytest.raises(ResourceCapExceeded, match=msg):
-            next(engine._bar_rows(M, 3, dual))
+            next(engine._leg_rows(M, "bar", 3, dual))
 
 
 def test_hom_complex_map_checks_every_cap(monkeypatch):
@@ -540,12 +537,12 @@ def test_minimal_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, d
         D = complete_diff(res, k)
         if dual:
             D = D.antipode_transpose()
-        got = list(engine._minimal_rows(M, k, dual))
+        got = list(engine._leg_rows(M, "minimal", k, dual))
         assert got == list(_hom_constraint_rows(M, D)), (text, k, dual)
     # every block kind: N_G, both parities, plain and dual legs
     for k in range(-2, 3):
         for flip in (False, True):
-            list(engine._minimal_rows(M, k, flip))
+            list(engine._leg_rows(M, "minimal", k, flip))
     assert len(M._blocks) <= 6 * G.ngens + 1
 
 
@@ -564,7 +561,7 @@ def test_bar_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, dual)
     D = resolutions.bar_diff(G, m)
     if dual:
         D = D.antipode_transpose()
-    got = list(engine._bar_rows(M, m, dual))
+    got = list(engine._leg_rows(M, "bar", m, dual))
     assert got == list(_hom_constraint_rows(M, D)), (text, m, dual)
 
 
@@ -573,10 +570,10 @@ def test_bar_rows_merge_first_and_last_face():
     # through -I; act(g + 1) = 2 vanishes mod 2, and -1 reads 1 there
     G = GroupSpec.of(3)
     Z = trivial_module(G)
-    assert list(engine._bar_rows(Z, 1)) == [[], []]
-    assert list(engine._bar_rows(Z, 2))[0] == [(0, 2), (1, -1)]
+    assert list(engine._leg_rows(Z, "bar", 1)) == [[], []]
+    assert list(engine._leg_rows(Z, "bar", 2))[0] == [(0, 2), (1, -1)]
     Z2 = parse_module("reduce:2(trivial)", G)
-    assert list(engine._bar_rows(Z2, 2))[0] == [(1, 1)]
+    assert list(engine._leg_rows(Z2, "bar", 2))[0] == [(1, 1)]
 
 
 def test_ordinary_rejects_negative_degree_and_window():
@@ -932,6 +929,30 @@ def test_coboundaries_are_cocycles_random():
             assert all(x == 0 for x in gamma.flat()) or is_cocycle_2(M, gamma)
 
 
+def test_cochains_of_the_wrong_width_are_rejected():
+    # every value vector is read, so a wider or narrower one is an input
+    # error naming the expected shape, not a check of its first coordinates
+    Z = trivial_module(G2)
+    Z2 = parse_module("trivial:2", G2)
+    msg = "degree-{} cochain of 1 value vectors of width {}"
+    with pytest.raises(ValueError, match=msg.format(1, 1)):
+        is_cocycle_1(Z, Cochain(1, ((0, 5),)))
+    with pytest.raises(ValueError, match=msg.format(2, 1)):
+        is_cocycle_2(Z, Cochain(2, ((1, 9),)))
+    with pytest.raises(ValueError, match=msg.format(2, 1)):
+        to_factor_set(Z, Cochain(2, ((1, 9),)))
+    with pytest.raises(ValueError, match=msg.format(1, 2)):
+        is_cocycle_1(Z2, Cochain(1, ((0,),)))
+    with pytest.raises(ValueError, match=msg.format(1, 2)):
+        coboundary_1(Z2, Cochain(1, ((0,),)))
+    with pytest.raises(ValueError, match=msg.format(1, 1)):
+        coboundary_1(Z, Cochain(1, ((0,), (0,))))
+    # the right width passes: over C2 the norm 2 is the only obstruction
+    assert is_cocycle_1(Z2, Cochain(1, ((0, 0),)))
+    assert is_cocycle_1(Z2, Cochain(1, ((0, 1),))).violations == ("x1^2: obstruction (0, 2)",)
+    assert coboundary_1(Z2, Cochain(1, ((1, 3),))).values == ((2, 6),)
+
+
 def test_trivial_module_coboundary_0_vanishes():
     Z = trivial_module(G22)
     assert coboundary_0(Z, [5]).values == ((0,), (0,))
@@ -972,3 +993,19 @@ def test_factor_set_rejects_non_cocycle():
     Z = trivial_module(G22)
     with pytest.raises(ValueError):
         to_factor_set(Z, Cochain(2, ((0,), (1,), (0,))))
+
+
+@pytest.mark.parametrize(
+    "text, step, holds",
+    [("trivial", 1, False), ("reduce:4(trivial)", 1, False), ("reduce:4(trivial)", 4, True)],
+)
+def test_factor_set_identity_fails_on_a_raised_entry(text, step, holds):
+    # f + the indicator of (a, b) is no cocycle: at (a, b, b) the identity
+    # reads -1; raised by the modulus, the table is the same mod N
+    M = parse_module(text, G22)
+    f = to_factor_set(M, Cochain(2, ((1,), (0,), (0,))))
+    assert f.cocycle_identity_holds()
+    a, b = (1, 0), (0, 1)
+    table = dict(f.table)
+    table[(a, b)] = (table[(a, b)][0] + step,)
+    assert engine.FactorSet(M, table).cocycle_identity_holds() is holds
