@@ -23,7 +23,12 @@ from cohomolab.closed_forms import (
     generating_cocycle,
     predicted_invariants,
 )
-from cohomolab.engine import ordinary_cohomology, tate_cohomology, to_factor_set
+from cohomolab.engine import (
+    VerificationError,
+    ordinary_cohomology,
+    tate_cohomology,
+    to_factor_set,
+)
 from cohomolab.group_ring import GroupSpec
 from cohomolab.intlinalg import AbelianInvariants
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
@@ -432,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -9,10 +9,15 @@ Route selection is about cost, never about semantics:
 
 * ``kernel``            exact kernel + quotient presentation, keeps
                         representatives; used for lattice coefficients
-                        with representatives.  The kernel is eliminated
-                        sparsely from the streamed constraint rows
-                        (:func:`kernel_columns`), which also check each
-                        representative; no dense matrix is built.
+                        with representatives.  Where both maps exist the
+                        kernel is the saturation of the image
+                        (:func:`saturation_columns`, see below), and d_out
+                        is streamed once, only to check each
+                        representative.  Degree 0, and any image whose
+                        sparse elimination leaves a residual, eliminate
+                        the kernel from d_out's rows instead
+                        (:func:`kernel_columns`), which then double as the
+                        check; no dense matrix is built.
 * ``cokernel-torsion``  lattice coefficients, invariants only: the free rank
                         dim - rk d_in - rk d_out plus the torsion of the
                         Smith diagonal of the incoming map.  With both maps
@@ -60,9 +65,15 @@ free group, so ker d_out is saturated, of rank dim - rk d_out, and the
 torsion of H = ker d_out / im d_in is that of coker d_in, read off its Smith
 diagonal (Dumas, Heckenbach, Saunders and Welker build homology the same
 way).  When both maps exist (every complete-resolution degree, and positive
-degrees otherwise) H is killed by |G|, so its free rank is 0 and d_out is
+degrees otherwise) H is killed by |G| (Brown, Cohomology of Groups, Cor.
+III.10.2, and its Tate form in ch. VI), so its free rank is 0 and d_out is
 not needed; when one is missing (degree 0) its rank is 0.  Which maps exist
-is known from the degree alone, so no finiteness flag is needed.
+is known from the degree alone, so no finiteness flag is needed.  The same
+theorem gives the kernel route its cocycles: ker d_out is saturated and
+contains im d_in with finite index, so it is the saturation of im d_in.
+Both routes rest on the theorem, so both check it: on those degrees every
+invariant of H must divide |G| and the free rank must be 0, or the call
+raises :class:`VerificationError`.
 
 The universal-coefficients route, in two lines: Hom(P_n, L/N) is
 Hom(P_n, L) (x) Z/N, a complex of free abelian groups, so H^n(L/N) =
@@ -92,6 +103,7 @@ from cohomolab.intlinalg import (
     kernel_columns,
     quotient_invariants,
     quotient_presentation,
+    saturation_columns,
     smith_diagonal,
 )
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
@@ -451,24 +463,30 @@ def _extract_representatives(
     M: GModule,
     degree: int,
     count: int,
-    rows: Sequence[list[tuple[int, int]]],
+    rows: Iterable[list[tuple[int, int]]],
 ) -> tuple[Cochain, ...]:
-    """Each generator's residue modulo the coboundaries, checked against the
-    outgoing Hom ``rows``; torsion first.  Mod N the Hermite basis has a
+    """Each generator's residue modulo the coboundaries, torsion first,
+    checked against every outgoing Hom row of ``rows`` in one pass, which
+    is skipped when there is no generator.  Mod N the Hermite basis has a
     pivot in every row, so the residues lie in [0, N)."""
-    torsion_reps: list[Cochain] = []
-    free_reps: list[Cochain] = []
-    for i, d in enumerate(pres.diagonal):
-        if d == 1:
-            continue
-        vec = hermite_reduce(pres.generator_column(i), pres.relation_hnf)
-        rep = Cochain.from_flat(degree, vec, count, M.rank)
-        if any(_apply(M, rows, vec)):
-            raise VerificationError(
-                f"extracted degree-{degree} representative is not a cocycle"
-            )
-        (free_reps if d == 0 else torsion_reps).append(rep)
-    return tuple(torsion_reps + free_reps)
+    gens = sorted((d == 0, i) for i, d in enumerate(pres.diagonal) if d != 1)
+    vecs = [hermite_reduce(pres.generator_column(i), pres.relation_hnf) for _, i in gens]
+    N = M.modulus
+    for row in rows if vecs else ():
+        for vec in vecs:
+            x = sum(c * vec[k] for k, c in row)
+            if x % N if N else x:
+                raise VerificationError(
+                    f"extracted degree-{degree} representative is not a cocycle"
+                )
+    return tuple(Cochain.from_flat(degree, vec, count, M.rank) for vec in vecs)
+
+
+def _check_killed(inv: AbelianInvariants, order: int, n: int) -> None:
+    """Raise unless |G| kills H, as it must wherever both maps exist over Z
+    (see the module docstring)."""
+    if inv.free_rank or any(order % t for t in inv.torsion):
+        raise VerificationError(f"degree-{n} group {inv} is not killed by |G| = {order}")
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +550,16 @@ def _complex_group(
         route = "universal-coefficients" if N else "cokernel-torsion"
     else:
         route = "congruence" if N else "kernel"
-    # over Z with both maps H is killed by |G|: free rank 0, no d_out
-    killed = smith and not N and has_in and has_out
+    # over Z with both maps H is killed by |G|: Smith needs no d_out, and
+    # the kernel route reads ker d_out as the saturation of im d_in
+    killed = not N and has_in and has_out
     # every matrix is capped on its own shape before any is built; a
     # presentation costs about dim^3, the transform-free invariants do not
     if has_in:
         limits.check_cells(dim, in_dim, f"{route} image")
     if want:
         limits.check_cells(dim, dim, f"{route} presentation")
-    if has_out and not killed:
+    if has_out and not (smith and killed):
         limits.check_cells(out_dim, dim, f"{route} outgoing map")
 
     def leg(k: int) -> Iterator[list[tuple[int, int]]]:
@@ -565,24 +584,32 @@ def _complex_group(
         inv = AbelianInvariants.from_diagonal(
             [N] * free + diag_in + (diag_out if N else [])
         )
+        if killed:
+            _check_killed(inv, M.spec.order, n)
         return CohomologyResult(n, kind, inv, M.label, resolution, route)
-    rows: Iterable[list[tuple[int, int]]] = ()
-    if has_out:
-        # the kernel's constraint rows double as the cocycle check
-        rows = list(leg(k_out)) if want else leg(k_out)
-    kcols = kernel_columns(rows, dim, mod=mod)
     icols = _image_columns(leg(k_in)) if has_in else []
+    kcols = saturation_columns(icols, dim) if killed else None
+    # the outgoing rows, built once: for the kernel and the cocycle check,
+    # or streamed into the check alone when the saturation gave the kernel
+    rows: Iterable[list[tuple[int, int]]] = leg(k_out) if has_out else ()
+    if kcols is None:
+        if want:
+            rows = list(rows)
+        kcols = kernel_columns(rows, dim, mod=mod)
     if not want:
         inv = quotient_invariants(kcols, icols, dim, mod=N)
         return CohomologyResult(n, kind, inv, M.label, resolution, route)
     pres = quotient_presentation(kcols, icols, dim, mod=mod)
+    inv = pres.invariants()
+    if killed:
+        _check_killed(inv, M.spec.order, n)
     # a rank-0 module has no coordinates, and its cochains no values
     count = dim // M.rank if M.rank else 0
     reps = _extract_representatives(pres, M, n, count, rows)
     return CohomologyResult(
         n,
         kind,
-        pres.invariants(),
+        inv,
         M.label,
         resolution,
         route,

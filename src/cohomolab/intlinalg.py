@@ -9,18 +9,20 @@ workhorses are
 * :func:`kernel_columns` -- the one kernel routine, from sparse rows: a
   saturated basis of an integer kernel, or with a modulus N generators of
   the solutions of A x = 0 mod N,
+* :func:`saturation_columns` -- the saturation of a lattice from its
+  spanning columns, when sparse elimination alone clears them,
 * :func:`quotient_invariants` -- structure of a lattice quotient L1/L2, over Z
   or with L1 and L2 taken modulo N*Z^n; :func:`quotient_presentation` adds
   the generator transforms.  Relations enter both as their echelon basis
   (Hermite with transforms); columns may be dense or {row: value} dicts.
 
 The resolution matrices are over 99% zero with mostly unit entries, so the
-Smith diagonal and the kernel, over Z and over Z/N alike, share one sparse
-elimination loop (:func:`_sparse_eliminate`): it clears dividing pivots on
-{column: value} rows, which never grows coefficients, and leaves only what
-has none to the dense elimination behind :func:`snf`.  The gcd row echelon
-behind :func:`echelon_rows` and :func:`column_hnf` also works on {column:
-value} rows and densifies its result once.
+Smith diagonal, the kernel and the saturation, over Z and over Z/N alike,
+share one sparse elimination loop (:func:`_sparse_eliminate`): it clears
+dividing pivots on {column: value} rows, which never grows coefficients,
+and leaves only what has none to the dense elimination behind :func:`snf`.
+The gcd row echelon behind :func:`echelon_rows` and :func:`column_hnf` also
+works on {column: value} rows and densifies its result once.
 
 The elimination kernels accept an optional modulus: when the column span of
 the input is known to contain N*Z^n, every entry may be reduced mod N without
@@ -357,14 +359,6 @@ class _Eliminator:
         if self.v is not None:
             for r in self.v:
                 r[j], r[k] = r[k], r[j]
-
-    def col_negate(self, j):
-        mod = self.mod
-        for r in self.a:
-            r[j] = -r[j] if not mod else (-r[j]) % mod
-        if self.v is not None:
-            for r in self.v:
-                r[j] = -r[j] if not mod else (-r[j]) % mod
 
 
 def _smith_eliminate(el: _Eliminator) -> list[int]:
@@ -828,6 +822,30 @@ def kernel_columns(
                 x[j] %= N
         out.append([v % N for v in x] if N else x)
     return out
+
+
+def saturation_columns(
+    cols: Iterable[Sequence[int] | dict[int, int]], n: int
+) -> list[dict[int, int]] | None:
+    """A basis of the saturation of the lattice the columns span in Z^n, as
+    {row: value} dicts, or None when :func:`_sparse_eliminate` leaves a
+    residual.  The columns are copied, never modified.
+
+    Each pivot (g, j, row) has row[j] = +-g, and g divides its row.  With no
+    residual the pivot rows span the columns' lattice, and divided by their
+    pivots they have a unit-triangular minor on the pivot columns, as no
+    later pivot row touches an earlier pivot column: so they span a
+    saturated lattice of the same rank, the saturation.
+
+    >>> saturation_columns([[2, 4, 0], [0, 3, 3]], 3)
+    [{0: 1, 1: 2}, {1: 1, 2: 1}]
+    >>> saturation_columns([{0: 2, 1: 3}, {0: 3, 1: 2}], 2) is None
+    True
+    """
+    pivots, residual = _sparse_eliminate([_dict_row(c) for c in cols], n, 0)
+    if residual:
+        return None
+    return [{j: x // g for j, x in row.items()} for g, _, row in pivots]
 
 
 # ---------------------------------------------------------------------------

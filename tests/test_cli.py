@@ -189,6 +189,17 @@ def test_cell_cap_is_exit_three(capsys, monkeypatch):
     assert code == EXIT_CAP and "cap" in err
 
 
+def test_engine_verification_failure_is_exit_four(capsys, monkeypatch):
+    # a Smith diagonal that |G| = 4 does not kill fails the engine's check
+    from cohomolab import engine
+
+    real = engine.smith_diagonal
+    monkeypatch.setattr(engine, "smith_diagonal", lambda *a, **k: [3 * d for d in real(*a, **k)])
+    code, _, err = run(capsys, "compute", "--group", "2,2", "--module", "trivial", "--degrees", "2..2")
+    assert code == EXIT_VERIFY
+    assert "verification failed: degree-2 group" in err and "Traceback" not in err
+
+
 def test_cell_cap_binds_on_cokernel_torsion_image(capsys, monkeypatch):
     # rank 60 takes the cokernel-torsion route, whose 180 x 120 image
     # matrix is over the cap even though no kernel is ever assembled; the

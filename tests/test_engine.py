@@ -33,7 +33,7 @@ from cohomolab.engine import (
     to_factor_set,
 )
 from cohomolab.group_ring import GroupSpec
-from cohomolab.intlinalg import AbelianInvariants, IntMatrix
+from cohomolab.intlinalg import AbelianInvariants, IntMatrix, column_hnf
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
 from cohomolab.modules import (
     DualDivisible,
@@ -862,6 +862,104 @@ def test_representative_checker_rejects_a_non_cocycle(monkeypatch, text):
     monkeypatch.setattr(engine, "hermite_reduce", lambda v, h: [x + 1 for x in real(v, h)])
     with pytest.raises(VerificationError):
         ordinary_cohomology(parse_module(text, G22), 2, want_representatives=True)
+
+
+def _times_three(pres):
+    pres.diagonal = [3 * d for d in pres.diagonal]
+    return pres
+
+
+@pytest.mark.parametrize(
+    "route, name, corrupt, saturate",
+    [
+        ("cokernel-torsion", "smith_diagonal", lambda out: [3 * d for d in out], True),
+        ("kernel", "quotient_presentation", _times_three, True),
+        ("kernel", "quotient_presentation", _times_three, False),
+    ],
+    ids=["smith", "saturation", "fallback"],
+)
+@pytest.mark.parametrize("compute, n", [(ordinary_cohomology, 2), (tate_cohomology, -2)])
+def test_a_group_not_killed_by_the_order_raises(
+    monkeypatch, compute, n, route, name, corrupt, saturate
+):
+    # H^2(C2 x C2, Z) and its Tate degree -2 are (Z/2)^2, killed by |G| = 4;
+    # each route's diagonal, every entry times 3, must not pass
+    real = getattr(engine, name)
+    monkeypatch.setattr(engine, name, lambda *a, **k: corrupt(real(*a, **k)))
+    if not saturate:
+        monkeypatch.setattr(engine, "saturation_columns", lambda cols, dim: None)
+    with pytest.raises(VerificationError, match="not killed by"):
+        compute(trivial_module(G22), n, want_representatives=route == "kernel")
+
+
+def test_kernel_route_never_eliminates_the_outgoing_map(monkeypatch):
+    # H is killed by |G| at bar n=3, so ker d_out is the saturation of the
+    # image; the 2401 x 343 outgoing map only checks the representatives
+    calls = []
+    real = engine.kernel_columns
+    monkeypatch.setattr(
+        engine, "kernel_columns", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    M = parse_module("cyclo:2:1:1,1,1", GroupSpec.of(2, 2, 2))
+    r = ordinary_cohomology(M, 3, resolution="bar", want_representatives=True)
+    assert calls == []
+    assert r.route == "kernel" and r.invariants == ordinary_cohomology(M, 3).invariants
+    assert r.class_group_generated_by(r.representatives) == r.invariants
+
+
+def test_a_residual_falls_back_to_the_kernel_of_the_outgoing_map(monkeypatch):
+    # the Tate degree-2 image of cyclo:3:1:0,1 over (2,6) leaves a residual:
+    # the kernel is then kernel_columns' answer on d_out, the degree-3 leg
+    seen, kernels = [], []
+    real_sat, real_ker = engine.saturation_columns, engine.kernel_columns
+    monkeypatch.setattr(
+        engine, "saturation_columns", lambda *a: seen.append(real_sat(*a)) or seen[-1]
+    )
+    monkeypatch.setattr(
+        engine, "kernel_columns", lambda *a, **k: kernels.append(real_ker(*a, **k)) or kernels[-1]
+    )
+    M = parse_module("cyclo:3:1:0,1", GroupSpec.of(2, 6))
+    r = tate_cohomology(M, 2, want_representatives=True)
+    dim = M.rank * 3
+    assert seen == [None]
+    assert kernels == [real_ker(engine._leg_rows(M, "minimal", 3), dim)]
+    assert r._presentation.hnf_basis == column_hnf(kernels[0], dim)
+    assert r.class_group_generated_by(r.representatives) == r.invariants
+
+
+_SATURATION_GROUPS = [(2,), (3,), (4,), (2, 2), (2, 4), (3, 3)]
+_SATURATION_CALLS = [
+    (compute, n, {"resolution": res})
+    for compute in (ordinary_cohomology, homology)
+    for n in (1, 2)
+    for res in ("minimal", "bar")
+] + [(tate_cohomology, n, {}) for n in (-2, 0, 2)]
+
+
+@pytest.mark.parametrize("orders", _SATURATION_GROUPS, ids=str)
+def test_saturation_and_kernel_give_the_same_presentation(monkeypatch, orders):
+    # the saturation of the image and the kernel of d_out are one lattice,
+    # and the presentation depends on the two lattices alone
+    G = GroupSpec.of(*orders)
+    found = []
+    real = engine.saturation_columns
+    monkeypatch.setattr(engine, "saturation_columns", lambda *a: found.append(real(*a)) or found[-1])
+    for text in _oracle_modules(orders):
+        M = parse_module(text, G)
+        if not M.is_lattice:
+            continue
+        for compute, n, kw in _SATURATION_CALLS:
+            a = compute(M, n, want_representatives=True, **kw)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "saturation_columns", lambda cols, dim: None)
+                b = compute(M, n, want_representatives=True, **kw)
+            pa, pb = a._presentation, b._presentation
+            assert (pa.hnf_basis, pa.relation_hnf, pa.diagonal) == (
+                pb.hnf_basis, pb.relation_hnf, pb.diagonal
+            ), (text, compute.__name__, n, kw)
+            assert a.representatives == b.representatives
+    # every call took the saturation, or the comparison is empty
+    assert found and None not in found
 
 
 def test_bar_representatives_without_coefficient_blowup():

@@ -28,6 +28,7 @@ from cohomolab.intlinalg import (
     kernel_columns,
     quotient_invariants,
     quotient_presentation,
+    saturation_columns,
     snf,
     solve_in_span,
     xgcd,
@@ -236,6 +237,36 @@ def test_kernel_columns_sparse_draws_match_dense_reference():
         seen["residual"] += bool(residual)
         seen["back-substituted"] += bool(pivots and K)
     assert all(seen.values()), seen
+
+
+def test_saturation_columns_match_the_double_kernel():
+    # the saturation of L is the kernel of the kernel of L's columns as
+    # rows: whenever sparse elimination clears the columns, both agree
+    rng = random.Random(2026)
+    seen = {"saturated": 0, "non-unit": 0, "residual": 0}
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        cols = [
+            [rng.choice((0, 0, 0, 0, 0, 1, -1, 2, -2, 3)) for _ in range(n)]
+            for _ in range(rng.randint(1, 8))
+        ]
+        sat = saturation_columns(cols, n)
+        if sat is None:
+            seen["residual"] += 1
+            continue
+        perp = kernel_columns(([(j, x) for j, x in enumerate(c) if x] for c in cols), n)
+        want = kernel_columns(([(j, x) for j, x in enumerate(c) if x] for c in perp), n)
+        assert column_hnf(sat, n) == column_hnf(want, n), cols
+        seen["saturated"] += 1
+        seen["non-unit"] += column_hnf(sat, n) != column_hnf(cols, n)
+    assert all(seen.values()), seen
+
+
+def test_saturation_columns_give_up_on_a_residual():
+    # no entry of either column is its column's gcd 1, so nothing is cleared
+    cols = [{0: 2, 1: 3}, {0: 3, 1: 2}]
+    assert saturation_columns(cols, 2) is None
+    assert cols == [{0: 2, 1: 3}, {0: 3, 1: 2}]
 
 
 # ---------------------------------------------------------------------------
