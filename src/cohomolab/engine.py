@@ -56,9 +56,11 @@ over monomial indices; on the standard resolution, tuples of element
 indices, whose first face meets one matrix of the group-element table
 (``GModule.element_rows``) and whose other faces meet +-I.  A dual leg
 (homology, negative Tate degrees) is the plain one regrouped by target,
-with antipode blocks.  No leg builds a group-ring matrix or calls
-``GModule.act``; only the comparison map ``sigma`` goes through
-:func:`_hom_constraint_rows`, which evaluates each entry with ``act``.
+with antipode blocks.  The comparison map sigma from the standard
+resolution to the monomial one, which factor sets are read through, is
+listed the same way by :func:`_sigma_faces`, its blocks sums of element
+matrices (prefix elements times partial norms).  Nothing here builds a
+group-ring matrix.
 
 The cokernel-torsion formula: Z^dim / ker d_out embeds in a
 free group, so ker d_out is saturated, of rank dim - rk d_out, and the
@@ -94,7 +96,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from cohomolab.group_ring import RingElement, RingMatrix
 from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -107,13 +108,13 @@ from cohomolab.intlinalg import (
     smith_diagonal,
 )
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
-from cohomolab.modules import DualDivisible, GModule, star_dual
+from cohomolab.modules import DualDivisible, GModule, _combine, _sparse_rows, star_dual
 from cohomolab.resolutions import (
     Resolution,
+    bar_basis,
     complete_rank,
     make_resolution,
     monomial_basis,
-    sigma,
 )
 
 
@@ -179,26 +180,6 @@ def _hom_rows(d: int, sources: Iterable[_Source]) -> Iterator[list[tuple[int, in
                 base = k * d
                 row += [(base + u, c) for u, c in blk[t]]
             yield row
-
-
-def _hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, int]]]:
-    """Rows of the map phi -> phi . D between Hom-spaces, as sparse
-    (index, coeff) lists, streamed.
-
-    Source j (a column of D) meets target i (a row of D) through act(D[i, j]),
-    in the entry order of D; dimensions (d*cols(D)) x (d*rows(D)).  It
-    assembles ``sigma``, and is the reference :func:`_leg_rows` is tested
-    against, over D and ``D.antipode_transpose()``: it shares only
-    :func:`_hom_rows` with it, not its blocks or its regroup.
-    """
-    cache: dict[RingElement, _Block] = {}
-    sources: list[_Source] = [[] for _ in range(D.cols)]
-    for (i, j), elem in D.entries.items():
-        blk = cache.get(elem)
-        if blk is None:
-            blk = cache[elem] = [[(u, c) for u, c in enumerate(r) if c] for r in M.act(elem).data]
-        sources[j].append((i, blk))
-    yield from _hom_rows(M.rank, sources)
 
 
 def _minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
@@ -289,10 +270,65 @@ def _bar_faces(
     return sources(), power[m - 1]
 
 
+def _sigma_faces(M: GModule, m: int) -> list[_Source]:
+    """The pairs each source of the standard resolution meets under the
+    comparison map sigma_m into the monomial resolution, m = 1 or 2, in bar
+    basis order; the targets are the degree-m monomials.
+
+    Write g = a_1^k_1 ... a_s^k_s, g_<i for its factors before a_i, and
+    N_i(k) = 1 + a_i + ... + a_i^(k-1).  Source [g] meets x_i, for each
+    k_i > 0, through g_<i N_i(k_i).  Source [g|h] meets, for i ascending
+    with k = g_i > 0 and j <= i ascending with l = h_j > 0, x_i^2 through
+    floor((k + l) / o_i) g_<i h_<i when j = i (no pair when that is 0), and
+    x_j x_i through -g_<i h_<j N_j(l) N_i(k) when j < i: the sign makes up
+    for the one d gives the mixed monomial.  Each block is a sum of the
+    module's element matrices, reduced mod N.
+    """
+    G = M.spec
+    s = G.ngens
+    index = {mono: k for k, mono in enumerate(monomial_basis(s, m))}
+
+    def target(*gens: int) -> int:
+        # the index of the monomial x_i x_j ... for the i, j, ... of ``gens``
+        return index[tuple(gens.count(t) for t in range(s))]
+
+    def prefix(g: tuple[int, ...], i: int) -> tuple[int, ...]:
+        return g[:i] + (0,) * (s - i)
+
+    def block(c: int, g: tuple[int, ...], runs: list[tuple[int, int]]) -> _Block:
+        # c g N_i(k) ... over the (i, k) of ``runs``, as a sum of elements
+        elems = [g]
+        for i, k in runs:
+            elems = [e[:i] + (e[i] + b,) + e[i + 1 :] for e in elems for b in range(k)]
+        return _sparse_rows(_combine([(c, M.element_rows(e)) for e in elems], M.rank), M.modulus)
+
+    if m == 1:
+        return [
+            [(target(i), block(1, prefix(g, i), [(i, k)])) for i, k in enumerate(g) if k]
+            for g in G.nonidentity_elements()
+        ]
+    sources = []
+    for g, h in bar_basis(G, 2):
+        pairs = []
+        for i, k in enumerate(g):
+            if not k:
+                continue
+            for j, l in enumerate(h[: i + 1]):
+                if not l:
+                    continue
+                outer = G.mul(prefix(g, i), prefix(h, j))
+                if j < i:
+                    pairs.append((target(i, j), block(-1, outer, [(j, l), (i, k)])))
+                elif q := (k + l) // G.orders[i]:
+                    pairs.append((target(i, i), block(q, outer, [])))
+        sources.append(pairs)
+    return sources
+
+
 def _leg_rows(
     M: GModule, resolution: str, m: int, dual: bool = False, limits: EngineLimits | None = None
 ) -> Iterator[list[tuple[int, int]]]:
-    """The rows of :func:`_hom_constraint_rows` over the differential of
+    """The Hom rows, phi -> phi . D, of the differential D of
     ``resolution`` leaving degree m, antipode-transposed when ``dual``,
     from the pairs its faces function lists.  On the complete monomial
     resolution degree 0 is the norm N_G, its own antipode, and a negative
@@ -833,14 +869,10 @@ def to_factor_set(M: GModule, gamma: Cochain, *, limits: EngineLimits | None = N
         raise ValueError(
             "not a cocycle: " + "; ".join(check.violations[:4])
         )
-    from cohomolab.resolutions import bar_basis
-
     spec = M.spec
-    s2 = sigma(spec, 2)
-    pairs = bar_basis(spec, 2)
-    index = {pair: col for col, pair in enumerate(pairs)}
     d = M.rank
-    flat = _apply(M, _hom_constraint_rows(M, s2), gamma.flat())
+    flat = _apply(M, _hom_rows(d, _sigma_faces(M, 2)), gamma.flat())
+    index = {pair: col for col, pair in enumerate(bar_basis(spec, 2))}
     table = {}
     ident = spec.identity()
     for g, h in itertools.product(spec.elements(), repeat=2):

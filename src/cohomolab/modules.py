@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from cohomolab.group_ring import GroupSpec, RingElement
+from cohomolab.group_ring import GroupSpec
 from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -41,8 +41,9 @@ class GModule:
     # A_i, any other element the product of its generator powers, one
     # sparse product each.  At most |G| entries of rank^2 cells, and every
     # route that fills it has passed a larger cap first: a bar leg's
-    # check_cells is at least rank^2 (|G| - 1), factor sets and sigma pass
-    # the order cap, and minimal legs fill powers of the generators only
+    # check_cells is at least rank^2 (|G| - 1), factor sets and the sigma
+    # check (the comparison map's blocks) pass the order cap, and minimal
+    # legs fill powers of the generators only
     _elements: dict[tuple[int, ...], list[list[tuple[int, int]]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -82,9 +83,6 @@ class GModule:
             for j in range(i + 1, len(self.actions)):
                 if _times_sparse(sparse[i], sparse[j], N) != _times_sparse(sparse[j], sparse[i], N):
                     raise ValueError(f"actions {i} and {j} do not commute")
-
-    def _reduce(self, A: IntMatrix) -> IntMatrix:
-        return A.mod(self.modulus) if self.modulus else A
 
     @property
     def is_lattice(self) -> bool:
@@ -129,8 +127,8 @@ class GModule:
         resolution's differentials, negated when ``neg``: A_i^e - I for
         e >= 1 (e = 1 and the antipode e = o_i - 1 are used), N_i(A) =
         I + A_i + ... + A_i^(o_i - 1) for e = 0, and N_G(A), the product of
-        the N_i(A), for i = None.  Entries are reduced mod N, so a negated
-        block is the one ``act`` gives for the negated element."""
+        the N_i(A), for i = None.  Entries are reduced mod N, the negation
+        included."""
         key = (i, e, neg)
         rows = self._blocks.get(key)
         if rows is not None:
@@ -157,16 +155,6 @@ class GModule:
         G = self.spec
         terms = [(1, self.element_rows(G.generator(i, k))) for k in range(G.orders[i])]
         return _sparse_rows(_combine(terms, self.rank), self.modulus)
-
-    def act(self, x: RingElement) -> IntMatrix:
-        """Matrix of x in Z[G] acting on the module (reduced mod N if
-        finite): the sum over the support of x of c times the matrix of g,
-        read from the element table."""
-        if x.group != self.spec:
-            raise ValueError("ring element is over a different group")
-        d = self.rank
-        out = _combine([(c, self.element_rows(g)) for g, c in x.items()], d)
-        return self._reduce(IntMatrix(d, d, tuple(map(tuple, out))))
 
     def relabel(self, label: str) -> "GModule":
         out = GModule(self.spec, self.rank, self.modulus, self.actions, label)

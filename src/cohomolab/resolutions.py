@@ -7,9 +7,11 @@ ring in fixed bases:
   degree-n monomials in one variable per group generator, and
 * the normalized standard (bar) resolution, used as an independent oracle.
 
-A comparison chain map between them is available in degrees 0..2, and both
-extend to a complete (doubly infinite) resolution for Tate cohomology by
-splicing the dual complex along the norm map in degree 0.
+Both extend to a complete (doubly infinite) resolution for Tate cohomology
+by splicing the dual complex along the norm map in degree 0.  The comparison
+chain map from the standard resolution to the monomial one, in degrees 1
+and 2, is never built as a ring matrix: the engine lists its blocks
+directly (``engine._sigma_faces``), as it does for both differentials.
 """
 
 from __future__ import annotations
@@ -64,8 +66,7 @@ def minimal_diff(spec: GroupSpec, n: int) -> RingMatrix:
     are built once per call and shared by every entry that uses them.  The
     engine does not build this matrix: it reads the Hom rows of the same
     pattern off monomial indices, and this is the reference the row source
-    is tested against (and the differential the resolution and sigma
-    checks multiply).
+    is tested against.
     """
     if n < 1:
         raise ValueError("differential starts at degree 1")
@@ -133,85 +134,6 @@ def bar_diff(spec: GroupSpec, n: int, limits: EngineLimits | None = None) -> Rin
             target = tup[: i - 1] + (merged,) + tup[i + 1 :]
             add(dst_index[target], col, one.scale((-1) ** i))
         add(dst_index[tup[:-1]], col, one.scale((-1) ** n))
-    return RingMatrix(spec, len(dst), len(src), entries)
-
-
-# ---------------------------------------------------------------------------
-# comparison chain map between the standard and monomial resolutions
-
-
-def _prefix_product(spec: GroupSpec, exps: tuple[int, ...], upto: int) -> tuple[int, ...]:
-    # group element a_1^e_1 * ... * a_(upto-1)^e_(upto-1)
-    e = [0] * spec.ngens
-    for j in range(upto):
-        e[j] = exps[j] % spec.orders[j]
-    return tuple(e)
-
-
-def sigma(spec: GroupSpec, n: int) -> RingMatrix:
-    """Chain map from the standard resolution to the monomial one, n <= 2.
-
-    Degree 1 sends [g] with g = prod_i a_i^(k_i) to
-    sum_i (prod_(j<i) a_j^(k_j)) * (1 + a_i + ... + a_i^(k_i - 1)) x_i;
-    degree 2 is the bilinear double-sum refinement with the one-generator
-    blocks [a_i^k, a_j^l] resolved by the three-case rule (0 for i < j,
-    a floor-quotient multiple of x_i^2 for i = j, a product monomial with
-    partial-norm coefficients for i > j).
-    """
-    if n == 0:
-        return RingMatrix(spec, 1, 1, {(0, 0): RingElement.one(spec)})
-    if n == 1:
-        src = bar_basis(spec, 1)
-        entries: dict[tuple[int, int], RingElement] = {}
-        for col, (g,) in enumerate(src):
-            for i, k in enumerate(g):
-                if k:
-                    prefix = _prefix_product(spec, g, i)
-                    coeff = RingElement.of_element(spec, prefix) * partial_norm(spec, i, k)
-                    entries[(i, col)] = coeff
-        return RingMatrix(spec, spec.ngens, len(src), entries)
-    if n == 2:
-        return _sigma2(spec)
-    raise ValueError("comparison map is only available in degrees 0..2")
-
-
-def _sigma2(spec: GroupSpec) -> RingMatrix:
-    s = spec.ngens
-    src = bar_basis(spec, 2)
-    dst = monomial_basis(s, 2)
-    dst_index = {m: i for i, m in enumerate(dst)}
-    entries: dict[tuple[int, int], RingElement] = {}
-
-    def add(row: int, col: int, coeff: RingElement) -> None:
-        if coeff:
-            key = (row, col)
-            entries[key] = entries[key] + coeff if key in entries else coeff
-
-    for col, (g, h) in enumerate(src):
-        for i in range(s):
-            k = g[i]
-            if not k:
-                continue
-            for j in range(i + 1):
-                l = h[j]
-                if not l:
-                    continue
-                outer = RingElement.of_element(
-                    spec,
-                    spec.mul(_prefix_product(spec, g, i), _prefix_product(spec, h, j)),
-                )
-                if i == j:
-                    q = (k + l) // spec.orders[i]
-                    if q:
-                        mono = tuple(2 if t == i else 0 for t in range(s))
-                        add(dst_index[mono], col, outer.scale(q))
-                else:  # i > j
-                    # the minus sign is forced by the chain-map identity:
-                    # d applied to the mixed monomial picks up (-1) from the
-                    # position of x_i, so the block must compensate
-                    coeff = outer * partial_norm(spec, j, l) * partial_norm(spec, i, k)
-                    mono = tuple(1 if t in (i, j) else 0 for t in range(s))
-                    add(dst_index[mono], col, -coeff)
     return RingMatrix(spec, len(dst), len(src), entries)
 
 

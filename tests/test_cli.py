@@ -456,8 +456,11 @@ def test_verify_sigma_suite(capsys):
 
 
 def test_verify_sigma_suite_honours_the_caps(capsys, monkeypatch):
-    # every group passes the order cap before anything is built
-    with mock.patch("cohomolab.verify.sigma", side_effect=AssertionError("built over the cap")):
+    # every group passes the order cap before any leg or comparison map is built
+    over = AssertionError("built over the cap")
+    with mock.patch("cohomolab.verify._sigma_faces", side_effect=over), mock.patch(
+        "cohomolab.verify._leg_rows", side_effect=over
+    ):
         code, _, err = run(capsys, "verify", "--suite", "sigma", "--max-group-order", "2")
     assert code == EXIT_CAP, err
     assert "group order 4 exceeds the configured maximum 2" in err

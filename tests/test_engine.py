@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomolab import engine, resolutions
+from _reference import hom_constraint_rows, sigma
+from cohomolab import engine, group_ring, resolutions
 from cohomolab.engine import (
     Cochain,
     VerificationError,
-    _hom_constraint_rows,
     _hom_matrix,
     _image_columns,
     coboundary_0,
@@ -46,7 +46,7 @@ from cohomolab.modules import (
     zmod_module,
 )
 from cohomolab.resolutions import complete_diff, make_resolution
-from cohomolab.verify import _oracle_modules
+from cohomolab.verify import PASS, _oracle_modules, resolution_suite, sigma_suite
 
 G2 = GroupSpec.of(2)
 G22 = GroupSpec.of(2, 2)
@@ -330,6 +330,20 @@ def test_each_differential_is_built_at_most_once(
             assert built == [(resolution or "minimal", incoming)], (n, built)
 
 
+def test_factor_sets_and_the_resolution_checks_build_no_ring_matrix(monkeypatch):
+    # factor sets and the resolution and sigma suites read their rows from
+    # the faces functions alone
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a RingMatrix was built")
+
+    monkeypatch.setattr(group_ring.RingMatrix, "__init__", refuse)
+    for text in ("trivial", "cyclo:2:2:0,1"):
+        M = parse_module(text, G24)
+        gamma = ordinary_cohomology(M, 2, want_representatives=True).representatives[0]
+        assert to_factor_set(M, gamma).cocycle_identity_holds(), text
+    assert all(r.status == PASS for r in resolution_suite() + sigma_suite())
+
+
 @pytest.mark.parametrize("reps", [False, True])
 @pytest.mark.parametrize("text", ["trivial", "reduce:4(trivial)"])
 @pytest.mark.parametrize("compute", [ordinary_cohomology, homology])
@@ -488,14 +502,14 @@ def test_streamed_image_columns_match_the_dense_map(text, orders, resolution):
         # cohomology: the image in degree n + 1 (on the minimal resolution
         # hom_complex_map reads the rows off monomial indices instead)
         D = res.diff(n + 1)
-        got = _image_columns(_hom_constraint_rows(M, D))
+        got = _image_columns(hom_constraint_rows(M, D))
         assert got == _dense_columns(M, hom_complex_map(M, res, n)), n
         # homology: the antipode-transposed leg into degree n, whose rows
         # are wider (degree n + 1) than the degree-n chains
         T = D.antipode_transpose()
         assert T.rows > T.cols
-        got = _image_columns(_hom_constraint_rows(M, T))
-        dense = _hom_matrix(M, _hom_constraint_rows(M, T), d * T.rows)
+        got = _image_columns(hom_constraint_rows(M, T))
+        dense = _hom_matrix(M, hom_constraint_rows(M, T), d * T.rows)
         assert got == _dense_columns(M, dense), n
 
 
@@ -538,7 +552,7 @@ def test_minimal_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, d
         if dual:
             D = D.antipode_transpose()
         got = list(engine._leg_rows(M, "minimal", k, dual))
-        assert got == list(_hom_constraint_rows(M, D)), (text, k, dual)
+        assert got == list(hom_constraint_rows(M, D)), (text, k, dual)
     # every block kind: N_G, both parities, plain and dual legs
     for k in range(-2, 3):
         for flip in (False, True):
@@ -562,7 +576,22 @@ def test_bar_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, dual)
     if dual:
         D = D.antipode_transpose()
     got = list(engine._leg_rows(M, "bar", m, dual))
-    assert got == list(_hom_constraint_rows(M, D)), (text, m, dual)
+    assert got == list(hom_constraint_rows(M, D)), (text, m, dual)
+
+
+_SIGMA_ROW_GROUPS = [(2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("orders", _SIGMA_ROW_GROUPS, ids=str)
+def test_sigma_rows_equal_the_ring_matrix_rows(row_modules, orders):
+    # the comparison map's faces against blocks of act() over the sigma
+    # RingMatrix, as lists: pair order included
+    G = GroupSpec(orders)
+    for text in row_modules[orders]:
+        M = parse_module(text, G)
+        for m in (1, 2):
+            got = list(engine._hom_rows(M.rank, engine._sigma_faces(M, m)))
+            assert got == list(hom_constraint_rows(M, sigma(G, m))), (text, m)
 
 
 def test_bar_rows_merge_first_and_last_face():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from _reference import sigma
 from cohomolab.group_ring import GroupSpec, RingElement, RingMatrix, full_norm, partial_norm
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
 from cohomolab.resolutions import (
@@ -14,7 +15,6 @@ from cohomolab.resolutions import (
     make_resolution,
     minimal_diff,
     monomial_basis,
-    sigma,
 )
 
 TEST_GROUPS = [(2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 2, 4), (2, 3)]

@@ -1,5 +1,7 @@
+from cohomolab import engine, verify
 from cohomolab.engine import homology
 from cohomolab.group_ring import GroupSpec
+from cohomolab.resolutions import monomial_basis
 from cohomolab.verify import (
     CAPPED,
     EXPECTED_FLAGGED,
@@ -34,15 +36,89 @@ def test_regular_module_shape():
     assert homology(R, 1).invariants.as_list() == []
 
 
+_GROUP_NAMES = ["2", "4", "2,2", "2,4", "3,3", "2,2,2", "2,2,4", "2,3"]
+
+
+def _triples(results):
+    return [(r.name, r.status, r.detail) for r in results]
+
+
 def test_resolution_suite_green():
     results = resolution_suite()
     assert results and all(r.status == PASS for r in results)
     names = {r.name for r in results}
     assert "resolution/regular-exactness/2,2,4" in names
+    # the full output, check by check; the bar squares stop at order 9
+    want = []
+    for g in _GROUP_NAMES:
+        want.append((f"resolution/minimal-squares/{g}", PASS, "d.d = 0 for n <= 5"))
+        if g != "2,2,4":
+            want.append((f"resolution/bar-squares/{g}", PASS, "d.d = 0 for n <= 2"))
+    want += [
+        (f"resolution/regular-exactness/{g}", PASS, "H_0 = Z, H_1..H_4 = 0") for g in _GROUP_NAMES
+    ]
+    assert _triples(results) == want
+
+
+_SIGMA_NAMES = ["2,2", "2,4", "3,3", "2,2,2", "2,2,4", "2,2,2,2"]
 
 
 def test_sigma_suite_green():
-    assert all(r.status == PASS for r in sigma_suite())
+    results = sigma_suite()
+    assert all(r.status == PASS for r in results)
+    assert _triples(results) == [
+        (f"sigma/chain-map/{g}", PASS, "degree-1 and degree-2 identities hold")
+        for g in _SIGMA_NAMES
+    ]
+
+
+def _negated(blk):
+    return [[(u, -c) for u, c in row] for row in blk]
+
+
+def test_resolution_suite_fails_on_a_flipped_minimal_block(monkeypatch):
+    # x_1 x_2 meets x_2 through -(A_1 - I) instead of A_1 - I, so d.d no
+    # longer vanishes on either side of degree 2; one generator has no such
+    # monomial.  The dual legs of the exactness check's homology stay intact
+    real = engine._minimal_faces
+
+    def flipped(M, m, dual):
+        sources, targets = real(M, m, dual)
+        if m == 2 and M.spec.ngens > 1 and not dual:
+            (k, blk), *rest = sources[1]
+            sources = sources[:1] + [[(k, _negated(blk))] + rest] + sources[2:]
+        return sources, targets
+
+    monkeypatch.setattr(engine, "_minimal_faces", flipped)
+    squares = {r.name: (r.status, r.detail) for r in resolution_suite() if "squares" in r.name}
+    assert squares["resolution/minimal-squares/2"] == (PASS, "d.d = 0 for n <= 5")
+    for g in _GROUP_NAMES[2:]:
+        want = (FAIL, "nonzero d.d at degrees [1, 2]")
+        assert squares[f"resolution/minimal-squares/{g}"] == want, g
+    assert all(squares[f"resolution/bar-squares/{g}"][0] == PASS for g in ["2", "2,2", "3,3"])
+
+
+def test_sigma_suite_fails_on_a_flipped_mixed_block(monkeypatch):
+    # sigma_2 with the sign of its x_j x_i blocks (j < i) flipped is no
+    # longer a chain map in degree 2; degree 1 is untouched
+    real = verify._sigma_faces
+
+    def flipped(M, m):
+        sources = real(M, m)
+        if m == 2:
+            mixed = {
+                k for k, mono in enumerate(monomial_basis(M.spec.ngens, 2)) if max(mono) == 1
+            }
+            sources = [
+                [(k, _negated(blk) if k in mixed else blk) for k, blk in pairs]
+                for pairs in sources
+            ]
+        return sources
+
+    monkeypatch.setattr(verify, "_sigma_faces", flipped)
+    assert _triples(sigma_suite()) == [
+        (f"sigma/chain-map/{g}", FAIL, "degree 1 ok, degree 2 BROKEN") for g in _SIGMA_NAMES
+    ]
 
 
 def test_duality_suite_green():
