@@ -100,7 +100,6 @@ from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
     QuotientPresentation,
-    hermite_reduce,
     kernel_columns,
     quotient_invariants,
     quotient_presentation,
@@ -152,11 +151,10 @@ class Cochain:
 
     @staticmethod
     def from_flat(degree: int, flat: Iterable[int], count: int, rank: int) -> "Cochain":
-        data = list(flat)
+        data = tuple(flat)
         if len(data) != count * rank:
             raise ValueError("flat vector has the wrong length")
-        vals = tuple(tuple(data[i * rank : (i + 1) * rank]) for i in range(count))
-        return Cochain(degree, vals)
+        return Cochain(degree, tuple(data[i * rank : (i + 1) * rank] for i in range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +463,7 @@ class CohomologyResult:
     def reduce_cocycle(self, c: Cochain) -> Cochain:
         """Canonical representative of the class of ``c`` (same class, same
         output; requires a presentation-backed result)."""
-        vec = hermite_reduce(self._flat(c), self._presentation.relation_hnf)
+        vec = self._presentation.residue(self._flat(c))
         return Cochain.from_flat(self.degree, vec, self._count, self._rank)
 
     def class_coordinates(self, c: Cochain) -> tuple[int, ...]:
@@ -506,11 +504,13 @@ def _extract_representatives(
     is skipped when there is no generator.  Mod N the Hermite basis has a
     pivot in every row, so the residues lie in [0, N)."""
     gens = sorted((d == 0, i) for i, d in enumerate(pres.diagonal) if d != 1)
-    vecs = [hermite_reduce(pres.generator_column(i), pres.relation_hnf) for _, i in gens]
+    vecs = [pres.residue(pres.generator_column(i)) for _, i in gens]
     N = M.modulus
     for row in rows if vecs else ():
         for vec in vecs:
-            x = sum(c * vec[k] for k, c in row)
+            x = 0
+            for k, c in row:
+                x += c * vec[k]
             if x % N if N else x:
                 raise VerificationError(
                     f"extracted degree-{degree} representative is not a cocycle"

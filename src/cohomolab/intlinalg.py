@@ -21,8 +21,12 @@ Smith diagonal, the kernel and the saturation, over Z and over Z/N alike,
 share one sparse elimination loop (:func:`_sparse_eliminate`): it clears
 dividing pivots on {column: value} rows, which never grows coefficients,
 and leaves only what has none to the dense elimination behind :func:`snf`.
-The gcd row echelon behind :func:`echelon_rows` and :func:`column_hnf` also
-works on {column: value} rows and densifies its result once.
+The gcd row echelon behind :func:`echelon_rows`, :func:`column_hnf` and the
+quotients also works on {column: value} rows.  A Hermite basis stays in the
+form its accumulator leaves it, (pivot, {row: value}) pairs sorted by pivot:
+the canonical reduction, the coordinates, the generator columns and the
+residues all read pivots off the pairs, and a dense basis is only ever a
+view, densified once.
 
 The elimination kernels accept an optional modulus: when the column span of
 the input is known to contain N*Z^n, every entry may be reduced mod N without
@@ -32,7 +36,8 @@ coefficient pipeline in the engine relies on this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
@@ -270,6 +275,13 @@ def _find_pivot(a: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] |
     return best
 
 
+def _identity(k: int) -> list[list[int]]:
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][i] = 1
+    return rows
+
+
 class _Eliminator:
     """Shared row/column operation bookkeeping for Smith elimination.
 
@@ -284,10 +296,9 @@ class _Eliminator:
             self.a = [[x % mod for x in r] for r in rows]
         else:
             self.a = [list(r) for r in rows]
-        eye = lambda k: [[int(i == j) for j in range(k)] for i in range(k)]
-        self.u = eye(m) if want_u else None
-        self.uinv = eye(m) if want_uinv else None
-        self.v = eye(n) if want_v else None
+        self.u = _identity(m) if want_u else None
+        self.uinv = _identity(m) if want_uinv else None
+        self.v = _identity(n) if want_v else None
 
     def _red_row(self, row):
         if self.mod:
@@ -603,13 +614,6 @@ def _invariant_chain(diag: Iterable[int], N: int = 0) -> list[int]:
 # Integer row echelon / Hermite machinery
 
 
-def _first_nonzero(row: Sequence[int]) -> int | None:
-    for j in range(len(row)):
-        if row[j]:
-            return j
-    return None
-
-
 def _echelon_insert(
     pivots: dict[int, dict[int, int]], row: dict[int, int], mod: int | None = None
 ) -> None:
@@ -652,24 +656,101 @@ def _echelon_insert(
             row = tail
 
 
-def _echelon_vectors(
-    vectors: Iterable[Sequence[int] | dict[int, int]],
-    width: int,
-    mod: int | None,
-    seed_mod: bool = False,
-) -> list[list[int]]:
-    pivots: dict[int, dict[int, int]] = {}
-    if seed_mod:
-        for i in range(width):
-            pivots[i] = {i: mod}  # type: ignore[dict-item]
+# An echelon basis is kept as its accumulator leaves it: (pivot, {index:
+# value}) pairs sorted by pivot, each vector vanishing before its pivot.
+_Pairs = list[tuple[int, dict[int, int]]]
+
+
+def _echelon_pairs(
+    vectors: Iterable[Sequence[int] | dict[int, int]], mod: int | None = None, seed: int = 0
+) -> _Pairs:
+    """A gcd echelon basis of the span of ``vectors``, reduced mod ``mod``;
+    ``seed`` > 0 adds mod*e_i for i < seed to the span first."""
+    pivots = {i: {i: mod} for i in range(seed)} if mod else {}
     for v in vectors:
         _echelon_insert(pivots, _dict_row(v, mod or 0), mod=mod)
+    return sorted(pivots.items())
+
+
+def _hermite_pairs(
+    cols: Iterable[Sequence[int] | dict[int, int]], dim: int, mod: int | None = None
+) -> _Pairs:
+    """The canonical Hermite basis of :func:`column_hnf`, as pairs."""
+    pairs = _echelon_pairs(cols, mod, dim if mod else 0)
+    # canonical reduction, last column first: each column is reduced by
+    # later ones that already are, and a step at pivot p changes it only at
+    # rows >= p, so the entries it leaves in [0, pivot) stay there
+    for k in range(len(pairs) - 2, -1, -1):
+        c = pairs[k][1]
+        for p, b in pairs[k + 1 :]:
+            x = c.get(p)
+            if x:
+                q = x // b[p]
+                if q:
+                    for j, y in b.items():
+                        z = c.get(j, 0) - q * y
+                        if z:
+                            c[j] = z
+                        else:
+                            del c[j]
+    return pairs
+
+
+def _pivot_pairs(cols: Iterable[Sequence[int]]) -> _Pairs:
+    """Dense echelon columns as pairs."""
+    return [(min(c), c) for c in map(_dict_row, cols)]
+
+
+def _densify(pairs: _Pairs, width: int) -> list[list[int]]:
     out = []
-    for j in sorted(pivots):
+    for _, c in pairs:
         row = [0] * width
-        for k, x in pivots[j].items():
+        for k, x in c.items():
             row[k] = x
         out.append(row)
+    return out
+
+
+def _residue(v: list[int], pairs: _Pairs) -> list[int]:
+    """Reduce ``v`` in place by the Hermite basis ``pairs``; returns it."""
+    for p, c in pairs:
+        q = v[p] // c[p]
+        if q:
+            for k, x in c.items():
+                v[k] -= q * x
+    return v
+
+
+def _solve(pairs: _Pairs, v: list[int]) -> list[int] | None:
+    """Coordinates of ``v`` in the echelon basis ``pairs``, or None if it
+    lies outside the lattice; ``v`` is consumed."""
+    coords = []
+    for p, c in pairs:
+        q = 0
+        if v[p]:
+            q, r = divmod(v[p], c[p])
+            if r:
+                return None
+            for k, x in c.items():
+                v[k] -= q * x
+        coords.append(q)
+    return None if any(v) else coords
+
+
+def _coords_in_span(pairs: _Pairs, targets: _Pairs, dim: int) -> list[list[int]]:
+    """:func:`_solve` for many echelon targets; raises if one lies outside.
+    A target vanishes before its pivot, so its coordinates start there."""
+    pivots = [p for p, _ in pairs]
+    out = []
+    for p, t in targets:
+        start = bisect_left(pivots, p)
+        v = [0] * dim
+        for k, x in t.items():
+            v[k] = x
+        y = _solve(pairs[start:], v)
+        if y is None:
+            raise ValueError("relation columns do not lie in the spanned lattice")
+        out.append([0] * start + y)
     return out
 
 
@@ -678,14 +759,15 @@ def echelon_rows(rows: Iterable[Sequence[int]], mod: int | None = None) -> list[
     rlist = [list(r) for r in rows]
     if not rlist:
         return []
-    return _echelon_vectors(rlist, len(rlist[0]), mod)
+    return _densify(_echelon_pairs(rlist, mod), len(rlist[0]))
 
 
 def column_hnf(
     cols: Iterable[Sequence[int] | dict[int, int]], dim: int, mod: int | None = None
 ) -> list[list[int]]:
     """Canonical column Hermite basis of the lattice spanned by ``cols``,
-    each dense or a dict {row: value}; the basis columns are dense.
+    each dense or a dict {row: value}; the basis columns are dense, a view
+    of the sparse basis the presentations keep.
 
     With ``mod`` set the lattice is span(cols) + mod*Z^dim: the modulus
     sublattice is seeded first, so the result always has a pivot in every
@@ -694,61 +776,19 @@ def column_hnf(
     Returned columns are sorted by pivot row; pivots are positive and entries
     of earlier columns at each pivot row are reduced into [0, pivot).
     """
-    ech = _echelon_vectors(cols, dim, mod, seed_mod=bool(mod))
-    # canonical reduction: entries of earlier columns at later pivot rows
-    piv = [(_first_nonzero(c), k) for k, c in enumerate(ech)]
-    for p, k in piv:
-        c = ech[k]
-        for p2, k2 in piv:
-            if p2 > p:
-                q = ech[k2][p2]
-                x = c[p2] // q if q else 0
-                if x:
-                    ech[k] = c = [a - x * b for a, b in zip(c, ech[k2])]
-    return ech
+    return _densify(_hermite_pairs(cols, dim, mod), dim)
 
 
 def hermite_reduce(vec: Sequence[int], hnf_cols: Sequence[Sequence[int]]) -> list[int]:
-    """Canonical residue of ``vec`` modulo the lattice with Hermite basis ``hnf_cols``."""
-    v = list(vec)
-    for c in hnf_cols:
-        p = _first_nonzero(c)
-        q = v[p] // c[p]
-        if q:
-            v = [a - q * b for a, b in zip(v, c)]
-    return v
+    """Canonical residue of ``vec`` modulo the lattice with Hermite basis
+    ``hnf_cols`` (dense; :meth:`QuotientPresentation.residue` reduces by
+    the basis it keeps)."""
+    return _residue(list(vec), _pivot_pairs(hnf_cols))
 
 
 def solve_in_span(hnf_cols: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int] | None:
     """Integer coordinates of ``vec`` in the Hermite basis, or None if outside."""
-    return _solve(_pivot_tails(hnf_cols), vec)
-
-
-def _pivot_tails(hnf_cols: Sequence[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
-    # an echelon column vanishes above its pivot p, so only c[p:] acts
-    return [(p, c[p:]) for c, p in zip(hnf_cols, map(_first_nonzero, hnf_cols))]
-
-
-def _solve(tails: list[tuple[int, Sequence[int]]], vec: Sequence[int]) -> list[int] | None:
-    v = list(vec)
-    coords = []
-    for p, tail in tails:
-        q, r = divmod(v[p], tail[0])
-        if r:
-            return None
-        if q:
-            v[p:] = [a - q * b for a, b in zip(v[p:], tail)]
-        coords.append(q)
-    return None if any(v) else coords
-
-
-def _coords_in_span(hnf_cols, targets) -> list[list[int]]:
-    """:func:`solve_in_span` for many targets; raises if one lies outside."""
-    tails = _pivot_tails(hnf_cols)
-    out = [_solve(tails, t) for t in targets]
-    if None in out:
-        raise ValueError("relation columns do not lie in the spanned lattice")
-    return out
+    return _solve(_pivot_pairs(hnf_cols), list(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -870,9 +910,10 @@ def quotient_invariants(
     >>> quotient_invariants([[1, 0], [0, 1]], [{0: 2}], 2, mod=4)
     AbelianInvariants(free_rank=0, torsion=(2, 4))
     """
-    hk = _echelon_vectors(basis_cols, dim, mod, seed_mod=bool(mod))
+    seed = dim if mod else 0
+    hk = _echelon_pairs(basis_cols, mod, seed)
     r = len(hk)
-    rel = _coords_in_span(hk, _echelon_vectors(relation_cols, dim, mod, seed_mod=bool(mod)))
+    rel = _coords_in_span(hk, _echelon_pairs(relation_cols, mod, seed), dim)
     diag = smith_diagonal(rel, len(rel), r, mod=mod)
     return AbelianInvariants.from_diagonal(diag + [mod or 0] * (r - len(diag)))
 
@@ -882,12 +923,16 @@ class QuotientPresentation:
     """Quotient of a lattice by a sublattice, with coordinate transforms.
 
     The quotient is span(basis)/span(relations), whose Hermite bases are
-    ``hnf_basis`` and ``relation_hnf``; :func:`hermite_reduce` by the latter
-    gives canonical residues.  ``diagonal`` has one entry per basis
+    ``hnf_basis`` and ``relation_hnf``; :meth:`residue` reduces by the
+    latter to canonical residues.  ``diagonal`` has one entry per basis
     position: d_i > 0 means a Z/d_i summand (1 = trivial), 0 means a free Z
     summand.  ``generator_column(i)`` lifts quotient generator i to ambient
     coordinates; ``coordinates`` is the inverse direction, mapping a lattice
     vector to its coordinate tuple in prod_i Z/d_i.
+
+    The two dense bases are views, densified once, of the sparse (pivot,
+    {row: value}) pairs ``_basis`` and ``_relations`` that every method
+    reads.
     """
 
     dim: int
@@ -896,6 +941,8 @@ class QuotientPresentation:
     u: list[list[int]]
     uinv: list[list[int]]
     diagonal: list[int]
+    _basis: _Pairs = field(repr=False, compare=False)
+    _relations: _Pairs = field(repr=False, compare=False)
     mod: int | None = None
 
     @property
@@ -903,7 +950,7 @@ class QuotientPresentation:
         return len(self.hnf_basis)
 
     def coordinates(self, vec: Sequence[int]) -> list[int]:
-        y = solve_in_span(self.hnf_basis, vec)
+        y = _solve(self._basis, list(vec))
         if y is None:
             raise ValueError("vector is not in the lattice")
         out = []
@@ -914,14 +961,19 @@ class QuotientPresentation:
 
     def generator_column(self, i: int) -> list[int]:
         col = [0] * self.dim
-        for k, hcol in enumerate(self.hnf_basis):
-            c = self.uinv[k][i]
+        for (_, hcol), row in zip(self._basis, self.uinv):
+            c = row[i]
             if c:
-                for p in range(self.dim):
-                    col[p] += c * hcol[p]
+                for p, x in hcol.items():
+                    col[p] += c * x
         if self.mod:
             col = [x % self.mod for x in col]
         return col
+
+    def residue(self, vec: Sequence[int]) -> list[int]:
+        """Canonical residue of ``vec`` modulo the relations: equal classes
+        give equal residues."""
+        return _residue(list(vec), self._relations)
 
     def invariants(self) -> AbelianInvariants:
         return AbelianInvariants.from_diagonal(self.diagonal)
@@ -943,7 +995,8 @@ def quotient_presentation(
     The relations enter as their Hermite basis ``relation_hnf``, whose
     coordinates in ``hnf_basis`` are echelon already and are the Smith input;
     so the presentation depends on the two lattices alone, not on the order
-    or redundancy of either column list.
+    or redundancy of either column list.  Both bases stay sparse through
+    the coordinates, the generator columns and the residues.
 
     >>> p = quotient_presentation([[1, 0], [0, 1]], [[0, 6], [2, 10]], 2)
     >>> p.relation_hnf, p.diagonal
@@ -951,10 +1004,10 @@ def quotient_presentation(
     >>> quotient_presentation([[1, 0], [0, 1]], [{0: 2}], 2, mod=4).relation_hnf
     [[2, 0], [0, 4]]
     """
-    hk = column_hnf(basis_cols, dim, mod=mod)
-    rel = column_hnf(relation_cols, dim, mod=mod)
+    hk = _hermite_pairs(basis_cols, dim, mod)
+    rel = _hermite_pairs(relation_cols, dim, mod)
     r = len(hk)
-    coords = _coords_in_span(hk, rel)
+    coords = _coords_in_span(hk, rel, dim)
     # r rows (coordinate space), one column per relation
     x_rows = [[c[i] for c in coords] for i in range(r)]
     el = _Eliminator(x_rows, r, len(rel), mod=mod, want_u=True, want_uinv=True)
@@ -962,4 +1015,6 @@ def quotient_presentation(
     full = diag + [0] * (r - len(diag))
     if mod:
         full = [gcd(d, mod) if d else mod for d in full]
-    return QuotientPresentation(dim, hk, rel, el.u, el.uinv, full, mod)
+    return QuotientPresentation(
+        dim, _densify(hk, dim), _densify(rel, dim), el.u, el.uinv, full, hk, rel, mod
+    )

@@ -88,9 +88,6 @@ class GModule:
     def is_lattice(self) -> bool:
         return self.modulus == 0
 
-    def action_power(self, i: int, k: int) -> IntMatrix:
-        return _dense(self.element_rows(self.spec.generator(i, k)))
-
     def element_rows(self, g: tuple[int, ...]) -> list[list[tuple[int, int]]]:
         """Nonzero entries, row by row, of the matrix of the group element g,
         reduced mod N, from the module's element table."""

@@ -1,20 +1,31 @@
-"""Reference implementations the library's row sources are tested against.
+"""Reference implementations the library is tested against.
 
-They work on group-ring matrices (:class:`~cohomolab.group_ring.RingMatrix`)
-entry by entry: a ring element acts on a module as the sum of its element
-matrices, a Hom leg is read off the entries of a differential, and the
-comparison map sigma is built as a ring matrix.  The library itself never
-builds any of these; its faces functions list the same blocks directly.
+The row references work on group-ring matrices
+(:class:`~cohomolab.group_ring.RingMatrix`) entry by entry: a ring element
+acts on a module as the sum of its element matrices, a Hom leg is read off
+the entries of a differential, and the comparison map sigma is built as a
+ring matrix.  The library itself never builds any of these; its faces
+functions list the same blocks directly.
+
+The Hermite references keep every basis dense and find each pivot by
+scanning, where the library keeps (pivot, {row: value}) pairs.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from math import gcd
+from typing import Iterator, Sequence
 
 from cohomolab.engine import _Block, _hom_rows, _Source
 from cohomolab.group_ring import GroupSpec, RingElement, RingMatrix, partial_norm
-from cohomolab.intlinalg import IntMatrix
-from cohomolab.modules import GModule, _combine
+from cohomolab.intlinalg import (
+    IntMatrix,
+    _dict_row,
+    _echelon_insert,
+    _Eliminator,
+    _smith_eliminate,
+)
+from cohomolab.modules import GModule, _combine, _dense
 from cohomolab.resolutions import bar_basis, monomial_basis
 
 
@@ -28,6 +39,12 @@ def act(M: GModule, x: RingElement) -> IntMatrix:
     out = _combine([(c, M.element_rows(g)) for g, c in x.items()], d)
     A = IntMatrix(d, d, tuple(map(tuple, out)))
     return A.mod(M.modulus) if M.modulus else A
+
+
+def action_power(M: GModule, i: int, k: int) -> IntMatrix:
+    """The matrix of the k-th power of generator i, a dense view of the
+    module's element table."""
+    return _dense(M.element_rows(M.spec.generator(i, k)))
 
 
 def hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, int]]]:
@@ -126,3 +143,99 @@ def _sigma2(spec: GroupSpec) -> RingMatrix:
                     mono = tuple(1 if t in (i, j) else 0 for t in range(s))
                     add(dst_index[mono], col, -coeff)
     return RingMatrix(spec, len(dst), len(src), entries)
+
+
+# ---------------------------------------------------------------------------
+# dense Hermite bases and quotient presentations
+
+
+def _first_nonzero(row: Sequence[int]) -> int | None:
+    for j in range(len(row)):
+        if row[j]:
+            return j
+    return None
+
+
+def column_hnf(cols, dim: int, mod: int | None = None) -> list[list[int]]:
+    """The canonical column Hermite basis, dense: the library's echelon
+    accumulator, densified, then reduced column by column, first pivot
+    first, by the columns after it as they stand."""
+    pivots: dict[int, dict[int, int]] = {i: {i: mod} for i in range(dim)} if mod else {}
+    for v in cols:
+        _echelon_insert(pivots, _dict_row(v, mod or 0), mod=mod)
+    ech = [[c.get(k, 0) for k in range(dim)] for _, c in sorted(pivots.items())]
+    piv = [(_first_nonzero(c), k) for k, c in enumerate(ech)]
+    for p, k in piv:
+        c = ech[k]
+        for p2, k2 in piv:
+            if p2 > p:
+                q = ech[k2][p2]
+                x = c[p2] // q if q else 0
+                if x:
+                    ech[k] = c = [a - x * b for a, b in zip(c, ech[k2])]
+    return ech
+
+
+def hermite_reduce(vec: Sequence[int], hnf_cols: Sequence[Sequence[int]]) -> list[int]:
+    """Canonical residue of ``vec`` modulo the lattice with Hermite basis ``hnf_cols``."""
+    v = list(vec)
+    for c in hnf_cols:
+        p = _first_nonzero(c)
+        q = v[p] // c[p]
+        if q:
+            v = [a - q * b for a, b in zip(v, c)]
+    return v
+
+
+def _pivot_tails(hnf_cols):
+    # an echelon column vanishes above its pivot p, so only c[p:] acts
+    return [(p, c[p:]) for c, p in zip(hnf_cols, map(_first_nonzero, hnf_cols))]
+
+
+def _solve(tails, vec) -> list[int] | None:
+    v = list(vec)
+    coords = []
+    for p, tail in tails:
+        q, r = divmod(v[p], tail[0])
+        if r:
+            return None
+        if q:
+            v[p:] = [a - q * b for a, b in zip(v[p:], tail)]
+        coords.append(q)
+    return None if any(v) else coords
+
+
+def quotient_presentation(basis_cols, relation_cols, dim: int, mod: int | None = None) -> dict:
+    """The fields of the library's presentation of span(basis) /
+    span(relations), dense, with every generator column and its residue."""
+    hk = column_hnf(basis_cols, dim, mod)
+    rel = column_hnf(relation_cols, dim, mod)
+    r = len(hk)
+    tails = _pivot_tails(hk)
+    coords = [_solve(tails, t) for t in rel]
+    if None in coords:
+        raise ValueError("relation columns do not lie in the spanned lattice")
+    x_rows = [[c[i] for c in coords] for i in range(r)]
+    el = _Eliminator(x_rows, r, len(rel), mod=mod, want_u=True, want_uinv=True)
+    diag = _smith_eliminate(el)
+    full = diag + [0] * (r - len(diag))
+    if mod:
+        full = [gcd(d, mod) if d else mod for d in full]
+    gens = []
+    for i in range(r):
+        col = [0] * dim
+        for k, hcol in enumerate(hk):
+            c = el.uinv[k][i]
+            if c:
+                for p in range(dim):
+                    col[p] += c * hcol[p]
+        gens.append([x % mod for x in col] if mod else col)
+    return {
+        "hnf_basis": hk,
+        "relation_hnf": rel,
+        "u": el.u,
+        "uinv": el.uinv,
+        "diagonal": full,
+        "generators": gens,
+        "residues": [hermite_reduce(g, rel) for g in gens],
+    }

@@ -7,6 +7,7 @@ cross-resolution oracle (the standard resolution knows nothing about the
 monomial one, so agreement pins both).
 """
 
+import hashlib
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import hom_constraint_rows, sigma
-from cohomolab import engine, group_ring, resolutions
+from cohomolab import engine, group_ring, resolutions, verify
 from cohomolab.engine import (
     Cochain,
     VerificationError,
@@ -885,10 +886,10 @@ def test_representative_verification_cannot_be_disabled_silently():
 @pytest.mark.parametrize("text", ["trivial", "reduce:4(trivial)"])
 def test_representative_checker_rejects_a_non_cocycle(monkeypatch, text):
     # kernel and congruence routes: a residue moved off the cocycles raises
-    import cohomolab.engine as engine
-
-    real = engine.hermite_reduce
-    monkeypatch.setattr(engine, "hermite_reduce", lambda v, h: [x + 1 for x in real(v, h)])
+    real = engine.QuotientPresentation.residue
+    monkeypatch.setattr(
+        engine.QuotientPresentation, "residue", lambda self, v: [x + 1 for x in real(self, v)]
+    )
     with pytest.raises(VerificationError):
         ordinary_cohomology(parse_module(text, G22), 2, want_representatives=True)
 
@@ -989,6 +990,57 @@ def test_saturation_and_kernel_give_the_same_presentation(monkeypatch, orders):
             assert a.representatives == b.representatives
     # every call took the saturation, or the comparison is empty
     assert found and None not in found
+
+
+def _bits(rows) -> int:
+    return max((abs(x).bit_length() for row in rows for x in row), default=0)
+
+
+def test_presentation_entries_stay_small_on_the_oracle_lattices():
+    # the Hermite bases, the transforms and the representatives of every
+    # oracle group (orders <= 16) in degrees 1..3 on both resolutions; the
+    # bar cells over the cell cap are skipped
+    capped = []
+    for orders in verify._GROUPS:
+        G = GroupSpec.of(*orders)
+        for text in _lattice_texts(orders):
+            M = parse_module(text, G)
+            for resolution in ("minimal", "bar"):
+                for n in (1, 2, 3):
+                    try:
+                        r = ordinary_cohomology(
+                            M, n, resolution=resolution, want_representatives=True
+                        )
+                    except ResourceCapExceeded:
+                        capped.append((resolution, n))
+                        continue
+                    p = r._presentation
+                    reps = [v for c in r.representatives for v in c.values]
+                    for rows in (p.hnf_basis, p.relation_hnf, p.u, p.uinv, reps):
+                        assert _bits(rows) <= 8, (orders, text, resolution, n)
+    assert set(capped) == {("bar", 3)}
+
+
+# sha256 over (group, module, degree, route, invariants, representatives) of
+# every cell of test_representatives_are_pinned, in order
+_PINNED_REPRESENTATIVES = "a7ba79d47946388d6ba89b1e233e1c6e9ffe1f601ad00fbe8af42cfe85569b03"
+
+
+def test_representatives_are_pinned():
+    # Tate degrees -6..6 on every oracle lattice of (2,4) and (3,3), 0..6 on
+    # reduce:4(trivial): a change to any representative changes the digest
+    digest = hashlib.sha256()
+    for orders in [(2, 4), (3, 3)]:
+        G = GroupSpec.of(*orders)
+        for text in _oracle_modules(orders):
+            M = parse_module(text, G)
+            for n in range(-6 if M.is_lattice else 0, 7):
+                r = tate_cohomology(M, n, want_representatives=True)
+                reps = tuple(c.values for c in r.representatives)
+                inv = r.invariants
+                cell = (orders, text, n, r.route, inv.free_rank, inv.torsion, reps)
+                digest.update(repr(cell).encode())
+    assert digest.hexdigest() == _PINNED_REPRESENTATIVES
 
 
 def test_bar_representatives_without_coefficient_blowup():

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference
 import cohomolab.intlinalg as il
 from cohomolab.engine import _image_columns
 from cohomolab.intlinalg import (
@@ -288,8 +289,8 @@ def test_echelon_pinned():
     ]
     # seed_mod: the modulus sublattice is seeded before the columns go in
     assert column_hnf([[2, 3, 0], [4, 1, 6]], 3, mod=6) == [[2, 0, 0], [0, 1, 0], [0, 0, 6]]
-    assert il._echelon_vectors([[0, 3, 1]], 3, 9, seed_mod=True) == [
-        [9, 0, 0], [0, 3, 1], [0, 0, 3],
+    assert il._echelon_pairs([[0, 3, 1]], 9, seed=3) == [
+        (0, {0: 9}), (1, {1: 3, 2: 1}), (2, {2: 3}),
     ]
     assert column_hnf([[0, 2, -4, 1], [0, -3, 1, 0], [0, 0, 5, 5]], 4) == [
         [0, 1, 3, 12], [0, 0, 5, 5], [0, 0, 0, 13],
@@ -467,6 +468,52 @@ def test_quotient_representatives_depend_only_on_the_lattices(case):
     for other_basis, other_relations in cases:
         got = _representatives(other_basis, other_relations, dim, N)
         assert got == want, (other_basis, other_relations)
+
+
+@st.composite
+def _column_sets(draw):
+    """A basis column set, relations in its span, some vectors to reduce,
+    each column dense or a {row: value} dict, over Z or mod N; entries
+    come from a drawn generator, so they are not shrunk towards zero."""
+    N = draw(st.sampled_from([0, 4, 6, 8, 9]))
+    dim = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entries(k, bound):
+        return [rng.randint(-bound, bound) for _ in range(k)]
+
+    basis = [entries(dim, 9) for _ in range(rng.randint(0, 6))]
+    mults = [entries(len(basis), 3) for _ in range(rng.randint(0, 6))]
+    relations = [[sum(q * b[i] for q, b in zip(mu, basis)) for i in range(dim)] for mu in mults]
+
+    def mixed(cols):
+        return [{i: x for i, x in enumerate(c) if x} if rng.random() < 0.5 else c for c in cols]
+
+    return N, dim, mixed(basis), mixed(relations), [entries(dim, 9) for _ in range(3)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_column_sets())
+def test_sparse_presentation_matches_the_dense_reference(case):
+    N, dim, basis, relations, probes = case
+    pres = quotient_presentation(basis, relations, dim, mod=N or None)
+    want = _reference.quotient_presentation(basis, relations, dim, mod=N or None)
+    got = {
+        "hnf_basis": pres.hnf_basis,
+        "relation_hnf": pres.relation_hnf,
+        "u": pres.u,
+        "uinv": pres.uinv,
+        "diagonal": pres.diagonal,
+        "generators": [pres.generator_column(i) for i in range(pres.rank)],
+        "residues": [pres.residue(pres.generator_column(i)) for i in range(pres.rank)],
+    }
+    assert got == want
+    assert column_hnf(basis, dim, mod=N or None) == want["hnf_basis"]
+    for v in probes:
+        residue = _reference.hermite_reduce(v, want["relation_hnf"])
+        assert pres.residue(v) == hermite_reduce(v, pres.relation_hnf) == residue
+        solved = _reference._solve(_reference._pivot_tails(want["hnf_basis"]), v)
+        assert solve_in_span(pres.hnf_basis, v) == solved
 
 
 # ---------------------------------------------------------------------------

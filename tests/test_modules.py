@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import act
+from _reference import act, action_power
 from cohomolab.group_ring import GroupSpec, RingElement, full_norm, partial_norm
 from cohomolab.intlinalg import AbelianInvariants, IntMatrix
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
@@ -150,12 +150,12 @@ def test_power_table_belongs_to_the_module():
     G = GroupSpec.of(2, 4)
     M = parse_module("cyclo:2:2:0,1", G)
     twin = parse_module("cyclo:2:2:0,1", G)
-    M.action_power(1, 3)
+    action_power(M, 1, 3)
     # the element table is filled per instance, only as far as it is used,
     # and takes no part in equality
     assert M == twin and hash(M) == hash(twin)
     assert sorted(M._elements) == [(0, k) for k in range(4)] and not twin._elements
-    assert twin.action_power(1, 3) == M.action_power(1, 3)
+    assert action_power(twin, 1, 3) == action_power(M, 1, 3)
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +190,7 @@ def test_action_power_table_any_call_order(module):
     for k, g in calls:
         if g is None:
             for i, o in enumerate(G.orders):
-                assert M.action_power(i, k) == _dense_power(M, i, k % o)
+                assert action_power(M, i, k) == _dense_power(M, i, k % o)
         else:
             # the stored rows are the reference's nonzero entries, in order
             ref = _act_reference(M, RingElement.of_element(G, g))

@@ -43,21 +43,25 @@ def _triples(results):
     return [(r.name, r.status, r.detail) for r in results]
 
 
-def test_resolution_suite_green():
-    results = resolution_suite()
-    assert results and all(r.status == PASS for r in results)
-    names = {r.name for r in results}
-    assert "resolution/regular-exactness/2,2,4" in names
-    # the full output, check by check; the bar squares stop at order 9
+def _suite_green():
+    """The full all-PASS output of the resolution suite, check by check; the
+    bar squares stop at order 9."""
     want = []
     for g in _GROUP_NAMES:
         want.append((f"resolution/minimal-squares/{g}", PASS, "d.d = 0 for n <= 5"))
         if g != "2,2,4":
             want.append((f"resolution/bar-squares/{g}", PASS, "d.d = 0 for n <= 2"))
-    want += [
+    return want + [
         (f"resolution/regular-exactness/{g}", PASS, "H_0 = Z, H_1..H_4 = 0") for g in _GROUP_NAMES
     ]
-    assert _triples(results) == want
+
+
+def test_resolution_suite_green():
+    results = resolution_suite()
+    assert results and all(r.status == PASS for r in results)
+    names = {r.name for r in results}
+    assert "resolution/regular-exactness/2,2,4" in names
+    assert _triples(results) == _suite_green()
 
 
 _SIGMA_NAMES = ["2,2", "2,4", "3,3", "2,2,2", "2,2,4", "2,2,2,2"]
@@ -96,6 +100,28 @@ def test_resolution_suite_fails_on_a_flipped_minimal_block(monkeypatch):
         want = (FAIL, "nonzero d.d at degrees [1, 2]")
         assert squares[f"resolution/minimal-squares/{g}"] == want, g
     assert all(squares[f"resolution/bar-squares/{g}"][0] == PASS for g in ["2", "2,2", "3,3"])
+
+
+def test_regular_exactness_reports_a_broken_dual_leg_as_fail(monkeypatch):
+    # the first block of the first two-face source of the dual degree-2 leg
+    # over (2,2,2), negated: the homology of the regular module then fails
+    # the engine's own cocycle check, which the suite reports instead of
+    # stopping
+    real = engine._minimal_faces
+
+    def flipped(M, m, dual):
+        sources, targets = real(M, m, dual)
+        if m == 2 and dual and M.spec.orders == (2, 2, 2):
+            j = next(j for j, pairs in enumerate(sources) if len(pairs) == 2)
+            (k, blk), *rest = sources[j]
+            sources = sources[:j] + [[(k, _negated(blk))] + rest] + sources[j + 1 :]
+        return sources, targets
+
+    monkeypatch.setattr(engine, "_minimal_faces", flipped)
+    name = "resolution/regular-exactness/2,2,2"
+    detail = "H_1: extracted degree-1 representative is not a cocycle"
+    want = [(n, FAIL, detail) if n == name else (n, s, d) for n, s, d in _suite_green()]
+    assert _triples(resolution_suite()) == want
 
 
 def test_sigma_suite_fails_on_a_flipped_mixed_block(monkeypatch):
