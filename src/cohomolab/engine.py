@@ -94,6 +94,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import prod
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from cohomolab.intlinalg import (
@@ -142,8 +144,7 @@ class Cochain:
     values: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        widths = {len(v) for v in self.values}
-        if len(widths) > 1:
+        if len(set(map(len, self.values))) > 1:
             raise ValueError("all value vectors must have the same width")
 
     def flat(self) -> list[int]:
@@ -154,7 +155,10 @@ class Cochain:
         data = tuple(flat)
         if len(data) != count * rank:
             raise ValueError("flat vector has the wrong length")
-        return Cochain(degree, tuple(data[i * rank : (i + 1) * rank] for i in range(count)))
+        if not rank:
+            return Cochain(degree, ((),) * count)
+        # one iterator read rank times per vector: the values, grouped in order
+        return Cochain(degree, tuple(zip(*[iter(data)] * rank)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +272,25 @@ def _bar_faces(
     return sources(), power[m - 1]
 
 
+def _product_table(orders: Sequence[int]) -> list[list[int]]:
+    """mul[a][b], the index of the product of the a-th and b-th elements of
+    the group with cyclic factors ``orders``, in element order.
+
+    >>> _product_table((2,))
+    [[0, 1], [1, 0]]
+    """
+    # built from the last factor out: (x, r) has index x * R + r
+    mul = [[0]]
+    for o in reversed(orders):
+        R = len(mul)
+        mul = [
+            [(x + y) % o * R + mr[r2] for y in range(o) for r2 in range(R)]
+            for x in range(o)
+            for mr in mul
+        ]
+    return mul
+
+
 def _sigma_faces(M: GModule, m: int) -> list[_Source]:
     """The pairs each source of the standard resolution meets under the
     comparison map sigma_m into the monomial resolution, m = 1 or 2, in bar
@@ -280,45 +303,59 @@ def _sigma_faces(M: GModule, m: int) -> list[_Source]:
     floor((k + l) / o_i) g_<i h_<i when j = i (no pair when that is 0), and
     x_j x_i through -g_<i h_<j N_j(l) N_i(k) when j < i: the sign makes up
     for the one d gives the mixed monomial.  Each block is a sum of the
-    module's element matrices, reduced mod N.
+    module's element matrices, reduced mod N, and is built once per call.
     """
     G = M.spec
     s = G.ngens
+    elements = G.elements()
+    # g_<i has the index of g rounded down to a multiple of o_i ... o_s
+    tails = [prod(G.orders[i:]) for i in range(s + 1)]
     index = {mono: k for k, mono in enumerate(monomial_basis(s, m))}
+    # target[i][j]: the index of the monomial x_i x_j (of x_i when m = 1)
+    target = [
+        [index[tuple((t == i) + (t == j) for t in range(s))] for j in range(s)]
+        if m == 2
+        else [index[tuple(int(t == i) for t in range(s))]]
+        for i in range(s)
+    ]
+    blocks: dict[tuple, _Block] = {}
 
-    def target(*gens: int) -> int:
-        # the index of the monomial x_i x_j ... for the i, j, ... of ``gens``
-        return index[tuple(gens.count(t) for t in range(s))]
-
-    def prefix(g: tuple[int, ...], i: int) -> tuple[int, ...]:
-        return g[:i] + (0,) * (s - i)
-
-    def block(c: int, g: tuple[int, ...], runs: list[tuple[int, int]]) -> _Block:
+    def block(c: int, outer: int, runs: tuple[tuple[int, int], ...]) -> _Block:
         # c g N_i(k) ... over the (i, k) of ``runs``, as a sum of elements
-        elems = [g]
-        for i, k in runs:
-            elems = [e[:i] + (e[i] + b,) + e[i + 1 :] for e in elems for b in range(k)]
-        return _sparse_rows(_combine([(c, M.element_rows(e)) for e in elems], M.rank), M.modulus)
+        key = (c, outer, runs)
+        blk = blocks.get(key)
+        if blk is None:
+            elems = [elements[outer]]
+            for i, k in runs:
+                elems = [e[:i] + (e[i] + b,) + e[i + 1 :] for e in elems for b in range(k)]
+            terms = [(c, M.element_rows(e)) for e in elems]
+            blk = blocks[key] = _sparse_rows(_combine(terms, M.rank), M.modulus)
+        return blk
 
     if m == 1:
         return [
-            [(target(i), block(1, prefix(g, i), [(i, k)])) for i, k in enumerate(g) if k]
-            for g in G.nonidentity_elements()
+            [(target[i][0], block(1, a // tails[i] * tails[i], ((i, k),)))
+             for i, k in enumerate(g) if k]
+            for a, g in enumerate(elements)
+            if a
         ]
+    mul = _product_table(G.orders)
     sources = []
-    for g, h in bar_basis(G, 2):
+    for a, b in itertools.product(range(1, len(elements)), repeat=2):
+        g, h = elements[a], elements[b]
         pairs = []
         for i, k in enumerate(g):
             if not k:
                 continue
+            head = a // tails[i] * tails[i]
             for j, l in enumerate(h[: i + 1]):
                 if not l:
                     continue
-                outer = G.mul(prefix(g, i), prefix(h, j))
+                outer = mul[head][b // tails[j] * tails[j]]
                 if j < i:
-                    pairs.append((target(i, j), block(-1, outer, [(j, l), (i, k)])))
+                    pairs.append((target[i][j], block(-1, outer, ((j, l), (i, k)))))
                 elif q := (k + l) // G.orders[i]:
-                    pairs.append((target(i, i), block(q, outer, [])))
+                    pairs.append((target[i][i], block(q, outer, ())))
         sources.append(pairs)
     return sources
 
@@ -821,38 +858,59 @@ def coboundary_1(M: GModule, xi: Cochain) -> Cochain:
 class FactorSet:
     """A normalized group-pair table equivalent to a degree-2 class.
 
-    ``table[(g, h)]`` is the module-element vector f(g, h); rows and columns
-    over identity entries vanish by normalization.
+    ``table[(g, h)]`` is the module-element vector f(g, h), a tuple of
+    ``module.rank`` ints for every pair of elements of the group and for no
+    other key; rows and columns over identity entries vanish by
+    normalization.
     """
 
     module: GModule
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
 
+    def __post_init__(self) -> None:
+        d, table = self.module.rank, self.table
+        pairs = list(itertools.product(self.module.spec.elements(), repeat=2))
+        for pair in pairs:
+            if pair not in table:
+                raise ValueError(f"factor set has no entry for the pair {pair}")
+            v = table[pair]
+            if type(v) is not tuple or len(v) != d or not all(type(x) is int for x in v):
+                raise ValueError(f"factor set entry {pair} is not a tuple of {d} ints: {v!r}")
+        if len(table) != len(pairs):
+            extra = next(iter(set(table).difference(pairs)))
+            raise ValueError(f"factor set has an entry for {extra!r}, not a pair of elements")
+
     def __call__(self, g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
         return self.table[(g, h)]
 
     def cocycle_identity_holds(self) -> bool:
-        """Full enumeration of g f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0."""
-        spec = self.module.spec
-        N = self.module.modulus
-        elements = spec.elements()
-        index = {g: a for a, g in enumerate(elements)}
-        # f and the products over element indices, each looked up once
-        f = [[self.table[(g, h)] for h in elements] for g in elements]
-        mul = [[index[spec.mul(g, h)] for h in elements] for g in elements]
+        """Full enumeration of g f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0,
+        reduced mod N: per pair (g, h) and module coordinate t, one vector
+        over all k."""
+        M = self.module
+        N = M.modulus
+        elements = M.spec.elements()
+        n = len(elements)
+        mul = _product_table(M.spec.orders)
+        # over_h[b](v): the vector k -> v[index of hk], for h the b-th element
+        over_h = [itemgetter(*row) for row in mul]
+        # F[a][t][k]: coordinate t of f(g, k), for g the a-th element
+        F = [list(zip(*(self.table[(g, h)] for h in elements))) for g in elements]
         for a, g in enumerate(elements):
-            act_g = self.module.element_rows(g)
-            for b, fgh in enumerate(f[a]):
-                f_gh = f[mul[a][b]]
-                for c, fhk in enumerate(f[b]):
-                    f_ghk, f_g_hk = f_gh[c], f[a][mul[b][c]]
-                    total = [
-                        sum(x * fhk[u] for u, x in grow) - f_ghk[t] + f_g_hk[t] - fgh[t]
-                        for t, grow in enumerate(act_g)
-                    ]
-                    if N:
-                        total = [x % N for x in total]
-                    if any(total):
+            act_g, f_g = M.element_rows(g), F[a]
+            for b in range(n):
+                f_h, f_gh, hk = F[b], F[mul[a][b]], over_h[b]
+                for t, grow in enumerate(act_g):
+                    # coordinate t of g f(h, .), over the rows of g's matrix
+                    if len(grow) == 1 and grow[0][1] == 1:
+                        gf = f_h[grow[0][0]]
+                    else:
+                        gf = [0] * n
+                        for u, x in grow:
+                            gf = [y + x * z for y, z in zip(gf, f_h[u])]
+                    c = f_g[t][b]
+                    total = [y - z + w - c for y, z, w in zip(gf, f_gh[t], hk(f_g[t]))]
+                    if any([x % N for x in total] if N else total):
                         return False
         return True
 

@@ -9,6 +9,10 @@ functions list the same blocks directly.
 
 The Hermite references keep every basis dense and find each pivot by
 scanning, where the library keeps (pivot, {row: value}) pairs.
+
+The pair-table identity of a factor set is checked triple by triple, one
+module vector at a time, where the library reads one vector over the third
+element per pair and module coordinate.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterator, Sequence
 
-from cohomolab.engine import _Block, _hom_rows, _Source
+from cohomolab.engine import FactorSet, _Block, _hom_rows, _Source
 from cohomolab.group_ring import GroupSpec, RingElement, RingMatrix, partial_norm
 from cohomolab.intlinalg import (
     IntMatrix,
@@ -143,6 +147,36 @@ def _sigma2(spec: GroupSpec) -> RingMatrix:
                     mono = tuple(1 if t in (i, j) else 0 for t in range(s))
                     add(dst_index[mono], col, -coeff)
     return RingMatrix(spec, len(dst), len(src), entries)
+
+
+# ---------------------------------------------------------------------------
+# the pair-table identity of a factor set
+
+
+def cocycle_identity_holds(fs: FactorSet) -> bool:
+    """g f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0 for every triple (g, h, k),
+    reduced mod N, evaluated triple by triple."""
+    spec = fs.module.spec
+    N = fs.module.modulus
+    elements = spec.elements()
+    index = {g: a for a, g in enumerate(elements)}
+    f = [[fs.table[(g, h)] for h in elements] for g in elements]
+    mul = [[index[spec.mul(g, h)] for h in elements] for g in elements]
+    for a, g in enumerate(elements):
+        act_g = fs.module.element_rows(g)
+        for b, fgh in enumerate(f[a]):
+            f_gh = f[mul[a][b]]
+            for c, fhk in enumerate(f[b]):
+                f_ghk, f_g_hk = f_gh[c], f[a][mul[b][c]]
+                total = [
+                    sum(x * fhk[u] for u, x in grow) - f_ghk[t] + f_g_hk[t] - fgh[t]
+                    for t, grow in enumerate(act_g)
+                ]
+                if N:
+                    total = [x % N for x in total]
+                if any(total):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import cocycle_identity_holds as reference_identity_holds
 from _reference import hom_constraint_rows, sigma
 from cohomolab import engine, group_ring, resolutions, verify
+from cohomolab.closed_forms import generator_family
 from cohomolab.engine import (
     Cochain,
     VerificationError,
@@ -1188,3 +1190,95 @@ def test_factor_set_identity_fails_on_a_raised_entry(text, step, holds):
     table = dict(f.table)
     table[(a, b)] = (table[(a, b)][0] + step,)
     assert engine.FactorSet(M, table).cocycle_identity_holds() is holds
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda t, p: t.update({p: t[p] + (0,)}), "is not a tuple of 1 ints"),
+        (lambda t, p: t.update({k: () for k in t}), "is not a tuple of 1 ints"),
+        (lambda t, p: t.update({p: [1]}), "is not a tuple of 1 ints"),
+        (lambda t, p: t.update({p: (1.0,)}), "is not a tuple of 1 ints"),
+        (lambda t, p: t.pop(p), r"no entry for the pair \(\(1, 0\), \(0, 1\)\)"),
+        (lambda t, p: t.update({((2, 0), (0, 1)): (0,)}), "not a pair of elements"),
+    ],
+    ids=["too-wide", "empty", "list", "float", "missing", "extra"],
+)
+def test_factor_set_rejects_a_malformed_table(change, message):
+    # every pair of G, each with a tuple of rank ints: a wider vector would
+    # pass the identity unread, a missing or empty one fail on lookup
+    M = trivial_module(G22)
+    table = dict(to_factor_set(M, Cochain(2, ((1,), (0,), (0,)))).table)
+    change(table, ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match=message):
+        engine.FactorSet(M, table)
+
+
+_IDENTITY_MODULES = {
+    (2,): ["trivial", "reduce:4(trivial)", "cyclo:2:1:1"],
+    (4,): ["trivial", "reduce:4(trivial)", "star(cyclo:2:2:1)"],
+    (2, 2): ["trivial", "reduce:4(trivial)", "tensor(cyclo:2:1:1,0,trivial:2)"],
+    (2, 4): ["trivial", "reduce:4(trivial)", "cyclo:2:2:0,1", "star(cyclo:2:2:0,1)"],
+    (3, 3): ["trivial", "reduce:4(trivial)", "cyclo:3:1:1,0", "star(cyclo:3:1:1,1)"],
+    (2, 2, 2): ["trivial", "reduce:4(trivial)", "cyclo:2:1:1,1,1"],
+}
+_IDENTITY_CASES: dict = {}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_IDENTITY_MODULES)), st.data())
+def test_factor_set_identity_matches_the_triple_loop(orders, data):
+    # a cocycle (representatives plus a coboundary) as a factor set, then
+    # perhaps one entry raised by 1, by the modulus or by a random amount:
+    # the library and the triple-by-triple reference agree on the identity
+    G = GroupSpec(orders)
+    text = data.draw(st.sampled_from(_IDENTITY_MODULES[orders]))
+    key = (orders, text)
+    if key not in _IDENTITY_CASES:
+        M = parse_module(text, G)
+        _IDENTITY_CASES[key] = (M, ordinary_cohomology(M, 2, want_representatives=True))
+    M, r = _IDENTITY_CASES[key]
+    d, N = M.rank, M.modulus
+    size = G.ngens * d
+    values = data.draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size))
+    xi = Cochain.from_flat(1, values, G.ngens, d)
+    flat = coboundary_1(M, xi).flat()
+    for rep in r.representatives:
+        c = data.draw(st.integers(-3, 3))
+        flat = [x + c * y for x, y in zip(flat, rep.flat())]
+    gamma = Cochain.from_flat(2, [x % N for x in flat] if N else flat, len(flat) // d, d)
+    fs = to_factor_set(M, gamma)
+    raise_by = data.draw(st.sampled_from(["none", "one", "modulus", "random"]))
+    if raise_by != "none":
+        pair = data.draw(st.sampled_from(sorted(fs.table)))
+        t = data.draw(st.integers(0, d - 1))
+        if raise_by == "random":
+            step = data.draw(st.integers(-40, 40))
+        else:
+            step = 1 if raise_by == "one" else N
+        vec = list(fs.table[pair])
+        vec[t] += step
+        fs = engine.FactorSet(M, {**fs.table, pair: tuple(vec)})
+    holds = fs.cocycle_identity_holds()
+    assert holds is reference_identity_holds(fs), (text, raise_by)
+    assert holds or raise_by != "none"
+
+
+def test_factor_set_tables_of_the_generator_families_are_pinned():
+    # the 42 factor sets of the generator families over these groups, tables
+    # and identity flags, as computed before the identity check became
+    # vector arithmetic and each comparison-map block was built once
+    groups = [(4,), (8,), (9,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (4, 4)]
+    cases = ("trivial-H2", "torsion-H2", "cyclo-H2", "dual-cyclo-H2")
+    digest = hashlib.sha256()
+    count = 0
+    for case, orders in itertools.product(cases, groups):
+        for member in generator_family(case, GroupSpec(orders)).members:
+            fs = to_factor_set(member.module, member.cochain)
+            line = f"{case}|{orders}|{member.indices}|{sorted(fs.table.items())}"
+            digest.update(f"{line}|{fs.cocycle_identity_holds()}\n".encode())
+            count += 1
+    assert count == 42
+    assert digest.hexdigest() == (
+        "8bad5d443c4032bfbe9643b478edbf75a6c322d74db26620f7217694b6e8b030"
+    )
