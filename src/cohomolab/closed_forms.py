@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 from cohomolab.engine import Cochain
 from cohomolab.group_ring import GroupSpec
@@ -491,69 +491,50 @@ def _socle_element(module: GModule, p: int, K: int) -> tuple[int, ...]:
     raise ArithmeticError("module has no socle generator")
 
 
-def generator_family(
-    case: str, spec: GroupSpec, *, root_exponent: int | None = None
-) -> GeneratorFamily:
-    """Build the complete generating family for ``case`` over ``spec``.
-
-    ``root_exponent`` fixes the order p^m of the root of unity in the
-    cyclotomic cases (default: the exponent of the first factor, the
-    largest faithful choice).  Families may be empty when the group shape
-    leaves no valid indices, e.g. mixed pairs over a cyclic group.
-    """
+def _family(
+    case: str, spec: GroupSpec, root_exponent: int | None
+) -> tuple[GModule, int, AbelianInvariants, list[tuple[int, ...]], Callable[..., GeneratorSpec]]:
+    """The module, degree and predicted structure of the family ``case``
+    over ``spec``, the indices of its members in order, and the function
+    that builds the member at given indices, so that one member costs no
+    more than itself."""
     p, ms = _p_group_exponents(spec)
     s = spec.ngens
 
     if case == "trivial-H2":
         module = trivial_module(spec)
-        members = tuple(
-            GeneratorSpec(
-                case,
-                (k,),
-                module,
-                _deg2_cochain(s, 1, {_pair_expo(s, k, k): (1,)}),
-                p ** ms[k - 1],
-            )
-            for k in range(1, s + 1)
-        )
+
+        def member(k: int) -> GeneratorSpec:
+            cochain = _deg2_cochain(s, 1, {_pair_expo(s, k, k): (1,)})
+            return GeneratorSpec(case, (k,), module, cochain, p ** ms[k - 1])
+
         predicted = AbelianInvariants.from_prime_powers([(p, m) for m in ms])
-        return GeneratorFamily(case, module, 2, members, predicted)
+        return module, 2, predicted, [(k,) for k in range(1, s + 1)], member
 
     if case in ("torsion-H1", "torsion-H2"):
         K = sum(ms)
         module = reduce_mod(star_dual(trivial_module(spec)), p**K)
         if case == "torsion-H1":
-            members = tuple(
-                GeneratorSpec(
-                    case,
-                    (i,),
-                    module,
-                    _deg1_cochain(s, 1, {i: (p ** (K - ms[i - 1]),)}),
-                    p ** ms[i - 1],
-                    truncation_exponent=K,
+
+            def member(i: int) -> GeneratorSpec:
+                cochain = _deg1_cochain(s, 1, {i: (p ** (K - ms[i - 1]),)})
+                return GeneratorSpec(
+                    case, (i,), module, cochain, p ** ms[i - 1], truncation_exponent=K
                 )
-                for i in range(1, s + 1)
-            )
+
             predicted = AbelianInvariants.from_prime_powers([(p, m) for m in ms])
-            return GeneratorFamily(case, module, 1, members, predicted)
-        members = []
-        powers = []
-        for k, l in itertools.combinations(range(1, s + 1), 2):
+            return module, 1, predicted, [(i,) for i in range(1, s + 1)], member
+
+        def member(k: int, l: int) -> GeneratorSpec:
             mkl = min(ms[k - 1], ms[l - 1])
-            members.append(
-                GeneratorSpec(
-                    case,
-                    (k, l),
-                    module,
-                    _deg2_cochain(s, 1, {_pair_expo(s, k, l): (p ** (K - mkl),)}),
-                    p**mkl,
-                    truncation_exponent=K,
-                )
-            )
-            powers.append((p, mkl))
-        return GeneratorFamily(
-            case, module, 2, tuple(members), AbelianInvariants.from_prime_powers(powers)
+            cochain = _deg2_cochain(s, 1, {_pair_expo(s, k, l): (p ** (K - mkl),)})
+            return GeneratorSpec(case, (k, l), module, cochain, p**mkl, truncation_exponent=K)
+
+        pairs = list(itertools.combinations(range(1, s + 1), 2))
+        predicted = AbelianInvariants.from_prime_powers(
+            [(p, min(ms[k - 1], ms[l - 1])) for k, l in pairs]
         )
+        return module, 2, predicted, pairs, member
 
     if case in ("cyclo-H1", "cyclo-H2"):
         m = ms[0] if root_exponent is None else root_exponent
@@ -565,32 +546,22 @@ def generator_family(
         d = module.rank
         one = (1,) + (0,) * (d - 1)
         if case == "cyclo-H1":
-            members = (
-                GeneratorSpec(case, (), module, _deg1_cochain(s, d, {1: one}), p),
-            )
-            return GeneratorFamily(
-                case, module, 1, members, AbelianInvariants(0, (p,))
-            )
+
+            def member() -> GeneratorSpec:
+                return GeneratorSpec(case, (), module, _deg1_cochain(s, d, {1: one}), p)
+
+            return module, 1, AbelianInvariants(0, (p,)), [()], member
         B = _first_action_minus_identity(module)
-        members = []
-        for k in range(2, s + 1):
+
+        def member(k: int) -> GeneratorSpec:
             # the root acts through the first factor, so the diagonal value
             # must absorb the k-th norm: (zeta - 1) v = p^{m_k}
             v = _solve_exact(B, [p ** ms[k - 1]] + [0] * (d - 1))
-            members.append(
-                GeneratorSpec(
-                    case,
-                    (k,),
-                    module,
-                    _deg2_cochain(
-                        s, d, {_pair_expo(s, 1, k): one, _pair_expo(s, k, k): tuple(v)}
-                    ),
-                    p,
-                )
-            )
-        return GeneratorFamily(
-            case, module, 2, tuple(members), AbelianInvariants(0, (p,) * (s - 1))
-        )
+            entries = {_pair_expo(s, 1, k): one, _pair_expo(s, k, k): tuple(v)}
+            return GeneratorSpec(case, (k,), module, _deg2_cochain(s, d, entries), p)
+
+        predicted = AbelianInvariants(0, (p,) * (s - 1))
+        return module, 2, predicted, [(k,) for k in range(2, s + 1)], member
 
     if case in ("dual-cyclo-H1", "dual-cyclo-H2"):
         m = ms[0] if root_exponent is None else root_exponent
@@ -602,8 +573,9 @@ def generator_family(
         d = module.rank
         u0 = _socle_element(module, p, K)
         if case == "dual-cyclo-H1":
-            members = tuple(
-                GeneratorSpec(
+
+            def member(k: int) -> GeneratorSpec:
+                return GeneratorSpec(
                     case,
                     (k,),
                     module,
@@ -612,41 +584,44 @@ def generator_family(
                     truncation_exponent=K,
                     socle_generator=u0,
                 )
-                for k in range(2, s + 1)
-            )
-            return GeneratorFamily(
-                case, module, 1, members, AbelianInvariants(0, (p,) * (s - 1))
-            )
-        members = [
-            GeneratorSpec(
+
+            predicted = AbelianInvariants(0, (p,) * (s - 1))
+            return module, 1, predicted, [(k,) for k in range(2, s + 1)], member
+
+        def member(*kl: int) -> GeneratorSpec:
+            # (k,) for the diagonal x_k^2, (k, l) for the mixed x_k x_l
+            expo = _pair_expo(s, kl[0], kl[-1])
+            return GeneratorSpec(
                 case,
-                (k,),
+                kl,
                 module,
-                _deg2_cochain(s, d, {_pair_expo(s, k, k): u0}),
+                _deg2_cochain(s, d, {expo: u0}),
                 p,
                 truncation_exponent=K,
                 socle_generator=u0,
             )
-            for k in range(1, s + 1)
-        ]
-        for k, l in itertools.combinations(range(2, s + 1), 2):
-            members.append(
-                GeneratorSpec(
-                    case,
-                    (k, l),
-                    module,
-                    _deg2_cochain(s, d, {_pair_expo(s, k, l): u0}),
-                    p,
-                    truncation_exponent=K,
-                    socle_generator=u0,
-                )
-            )
+
+        indices = [(k,) for k in range(1, s + 1)]
+        indices += itertools.combinations(range(2, s + 1), 2)
         count = (s * s - s + 2) // 2
-        return GeneratorFamily(
-            case, module, 2, tuple(members), AbelianInvariants(0, (p,) * count)
-        )
+        return module, 2, AbelianInvariants(0, (p,) * count), indices, member
 
     raise ValueError(f"unknown case {case!r}; choose one of {GENERATOR_CASES}")
+
+
+def generator_family(
+    case: str, spec: GroupSpec, *, root_exponent: int | None = None
+) -> GeneratorFamily:
+    """Build the complete generating family for ``case`` over ``spec``.
+
+    ``root_exponent`` fixes the order p^m of the root of unity in the
+    cyclotomic cases (default: the exponent of the first factor, the
+    largest faithful choice).  Families may be empty when the group shape
+    leaves no valid indices, e.g. mixed pairs over a cyclic group.
+    """
+    module, degree, predicted, indices, member = _family(case, spec, root_exponent)
+    members = tuple(member(*kl) for kl in indices)
+    return GeneratorFamily(case, module, degree, members, predicted)
 
 
 def generating_cocycle(
@@ -656,11 +631,11 @@ def generating_cocycle(
     *,
     root_exponent: int | None = None,
 ) -> GeneratorSpec:
-    """The single generator of ``case`` at the given 1-based indices."""
-    family = generator_family(case, spec, root_exponent=root_exponent)
+    """The single generator of ``case`` at the given 1-based indices,
+    built without the rest of its family."""
+    _, _, _, valid, member = _family(case, spec, root_exponent)
     wanted = tuple(indices)
-    for member in family.members:
-        if member.indices == wanted:
-            return member
-    valid = [m.indices for m in family.members]
-    raise ValueError(f"invalid indices {wanted} for {case}; valid: {valid}")
+    if wanted not in valid:
+        raise ValueError(f"invalid indices {wanted} for {case}; valid: {valid}")
+    # the member at the family's own indices, as generator_family builds it
+    return member(*valid[valid.index(wanted)])

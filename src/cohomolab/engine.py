@@ -12,12 +12,14 @@ Route selection is about cost, never about semantics:
                         with representatives.  Where both maps exist the
                         kernel is the saturation of the image
                         (:func:`saturation_columns`, see below), and d_out
-                        is streamed once, only to check each
-                        representative.  Degree 0, and any image whose
-                        sparse elimination leaves a residual, eliminate
-                        the kernel from d_out's rows instead
+                        is read once, only to check each representative:
+                        row by row, or run by run without rows on a plain
+                        standard-resolution leg.  Degree 0, and any image
+                        whose sparse elimination leaves a residual,
+                        eliminate the kernel from d_out's rows instead
                         (:func:`kernel_columns`), which then double as the
-                        check; no dense matrix is built.
+                        check except on such a leg; no dense matrix is
+                        built.
 * ``cokernel-torsion``  lattice coefficients, invariants only: the free rank
                         dim - rk d_in - rk d_out plus the torsion of the
                         Smith diagonal of the incoming map.  With both maps
@@ -52,15 +54,19 @@ coboundaries included, is read by :func:`_leg_rows`.  A resolution only
 lists the (target, block) pairs each source basis element meets, and
 :func:`_hom_rows` turns them into rows.  On the monomial resolution these
 are at most 6s + 1 blocks of the module's block table (``GModule.block_rows``)
-over monomial indices; on the standard resolution, tuples of element
-indices, whose first face meets one matrix of the group-element table
-(``GModule.element_rows``) and whose other faces meet +-I.  A dual leg
-(homology, negative Tate degrees) is the plain one regrouped by target,
-with antipode blocks.  The comparison map sigma from the standard
-resolution to the monomial one, which factor sets are read through, is
-listed the same way by :func:`_sigma_faces`, its blocks sums of element
-matrices (prefix elements times partial norms).  Nothing here builds a
-group-ring matrix.
+over monomial indices.  The standard resolution is listed in prefix runs
+(:func:`_bar_faces`): the |G| - 1 sources [g_1|...|g_(m-1)|x] that share a
+prefix meet consecutive first faces through one matrix of the group-element
+table (``GModule.element_rows``), consecutive inner merge faces and one
+last face through +-I, and their last merges through one row of the
+product table.  A plain leg's rows are emitted straight from the runs, and
+a representative is checked against the runs without building a row
+(:func:`_bar_values`).  A dual leg (homology, negative Tate degrees) is the
+plain one regrouped by target, with antipode blocks.  The comparison map
+sigma from the standard resolution to the monomial one, which factor sets
+are read through, is listed the same way by :func:`_sigma_faces`, its
+blocks sums of element matrices (prefix elements times partial norms).
+Nothing here builds a group-ring matrix.
 
 The cokernel-torsion formula: Z^dim / ker d_out embeds in a
 free group, so ker d_out is saturated, of rank dim - rk d_out, and the
@@ -94,9 +100,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from math import prod
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from operator import add, itemgetter, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from cohomolab.intlinalg import (
     AbelianInvariants,
@@ -209,19 +216,39 @@ def _minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
     return sources, len(index)
 
 
+# a prefix run of the standard resolution's differential, see _bar_faces:
+# (g_1, first-face start, inner merges as (start, sign), last-merge start,
+# product-table row of g_(m-1), last face)
+_Run = tuple[int, int, list[tuple[int, int]], int, list[int], int]
+
+
 def _bar_faces(
     M: GModule, m: int, dual: bool, limits: EngineLimits | None
-) -> tuple[Iterator[_Source], int]:
-    """The pairs each source of the standard resolution's differential
-    leaving degree m >= 1 meets, streamed, and the number of targets, after
-    the caps of ``bar_diff``.
+) -> tuple[Iterator[_Run], int, list[_Block]]:
+    """The differential of the standard resolution leaving degree m >= 1
+    in prefix runs, streamed, after the caps of ``bar_diff``; the number of
+    targets; and the first-face blocks, by element index.
 
     Source [g_1|...|g_m] meets its first face [g_2|...|g_m] through the
-    matrix of g_1 (of g_1^-1 when ``dual``), each merge face through (-1)^i I
-    (none when g_i g_(i+1) is the identity) and its last face through
-    (-1)^m I, in the order :func:`~cohomolab.resolutions.bar_diff` inserts
-    them.  First and last face coincide only when every g_i is equal (always
-    for m = 1); that one pair is act(g_1 + (-1)^m), which may vanish.
+    matrix of g_1 (of g_1^-1 when ``dual``), each merge face i through
+    (-1)^i I (none when g_i g_(i+1) is the identity) and its last face
+    through (-1)^m I, in the order :func:`~cohomolab.resolutions.bar_diff`
+    inserts them.  Elements are indexed in nonidentity order and sources
+    and targets in bar basis order, so a run, the |G| - 1 sources
+    [g_1|...|g_(m-1)|x] that share a prefix, is consecutive, by x
+    ascending.  Over a run:
+
+    * the first faces are the consecutive targets from ``first``, all met
+      through the block of g_1;
+    * so is each inner merge face, i < m - 1, from its start;
+    * the last merge face [...|g_(m-1) x] is target ``at`` plus the index
+      of g_(m-1) x in the product-table ``row`` of g_(m-1), which reads -1
+      where that product is the identity;
+    * the last face is the one target ``last``, the prefix itself.
+
+    For m = 1 the one run has g_1 = -1: source [x] meets [] through the
+    block of x.  First and last face coincide only when every g_i is equal
+    (always for m = 1).
     """
     if m < 1:
         raise ValueError("differential starts at degree 1")
@@ -229,47 +256,104 @@ def _bar_faces(
     size = G.order - 1
     limits = limits or EngineLimits.from_env()
     limits.check_bar_degree(m)
-    limits.check_cells(size ** (m - 1), size ** m, "standard-resolution differential")
-    d, N = M.rank, M.modulus
-    elems = G.nonidentity_elements()
-    index = {g: a for a, g in enumerate(elems)}
+    limits.check_cells(size ** (m - 1), size**m, "standard-resolution differential")
     # merged[a][b]: the index of g_a g_b, or -1 for the identity
-    merged = [[index.get(G.mul(g, h), -1) for h in elems] for g in elems]
-    first = [M.element_rows(G.inv(g) if dual else g) for g in elems]
-
-    def scalar(c: int) -> _Block:
-        # the rows of c I, reduced mod N as act reduces them
-        c = c % N if N else c
-        return [[(t, c)] if c else [] for t in range(d)]
-
-    def shifted(rows: _Block, c: int) -> _Block:
-        # the rows of A + c I for A given by ``rows``, reduced mod N
-        out = []
-        for t, row in enumerate(rows):
-            acc = dict(row)
-            acc[t] = acc.get(t, 0) + c
-            out.append([(u, y) for u in sorted(acc) if (y := acc[u] % N if N else acc[u])])
-        return out
-
-    sign = [scalar((-1) ** i) for i in range(m + 1)]
+    merged = [[c - 1 for c in row[1:]] for row in _product_table(G.orders)[1:]]
+    blocks = [M.element_rows(G.inv(g) if dual else g) for g in G.nonidentity_elements()]
     power = [size**k for k in range(m + 1)]
 
-    def sources() -> Iterator[_Source]:
-        for src, a in enumerate(itertools.product(range(size), repeat=m)):
-            f, last = src % power[m - 1], src // size
-            pairs = [(f, shifted(first[a[0]], (-1) ** m) if f == last else first[a[0]])]
-            for i in range(1, m):
-                b = merged[a[i - 1]][a[i]]
+    def runs() -> Iterator[_Run]:
+        if m == 1:
+            yield -1, 0, [], 0, [-1] * size, 0
+            return
+        for p, prefix in enumerate(itertools.product(range(size), repeat=m - 1)):
+            inner = []
+            for i in range(1, m - 1):
+                b = merged[prefix[i - 1]][prefix[i]]
                 if b >= 0:
-                    # the prefix g_1..g_(i-1), then b, then g_(i+2)..g_m
-                    lo = power[m - i - 1]
-                    hi = src // power[m - i + 1]
-                    pairs.append(((hi * size + b) * lo + src % lo, sign[i]))
-            if f != last:
-                pairs.append((last, sign[m]))
-            yield pairs
+                    # the prefix g_1..g_(i-1), then b, then g_(i+2)..g_(m-1), x
+                    start = (p // power[m - i] * size + b) * power[m - i - 1]
+                    inner.append((start + p % power[m - i - 2] * size, (-1) ** i))
+            yield prefix[0], p % power[m - 2] * size, inner, p - p % size, merged[prefix[-1]], p
 
-    return sources(), power[m - 1]
+    return runs(), power[m - 1], blocks
+
+
+def _bar_sources(
+    M: GModule, m: int, runs: Iterable[_Run], blocks: list[_Block]
+) -> Iterator[tuple[int, _Block, list[tuple[int, int]]]]:
+    """Per source of the runs of :func:`_bar_faces`, in source order: its
+    first face, the block it meets it through, and the (target,
+    coefficient) pairs of its other faces, coefficients reduced mod N as
+    act reduces them, zeros left out.  Where first and last face coincide
+    the block is act(g_1 + (-1)^m), which may vanish."""
+    d, N = M.rank, M.modulus
+    size = len(blocks)
+
+    def unit(sign: int) -> int:
+        return sign % N if N else sign
+
+    merge, end = unit((-1) ** (m - 1)), unit((-1) ** m)
+    diagonal: dict[int, _Block] = {}
+    for a, first, inner, at, row, last in runs:
+        inner = [(s, c) for s, sign in inner if (c := unit(sign))]
+        for x in range(size):
+            g, f = (x, first) if a < 0 else (a, first + x)
+            tail = [(s + x, c) for s, c in inner]
+            if row[x] >= 0 and merge:
+                tail.append((at + row[x], merge))
+            if f != last:
+                if end:
+                    tail.append((last, end))
+                yield f, blocks[g], tail
+                continue
+            blk = diagonal.get(g)
+            if blk is None:
+                eye = [[(t, 1)] for t in range(d)]
+                terms = [(1, blocks[g]), ((-1) ** m, eye)]
+                blk = diagonal[g] = _sparse_rows(_combine(terms, d), N)
+            yield f, blk, tail
+
+
+def _bar_values(
+    M: GModule, m: int, vecs: Sequence[Sequence[int]], limits: EngineLimits | None
+) -> Iterator[list[int]]:
+    """phi . D over Z for each flat cochain phi of ``vecs``, D the standard
+    resolution's differential leaving degree m >= 1, one run of
+    :func:`_bar_faces` at a time: per run, phi and module coordinate t, the
+    values at t of the run's sources, by x.  That is the block of g_1 on the
+    slice of phi over the first faces, plus or minus the slices over the
+    inner merges, plus or minus phi gathered through the product-table row
+    of the last merge, and plus or minus phi at the last face."""
+    runs, _, blocks = _bar_faces(M, m, False, limits)
+    d = M.rank
+    size = len(blocks)
+    # cols[r][t]: coordinate t of vecs[r] per target, then the 0 that the
+    # product table's -1 reads
+    cols = [[[*vec[t::d], 0] for t in range(d)] for vec in vecs]
+    for a, first, inner, at, row, last in runs:
+        end = first + size
+        for phi in cols:
+            for t in range(d):
+                if a < 0:
+                    v = [sum(c * phi[u][first] for u, c in blk[t]) for blk in blocks]
+                elif len(blk := blocks[a][t]) == 1 and blk[0][1] == 1:
+                    v = phi[blk[0][0]][first:end]
+                else:
+                    v = [0] * size
+                    for u, c in blk:
+                        v = [y + c * z for y, z in zip(v, phi[u][first:end])]
+                col = phi[t]
+                for s, sign in inner:
+                    v = list(map(add if sign > 0 else sub, v, col[s : s + size]))
+                seg = col[at : at + size]
+                seg.append(0)
+                merged, c = map(seg.__getitem__, row), col[last]
+                # the last merge and the last face, signs (-1)^(m-1) and (-1)^m
+                if m % 2:
+                    yield [y + z - c for y, z in zip(v, merged)]
+                else:
+                    yield [y - z + c for y, z in zip(v, merged)]
 
 
 def _product_table(orders: Sequence[int]) -> list[list[int]]:
@@ -367,9 +451,11 @@ def _leg_rows(
     ``resolution`` leaving degree m, antipode-transposed when ``dual``,
     from the pairs its faces function lists.  On the complete monomial
     resolution degree 0 is the norm N_G, its own antipode, and a negative
-    degree m the dual of the differential leaving -m.  A dual leg is the
-    plain one regrouped by target, with antipode blocks, its sources in
-    ascending index: the pair order of the antipode-transposed matrix.
+    degree m the dual of the differential leaving -m.  A plain
+    standard-resolution leg is emitted one prefix run at a time, each row
+    the first-face block's row and the +-1 of the other faces.  A dual leg
+    is the plain one regrouped by target, with antipode blocks, its sources
+    in ascending index: the pair order of the antipode-transposed matrix.
 
     >>> from cohomolab.group_ring import GroupSpec
     >>> from cohomolab.modules import trivial_module
@@ -377,8 +463,25 @@ def _leg_rows(
     >>> list(_leg_rows(Z, "bar", 1)), list(_leg_rows(Z, "bar", 2))
     ([[]], [[(0, 2)]])
     """
+    d = M.rank
     if resolution == "bar":
-        sources, targets = _bar_faces(M, m, dual, limits)
+        runs, targets, blocks = _bar_faces(M, m, dual, limits)
+        faces = _bar_sources(M, m, runs, blocks)
+        if not dual:
+            for f, blk, tail in faces:
+                base = f * d
+                for t in range(d):
+                    row = [(base + u, c) for u, c in blk[t]]
+                    row += tail if d == 1 else [(k * d + t, c) for k, c in tail]
+                    yield row
+            return
+        N = M.modulus
+        # c I for the coefficients c of the other faces, +-1 reduced mod N
+        units = {c % N if N else c for c in (1, -1)}
+        scalar = {c: [[(t, c)] for t in range(d)] for c in units}
+        sources: Iterable[_Source] = (
+            [(f, blk)] + [(k, scalar[c]) for k, c in tail] for f, blk, tail in faces
+        )
     elif m:
         dual ^= m < 0
         sources, targets = _minimal_faces(M, abs(m), dual)
@@ -390,7 +493,7 @@ def _leg_rows(
             for k, blk in pairs:
                 by_target[k].append((src, blk))
         sources = by_target
-    yield from _hom_rows(M.rank, sources)
+    yield from _hom_rows(d, sources)
 
 
 def _image_columns(rows: Iterable[list[tuple[int, int]]]) -> list[dict[int, int]]:
@@ -534,25 +637,44 @@ def _extract_representatives(
     M: GModule,
     degree: int,
     count: int,
-    rows: Iterable[list[tuple[int, int]]],
+    vanishes: Callable[[list[list[int]]], bool],
 ) -> tuple[Cochain, ...]:
     """Each generator's residue modulo the coboundaries, torsion first,
-    checked against every outgoing Hom row of ``rows`` in one pass, which
-    is skipped when there is no generator.  Mod N the Hermite basis has a
-    pivot in every row, so the residues lie in [0, N)."""
+    checked to be a cocycle in one pass, which is skipped when there is no
+    generator: ``vanishes`` says whether phi . D vanishes, mod N where the
+    module has one, for all the residues together.  That is
+    :func:`_runs_vanish` on a plain standard-resolution leg and
+    :func:`_rows_vanish` on any other.  Mod N the Hermite basis has a pivot
+    in every row, so the residues lie in [0, N)."""
     gens = sorted((d == 0, i) for i, d in enumerate(pres.diagonal) if d != 1)
     vecs = [pres.residue(pres.generator_column(i)) for _, i in gens]
-    N = M.modulus
-    for row in rows if vecs else ():
+    if vecs and not vanishes(vecs):
+        raise VerificationError(f"extracted degree-{degree} representative is not a cocycle")
+    return tuple(Cochain.from_flat(degree, vec, count, M.rank) for vec in vecs)
+
+
+def _rows_vanish(rows: Iterable[list[tuple[int, int]]], N: int, vecs: list[list[int]]) -> bool:
+    """Whether phi . D vanishes, mod N when N is set, for each flat cochain
+    phi of ``vecs``, against every Hom row of D in turn."""
+    for row in rows:
         for vec in vecs:
             x = 0
             for k, c in row:
                 x += c * vec[k]
             if x % N if N else x:
-                raise VerificationError(
-                    f"extracted degree-{degree} representative is not a cocycle"
-                )
-    return tuple(Cochain.from_flat(degree, vec, count, M.rank) for vec in vecs)
+                return False
+    return True
+
+
+def _runs_vanish(M: GModule, m: int, limits: EngineLimits | None, vecs: list[list[int]]) -> bool:
+    """Whether phi . D vanishes, mod N where the module has one, for each
+    flat cochain phi of ``vecs``, D the standard resolution's differential
+    leaving degree m, against every run of :func:`_bar_values` in turn."""
+    N = M.modulus
+    for values in _bar_values(M, m, vecs, limits):
+        if any(x % N for x in values) if N else any(values):
+            return False
+    return True
 
 
 def _check_killed(inv: AbelianInvariants, order: int, n: int) -> None:
@@ -662,11 +784,15 @@ def _complex_group(
         return CohomologyResult(n, kind, inv, M.label, resolution, route)
     icols = _image_columns(leg(k_in)) if has_in else []
     kcols = saturation_columns(icols, dim) if killed else None
-    # the outgoing rows, built once: for the kernel and the cocycle check,
-    # or streamed into the check alone when the saturation gave the kernel
-    rows: Iterable[list[tuple[int, int]]] = leg(k_out) if has_out else ()
+    # the outgoing rows, built at most once: for the kernel, the cocycle
+    # check or both.  A plain standard-resolution leg checks run by run
+    # instead, so its rows are built for the kernel alone
+    by_runs = has_out and resolution == "bar" and step > 0
+    rows: Iterable[list[tuple[int, int]]] = ()
+    if has_out and (kcols is None or not by_runs):
+        rows = leg(k_out)
     if kcols is None:
-        if want:
+        if want and not by_runs:
             rows = list(rows)
         kcols = kernel_columns(rows, dim, mod=mod)
     if not want:
@@ -678,7 +804,11 @@ def _complex_group(
         _check_killed(inv, M.spec.order, n)
     # a rank-0 module has no coordinates, and its cochains no values
     count = dim // M.rank if M.rank else 0
-    reps = _extract_representatives(pres, M, n, count, rows)
+    if by_runs:
+        vanishes = partial(_runs_vanish, M, k_out, limits)
+    else:
+        vanishes = partial(_rows_vanish, rows, N)
+    reps = _extract_representatives(pres, M, n, count, vanishes)
     return CohomologyResult(
         n,
         kind,

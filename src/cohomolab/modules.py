@@ -12,7 +12,7 @@ resolves through the dual-degree identity on the lattice inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
@@ -154,8 +154,14 @@ class GModule:
         return _sparse_rows(_combine(terms, self.rank), self.modulus)
 
     def relabel(self, label: str) -> "GModule":
-        out = GModule(self.spec, self.rank, self.modulus, self.actions, label)
-        object.__setattr__(out, "lifts_to_lattice", self.lifts_to_lattice)
+        """The same module under another label: a copy of these validated
+        actions, ``lifts_to_lattice`` kept, with tables of its own."""
+        # set field by field, as __init__ does: a copied __dict__ (copy.copy)
+        # makes every attribute read of the copy about 3x slower on 3.11
+        out = object.__new__(GModule)
+        changed = {"label": label, "_elements": {}, "_blocks": {}}
+        for f in fields(self):
+            object.__setattr__(out, f.name, changed.get(f.name, getattr(self, f.name)))
         return out
 
     def __repr__(self) -> str:

@@ -8,11 +8,13 @@ known-inconsistent printed displays must be reproduced, not corrected.
 """
 
 import itertools
+import re
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 import pytest
 
+from cohomolab import closed_forms
 from cohomolab.closed_forms import (
     GENERATOR_CASES,
     MultiplicityTable,
@@ -351,6 +353,28 @@ def test_generating_cocycle_rejects_bad_indices():
         generating_cocycle("cyclo-H2", G22, (1,))  # the root factor has no mixed pair
     with pytest.raises(ValueError):
         generator_family("unknown-case", G22)
+
+
+@pytest.mark.parametrize("case", GENERATOR_CASES)
+def test_generating_cocycle_builds_only_its_member(monkeypatch, case):
+    # each member equals its family's, built alone: one cochain per call,
+    # and the invalid-indices message lists the family's indices in order
+    G = GroupSpec.of(2, 2, 4)
+    family = generator_family(case, G)
+    built = []
+    for name in ("_deg1_cochain", "_deg2_cochain"):
+        real = getattr(closed_forms, name)
+        monkeypatch.setattr(
+            closed_forms, name, lambda *a, _real=real: built.append(a) or _real(*a)
+        )
+    for member in family.members:
+        built.clear()
+        assert generating_cocycle(case, G, list(member.indices)) == member
+        assert len(built) == 1, (case, member.indices)
+    valid = [m.indices for m in family.members]
+    message = f"invalid indices (9,) for {case}; valid: {valid}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generating_cocycle(case, G, (9,))
 
 
 def test_generator_family_needs_p_group():

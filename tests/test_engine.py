@@ -308,6 +308,14 @@ def test_each_differential_is_built_at_most_once(
         "_leg_rows",
         lambda M, res, m, *rest: built.append((res, m)) or real_rows(M, res, m, *rest),
     )
+    # the representatives check reads a plain standard-resolution leg run
+    # by run, and builds none of its rows
+    real_values = engine._bar_values
+    monkeypatch.setattr(
+        engine,
+        "_bar_values",
+        lambda M, m, *rest, **kw: built.append(("runs", m)) or real_values(M, m, *rest, **kw),
+    )
     real_bar = resolutions.bar_diff
     monkeypatch.setattr(
         resolutions,
@@ -331,6 +339,13 @@ def test_each_differential_is_built_at_most_once(
             # Tate degree 0's incoming leg is the norm, which leaves degree 0
             incoming = n + 1 if compute is homology else n
             assert built == [(resolution or "minimal", incoming)], (n, built)
+        runs = [m for res, m in built if res == "runs"]
+        if reps and resolution == "bar" and compute is ordinary_cohomology and r.representatives:
+            # the outgoing leg's rows only where they give the kernel
+            assert runs == [n + 1], (n, built)
+            assert (("bar", n + 1) in built) == (route == "congruence" or n == 0), (n, built)
+        else:
+            assert runs == [], (n, built)
 
 
 def test_factor_sets_and_the_resolution_checks_build_no_ring_matrix(monkeypatch):
@@ -580,6 +595,35 @@ def test_bar_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, dual)
         D = D.antipode_transpose()
     got = list(engine._leg_rows(M, "bar", m, dual))
     assert got == list(hom_constraint_rows(M, D)), (text, m, dual)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(1, 3))
+def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m):
+    # phi . D read off the prefix runs, for a few cochains at once, against
+    # the products with the Hom rows: per run, cochain and coordinate the
+    # run's values, which interleave into the source order of the rows
+    G = GroupSpec(orders)
+    text = data.draw(st.sampled_from(row_modules[orders]))
+    M = parse_module(text, G)
+    d, size = M.rank, G.order - 1
+    width = d * size ** (m - 1)
+    entry = st.integers(-5, 5) | st.just(0)
+    vec = st.lists(entry, min_size=width, max_size=width)
+    vecs = data.draw(st.lists(vec, min_size=1, max_size=3))
+    vecs.append([0] * width)
+    values = engine._bar_values(M, m, vecs, None)
+    got = [[] for _ in vecs]
+    for _ in range(size ** (m - 1)):
+        for out in got:
+            per_t = [next(values) for _ in range(d)]
+            assert all(len(v) == size for v in per_t)
+            out += [x for column in zip(*per_t) for x in column]
+    assert next(values, None) is None
+    N = M.modulus
+    for vec, out in zip(vecs, got):
+        want = engine._apply(M, engine._leg_rows(M, "bar", m), vec)
+        assert ([x % N for x in out] if N else out) == want, (text, m)
 
 
 _SIGMA_ROW_GROUPS = [(2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 3)]
@@ -885,15 +929,28 @@ def test_representative_verification_cannot_be_disabled_silently():
     assert all(is_cocycle_2(Z, rep) for rep in r.representatives)
 
 
-@pytest.mark.parametrize("text", ["trivial", "reduce:4(trivial)"])
-def test_representative_checker_rejects_a_non_cocycle(monkeypatch, text):
-    # kernel and congruence routes: a residue moved off the cocycles raises
+@pytest.mark.parametrize(
+    "text, resolution",
+    [
+        ("trivial", "minimal"),
+        ("reduce:4(trivial)", "minimal"),
+        ("trivial", "bar"),
+        ("reduce:4(trivial)", "bar"),
+    ],
+    ids=["trivial", "reduce:4(trivial)", "bar-trivial", "bar-reduce:4(trivial)"],
+)
+def test_representative_checker_rejects_a_non_cocycle(monkeypatch, text, resolution):
+    # kernel and congruence routes: a residue moved off the cocycles raises,
+    # on the standard resolution from its runs (after the saturation over
+    # Z, after the kernel of the streamed rows mod 4)
     real = engine.QuotientPresentation.residue
     monkeypatch.setattr(
         engine.QuotientPresentation, "residue", lambda self, v: [x + 1 for x in real(self, v)]
     )
     with pytest.raises(VerificationError):
-        ordinary_cohomology(parse_module(text, G22), 2, want_representatives=True)
+        ordinary_cohomology(
+            parse_module(text, G22), 2, resolution=resolution, want_representatives=True
+        )
 
 
 def _times_three(pres):

@@ -146,6 +146,28 @@ def test_module_validation_is_sparse():
         GModule(GroupSpec.of(3), 2, 0, (shear,))
 
 
+def test_relabel_copies_the_validated_module(monkeypatch):
+    # every star, reduce:N and tensor text relabels a module it has just
+    # built: the copy is not validated again, keeps lifts_to_lattice and
+    # gets tables of its own; a module built from actions is still checked
+    built = []
+    real = GModule.__post_init__
+    monkeypatch.setattr(GModule, "__post_init__", lambda self: built.append(self.label) or real(self))
+    G = GroupSpec.of(4, 2)
+    text = "reduce:4(star(cyclo:2:2:1,0))"
+    M = parse_module(text, G)
+    assert built == ["cyclo:2:2:1,0", "star(cyclo:2:2:1,0)", text]
+    M.element_rows((1, 1))
+    R = M.relabel("renamed")
+    assert len(built) == 3
+    assert (R.label, R.actions, R.modulus, R.rank) == ("renamed", M.actions, 4, 2)
+    assert R.lifts_to_lattice and M.label == text
+    assert R._elements == {} and R.element_rows((1, 1)) == M.element_rows((1, 1))
+    assert R._elements is not M._elements and R._blocks is not M._blocks
+    with pytest.raises(ValueError, match="order"):
+        GModule(G, 2, 4, (IntMatrix.from_rows([[0, 1], [-1, 0]]),) * 2)
+
+
 def test_power_table_belongs_to_the_module():
     G = GroupSpec.of(2, 4)
     M = parse_module("cyclo:2:2:0,1", G)
