@@ -47,13 +47,11 @@ class MultiplicityTable:
 
     ``multiplicity(n, s)`` counts the Z/p summands of the degree-n homology
     with nontrivial irreducible lattice coefficients over a p-group with s
-    cyclic factors.  ``summands(n, s)`` counts the cyclic summands of the
-    degree-n integral homology of the same group, from its own recurrence.
-    Instances never mutate after construction, so a shared table may be read
-    from any number of threads.
+    cyclic factors.  Instances never mutate after construction, so a shared
+    table may be read from any number of threads.
     """
 
-    __slots__ = ("max_degree", "max_rank", "_mult", "_count")
+    __slots__ = ("max_degree", "max_rank", "_mult")
 
     def __init__(self, max_degree: int = 24, max_rank: int = 12) -> None:
         if max_degree < 0 or max_rank < 1:
@@ -69,19 +67,7 @@ class MultiplicityTable:
                 else:
                     row.append(row[-1] + mult[n - 1][s - 1])
             mult.append(tuple(row))
-        count: list[tuple[int, ...]] = [tuple([0] * max_rank)]
-        for n in range(1, max_degree + 1):
-            row = []
-            for s in range(1, max_rank + 1):
-                if s == 1:
-                    row.append(n % 2)
-                else:
-                    # the i = n term of the sum lives in this very row
-                    lower = sum(count[i][s - 2] for i in range(1, n))
-                    row.append(lower + row[s - 2] + n % 2)
-            count.append(tuple(row))
         self._mult = tuple(mult)
-        self._count = tuple(count)
         self.max_degree = max_degree
         self.max_rank = max_rank
 
@@ -89,11 +75,6 @@ class MultiplicityTable:
         if not (0 <= n <= self.max_degree and 1 <= s <= self.max_rank):
             raise ValueError(f"({n}, {s}) outside the table")
         return self._mult[n][s - 1]
-
-    def summands(self, n: int, s: int) -> int:
-        if not (1 <= n <= self.max_degree and 1 <= s <= self.max_rank):
-            raise ValueError(f"({n}, {s}) outside the table")
-        return self._count[n][s - 1]
 
 
 _shared_table = MultiplicityTable()
@@ -148,61 +129,6 @@ def multiplicity_display(n: int, s: int) -> int:
     if s < 1:
         raise ValueError("rank must be at least 1")
     return _DISPLAY_FORMS[n][1](s)
-
-
-# ---------------------------------------------------------------------------
-# Summand counts for integral homology
-
-
-SUMMAND_VARIANTS = ("recurrence", "printed", "derived")
-
-
-def summand_count(n: int, s: int, variant: str = "recurrence") -> int:
-    """Number of cyclic summands of the degree-n integral homology of a
-    p-group with s cyclic factors.
-
-    The recurrence is ground truth.  The closed form appears with two sign
-    readings, multiplicity(n, s) +- (-1)^n; ``printed`` takes the plus sign
-    (and fails already at n=1, s=2), ``derived`` the minus sign.
-    """
-    if n < 1:
-        raise ValueError("summand counts start at degree 1")
-    if variant == "recurrence":
-        return _table(n, s).summands(n, s)
-    base = irreducible_multiplicity(n, s)
-    sign = -1 if n % 2 else 1
-    if variant == "printed":
-        return base + sign
-    if variant == "derived":
-        return base - sign
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class SummandCountReport:
-    degree: int
-    rank: int
-    recurrence: int
-    printed: int
-    derived: int
-
-    @property
-    def printed_matches(self) -> bool:
-        return self.printed == self.recurrence
-
-    @property
-    def derived_matches(self) -> bool:
-        return self.derived == self.recurrence
-
-
-def summand_count_report(n: int, s: int) -> SummandCountReport:
-    return SummandCountReport(
-        n,
-        s,
-        summand_count(n, s),
-        summand_count(n, s, "printed"),
-        summand_count(n, s, "derived"),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,7 @@ every cap, and only then builds the maps its route needs, each once.  The
 image of the incoming map, where one is needed, is the transpose of the
 same streamed rows, kept as sparse {row: value} columns until the quotient
 takes their Hermite basis; that basis is also the coboundary lattice every
-representative is reduced by.  Only :func:`hom_complex_map` still builds a
-dense Hom matrix.
+representative is reduced by.  No dense Hom matrix is built.
 
 Where the rows come from: every leg, the cocycle predicates and the
 coboundaries included, is read by :func:`_leg_rows`.  A resolution only
@@ -107,7 +106,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from cohomolab.intlinalg import (
     AbelianInvariants,
-    IntMatrix,
     QuotientPresentation,
     kernel_columns,
     quotient_invariants,
@@ -115,10 +113,9 @@ from cohomolab.intlinalg import (
     saturation_columns,
     smith_diagonal,
 )
-from cohomolab.limits import EngineLimits, ResourceCapExceeded
+from cohomolab.limits import EngineLimits
 from cohomolab.modules import DualDivisible, GModule, _combine, _sparse_rows, star_dual
 from cohomolab.resolutions import (
-    Resolution,
     bar_basis,
     complete_rank,
     make_resolution,
@@ -506,52 +503,11 @@ def _image_columns(rows: Iterable[list[tuple[int, int]]]) -> list[dict[int, int]
     return [cols[k] for k in sorted(cols)]
 
 
-def _hom_matrix(M: GModule, rows: Iterable[list[tuple[int, int]]], width: int) -> IntMatrix:
-    """Streamed Hom rows as a dense block matrix, reduced mod the module's
-    modulus."""
-    N = M.modulus
-    dense = []
-    for sparse in rows:
-        row = [0] * width
-        for k, c in sparse:
-            row[k] = c % N if N else c
-        dense.append(row)
-    return IntMatrix.from_rows(dense, cols=width)
-
-
 def _apply(M: GModule, rows: Iterable[list[tuple[int, int]]], flat: Sequence[int]) -> list[int]:
     """The flat cochain phi . D for a flat cochain phi and the Hom rows of D,
     reduced mod the module's modulus."""
     out = [sum(c * flat[k] for k, c in row) for row in rows]
     return [x % M.modulus for x in out] if M.modulus else out
-
-
-def hom_complex_map(
-    M: GModule, resolution: Resolution, n: int, *, limits: EngineLimits | None = None
-) -> IntMatrix:
-    """The degree-n to degree-(n+1) map of Hom(resolution, M), dense.
-
-    The group order, the standard resolution's degree window and the
-    rows x cols of the result are checked against ``limits`` before
-    anything is built.
-
-    >>> from cohomolab.group_ring import GroupSpec
-    >>> from cohomolab.modules import trivial_module
-    >>> from cohomolab.resolutions import make_resolution
-    >>> G = GroupSpec.of(2, 4)
-    >>> res = make_resolution(G, "minimal")
-    >>> hom_complex_map(trivial_module(G), res, 1).data
-    ((2, 0), (0, 0), (0, 4))
-    """
-    if n < 0:
-        raise ValueError("ordinary Hom complex starts at degree 0")
-    limits = limits or EngineLimits.from_env()
-    limits.check_group_order(M.spec.order)
-    if resolution.kind == "bar":
-        limits.check_bar_degree(n + 1)
-    width = M.rank * resolution.rank(n)
-    limits.check_cells(M.rank * resolution.rank(n + 1), width, "Hom complex map")
-    return _hom_matrix(M, _leg_rows(M, resolution.kind, n + 1, limits=limits), width)
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,6 @@ class GroupSpec:
             n *= o
         return n
 
-    @property
-    def exponent(self) -> int:
-        from math import lcm
-
-        return lcm(*self.orders)
-
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.ngens
 
@@ -89,9 +83,6 @@ class GroupSpec:
             for p, e in _factorize(o):
                 parts.setdefault(p, []).append(p**e)
         return {p: GroupSpec(tuple(v)) for p, v in parts.items()}
-
-    def is_primary(self) -> bool:
-        return len(self.primary_decomposition()) == 1
 
 
 class RingElement:

@@ -1,11 +1,10 @@
-"""Exact integer linear algebra: Smith normal form, kernels, lattice quotients.
+"""Exact integer linear algebra: Smith diagonals, kernels, lattice quotients.
 
 Everything here runs on Python's arbitrary-precision integers; there is no
 floating point anywhere.  Matrices are immutable tuples of row tuples.  The
 workhorses are
 
-* :func:`snf` -- Smith normal form with unimodular transforms,
-* :func:`smith_diagonal` -- the Smith diagonal alone,
+* :func:`smith_diagonal` -- the Smith diagonal, without transforms,
 * :func:`kernel_columns` -- the one kernel routine, from sparse rows: a
   saturated basis of an integer kernel, or with a modulus N generators of
   the solutions of A x = 0 mod N,
@@ -20,13 +19,12 @@ The resolution matrices are over 99% zero with mostly unit entries, so the
 Smith diagonal, the kernel and the saturation, over Z and over Z/N alike,
 share one sparse elimination loop (:func:`_sparse_eliminate`): it clears
 dividing pivots on {column: value} rows, which never grows coefficients,
-and leaves only what has none to the dense elimination behind :func:`snf`.
-The gcd row echelon behind :func:`echelon_rows`, :func:`column_hnf` and the
-quotients also works on {column: value} rows.  A Hermite basis stays in the
-form its accumulator leaves it, (pivot, {row: value}) pairs sorted by pivot:
-the canonical reduction, the coordinates, the generator columns and the
-residues all read pivots off the pairs, and a dense basis is only ever a
-view, densified once.
+and leaves only what has none to the dense Smith elimination
+(:func:`_smith_eliminate`).  The gcd row echelon behind :func:`echelon_rows`
+and the quotients also works on {column: value} rows.  A Hermite basis stays
+in the form its accumulator leaves it, (pivot, {row: value}) pairs sorted by
+pivot: the canonical reduction, the coordinates, the generator columns and
+the residues all read pivots off the pairs, and no dense basis is built.
 
 The elimination kernels accept an optional modulus: when the column span of
 the input is known to contain N*Z^n, every entry may be reduced mod N without
@@ -85,72 +83,14 @@ class IntMatrix:
         return IntMatrix(len(data), width, data)
 
     @staticmethod
-    def from_columns(cols: Sequence[Sequence[int]], dim: int | None = None) -> "IntMatrix":
-        if not cols:
-            if dim is None:
-                raise ValueError("need dim for an empty column list")
-            return IntMatrix(dim, 0, tuple(() for _ in range(dim)))
-        dim = len(cols[0])
-        return IntMatrix.from_rows(
-            [[int(c[i]) for c in cols] for i in range(dim)], cols=len(cols)
-        )
-
-    @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.data)
-
-    def columns(self) -> list[list[int]]:
-        return [[r[j] for r in self.data] for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data else ())
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        bt = list(zip(*other.data)) if other.data else [()] * other.cols
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data
-        )
-        return IntMatrix(self.rows, other.cols, out)
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self.data))
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.data)
-
     def mod(self, n: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(x % n for x in r) for r in self.data))
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in r) for r in self.data)
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U * A * V = D with U, V unimodular and D = diag(d1 | d2 | ...).
-
-    ``invariants`` lists the diagonal entries larger than 1 (units dropped,
-    ascending divisibility); ``zero_entries`` counts zero diagonal positions.
-    """
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    invariants: tuple[int, ...]
-    zero_entries: int
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols)))
-
 
 @dataclass(frozen=True)
 class AbelianInvariants:
@@ -216,14 +156,6 @@ class AbelianInvariants:
             powers.extend(o.prime_powers())
             rank += o.free_rank
         return AbelianInvariants.from_prime_powers(powers, rank)
-
-    def repeated(self, n: int) -> "AbelianInvariants":
-        """Invariants of a direct sum of n copies (n = rank of a free tensor factor)."""
-        if n < 0:
-            raise ValueError("negative multiplicity")
-        if n == 0:
-            return AbelianInvariants(0, ())
-        return AbelianInvariants.from_prime_powers(self.prime_powers() * n, self.free_rank * n)
 
     def order(self) -> int | None:
         if self.free_rank:
@@ -436,28 +368,6 @@ def _smith_eliminate(el: _Eliminator) -> list[int]:
         diag.append(a[t][t])
         t += 1
     return diag
-
-
-def snf(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form U*A*V = D over Z.
-
-    Pivot choice is the smallest-absolute-value nonzero entry, ties broken by
-    lowest row then column index, so the output is deterministic.
-
-    >>> d = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    >>> d.invariants
-    (2, 4)
-    >>> d.U.mul(IntMatrix.from_rows([[2, 4], [6, 8]])).mul(d.V) == d.D
-    True
-    """
-    el = _Eliminator(A.data, A.rows, A.cols, want_u=True, want_v=True)
-    diag = _smith_eliminate(el)
-    D = IntMatrix.from_rows(el.a, cols=A.cols)
-    U = IntMatrix.from_rows(el.u, cols=A.rows)
-    V = IntMatrix.from_rows(el.v, cols=A.cols)
-    invariants = tuple(d for d in diag if d > 1)
-    zero_entries = min(A.rows, A.cols) - len(diag)
-    return SmithDecomposition(U, D, V, invariants, zero_entries)
 
 
 def _dict_row(r: Sequence[int] | dict[int, int], N: int = 0) -> dict[int, int]:
@@ -675,7 +585,14 @@ def _echelon_pairs(
 def _hermite_pairs(
     cols: Iterable[Sequence[int] | dict[int, int]], dim: int, mod: int | None = None
 ) -> _Pairs:
-    """The canonical Hermite basis of :func:`column_hnf`, as pairs."""
+    """The canonical column Hermite basis of the lattice spanned by
+    ``cols``, each dense or a dict {row: value}, as pairs.
+
+    With ``mod`` set the lattice is span(cols) + mod*Z^dim: the modulus
+    sublattice is seeded first, so the basis always has a pivot in every
+    row and all entries stay in [0, mod).  Pivots are positive, and the
+    entries of earlier columns at each pivot row are reduced into [0, pivot).
+    """
     pairs = _echelon_pairs(cols, mod, dim if mod else 0)
     # canonical reduction, last column first: each column is reduced by
     # later ones that already are, and a step at pivot p changes it only at
@@ -694,11 +611,6 @@ def _hermite_pairs(
                         else:
                             del c[j]
     return pairs
-
-
-def _pivot_pairs(cols: Iterable[Sequence[int]]) -> _Pairs:
-    """Dense echelon columns as pairs."""
-    return [(min(c), c) for c in map(_dict_row, cols)]
 
 
 def _densify(pairs: _Pairs, width: int) -> list[list[int]]:
@@ -760,35 +672,6 @@ def echelon_rows(rows: Iterable[Sequence[int]], mod: int | None = None) -> list[
     if not rlist:
         return []
     return _densify(_echelon_pairs(rlist, mod), len(rlist[0]))
-
-
-def column_hnf(
-    cols: Iterable[Sequence[int] | dict[int, int]], dim: int, mod: int | None = None
-) -> list[list[int]]:
-    """Canonical column Hermite basis of the lattice spanned by ``cols``,
-    each dense or a dict {row: value}; the basis columns are dense, a view
-    of the sparse basis the presentations keep.
-
-    With ``mod`` set the lattice is span(cols) + mod*Z^dim: the modulus
-    sublattice is seeded first, so the result always has a pivot in every
-    row and all entries stay in [0, mod).
-
-    Returned columns are sorted by pivot row; pivots are positive and entries
-    of earlier columns at each pivot row are reduced into [0, pivot).
-    """
-    return _densify(_hermite_pairs(cols, dim, mod), dim)
-
-
-def hermite_reduce(vec: Sequence[int], hnf_cols: Sequence[Sequence[int]]) -> list[int]:
-    """Canonical residue of ``vec`` modulo the lattice with Hermite basis
-    ``hnf_cols`` (dense; :meth:`QuotientPresentation.residue` reduces by
-    the basis it keeps)."""
-    return _residue(list(vec), _pivot_pairs(hnf_cols))
-
-
-def solve_in_span(hnf_cols: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int] | None:
-    """Integer coordinates of ``vec`` in the Hermite basis, or None if outside."""
-    return _solve(_pivot_pairs(hnf_cols), list(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -923,21 +806,16 @@ class QuotientPresentation:
     """Quotient of a lattice by a sublattice, with coordinate transforms.
 
     The quotient is span(basis)/span(relations), whose Hermite bases are
-    ``hnf_basis`` and ``relation_hnf``; :meth:`residue` reduces by the
-    latter to canonical residues.  ``diagonal`` has one entry per basis
+    kept as the sparse (pivot, {row: value}) pairs ``_basis`` and
+    ``_relations``; :meth:`residue` reduces by the latter to canonical
+    residues.  ``diagonal`` has one entry per basis
     position: d_i > 0 means a Z/d_i summand (1 = trivial), 0 means a free Z
     summand.  ``generator_column(i)`` lifts quotient generator i to ambient
     coordinates; ``coordinates`` is the inverse direction, mapping a lattice
     vector to its coordinate tuple in prod_i Z/d_i.
-
-    The two dense bases are views, densified once, of the sparse (pivot,
-    {row: value}) pairs ``_basis`` and ``_relations`` that every method
-    reads.
     """
 
     dim: int
-    hnf_basis: list[list[int]]
-    relation_hnf: list[list[int]]
     u: list[list[int]]
     uinv: list[list[int]]
     diagonal: list[int]
@@ -947,7 +825,7 @@ class QuotientPresentation:
 
     @property
     def rank(self) -> int:
-        return len(self.hnf_basis)
+        return len(self._basis)
 
     def coordinates(self, vec: Sequence[int]) -> list[int]:
         y = _solve(self._basis, list(vec))
@@ -992,17 +870,20 @@ def quotient_presentation(
     spell that out) and all arithmetic stays reduced mod ``mod``; the
     reported diagonal then divides the modulus.
 
-    The relations enter as their Hermite basis ``relation_hnf``, whose
-    coordinates in ``hnf_basis`` are echelon already and are the Smith input;
-    so the presentation depends on the two lattices alone, not on the order
-    or redundancy of either column list.  Both bases stay sparse through
-    the coordinates, the generator columns and the residues.
+    The relations enter as their Hermite basis, whose coordinates in the
+    basis's Hermite basis are echelon already and are the Smith input; so
+    the presentation depends on the two lattices alone, not on the order or
+    redundancy of either column list.  Both bases stay sparse through the
+    coordinates, the generator columns and the residues.
+
+    The relations below have the Hermite basis (2, 4), (0, 6):
 
     >>> p = quotient_presentation([[1, 0], [0, 1]], [[0, 6], [2, 10]], 2)
-    >>> p.relation_hnf, p.diagonal
-    ([[2, 4], [0, 6]], [2, 6])
-    >>> quotient_presentation([[1, 0], [0, 1]], [{0: 2}], 2, mod=4).relation_hnf
-    [[2, 0], [0, 4]]
+    >>> p.diagonal, p.residue([3, 7]), p.residue([1, 9])
+    ([2, 6], [1, 3], [1, 3])
+    >>> q = quotient_presentation([[1, 0], [0, 1]], [{0: 2}], 2, mod=4)
+    >>> q.diagonal, q.residue([3, 6])
+    ([2, 4], [1, 2])
     """
     hk = _hermite_pairs(basis_cols, dim, mod)
     rel = _hermite_pairs(relation_cols, dim, mod)
@@ -1015,6 +896,4 @@ def quotient_presentation(
     full = diag + [0] * (r - len(diag))
     if mod:
         full = [gcd(d, mod) if d else mod for d in full]
-    return QuotientPresentation(
-        dim, _densify(hk, dim), _densify(rel, dim), el.u, el.uinv, full, hk, rel, mod
-    )
+    return QuotientPresentation(dim, el.u, el.uinv, full, hk, rel, mod)

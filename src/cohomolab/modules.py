@@ -3,7 +3,9 @@
 A module is either a lattice (modulus 0, free over Z) or free over Z/N
 (modulus N > 0).  Construction always validates the action matrices: each
 generator action must have the right multiplicative order and all actions
-must commute.  Invertibility is implied by the order condition.
+must commute.  Invertibility is implied by the order condition.  A module
+derived from a validated one (a relabel, the dual, a reduction mod N) is
+not checked again: its actions pass whatever the original's did.
 
 The divisible coefficient modules that show up in duality statements are
 never materialized; :class:`DualDivisible` is a routing marker the engine
@@ -13,14 +15,13 @@ resolves through the dual-degree identity on the lattice inside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterable, Sequence
 
 from cohomolab.group_ring import GroupSpec
 from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
-    kernel_columns,
     quotient_invariants,
 )
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
@@ -156,18 +157,25 @@ class GModule:
     def relabel(self, label: str) -> "GModule":
         """The same module under another label: a copy of these validated
         actions, ``lifts_to_lattice`` kept, with tables of its own."""
-        # set field by field, as __init__ does: a copied __dict__ (copy.copy)
-        # makes every attribute read of the copy about 3x slower on 3.11
-        out = object.__new__(GModule)
-        changed = {"label": label, "_elements": {}, "_blocks": {}}
-        for f in fields(self):
-            object.__setattr__(out, f.name, changed.get(f.name, getattr(self, f.name)))
-        return out
+        return _derived(self, label=label)
 
     def __repr__(self) -> str:
         base = self.label or f"module(rank={self.rank})"
         ring = "Z" if self.is_lattice else f"Z/{self.modulus}"
         return f"<{base} over {ring}, G={','.join(map(str, self.spec.orders))}>"
+
+
+def _derived(m: GModule, **changed) -> GModule:
+    """A module made from the validated module ``m`` with the fields
+    ``changed``, with tables of its own and without validating again: only
+    for actions derived from ``m``'s, which pass every check that it did."""
+    # set field by field, as __init__ does: a copied __dict__ (copy.copy)
+    # makes every attribute read of the copy about 3x slower on 3.11
+    out = object.__new__(GModule)
+    changed = {"_elements": {}, "_blocks": {}, **changed}
+    for f in fields(m):
+        object.__setattr__(out, f.name, changed.get(f.name, getattr(m, f.name)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -280,13 +288,6 @@ class CyclotomicSpec:
     def root_order(self) -> int:
         return self.p**self.m
 
-    def is_normalized(self) -> bool:
-        """First generator hits a primitive root, the others act trivially."""
-        q = self.root_order
-        if gcd(self.exps[0], q) != 1:
-            return False
-        return all(e % q == 0 for e in self.exps[1:])
-
 
 def _companion_of_cyclotomic(p: int, m: int) -> IntMatrix:
     # Phi_{p^m}(t) = sum_{j=0}^{p-1} t^(j*p^(m-1)), monic of degree (p-1)p^(m-1)
@@ -314,13 +315,14 @@ def cyclotomic_module(cs: CyclotomicSpec) -> GModule:
 
 
 def star_dual(m: GModule) -> GModule:
-    """Linear dual Hom(M, Z) with the action g.f = f o g^-1."""
+    """Linear dual Hom(M, Z) with the action g.f = f o g^-1: the transposed
+    inverses of commuting actions commute and keep their orders."""
     if not m.is_lattice:
         raise ValueError("dual is only defined for lattices here")
     actions = tuple(
         _mat_pow(A, o - 1).transpose() for A, o in zip(m.actions, m.spec.orders)
     )
-    return GModule(m.spec, m.rank, 0, actions, f"star({m.label})" if m.label else "star")
+    return _derived(m, actions=actions, label=f"star({m.label})" if m.label else "star")
 
 
 def _kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -361,13 +363,19 @@ def tensor_outer(m1: GModule, m2: GModule) -> GModule:
 
 
 def reduce_mod(m: GModule, n: int) -> GModule:
+    """L/nL for a lattice L: its actions reduced mod n, which keep their
+    orders and commute as L's do."""
     if not m.is_lattice:
         raise ValueError("can only reduce a lattice")
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    out = GModule(m.spec, m.rank, n, m.actions, f"reduce:{n}({m.label})")
-    object.__setattr__(out, "lifts_to_lattice", True)
-    return out
+    return _derived(
+        m,
+        modulus=n,
+        actions=tuple(A.mod(n) for A in m.actions),
+        label=f"reduce:{n}({m.label})",
+        lifts_to_lattice=True,
+    )
 
 
 def _augmentation_columns(m: GModule) -> list[list[int]]:
@@ -380,30 +388,9 @@ def _augmentation_columns(m: GModule) -> list[list[int]]:
     return cols
 
 
-def invariants_submodule(m: GModule) -> IntMatrix:
-    """Basis (columns) of the fixed points M^G.
-
-    For a finite module the columns generate M^G together with N*Z^rank.
-    """
-    rows = (
-        [(j, A.data[i][j] - (i == j)) for j in range(m.rank)]
-        for A in m.actions
-        for i in range(m.rank)
-    )
-    cols = kernel_columns(rows, m.rank, mod=m.modulus)
-    return IntMatrix.from_columns(cols, dim=m.rank)
-
-
-def invariants_structure(m: GModule) -> AbelianInvariants:
-    basis = invariants_submodule(m)
-    if m.is_lattice:
-        return AbelianInvariants(basis.cols, ())
-    return quotient_invariants(basis.columns(), [], m.rank, mod=m.modulus)
-
-
 def coinvariants(m: GModule) -> AbelianInvariants:
     """Structure of M / (augmentation ideal) M."""
-    eye = IntMatrix.identity(m.rank).columns()
+    eye = [{j: 1} for j in range(m.rank)]
     return quotient_invariants(eye, _augmentation_columns(m), m.rank, mod=m.modulus)
 
 

@@ -21,6 +21,7 @@ from typing import Iterable
 from cohomolab.closed_forms import (
     GENERATOR_CASES,
     generator_family,
+    irreducible_homology_factors,
     irreducible_multiplicity,
     multiplicity_display,
     trivial_module_factors,
@@ -315,9 +316,9 @@ def closed_forms_suite(limits: EngineLimits | None = None) -> list[CheckResult]:
         mismatches = []
         for n in range(5):
             got = homology(M, n, limits=limits).invariants
-            mult = irreducible_multiplicity(n, G.ngens)
-            if (got.free_rank, got.torsion) != (0, (p,) * mult):
-                mismatches.append(f"n={n}: {got} vs (Z/{p})^{mult}")
+            want = irreducible_homology_factors(n, G.ngens, p)
+            if got != want:
+                mismatches.append(f"n={n}: {got} vs (Z/{p})^{len(want.torsion)}")
         out.append(
             CheckResult(
                 f"closed-forms/irreducible-homology/{_gname(orders)}",

@@ -8,7 +8,10 @@ ring matrix.  The library itself never builds any of these; its faces
 functions list the same blocks directly.
 
 The Hermite references keep every basis dense and find each pivot by
-scanning, where the library keeps (pivot, {row: value}) pairs.
+scanning, where the library keeps (pivot, {row: value}) pairs.  The Smith
+form with transforms, checked with dense matrix helpers, runs the library's
+elimination on whole matrices.  The fixed points M^G are the degree-0
+reference.
 
 The pair-table identity of a factor set is checked triple by triple, one
 module vector at a time, where the library reads one vector over the third
@@ -17,17 +20,21 @@ element per pair and module coordinate.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Sequence
 
 from cohomolab.engine import FactorSet, _Block, _hom_rows, _Source
 from cohomolab.group_ring import GroupSpec, RingElement, RingMatrix, partial_norm
 from cohomolab.intlinalg import (
+    AbelianInvariants,
     IntMatrix,
     _dict_row,
     _echelon_insert,
     _Eliminator,
     _smith_eliminate,
+    kernel_columns,
+    quotient_invariants,
 )
 from cohomolab.modules import GModule, _combine, _dense
 from cohomolab.resolutions import bar_basis, monomial_basis
@@ -226,6 +233,11 @@ def _pivot_tails(hnf_cols):
     return [(p, c[p:]) for c, p in zip(hnf_cols, map(_first_nonzero, hnf_cols))]
 
 
+def solve_in_span(hnf_cols: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int] | None:
+    """Integer coordinates of ``vec`` in the Hermite basis, or None if outside."""
+    return _solve(_pivot_tails(hnf_cols), vec)
+
+
 def _solve(tails, vec) -> list[int] | None:
     v = list(vec)
     coords = []
@@ -273,3 +285,99 @@ def quotient_presentation(basis_cols, relation_cols, dim: int, mod: int | None =
         "generators": gens,
         "residues": [hermite_reduce(g, rel) for g in gens],
     }
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form with transforms, and dense matrix helpers
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U * A * V = D with U, V unimodular and D = diag(d1 | d2 | ...).
+
+    ``invariants`` lists the diagonal entries larger than 1 (units dropped,
+    ascending divisibility); ``zero_entries`` counts zero diagonal positions.
+    """
+
+    U: IntMatrix
+    D: IntMatrix
+    V: IntMatrix
+    invariants: tuple[int, ...]
+    zero_entries: int
+
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols)))
+
+
+def snf(A: IntMatrix) -> SmithDecomposition:
+    """Smith normal form U*A*V = D over Z, from the library's dense
+    elimination with both transforms.
+
+    Pivot choice is the smallest-absolute-value nonzero entry, ties broken by
+    lowest row then column index, so the output is deterministic.
+
+    >>> A = IntMatrix.from_rows([[2, 4], [6, 8]])
+    >>> d = snf(A)
+    >>> d.invariants
+    (2, 4)
+    >>> mul(mul(d.U, A), d.V) == d.D
+    True
+    """
+    el = _Eliminator(A.data, A.rows, A.cols, want_u=True, want_v=True)
+    diag = _smith_eliminate(el)
+    D = IntMatrix.from_rows(el.a, cols=A.cols)
+    U = IntMatrix.from_rows(el.u, cols=A.rows)
+    V = IntMatrix.from_rows(el.v, cols=A.cols)
+    invariants = tuple(d for d in diag if d > 1)
+    zero_entries = min(A.rows, A.cols) - len(diag)
+    return SmithDecomposition(U, D, V, invariants, zero_entries)
+
+
+def from_columns(cols: Sequence[Sequence[int]], dim: int) -> IntMatrix:
+    """The dim-row matrix with columns ``cols``."""
+    return IntMatrix.from_rows([[c[i] for c in cols] for i in range(dim)], cols=len(cols))
+
+
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+
+
+def columns(A: IntMatrix) -> list[list[int]]:
+    return [[r[j] for r in A.data] for j in range(A.cols)]
+
+
+def mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    if A.cols != B.rows:
+        raise ValueError("dimension mismatch")
+    cols = columns(B)
+    out = tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in cols) for r in A.data)
+    return IntMatrix(A.rows, B.cols, out)
+
+
+def is_zero(A: IntMatrix) -> bool:
+    return not any(map(any, A.data))
+
+
+# ---------------------------------------------------------------------------
+# fixed points
+
+
+def invariants_submodule(m: GModule) -> IntMatrix:
+    """Basis (columns) of the fixed points M^G.
+
+    For a finite module the columns generate M^G together with N*Z^rank.
+    """
+    rows = (
+        [(j, A.data[i][j] - (i == j)) for j in range(m.rank)]
+        for A in m.actions
+        for i in range(m.rank)
+    )
+    return from_columns(kernel_columns(rows, m.rank, mod=m.modulus), m.rank)
+
+
+def invariants_structure(m: GModule) -> AbelianInvariants:
+    """The structure of M^G."""
+    basis = invariants_submodule(m)
+    if m.is_lattice:
+        return AbelianInvariants(basis.cols, ())
+    return quotient_invariants(columns(basis), [], m.rank, mod=m.modulus)

@@ -9,6 +9,7 @@ soft item is the criterion-11 timing, which is reported but not asserted.
 import time
 from math import comb
 
+from _reference import invariants_structure
 from cohomolab.closed_forms import (
     GENERATOR_CASES,
     MultiplicityTable,
@@ -26,12 +27,7 @@ from cohomolab.engine import (
 from cohomolab.group_ring import GroupSpec
 from cohomolab.intlinalg import AbelianInvariants, _factorize
 from cohomolab.limits import EngineLimits
-from cohomolab.modules import (
-    invariants_structure,
-    parse_module,
-    star_dual,
-    trivial_module,
-)
+from cohomolab.modules import parse_module, star_dual, trivial_module
 from cohomolab.resolutions import make_resolution
 from cohomolab.verify import (
     CAPPED,

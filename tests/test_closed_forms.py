@@ -7,7 +7,6 @@ the engine, which is exercised end to end in its own test module.  The
 known-inconsistent printed displays must be reproduced, not corrected.
 """
 
-import itertools
 import re
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
@@ -26,8 +25,6 @@ from cohomolab.closed_forms import (
     irreducible_tate_factors,
     multiplicity_display,
     predicted_invariants,
-    summand_count,
-    summand_count_report,
     trivial_module_factors,
     trivial_module_report,
 )
@@ -56,7 +53,8 @@ MULT_GRID = [
     [0, 3, 12, 34],
 ]
 
-# hand-evaluated summand counts, rows n = 1..4, columns s = 1..3
+# hand-evaluated numbers of cyclic summands of H_n(G, Z) for G = (Z/p)^s,
+# rows n = 1..4, columns s = 1..3
 COUNT_GRID = [
     [1, 2, 3],
     [0, 1, 3],
@@ -115,8 +113,6 @@ def test_table_is_immutable_and_bounded():
     assert t.multiplicity(4, 3) == MULT_GRID[4][2]
     with pytest.raises(ValueError):
         t.multiplicity(5, 1)
-    with pytest.raises(ValueError):
-        t.summands(0, 1)
     with pytest.raises(AttributeError):
         t.cache = {}  # slotted on purpose; no ad-hoc state
 
@@ -135,44 +131,31 @@ def test_concurrent_reads_agree_with_sequential():
 
 
 # ---------------------------------------------------------------------------
-# Summand counts
+# Summand counts: H_n(G, Z) is the Tate group in degree -(n+1)
 
 
 def test_summand_count_matches_hand_grid():
     for n, row in enumerate(COUNT_GRID, start=1):
         for s, want in enumerate(row, start=1):
-            assert summand_count(n, s) == want
+            for p in (2, 3):
+                assert len(trivial_module_factors(-(n + 1), (p,) * s).torsion) == want
 
 
 def test_summand_count_telescopes_into_multiplicities():
-    # mu(n, s) agrees with summing the per-factor multiplicities, the same
-    # identity the per-factor invariant formula relies on
+    # factors of distinct exponents of one prime never merge, so the count
+    # is the sum of the per-factor multiplicities
     for n in range(1, 7):
         for s in range(1, 5):
             total = sum(irreducible_multiplicity(n - 1, k) for k in range(1, s + 1))
-            assert summand_count(n, s) == total
-
-
-def test_summand_variants():
-    assert summand_count(1, 2, "printed") == 0  # known-wrong sign reading
-    assert summand_count(1, 2, "derived") == 2 == summand_count(1, 2)
-    r = summand_count_report(1, 2)
-    assert not r.printed_matches and r.derived_matches
-    r = summand_count_report(2, 3)
-    assert (r.recurrence, r.printed, r.derived) == (3, 5, 3)
-    with pytest.raises(ValueError):
-        summand_count(0, 2)
-    with pytest.raises(ValueError):
-        summand_count(2, 2, "folklore")
+            orders = (3, 9, 27, 81)[:s]
+            assert len(trivial_module_factors(-(n + 1), orders).torsion) == total
 
 
 def test_summand_count_matches_engine_homology():
-    for orders in [(2, 2), (2, 4)]:
-        G = GroupSpec.of(*orders)
-        Z = trivial_module(G)
-        for n in range(1, 4):
-            torsion = homology(Z, n).invariants.torsion
-            assert len(torsion) == summand_count(n, G.ngens)
+    for orders in [(2,), (4,), (2, 2), (2, 4), (3, 3), (2, 3), (2, 2, 2), (2, 2, 4)]:
+        Z = trivial_module(GroupSpec.of(*orders))
+        for n in range(1, 5):
+            assert homology(Z, n).invariants == trivial_module_factors(-(n + 1), orders)
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import cocycle_identity_holds as reference_identity_holds
-from _reference import hom_constraint_rows, sigma
+from _reference import column_hnf, hom_constraint_rows, invariants_structure, sigma
 from cohomolab import engine, group_ring, resolutions, verify
 from cohomolab.closed_forms import generator_family
 from cohomolab.engine import (
     Cochain,
     VerificationError,
-    _hom_matrix,
+    _apply,
     _image_columns,
+    _leg_rows,
     coboundary_0,
     coboundary_1,
     dual_tate,
-    hom_complex_map,
     homology,
     is_cocycle_1,
     is_cocycle_2,
@@ -36,12 +36,11 @@ from cohomolab.engine import (
     to_factor_set,
 )
 from cohomolab.group_ring import GroupSpec
-from cohomolab.intlinalg import AbelianInvariants, IntMatrix, column_hnf
+from cohomolab.intlinalg import AbelianInvariants, IntMatrix, _densify
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
 from cohomolab.modules import (
     DualDivisible,
     GModule,
-    invariants_structure,
     parse_module,
     reduce_mod,
     star_dual,
@@ -72,25 +71,41 @@ def _inv(result):
 # Hom complex assembly
 
 
+def _dense_rows(M, rows, width):
+    """Streamed Hom rows as dense rows of the given width, reduced mod the
+    module's modulus."""
+    N = M.modulus
+    out = []
+    for sparse in rows:
+        row = [0] * width
+        for k, c in sparse:
+            row[k] += c
+        out.append([x % N for x in row] if N else row)
+    return out
+
+
+def _hom_map(M, res, n):
+    """The degree-n to degree-(n+1) map of Hom(res, M), dense."""
+    return _dense_rows(M, _leg_rows(M, res.kind, n + 1), M.rank * res.rank(n))
+
+
 def test_hom_complex_map_pinned_example():
     res = make_resolution(G24, "minimal")
-    H = hom_complex_map(trivial_module(G24), res, 1)
-    assert H.data == ((2, 0), (0, 0), (0, 4))
+    assert _hom_map(trivial_module(G24), res, 1) == [[2, 0], [0, 0], [0, 4]]
 
 
 def test_hom_complex_map_block_dimensions():
     M = parse_module("cyclo:2:1:1,0", G22)  # rank 1
-    res = make_resolution(G22, "minimal")
-    H = hom_complex_map(M, res, 1)
-    assert (H.rows, H.cols) == (3, 2)
+    H = _hom_map(M, make_resolution(G22, "minimal"), 1)
+    assert (len(H), len(H[0])) == (3, 2)
     M2 = parse_module("trivial:3", G33)
-    res33 = make_resolution(G33, "minimal")
-    H2 = hom_complex_map(M2, res33, 2)
+    H2 = _hom_map(M2, make_resolution(G33, "minimal"), 2)
     # bases grow linearly in two variables: 3 then 4 monomials
-    assert (H2.rows, H2.cols) == (12, 9)
+    assert (len(H2), len(H2[0])) == (12, 9)
 
 
 def test_hom_complex_maps_compose_to_zero():
+    # each basis cochain of degree n, through the legs leaving n and n + 1
     for orders in [(2,), (2, 2), (2, 4), (3, 3), (2, 3)]:
         G = GroupSpec.of(*orders)
         mods = [trivial_module(G), parse_module("reduce:4(trivial)", G)]
@@ -100,15 +115,13 @@ def test_hom_complex_maps_compose_to_zero():
             res = make_resolution(G, kind)
             for M in mods:
                 for n in (0, 1):
-                    A = hom_complex_map(M, res, n)
-                    B = hom_complex_map(M, res, n + 1)
-                    P = B.mul(A)
-                    if M.modulus:
-                        assert all(
-                            x % M.modulus == 0 for row in P.data for x in row
-                        ), (orders, kind, M.label, n)
-                    else:
-                        assert P.is_zero(), (orders, kind, M.label, n)
+                    first = list(_leg_rows(M, kind, n + 1))
+                    then = list(_leg_rows(M, kind, n + 2))
+                    width = M.rank * res.rank(n)
+                    for j in range(width):
+                        e = [int(k == j) for k in range(width)]
+                        out = _apply(M, then, _apply(M, first, e))
+                        assert not any(out), (orders, kind, M.label, n, j)
 
 
 # ---------------------------------------------------------------------------
@@ -390,24 +403,23 @@ def test_bar_cell_cap_binds_on_a_rank_zero_module(compute, n):
 
 
 def test_hom_complex_map_checks_every_cap(monkeypatch):
-    # the dense map is sized and capped before anything is built, like the
-    # entry points: cells (from the environment or ``limits``), group order
-    # and the standard resolution's degree window
+    # a standard-resolution leg is sized and capped before a row is built:
+    # cells (from the environment or ``limits``) and the degree window; the
+    # entry points check the group order first, on either resolution
     Z = trivial_module(G22)
-    bar = make_resolution(G22, "bar")
     monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "10")
-    with pytest.raises(ResourceCapExceeded, match="27 x 9 matrix"):
-        hom_complex_map(Z, bar, 2)
+    with pytest.raises(ResourceCapExceeded, match="9 x 27 matrix"):
+        next(_leg_rows(Z, "bar", 3))
     monkeypatch.delenv("COHOMOLAB_MAX_CELLS")
     C40 = GroupSpec.of(40)
     for kind in ("minimal", "bar"):
         with pytest.raises(ResourceCapExceeded, match="group order 40"):
-            hom_complex_map(trivial_module(C40), make_resolution(C40, kind), 1)
+            ordinary_cohomology(trivial_module(C40), 1, resolution=kind)
     with pytest.raises(ResourceCapExceeded, match="standard-resolution degree 5"):
-        hom_complex_map(Z, bar, 4)
-    with pytest.raises(ResourceCapExceeded, match="27 x 9 matrix"):
-        hom_complex_map(Z, bar, 2, limits=EngineLimits(max_cells=26 * 9))
-    assert hom_complex_map(Z, bar, 2, limits=EngineLimits(max_cells=27 * 9)).rows == 27
+        next(_leg_rows(Z, "bar", 5))
+    with pytest.raises(ResourceCapExceeded, match="9 x 27 matrix"):
+        next(_leg_rows(Z, "bar", 3, limits=EngineLimits(max_cells=26 * 9)))
+    assert len(list(_leg_rows(Z, "bar", 3, limits=EngineLimits(max_cells=27 * 9)))) == 27
 
 
 @pytest.mark.parametrize("text", ["trivial:0", "reduce:3(trivial:0)"])
@@ -493,13 +505,10 @@ def test_lattice_lift_flag_is_set_by_reduction_alone():
     assert R == GModule(R.spec, R.rank, R.modulus, R.actions, R.label)
 
 
-def _dense_columns(M, H):
-    """The nonzero columns of a dense map, reduced mod the module's modulus,
-    in the {row: value} form :func:`_image_columns` returns."""
-    cols = H.columns()
-    if M.modulus:
-        cols = [[x % M.modulus for x in c] for c in cols]
-    return [{r: x for r, x in enumerate(c) if x} for c in cols if any(c)]
+def _dense_columns(H):
+    """The nonzero columns of dense rows, in the {row: value} form
+    :func:`_image_columns` returns."""
+    return [{r: x for r, x in enumerate(c) if x} for c in zip(*H) if any(c)]
 
 
 @pytest.mark.parametrize(
@@ -518,17 +527,17 @@ def test_streamed_image_columns_match_the_dense_map(text, orders, resolution):
     d = M.rank
     for n in (0, 1, 2):
         # cohomology: the image in degree n + 1 (on the minimal resolution
-        # hom_complex_map reads the rows off monomial indices instead)
+        # the library's leg reads the rows off monomial indices instead)
         D = res.diff(n + 1)
         got = _image_columns(hom_constraint_rows(M, D))
-        assert got == _dense_columns(M, hom_complex_map(M, res, n)), n
+        assert got == _dense_columns(_hom_map(M, res, n)), n
         # homology: the antipode-transposed leg into degree n, whose rows
         # are wider (degree n + 1) than the degree-n chains
         T = D.antipode_transpose()
         assert T.rows > T.cols
         got = _image_columns(hom_constraint_rows(M, T))
-        dense = _hom_matrix(M, hom_constraint_rows(M, T), d * T.rows)
-        assert got == _dense_columns(M, dense), n
+        dense = _dense_rows(M, hom_constraint_rows(M, T), d * T.rows)
+        assert got == _dense_columns(dense), n
 
 
 _ROW_GROUPS = [(2,), (3,), (4,), (2, 2), (2, 4), (3, 3), (2, 3), (2, 2, 2), (2, 2, 4), (2, 2, 2, 2)]
@@ -770,10 +779,12 @@ def test_coprime_splitting_over_z6():
     M = parse_module("tensor(cyclo:2:1:1,trivial)", G6)
     f1 = invariants_structure(M1).free_rank
     f2 = invariants_structure(M2).free_rank
+    none = AbelianInvariants(0, ())
     for n in range(-2, 4):
         whole = tate_cohomology(M, n).invariants
-        left = tate_cohomology(M1, n).invariants.repeated(f2)
-        right = tate_cohomology(M2, n).invariants.repeated(f1)
+        # a direct sum of f copies, f the rank of the other free factor
+        left = none.direct_sum(*[tate_cohomology(M1, n).invariants] * f2)
+        right = none.direct_sum(*[tate_cohomology(M2, n).invariants] * f1)
         assert whole == left.direct_sum(right), n
 
 
@@ -1012,7 +1023,7 @@ def test_a_residual_falls_back_to_the_kernel_of_the_outgoing_map(monkeypatch):
     dim = M.rank * 3
     assert seen == [None]
     assert kernels == [real_ker(engine._leg_rows(M, "minimal", 3), dim)]
-    assert r._presentation.hnf_basis == column_hnf(kernels[0], dim)
+    assert _densify(r._presentation._basis, dim) == column_hnf(kernels[0], dim)
     assert r.class_group_generated_by(r.representatives) == r.invariants
 
 
@@ -1043,8 +1054,8 @@ def test_saturation_and_kernel_give_the_same_presentation(monkeypatch, orders):
                 m.setattr(engine, "saturation_columns", lambda cols, dim: None)
                 b = compute(M, n, want_representatives=True, **kw)
             pa, pb = a._presentation, b._presentation
-            assert (pa.hnf_basis, pa.relation_hnf, pa.diagonal) == (
-                pb.hnf_basis, pb.relation_hnf, pb.diagonal
+            assert (pa._basis, pa._relations, pa.diagonal) == (
+                pb._basis, pb._relations, pb.diagonal
             ), (text, compute.__name__, n, kw)
             assert a.representatives == b.representatives
     # every call took the saturation, or the comparison is empty
@@ -1075,7 +1086,8 @@ def test_presentation_entries_stay_small_on_the_oracle_lattices():
                         continue
                     p = r._presentation
                     reps = [v for c in r.representatives for v in c.values]
-                    for rows in (p.hnf_basis, p.relation_hnf, p.u, p.uinv, reps):
+                    bases = [[c.values() for _, c in b] for b in (p._basis, p._relations)]
+                    for rows in (*bases, p.u, p.uinv, reps):
                         assert _bits(rows) <= 8, (orders, text, resolution, n)
     assert set(capped) == {("bar", 3)}
 

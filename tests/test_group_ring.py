@@ -16,7 +16,6 @@ from cohomolab.group_ring import (
 def test_group_spec_basics():
     G = GroupSpec.of(2, 4)
     assert G.order == 8
-    assert G.exponent == 4
     assert G.mul((1, 3), (1, 2)) == (0, 1)
     assert G.inv((1, 3)) == (1, 1)
     assert G.index((0, 0)) == 0
@@ -38,8 +37,6 @@ def test_primary_decomposition():
     parts = G.primary_decomposition()
     assert parts[2].orders == (2, 4)
     assert parts[3].orders == (3, 9)
-    assert not G.is_primary()
-    assert GroupSpec.of(2, 4).is_primary()
 
 
 def test_partial_norm_splitting_rule():

@@ -19,19 +19,16 @@ from hypothesis import strategies as st
 
 import _reference
 import cohomolab.intlinalg as il
+from _reference import column_hnf, columns, from_columns, is_zero, mul, snf, solve_in_span, zeros
 from cohomolab.engine import _image_columns
 from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
-    column_hnf,
     echelon_rows,
-    hermite_reduce,
     kernel_columns,
     quotient_invariants,
     quotient_presentation,
     saturation_columns,
-    snf,
-    solve_in_span,
     xgcd,
 )
 
@@ -96,7 +93,7 @@ def test_snf_transform_identity_and_unimodularity():
         n = rng.randint(1, 4)
         A = IntMatrix.from_rows(_random_matrix(rng, m, n), cols=n)
         dec = snf(A)
-        assert dec.U.mul(A).mul(dec.V) == dec.D
+        assert mul(mul(dec.U, A), dec.V) == dec.D
         assert abs(_det([list(r) for r in dec.U.data])) == 1
         assert abs(_det([list(r) for r in dec.V.data])) == 1
 
@@ -156,7 +153,7 @@ def _matrices(draw, max_dim=4, bound=20):
 @given(_matrices())
 def test_snf_properties_hypothesis(A):
     dec = snf(A)
-    assert dec.U.mul(A).mul(dec.V) == dec.D
+    assert mul(mul(dec.U, A), dec.V) == dec.D
     got = [d for d in dec.diagonal() if d]
     want = _minor_gcd_invariants([list(r) for r in A.data], A.rows, A.cols)
     assert got == want
@@ -169,16 +166,16 @@ def test_snf_properties_hypothesis(A):
 def _kernel(A: IntMatrix) -> IntMatrix:
     """:func:`kernel_columns` of a dense matrix, as matrix columns."""
     rows = ([(j, x) for j, x in enumerate(r) if x] for r in A.data)
-    return IntMatrix.from_columns(kernel_columns(rows, A.cols), dim=A.cols)
+    return from_columns(kernel_columns(rows, A.cols), A.cols)
 
 
 def test_kernel_basis_pinned():
     K = _kernel(IntMatrix.from_rows([[2, 3]]))
-    assert K.columns() == [[3, -2]]
+    assert columns(K) == [[3, -2]]
 
 
 def test_kernel_basis_zero_map():
-    K = _kernel(IntMatrix.zeros(3, 4))
+    K = _kernel(zeros(3, 4))
     assert K == IntMatrix.identity(4)
 
 
@@ -196,7 +193,7 @@ def test_kernel_columns_sums_repeated_indices():
 @given(_matrices(max_dim=4, bound=9))
 def test_kernel_basis_properties(A):
     K = _kernel(A)
-    assert A.mul(K).is_zero()
+    assert is_zero(mul(A, K))
     rank = len(_minor_gcd_invariants([list(r) for r in A.data], A.rows, A.cols))
     assert K.cols == A.cols - rank
     # saturated: the ambient quotient by the kernel is torsion free
@@ -226,11 +223,11 @@ def test_kernel_columns_sparse_draws_match_dense_reference():
         want, rank = _dense_kernel_reference(rows, n)
         K = kernel_columns(([(j, x) for j, x in enumerate(r) if x] for r in rows), n)
         A = IntMatrix.from_rows(rows, cols=n)
-        assert A.mul(IntMatrix.from_columns(K, dim=n)).is_zero()
+        assert is_zero(mul(A, from_columns(K, n)))
         assert len(K) == n - rank
         if K:
             # saturated: the ambient quotient by the kernel is torsion free
-            assert snf(IntMatrix.from_columns(K, dim=n)).invariants == ()
+            assert snf(from_columns(K, n)).invariants == ()
         assert column_hnf(K, n) == column_hnf(want, n), rows
         pivots, residual = il._sparse_eliminate([il._dict_row(r) for r in rows], n, 0)
         seen["unit"] += any(g == 1 for g, _, _ in pivots)
@@ -274,6 +271,11 @@ def test_saturation_columns_give_up_on_a_residual():
 # echelon / hermite
 
 
+def _hnf(cols, dim, mod=None):
+    """The library's canonical Hermite basis, densified."""
+    return il._densify(il._hermite_pairs(cols, dim, mod), dim)
+
+
 def test_echelon_pinned():
     # fixed outputs of the dense-row gcd echelon; the dict-row one must match
     assert echelon_rows([[2, 4, 6], [4, 1, 0]]) == [[2, 4, 6], [0, 7, 12]]  # exact quotient
@@ -288,11 +290,11 @@ def test_echelon_pinned():
         [3, 5, 7], [0, 1, 4], [0, 0, 4],
     ]
     # seed_mod: the modulus sublattice is seeded before the columns go in
-    assert column_hnf([[2, 3, 0], [4, 1, 6]], 3, mod=6) == [[2, 0, 0], [0, 1, 0], [0, 0, 6]]
+    assert _hnf([[2, 3, 0], [4, 1, 6]], 3, mod=6) == [[2, 0, 0], [0, 1, 0], [0, 0, 6]]
     assert il._echelon_pairs([[0, 3, 1]], 9, seed=3) == [
         (0, {0: 9}), (1, {1: 3, 2: 1}), (2, {2: 3}),
     ]
-    assert column_hnf([[0, 2, -4, 1], [0, -3, 1, 0], [0, 0, 5, 5]], 4) == [
+    assert _hnf([[0, 2, -4, 1], [0, -3, 1, 0], [0, 0, 5, 5]], 4) == [
         [0, 1, 3, 12], [0, 0, 5, 5], [0, 0, 0, 13],
     ]
 
@@ -310,48 +312,47 @@ def test_echelon_rows_preserves_row_membership():
 
 def test_column_hnf_is_canonical():
     cols = [[4, 2], [6, 4]]
-    h1 = column_hnf(cols, 2)
-    h2 = column_hnf(list(reversed(cols)), 2)
+    h1 = il._hermite_pairs(cols, 2)
+    h2 = il._hermite_pairs(list(reversed(cols)), 2)
     assert h1 == h2
-    for c in h1:
-        p = next(i for i, x in enumerate(c) if x)
-        assert c[p] > 0
+    for p, c in h1:
+        assert min(c) == p and c[p] > 0
 
 
 def test_column_hnf_with_modulus_seeds_full_rank():
-    h = column_hnf([[2, 0]], 2, mod=4)
+    h = il._hermite_pairs([[2, 0]], 2, mod=4)
     assert len(h) == 2
-    assert solve_in_span(h, [0, 4]) is not None
-    assert solve_in_span(h, [2, 0]) is not None
-    assert solve_in_span(h, [1, 0]) is None
+    assert il._solve(h, [0, 4]) is not None
+    assert il._solve(h, [2, 0]) is not None
+    assert il._solve(h, [1, 0]) is None
 
 
 def test_hermite_reduce_canonical_on_cosets():
     rng = random.Random(11)
     for _ in range(30):
         cols = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(2)]
-        h = column_hnf(cols, 3)
-        if not h:
+        pairs = il._hermite_pairs(cols, 3)
+        if not pairs:
             continue
         v = [rng.randint(-9, 9) for _ in range(3)]
-        shift = [rng.randint(-3, 3) for _ in range(len(h))]
+        shift = [rng.randint(-3, 3) for _ in range(len(pairs))]
         w = list(v)
-        for c, s in zip(h, shift):
+        for c, s in zip(il._densify(pairs, 3), shift):
             w = [a + s * b for a, b in zip(w, c)]
-        assert hermite_reduce(v, h) == hermite_reduce(w, h)
+        assert il._residue(list(v), pairs) == il._residue(w, pairs)
 
 
 def test_solve_in_span_roundtrip():
     cols = [[2, 0, 4], [0, 3, 3]]
-    h = column_hnf(cols, 3)
+    pairs = il._hermite_pairs(cols, 3)
     v = [2 * 2 + 0, 0 + 3 * 3, 2 * 4 + 3 * 3]  # 2*c0 + 3*c1
-    y = solve_in_span(h, v)
+    y = il._solve(pairs, list(v))
     assert y is not None
     rebuilt = [0, 0, 0]
-    for c, q in zip(h, y):
+    for c, q in zip(il._densify(pairs, 3), y):
         rebuilt = [a + q * b for a, b in zip(rebuilt, c)]
     assert rebuilt == v
-    assert solve_in_span(h, [1, 1, 1]) is None
+    assert il._solve(pairs, [1, 1, 1]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +362,7 @@ def test_solve_in_span_roundtrip():
 def test_quotient_invariants_pinned():
     assert quotient_invariants([[1, 1]], [[2, 2]], 2) == AbelianInvariants(0, (2,))
 
-    eye = IntMatrix.identity(2).columns()
+    eye = [[1, 0], [0, 1]]
     assert quotient_invariants(eye, [[2, 0], [0, 2]], 2) == AbelianInvariants(0, (2, 2))
 
     # free quotient: Z^2 / 0
@@ -420,11 +421,7 @@ def _representatives(basis, relations, dim, N):
     """The presentation's diagonal and each nontrivial generator reduced by
     the relations' Hermite basis."""
     pres = quotient_presentation(basis, relations, dim, mod=N or None)
-    reps = [
-        hermite_reduce(pres.generator_column(i), pres.relation_hnf)
-        for i, d in enumerate(pres.diagonal)
-        if d != 1
-    ]
+    reps = [pres.residue(pres.generator_column(i)) for i, d in enumerate(pres.diagonal) if d != 1]
     return pres.diagonal, reps
 
 
@@ -499,8 +496,8 @@ def test_sparse_presentation_matches_the_dense_reference(case):
     pres = quotient_presentation(basis, relations, dim, mod=N or None)
     want = _reference.quotient_presentation(basis, relations, dim, mod=N or None)
     got = {
-        "hnf_basis": pres.hnf_basis,
-        "relation_hnf": pres.relation_hnf,
+        "hnf_basis": il._densify(pres._basis, dim),
+        "relation_hnf": il._densify(pres._relations, dim),
         "u": pres.u,
         "uinv": pres.uinv,
         "diagonal": pres.diagonal,
@@ -508,12 +505,9 @@ def test_sparse_presentation_matches_the_dense_reference(case):
         "residues": [pres.residue(pres.generator_column(i)) for i in range(pres.rank)],
     }
     assert got == want
-    assert column_hnf(basis, dim, mod=N or None) == want["hnf_basis"]
     for v in probes:
-        residue = _reference.hermite_reduce(v, want["relation_hnf"])
-        assert pres.residue(v) == hermite_reduce(v, pres.relation_hnf) == residue
-        solved = _reference._solve(_reference._pivot_tails(want["hnf_basis"]), v)
-        assert solve_in_span(pres.hnf_basis, v) == solved
+        assert pres.residue(v) == _reference.hermite_reduce(v, want["relation_hnf"])
+        assert il._solve(pres._basis, list(v)) == solve_in_span(want["hnf_basis"], v)
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +584,6 @@ def test_abelian_invariants_direct_sum():
     c = AbelianInvariants(1, (3,))
     assert a.direct_sum(b) == AbelianInvariants(0, (2, 4))
     assert a.direct_sum(c) == AbelianInvariants(1, (6,))
-
-
-def test_abelian_invariants_repeated():
-    a = AbelianInvariants(0, (2, 4))
-    assert a.repeated(2) == AbelianInvariants(0, (2, 2, 4, 4))
-    assert a.repeated(0) == AbelianInvariants(0, ())
 
 
 def test_abelian_invariants_validation():

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import act, action_power
+from _reference import (
+    act,
+    action_power,
+    columns,
+    invariants_structure,
+    invariants_submodule,
+    mul,
+    zeros,
+)
+from cohomolab import verify
 from cohomolab.group_ring import GroupSpec, RingElement, full_norm, partial_norm
 from cohomolab.intlinalg import AbelianInvariants, IntMatrix
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
@@ -18,8 +27,6 @@ from cohomolab.modules import (
     GModule,
     coinvariants,
     cyclotomic_module,
-    invariants_structure,
-    invariants_submodule,
     parse_module,
     reduce_mod,
     star_dual,
@@ -47,7 +54,7 @@ def test_act_on_trivial_lattice():
         # the full generator sum acts as multiplication by the factor order
         assert act(M, partial_norm(G, i, o)) == IntMatrix.from_rows([[o]])
         gen = RingElement.generator(G, i) - RingElement.one(G)
-        assert act(M, gen) == IntMatrix.zeros(1, 1)
+        assert act(M, gen) == zeros(1, 1)
 
 
 def test_act_cyclotomic_rank_one():
@@ -70,9 +77,9 @@ def test_cyclotomic_companion_satisfies_its_polynomial():
     G = GroupSpec.of(4)
     M = _cyclo(G, 2, 2, [1])
     C = M.actions[0]
-    assert C.mul(C) == IntMatrix.identity(2).scale(-1)
-    C4 = C.mul(C).mul(C).mul(C)
-    assert C4 == IntMatrix.identity(2)
+    C2 = mul(C, C)
+    assert C2 == IntMatrix.from_rows([[-1, 0], [0, -1]])
+    assert mul(C2, C2) == IntMatrix.identity(2)
 
 
 def test_cyclotomic_rejects_trivial_exponents():
@@ -84,13 +91,6 @@ def test_cyclotomic_rejects_incompatible_order():
     # root of order 4 cannot be an action of a generator of order 2
     with pytest.raises(ValueError):
         _cyclo(GroupSpec.of(2), 2, 2, [1])
-
-
-def test_cyclotomic_normalization_predicate():
-    G = GroupSpec.of(3, 3)
-    assert CyclotomicSpec(G, 3, 1, (1, 0)).is_normalized()
-    assert not CyclotomicSpec(G, 3, 1, (1, 1)).is_normalized()
-    assert not CyclotomicSpec(G, 3, 1, (3, 1)).is_normalized()
 
 
 def test_zmod_module_accepts_valid_action():
@@ -149,23 +149,49 @@ def test_module_validation_is_sparse():
 def test_relabel_copies_the_validated_module(monkeypatch):
     # every star, reduce:N and tensor text relabels a module it has just
     # built: the copy is not validated again, keeps lifts_to_lattice and
-    # gets tables of its own; a module built from actions is still checked
+    # gets tables of its own; the star and the reduction are derived from
+    # the lattice, so only it is checked; a module built from actions is
+    # still checked
     built = []
     real = GModule.__post_init__
     monkeypatch.setattr(GModule, "__post_init__", lambda self: built.append(self.label) or real(self))
     G = GroupSpec.of(4, 2)
     text = "reduce:4(star(cyclo:2:2:1,0))"
     M = parse_module(text, G)
-    assert built == ["cyclo:2:2:1,0", "star(cyclo:2:2:1,0)", text]
+    assert built == ["cyclo:2:2:1,0"]
     M.element_rows((1, 1))
     R = M.relabel("renamed")
-    assert len(built) == 3
+    assert len(built) == 1
     assert (R.label, R.actions, R.modulus, R.rank) == ("renamed", M.actions, 4, 2)
     assert R.lifts_to_lattice and M.label == text
     assert R._elements == {} and R.element_rows((1, 1)) == M.element_rows((1, 1))
     assert R._elements is not M._elements and R._blocks is not M._blocks
     with pytest.raises(ValueError, match="order"):
         GModule(G, 2, 4, (IntMatrix.from_rows([[0, 1], [-1, 0]]),) * 2)
+
+
+@pytest.mark.parametrize("orders", verify._GROUPS, ids=str)
+def test_dual_and_reduction_equal_the_validated_construction(orders):
+    # star_dual and reduce_mod build their module without the checks; the
+    # validating constructor, given the same actions (the dual's from the
+    # element table, unreduced for the reduction), accepts them and builds
+    # an equal module, while only the reduction lifts to a lattice
+    G = GroupSpec.of(*orders)
+    for text in verify._oracle_modules(orders):
+        L = parse_module(text, G)
+        if not L.is_lattice:
+            continue
+        D = star_dual(L)
+        inverses = [action_power(L, i, o - 1).transpose() for i, o in enumerate(G.orders)]
+        assert D == GModule(G, L.rank, 0, tuple(inverses), f"star({text})")
+        assert not D.lifts_to_lattice and D._elements is not L._elements
+        for M in (L, D):
+            for N in (2, 4, 6):
+                R = reduce_mod(M, N)
+                want = GModule(G, M.rank, N, M.actions, f"reduce:{N}({M.label})")
+                assert R == want and R.actions == want.actions, (text, N)
+                assert R.lifts_to_lattice and not want.lifts_to_lattice
+                assert R._elements is not M._elements and R._blocks is not M._blocks
 
 
 def test_power_table_belongs_to_the_module():
@@ -189,7 +215,7 @@ def _dense_powers(M):
         out = IntMatrix.identity(M.rank)
         for k in range(o):
             table[(i, k)] = out
-            out = out.mul(M.actions[i])
+            out = mul(out, M.actions[i])
             if M.modulus:
                 out = out.mod(M.modulus)
     return table
@@ -226,7 +252,7 @@ def _act_reference(M, x):
     for g, c in x.items():
         m = IntMatrix.identity(d)
         for i, e in enumerate(g):
-            m = m.mul(_dense_power(M, i, e))
+            m = mul(m, _dense_power(M, i, e))
         for row, mrow in zip(out, m.data):
             row[:] = [a + c * b for a, b in zip(row, mrow)]
     ref = IntMatrix.from_rows(out, cols=d)
@@ -301,7 +327,7 @@ def test_act_is_a_ring_homomorphism(data):
     )
     x = data.draw(crafted)
     y = data.draw(crafted)
-    assert act(M, x * y) == act(M, x).mul(act(M, y))
+    assert act(M, x * y) == mul(act(M, x), act(M, y))
     assert act(M, x + y).data == tuple(
         tuple(a + b for a, b in zip(ra, rb))
         for ra, rb in zip(act(M, x).data, act(M, y).data)
@@ -398,7 +424,6 @@ def test_reduce_mod_examples():
 
 def test_random_modules_roundtrip_invariants():
     # invariants_submodule columns really are fixed by every generator
-    rng = random.Random(8)
     G = GroupSpec.of(2, 4)
     mods = [
         trivial_module(G, 2),
@@ -407,9 +432,7 @@ def test_random_modules_roundtrip_invariants():
         reduce_mod(_cyclo(G, 2, 2, [2, 1]), 8),
     ]
     for M in mods:
-        basis = invariants_submodule(M)
-        for j in range(basis.cols):
-            v = basis.column(j)
+        for v in columns(invariants_submodule(M)):
             for i in range(G.ngens):
                 A = M.actions[i]
                 w = [sum(A.data[r][c] * v[c] for c in range(M.rank)) for r in range(M.rank)]
@@ -417,7 +440,6 @@ def test_random_modules_roundtrip_invariants():
                     assert [(a - b) % M.modulus for a, b in zip(w, v)] == [0] * M.rank
                 else:
                     assert list(w) == list(v)
-    assert rng  # rng reserved for future case growth
 
 
 # ---------------------------------------------------------------------------
