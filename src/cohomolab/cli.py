@@ -68,7 +68,10 @@ def _parse_degrees(text: str) -> tuple[int, int]:
 def _limits(args) -> EngineLimits:
     if args.max_degree < 0:
         raise CliError("--max-degree must be >= 0")
-    base = EngineLimits.from_env()
+    try:
+        base = EngineLimits.from_env()
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return replace(
         base,
         max_group_order=args.max_group_order,

@@ -4,6 +4,13 @@ This module is the independent side of the oracle protocol: everything in
 it is computed from recurrences and small constructions, never from the
 engine, so agreement between the two is evidence rather than tautology.
 
+Each count is computed one way.  The summand multiplicities come from one
+recurrence, run as a plain loop per call and cross-checked against the
+alternating binomial closed form.  Every predicted structure is a list of
+cyclic orders (p^m for each Z/p^m summand) that
+:meth:`AbelianInvariants.from_diagonal` turns into invariant factors, the
+same normalization the engine's Smith diagonals go through.
+
 Two of the standard printed displays for these groups are internally
 inconsistent (they contradict the recurrence they are printed next to, and
 the engine sides with the recurrence).  Both readings are therefore kept:
@@ -39,55 +46,7 @@ from cohomolab.resolutions import monomial_basis
 
 
 # ---------------------------------------------------------------------------
-# Multiplicity table
-
-
-class MultiplicityTable:
-    """Memoized summand multiplicities on a fixed grid.
-
-    ``multiplicity(n, s)`` counts the Z/p summands of the degree-n homology
-    with nontrivial irreducible lattice coefficients over a p-group with s
-    cyclic factors.  Instances never mutate after construction, so a shared
-    table may be read from any number of threads.
-    """
-
-    __slots__ = ("max_degree", "max_rank", "_mult")
-
-    def __init__(self, max_degree: int = 24, max_rank: int = 12) -> None:
-        if max_degree < 0 or max_rank < 1:
-            raise ValueError("table bounds out of range")
-        mult: list[tuple[int, ...]] = []
-        for n in range(max_degree + 1):
-            row: list[int] = []
-            for s in range(1, max_rank + 1):
-                if n == 0:
-                    row.append(1)
-                elif s == 1:
-                    row.append(1 if n % 2 == 0 else 0)
-                else:
-                    row.append(row[-1] + mult[n - 1][s - 1])
-            mult.append(tuple(row))
-        self._mult = tuple(mult)
-        self.max_degree = max_degree
-        self.max_rank = max_rank
-
-    def multiplicity(self, n: int, s: int) -> int:
-        if not (0 <= n <= self.max_degree and 1 <= s <= self.max_rank):
-            raise ValueError(f"({n}, {s}) outside the table")
-        return self._mult[n][s - 1]
-
-
-_shared_table = MultiplicityTable()
-
-
-def _table(n: int, s: int) -> MultiplicityTable:
-    # rebinding is atomic, so concurrent readers always see a complete table
-    global _shared_table
-    t = _shared_table
-    if n > t.max_degree or s > t.max_rank:
-        t = MultiplicityTable(max(2 * t.max_degree, n), max(2 * t.max_rank, s))
-        _shared_table = t
-    return t
+# Multiplicities
 
 
 def irreducible_multiplicity(n: int, s: int) -> int:
@@ -102,7 +61,14 @@ def irreducible_multiplicity(n: int, s: int) -> int:
         raise ValueError("degree must be nonnegative")
     if s < 1:
         raise ValueError("rank must be at least 1")
-    rec = _table(n, s).multiplicity(n, s)
+    # row[k] holds m(i, k + 1), from degree i = 0 up: m(0, s) = 1, m(i, 1)
+    # is 1 for even i and 0 for odd i, and m(i, s) = m(i, s-1) + m(i-1, s)
+    row = [1] * s
+    for i in range(1, n + 1):
+        row[0] = 1 - i % 2
+        for k in range(1, s):
+            row[k] += row[k - 1]
+    rec = row[-1]
     alt = (-1) ** n * sum((-1) ** i * comb(s + i - 1, i) for i in range(n + 1))
     if rec != alt:
         raise ArithmeticError(f"recurrence and closed form disagree at ({n}, {s})")
@@ -187,48 +153,24 @@ def trivial_module_factors(
             raise ValueError("group orders must be at least 2")
         for p, e in _factorize(o):
             primary.setdefault(p, []).append(e)
-    parts: list[AbelianInvariants] = []
-    for p in sorted(primary):
-        ms = sorted(primary[p], reverse=True)
+    sign = -1 if n % 2 else 1
+    diag: list[int] = []
+    for p, exps in primary.items():
+        ms = sorted(exps, reverse=True)
         if n == 0:
-            parts.append(AbelianInvariants.from_prime_powers([(p, sum(ms))]))
-            continue
-        if abs(n) == 1:
-            continue
-        sign = -1 if n % 2 else 1
-        powers: list[tuple[int, int]] = []
-        for k, m in enumerate(ms, start=1):
-            if variant == "derived":
-                e = irreducible_multiplicity(abs(n) - 2, k)
-            else:
-                e = irreducible_multiplicity(abs(n) - 1, k) + sign
-            if e < 0:
-                raise ArithmeticError(
-                    f"printed exponent is negative at degree {n}, factor {k}"
-                )
-            powers.extend([(p, m)] * e)
-        parts.append(AbelianInvariants.from_prime_powers(powers))
-    out = AbelianInvariants(0, ())
-    return out.direct_sum(*parts) if parts else out
-
-
-@dataclass(frozen=True)
-class TrivialModuleReport:
-    degree: int
-    printed: AbelianInvariants
-    derived: AbelianInvariants
-
-    @property
-    def agree(self) -> bool:
-        return self.printed == self.derived
-
-
-def trivial_module_report(n: int, orders: Sequence[int]) -> TrivialModuleReport:
-    return TrivialModuleReport(
-        n,
-        trivial_module_factors(n, orders, "printed"),
-        trivial_module_factors(n, orders, "derived"),
-    )
+            diag.append(p ** sum(ms))
+        elif abs(n) > 1:
+            for k, m in enumerate(ms, start=1):
+                if variant == "derived":
+                    e = irreducible_multiplicity(abs(n) - 2, k)
+                else:
+                    e = irreducible_multiplicity(abs(n) - 1, k) + sign
+                if e < 0:
+                    raise ArithmeticError(
+                        f"printed exponent is negative at degree {n}, factor {k}"
+                    )
+                diag.extend([p**m] * e)
+    return AbelianInvariants.from_diagonal(diag)
 
 
 def predicted_invariants(
@@ -418,7 +360,7 @@ def _socle_element(module: GModule, p: int, K: int) -> tuple[int, ...]:
 
 
 def _family(
-    case: str, spec: GroupSpec, root_exponent: int | None
+    case: str, spec: GroupSpec
 ) -> tuple[GModule, int, AbelianInvariants, list[tuple[int, ...]], Callable[..., GeneratorSpec]]:
     """The module, degree and predicted structure of the family ``case``
     over ``spec``, the indices of its members in order, and the function
@@ -434,7 +376,7 @@ def _family(
             cochain = _deg2_cochain(s, 1, {_pair_expo(s, k, k): (1,)})
             return GeneratorSpec(case, (k,), module, cochain, p ** ms[k - 1])
 
-        predicted = AbelianInvariants.from_prime_powers([(p, m) for m in ms])
+        predicted = AbelianInvariants.from_diagonal([p**m for m in ms])
         return module, 2, predicted, [(k,) for k in range(1, s + 1)], member
 
     if case in ("torsion-H1", "torsion-H2"):
@@ -448,7 +390,7 @@ def _family(
                     case, (i,), module, cochain, p ** ms[i - 1], truncation_exponent=K
                 )
 
-            predicted = AbelianInvariants.from_prime_powers([(p, m) for m in ms])
+            predicted = AbelianInvariants.from_diagonal([p**m for m in ms])
             return module, 1, predicted, [(i,) for i in range(1, s + 1)], member
 
         def member(k: int, l: int) -> GeneratorSpec:
@@ -457,18 +399,13 @@ def _family(
             return GeneratorSpec(case, (k, l), module, cochain, p**mkl, truncation_exponent=K)
 
         pairs = list(itertools.combinations(range(1, s + 1), 2))
-        predicted = AbelianInvariants.from_prime_powers(
-            [(p, min(ms[k - 1], ms[l - 1])) for k, l in pairs]
+        predicted = AbelianInvariants.from_diagonal(
+            [p ** min(ms[k - 1], ms[l - 1]) for k, l in pairs]
         )
         return module, 2, predicted, pairs, member
 
     if case in ("cyclo-H1", "cyclo-H2"):
-        m = ms[0] if root_exponent is None else root_exponent
-        if not 1 <= m <= ms[0]:
-            raise ValueError("root exponent must fit the first factor")
-        module = cyclotomic_module(
-            CyclotomicSpec(spec, p, m, (1,) + (0,) * (s - 1))
-        )
+        module = cyclotomic_module(CyclotomicSpec(spec, p, ms[0], (1,) + (0,) * (s - 1)))
         d = module.rank
         one = (1,) + (0,) * (d - 1)
         if case == "cyclo-H1":
@@ -490,11 +427,8 @@ def _family(
         return module, 2, predicted, [(k,) for k in range(2, s + 1)], member
 
     if case in ("dual-cyclo-H1", "dual-cyclo-H2"):
-        m = ms[0] if root_exponent is None else root_exponent
-        if not 1 <= m <= ms[0]:
-            raise ValueError("root exponent must fit the first factor")
-        lattice = cyclotomic_module(CyclotomicSpec(spec, p, m, (1,) + (0,) * (s - 1)))
-        K = m + sum(ms)
+        lattice = cyclotomic_module(CyclotomicSpec(spec, p, ms[0], (1,) + (0,) * (s - 1)))
+        K = ms[0] + sum(ms)
         module = reduce_mod(star_dual(lattice), p**K)
         d = module.rank
         u0 = _socle_element(module, p, K)
@@ -535,31 +469,25 @@ def _family(
     raise ValueError(f"unknown case {case!r}; choose one of {GENERATOR_CASES}")
 
 
-def generator_family(
-    case: str, spec: GroupSpec, *, root_exponent: int | None = None
-) -> GeneratorFamily:
+def generator_family(case: str, spec: GroupSpec) -> GeneratorFamily:
     """Build the complete generating family for ``case`` over ``spec``.
 
-    ``root_exponent`` fixes the order p^m of the root of unity in the
-    cyclotomic cases (default: the exponent of the first factor, the
-    largest faithful choice).  Families may be empty when the group shape
-    leaves no valid indices, e.g. mixed pairs over a cyclic group.
+    In the cyclotomic cases the root of unity has the order p^m of the first
+    factor, the largest faithful choice.  Families may be empty when the
+    group shape leaves no valid indices, e.g. mixed pairs over a cyclic
+    group.
     """
-    module, degree, predicted, indices, member = _family(case, spec, root_exponent)
+    module, degree, predicted, indices, member = _family(case, spec)
     members = tuple(member(*kl) for kl in indices)
     return GeneratorFamily(case, module, degree, members, predicted)
 
 
 def generating_cocycle(
-    case: str,
-    spec: GroupSpec,
-    indices: Sequence[int] = (),
-    *,
-    root_exponent: int | None = None,
+    case: str, spec: GroupSpec, indices: Sequence[int] = ()
 ) -> GeneratorSpec:
     """The single generator of ``case`` at the given 1-based indices,
     built without the rest of its family."""
-    _, _, _, valid, member = _family(case, spec, root_exponent)
+    _, _, _, valid, member = _family(case, spec)
     wanted = tuple(indices)
     if wanted not in valid:
         raise ValueError(f"invalid indices {wanted} for {case}; valid: {valid}")

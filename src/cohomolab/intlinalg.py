@@ -116,46 +116,19 @@ class AbelianInvariants:
 
     @staticmethod
     def from_diagonal(diag: Iterable[int], free_rank: int = 0) -> "AbelianInvariants":
-        """The group Z^free_rank + sum of Z/d over ``diag`` (0 gives Z); the
-        entries need not form a divisibility chain."""
+        """The group Z^free_rank + sum of Z/d over ``diag``, d >= 0.
+
+        Each 0 gives a Z and each 1 nothing.  The entries need not form a
+        divisibility chain: the gcd/lcm merge of :func:`_invariant_chain`
+        turns, say, [2, 4, 3] into Z/2 + Z/12, and the units it leaves
+        (Z/2 + Z/3 is Z/1 + Z/6) are dropped.
+
+        >>> AbelianInvariants.from_diagonal([0, 2, 4, 3])
+        AbelianInvariants(free_rank=1, torsion=(2, 12))
+        """
         diag = list(diag)
-        torsion = tuple(d for d in _invariant_chain(d for d in diag if d > 1))
-        zeros = diag.count(0)
-        return AbelianInvariants(free_rank + zeros, torsion)
-
-    @staticmethod
-    def from_prime_powers(powers: Iterable[tuple[int, int]], free_rank: int = 0) -> "AbelianInvariants":
-        """Invariant factors of a direct sum of Z/p^e given as (p, e) pairs."""
-        by_prime: dict[int, list[int]] = {}
-        for p, e in powers:
-            if e > 0:
-                by_prime.setdefault(p, []).append(e)
-        for exps in by_prime.values():
-            exps.sort(reverse=True)
-        width = max((len(v) for v in by_prime.values()), default=0)
-        factors = []
-        for i in range(width):
-            f = 1
-            for p, exps in by_prime.items():
-                if i < len(exps):
-                    f *= p ** exps[i]
-            factors.append(f)
-        return AbelianInvariants(free_rank, tuple(reversed(factors)))
-
-    def prime_powers(self) -> list[tuple[int, int]]:
-        out = []
-        for t in self.torsion:
-            for p, e in _factorize(t):
-                out.append((p, e))
-        return out
-
-    def direct_sum(self, *others: "AbelianInvariants") -> "AbelianInvariants":
-        powers = self.prime_powers()
-        rank = self.free_rank
-        for o in others:
-            powers.extend(o.prime_powers())
-            rank += o.free_rank
-        return AbelianInvariants.from_prime_powers(powers, rank)
+        torsion = tuple(d for d in _invariant_chain(d for d in diag if d > 1) if d > 1)
+        return AbelianInvariants(free_rank + diag.count(0), torsion)
 
     def order(self) -> int | None:
         if self.free_rank:

@@ -25,7 +25,6 @@ from cohomolab.closed_forms import (
     irreducible_multiplicity,
     multiplicity_display,
     trivial_module_factors,
-    trivial_module_report,
 )
 from cohomolab.engine import (
     VerificationError,
@@ -64,6 +63,11 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return self.status != FAIL
+
+
+def _verdict(name: str, problems: list[str], ok_text: str) -> CheckResult:
+    """PASS with ``ok_text`` when ``problems`` is empty, else FAIL listing them."""
+    return CheckResult(name, FAIL if problems else PASS, "; ".join(problems) or ok_text)
 
 
 def _gname(orders: tuple[int, ...]) -> str:
@@ -155,10 +159,10 @@ def resolution_suite(limits: EngineLimits | None = None) -> list[CheckResult]:
             if (hn.free_rank, hn.torsion) != (int(n == 0), ()):
                 problems.append(f"H_{n} = {hn}")
         out.append(
-            CheckResult(
+            _verdict(
                 f"resolution/regular-exactness/{_gname(orders)}",
-                FAIL if problems else PASS,
-                "; ".join(problems) or "H_0 = Z, H_1..H_4 = 0",
+                problems,
+                "H_0 = Z, H_1..H_4 = 0",
             )
         )
     return out
@@ -258,24 +262,24 @@ def closed_forms_suite(limits: EngineLimits | None = None) -> list[CheckResult]:
             if got != want:
                 mismatches.append(f"n={n}: engine {got} vs derived {want}")
         out.append(
-            CheckResult(
+            _verdict(
                 f"closed-forms/trivial-window/{_gname(orders)}",
-                FAIL if mismatches else PASS,
-                "; ".join(mismatches) or "derived variant matches for |n| <= 4",
+                mismatches,
+                "derived variant matches for |n| <= 4",
             )
         )
 
-    rep = trivial_module_report(2, (2, 2))
+    printed, derived = (trivial_module_factors(2, (2, 2), v) for v in ("printed", "derived"))
     engine22 = tate_cohomology(
         trivial_module(GroupSpec.of(2, 2)), 2, limits=limits
     ).invariants
-    if rep.agree or rep.derived != engine22:
+    if printed == derived or derived != engine22:
         out.append(
             CheckResult(
                 "closed-forms/printed-tate-exponent",
                 FAIL,
                 f"expected a printed/derived split at degree 2 over (2,2); "
-                f"printed {rep.printed}, derived {rep.derived}, engine {engine22}",
+                f"printed {printed}, derived {derived}, engine {engine22}",
             )
         )
     else:
@@ -283,8 +287,8 @@ def closed_forms_suite(limits: EngineLimits | None = None) -> list[CheckResult]:
             CheckResult(
                 "closed-forms/printed-tate-exponent",
                 EXPECTED_FLAGGED,
-                f"printed exponent variant gives {rep.printed.as_list()} at degree 2 "
-                f"over (2,2); engine and derived variant give {rep.derived.as_list()}",
+                f"printed exponent variant gives {printed.as_list()} at degree 2 "
+                f"over (2,2); engine and derived variant give {derived.as_list()}",
             )
         )
 
@@ -320,10 +324,10 @@ def closed_forms_suite(limits: EngineLimits | None = None) -> list[CheckResult]:
             if got != want:
                 mismatches.append(f"n={n}: {got} vs (Z/{p})^{len(want.torsion)}")
         out.append(
-            CheckResult(
+            _verdict(
                 f"closed-forms/irreducible-homology/{_gname(orders)}",
-                FAIL if mismatches else PASS,
-                "; ".join(mismatches) or "multiplicities match the recurrence, n <= 4",
+                mismatches,
+                "multiplicities match the recurrence, n <= 4",
             )
         )
 
@@ -346,11 +350,10 @@ def closed_forms_suite(limits: EngineLimits | None = None) -> list[CheckResult]:
                     f"{_gname(orders)}: generated {got} vs predicted {fam.predicted}"
                 )
         out.append(
-            CheckResult(
+            _verdict(
                 f"closed-forms/family/{case}",
-                FAIL if problems else PASS,
-                "; ".join(problems)
-                or f"cocycle + independence checks pass on {len(_FAMILY_GROUPS)} groups",
+                problems,
+                f"cocycle + independence checks pass on {len(_FAMILY_GROUPS)} groups",
             )
         )
     return out
@@ -377,10 +380,10 @@ def duality_suite(limits: EngineLimits | None = None) -> list[CheckResult]:
                 if a != b:
                     mismatches.append(f"n={n}: {a} vs {b}")
             out.append(
-                CheckResult(
+                _verdict(
                     f"duality/{_gname(orders)}/{text}",
-                    FAIL if mismatches else PASS,
-                    "; ".join(mismatches) or "star dual mirrors degrees -3..3",
+                    mismatches,
+                    "star dual mirrors degrees -3..3",
                 )
             )
     return out

@@ -11,7 +11,8 @@ The Hermite references keep every basis dense and find each pivot by
 scanning, where the library keeps (pivot, {row: value}) pairs.  The Smith
 form with transforms, checked with dense matrix helpers, runs the library's
 elimination on whole matrices.  The fixed points M^G are the degree-0
-reference.
+reference.  Invariant factors are also regrouped from prime powers, the
+other way to normalize a list of cyclic orders.
 
 The pair-table identity of a factor set is checked triple by triple, one
 module vector at a time, where the library reads one vector over the third
@@ -381,3 +382,30 @@ def invariants_structure(m: GModule) -> AbelianInvariants:
     if m.is_lattice:
         return AbelianInvariants(basis.cols, ())
     return quotient_invariants(columns(basis), [], m.rank, mod=m.modulus)
+
+
+# ---------------------------------------------------------------------------
+# invariant factors from prime powers
+
+
+def from_prime_powers(powers, free_rank: int = 0) -> AbelianInvariants:
+    """Invariant factors of a direct sum of Z/p^e given as (p, e) pairs.
+
+    The k-th largest factor multiplies the k-th largest power of every
+    prime, so it is divisible by the next smaller one.
+    """
+    by_prime: dict[int, list[int]] = {}
+    for p, e in powers:
+        if e > 0:
+            by_prime.setdefault(p, []).append(e)
+    for exps in by_prime.values():
+        exps.sort(reverse=True)
+    width = max((len(v) for v in by_prime.values()), default=0)
+    factors = []
+    for i in range(width):
+        f = 1
+        for p, exps in by_prime.items():
+            if i < len(exps):
+                f *= p ** exps[i]
+        factors.append(f)
+    return AbelianInvariants(free_rank, tuple(reversed(factors)))

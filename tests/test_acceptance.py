@@ -12,8 +12,8 @@ from math import comb
 from _reference import invariants_structure
 from cohomolab.closed_forms import (
     GENERATOR_CASES,
-    MultiplicityTable,
     generator_family,
+    irreducible_multiplicity,
 )
 from cohomolab.engine import (
     dual_tate,
@@ -56,12 +56,11 @@ def _faithful_cyclo(orders: tuple[int, ...], p: int) -> str:
 
 def _merge(*parts: tuple[AbelianInvariants, int]) -> AbelianInvariants:
     free = 0
-    powers = []
+    diag = []
     for inv, mult in parts:
         free += inv.free_rank * mult
-        for d in inv.torsion:
-            powers.extend([(q, e) for q, e in _factorize(d)] * mult)
-    return AbelianInvariants.from_prime_powers(powers, free)
+        diag.extend(inv.torsion * mult)
+    return AbelianInvariants.from_diagonal(diag, free)
 
 
 def test_criterion_01_resolution_exactness():
@@ -102,14 +101,13 @@ def test_criterion_03_bar_vs_minimal_oracle():
 
 
 def test_criterion_04_irreducible_homology_multiplicities():
-    table = MultiplicityTable(6, 4)
     cells = 0
     for orders, p in [((2, 2), 2), ((3, 3), 3), ((2, 4), 2), ((2, 2, 2), 2)]:
         G = GroupSpec.of(*orders)
         M = parse_module(_faithful_cyclo(orders, p), G)
         for n in range(5):
             got = homology(M, n).invariants
-            want = (p,) * table.multiplicity(n, G.ngens)
+            want = (p,) * irreducible_multiplicity(n, G.ngens)
             assert (got.free_rank, got.torsion) == (0, want), (orders, n, got)
             cells += 1
     _say(4, f"{cells} homology groups match the recurrence multiplicities")
@@ -121,9 +119,7 @@ def test_criterion_05_explicit_small_degree_structure():
         Z = trivial_module(G)
         h1 = ordinary_cohomology(Z, 1).invariants
         assert (h1.free_rank, h1.torsion) == (0, ()), orders
-        group_inv = AbelianInvariants.from_prime_powers(
-            [(q, e) for o in orders for q, e in _factorize(o)]
-        )
+        group_inv = AbelianInvariants.from_diagonal(orders)
         assert tate_cohomology(Z, 2).invariants == group_inv, orders
         assert tate_cohomology(Z, 0).invariants.as_list() == [G.order], orders
     for orders, p in P_GROUPS:
@@ -134,11 +130,11 @@ def test_criterion_05_explicit_small_degree_structure():
         assert ordinary_cohomology(M, 1).invariants.as_list() == [p], orders
         assert ordinary_cohomology(M, 2).invariants.as_list() == [p] * (s - 1), orders
         Z = trivial_module(G)
-        assert dual_tate(Z, 1).invariants == AbelianInvariants.from_prime_powers(
-            [(p, m) for m in ms]
+        assert dual_tate(Z, 1).invariants == AbelianInvariants.from_diagonal(
+            [p**m for m in ms]
         ), orders
-        pairs = [(p, min(ms[i], ms[j])) for i in range(s) for j in range(i + 1, s)]
-        assert dual_tate(Z, 2).invariants == AbelianInvariants.from_prime_powers(pairs), orders
+        pairs = [p ** min(ms[i], ms[j]) for i in range(s) for j in range(i + 1, s)]
+        assert dual_tate(Z, 2).invariants == AbelianInvariants.from_diagonal(pairs), orders
         assert dual_tate(M, 1).invariants.as_list() == [p] * (s - 1), orders
         count = (s * s - s + 2) // 2
         assert dual_tate(M, 2).invariants.as_list() == [p] * count, orders

@@ -289,6 +289,25 @@ def test_negative_max_degree_is_exit_two_on_every_verb(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--group", "2,2", "--module", "trivial", "--degrees", "0..1"],
+        ["verify", "--suite", "oracle"],
+        ["bench", "--group", "2,2"],
+        ["factor-set", "--group", "2", "--case", "trivial-H2", "--indices", "1"],
+    ],
+)
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_max_cells_is_exit_two_on_every_verb(capsys, monkeypatch, value, argv):
+    monkeypatch.setenv("COHOMOLAB_MAX_CELLS", value)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE, (argv, out)
+    assert err.startswith("error: COHOMOLAB_MAX_CELLS must be "), err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # factor-set
 

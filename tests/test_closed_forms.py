@@ -16,7 +16,6 @@ import pytest
 from cohomolab import closed_forms
 from cohomolab.closed_forms import (
     GENERATOR_CASES,
-    MultiplicityTable,
     GeneratorFamily,
     generating_cocycle,
     generator_family,
@@ -26,7 +25,6 @@ from cohomolab.closed_forms import (
     multiplicity_display,
     predicted_invariants,
     trivial_module_factors,
-    trivial_module_report,
 )
 from cohomolab.engine import (
     homology,
@@ -106,15 +104,6 @@ def test_multiplicity_validation():
         irreducible_multiplicity(-1, 2)
     with pytest.raises(ValueError):
         irreducible_multiplicity(2, 0)
-
-
-def test_table_is_immutable_and_bounded():
-    t = MultiplicityTable(4, 3)
-    assert t.multiplicity(4, 3) == MULT_GRID[4][2]
-    with pytest.raises(ValueError):
-        t.multiplicity(5, 1)
-    with pytest.raises(AttributeError):
-        t.cache = {}  # slotted on purpose; no ad-hoc state
 
 
 def test_table_growth_beyond_defaults():
@@ -197,16 +186,20 @@ def test_trivial_module_descending_exponent_pairing():
 
 
 def test_trivial_module_printed_variant_discrepancy():
+    def both(n, orders):
+        return tuple(trivial_module_factors(n, orders, v) for v in ("printed", "derived"))
+
     assert trivial_module_factors(2, (2, 2), "printed").as_list() == [2, 2, 2]
-    rep = trivial_module_report(2, (2, 2))
-    assert not rep.agree
-    assert rep.derived.as_list() == [2, 2]
+    printed, derived = both(2, (2, 2))
+    assert printed != derived
+    assert derived.as_list() == [2, 2]
     # at odd degrees the variants coincide for two factors but not three
-    assert trivial_module_report(3, (2, 2)).agree
-    rep3 = trivial_module_report(3, (2, 2, 2))
-    assert not rep3.agree
-    assert rep3.printed.as_list() == [2, 2, 2, 2]
-    assert rep3.derived.as_list() == [2, 2, 2]
+    printed, derived = both(3, (2, 2))
+    assert printed == derived
+    printed3, derived3 = both(3, (2, 2, 2))
+    assert printed3 != derived3
+    assert printed3.as_list() == [2, 2, 2, 2]
+    assert derived3.as_list() == [2, 2, 2]
 
 
 def test_trivial_module_validation():
@@ -363,11 +356,3 @@ def test_generating_cocycle_builds_only_its_member(monkeypatch, case):
 def test_generator_family_needs_p_group():
     with pytest.raises(ValueError):
         generator_family("trivial-H2", GroupSpec.of(2, 3))
-
-
-def test_root_exponent_choices():
-    fam = generator_family("cyclo-H1", GroupSpec.of(4, 2), root_exponent=1)
-    assert fam.module.rank == 1  # order-2 root over the first factor
-    _check_family(fam)
-    with pytest.raises(ValueError):
-        generator_family("cyclo-H1", GroupSpec.of(4, 2), root_exponent=3)

@@ -573,17 +573,47 @@ def test_congruence_kernel_matches_the_integer_kernel_route(case):
 
 
 def test_abelian_invariants_prime_power_merge():
-    inv = AbelianInvariants.from_prime_powers([(2, 1), (2, 2), (3, 1)])
+    # Z/2 + Z/4 + Z/3, as the prime powers 2^1, 2^2, 3^1
+    inv = AbelianInvariants.from_diagonal([2, 4, 3])
     assert inv == AbelianInvariants(0, (2, 12))
     assert inv.order() == 24
 
 
 def test_abelian_invariants_direct_sum():
+    # a direct sum is the normalized concatenation of the two diagonals
+    def plus(x, y):
+        return AbelianInvariants.from_diagonal(x.torsion + y.torsion, x.free_rank + y.free_rank)
+
     a = AbelianInvariants(0, (2,))
     b = AbelianInvariants(0, (4,))
     c = AbelianInvariants(1, (3,))
-    assert a.direct_sum(b) == AbelianInvariants(0, (2, 4))
-    assert a.direct_sum(c) == AbelianInvariants(1, (6,))
+    assert plus(a, b) == AbelianInvariants(0, (2, 4))
+    assert plus(a, c) == AbelianInvariants(1, (6,))
+
+
+def test_from_diagonal_accepts_entries_off_a_divisibility_chain():
+    # the gcd/lcm merge turns coprime entries into a unit and their product
+    assert AbelianInvariants.from_diagonal([2, 3]) == AbelianInvariants(0, (6,))
+    assert AbelianInvariants.from_diagonal([2, 2, 3]) == AbelianInvariants(0, (2, 6))
+    assert AbelianInvariants.from_diagonal([2, 4, 3]) == AbelianInvariants(0, (2, 12))
+    assert AbelianInvariants.from_diagonal([0, 2, 3]) == AbelianInvariants(1, (6,))
+    assert AbelianInvariants.from_diagonal([1, 6, 0, 1], 2) == AbelianInvariants(3, (6,))
+
+
+def _chains():
+    # 2^a_i 3^b_i with both exponent lists ascending divide one another
+    return st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), max_size=8).map(
+        lambda ab: [2**a * 3**b for a, b in zip(*map(sorted, zip(*ab)))]
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 200), max_size=8) | _chains(), st.integers(0, 3))
+def test_from_diagonal_equals_the_prime_power_regrouping(diag, free_rank):
+    # chains and non-chains alike; each zero is one more Z
+    powers = [pe for d in diag if d for pe in il._factorize(d)]
+    want = _reference.from_prime_powers(powers, free_rank + diag.count(0))
+    assert AbelianInvariants.from_diagonal(diag, free_rank) == want
 
 
 def test_abelian_invariants_validation():
