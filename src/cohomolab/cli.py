@@ -68,6 +68,8 @@ def _parse_degrees(text: str) -> tuple[int, int]:
 def _limits(args) -> EngineLimits:
     if args.max_degree < 0:
         raise CliError("--max-degree must be >= 0")
+    if args.max_group_order < 1:
+        raise CliError("--max-group-order must be >= 1")
     try:
         base = EngineLimits.from_env()
     except ValueError as exc:

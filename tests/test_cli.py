@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -100,6 +101,22 @@ def test_compute_bar_resolution_degree_zero_is_ordinary(capsys):
     )
     got = {r["degree"]: (r["free_rank"], r["invariant_factors"]) for r in payload["results"]}
     assert got == {0: (1, []), 1: (0, []), 2: (0, [2, 2])}
+
+
+def test_compute_divisible_dual_on_the_bar_resolution(capsys):
+    # degrees 1 and 2 agree with the minimal side; degree 3 needs the
+    # degree-5 differential, over the bar window, as every bar request does
+    argv = ["compute", "--group", "2,2", "--module", "dualD(trivial)", "--resolution"]
+    code, out, _ = run(capsys, *argv, "bar", "--degrees", "1..2")
+    assert code == EXIT_OK
+    assert out.splitlines()[0].endswith("| resolution bar")
+    bar = run_json(capsys, *argv, "bar", "--degrees", "1..2")["results"]
+    minimal = run_json(capsys, *argv, "minimal", "--degrees", "1..2")["results"]
+    assert [r["invariant_factors"] for r in bar] == [[2, 2], [2]]
+    assert [r["invariant_factors"] for r in minimal] == [[2, 2], [2]]
+    code, out, err = run(capsys, *argv, "bar", "--degrees", "3")
+    assert code == EXIT_CAP, out
+    assert "standard-resolution degree 5 exceeds the configured maximum 4" in err
 
 
 def test_compute_representatives_emitted(capsys):
@@ -308,6 +325,24 @@ def test_bad_max_cells_is_exit_two_on_every_verb(capsys, monkeypatch, value, arg
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--group", "2,2", "--module", "trivial", "--degrees", "0..1"],
+        ["verify", "--suite", "oracle"],
+        ["bench", "--group", "2,2"],
+        ["factor-set", "--group", "2", "--case", "trivial-H2", "--indices", "1"],
+    ],
+)
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_max_group_order_below_one_is_exit_two_on_every_verb(capsys, value, argv):
+    # bad input in the shared limits, not a cap that no group can pass
+    code, out, err = run(capsys, *argv, "--max-group-order", value)
+    assert code == EXIT_PARSE, (argv, out)
+    assert err == "error: --max-group-order must be >= 1\n"
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # factor-set
 
@@ -464,6 +499,16 @@ def test_factor_set_torsion_case(capsys):
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+def test_verify_all_json_is_pinned_byte_for_byte(capsys, monkeypatch):
+    # the whole verify output, as checked in from a known-good run: a change
+    # that moves any check, status, detail or count shows up here
+    monkeypatch.delenv("COHOMOLAB_MAX_CELLS", raising=False)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == EXIT_OK, err
+    pinned = Path(__file__).parent / "data" / "verify_all.json"
+    assert out.encode() == pinned.read_bytes()
 
 
 def test_verify_sigma_suite(capsys):

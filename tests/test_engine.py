@@ -10,6 +10,7 @@ monomial one, so agreement pins both).
 import hashlib
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from cohomolab.engine import (
     to_factor_set,
 )
 from cohomolab.group_ring import GroupSpec
-from cohomolab.intlinalg import AbelianInvariants, IntMatrix, _densify
+from cohomolab.intlinalg import AbelianInvariants, IntMatrix, _densify, smith_diagonal
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
 from cohomolab.modules import (
     DualDivisible,
@@ -635,6 +636,88 @@ def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m):
         assert ([x % N for x in out] if N else out) == want, (text, m)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(2, 3), st.booleans())
+def test_matched_diagonal_equals_the_searched_one(row_modules, orders, data, m, dual):
+    # the Morse pivots of a standard-resolution leg pass every guard, and a 1
+    # per pivot plus the complement's searched diagonal is the searched
+    # diagonal of the same rows: over Z and mod N for a lattice, mod its
+    # modulus for a finite module
+    G = GroupSpec(orders)
+    text = data.draw(st.sampled_from(row_modules[orders]))
+    M = parse_module(text, G)
+    mods = [M.modulus] if M.modulus else [None, data.draw(st.sampled_from((2, 4, 6)))]
+    rows = list(engine._leg_rows(M, "bar", m, dual))
+    cols = M.rank * (G.order - 1) ** (m if dual else m - 1)
+    for mod in mods:
+        got = engine._matched_diagonal(M, m, dual, rows, cols, mod)
+        assert got == smith_diagonal(map(dict, rows), len(rows), cols, mod=mod), (text, mod)
+
+
+@pytest.mark.parametrize("orders", verify._GROUPS, ids=str)
+def test_morse_matching_leaves_the_monomial_ranks_critical(orders):
+    # the paper's comparison: the matching pairs each cell with one a degree
+    # away that pairs back, and the cells left unmatched in degree n number
+    # C(n+s-1, s-1), the monomial resolution's rank
+    G = GroupSpec(orders)
+    s = G.ngens
+    for n in (1, 2, 3):
+        critical = 0
+        for cell in itertools.product(G.nonidentity_elements(), repeat=n):
+            partner = engine._morse_partner(orders, cell)
+            if partner is None:
+                critical += 1
+                continue
+            assert len(partner) in (n - 1, n + 1), cell
+            assert engine._morse_partner(orders, partner) == cell, cell
+        assert critical == comb(n + s - 1, s - 1) == make_resolution(G, "minimal").rank(n)
+
+
+# pivots of the 9 x 3 leg of H^2 over (2, 2) on the bar resolution, each set
+# failing one guard; the leg's Morse pivot is {2: 3}, and row 0, of [g|g],
+# is [(0, 2)]
+_UNTRUSTED_PIVOTS = {
+    "non-unit": {2: 3, 0: 0},
+    "reused row": {2: 3, 1: 3},
+    "cycle": {2: 3, 1: 1},
+}
+
+
+@pytest.mark.parametrize("text", ["trivial", "reduce:4(trivial)"])
+@pytest.mark.parametrize("guard", sorted(_UNTRUSTED_PIVOTS))
+def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
+    # where the pivots fail a guard the leg's diagonal is searched over its
+    # transpose, as without pivots, and the answer is the same
+    M = parse_module(text, G22)
+    want = ordinary_cohomology(M, 2, resolution="bar", want_representatives=False)
+    real = engine._bar_pivots
+    monkeypatch.setattr(
+        engine,
+        "_bar_pivots",
+        lambda M, m, dual: _UNTRUSTED_PIVOTS[guard] if m == 2 else real(M, m, dual),
+    )
+    searched = []
+    real_columns = engine._image_columns
+    monkeypatch.setattr(
+        engine, "_image_columns", lambda rows: searched.append(len(rows)) or real_columns(rows)
+    )
+    got = ordinary_cohomology(M, 2, resolution="bar", want_representatives=False)
+    assert got.route == want.route and got.invariants == want.invariants
+    assert searched == [9]
+
+
+def test_trusted_pivots_never_search_a_transpose(monkeypatch):
+    # every Smith diagonal of a standard-resolution leg takes its pivots;
+    # the oracle cells of the benchmark's largest group, both routes
+    monkeypatch.setattr(
+        engine, "_image_columns", lambda rows: pytest.fail("searched a transpose")
+    )
+    G = GroupSpec.of(2, 2, 4)
+    for text, n in (("trivial", 3), ("reduce:4(trivial)", 2)):
+        r = ordinary_cohomology(parse_module(text, G), n, resolution="bar")
+        assert r.route in ("cokernel-torsion", "universal-coefficients")
+
+
 _SIGMA_ROW_GROUPS = [(2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 3)]
 
 
@@ -859,6 +942,26 @@ def test_dual_marker_routes_to_dual_tate():
         assert tate_cohomology(marker, n).invariants == dual_tate(inner, n).invariants
     with pytest.raises(ValueError):
         ordinary_cohomology(marker, 0)
+
+
+@pytest.mark.parametrize("text", ["dualD(trivial)", "dualD(cyclo:2:1:1,0)"])
+def test_ordinary_dual_shift_runs_on_the_requested_resolution(text):
+    # H^n(dualD(L)) is H^(n+1)(L*) on the resolution asked for, and reports
+    # it; on the bar resolution degree 3 needs the degree-5 differential
+    M = parse_module(text, G22)
+    for n in (1, 2):
+        minimal = ordinary_cohomology(M, n)
+        bar = ordinary_cohomology(M, n, resolution="bar")
+        assert (minimal.resolution, bar.resolution) == ("minimal", "bar"), n
+        assert bar.route == minimal.route == "dual-shift", n
+        assert bar.invariants == minimal.invariants == dual_tate(M.inner, n).invariants, n
+    with pytest.raises(ResourceCapExceeded, match="standard-resolution degree 5"):
+        ordinary_cohomology(M, 3, resolution="bar")
+    # degree 0 is not finite, and a negative degree is no ordinary degree
+    for n, message in ((0, "not finite"), (-1, "degrees >= 0")):
+        for resolution in ("minimal", "bar"):
+            with pytest.raises(ValueError, match=message):
+                ordinary_cohomology(M, n, resolution=resolution)
 
 
 def test_dual_tate_reports_shifted_route():

@@ -693,6 +693,65 @@ def test_smith_diagonal_dict_rows_match_snf():
             assert il.smith_diagonal(cols, n, m, mod) == got
 
 
+@st.composite
+def _unit_pivoted(draw):
+    # a sparse matrix with a triangular block of unit pivots hidden in it:
+    # pivot k sits at (rows[k], cols[k]), and the other entries of its row
+    # lie in non-pivot columns or in the columns of later pivots
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    k = draw(st.integers(0, min(m, n)))
+    prows = draw(st.permutations(range(m)))[:k]
+    pcols = draw(st.permutations(range(n)))[:k]
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
+    dense = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for i, (r, c) in enumerate(zip(prows, pcols)):
+        for earlier in pcols[:i]:
+            dense[r][earlier] = 0
+        dense[r][c] = draw(st.sampled_from((1, -1)))
+    return dense, dict(zip(pcols, prows)), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_unit_pivoted(), st.sampled_from((None, 2, 4, 6)))
+def test_schur_complement_keeps_the_smith_diagonal(drawn, mod):
+    # Smith(A) is a 1 per pivot plus Smith of the complement, whose columns
+    # avoid the pivot columns and whose rows are distinct
+    dense, pivots, n = drawn
+    rows = [[(j, x) for j, x in enumerate(r) if x] for r in dense]
+    complement = il.schur_complement(rows, pivots, mod)
+    assert complement is not None
+    assert not any(j in pivots for r in complement for j in r)
+    assert len({tuple(sorted(r.items())) for r in complement}) == len(complement)
+    got = [1] * len(pivots) + il.smith_diagonal(complement, len(complement), n, mod)
+    assert got == il.smith_diagonal(dense, len(dense), n, mod)
+
+
+@pytest.mark.parametrize(
+    "pivots, mod",
+    [
+        ({0: 0}, None),  # 2 is not a unit over Z
+        ({0: 0}, 4),  # nor mod 4
+        ({0: 2}, None),  # row 2 has no entry in column 0
+        ({2: 1, 0: 1}, None),  # row 1 holds two pivots
+        ({1: 1, 2: 2}, None),  # R(1) needs R(2), which needs R(1)
+        ({0: 5}, None),  # no row 5
+    ],
+)
+def test_schur_complement_refuses_pivots_it_cannot_trust(pivots, mod):
+    rows = [[(0, 2), (1, 1)], [(1, 1), (2, -1), (0, 1)], [(2, 1), (1, -1), (3, 1)]]
+    assert il.schur_complement(rows, pivots, mod) is None
+    # a pivot it can trust: R(1) = {0: 1, 2: -1}
+    assert il.schur_complement(rows, {1: 1}, mod) == [{0: 1, 2: 1}, {0: 1, 3: 1}]
+
+
+def test_schur_complement_drops_duplicate_and_zero_rows():
+    # R(0) = {1: 1}; the last row is the pivot row's copy, and reduces to 0
+    rows = [[(0, 1), (1, 1)], [(1, 2)], [(0, 2), (1, 4)], [(1, 2)], [(0, 3), (1, 1)], [(1, 1), (0, 1)]]
+    assert il.schur_complement(rows, {0: 0}) == [{1: 2}, {1: -2}]
+    assert il.schur_complement(rows, {0: 0}, mod=4) == [{1: 2}]
+    assert il.schur_complement(rows[1:2] * 3, {}) == [{1: 2}]
+
+
 def _cokernel_torsion(A):
     # the torsion of Z^rows / colspan(A): the Smith diagonal's entries > 1
     return [d for d in il.smith_diagonal(A.data, A.rows, A.cols) if d > 1]
