@@ -82,13 +82,15 @@ and the cells left unpaired in degree n number C(n+s-1, s-1): the monomial
 resolution is the Morse complex of the standard one.  The pivots are known
 before any row is read (:func:`_bar_pivots`), so the leg's Smith diagonal
 is a 1 per pivot plus the searched diagonal of the Schur complement
-(:func:`~cohomolab.intlinalg.schur_complement`), which for the (2,2,4)
-trivial map of degree 3 is 34 distinct rows in 6 columns where the map has
-3375 rows.  The rows and the arithmetic stay the bar matrices' own, so the
-oracle still shares nothing with the monomial resolution, and exactness
-never rests on the matching: a pivot that is not a unit, a row claimed
-twice or a cycle in the substitution sends the leg back to the plain
-search.
+(:func:`~cohomolab.intlinalg.schur_complement`, rows combined as packed
+integers), which for the (2,2,4) trivial map of degree 3 is 34 distinct
+rows in 6 columns where the map has 3375 rows.  A dual leg goes in
+transposed, on the plain leg's pivot positions, so every complement is
+taken over the short side.  The rows and the arithmetic stay the bar
+matrices' own, so the oracle still shares nothing with the monomial
+resolution, and exactness never rests on the matching: a pivot that is not
+a unit, a row claimed twice or a cycle in the substitution sends the leg
+back to the plain search.
 
 The cokernel-torsion formula: Z^dim / ker d_out embeds in a
 free group, so ker d_out is saturated, of rank dim - rk d_out, and the
@@ -466,10 +468,22 @@ def _matched_diagonal(
     mod: int | None,
 ) -> list[int] | None:
     """The Smith diagonal of the standard-resolution leg leaving degree m
-    from its listed ``rows``: a 1 per pivot of :func:`_bar_pivots`, then
-    the searched diagonal of the Schur complement; None where the pivots
-    fail a guard of :func:`~cohomolab.intlinalg.schur_complement`."""
+    from its listed ``rows`` (``cols`` columns): a 1 per pivot of
+    :func:`_bar_pivots`, then the searched diagonal of the Schur complement;
+    None where the pivots fail a guard of
+    :func:`~cohomolab.intlinalg.schur_complement`.  A dual leg has a row per
+    cell of degree m - 1 and a column per cell of degree m, so it goes in
+    transposed, SNF(A) = SNF(A^T): the complement is then taken over the
+    short side, as on a plain leg, whose pivot positions the transpose
+    has."""
     pivots = _bar_pivots(M, m, dual)
+    if dual:
+        transposed: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
+        for r, row in enumerate(rows):
+            for k, x in row:
+                transposed[k].append((r, x))
+        rows, cols = transposed, len(rows)
+        pivots = {r: k for k, r in pivots.items()}
     complement = schur_complement(rows, pivots, mod)
     if complement is None:
         return None

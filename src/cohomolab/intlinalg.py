@@ -35,10 +35,12 @@ coefficient pipeline in the engine relies on this.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -356,7 +358,7 @@ def _dict_row(r: Sequence[int] | dict[int, int], N: int = 0) -> dict[int, int]:
 
 
 def _sparse_eliminate(
-    rows: Sequence[dict[int, int]], n: int, N: int
+    rows: Sequence[dict[int, int]], N: int
 ) -> tuple[list[tuple[int, int, dict[int, int]]], list[dict[int, int]]]:
     """Clear dividing pivots from {column: nonzero entry} rows, in place.
 
@@ -372,7 +374,7 @@ def _sparse_eliminate(
     No residual row, and no later pivot row, touches an earlier pivot column.
     """
     live = {i: row for i, row in enumerate(rows) if row}
-    cols: dict[int, set[int]] = {j: set() for j in range(n)}  # column -> rows
+    cols: defaultdict[int, set[int]] = defaultdict(set)  # column -> rows
     for i, row in live.items():
         for j in row:
             cols[j].add(i)
@@ -458,7 +460,7 @@ def smith_diagonal(
     [2]
     """
     N = mod or 0  # gcd(x, 0) == abs(x), so N == 0 reads the matrix over Z
-    pivots, residual = _sparse_eliminate([_dict_row(r, N) for r in rows], n, N)
+    pivots, residual = _sparse_eliminate([_dict_row(r, N) for r in rows], N)
     diag = [g for g, _, _ in pivots]
     if residual:
         used = sorted({j for row in residual for j in row})
@@ -472,7 +474,8 @@ def schur_complement(
     rows: Sequence[Sequence[tuple[int, int]]], pivots: dict[int, int], mod: int | None = None
 ) -> list[dict[int, int]] | None:
     """The distinct nonzero rows of the Schur complement of unit pivots
-    known in advance, or None where the pivots cannot be trusted.
+    known in advance, in order of first appearance, or None where the
+    pivots cannot be trusted.
 
     ``rows`` are the (column, value) pairs of the rows of A, and ``pivots``
     maps a column j to the row that holds its pivot.  Every other row has
@@ -487,18 +490,34 @@ def schur_complement(
     and the walk meets that as a cycle.  Dropping the duplicate rows of S
     keeps its row lattice, and so its Smith form.
 
+    The R's are solved as dicts, with ``mod`` as symmetric residues, of
+    absolute value at most N/2.  The other rows are combined packed, by
+    Kronecker substitution: each R(j), and each non-pivot column, becomes
+    one integer with a signed slot of w bits per non-pivot column, so a
+    row's complement is one multiply-add per entry, and rows are
+    deduplicated on that integer before any is decoded.  No slot of a row
+    exceeds B = (longest row) * (largest |entry|) * (largest |R entry|, at
+    least 1) in absolute value, and w is the least multiple of 8 with
+    2^(w-1) > B, so no slot carries into the next and the sum is exact.
+    Adding 2^(w-1) to every slot makes each one w/8 unsigned bytes of the
+    sum; with one-byte slots and ``mod`` N <= 256 a table reduces them all
+    at once, so rows that agree only mod N merge before any is decoded.
+
     >>> schur_complement([[(0, 1), (1, 2)], [(0, 3), (1, 1)]], {0: 0})
     [{1: -5}]
     >>> schur_complement([[(0, 2), (1, 2)], [(0, 3), (1, 1)]], {0: 0}) is None
     True
+    >>> schur_complement([[(0, 1), (1, 3)], [(0, 1), (2, 1)]], {0: 0}, mod=4)
+    [{1: 1, 2: 1}]
     """
     N = mod or 0
+    h = N // 2
     if not all(0 <= r < len(rows) for r in pivots.values()):
         return None
     # R(j) by pivot column
     solved: dict[int, dict[int, int]] = {}
 
-    def reduce(row: Iterable[tuple[int, int]], skip: int = -1) -> dict[int, int]:
+    def reduce(row: Iterable[tuple[int, int]], skip: int) -> dict[int, int]:
         out: dict[int, int] = {}
         for k, x in row:
             sub = solved.get(k)
@@ -533,15 +552,39 @@ def schur_complement(
                 return None
             # 1/p is p over Z; a unit times a nonzero entry stays nonzero
             inv = pow(p, -1, N) if N else p
-            solved[j] = {q: x * inv % N if N else x * inv for q, x in reduce(row, j).items()}
+            solved[j] = {
+                q: (x * inv + h) % N - h if N else x * inv for q, x in reduce(row, j).items()
+            }
             stack.pop()
             walking.discard(j)
     claimed = set(pivots.values())
-    distinct: dict[tuple[tuple[int, int], ...], None] = {}
-    for r, row in enumerate(rows):
-        if r not in claimed and (left := reduce(row)):
-            distinct[tuple(sorted(left.items()))] = None
-    return [dict(key) for key in distinct]
+    rest = [row for r, row in enumerate(rows) if r not in claimed]
+    entries = list(chain.from_iterable(rest))
+    columns = sorted(set(map(itemgetter(0), entries)).difference(pivots).union(*solved.values()))
+    bound = (
+        max(map(len, rest), default=0)
+        * max(map(abs, map(itemgetter(1), entries)), default=0)
+        * max((abs(y) for R in solved.values() for y in R.values()), default=1)
+    )
+    nb = (bound.bit_length() + 8) // 8  # bytes per slot
+    slot = {k: 1 << 8 * nb * s for s, k in enumerate(columns)}
+    packed = slot | {j: -sum(y * slot[q] for q, y in R.items()) for j, R in solved.items()}
+    combined: dict[int, None] = {}
+    for row in rest:
+        v = 0
+        for k, x in row:
+            v += x * packed[k]
+        combined[v] = None
+    half = 1 << 8 * nb - 1  # added to every slot, each reads as nb unsigned bytes
+    offset = half * sum(slot.values())
+    size = nb * len(columns)
+    table = bytes((t - half) % N for t in range(256)) if 0 < N <= 256 and nb == 1 else None
+    distinct: dict[bytes | tuple[int, ...], None] = {}
+    for v in combined:
+        b = (v + offset).to_bytes(size, "little")
+        ys = (int.from_bytes(b[i : i + nb], "little") - half for i in range(0, size, nb))
+        distinct[b.translate(table) if table else tuple(y % N if N else y for y in ys)] = None
+    return [row for key in distinct if (row := {k: y for k, y in zip(columns, key) if y})]
 
 
 def _invariant_chain(diag: Iterable[int], N: int = 0) -> list[int]:
@@ -764,7 +807,7 @@ def kernel_columns(
         for k, c in r:
             row[k] = row.get(k, 0) + c
         sparse.append(_dict_row(row, N))
-    pivots, residual = _sparse_eliminate(sparse, n, N)
+    pivots, residual = _sparse_eliminate(sparse, N)
     used = sorted({j for row in residual for j in row})
     basis: list[dict[int, int]] = []  # generators before back-substitution
     if residual:
@@ -814,7 +857,7 @@ def saturation_columns(
     >>> saturation_columns([{0: 2, 1: 3}, {0: 3, 1: 2}], 2) is None
     True
     """
-    pivots, residual = _sparse_eliminate([_dict_row(c) for c in cols], n, 0)
+    pivots, residual = _sparse_eliminate([_dict_row(c) for c in cols], 0)
     if residual:
         return None
     return [{j: x // g for j, x in row.items()} for g, _, row in pivots]

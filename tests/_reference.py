@@ -17,13 +17,17 @@ other way to normalize a list of cyclic orders.
 The pair-table identity of a factor set is checked triple by triple, one
 module vector at a time, where the library reads one vector over the third
 element per pair and module coordinate.
+
+The Schur complement of unit pivots known in advance reduces each row as a
+dict, entry by entry, where the library combines the rows as packed
+integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cohomolab.engine import FactorSet, _Block, _hom_rows, _Source
 from cohomolab.group_ring import GroupSpec, RingElement, RingMatrix, partial_norm
@@ -409,3 +413,83 @@ def from_prime_powers(powers, free_rank: int = 0) -> AbelianInvariants:
                 f *= p ** exps[i]
         factors.append(f)
     return AbelianInvariants(free_rank, tuple(reversed(factors)))
+
+
+# ---------------------------------------------------------------------------
+# the Schur complement row by row
+
+
+def schur_complement(
+    rows: Sequence[Sequence[tuple[int, int]]], pivots: dict[int, int], mod: int | None = None
+) -> list[dict[int, int]] | None:
+    """The distinct nonzero rows of the Schur complement of unit pivots
+    known in advance, or None where the pivots cannot be trusted.
+
+    ``rows`` are the (column, value) pairs of the rows of A, and ``pivots``
+    maps a column j to the row that holds its pivot.  Every other row has
+    each entry x in a pivot column j replaced by -x R(j), where R(j) is the
+    pivot row of j without its pivot, reduced the same way and divided by
+    the pivot.  The result is None unless every pivot is a unit (mod N with
+    ``mod``), no row holds two pivots, and no R(j) needs itself: then the
+    pivot block is triangular up to order with a unit diagonal, one
+    unimodular block triangularization clears it, and Smith(A) is the
+    identity on the pivots plus Smith(S) of the complement S.  A row that
+    holds two pivots has both their columns, so their R's need each other
+    and the walk meets that as a cycle.  Dropping the duplicate rows of S
+    keeps its row lattice, and so its Smith form.
+
+    >>> schur_complement([[(0, 1), (1, 2)], [(0, 3), (1, 1)]], {0: 0})
+    [{1: -5}]
+    >>> schur_complement([[(0, 2), (1, 2)], [(0, 3), (1, 1)]], {0: 0}) is None
+    True
+    """
+    N = mod or 0
+    if not all(0 <= r < len(rows) for r in pivots.values()):
+        return None
+    # R(j) by pivot column
+    solved: dict[int, dict[int, int]] = {}
+
+    def reduce(row: Iterable[tuple[int, int]], skip: int = -1) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for k, x in row:
+            sub = solved.get(k)
+            if sub is None:
+                out[k] = out.get(k, 0) + x
+            else:
+                for q, y in sub.items():
+                    out[q] = out.get(q, 0) - x * y
+        out.pop(skip, None)
+        return {q: y for q, x in out.items() if (y := x % N if N else x)}
+
+    # each R(j) is solved once those of its pivot row's other pivot columns
+    # are, by an explicit depth-first walk: the chains of R's can be long
+    for start in pivots:
+        if start in solved:
+            continue
+        stack, walking = [start], {start}
+        while stack:
+            j = stack[-1]
+            row = rows[pivots[j]]
+            wanted = next(
+                (k for k, _ in row if k != j and k in pivots and k not in solved), None
+            )
+            if wanted is not None:
+                if wanted in walking:
+                    return None  # R(wanted) would need itself
+                stack.append(wanted)
+                walking.add(wanted)
+                continue
+            p = sum(x for k, x in row if k == j)
+            if (gcd(p, N) != 1) if N else p not in (1, -1):
+                return None
+            # 1/p is p over Z; a unit times a nonzero entry stays nonzero
+            inv = pow(p, -1, N) if N else p
+            solved[j] = {q: x * inv % N if N else x * inv for q, x in reduce(row, j).items()}
+            stack.pop()
+            walking.discard(j)
+    claimed = set(pivots.values())
+    distinct: dict[tuple[tuple[int, int], ...], None] = {}
+    for r, row in enumerate(rows):
+        if r not in claimed and (left := reduce(row)):
+            distinct[tuple(sorted(left.items()))] = None
+    return [dict(key) for key in distinct]

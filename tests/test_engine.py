@@ -654,6 +654,30 @@ def test_matched_diagonal_equals_the_searched_one(row_modules, orders, data, m, 
         assert got == smith_diagonal(map(dict, rows), len(rows), cols, mod=mod), (text, mod)
 
 
+@pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_schur_complement_runs_over_the_short_side(monkeypatch, row_modules, m, dual):
+    # a dual leg is as wide as the plain one is tall, so it goes in
+    # transposed: every complement is taken of a map with at least as many
+    # rows as columns
+    shapes = []
+    real = engine.schur_complement
+
+    def recorded(rows, pivots, mod=None):
+        shapes.append((len(rows), len({k for row in rows for k, _ in row})))
+        return real(rows, pivots, mod)
+
+    monkeypatch.setattr(engine, "schur_complement", recorded)
+    for orders in _BAR_ROW_GROUPS:
+        G = GroupSpec(orders)
+        for text in row_modules[orders]:
+            M = parse_module(text, G)
+            rows = list(engine._leg_rows(M, "bar", m, dual))
+            cols = M.rank * (G.order - 1) ** (m if dual else m - 1)
+            assert engine._matched_diagonal(M, m, dual, rows, cols, M.modulus or None) is not None
+    assert shapes and all(r >= c for r, c in shapes), shapes
+
+
 @pytest.mark.parametrize("orders", verify._GROUPS, ids=str)
 def test_morse_matching_leaves_the_monomial_ranks_critical(orders):
     # the paper's comparison: the matching pairs each cell with one a degree

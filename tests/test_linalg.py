@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -229,7 +230,7 @@ def test_kernel_columns_sparse_draws_match_dense_reference():
             # saturated: the ambient quotient by the kernel is torsion free
             assert snf(from_columns(K, n)).invariants == ()
         assert column_hnf(K, n) == column_hnf(want, n), rows
-        pivots, residual = il._sparse_eliminate([il._dict_row(r) for r in rows], n, 0)
+        pivots, residual = il._sparse_eliminate([il._dict_row(r) for r in rows], 0)
         seen["unit"] += any(g == 1 for g, _, _ in pivots)
         seen["non-unit"] += any(g > 1 for g, _, _ in pivots)
         seen["residual"] += bool(residual)
@@ -750,6 +751,85 @@ def test_schur_complement_drops_duplicate_and_zero_rows():
     assert il.schur_complement(rows, {0: 0}) == [{1: 2}, {1: -2}]
     assert il.schur_complement(rows, {0: 0}, mod=4) == [{1: 2}]
     assert il.schur_complement(rows[1:2] * 3, {}) == [{1: 2}]
+
+
+_WIDE_MODS = (None, 2, 4, 6, 2**61 - 1)
+
+
+@st.composite
+def _wide_unit_pivoted(draw):
+    # _unit_pivoted with entries up to 2^80, unreduced under the modulus and
+    # of either sign, pairs in any order and some entries split in two
+    mod = draw(st.sampled_from(_WIDE_MODS))
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    k = draw(st.integers(0, min(m, n)))
+    prows = draw(st.permutations(range(m)))[:k]
+    pcols = draw(st.permutations(range(n)))[:k]
+    wide = draw(st.booleans())  # else one-byte slots
+    entry = st.integers(-(2**80), 2**80) if wide else st.integers(-9, 9)
+    entry |= st.sampled_from((0, 0, 0, 1, -1))
+    dense = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for i, (r, c) in enumerate(zip(prows, pcols)):
+        for earlier in pcols[:i]:
+            dense[r][earlier] = 0
+        units = [u for u in range(1, min(mod or 2, 64)) if gcd(u, mod or 0) == 1]
+        unit = draw(st.sampled_from(units))
+        lift = draw(st.integers(-(2**70), 2**70)) if mod else 0
+        dense[r][c] = draw(st.sampled_from((1, -1))) * unit + lift * (mod or 0)
+    rows = []
+    for r in dense:
+        row = []
+        for j, x in enumerate(r):
+            if x and j not in pcols and draw(st.booleans()):
+                part = draw(entry)
+                row += [(j, part), (j, x - part)]
+            elif x:
+                row.append((j, x))
+        rows.append(draw(st.permutations(row)))
+    return rows, dict(zip(pcols, prows)), mod
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_wide_unit_pivoted())
+def test_packed_schur_complement_equals_the_row_by_row_one(drawn):
+    # the packed combination against the reference's dict reduction of each
+    # row, list for list and in the same order
+    rows, pivots, mod = drawn
+    want = _reference.schur_complement(rows, pivots, mod)
+    assert want is not None
+    assert il.schur_complement(rows, pivots, mod) == want
+
+
+@pytest.mark.parametrize("mod", _WIDE_MODS)
+@pytest.mark.parametrize(
+    "rows, pivots",
+    [
+        ([], {}),  # no rows
+        ([[], [], []], {}),  # only empty rows
+        ([[(0, 0), (1, 0)], []], {}),  # only zero entries
+        ([[(0, 3), (1, -5)], [(1, 2)], [(0, 3), (1, -5)]], {}),  # no pivots
+        ([[(0, 1), (1, 2)], [(1, -1), (2, 7)]], {0: 0, 1: 1}),  # only pivot rows
+        ([[(0, 1), (1, 3)], []], {0: 0}),  # only empty non-pivot rows
+        ([[(0, 255)], [(0, -255)], [(0, 127)], [(0, -128)]], {}),  # a slot at its bound
+        ([[(0, 1), (1, -255)], [(0, 1)]], {0: 0}),  # the same through a pivot
+        ([[(0, 2**63)], [(0, -(2**63))], [(0, 2**63 - 1)]], {}),  # a slot at 2^63
+    ],
+)
+def test_packed_schur_complement_edge_cases(rows, pivots, mod):
+    assert il.schur_complement(rows, pivots, mod) == _reference.schur_complement(rows, pivots, mod)
+
+
+def test_sparse_elimination_allocates_only_the_columns_it_meets():
+    # two rows in a 10^5-column space: the column index holds the columns
+    # the rows touch, not one set per column
+    rows = [{0: 2, 99_999: 4}, {1: 6, 99_999: 8}]
+    tracemalloc.start()
+    try:
+        assert il.smith_diagonal(rows, 2, 10**5) == [2, 2]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _cokernel_torsion(A):
