@@ -30,9 +30,9 @@ Route selection is about cost, never about semantics:
                         built, or, for a map with more rows than columns,
                         its columns: SNF(A) = SNF(A^T), so every diagonal
                         is eliminated over the short side.  On the standard
-                        resolution the leg's own rows first give up the
-                        unit pivots of a Morse matching (see below), and
-                        only their Schur complement is searched.
+                        resolution the leg first gives up the unit pivots
+                        of a Morse matching (see below), and only their
+                        Schur complement, read run by run, is searched.
 * ``universal-coefficients``
                         a reduction L/NL of a lattice, invariants only: two
                         Smith diagonals mod N, of the incoming and the
@@ -64,11 +64,12 @@ table (``GModule.element_rows``), consecutive inner merge faces and one
 last face through +-I, and their last merges through one row of the
 product table.  A plain leg's rows are emitted straight from the runs, and
 a representative is checked against the runs without building a row
-(:func:`_bar_values`).  A dual leg (homology, negative Tate degrees) is the
-plain one regrouped by target, with antipode blocks.  The comparison map
-sigma from the standard resolution to the monomial one, which factor sets
-are read through, is listed the same way by :func:`_sigma_faces`, its
-blocks sums of element matrices (prefix elements times partial norms).
+(:func:`_bar_values`).  A dual leg (homology, negative Tate degrees) is
+listed as the transpose of a plain-shaped one whose first-face blocks are
+the transposed antipode blocks.  The comparison map sigma from the
+standard resolution to the monomial one, which factor sets are read
+through, is listed the same way by :func:`_sigma_faces`, its blocks sums
+of element matrices (prefix elements times partial norms).
 Nothing here builds a group-ring matrix.
 
 The Smith pivots of the standard resolution come from algebraic discrete
@@ -79,18 +80,22 @@ system x_j x_i -> x_i x_j (j > i), x_i^(o_i) -> 1 on the normal words
 x_1^e_1 ... x_s^e_s pairs bar cells along merge faces (:func:`_morse_partner`).
 Each pair is a +-I block of the leg, a unit for every module and modulus,
 and the cells left unpaired in degree n number C(n+s-1, s-1): the monomial
-resolution is the Morse complex of the standard one.  The pivots are known
-before any row is read (:func:`_bar_pivots`), so the leg's Smith diagonal
-is a 1 per pivot plus the searched diagonal of the Schur complement
-(:func:`~cohomolab.intlinalg.schur_complement`, rows combined as packed
-integers), which for the (2,2,4) trivial map of degree 3 is 34 distinct
-rows in 6 columns where the map has 3375 rows.  A dual leg goes in
-transposed, on the plain leg's pivot positions, so every complement is
-taken over the short side.  The rows and the arithmetic stay the bar
+resolution is the Morse complex of the standard one.  The pivots, and their
+rows alone, are built from the cells before anything else is read
+(:func:`_bar_pivots`), so the leg's Smith diagonal is a 1 per pivot plus
+the searched diagonal of the Schur complement
+(:func:`~cohomolab.intlinalg.schur_complement`).  No row of the leg is
+listed: with each column weighted by a fixed packed integer, every row's
+complement is the value of one cochain, which :func:`_bar_values` reads run
+by run with list arithmetic, and the slot width is bounded from the blocks.
+For the (2,2,4) trivial map of degree 3 the 3375 values are 34 distinct
+rows in 6 columns.  A dual leg is read transposed, in the plain shape with
+transposed antipode blocks and on the plain leg's pivot positions, so every
+complement is taken over the short side.  The arithmetic stays the bar
 matrices' own, so the oracle still shares nothing with the monomial
 resolution, and exactness never rests on the matching: a pivot that is not
 a unit, a row claimed twice or a cycle in the substitution sends the leg
-back to the plain search.
+back to the plain search, which lists its rows.
 
 The cokernel-torsion formula: Z^dim / ker d_out embeds in a
 free group, so ker d_out is saturated, of rank dim - rk d_out, and the
@@ -253,10 +258,13 @@ def _bar_faces(
     targets; and the first-face blocks, by element index.
 
     Source [g_1|...|g_m] meets its first face [g_2|...|g_m] through the
-    matrix of g_1 (of g_1^-1 when ``dual``), each merge face i through
-    (-1)^i I (none when g_i g_(i+1) is the identity) and its last face
-    through (-1)^m I, in the order :func:`~cohomolab.resolutions.bar_diff`
-    inserts them.  Elements are indexed in nonidentity order and sources
+    matrix of g_1, each merge face i through (-1)^i I (none when g_i g_(i+1)
+    is the identity) and its last face through (-1)^m I, in the order
+    :func:`~cohomolab.resolutions.bar_diff` inserts them.  With ``dual`` the
+    first-face blocks are the transposed antipode blocks, the matrix of
+    g_1^-1 transposed: the runs then list the transpose of the dual leg in
+    the plain leg's shape, since each other face's +-I is its own
+    transpose.  Elements are indexed in nonidentity order and sources
     and targets in bar basis order, so a run, the |G| - 1 sources
     [g_1|...|g_(m-1)|x] that share a prefix, is consecutive, by x
     ascending.  Over a run:
@@ -283,6 +291,11 @@ def _bar_faces(
     # merged[a][b]: the index of g_a g_b, or -1 for the identity
     merged = [[c - 1 for c in row[1:]] for row in _product_table(G.orders)[1:]]
     blocks = [M.element_rows(G.inv(g) if dual else g) for g in G.nonidentity_elements()]
+    if dual:  # transposed, each row by ascending column
+        blocks = [
+            [[(t, c) for t, r in enumerate(b) for u, c in r if u == w] for w in range(len(b))]
+            for b in blocks
+        ]
     power = [size**k for k in range(m + 1)]
 
     def runs() -> Iterator[_Run]:
@@ -339,7 +352,11 @@ def _bar_sources(
 
 
 def _bar_values(
-    M: GModule, m: int, vecs: Sequence[Sequence[int]], limits: EngineLimits | None
+    M: GModule,
+    m: int,
+    vecs: Sequence[Sequence[int]],
+    limits: EngineLimits | None,
+    dual: bool = False,
 ) -> Iterator[list[int]]:
     """phi . D over Z for each flat cochain phi of ``vecs``, D the standard
     resolution's differential leaving degree m >= 1, one run of
@@ -347,8 +364,13 @@ def _bar_values(
     values at t of the run's sources, by x.  That is the block of g_1 on the
     slice of phi over the first faces, plus or minus the slices over the
     inner merges, plus or minus phi gathered through the product-table row
-    of the last merge, and plus or minus phi at the last face."""
-    runs, _, blocks = _bar_faces(M, m, False, limits)
+    of the last merge, and plus or minus phi at the last face.  With
+    ``dual``, D is the dual leg transposed, read in the plain shape through
+    the transposed antipode blocks.  Each value is a sum of at most
+    (longest block row) + m terms, each a block entry or +-1 times an entry
+    of phi: where first and last face coincide the two stay separate
+    terms."""
+    runs, _, blocks = _bar_faces(M, m, dual, limits)
     d = M.rank
     size = len(blocks)
     # cols[r][t]: coordinate t of vecs[r] per target, then the 0 that the
@@ -430,64 +452,84 @@ def _morse_partner(
     return None
 
 
-def _bar_pivots(M: GModule, m: int, dual: bool) -> dict[int, int]:
+def _bar_pivots(
+    M: GModule, m: int, blocks: list[_Block]
+) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
     """The unit pivots of the standard-resolution leg leaving degree m >= 1
-    that :func:`_leg_rows` lists, as {column: row}: each cell c of degree
+    in the plain shape of :func:`_bar_faces` with first-face ``blocks``, as
+    {column: row}, and the pivot rows by row index.  Each cell c of degree
     m - 1 that :func:`_morse_partner` splits into h is a merge face of h,
     met through +-I and through no other face, so coordinate t of c is a
-    pivot column in row t of h on a plain leg, and the transpose on a dual
-    leg.  Cells are indexed as in :func:`_bar_faces`; one pass over the
+    pivot column in row t of h.  That row is built from h alone: its first
+    face through row t of the block of g_1, its merge faces i through
+    (-1)^i and its last face through (-1)^m, a target met twice (the first
+    and last face of [g|...|g]) summed, coefficients reduced mod N, zeros
+    left out.  Cells are indexed as in :func:`_bar_faces`; one pass over the
     degree-(m - 1) cells."""
     G = M.spec
-    d = M.rank
+    d, N = M.rank, M.modulus
     elements = G.nonidentity_elements()
     index = {g: e for e, g in enumerate(elements)}
     size = len(elements)
-    pivots = {}
+    merged = [[c - 1 for c in row[1:]] for row in _product_table(G.orders)[1:]]
+    power = [size**k for k in range(m + 1)]
+    pivots: dict[int, int] = {}
+    rows: dict[int, list[tuple[int, int]]] = {}
     for c, cell in enumerate(itertools.product(elements, repeat=m - 1)):
         up = _morse_partner(G.orders, cell)
         if up is None or len(up) < m:
             continue
+        e = [index[g] for g in up]
         h = 0
-        for g in up:
-            h = h * size + index[g]
+        for x in e:
+            h = h * size + x
+        # merge i: the prefix before g_i, g_i g_(i+1), the suffix after it
+        faces = [
+            ((h // power[m - i + 1] * size + b) * (p := power[m - i - 1]) + h % p, (-1) ** i)
+            for i in range(1, m)
+            if (b := merged[e[i - 1]][e[i]]) >= 0
+        ]
+        faces.append((h // size, (-1) ** m))
+        first = h % power[m - 1]
         for t in range(d):
-            if dual:
-                pivots[h * d + t] = c * d + t
-            else:
-                pivots[c * d + t] = h * d + t
-    return pivots
+            row = {first * d + u: x for u, x in blocks[e[0]][t]}
+            for k, sign in faces:
+                row[k * d + t] = row.get(k * d + t, 0) + sign
+            pivots[c * d + t] = h * d + t
+            rows[h * d + t] = [(k, y) for k, x in row.items() if (y := x % N if N else x)]
+    return pivots, rows
 
 
 def _matched_diagonal(
-    M: GModule,
-    m: int,
-    dual: bool,
-    rows: Sequence[list[tuple[int, int]]],
-    cols: int,
-    mod: int | None,
+    M: GModule, m: int, dual: bool, mod: int | None, limits: EngineLimits | None
 ) -> list[int] | None:
-    """The Smith diagonal of the standard-resolution leg leaving degree m
-    from its listed ``rows`` (``cols`` columns): a 1 per pivot of
-    :func:`_bar_pivots`, then the searched diagonal of the Schur complement;
-    None where the pivots fail a guard of
-    :func:`~cohomolab.intlinalg.schur_complement`.  A dual leg has a row per
-    cell of degree m - 1 and a column per cell of degree m, so it goes in
-    transposed, SNF(A) = SNF(A^T): the complement is then taken over the
-    short side, as on a plain leg, whose pivot positions the transpose
-    has."""
-    pivots = _bar_pivots(M, m, dual)
-    if dual:
-        transposed: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
-        for r, row in enumerate(rows):
-            for k, x in row:
-                transposed[k].append((r, x))
-        rows, cols = transposed, len(rows)
-        pivots = {r: k for k, r in pivots.items()}
-    complement = schur_complement(rows, pivots, mod)
+    """The Smith diagonal of the standard-resolution leg leaving degree m,
+    no row of it listed: a 1 per pivot of :func:`_bar_pivots`, then the
+    searched diagonal of the Schur complement; None where the pivots fail a
+    guard of :func:`~cohomolab.intlinalg.schur_complement`.  Only the pivot
+    rows are built.  Every row's complement is the packed value of one
+    cochain of packed integers, phi . D, which :func:`_bar_values` reads
+    run by run; each of its values sums at most (longest block row) + m
+    terms of absolute value at most max(largest |block entry|, 1) times an
+    entry of phi, which bounds the slots.  A dual leg has a row per cell of
+    degree m - 1 and a column per cell of degree m, so it is read
+    transposed, SNF(A) = SNF(A^T), in the plain shape with transposed
+    antipode blocks: the complement is then taken over the short side, and
+    the pivots sit at the plain leg's positions."""
+    _, targets, blocks = _bar_faces(M, m, dual, limits)
+    width = M.rank * targets
+    pivots, rows = _bar_pivots(M, m, blocks)
+    entries = [abs(x) for blk in blocks for row in blk for _, x in row]
+    longest = max((len(row) for blk in blocks for row in blk), default=0)
+    weight = (longest + m) * max(entries, default=1)
+
+    def values(phi: list[int]) -> Iterator[int]:
+        return itertools.chain.from_iterable(_bar_values(M, m, [phi], limits, dual))
+
+    complement = schur_complement(rows, pivots, width, weight, values, mod)
     if complement is None:
         return None
-    return [1] * len(pivots) + smith_diagonal(complement, len(complement), cols, mod=mod)
+    return [1] * len(pivots) + smith_diagonal(complement, len(complement), width, mod=mod)
 
 
 def _product_table(orders: Sequence[int]) -> list[list[int]]:
@@ -585,11 +627,11 @@ def _leg_rows(
     ``resolution`` leaving degree m, antipode-transposed when ``dual``,
     from the pairs its faces function lists.  On the complete monomial
     resolution degree 0 is the norm N_G, its own antipode, and a negative
-    degree m the dual of the differential leaving -m.  A plain
-    standard-resolution leg is emitted one prefix run at a time, each row
-    the first-face block's row and the +-1 of the other faces.  A dual leg
-    is the plain one regrouped by target, with antipode blocks, its sources
-    in ascending index: the pair order of the antipode-transposed matrix.
+    degree m the dual of the differential leaving -m.  A standard-resolution
+    leg is emitted one prefix run at a time, each row the first-face block's
+    row and the +-1 of the other faces; a dual leg is the transpose of the
+    plain-shaped one with transposed antipode blocks, its sources in
+    ascending index: the pair order of the antipode-transposed matrix.
 
     >>> from cohomolab.group_ring import GroupSpec
     >>> from cohomolab.modules import trivial_module
@@ -600,22 +642,21 @@ def _leg_rows(
     d = M.rank
     if resolution == "bar":
         runs, targets, blocks = _bar_faces(M, m, dual, limits)
-        faces = _bar_sources(M, m, runs, blocks)
-        if not dual:
-            for f, blk, tail in faces:
-                base = f * d
-                for t in range(d):
-                    row = [(base + u, c) for u, c in blk[t]]
-                    row += tail if d == 1 else [(k * d + t, c) for k, c in tail]
-                    yield row
-            return
-        N = M.modulus
-        # c I for the coefficients c of the other faces, +-1 reduced mod N
-        units = {c % N if N else c for c in (1, -1)}
-        scalar = {c: [[(t, c)] for t in range(d)] for c in units}
-        sources: Iterable[_Source] = (
-            [(f, blk)] + [(k, scalar[c]) for k, c in tail] for f, blk, tail in faces
+        rows = (
+            [(f * d + u, c) for u, c in blk[t]]
+            + (tail if d == 1 else [(k * d + t, c) for k, c in tail])
+            for f, blk, tail in _bar_sources(M, m, runs, blocks)
+            for t in range(d)
         )
+        if not dual:
+            yield from rows
+            return
+        by_column: list[list[tuple[int, int]]] = [[] for _ in range(d * targets)]
+        for r, row in enumerate(rows):
+            for k, c in row:
+                by_column[k].append((r, c))
+        yield from by_column
+        return
     elif m:
         dual ^= m < 0
         sources, targets = _minimal_faces(M, abs(m), dual)
@@ -858,17 +899,16 @@ def _complex_group(
     if smith:
         # the Smith diagonals of both maps, see the module docstring.  A
         # standard-resolution leg first takes its Morse pivots, and only the
-        # Schur complement is searched; anywhere else, and wherever those
-        # pivots fail a guard, SNF(A) = SNF(A^T), so a map with more rows
-        # than columns goes in as its columns and the search runs over the
-        # short side
+        # Schur complement, read run by run, is searched; no row is listed
+        # unless those pivots fail a guard.  Anywhere else, and on such a
+        # fallback, SNF(A) = SNF(A^T), so a map with more rows than columns
+        # goes in as its columns and the search runs over the short side
         def diagonal(k: int, rows: int, cols: int) -> list[int]:
-            source: Iterable[list[tuple[int, int]]] = leg(k)
             if resolution == "bar":
-                source = list(source)
-                diag = _matched_diagonal(M, max(n, k), step < 0, source, cols, mod)
+                diag = _matched_diagonal(M, max(n, k), step < 0, mod, limits)
                 if diag is not None:
                     return diag
+            source = leg(k)
             if rows > cols:
                 return smith_diagonal(_image_columns(source), cols, rows, mod=mod)
             return smith_diagonal(map(dict, source), rows, cols, mod=mod)
@@ -885,7 +925,7 @@ def _complex_group(
             _check_killed(inv, M.spec.order, n)
         return CohomologyResult(n, kind, inv, M.label, resolution, route)
     icols = _image_columns(leg(k_in)) if has_in else []
-    kcols = saturation_columns(icols, dim) if killed else None
+    kcols = saturation_columns(icols) if killed else None
     # the outgoing rows, built at most once: for the kernel, the cocycle
     # check or both.  A plain standard-resolution leg checks run by run
     # instead, so its rows are built for the kernel alone

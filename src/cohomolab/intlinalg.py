@@ -38,10 +38,9 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
+from itertools import compress
 from math import gcd
-from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -452,6 +451,10 @@ def smith_diagonal(
     What is left without such a pivot goes to the dense
     :func:`_smith_eliminate`.
 
+    The shape ``m`` x ``n`` is not read here; it stays in the signature
+    because the benchmark's tracer (``perfbench/tracing.py``) binds both by
+    name to count the cells of each call.
+
     >>> smith_diagonal([[2, 4], [6, 8]], 2, 2)
     [2, 4]
     >>> smith_diagonal([{0: 2, 1: 4}, {0: 6, 1: 8}], 2, 2)
@@ -471,48 +474,62 @@ def smith_diagonal(
 
 
 def schur_complement(
-    rows: Sequence[Sequence[tuple[int, int]]], pivots: dict[int, int], mod: int | None = None
+    rows: Mapping[int, Sequence[tuple[int, int]]],
+    pivots: dict[int, int],
+    width: int,
+    weight: int,
+    values: Callable[[list[int]], Iterable[int]],
+    mod: int | None = None,
 ) -> list[dict[int, int]] | None:
     """The distinct nonzero rows of the Schur complement of unit pivots
-    known in advance, in order of first appearance, or None where the
-    pivots cannot be trusted.
+    known in advance, in order of first appearance, of a matrix A with
+    ``width`` columns that is read only through ``values``; or None where
+    the pivots cannot be trusted.
 
-    ``rows`` are the (column, value) pairs of the rows of A, and ``pivots``
-    maps a column j to the row that holds its pivot.  Every other row has
-    each entry x in a pivot column j replaced by -x R(j), where R(j) is the
-    pivot row of j without its pivot, reduced the same way and divided by
-    the pivot.  The result is None unless every pivot is a unit (mod N with
-    ``mod``), no row holds two pivots, and no R(j) needs itself: then the
-    pivot block is triangular up to order with a unit diagonal, one
-    unimodular block triangularization clears it, and Smith(A) is the
-    identity on the pivots plus Smith(S) of the complement S.  A row that
-    holds two pivots has both their columns, so their R's need each other
-    and the walk meets that as a cycle.  Dropping the duplicate rows of S
-    keeps its row lattice, and so its Smith form.
+    ``pivots`` maps a column j to the row that holds its pivot, and ``rows``
+    gives the (column, value) pairs of at least those rows, by row index.
+    Every other row has each entry x in a pivot column j replaced by
+    -x R(j), where R(j) is the pivot row of j without its pivot, reduced the
+    same way and divided by the pivot.  The result is None unless every
+    pivot is a unit (mod N with ``mod``), no row holds two pivots, and no
+    R(j) needs itself: then the pivot block is triangular up to order with
+    a unit diagonal, one unimodular block triangularization clears it, and
+    Smith(A) is the identity on the pivots plus Smith(S) of the complement
+    S.  A row that holds two pivots has both their columns, so their R's
+    need each other and the walk meets that as a cycle.  Dropping the
+    duplicate rows of S keeps its row lattice, and so its Smith form.
 
     The R's are solved as dicts, with ``mod`` as symmetric residues, of
-    absolute value at most N/2.  The other rows are combined packed, by
-    Kronecker substitution: each R(j), and each non-pivot column, becomes
-    one integer with a signed slot of w bits per non-pivot column, so a
-    row's complement is one multiply-add per entry, and rows are
-    deduplicated on that integer before any is decoded.  No slot of a row
-    exceeds B = (longest row) * (largest |entry|) * (largest |R entry|, at
-    least 1) in absolute value, and w is the least multiple of 8 with
-    2^(w-1) > B, so no slot carries into the next and the sum is exact.
-    Adding 2^(w-1) to every slot makes each one w/8 unsigned bytes of the
-    sum; with one-byte slots and ``mod`` N <= 256 a table reduces them all
-    at once, so rows that agree only mod N merge before any is decoded.
+    absolute value at most N/2.  The rows are combined packed, by Kronecker
+    substitution: phi[k] is one integer with a signed slot of w bits per
+    non-pivot column, 1 in k's own slot for a non-pivot column k and
+    -R(j) for a pivot column j, so the value phi . A[r] = sum_k A[r][k]
+    phi[k] of row r is its complement, packed.  ``values(phi)`` yields
+    those values, one per row, in any order; it may leave out the pivot
+    rows, whose values are 0 in every slot (mod N) and decode to nothing.
+    ``weight`` bounds the sum of |A[r][k]| over the terms ``values`` adds
+    for any row (the engine takes it from the blocks a row is made of, not
+    from rows), so no slot exceeds B = weight * (largest |R entry|, at least
+    1) in absolute value; w is the least multiple of 8 with 2^(w-1) > B, so
+    no slot carries into the next and the sum is exact.  Values are
+    deduplicated before any is decoded.  Adding 2^(w-1) to every slot makes
+    each one w/8 unsigned bytes of the sum; with one-byte slots and ``mod``
+    N <= 256 a table reduces them all at once, so rows that agree only mod
+    N merge before they become dicts.
 
-    >>> schur_complement([[(0, 1), (1, 2)], [(0, 3), (1, 1)]], {0: 0})
+    >>> rows = [[(0, 1), (1, 2)], [(0, 3), (1, 1)]]
+    >>> def values(phi):
+    ...     return [sum(x * phi[k] for k, x in row) for row in rows]
+    >>> schur_complement(dict(enumerate(rows)), {0: 0}, 2, 4, values)
     [{1: -5}]
-    >>> schur_complement([[(0, 2), (1, 2)], [(0, 3), (1, 1)]], {0: 0}) is None
+    >>> schur_complement(dict(enumerate(rows)), {0: 0}, 2, 4, values, mod=4)
+    [{1: 3}]
+    >>> schur_complement({0: [(0, 2), (1, 2)]}, {0: 0}, 2, 4, values) is None
     True
-    >>> schur_complement([[(0, 1), (1, 3)], [(0, 1), (2, 1)]], {0: 0}, mod=4)
-    [{1: 1, 2: 1}]
     """
     N = mod or 0
     h = N // 2
-    if not all(0 <= r < len(rows) for r in pivots.values()):
+    if not all(r in rows for r in pivots.values()):
         return None
     # R(j) by pivot column
     solved: dict[int, dict[int, int]] = {}
@@ -557,30 +574,20 @@ def schur_complement(
             }
             stack.pop()
             walking.discard(j)
-    claimed = set(pivots.values())
-    rest = [row for r, row in enumerate(rows) if r not in claimed]
-    entries = list(chain.from_iterable(rest))
-    columns = sorted(set(map(itemgetter(0), entries)).difference(pivots).union(*solved.values()))
-    bound = (
-        max(map(len, rest), default=0)
-        * max(map(abs, map(itemgetter(1), entries)), default=0)
-        * max((abs(y) for R in solved.values() for y in R.values()), default=1)
-    )
+    columns = [k for k in range(width) if k not in pivots]
+    bound = weight * max((abs(y) for R in solved.values() for y in R.values()), default=1)
     nb = (bound.bit_length() + 8) // 8  # bytes per slot
     slot = {k: 1 << 8 * nb * s for s, k in enumerate(columns)}
-    packed = slot | {j: -sum(y * slot[q] for q, y in R.items()) for j, R in solved.items()}
-    combined: dict[int, None] = {}
-    for row in rest:
-        v = 0
-        for k, x in row:
-            v += x * packed[k]
-        combined[v] = None
+    phi = [
+        slot[k] if k in slot else -sum(y * slot[q] for q, y in solved[k].items())
+        for k in range(width)
+    ]
     half = 1 << 8 * nb - 1  # added to every slot, each reads as nb unsigned bytes
     offset = half * sum(slot.values())
     size = nb * len(columns)
     table = bytes((t - half) % N for t in range(256)) if 0 < N <= 256 and nb == 1 else None
     distinct: dict[bytes | tuple[int, ...], None] = {}
-    for v in combined:
+    for v in dict.fromkeys(values(phi)):
         b = (v + offset).to_bytes(size, "little")
         ys = (int.from_bytes(b[i : i + nb], "little") - half for i in range(0, size, nb))
         distinct[b.translate(table) if table else tuple(y % N if N else y for y in ys)] = None
@@ -840,9 +847,9 @@ def kernel_columns(
 
 
 def saturation_columns(
-    cols: Iterable[Sequence[int] | dict[int, int]], n: int
+    cols: Iterable[Sequence[int] | dict[int, int]],
 ) -> list[dict[int, int]] | None:
-    """A basis of the saturation of the lattice the columns span in Z^n, as
+    """A basis of the saturation of the lattice the columns span, as
     {row: value} dicts, or None when :func:`_sparse_eliminate` leaves a
     residual.  The columns are copied, never modified.
 
@@ -852,9 +859,9 @@ def saturation_columns(
     later pivot row touches an earlier pivot column: so they span a
     saturated lattice of the same rank, the saturation.
 
-    >>> saturation_columns([[2, 4, 0], [0, 3, 3]], 3)
+    >>> saturation_columns([[2, 4, 0], [0, 3, 3]])
     [{0: 1, 1: 2}, {1: 1, 2: 1}]
-    >>> saturation_columns([{0: 2, 1: 3}, {0: 3, 1: 2}], 2) is None
+    >>> saturation_columns([{0: 2, 1: 3}, {0: 3, 1: 2}]) is None
     True
     """
     pivots, residual = _sparse_eliminate([_dict_row(c) for c in cols], 0)

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import random
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from _reference import cocycle_identity_holds as reference_identity_holds
 from _reference import column_hnf, hom_constraint_rows, invariants_structure, sigma
+from _reference import schur_complement as reference_complement
 from cohomolab import engine, group_ring, resolutions, verify
 from cohomolab.closed_forms import generator_family
 from cohomolab.engine import (
@@ -311,10 +313,10 @@ def test_each_differential_is_built_at_most_once(
     monkeypatch, compute, resolution, text, reps, route
 ):
     # legs are recorded by the resolution and the degree they leave: the
-    # Hom rows of either resolution; a call builds each of its one or two
-    # maps once, the cokernel-torsion route over Z only the incoming one
-    # wherever both exist, and no call builds a minimal_diff or bar_diff
-    # RingMatrix
+    # Hom rows of either resolution, or "runs" where a standard-resolution
+    # leg is read run by run; a call builds each of its one or two maps
+    # once, the cokernel-torsion route over Z only the incoming one wherever
+    # both exist, and no call builds a minimal_diff or bar_diff RingMatrix
     built, reference = [], []
     real_rows = engine._leg_rows
     monkeypatch.setattr(
@@ -323,7 +325,8 @@ def test_each_differential_is_built_at_most_once(
         lambda M, res, m, *rest: built.append((res, m)) or real_rows(M, res, m, *rest),
     )
     # the representatives check reads a plain standard-resolution leg run
-    # by run, and builds none of its rows
+    # by run, and so does every Smith diagonal of one, plain or dual; they
+    # build none of its rows
     real_values = engine._bar_values
     monkeypatch.setattr(
         engine,
@@ -352,12 +355,16 @@ def test_each_differential_is_built_at_most_once(
         if route == "cokernel-torsion" and (tate or n > 0):
             # Tate degree 0's incoming leg is the norm, which leaves degree 0
             incoming = n + 1 if compute is homology else n
-            assert built == [(resolution or "minimal", incoming)], (n, built)
+            leg = "runs" if resolution == "bar" else resolution or "minimal"
+            assert built == [(leg, incoming)], (n, built)
         runs = [m for res, m in built if res == "runs"]
         if reps and resolution == "bar" and compute is ordinary_cohomology and r.representatives:
             # the outgoing leg's rows only where they give the kernel
             assert runs == [n + 1], (n, built)
             assert (("bar", n + 1) in built) == (route == "congruence" or n == 0), (n, built)
+        elif not reps and resolution == "bar":
+            # each Smith diagonal's leg read run by run, once, and no row listed
+            assert runs and all(res == "runs" for res, _ in built), (n, built)
         else:
             assert runs == [], (n, built)
 
@@ -607,12 +614,26 @@ def test_bar_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, dual)
     assert got == list(hom_constraint_rows(M, D)), (text, m, dual)
 
 
+def _plain_shape(M, m, rows, dual):
+    """The listed ``rows`` of the standard-resolution leg leaving degree m,
+    transposed when ``dual``: the plain leg's shape."""
+    if not dual:
+        return rows
+    plain = [[] for _ in range(M.rank * (M.spec.order - 1) ** m)]
+    for r, row in enumerate(rows):
+        for k, x in row:
+            plain[k].append((r, x))
+    return plain
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(1, 3))
-def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m):
+@given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(1, 3), st.booleans())
+def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m, dual):
     # phi . D read off the prefix runs, for a few cochains at once, against
     # the products with the Hom rows: per run, cochain and coordinate the
-    # run's values, which interleave into the source order of the rows
+    # run's values, which interleave into the source order of the rows.
+    # With ``dual`` D is the transposed dual leg, read through the
+    # transposed antipode blocks
     G = GroupSpec(orders)
     text = data.draw(st.sampled_from(row_modules[orders]))
     M = parse_module(text, G)
@@ -622,7 +643,7 @@ def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m):
     vec = st.lists(entry, min_size=width, max_size=width)
     vecs = data.draw(st.lists(vec, min_size=1, max_size=3))
     vecs.append([0] * width)
-    values = engine._bar_values(M, m, vecs, None)
+    values = engine._bar_values(M, m, vecs, None, dual)
     got = [[] for _ in vecs]
     for _ in range(size ** (m - 1)):
         for out in got:
@@ -631,50 +652,101 @@ def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m):
             out += [x for column in zip(*per_t) for x in column]
     assert next(values, None) is None
     N = M.modulus
+    rows = _plain_shape(M, m, list(engine._leg_rows(M, "bar", m, dual)), dual)
     for vec, out in zip(vecs, got):
-        want = engine._apply(M, engine._leg_rows(M, "bar", m), vec)
-        assert ([x % N for x in out] if N else out) == want, (text, m)
+        want = engine._apply(M, rows, vec)
+        assert ([x % N for x in out] if N else out) == want, (text, m, dual)
+
+
+def _check_run_by_run_complement(M, m, dual, mod):
+    """The complement :func:`engine._matched_diagonal` reads off the runs
+    against the reference's row-by-row complement of the listed leg,
+    transposed when dual, on the same pivots, as sets of rows: for d > 1
+    the order can differ, since runs give (run, t, x) and rows (run, x, t).
+    The built pivot rows are the listed ones, and the diagonal is the
+    searched one of the listed rows.  Returns the pivots."""
+    rows = list(engine._leg_rows(M, "bar", m, dual))
+    plain = _plain_shape(M, m, rows, dual)
+    pivots, built = engine._bar_pivots(M, m, engine._bar_faces(M, m, dual, None)[2])
+    assert {r: dict(row) for r, row in built.items()} == {r: dict(plain[r]) for r in built}
+    got = []
+    real = engine.schur_complement
+    with mock.patch.object(engine, "schur_complement", lambda *a: got.append(real(*a)) or got[-1]):
+        diag = engine._matched_diagonal(M, m, dual, mod, None)
+    want = reference_complement(plain, pivots, mod)
+    assert want is not None and got[0] is not None
+    assert len(got[0]) == len(want)
+    assert {frozenset(r.items()) for r in got[0]} == {frozenset(r.items()) for r in want}
+    cols = M.rank * (M.spec.order - 1) ** (m if dual else m - 1)
+    assert diag == smith_diagonal(map(dict, rows), len(rows), cols, mod=mod)
+    return pivots
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(2, 3), st.booleans())
+@given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(1, 3), st.booleans())
 def test_matched_diagonal_equals_the_searched_one(row_modules, orders, data, m, dual):
-    # the Morse pivots of a standard-resolution leg pass every guard, and a 1
-    # per pivot plus the complement's searched diagonal is the searched
-    # diagonal of the same rows: over Z and mod N for a lattice, mod its
-    # modulus for a finite module
+    # the Morse pivots of a standard-resolution leg pass every guard, the
+    # complement read off the runs is the listed leg's, and a 1 per pivot
+    # plus its searched diagonal is the searched diagonal of the listed
+    # rows: over Z and mod N in {2, 4, 6} for a lattice, mod its own N for a
+    # finite module
     G = GroupSpec(orders)
     text = data.draw(st.sampled_from(row_modules[orders]))
     M = parse_module(text, G)
     mods = [M.modulus] if M.modulus else [None, data.draw(st.sampled_from((2, 4, 6)))]
-    rows = list(engine._leg_rows(M, "bar", m, dual))
-    cols = M.rank * (G.order - 1) ** (m if dual else m - 1)
     for mod in mods:
-        got = engine._matched_diagonal(M, m, dual, rows, cols, mod)
-        assert got == smith_diagonal(map(dict, rows), len(rows), cols, mod=mod), (text, mod)
+        _check_run_by_run_complement(M, m, dual, mod)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+@pytest.mark.parametrize("orders, m", [((2,), 3), ((2, 2), 1)])
+def test_run_by_run_complement_of_a_leg_without_pivots(orders, m, dual):
+    # C2 has no pivot in any degree, and no leg leaving degree 1 has one
+    M = parse_module("cyclo:2:1:1" if orders == (2,) else "trivial", GroupSpec(orders))
+    for mod in (None, 4):
+        assert _check_run_by_run_complement(M, m, dual, mod) == {}
+
+
+@pytest.mark.parametrize("compute", [ordinary_cohomology, homology, tate_cohomology])
+def test_rank_zero_module_reads_no_value(compute):
+    # a module with no coordinates: no pivot, slot or value, every group 0
+    M = parse_module("trivial:0", G22)
+    kw = {} if compute is tate_cohomology else {"resolution": "bar"}
+    for n in range(3):
+        for reps in (False, True):
+            r = compute(M, n, want_representatives=reps, **kw)
+            assert r.invariants == AbelianInvariants(0, ()), (n, reps)
+    for m, dual, mod in itertools.product((1, 2, 3), (False, True), (None, 4)):
+        assert engine._matched_diagonal(M, m, dual, mod, None) == []
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
 @pytest.mark.parametrize("m", [2, 3])
 def test_schur_complement_runs_over_the_short_side(monkeypatch, row_modules, m, dual):
-    # a dual leg is as wide as the plain one is tall, so it goes in
+    # a dual leg is as wide as the plain one is tall, so it is read
     # transposed: every complement is taken of a map with at least as many
-    # rows as columns
+    # rows (the values the runs yield) as columns
     shapes = []
     real = engine.schur_complement
 
-    def recorded(rows, pivots, mod=None):
-        shapes.append((len(rows), len({k for row in rows for k, _ in row})))
-        return real(rows, pivots, mod)
+    def recorded(rows, pivots, width, weight, values, mod=None):
+        count = []
+
+        def counted(phi):
+            for v in values(phi):
+                count.append(v)
+                yield v
+
+        out = real(rows, pivots, width, weight, counted, mod)
+        shapes.append((len(count), width))
+        return out
 
     monkeypatch.setattr(engine, "schur_complement", recorded)
     for orders in _BAR_ROW_GROUPS:
         G = GroupSpec(orders)
         for text in row_modules[orders]:
             M = parse_module(text, G)
-            rows = list(engine._leg_rows(M, "bar", m, dual))
-            cols = M.rank * (G.order - 1) ** (m if dual else m - 1)
-            assert engine._matched_diagonal(M, m, dual, rows, cols, M.modulus or None) is not None
+            assert engine._matched_diagonal(M, m, dual, M.modulus or None, None) is not None
     assert shapes and all(r >= c for r, c in shapes), shapes
 
 
@@ -714,32 +786,42 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
     # transpose, as without pivots, and the answer is the same
     M = parse_module(text, G22)
     want = ordinary_cohomology(M, 2, resolution="bar", want_representatives=False)
+    pivots, rows = _UNTRUSTED_PIVOTS[guard], list(engine._leg_rows(M, "bar", 2))
+    untrusted = pivots, {r: rows[r] for r in pivots.values()}
     real = engine._bar_pivots
     monkeypatch.setattr(
         engine,
         "_bar_pivots",
-        lambda M, m, dual: _UNTRUSTED_PIVOTS[guard] if m == 2 else real(M, m, dual),
+        lambda M, m, blocks: untrusted if m == 2 else real(M, m, blocks),
     )
     searched = []
     real_columns = engine._image_columns
-    monkeypatch.setattr(
-        engine, "_image_columns", lambda rows: searched.append(len(rows)) or real_columns(rows)
-    )
+
+    def recorded(rows):
+        rows = list(rows)  # the fallback streams the leg's rows
+        searched.append(len(rows))
+        return real_columns(rows)
+
+    monkeypatch.setattr(engine, "_image_columns", recorded)
     got = ordinary_cohomology(M, 2, resolution="bar", want_representatives=False)
     assert got.route == want.route and got.invariants == want.invariants
     assert searched == [9]
 
 
 def test_trusted_pivots_never_search_a_transpose(monkeypatch):
-    # every Smith diagonal of a standard-resolution leg takes its pivots;
-    # the oracle cells of the benchmark's largest group, both routes
+    # every Smith diagonal of a standard-resolution leg takes its pivots and
+    # reads the leg run by run, listing none of its rows; the oracle cells
+    # of the benchmark's largest group, both routes, plain and dual legs
     monkeypatch.setattr(
         engine, "_image_columns", lambda rows: pytest.fail("searched a transpose")
     )
+    monkeypatch.setattr(engine, "_leg_rows", lambda *a, **k: pytest.fail("listed a leg"))
     G = GroupSpec.of(2, 2, 4)
     for text, n in (("trivial", 3), ("reduce:4(trivial)", 2)):
-        r = ordinary_cohomology(parse_module(text, G), n, resolution="bar")
-        assert r.route in ("cokernel-torsion", "universal-coefficients")
+        M = parse_module(text, G)
+        for compute, k in ((ordinary_cohomology, n), (homology, 2)):
+            r = compute(M, k, resolution="bar")
+            assert r.route in ("cokernel-torsion", "universal-coefficients")
 
 
 _SIGMA_ROW_GROUPS = [(2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 3)]
@@ -1113,7 +1195,7 @@ def test_a_group_not_killed_by_the_order_raises(
     real = getattr(engine, name)
     monkeypatch.setattr(engine, name, lambda *a, **k: corrupt(real(*a, **k)))
     if not saturate:
-        monkeypatch.setattr(engine, "saturation_columns", lambda cols, dim: None)
+        monkeypatch.setattr(engine, "saturation_columns", lambda cols: None)
     with pytest.raises(VerificationError, match="not killed by"):
         compute(trivial_module(G22), n, want_representatives=route == "kernel")
 
@@ -1177,7 +1259,7 @@ def test_saturation_and_kernel_give_the_same_presentation(monkeypatch, orders):
         for compute, n, kw in _SATURATION_CALLS:
             a = compute(M, n, want_representatives=True, **kw)
             with monkeypatch.context() as m:
-                m.setattr(engine, "saturation_columns", lambda cols, dim: None)
+                m.setattr(engine, "saturation_columns", lambda cols: None)
                 b = compute(M, n, want_representatives=True, **kw)
             pa, pb = a._presentation, b._presentation
             assert (pa._basis, pa._relations, pa.diagonal) == (

@@ -249,7 +249,7 @@ def test_saturation_columns_match_the_double_kernel():
             [rng.choice((0, 0, 0, 0, 0, 1, -1, 2, -2, 3)) for _ in range(n)]
             for _ in range(rng.randint(1, 8))
         ]
-        sat = saturation_columns(cols, n)
+        sat = saturation_columns(cols)
         if sat is None:
             seen["residual"] += 1
             continue
@@ -264,7 +264,7 @@ def test_saturation_columns_match_the_double_kernel():
 def test_saturation_columns_give_up_on_a_residual():
     # no entry of either column is its column's gcd 1, so nothing is cleared
     cols = [{0: 2, 1: 3}, {0: 3, 1: 2}]
-    assert saturation_columns(cols, 2) is None
+    assert saturation_columns(cols) is None
     assert cols == [{0: 2, 1: 3}, {0: 3, 1: 2}]
 
 
@@ -712,6 +712,20 @@ def _unit_pivoted(draw):
     return dense, dict(zip(pcols, prows)), n
 
 
+def _complement(rows, pivots, mod=None):
+    """il.schur_complement of listed rows: the packed value of each row the
+    pivots leave, summed entry by entry, weighed by the sum of its |entries|."""
+    width = 1 + max([k for row in rows for k, _ in row] + list(pivots), default=-1)
+    claimed = set(pivots.values())
+    rest = [row for r, row in enumerate(rows) if r not in claimed]
+    weight = max((sum(abs(x) for _, x in row) for row in rest), default=0)
+
+    def values(phi):
+        return (sum(x * phi[k] for k, x in row) for row in rest)
+
+    return il.schur_complement(dict(enumerate(rows)), pivots, width, weight, values, mod)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_unit_pivoted(), st.sampled_from((None, 2, 4, 6)))
 def test_schur_complement_keeps_the_smith_diagonal(drawn, mod):
@@ -719,7 +733,7 @@ def test_schur_complement_keeps_the_smith_diagonal(drawn, mod):
     # avoid the pivot columns and whose rows are distinct
     dense, pivots, n = drawn
     rows = [[(j, x) for j, x in enumerate(r) if x] for r in dense]
-    complement = il.schur_complement(rows, pivots, mod)
+    complement = _complement(rows, pivots, mod)
     assert complement is not None
     assert not any(j in pivots for r in complement for j in r)
     assert len({tuple(sorted(r.items())) for r in complement}) == len(complement)
@@ -740,17 +754,17 @@ def test_schur_complement_keeps_the_smith_diagonal(drawn, mod):
 )
 def test_schur_complement_refuses_pivots_it_cannot_trust(pivots, mod):
     rows = [[(0, 2), (1, 1)], [(1, 1), (2, -1), (0, 1)], [(2, 1), (1, -1), (3, 1)]]
-    assert il.schur_complement(rows, pivots, mod) is None
+    assert _complement(rows, pivots, mod) is None
     # a pivot it can trust: R(1) = {0: 1, 2: -1}
-    assert il.schur_complement(rows, {1: 1}, mod) == [{0: 1, 2: 1}, {0: 1, 3: 1}]
+    assert _complement(rows, {1: 1}, mod) == [{0: 1, 2: 1}, {0: 1, 3: 1}]
 
 
 def test_schur_complement_drops_duplicate_and_zero_rows():
     # R(0) = {1: 1}; the last row is the pivot row's copy, and reduces to 0
     rows = [[(0, 1), (1, 1)], [(1, 2)], [(0, 2), (1, 4)], [(1, 2)], [(0, 3), (1, 1)], [(1, 1), (0, 1)]]
-    assert il.schur_complement(rows, {0: 0}) == [{1: 2}, {1: -2}]
-    assert il.schur_complement(rows, {0: 0}, mod=4) == [{1: 2}]
-    assert il.schur_complement(rows[1:2] * 3, {}) == [{1: 2}]
+    assert _complement(rows, {0: 0}) == [{1: 2}, {1: -2}]
+    assert _complement(rows, {0: 0}, mod=4) == [{1: 2}]
+    assert _complement(rows[1:2] * 3, {}) == [{1: 2}]
 
 
 _WIDE_MODS = (None, 2, 4, 6, 2**61 - 1)
@@ -797,7 +811,7 @@ def test_packed_schur_complement_equals_the_row_by_row_one(drawn):
     rows, pivots, mod = drawn
     want = _reference.schur_complement(rows, pivots, mod)
     assert want is not None
-    assert il.schur_complement(rows, pivots, mod) == want
+    assert _complement(rows, pivots, mod) == want
 
 
 @pytest.mark.parametrize("mod", _WIDE_MODS)
@@ -816,7 +830,7 @@ def test_packed_schur_complement_equals_the_row_by_row_one(drawn):
     ],
 )
 def test_packed_schur_complement_edge_cases(rows, pivots, mod):
-    assert il.schur_complement(rows, pivots, mod) == _reference.schur_complement(rows, pivots, mod)
+    assert _complement(rows, pivots, mod) == _reference.schur_complement(rows, pivots, mod)
 
 
 def test_sparse_elimination_allocates_only_the_columns_it_meets():
