@@ -19,7 +19,10 @@ Route selection is about cost, never about semantics:
                         eliminate the kernel from d_out's rows instead
                         (:func:`kernel_columns`), which then double as the
                         check except on such a leg; no dense matrix is
-                        built.
+                        built.  Ordinary cohomology on the standard
+                        resolution takes all of this on the critical
+                        coordinates of its Morse complex (see below) and
+                        lists no leg.
 * ``cokernel-torsion``  lattice coefficients, invariants only: the free rank
                         dim - rk d_in - rk d_out plus the torsion of the
                         Smith diagonal of the incoming map.  With both maps
@@ -40,7 +43,9 @@ Route selection is about cost, never about semantics:
 * ``congruence``        any other finite coefficient modulus N, and every
                         finite-coefficient call that wants representatives:
                         the same :func:`kernel_columns` as ``kernel``, with
-                        ``mod=N``, and quotients taken mod N.
+                        ``mod=N``, and quotients taken mod N; on the Morse
+                        complex for ordinary cohomology on the standard
+                        resolution.
 * ``dual-shift``        divisible coefficients, evaluated on the dual
                         lattice one degree up.
 
@@ -97,6 +102,27 @@ resolution, and exactness never rests on the matching: a pivot that is not
 a unit, a row claimed twice or a cycle in the substitution sends the leg
 back to the plain search, which lists its rows.
 
+Representatives of ordinary cohomology on the standard resolution come from
+the Morse complex too (:func:`_morse_presentation`).  A cochain of degree n
+is moved off the cells matched downward, leg n's pivot rows, by a coboundary
+through leg n's pivot block; a cocycle that vanishes there takes -R(j) times
+its critical coordinates at each cell matched upward, a pivot column j of
+leg n + 1.  So H^n is a quotient on the d C(n+s-1, s-1) critical
+coordinates: the cocycles are the saturation of the image where |G| kills
+H, and otherwise the kernel of leg n + 1's complement at its critical rows
+and columns; the image is spanned by leg n's, once leg n - 1's pivots move
+every cochain of degree n - 1 off its own cells matched downward.  These
+complements are the monomial legs up to one sign per cell.  Each canonical
+residue is lifted back, a cell matched downward taking 0 and one matched
+upward -R(j) . phi, and the lifts are checked run by run against all of
+leg n + 1, which covers the rows of the cells matched upward that no
+complement reads.  Exactness rests on the guards of legs n - 1, n and
+n + 1, on the pivot columns, the critical cells and the pivot rows below
+splitting each degree they meet, and on that check; where a guard fails the
+call lists its legs as before.  The result's presentation-backed methods
+project a bar cochain onto the critical coordinates first
+(:class:`_MorsePresentation`).
+
 The cokernel-torsion formula: Z^dim / ker d_out embeds in a
 free group, so ker d_out is saturated, of rank dim - rk d_out, and the
 torsion of H = ker d_out / im d_in is that of coker d_in, read off its Smith
@@ -143,6 +169,7 @@ from cohomolab.intlinalg import (
     saturation_columns,
     schur_complement,
     smith_diagonal,
+    solve_pivots,
 )
 from cohomolab.limits import EngineLimits
 from cohomolab.modules import DualDivisible, GModule, _combine, _sparse_rows, star_dual
@@ -251,7 +278,11 @@ _Run = tuple[int, int, list[tuple[int, int]], int, list[int], int]
 
 
 def _bar_faces(
-    M: GModule, m: int, dual: bool, limits: EngineLimits | None
+    M: GModule,
+    m: int,
+    dual: bool,
+    limits: EngineLimits | None,
+    tables: tuple[list[list[int]], list[_Block]] | None = None,
 ) -> tuple[Iterator[_Run], int, list[_Block]]:
     """The differential of the standard resolution leaving degree m >= 1
     in prefix runs, streamed, after the caps of ``bar_diff``; the number of
@@ -279,7 +310,8 @@ def _bar_faces(
 
     For m = 1 the one run has g_1 = -1: source [x] meets [] through the
     block of x.  First and last face coincide only when every g_i is equal
-    (always for m = 1).
+    (always for m = 1).  ``tables`` are :func:`_bar_tables`, built here
+    when the caller has not built them once for all its legs.
     """
     if m < 1:
         raise ValueError("differential starts at degree 1")
@@ -288,14 +320,7 @@ def _bar_faces(
     limits = limits or EngineLimits.from_env()
     limits.check_bar_degree(m)
     limits.check_cells(size ** (m - 1), size**m, "standard-resolution differential")
-    # merged[a][b]: the index of g_a g_b, or -1 for the identity
-    merged = [[c - 1 for c in row[1:]] for row in _product_table(G.orders)[1:]]
-    blocks = [M.element_rows(G.inv(g) if dual else g) for g in G.nonidentity_elements()]
-    if dual:  # transposed, each row by ascending column
-        blocks = [
-            [[(t, c) for t, r in enumerate(b) for u, c in r if u == w] for w in range(len(b))]
-            for b in blocks
-        ]
+    merged, blocks = tables or _bar_tables(M, dual)
     power = [size**k for k in range(m + 1)]
 
     def runs() -> Iterator[_Run]:
@@ -357,6 +382,7 @@ def _bar_values(
     vecs: Sequence[Sequence[int]],
     limits: EngineLimits | None,
     dual: bool = False,
+    tables: tuple[list[list[int]], list[_Block]] | None = None,
 ) -> Iterator[list[int]]:
     """phi . D over Z for each flat cochain phi of ``vecs``, D the standard
     resolution's differential leaving degree m >= 1, one run of
@@ -370,7 +396,7 @@ def _bar_values(
     (longest block row) + m terms, each a block entry or +-1 times an entry
     of phi: where first and last face coincide the two stay separate
     terms."""
-    runs, _, blocks = _bar_faces(M, m, dual, limits)
+    runs, _, blocks = _bar_faces(M, m, dual, limits, tables)
     d = M.rank
     size = len(blocks)
     # cols[r][t]: coordinate t of vecs[r] per target, then the 0 that the
@@ -452,56 +478,90 @@ def _morse_partner(
     return None
 
 
+def _cell_rows(
+    M: GModule, m: int, blocks: list[_Block], merged: list[list[int]], e: Sequence[int]
+) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The index of the cell [g_1|...|g_m] whose elements have the indices
+    ``e``, and its d rows of the standard-resolution leg leaving degree m
+    >= 1 in the plain shape of :func:`_bar_faces` with first-face
+    ``blocks``.  Row t is built from the cell alone: its first face through
+    row t of the block of g_1, its merge faces i through (-1)^i and its
+    last face through (-1)^m, a target met twice (the first and last face
+    of [g|...|g]) summed, coefficients reduced mod N, zeros left out."""
+    d, N = M.rank, M.modulus
+    size = len(merged)
+    power = [size**k for k in range(m + 1)]
+    h = 0
+    for x in e:
+        h = h * size + x
+    # merge i: the prefix before g_i, g_i g_(i+1), the suffix after it
+    faces = [
+        ((h // power[m - i + 1] * size + b) * (p := power[m - i - 1]) + h % p, (-1) ** i)
+        for i in range(1, m)
+        if (b := merged[e[i - 1]][e[i]]) >= 0
+    ]
+    faces.append((h // size, (-1) ** m))
+    first = h % power[m - 1]
+    rows = []
+    for t in range(d):
+        row = {first * d + u: x for u, x in blocks[e[0]][t]}
+        for k, sign in faces:
+            row[k * d + t] = row.get(k * d + t, 0) + sign
+        rows.append([(k, y) for k, x in row.items() if (y := x % N if N else x)])
+    return h, rows
+
+
 def _bar_pivots(
-    M: GModule, m: int, blocks: list[_Block]
+    M: GModule, m: int, blocks: list[_Block], merged: list[list[int]]
 ) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
     """The unit pivots of the standard-resolution leg leaving degree m >= 1
     in the plain shape of :func:`_bar_faces` with first-face ``blocks``, as
     {column: row}, and the pivot rows by row index.  Each cell c of degree
     m - 1 that :func:`_morse_partner` splits into h is a merge face of h,
     met through +-I and through no other face, so coordinate t of c is a
-    pivot column in row t of h.  That row is built from h alone: its first
-    face through row t of the block of g_1, its merge faces i through
-    (-1)^i and its last face through (-1)^m, a target met twice (the first
-    and last face of [g|...|g]) summed, coefficients reduced mod N, zeros
-    left out.  Cells are indexed as in :func:`_bar_faces`; one pass over the
-    degree-(m - 1) cells."""
+    pivot column in row t of h, built by :func:`_cell_rows`.  Cells are
+    indexed as in :func:`_bar_faces`; one pass over the degree-(m - 1)
+    cells."""
     G = M.spec
-    d, N = M.rank, M.modulus
+    d = M.rank
     elements = G.nonidentity_elements()
     index = {g: e for e, g in enumerate(elements)}
-    size = len(elements)
-    merged = [[c - 1 for c in row[1:]] for row in _product_table(G.orders)[1:]]
-    power = [size**k for k in range(m + 1)]
     pivots: dict[int, int] = {}
     rows: dict[int, list[tuple[int, int]]] = {}
     for c, cell in enumerate(itertools.product(elements, repeat=m - 1)):
         up = _morse_partner(G.orders, cell)
         if up is None or len(up) < m:
             continue
-        e = [index[g] for g in up]
-        h = 0
-        for x in e:
-            h = h * size + x
-        # merge i: the prefix before g_i, g_i g_(i+1), the suffix after it
-        faces = [
-            ((h // power[m - i + 1] * size + b) * (p := power[m - i - 1]) + h % p, (-1) ** i)
-            for i in range(1, m)
-            if (b := merged[e[i - 1]][e[i]]) >= 0
-        ]
-        faces.append((h // size, (-1) ** m))
-        first = h % power[m - 1]
-        for t in range(d):
-            row = {first * d + u: x for u, x in blocks[e[0]][t]}
-            for k, sign in faces:
-                row[k * d + t] = row.get(k * d + t, 0) + sign
+        h, cell_rows = _cell_rows(M, m, blocks, merged, [index[g] for g in up])
+        for t, row in enumerate(cell_rows):
             pivots[c * d + t] = h * d + t
-            rows[h * d + t] = [(k, y) for k, x in row.items() if (y := x % N if N else x)]
+            rows[h * d + t] = row
     return pivots, rows
 
 
+def _critical_cells(orders: Sequence[int], m: int) -> list[list[int]]:
+    """The cells of degree m that :func:`_morse_partner` leaves unmatched,
+    as element indices, one per monomial of degree m in basis order: x^k is
+    the cell of k_i letters of x_i for i descending, alternately x_i and
+    x_i^(o_i - 1), since only a letter after a later generator's, or the
+    rest of o_i after x_i, is neither split nor merged."""
+    s = len(orders)
+    # x_i^e has the index e * o_(i+1) ... o_s among the elements
+    stride = [prod(orders[i + 1 :]) for i in range(s)]
+    return [
+        [(orders[i] - 1 if j % 2 else 1) * stride[i] - 1
+         for i in reversed(range(s)) for j in range(k[i])]
+        for k in monomial_basis(s, m)
+    ]
+
+
 def _matched_diagonal(
-    M: GModule, m: int, dual: bool, mod: int | None, limits: EngineLimits | None
+    M: GModule,
+    m: int,
+    dual: bool,
+    mod: int | None,
+    limits: EngineLimits | None,
+    tables: tuple[list[list[int]], list[_Block]] | None = None,
 ) -> list[int] | None:
     """The Smith diagonal of the standard-resolution leg leaving degree m,
     no row of it listed: a 1 per pivot of :func:`_bar_pivots`, then the
@@ -516,20 +576,78 @@ def _matched_diagonal(
     transposed, SNF(A) = SNF(A^T), in the plain shape with transposed
     antipode blocks: the complement is then taken over the short side, and
     the pivots sit at the plain leg's positions."""
-    _, targets, blocks = _bar_faces(M, m, dual, limits)
+    tables = tables or _bar_tables(M, dual)
+    _, targets, blocks = _bar_faces(M, m, dual, limits, tables)
     width = M.rank * targets
-    pivots, rows = _bar_pivots(M, m, blocks)
-    entries = [abs(x) for blk in blocks for row in blk for _, x in row]
-    longest = max((len(row) for blk in blocks for row in blk), default=0)
-    weight = (longest + m) * max(entries, default=1)
+    pivots, rows = _bar_pivots(M, m, blocks, tables[0])
+    weight = _bar_weight(blocks, m)
 
     def values(phi: list[int]) -> Iterator[int]:
-        return itertools.chain.from_iterable(_bar_values(M, m, [phi], limits, dual))
+        return itertools.chain.from_iterable(_bar_values(M, m, [phi], limits, dual, tables))
 
     complement = schur_complement(rows, pivots, width, weight, values, mod)
     if complement is None:
         return None
     return [1] * len(pivots) + smith_diagonal(complement, len(complement), width, mod=mod)
+
+
+def _morse_leg(
+    M: GModule,
+    m: int,
+    dual: bool,
+    tables: tuple[list[list[int]], list[_Block]] | None,
+    limits: EngineLimits | None,
+    mod: int | None,
+) -> tuple | None:
+    """The Morse pivots of the standard-resolution leg leaving degree m >= 1
+    in the plain shape of :func:`_bar_faces`, solved over the critical
+    columns; None where they fail a guard of
+    :func:`~cohomolab.intlinalg.solve_pivots`.
+
+    Returns the first-face blocks; the pivots of :func:`_bar_pivots`; their
+    rows, kept at the pivot columns and the critical columns; their R's, in
+    solve order; and the critical columns, {bar coordinate: critical
+    coordinate}, coordinate t of the i-th cell of :func:`_critical_cells` of
+    degree m - 1 being critical coordinate i * d + t.  Every other column is
+    a cell matched downward, which the caller moves cochains off through leg
+    m - 1's pivots, so no R reads it."""
+    tables = tables or _bar_tables(M, dual)
+    _, _, blocks = _bar_faces(M, m, dual, limits, tables)
+    pivots, rows = _bar_pivots(M, m, blocks, tables[0])
+    d, size = M.rank, len(blocks)
+    columns = {}
+    for i, e in enumerate(_critical_cells(M.spec.orders, m - 1)):
+        h = 0
+        for x in e:
+            h = h * size + x
+        columns.update((h * d + t, i * d + t) for t in range(d))
+    kept = {r: [(k, x) for k, x in row if k in pivots or k in columns] for r, row in rows.items()}
+    solved = solve_pivots(kept, pivots, mod)
+    return None if solved is None else (blocks, pivots, kept, solved, columns)
+
+
+def _morse_complement(
+    M: GModule, m: int, leg: tuple, merged: list[list[int]], mod: int | None
+) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+    """The rows of the critical cells of degree m of a leg that
+    :func:`_morse_leg` solved, in bar coordinates, and their Schur
+    complement at the critical columns, in critical coordinates: the
+    monomial resolution's leg up to one sign per cell."""
+    blocks, _, _, solved, columns = leg
+    N = mod or 0
+    raw, complement = [], []
+    for e in _critical_cells(M.spec.orders, m):
+        for row in _cell_rows(M, m, blocks, merged, e)[1]:
+            out: dict[int, int] = {}
+            for k, x in row:
+                if k in solved:
+                    for q, y in solved[k].items():
+                        out[columns[q]] = out.get(columns[q], 0) - x * y
+                elif k in columns:
+                    out[columns[k]] = out.get(columns[k], 0) + x
+            raw.append(row)
+            complement.append([(q, y) for q, x in out.items() if (y := x % N if N else x)])
+    return raw, complement
 
 
 def _product_table(orders: Sequence[int]) -> list[list[int]]:
@@ -549,6 +667,38 @@ def _product_table(orders: Sequence[int]) -> list[list[int]]:
             for mr in mul
         ]
     return mul
+
+
+def _bar_weight(blocks: list[_Block], m: int) -> int:
+    """A bound on the sum of |D[r][k]| over the terms :func:`_bar_values`
+    adds for one value of the standard-resolution leg D leaving degree m
+    with first-face ``blocks``: at most (longest block row) + m terms, each
+    a block entry or +-1."""
+    entries = [abs(x) for blk in blocks for row in blk for _, x in row]
+    longest = max((len(row) for blk in blocks for row in blk), default=0)
+    return (longest + m) * max(entries, default=1)
+
+
+def _bar_tables(M: GModule, dual: bool) -> tuple[list[list[int]], list[_Block]]:
+    """What every leg of the standard resolution reads: merged[a][b], the
+    index of g_a g_b among the nonidentity elements or -1 for the identity,
+    and the first-face blocks of :func:`_bar_faces` by element index, the
+    transposed antipode blocks with ``dual``.  A call builds them once.
+
+    >>> from cohomolab.group_ring import GroupSpec
+    >>> from cohomolab.modules import trivial_module
+    >>> _bar_tables(trivial_module(GroupSpec.of(3)), False)
+    ([[1, -1], [-1, 0]], [[[(0, 1)]], [[(0, 1)]]])
+    """
+    G = M.spec
+    merged = [[c - 1 for c in row[1:]] for row in _product_table(G.orders)[1:]]
+    blocks = [M.element_rows(G.inv(g) if dual else g) for g in G.nonidentity_elements()]
+    if dual:  # transposed, each row by ascending column
+        blocks = [
+            [[(t, c) for t, r in enumerate(b) for u, c in r if u == w] for w in range(len(b))]
+            for b in blocks
+        ]
+    return merged, blocks
 
 
 def _sigma_faces(M: GModule, m: int) -> list[_Source]:
@@ -621,7 +771,12 @@ def _sigma_faces(M: GModule, m: int) -> list[_Source]:
 
 
 def _leg_rows(
-    M: GModule, resolution: str, m: int, dual: bool = False, limits: EngineLimits | None = None
+    M: GModule,
+    resolution: str,
+    m: int,
+    dual: bool = False,
+    limits: EngineLimits | None = None,
+    tables: tuple[list[list[int]], list[_Block]] | None = None,
 ) -> Iterator[list[tuple[int, int]]]:
     """The Hom rows, phi -> phi . D, of the differential D of
     ``resolution`` leaving degree m, antipode-transposed when ``dual``,
@@ -641,7 +796,7 @@ def _leg_rows(
     """
     d = M.rank
     if resolution == "bar":
-        runs, targets, blocks = _bar_faces(M, m, dual, limits)
+        runs, targets, blocks = _bar_faces(M, m, dual, limits, tables)
         rows = (
             [(f * d + u, c) for u, c in blk[t]]
             + (tail if d == 1 else [(k * d + t, c) for k, c in tail])
@@ -772,16 +927,21 @@ def _extract_representatives(
     degree: int,
     count: int,
     vanishes: Callable[[list[list[int]]], bool],
+    lift: Callable[[list[int]], list[int]] | None = None,
 ) -> tuple[Cochain, ...]:
     """Each generator's residue modulo the coboundaries, torsion first,
     checked to be a cocycle in one pass, which is skipped when there is no
     generator: ``vanishes`` says whether phi . D vanishes, mod N where the
     module has one, for all the residues together.  That is
     :func:`_runs_vanish` on a plain standard-resolution leg and
-    :func:`_rows_vanish` on any other.  Mod N the Hermite basis has a pivot
-    in every row, so the residues lie in [0, N)."""
+    :func:`_rows_vanish` on any other.  A residue on the Morse complex's
+    critical coordinates is ``lift``-ed to a bar cochain before the check.
+    Mod N the Hermite basis has a pivot in every row, so the residues lie in
+    [0, N)."""
     gens = sorted((d == 0, i) for i, d in enumerate(pres.diagonal) if d != 1)
     vecs = [pres.residue(pres.generator_column(i)) for _, i in gens]
+    if lift:
+        vecs = [lift(vec) for vec in vecs]
     if vecs and not vanishes(vecs):
         raise VerificationError(f"extracted degree-{degree} representative is not a cocycle")
     return tuple(Cochain.from_flat(degree, vec, count, M.rank) for vec in vecs)
@@ -800,15 +960,130 @@ def _rows_vanish(rows: Iterable[list[tuple[int, int]]], N: int, vecs: list[list[
     return True
 
 
-def _runs_vanish(M: GModule, m: int, limits: EngineLimits | None, vecs: list[list[int]]) -> bool:
+def _runs_vanish(
+    M: GModule,
+    m: int,
+    limits: EngineLimits | None,
+    vecs: list[list[int]],
+    tables: tuple[list[list[int]], list[_Block]] | None = None,
+) -> bool:
     """Whether phi . D vanishes, mod N where the module has one, for each
     flat cochain phi of ``vecs``, D the standard resolution's differential
-    leaving degree m, against every run of :func:`_bar_values` in turn."""
+    leaving degree m, against every run of :func:`_bar_values` in turn.
+    Over Z the cochains are read at once, packed as for
+    :func:`~cohomolab.intlinalg.schur_complement`: a signed slot per
+    cochain, wider than :func:`_bar_weight` times its largest entry, so a
+    packed value is 0 only where every slot is."""
     N = M.modulus
-    for values in _bar_values(M, m, vecs, limits):
+    tables = tables or _bar_tables(M, False)
+    if not N and len(vecs) > 1:
+        top = _bar_weight(tables[1], m) * max(abs(x) for vec in vecs for x in vec)
+        shifts = range(0, (top.bit_length() + 1) * len(vecs), top.bit_length() + 1)
+        vecs = [[sum(x << w for x, w in zip(col, shifts)) for col in zip(*vecs)]]
+    for values in _bar_values(M, m, vecs, limits, tables=tables):
         if any(x % N for x in values) if N else any(values):
             return False
     return True
+
+
+@dataclass
+class _MorsePresentation:
+    """A presentation on the critical coordinates of :func:`_morse_presentation`
+    with the methods of a :class:`~cohomolab.intlinalg.QuotientPresentation`
+    on bar cochains: a cochain is projected before the presentation reads
+    it, every vector it returns is lifted, and coordinates are taken only
+    of cochains that ``closed`` finds to be cocycles."""
+
+    critical: QuotientPresentation
+    project: Callable[[Sequence[int]], list[int]]
+    lift: Callable[[Sequence[int]], list[int]]
+    closed: Callable[[list[list[int]]], bool]
+
+    def __getattr__(self, name: str):
+        # the diagonal, the Hermite bases and the transforms
+        if name == "critical":
+            raise AttributeError(name)
+        return getattr(self.critical, name)
+
+    def coordinates(self, vec: Sequence[int]) -> list[int]:
+        if not self.closed([list(vec)]):
+            raise ValueError("vector is not in the lattice")
+        return self.critical.coordinates(self.project(vec))
+
+    def generator_column(self, i: int) -> list[int]:
+        return self.lift(self.critical.generator_column(i))
+
+    def residue(self, vec: Sequence[int]) -> list[int]:
+        return self.lift(self.critical.residue(self.project(vec)))
+
+
+def _morse_presentation(
+    M: GModule,
+    n: int,
+    killed: bool,
+    mod: int | None,
+    tables: tuple[list[list[int]], list[_Block]],
+    limits: EngineLimits | None,
+) -> tuple[QuotientPresentation, Callable, Callable] | None:
+    """H^n(G, M) on the standard resolution as a presentation on the
+    critical coordinates of degree n (see the module docstring), with
+    ``project``, which takes a bar cocycle to the critical coordinates of a
+    cohomologous one that vanishes on the cells matched downward, and
+    ``lift``, which takes a critical vector back to the bar cochain that
+    does; None where the pivots of leg n - 1, n or n + 1 fail a guard.  The
+    cocycles are the saturation of the image where |G| kills H, and
+    otherwise the kernel of leg n + 1's complement; leg n's spans the
+    image."""
+    legs = {m: _morse_leg(M, m, False, tables, limits, mod) for m in range(max(n - 1, 1), n + 2)}
+    if None in legs.values():
+        return None
+    size = M.spec.order - 1
+    for k in range(max(n - 1, 0), n + 1):
+        # the coordinates of degree k split into leg k + 1's pivot columns,
+        # the critical ones and leg k's pivot rows, the only ones dropped
+        parts = [legs[k + 1][1], legs[k + 1][4], legs[k][1].values() if k in legs else ()]
+        count = sum(map(len, parts))
+        if count != M.rank * size**k or len(set().union(*parts)) != count:
+            return None
+    N = mod or 0
+    solved, coords = legs[n + 1][3], list(legs[n + 1][4])
+    dim = len(coords)
+    raw, image = _morse_complement(M, n, legs[n], tables[0], mod) if n else ([], [])
+    icols = _image_columns(image)
+    kcols = saturation_columns(icols) if killed else None
+    if kcols is None:
+        kernel = _morse_complement(M, n + 1, legs[n + 1], tables[0], mod)[1]
+        kcols = kernel_columns(kernel, dim, mod=mod)
+    width = M.rank * size**n
+
+    def lift(v: Sequence[int]) -> list[int]:
+        # a cell matched downward takes 0, one matched upward -R(j) . v
+        x = [0] * width
+        for q, y in zip(coords, v):
+            x[q] = y
+        for j, R in solved.items():
+            x[j] = -sum(y * x[q] for q, y in R.items())
+        return [y % N for y in x] if N else x
+
+    def project(vec: Sequence[int]) -> list[int]:
+        # vec - D y, y on leg n's pivot columns solving D y = vec on their
+        # rows, which the solve order allows one column at a time
+        if not n:
+            return [vec[q] for q in coords]
+        _, pivots, rows, order, _ = legs[n]
+        y: dict[int, int] = {}
+        for j in order:
+            acc, p = vec[pivots[j]], 0
+            for k, x in rows[pivots[j]]:
+                if k == j:
+                    p += x
+                elif k in y:
+                    acc -= x * y[k]
+            y[j] = acc * pow(p, -1, N) % N if N else acc * p
+        out = [vec[q] - sum(x * y[k] for k, x in row if k in y) for q, row in zip(coords, raw)]
+        return [x % N for x in out] if N else out
+
+    return quotient_presentation(kcols, icols, dim, mod=mod), project, lift
 
 
 def _check_killed(inv: AbelianInvariants, order: int, n: int) -> None:
@@ -891,10 +1166,12 @@ def _complex_group(
     if has_out and not (smith and killed):
         limits.check_cells(out_dim, dim, f"{route} outgoing map")
 
+    tables = _bar_tables(M, step < 0) if resolution == "bar" else None
+
     def leg(k: int) -> Iterator[list[tuple[int, int]]]:
         # the streamed Hom rows of the map between degrees n and k; a
         # standard-resolution call meets only degrees >= 1 here
-        return _leg_rows(M, resolution, max(n, k), step < 0, limits)
+        return _leg_rows(M, resolution, max(n, k), step < 0, limits, tables)
 
     if smith:
         # the Smith diagonals of both maps, see the module docstring.  A
@@ -905,7 +1182,7 @@ def _complex_group(
         # goes in as its columns and the search runs over the short side
         def diagonal(k: int, rows: int, cols: int) -> list[int]:
             if resolution == "bar":
-                diag = _matched_diagonal(M, max(n, k), step < 0, mod, limits)
+                diag = _matched_diagonal(M, max(n, k), step < 0, mod, limits, tables)
                 if diag is not None:
                     return diag
             source = leg(k)
@@ -924,33 +1201,41 @@ def _complex_group(
         if killed:
             _check_killed(inv, M.spec.order, n)
         return CohomologyResult(n, kind, inv, M.label, resolution, route)
-    icols = _image_columns(leg(k_in)) if has_in else []
-    kcols = saturation_columns(icols) if killed else None
-    # the outgoing rows, built at most once: for the kernel, the cocycle
-    # check or both.  A plain standard-resolution leg checks run by run
-    # instead, so its rows are built for the kernel alone
+    # a plain standard-resolution leg checks its representatives run by run,
+    # and with representatives runs on the Morse complex unless a guard fails
     by_runs = has_out and resolution == "bar" and step > 0
     rows: Iterable[list[tuple[int, int]]] = ()
-    if has_out and (kcols is None or not by_runs):
-        rows = leg(k_out)
-    if kcols is None:
-        if want and not by_runs:
-            rows = list(rows)
-        kcols = kernel_columns(rows, dim, mod=mod)
-    if not want:
-        inv = quotient_invariants(kcols, icols, dim, mod=N)
-        return CohomologyResult(n, kind, inv, M.label, resolution, route)
-    pres = quotient_presentation(kcols, icols, dim, mod=mod)
+    if by_runs:
+        vanishes = partial(_runs_vanish, M, k_out, limits, tables=tables)
+    morse = _morse_presentation(M, n, killed, mod, tables, limits) if want and by_runs else None
+    if morse:
+        pres, project, lift = morse
+    else:
+        lift = None
+        icols = _image_columns(leg(k_in)) if has_in else []
+        kcols = saturation_columns(icols) if killed else None
+        # the outgoing rows, built at most once: for the kernel, the cocycle
+        # check or both; with the run-by-run check, for the kernel alone
+        if has_out and (kcols is None or not by_runs):
+            rows = leg(k_out)
+        if kcols is None:
+            if want and not by_runs:
+                rows = list(rows)
+            kcols = kernel_columns(rows, dim, mod=mod)
+        if not want:
+            inv = quotient_invariants(kcols, icols, dim, mod=N)
+            return CohomologyResult(n, kind, inv, M.label, resolution, route)
+        pres = quotient_presentation(kcols, icols, dim, mod=mod)
     inv = pres.invariants()
     if killed:
         _check_killed(inv, M.spec.order, n)
     # a rank-0 module has no coordinates, and its cochains no values
     count = dim // M.rank if M.rank else 0
-    if by_runs:
-        vanishes = partial(_runs_vanish, M, k_out, limits)
-    else:
+    if not by_runs:
         vanishes = partial(_rows_vanish, rows, N)
-    reps = _extract_representatives(pres, M, n, count, vanishes)
+    reps = _extract_representatives(pres, M, n, count, vanishes, lift)
+    if lift:
+        pres = _MorsePresentation(pres, project, lift, vanishes)
     return CohomologyResult(
         n,
         kind,

@@ -473,6 +473,78 @@ def smith_diagonal(
     return _invariant_chain(diag, N)
 
 
+def solve_pivots(
+    rows: Mapping[int, Sequence[tuple[int, int]]], pivots: dict[int, int], mod: int | None = None
+) -> dict[int, dict[int, int]] | None:
+    """R(j) for each pivot column j of unit pivots known in advance, in an
+    order that solves each after every R it needs; or None where the pivots
+    cannot be trusted.
+
+    ``pivots`` maps a column j to the row that holds its pivot, and ``rows``
+    gives the (column, value) pairs of at least those rows, by row index.
+    R(j) is the pivot row of j without its pivot, each entry x in another
+    pivot column k replaced by -x R(k), divided by the pivot: a solution x
+    of A x = 0 on the pivot rows takes x_j = -R(j) . x on the non-pivot
+    columns.  The result is None unless every pivot is a unit (mod N with
+    ``mod``), no row holds two pivots, and no R(j) needs itself: then the
+    pivot block is triangular up to order with a unit diagonal.  A row that
+    holds two pivots has both their columns, so their R's need each other
+    and the walk meets that as a cycle.  With ``mod`` the entries are
+    symmetric residues, of absolute value at most N/2.
+
+    >>> solve_pivots({0: [(0, 1), (1, 2)], 1: [(1, 1), (2, 3)]}, {0: 0, 1: 1})
+    {1: {2: 3}, 0: {2: -6}}
+    >>> solve_pivots({0: [(0, 1), (1, 2)]}, {0: 0, 1: 0}) is None
+    True
+    """
+    N = mod or 0
+    h = N // 2
+    if not all(r in rows for r in pivots.values()):
+        return None
+    solved: dict[int, dict[int, int]] = {}
+
+    def reduce(row: Iterable[tuple[int, int]], skip: int) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for k, x in row:
+            sub = solved.get(k)
+            if sub is None:
+                out[k] = out.get(k, 0) + x
+            else:
+                for q, y in sub.items():
+                    out[q] = out.get(q, 0) - x * y
+        out.pop(skip, None)
+        return {q: y for q, x in out.items() if (y := x % N if N else x)}
+
+    # each R(j) is solved once those of its pivot row's other pivot columns
+    # are, by an explicit depth-first walk: the chains of R's can be long
+    for start in pivots:
+        if start in solved:
+            continue
+        stack, walking = [start], {start}
+        while stack:
+            j = stack[-1]
+            row = rows[pivots[j]]
+            for k, _ in row:
+                if k != j and k in pivots and k not in solved:
+                    if k in walking:
+                        return None  # R(k) would need itself
+                    stack.append(k)
+                    walking.add(k)
+                    break
+            else:
+                p = sum(x for k, x in row if k == j)
+                if (gcd(p, N) != 1) if N else p not in (1, -1):
+                    return None
+                # 1/p is p over Z; a unit times a nonzero entry stays nonzero
+                inv = pow(p, -1, N) if N else p
+                solved[j] = {
+                    q: (x * inv + h) % N - h if N else x * inv for q, x in reduce(row, j).items()
+                }
+                stack.pop()
+                walking.discard(j)
+    return solved
+
+
 def schur_complement(
     rows: Mapping[int, Sequence[tuple[int, int]]],
     pivots: dict[int, int],
@@ -486,21 +558,15 @@ def schur_complement(
     ``width`` columns that is read only through ``values``; or None where
     the pivots cannot be trusted.
 
-    ``pivots`` maps a column j to the row that holds its pivot, and ``rows``
-    gives the (column, value) pairs of at least those rows, by row index.
-    Every other row has each entry x in a pivot column j replaced by
-    -x R(j), where R(j) is the pivot row of j without its pivot, reduced the
-    same way and divided by the pivot.  The result is None unless every
-    pivot is a unit (mod N with ``mod``), no row holds two pivots, and no
-    R(j) needs itself: then the pivot block is triangular up to order with
-    a unit diagonal, one unimodular block triangularization clears it, and
-    Smith(A) is the identity on the pivots plus Smith(S) of the complement
-    S.  A row that holds two pivots has both their columns, so their R's
-    need each other and the walk meets that as a cycle.  Dropping the
-    duplicate rows of S keeps its row lattice, and so its Smith form.
+    ``pivots`` and ``rows`` are as for :func:`solve_pivots`, which solves
+    the R's and applies the guards.  Every other row has each entry x in a
+    pivot column j replaced by -x R(j).  Where the guards pass, one
+    unimodular block triangularization clears the pivot block, and Smith(A)
+    is the identity on the pivots plus Smith(S) of the complement S.
+    Dropping the duplicate rows of S keeps its row lattice, and so its
+    Smith form.
 
-    The R's are solved as dicts, with ``mod`` as symmetric residues, of
-    absolute value at most N/2.  The rows are combined packed, by Kronecker
+    The rows are combined packed, by Kronecker
     substitution: phi[k] is one integer with a signed slot of w bits per
     non-pivot column, 1 in k's own slot for a non-pivot column k and
     -R(j) for a pivot column j, so the value phi . A[r] = sum_k A[r][k]
@@ -527,53 +593,10 @@ def schur_complement(
     >>> schur_complement({0: [(0, 2), (1, 2)]}, {0: 0}, 2, 4, values) is None
     True
     """
-    N = mod or 0
-    h = N // 2
-    if not all(r in rows for r in pivots.values()):
+    solved = solve_pivots(rows, pivots, mod)
+    if solved is None:
         return None
-    # R(j) by pivot column
-    solved: dict[int, dict[int, int]] = {}
-
-    def reduce(row: Iterable[tuple[int, int]], skip: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for k, x in row:
-            sub = solved.get(k)
-            if sub is None:
-                out[k] = out.get(k, 0) + x
-            else:
-                for q, y in sub.items():
-                    out[q] = out.get(q, 0) - x * y
-        out.pop(skip, None)
-        return {q: y for q, x in out.items() if (y := x % N if N else x)}
-
-    # each R(j) is solved once those of its pivot row's other pivot columns
-    # are, by an explicit depth-first walk: the chains of R's can be long
-    for start in pivots:
-        if start in solved:
-            continue
-        stack, walking = [start], {start}
-        while stack:
-            j = stack[-1]
-            row = rows[pivots[j]]
-            wanted = next(
-                (k for k, _ in row if k != j and k in pivots and k not in solved), None
-            )
-            if wanted is not None:
-                if wanted in walking:
-                    return None  # R(wanted) would need itself
-                stack.append(wanted)
-                walking.add(wanted)
-                continue
-            p = sum(x for k, x in row if k == j)
-            if (gcd(p, N) != 1) if N else p not in (1, -1):
-                return None
-            # 1/p is p over Z; a unit times a nonzero entry stays nonzero
-            inv = pow(p, -1, N) if N else p
-            solved[j] = {
-                q: (x * inv + h) % N - h if N else x * inv for q, x in reduce(row, j).items()
-            }
-            stack.pop()
-            walking.discard(j)
+    N = mod or 0
     columns = [k for k in range(width) if k not in pivots]
     bound = weight * max((abs(y) for R in solved.values() for y in R.values()), default=1)
     nb = (bound.bit_length() + 8) // 8  # bytes per slot

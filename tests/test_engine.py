@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import random
 from math import comb
+from typing import Iterator
 from unittest import mock
 
 import pytest
@@ -359,9 +360,9 @@ def test_each_differential_is_built_at_most_once(
             assert built == [(leg, incoming)], (n, built)
         runs = [m for res, m in built if res == "runs"]
         if reps and resolution == "bar" and compute is ordinary_cohomology and r.representatives:
-            # the outgoing leg's rows only where they give the kernel
-            assert runs == [n + 1], (n, built)
-            assert (("bar", n + 1) in built) == (route == "congruence" or n == 0), (n, built)
+            # on the Morse complex: the outgoing leg read run by run for the
+            # check, and no leg listed
+            assert built == [("runs", n + 1)], (n, built)
         elif not reps and resolution == "bar":
             # each Smith diagonal's leg read run by run, once, and no row listed
             assert runs and all(res == "runs" for res, _ in built), (n, built)
@@ -667,7 +668,8 @@ def _check_run_by_run_complement(M, m, dual, mod):
     searched one of the listed rows.  Returns the pivots."""
     rows = list(engine._leg_rows(M, "bar", m, dual))
     plain = _plain_shape(M, m, rows, dual)
-    pivots, built = engine._bar_pivots(M, m, engine._bar_faces(M, m, dual, None)[2])
+    merged, blocks = engine._bar_tables(M, dual)
+    pivots, built = engine._bar_pivots(M, m, blocks, merged)
     assert {r: dict(row) for r, row in built.items()} == {r: dict(plain[r]) for r in built}
     got = []
     real = engine.schur_complement
@@ -783,16 +785,22 @@ _UNTRUSTED_PIVOTS = {
 @pytest.mark.parametrize("guard", sorted(_UNTRUSTED_PIVOTS))
 def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
     # where the pivots fail a guard the leg's diagonal is searched over its
-    # transpose, as without pivots, and the answer is the same
+    # transpose, as without pivots, and the answer is the same.  With
+    # representatives the Morse complex of H^1, H^2 and H^3 reads leg 2 (as
+    # leg n + 1, n or n - 1), so each falls back to the listed search of
+    # H's image, whose leg has 3, 9 or 27 rows
     M = parse_module(text, G22)
-    want = ordinary_cohomology(M, 2, resolution="bar", want_representatives=False)
+    want = {
+        (n, reps): ordinary_cohomology(M, n, resolution="bar", want_representatives=reps)
+        for n, reps in [(2, False), (1, True), (2, True), (3, True)]
+    }
     pivots, rows = _UNTRUSTED_PIVOTS[guard], list(engine._leg_rows(M, "bar", 2))
     untrusted = pivots, {r: rows[r] for r in pivots.values()}
     real = engine._bar_pivots
     monkeypatch.setattr(
         engine,
         "_bar_pivots",
-        lambda M, m, blocks: untrusted if m == 2 else real(M, m, blocks),
+        lambda M, m, blocks, *rest: untrusted if m == 2 else real(M, m, blocks, *rest),
     )
     searched = []
     real_columns = engine._image_columns
@@ -803,9 +811,13 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
         return real_columns(rows)
 
     monkeypatch.setattr(engine, "_image_columns", recorded)
-    got = ordinary_cohomology(M, 2, resolution="bar", want_representatives=False)
-    assert got.route == want.route and got.invariants == want.invariants
-    assert searched == [9]
+    for (n, reps), w in want.items():
+        searched.clear()
+        got = ordinary_cohomology(M, n, resolution="bar", want_representatives=reps)
+        assert got.route == w.route and got.invariants == w.invariants, (n, reps)
+        assert searched == [9 if n == 2 else 3**n], (n, reps)
+        if reps:
+            assert got.class_group_generated_by(got.representatives) == got.invariants
 
 
 def test_trusted_pivots_never_search_a_transpose(monkeypatch):
@@ -822,6 +834,162 @@ def test_trusted_pivots_never_search_a_transpose(monkeypatch):
         for compute, k in ((ordinary_cohomology, n), (homology, 2)):
             r = compute(M, k, resolution="bar")
             assert r.route in ("cokernel-torsion", "universal-coefficients")
+
+
+def _agree_up_to_cell_signs(got, want, d, mod):
+    """Whether two maps, as rows of (column, value) pairs over d coordinates
+    per cell, agree mod N with ``mod`` up to one sign per row cell and one
+    per column cell: block (i, j) of ``got`` is e_i f_j times block (i, j)
+    of ``want``, for signs e and f that every block pins alike."""
+    N = mod or 0
+
+    def blocks(rows, sign=1):
+        out = {}
+        for r, row in enumerate(rows):
+            for k, x in row:
+                blk = out.setdefault((r // d, k // d), {})
+                blk[r % d, k % d] = blk.get((r % d, k % d), 0) + sign * x
+        return {key: {u: y for u, x in blk.items() if (y := x % N if N else x)}
+                for key, blk in out.items()}
+
+    plus, minus, mine = blocks(want), blocks(want, -1), blocks(got)
+    links = {}  # cell -> [(cell, whether the two signs differ)]
+    for i, j in set(mine) | set(plus):
+        a, b, c = mine.get((i, j), {}), plus.get((i, j), {}), minus.get((i, j), {})
+        if a != b and a != c:
+            return False
+        if b != c:  # the block pins the sign e_i f_j
+            links.setdefault(("row", i), []).append((("col", j), a == c))
+            links.setdefault(("col", j), []).append((("row", i), a == c))
+    flip = {}
+    for start in links:
+        if start in flip:
+            continue
+        flip[start], todo = False, [start]
+        while todo:
+            cell = todo.pop()
+            for other, odd in links[cell]:
+                if other not in flip:
+                    flip[other] = flip[cell] ^ odd
+                    todo.append(other)
+                elif flip[other] != flip[cell] ^ odd:
+                    return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(1, 3), st.booleans())
+def test_critical_complement_is_the_monomial_leg_up_to_cell_signs(
+    row_modules, orders, data, m, dual
+):
+    # the monomial resolution is the Morse complex of the standard one,
+    # entry for entry: the Schur complement of a leg's Morse pivots at its
+    # critical rows and columns is the monomial leg of the same degree, in
+    # the plain shape, up to one sign per cell; over Z and mod N in
+    # {2, 4, 6} for a lattice, mod its own N for a finite module.  The
+    # critical cells are the ones _morse_partner leaves unmatched, and the
+    # i-th has the letters per generator of the i-th monomial
+    G = GroupSpec(orders)
+    letter = {e: i for e, g in enumerate(G.nonidentity_elements()) for i, x in enumerate(g) if x}
+    for k in (m - 1, m):
+        cells = engine._critical_cells(orders, k)
+        unmatched = [
+            [G.nonidentity_elements().index(g) for g in cell]
+            for cell in itertools.product(G.nonidentity_elements(), repeat=k)
+            if engine._morse_partner(orders, cell) is None
+        ]
+        assert sorted(cells) == sorted(unmatched)
+        counts = [tuple(sum(letter[e] == i for e in c) for i in range(G.ngens)) for c in cells]
+        assert counts == resolutions.monomial_basis(G.ngens, k)
+    text = data.draw(st.sampled_from(row_modules[orders]))
+    M = parse_module(text, G)
+    d = M.rank
+    mono = list(engine._leg_rows(M, "minimal", m, dual))
+    if dual:  # transposed into the plain shape
+        plain = [[] for _ in range(d * comb(m + G.ngens - 1, m))]
+        for r, row in enumerate(mono):
+            for k, x in row:
+                plain[k].append((r, x))
+        mono = plain
+    mods = [M.modulus] if M.modulus else [None, data.draw(st.sampled_from((2, 4, 6)))]
+    for mod in mods:
+        leg = engine._morse_leg(M, m, dual, None, None, mod)
+        assert leg is not None, (text, m, dual, mod)
+        _, got = engine._morse_complement(M, m, leg, engine._bar_tables(M, dual)[0], mod)
+        assert len(got) == len(mono)
+        assert _agree_up_to_cell_signs(got, mono, d, mod), (text, m, dual, mod)
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (4,), (3, 3)], ids=str)
+def test_bar_residues_are_canonical_under_coboundaries(orders):
+    # representatives on the Morse complex, kernel and congruence routes:
+    # adding a random coboundary, leg n of a random degree-(n - 1) cochain,
+    # to each one moves neither its canonical residue nor its coordinates
+    rng = random.Random(26)
+    G = GroupSpec.of(*orders)
+    routes = set()
+    for text in _oracle_modules(orders):
+        M = parse_module(text, G)
+        for n in range(3):
+            r = ordinary_cohomology(M, n, resolution="bar", want_representatives=True)
+            routes.add(r.route)
+            width = M.rank * (G.order - 1) ** (n - 1) if n else 0
+            for rep in r.representatives:
+                flat = rep.flat()
+                if n:
+                    y = [rng.randint(-3, 3) for _ in range(width)]
+                    flat = [a + b for a, b in zip(flat, _apply(M, _leg_rows(M, "bar", n), y))]
+                moved = Cochain.from_flat(n, flat, r._count, r._rank)
+                assert r.reduce_cocycle(moved) == r.reduce_cocycle(rep) == rep, (text, n)
+                assert r.class_coordinates(moved) == r.class_coordinates(rep), (text, n)
+            assert r.class_group_generated_by(r.representatives) == r.invariants
+    assert routes == {"kernel", "congruence"}
+
+
+def test_bar_representatives_stay_on_the_critical_coordinates(monkeypatch):
+    # with representatives no plain standard-resolution leg is listed, and
+    # the image, the saturation, the kernel and the presentation are all
+    # taken on the d * C(n+s-1, s-1) critical coordinates of degree n
+    sizes = []
+
+    def recorded(name, size):
+        real = getattr(engine, name)
+
+        def call(*args, **kwargs):
+            args = [list(a) if isinstance(a, Iterator) else a for a in args]
+            sizes.append(size(*args))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, call)
+
+    recorded("_image_columns", len)
+    recorded("saturation_columns", lambda cols: 1 + max((k for c in cols for k in c), default=-1))
+    recorded("kernel_columns", lambda rows, n, *rest: n)
+    recorded("quotient_presentation", lambda basis, relations, dim, *rest: dim)
+    monkeypatch.setattr(engine, "_leg_rows", lambda *a, **k: pytest.fail("listed a leg"))
+    for orders in [(2, 2), (4,), (2, 4), (3, 3)]:
+        G = GroupSpec.of(*orders)
+        for text in _oracle_modules(orders):
+            M = parse_module(text, G)
+            for n in range(3):
+                sizes.clear()
+                r = ordinary_cohomology(M, n, resolution="bar", want_representatives=True)
+                critical = M.rank * comb(n + G.ngens - 1, n)
+                assert sizes and max(sizes) <= critical, (orders, text, n, sizes)
+                assert r.class_group_generated_by(r.representatives) == r.invariants
+
+
+@pytest.mark.parametrize(
+    "orders, text",
+    [((9,), "cyclo:3:1:1"), ((2, 2, 4), "cyclo:2:2:0,0,1"), ((2, 2, 4), "star(cyclo:2:2:0,0,1)")],
+)
+def test_benchmark_excluded_representative_cells(orders, text):
+    # the benchmark's KNOWN_EXCLUDED still calls these minutes long; on the
+    # Morse complex each takes milliseconds and agrees with the monomial side
+    M = parse_module(text, GroupSpec.of(*orders))
+    r = ordinary_cohomology(M, 2, resolution="bar", want_representatives=True)
+    assert r.invariants == ordinary_cohomology(M, 2, want_representatives=False).invariants
+    assert r.class_group_generated_by(r.representatives) == r.invariants
 
 
 _SIGMA_ROW_GROUPS = [(2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 3)]
