@@ -62,19 +62,23 @@ coboundaries included, is read by :func:`_leg_rows`.  A resolution only
 lists the (target, block) pairs each source basis element meets, and
 :func:`_hom_rows` turns them into rows.  On the monomial resolution these
 are at most 6s + 1 blocks of the module's block table (``GModule.block_rows``)
-over monomial indices.  The standard resolution is listed in prefix runs
-(:func:`_bar_faces`): the |G| - 1 sources [g_1|...|g_(m-1)|x] that share a
-prefix meet consecutive first faces through one matrix of the group-element
-table (``GModule.element_rows``), consecutive inner merge faces and one
-last face through +-I, and their last merges through one row of the
-product table.  A plain leg's rows are emitted straight from the runs, and
-a representative is checked against the runs without building a row
-(:func:`_bar_values`).  A dual leg (homology, negative Tate degrees) is
-listed as the transpose of a plain-shaped one whose first-face blocks are
-the transposed antipode blocks.  The comparison map sigma from the
-standard resolution to the monomial one, which factor sets are read
-through, is listed the same way by :func:`_sigma_faces`, its blocks sums
-of element matrices (prefix elements times partial norms).
+over monomial indices.  A standard-resolution row is built from its cell
+alone (:func:`_cell_rows`): [g_1|...|g_m] meets its first face through the
+matrix of g_1 from the group-element table (``GModule.element_rows``), and
+its merge faces and last face through +-I; a listed leg, the Morse pivot
+rows and the critical rows below are all built that way.  Where no row is
+needed a leg is read in prefix runs (:func:`_bar_faces`): the |G| - 1
+sources [g_1|...|g_(m-1)|x] that share a prefix meet consecutive first
+faces through one block, consecutive inner merge faces and one last face
+through +-I, and their last merges through one row of the product table,
+so phi . D is read run by run without building a row (:func:`_bar_values`).
+A dual leg (homology, negative Tate degrees) is read in the plain shape
+through dual tables (:func:`_bar_tables`), whose first-face blocks are the
+transposed antipode blocks, and listed as the transpose.  The comparison
+map sigma from the standard resolution to the monomial one, which factor
+sets are read through, is listed in (target, block) pairs by
+:func:`_sigma_faces`, its blocks sums of element matrices (prefix elements
+times partial norms).
 Nothing here builds a group-ring matrix.
 
 The Smith pivots of the standard resolution come from algebraic discrete
@@ -275,27 +279,25 @@ def _minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
 # (g_1, first-face start, inner merges as (start, sign), last-merge start,
 # product-table row of g_(m-1), last face)
 _Run = tuple[int, int, list[tuple[int, int]], int, list[int], int]
+# what every leg of the standard resolution reads, see _bar_tables
+_BarTables = tuple[list[list[int]], list[_Block]]
 
 
 def _bar_faces(
-    M: GModule,
-    m: int,
-    dual: bool,
-    limits: EngineLimits | None,
-    tables: tuple[list[list[int]], list[_Block]] | None = None,
-) -> tuple[Iterator[_Run], int, list[_Block]]:
+    M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None
+) -> tuple[Iterator[_Run], int]:
     """The differential of the standard resolution leaving degree m >= 1
-    in prefix runs, streamed, after the caps of ``bar_diff``; the number of
-    targets; and the first-face blocks, by element index.
+    in prefix runs, streamed, after the caps of ``bar_diff``, and the
+    number of targets.
 
     Source [g_1|...|g_m] meets its first face [g_2|...|g_m] through the
-    matrix of g_1, each merge face i through (-1)^i I (none when g_i g_(i+1)
-    is the identity) and its last face through (-1)^m I, in the order
-    :func:`~cohomolab.resolutions.bar_diff` inserts them.  With ``dual`` the
-    first-face blocks are the transposed antipode blocks, the matrix of
-    g_1^-1 transposed: the runs then list the transpose of the dual leg in
-    the plain leg's shape, since each other face's +-I is its own
-    transpose.  Elements are indexed in nonidentity order and sources
+    first-face block of g_1 in ``tables`` (:func:`_bar_tables`), each merge
+    face i through (-1)^i I (none when g_i g_(i+1) is the identity) and its
+    last face through (-1)^m I, in the order
+    :func:`~cohomolab.resolutions.bar_diff` inserts them.  Dual tables hold
+    the transposed antipode blocks: the runs then give the transpose of the
+    dual leg in the plain leg's shape, since each other face's +-I is its
+    own transpose.  Elements are indexed in nonidentity order and sources
     and targets in bar basis order, so a run, the |G| - 1 sources
     [g_1|...|g_(m-1)|x] that share a prefix, is consecutive, by x
     ascending.  Over a run:
@@ -310,8 +312,8 @@ def _bar_faces(
 
     For m = 1 the one run has g_1 = -1: source [x] meets [] through the
     block of x.  First and last face coincide only when every g_i is equal
-    (always for m = 1).  ``tables`` are :func:`_bar_tables`, built here
-    when the caller has not built them once for all its legs.
+    (always for m = 1).  Only :func:`_bar_values` reads the runs; the other
+    readers call this for its caps and its target count.
     """
     if m < 1:
         raise ValueError("differential starts at degree 1")
@@ -320,7 +322,7 @@ def _bar_faces(
     limits = limits or EngineLimits.from_env()
     limits.check_bar_degree(m)
     limits.check_cells(size ** (m - 1), size**m, "standard-resolution differential")
-    merged, blocks = tables or _bar_tables(M, dual)
+    merged = tables[0]
     power = [size**k for k in range(m + 1)]
 
     def runs() -> Iterator[_Run]:
@@ -337,52 +339,15 @@ def _bar_faces(
                     inner.append((start + p % power[m - i - 2] * size, (-1) ** i))
             yield prefix[0], p % power[m - 2] * size, inner, p - p % size, merged[prefix[-1]], p
 
-    return runs(), power[m - 1], blocks
-
-
-def _bar_sources(
-    M: GModule, m: int, runs: Iterable[_Run], blocks: list[_Block]
-) -> Iterator[tuple[int, _Block, list[tuple[int, int]]]]:
-    """Per source of the runs of :func:`_bar_faces`, in source order: its
-    first face, the block it meets it through, and the (target,
-    coefficient) pairs of its other faces, coefficients reduced mod N as
-    act reduces them, zeros left out.  Where first and last face coincide
-    the block is act(g_1 + (-1)^m), which may vanish."""
-    d, N = M.rank, M.modulus
-    size = len(blocks)
-
-    def unit(sign: int) -> int:
-        return sign % N if N else sign
-
-    merge, end = unit((-1) ** (m - 1)), unit((-1) ** m)
-    diagonal: dict[int, _Block] = {}
-    for a, first, inner, at, row, last in runs:
-        inner = [(s, c) for s, sign in inner if (c := unit(sign))]
-        for x in range(size):
-            g, f = (x, first) if a < 0 else (a, first + x)
-            tail = [(s + x, c) for s, c in inner]
-            if row[x] >= 0 and merge:
-                tail.append((at + row[x], merge))
-            if f != last:
-                if end:
-                    tail.append((last, end))
-                yield f, blocks[g], tail
-                continue
-            blk = diagonal.get(g)
-            if blk is None:
-                eye = [[(t, 1)] for t in range(d)]
-                terms = [(1, blocks[g]), ((-1) ** m, eye)]
-                blk = diagonal[g] = _sparse_rows(_combine(terms, d), N)
-            yield f, blk, tail
+    return runs(), power[m - 1]
 
 
 def _bar_values(
     M: GModule,
     m: int,
+    tables: _BarTables,
     vecs: Sequence[Sequence[int]],
     limits: EngineLimits | None,
-    dual: bool = False,
-    tables: tuple[list[list[int]], list[_Block]] | None = None,
 ) -> Iterator[list[int]]:
     """phi . D over Z for each flat cochain phi of ``vecs``, D the standard
     resolution's differential leaving degree m >= 1, one run of
@@ -390,13 +355,14 @@ def _bar_values(
     values at t of the run's sources, by x.  That is the block of g_1 on the
     slice of phi over the first faces, plus or minus the slices over the
     inner merges, plus or minus phi gathered through the product-table row
-    of the last merge, and plus or minus phi at the last face.  With
-    ``dual``, D is the dual leg transposed, read in the plain shape through
-    the transposed antipode blocks.  Each value is a sum of at most
+    of the last merge, and plus or minus phi at the last face.  With dual
+    ``tables``, D is the dual leg transposed, read in the plain shape
+    through the transposed antipode blocks.  Each value is a sum of at most
     (longest block row) + m terms, each a block entry or +-1 times an entry
     of phi: where first and last face coincide the two stay separate
     terms."""
-    runs, _, blocks = _bar_faces(M, m, dual, limits, tables)
+    runs, _ = _bar_faces(M, m, tables, limits)
+    blocks = tables[1]
     d = M.rank
     size = len(blocks)
     # cols[r][t]: coordinate t of vecs[r] per target, then the 0 that the
@@ -479,16 +445,19 @@ def _morse_partner(
 
 
 def _cell_rows(
-    M: GModule, m: int, blocks: list[_Block], merged: list[list[int]], e: Sequence[int]
+    M: GModule, m: int, tables: _BarTables, e: Sequence[int]
 ) -> tuple[int, list[list[tuple[int, int]]]]:
     """The index of the cell [g_1|...|g_m] whose elements have the indices
     ``e``, and its d rows of the standard-resolution leg leaving degree m
-    >= 1 in the plain shape of :func:`_bar_faces` with first-face
-    ``blocks``.  Row t is built from the cell alone: its first face through
-    row t of the block of g_1, its merge faces i through (-1)^i and its
-    last face through (-1)^m, a target met twice (the first and last face
-    of [g|...|g]) summed, coefficients reduced mod N, zeros left out."""
+    >= 1 in the plain shape of :func:`_bar_faces`, the dual leg transposed
+    with dual ``tables``.  Row t is built from the cell alone: its first
+    face through row t of the block of g_1, its merge faces i through
+    (-1)^i and its last face through (-1)^m, in the order of
+    :func:`~cohomolab.resolutions.bar_diff`, coefficients reduced mod N,
+    zeros left out.  Where the last face is the first, for [g|...|g], its
+    (-1)^m is folded into the block's row, in column order."""
     d, N = M.rank, M.modulus
+    merged, blocks = tables
     size = len(merged)
     power = [size**k for k in range(m + 1)]
     h = 0
@@ -500,22 +469,27 @@ def _cell_rows(
         for i in range(1, m)
         if (b := merged[e[i - 1]][e[i]]) >= 0
     ]
-    faces.append((h // size, (-1) ** m))
-    first = h % power[m - 1]
+    first, last = h % power[m - 1], h // size
+    if first != last:
+        faces.append((last, (-1) ** m))
     rows = []
-    for t in range(d):
-        row = {first * d + u: x for u, x in blocks[e[0]][t]}
+    for t, head in enumerate(blocks[e[0]]):
+        if first == last:
+            fold = dict(head)
+            fold[t] = fold.get(t, 0) + (-1) ** m
+            head = sorted(fold.items())
+        row = {first * d + u: x for u, x in head}
         for k, sign in faces:
-            row[k * d + t] = row.get(k * d + t, 0) + sign
+            row[k * d + t] = sign
         rows.append([(k, y) for k, x in row.items() if (y := x % N if N else x)])
     return h, rows
 
 
 def _bar_pivots(
-    M: GModule, m: int, blocks: list[_Block], merged: list[list[int]]
+    M: GModule, m: int, tables: _BarTables
 ) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
     """The unit pivots of the standard-resolution leg leaving degree m >= 1
-    in the plain shape of :func:`_bar_faces` with first-face ``blocks``, as
+    in the plain shape of :func:`_bar_faces`, read through ``tables``, as
     {column: row}, and the pivot rows by row index.  Each cell c of degree
     m - 1 that :func:`_morse_partner` splits into h is a merge face of h,
     met through +-I and through no other face, so coordinate t of c is a
@@ -532,7 +506,7 @@ def _bar_pivots(
         up = _morse_partner(G.orders, cell)
         if up is None or len(up) < m:
             continue
-        h, cell_rows = _cell_rows(M, m, blocks, merged, [index[g] for g in up])
+        h, cell_rows = _cell_rows(M, m, tables, [index[g] for g in up])
         for t, row in enumerate(cell_rows):
             pivots[c * d + t] = h * d + t
             rows[h * d + t] = row
@@ -556,12 +530,7 @@ def _critical_cells(orders: Sequence[int], m: int) -> list[list[int]]:
 
 
 def _matched_diagonal(
-    M: GModule,
-    m: int,
-    dual: bool,
-    mod: int | None,
-    limits: EngineLimits | None,
-    tables: tuple[list[list[int]], list[_Block]] | None = None,
+    M: GModule, m: int, tables: _BarTables, mod: int | None, limits: EngineLimits | None
 ) -> list[int] | None:
     """The Smith diagonal of the standard-resolution leg leaving degree m,
     no row of it listed: a 1 per pivot of :func:`_bar_pivots`, then the
@@ -572,18 +541,17 @@ def _matched_diagonal(
     run by run; each of its values sums at most (longest block row) + m
     terms of absolute value at most max(largest |block entry|, 1) times an
     entry of phi, which bounds the slots.  A dual leg has a row per cell of
-    degree m - 1 and a column per cell of degree m, so it is read
-    transposed, SNF(A) = SNF(A^T), in the plain shape with transposed
+    degree m - 1 and a column per cell of degree m, so dual ``tables`` read
+    it transposed, SNF(A) = SNF(A^T), in the plain shape with transposed
     antipode blocks: the complement is then taken over the short side, and
     the pivots sit at the plain leg's positions."""
-    tables = tables or _bar_tables(M, dual)
-    _, targets, blocks = _bar_faces(M, m, dual, limits, tables)
+    _, targets = _bar_faces(M, m, tables, limits)
     width = M.rank * targets
-    pivots, rows = _bar_pivots(M, m, blocks, tables[0])
-    weight = _bar_weight(blocks, m)
+    pivots, rows = _bar_pivots(M, m, tables)
+    weight = _bar_weight(tables[1], m)
 
     def values(phi: list[int]) -> Iterator[int]:
-        return itertools.chain.from_iterable(_bar_values(M, m, [phi], limits, dual, tables))
+        return itertools.chain.from_iterable(_bar_values(M, m, tables, [phi], limits))
 
     complement = schur_complement(rows, pivots, width, weight, values, mod)
     if complement is None:
@@ -592,29 +560,23 @@ def _matched_diagonal(
 
 
 def _morse_leg(
-    M: GModule,
-    m: int,
-    dual: bool,
-    tables: tuple[list[list[int]], list[_Block]] | None,
-    limits: EngineLimits | None,
-    mod: int | None,
+    M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None, mod: int | None
 ) -> tuple | None:
     """The Morse pivots of the standard-resolution leg leaving degree m >= 1
     in the plain shape of :func:`_bar_faces`, solved over the critical
     columns; None where they fail a guard of
     :func:`~cohomolab.intlinalg.solve_pivots`.
 
-    Returns the first-face blocks; the pivots of :func:`_bar_pivots`; their
-    rows, kept at the pivot columns and the critical columns; their R's, in
-    solve order; and the critical columns, {bar coordinate: critical
-    coordinate}, coordinate t of the i-th cell of :func:`_critical_cells` of
-    degree m - 1 being critical coordinate i * d + t.  Every other column is
-    a cell matched downward, which the caller moves cochains off through leg
-    m - 1's pivots, so no R reads it."""
-    tables = tables or _bar_tables(M, dual)
-    _, _, blocks = _bar_faces(M, m, dual, limits, tables)
-    pivots, rows = _bar_pivots(M, m, blocks, tables[0])
-    d, size = M.rank, len(blocks)
+    Returns the pivots of :func:`_bar_pivots`; their rows, kept at the
+    pivot columns and the critical columns; their R's, in solve order; and
+    the critical columns, {bar coordinate: critical coordinate}, coordinate
+    t of the i-th cell of :func:`_critical_cells` of degree m - 1 being
+    critical coordinate i * d + t.  Every other column is a cell matched
+    downward, which the caller moves cochains off through leg m - 1's
+    pivots, so no R reads it."""
+    _bar_faces(M, m, tables, limits)  # the caps
+    pivots, rows = _bar_pivots(M, m, tables)
+    d, size = M.rank, len(tables[0])
     columns = {}
     for i, e in enumerate(_critical_cells(M.spec.orders, m - 1)):
         h = 0
@@ -623,21 +585,21 @@ def _morse_leg(
         columns.update((h * d + t, i * d + t) for t in range(d))
     kept = {r: [(k, x) for k, x in row if k in pivots or k in columns] for r, row in rows.items()}
     solved = solve_pivots(kept, pivots, mod)
-    return None if solved is None else (blocks, pivots, kept, solved, columns)
+    return None if solved is None else (pivots, kept, solved, columns)
 
 
 def _morse_complement(
-    M: GModule, m: int, leg: tuple, merged: list[list[int]], mod: int | None
+    M: GModule, m: int, tables: _BarTables, leg: tuple, mod: int | None
 ) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
     """The rows of the critical cells of degree m of a leg that
     :func:`_morse_leg` solved, in bar coordinates, and their Schur
     complement at the critical columns, in critical coordinates: the
     monomial resolution's leg up to one sign per cell."""
-    blocks, _, _, solved, columns = leg
+    _, _, solved, columns = leg
     N = mod or 0
     raw, complement = [], []
     for e in _critical_cells(M.spec.orders, m):
-        for row in _cell_rows(M, m, blocks, merged, e)[1]:
+        for row in _cell_rows(M, m, tables, e)[1]:
             out: dict[int, int] = {}
             for k, x in row:
                 if k in solved:
@@ -679,11 +641,13 @@ def _bar_weight(blocks: list[_Block], m: int) -> int:
     return (longest + m) * max(entries, default=1)
 
 
-def _bar_tables(M: GModule, dual: bool) -> tuple[list[list[int]], list[_Block]]:
+def _bar_tables(M: GModule, dual: bool) -> _BarTables:
     """What every leg of the standard resolution reads: merged[a][b], the
     index of g_a g_b among the nonidentity elements or -1 for the identity,
     and the first-face blocks of :func:`_bar_faces` by element index, the
-    transposed antipode blocks with ``dual``.  A call builds them once.
+    transposed antipode blocks with ``dual``.  The tables are the one
+    carrier of ``dual``: every reader of a leg takes them, built once per
+    call.
 
     >>> from cohomolab.group_ring import GroupSpec
     >>> from cohomolab.modules import trivial_module
@@ -776,17 +740,18 @@ def _leg_rows(
     m: int,
     dual: bool = False,
     limits: EngineLimits | None = None,
-    tables: tuple[list[list[int]], list[_Block]] | None = None,
+    tables: _BarTables | None = None,
 ) -> Iterator[list[tuple[int, int]]]:
     """The Hom rows, phi -> phi . D, of the differential D of
-    ``resolution`` leaving degree m, antipode-transposed when ``dual``,
-    from the pairs its faces function lists.  On the complete monomial
-    resolution degree 0 is the norm N_G, its own antipode, and a negative
-    degree m the dual of the differential leaving -m.  A standard-resolution
-    leg is emitted one prefix run at a time, each row the first-face block's
-    row and the +-1 of the other faces; a dual leg is the transpose of the
-    plain-shaped one with transposed antipode blocks, its sources in
-    ascending index: the pair order of the antipode-transposed matrix.
+    ``resolution`` leaving degree m, antipode-transposed when ``dual``.
+    On the complete monomial resolution degree 0 is the norm N_G, its own
+    antipode, and a negative degree m the dual of the differential leaving
+    -m, its rows the :func:`_hom_rows` of the pairs each source meets.  A
+    standard-resolution leg is the :func:`_cell_rows` of every cell in bar
+    basis order, read through ``tables`` (:func:`_bar_tables`, built here
+    for ``dual`` when the caller passes none); a dual leg is the transpose
+    of that plain-shaped one, its sources in ascending index: the pair
+    order of the antipode-transposed matrix.
 
     >>> from cohomolab.group_ring import GroupSpec
     >>> from cohomolab.modules import trivial_module
@@ -796,13 +761,10 @@ def _leg_rows(
     """
     d = M.rank
     if resolution == "bar":
-        runs, targets, blocks = _bar_faces(M, m, dual, limits, tables)
-        rows = (
-            [(f * d + u, c) for u, c in blk[t]]
-            + (tail if d == 1 else [(k * d + t, c) for k, c in tail])
-            for f, blk, tail in _bar_sources(M, m, runs, blocks)
-            for t in range(d)
-        )
+        tables = tables or _bar_tables(M, dual)
+        _, targets = _bar_faces(M, m, tables, limits)
+        cells = itertools.product(range(len(tables[0])), repeat=m)
+        rows = (row for e in cells for row in _cell_rows(M, m, tables, e)[1])
         if not dual:
             yield from rows
             return
@@ -961,11 +923,7 @@ def _rows_vanish(rows: Iterable[list[tuple[int, int]]], N: int, vecs: list[list[
 
 
 def _runs_vanish(
-    M: GModule,
-    m: int,
-    limits: EngineLimits | None,
-    vecs: list[list[int]],
-    tables: tuple[list[list[int]], list[_Block]] | None = None,
+    M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None, vecs: list[list[int]]
 ) -> bool:
     """Whether phi . D vanishes, mod N where the module has one, for each
     flat cochain phi of ``vecs``, D the standard resolution's differential
@@ -975,12 +933,11 @@ def _runs_vanish(
     cochain, wider than :func:`_bar_weight` times its largest entry, so a
     packed value is 0 only where every slot is."""
     N = M.modulus
-    tables = tables or _bar_tables(M, False)
     if not N and len(vecs) > 1:
         top = _bar_weight(tables[1], m) * max(abs(x) for vec in vecs for x in vec)
         shifts = range(0, (top.bit_length() + 1) * len(vecs), top.bit_length() + 1)
         vecs = [[sum(x << w for x, w in zip(col, shifts)) for col in zip(*vecs)]]
-    for values in _bar_values(M, m, vecs, limits, tables=tables):
+    for values in _bar_values(M, m, tables, vecs, limits):
         if any(x % N for x in values) if N else any(values):
             return False
     return True
@@ -1022,7 +979,7 @@ def _morse_presentation(
     n: int,
     killed: bool,
     mod: int | None,
-    tables: tuple[list[list[int]], list[_Block]],
+    tables: _BarTables,
     limits: EngineLimits | None,
 ) -> tuple[QuotientPresentation, Callable, Callable] | None:
     """H^n(G, M) on the standard resolution as a presentation on the
@@ -1034,25 +991,25 @@ def _morse_presentation(
     cocycles are the saturation of the image where |G| kills H, and
     otherwise the kernel of leg n + 1's complement; leg n's spans the
     image."""
-    legs = {m: _morse_leg(M, m, False, tables, limits, mod) for m in range(max(n - 1, 1), n + 2)}
+    legs = {m: _morse_leg(M, m, tables, limits, mod) for m in range(max(n - 1, 1), n + 2)}
     if None in legs.values():
         return None
     size = M.spec.order - 1
     for k in range(max(n - 1, 0), n + 1):
         # the coordinates of degree k split into leg k + 1's pivot columns,
         # the critical ones and leg k's pivot rows, the only ones dropped
-        parts = [legs[k + 1][1], legs[k + 1][4], legs[k][1].values() if k in legs else ()]
+        parts = [legs[k + 1][0], legs[k + 1][3], legs[k][0].values() if k in legs else ()]
         count = sum(map(len, parts))
         if count != M.rank * size**k or len(set().union(*parts)) != count:
             return None
     N = mod or 0
-    solved, coords = legs[n + 1][3], list(legs[n + 1][4])
+    solved, coords = legs[n + 1][2], list(legs[n + 1][3])
     dim = len(coords)
-    raw, image = _morse_complement(M, n, legs[n], tables[0], mod) if n else ([], [])
+    raw, image = _morse_complement(M, n, tables, legs[n], mod) if n else ([], [])
     icols = _image_columns(image)
     kcols = saturation_columns(icols) if killed else None
     if kcols is None:
-        kernel = _morse_complement(M, n + 1, legs[n + 1], tables[0], mod)[1]
+        kernel = _morse_complement(M, n + 1, tables, legs[n + 1], mod)[1]
         kcols = kernel_columns(kernel, dim, mod=mod)
     width = M.rank * size**n
 
@@ -1070,7 +1027,7 @@ def _morse_presentation(
         # rows, which the solve order allows one column at a time
         if not n:
             return [vec[q] for q in coords]
-        _, pivots, rows, order, _ = legs[n]
+        pivots, rows, order, _ = legs[n]
         y: dict[int, int] = {}
         for j in order:
             acc, p = vec[pivots[j]], 0
@@ -1182,7 +1139,7 @@ def _complex_group(
         # goes in as its columns and the search runs over the short side
         def diagonal(k: int, rows: int, cols: int) -> list[int]:
             if resolution == "bar":
-                diag = _matched_diagonal(M, max(n, k), step < 0, mod, limits, tables)
+                diag = _matched_diagonal(M, max(n, k), tables, mod, limits)
                 if diag is not None:
                     return diag
             source = leg(k)
@@ -1206,7 +1163,7 @@ def _complex_group(
     by_runs = has_out and resolution == "bar" and step > 0
     rows: Iterable[list[tuple[int, int]]] = ()
     if by_runs:
-        vanishes = partial(_runs_vanish, M, k_out, limits, tables=tables)
+        vanishes = partial(_runs_vanish, M, k_out, tables, limits)
     morse = _morse_presentation(M, n, killed, mod, tables, limits) if want and by_runs else None
     if morse:
         pres, project, lift = morse

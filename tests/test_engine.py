@@ -644,7 +644,7 @@ def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m, dua
     vec = st.lists(entry, min_size=width, max_size=width)
     vecs = data.draw(st.lists(vec, min_size=1, max_size=3))
     vecs.append([0] * width)
-    values = engine._bar_values(M, m, vecs, None, dual)
+    values = engine._bar_values(M, m, engine._bar_tables(M, dual), vecs, None)
     got = [[] for _ in vecs]
     for _ in range(size ** (m - 1)):
         for out in got:
@@ -668,13 +668,13 @@ def _check_run_by_run_complement(M, m, dual, mod):
     searched one of the listed rows.  Returns the pivots."""
     rows = list(engine._leg_rows(M, "bar", m, dual))
     plain = _plain_shape(M, m, rows, dual)
-    merged, blocks = engine._bar_tables(M, dual)
-    pivots, built = engine._bar_pivots(M, m, blocks, merged)
+    tables = engine._bar_tables(M, dual)
+    pivots, built = engine._bar_pivots(M, m, tables)
     assert {r: dict(row) for r, row in built.items()} == {r: dict(plain[r]) for r in built}
     got = []
     real = engine.schur_complement
     with mock.patch.object(engine, "schur_complement", lambda *a: got.append(real(*a)) or got[-1]):
-        diag = engine._matched_diagonal(M, m, dual, mod, None)
+        diag = engine._matched_diagonal(M, m, tables, mod, None)
     want = reference_complement(plain, pivots, mod)
     assert want is not None and got[0] is not None
     assert len(got[0]) == len(want)
@@ -719,7 +719,7 @@ def test_rank_zero_module_reads_no_value(compute):
             r = compute(M, n, want_representatives=reps, **kw)
             assert r.invariants == AbelianInvariants(0, ()), (n, reps)
     for m, dual, mod in itertools.product((1, 2, 3), (False, True), (None, 4)):
-        assert engine._matched_diagonal(M, m, dual, mod, None) == []
+        assert engine._matched_diagonal(M, m, engine._bar_tables(M, dual), mod, None) == []
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
@@ -748,7 +748,8 @@ def test_schur_complement_runs_over_the_short_side(monkeypatch, row_modules, m, 
         G = GroupSpec(orders)
         for text in row_modules[orders]:
             M = parse_module(text, G)
-            assert engine._matched_diagonal(M, m, dual, M.modulus or None, None) is not None
+            tables = engine._bar_tables(M, dual)
+            assert engine._matched_diagonal(M, m, tables, M.modulus or None, None) is not None
     assert shapes and all(r >= c for r, c in shapes), shapes
 
 
@@ -788,11 +789,15 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
     # transpose, as without pivots, and the answer is the same.  With
     # representatives the Morse complex of H^1, H^2 and H^3 reads leg 2 (as
     # leg n + 1, n or n - 1), so each falls back to the listed search of
-    # H's image, whose leg has 3, 9 or 27 rows
+    # H's image, whose leg has 3, 9 or 27 rows.  Homology H_1 and H_2 list
+    # dual leg 2, except invariants-only H_2 over Z, which reads leg 3 alone
     M = parse_module(text, G22)
+    cases = [(ordinary_cohomology, 2, False)]
+    cases += [(ordinary_cohomology, n, True) for n in (1, 2, 3)]
+    cases += [(homology, n, reps) for n in (1, 2) for reps in (False, True)]
     want = {
-        (n, reps): ordinary_cohomology(M, n, resolution="bar", want_representatives=reps)
-        for n, reps in [(2, False), (1, True), (2, True), (3, True)]
+        (compute, n, reps): compute(M, n, resolution="bar", want_representatives=reps)
+        for compute, n, reps in cases
     }
     pivots, rows = _UNTRUSTED_PIVOTS[guard], list(engine._leg_rows(M, "bar", 2))
     untrusted = pivots, {r: rows[r] for r in pivots.values()}
@@ -800,7 +805,7 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
     monkeypatch.setattr(
         engine,
         "_bar_pivots",
-        lambda M, m, blocks, *rest: untrusted if m == 2 else real(M, m, blocks, *rest),
+        lambda M, m, tables: untrusted if m == 2 else real(M, m, tables),
     )
     searched = []
     real_columns = engine._image_columns
@@ -811,11 +816,25 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
         return real_columns(rows)
 
     monkeypatch.setattr(engine, "_image_columns", recorded)
-    for (n, reps), w in want.items():
+    listed = []
+    real_rows = engine._leg_rows
+    monkeypatch.setattr(
+        engine,
+        "_leg_rows",
+        lambda M, res, m, dual=False, *rest: (
+            listed.append((m, dual)) or real_rows(M, res, m, dual, *rest)
+        ),
+    )
+    for (compute, n, reps), w in want.items():
         searched.clear()
-        got = ordinary_cohomology(M, n, resolution="bar", want_representatives=reps)
-        assert got.route == w.route and got.invariants == w.invariants, (n, reps)
-        assert searched == [9 if n == 2 else 3**n], (n, reps)
+        listed.clear()
+        got = compute(M, n, resolution="bar", want_representatives=reps)
+        case = (compute.__name__, n, reps)
+        assert got.route == w.route and got.invariants == w.invariants, case
+        if compute is ordinary_cohomology:
+            assert searched == [9 if n == 2 else 3**n], case
+        else:
+            assert ((2, True) in listed) == (reps or n == 1 or text != "trivial"), case
         if reps:
             assert got.class_group_generated_by(got.representatives) == got.invariants
 
@@ -912,10 +931,11 @@ def test_critical_complement_is_the_monomial_leg_up_to_cell_signs(
                 plain[k].append((r, x))
         mono = plain
     mods = [M.modulus] if M.modulus else [None, data.draw(st.sampled_from((2, 4, 6)))]
+    tables = engine._bar_tables(M, dual)
     for mod in mods:
-        leg = engine._morse_leg(M, m, dual, None, None, mod)
+        leg = engine._morse_leg(M, m, tables, None, mod)
         assert leg is not None, (text, m, dual, mod)
-        _, got = engine._morse_complement(M, m, leg, engine._bar_tables(M, dual)[0], mod)
+        _, got = engine._morse_complement(M, m, tables, leg, mod)
         assert len(got) == len(mono)
         assert _agree_up_to_cell_signs(got, mono, d, mod), (text, m, dual, mod)
 
@@ -1185,13 +1205,25 @@ def test_second_homology_pinned():
 
 
 def test_homology_bar_oracle():
-    for orders in [(2,), (2, 2), (2, 3)]:
+    # the dual standard-resolution legs, listed: invariants against the
+    # monomial side, and representatives that generate H and vanish on the
+    # reference's antipode-transposed bar_diff
+    for orders in [(2,), (4,), (2, 2), (3, 3), (2, 3)]:
         G = GroupSpec.of(*orders)
-        for M in [trivial_module(G), parse_module("reduce:4(trivial)", G)]:
+        for text in _oracle_modules(orders):
+            M = parse_module(text, G)
             for n in range(3):
                 a = homology(M, n, resolution="minimal").invariants
                 b = homology(M, n, resolution="bar").invariants
-                assert a == b, (orders, M.label, n)
+                assert a == b, (orders, text, n)
+                r = homology(M, n, resolution="bar", want_representatives=True)
+                assert r.invariants == a, (orders, text, n)
+                assert r.class_group_generated_by(r.representatives) == a, (orders, text, n)
+                if n:
+                    D = resolutions.bar_diff(G, n).antipode_transpose()
+                    rows = list(hom_constraint_rows(M, D))
+                    for rep in r.representatives:
+                        assert not any(_apply(M, rows, rep.flat())), (orders, text, n)
 
 
 def test_homology_rejects_negative_degree():
