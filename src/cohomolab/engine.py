@@ -67,11 +67,12 @@ alone (:func:`_cell_rows`): [g_1|...|g_m] meets its first face through the
 matrix of g_1 from the group-element table (``GModule.element_rows``), and
 its merge faces and last face through +-I; a listed leg, the Morse pivot
 rows and the critical rows below are all built that way.  Where no row is
-needed a leg is read in prefix runs (:func:`_bar_faces`): the |G| - 1
-sources [g_1|...|g_(m-1)|x] that share a prefix meet consecutive first
-faces through one block, consecutive inner merge faces and one last face
-through +-I, and their last merges through one row of the product table,
-so phi . D is read run by run without building a row (:func:`_bar_values`).
+needed :func:`_bar_values` reads phi . D in prefix runs, building none: the
+|G| - 1 sources [g_1|...|g_(m-1)|x] that share a prefix meet consecutive
+first faces through one block, consecutive inner merge faces and one last
+face through +-I, and their last merges through one row of the product
+table.  Each reader that walks a standard-resolution leg, listed, matched
+or run by run, checks its caps once first (:func:`_bar_leg`).
 A dual leg (homology, negative Tate degrees) is read in the plain shape
 through dual tables (:func:`_bar_tables`), whose first-face blocks are the
 transposed antipode blocks, and listed as the transpose.  The comparison
@@ -89,10 +90,10 @@ system x_j x_i -> x_i x_j (j > i), x_i^(o_i) -> 1 on the normal words
 x_1^e_1 ... x_s^e_s pairs bar cells along merge faces (:func:`_morse_partner`).
 Each pair is a +-I block of the leg, a unit for every module and modulus,
 and the cells left unpaired in degree n number C(n+s-1, s-1): the monomial
-resolution is the Morse complex of the standard one.  The pivots, and their
-rows alone, are built from the cells before anything else is read
-(:func:`_bar_pivots`), so the leg's Smith diagonal is a 1 per pivot plus
-the searched diagonal of the Schur complement
+resolution is the Morse complex of the standard one.  Once the leg is
+priced, the pivots, and their rows alone, are built from the cells before
+anything else is read (:func:`_bar_pivots`), so the leg's Smith diagonal
+is a 1 per pivot plus the searched diagonal of the Schur complement
 (:func:`~cohomolab.intlinalg.schur_complement`).  No row of the leg is
 listed: with each column weighted by a fixed packed integer, every row's
 complement is the value of one cochain, which :func:`_bar_values` reads run
@@ -275,7 +276,7 @@ def _minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
     return sources, len(index)
 
 
-# a prefix run of the standard resolution's differential, see _bar_faces:
+# a prefix run of the standard resolution's differential, see _bar_values:
 # (g_1, first-face start, inner merges as (start, sign), last-merge start,
 # product-table row of g_(m-1), last face)
 _Run = tuple[int, int, list[tuple[int, int]], int, list[int], int]
@@ -283,46 +284,52 @@ _Run = tuple[int, int, list[tuple[int, int]], int, list[int], int]
 _BarTables = tuple[list[list[int]], list[_Block]]
 
 
-def _bar_faces(
-    M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None
-) -> tuple[Iterator[_Run], int]:
-    """The differential of the standard resolution leaving degree m >= 1
-    in prefix runs, streamed, after the caps of ``bar_diff``, and the
-    number of targets.
+def _bar_leg(M: GModule, m: int, limits: EngineLimits | None) -> int:
+    """The number of targets of the standard-resolution leg leaving degree
+    m >= 1, after the caps of ``bar_diff``.  Each reader that walks a leg
+    prices it here once, before reading anything."""
+    if m < 1:
+        raise ValueError("differential starts at degree 1")
+    size = M.spec.order - 1
+    limits = limits or EngineLimits.from_env()
+    limits.check_bar_degree(m)
+    limits.check_cells(size ** (m - 1), size**m, "standard-resolution differential")
+    return size ** (m - 1)
 
-    Source [g_1|...|g_m] meets its first face [g_2|...|g_m] through the
-    first-face block of g_1 in ``tables`` (:func:`_bar_tables`), each merge
-    face i through (-1)^i I (none when g_i g_(i+1) is the identity) and its
-    last face through (-1)^m I, in the order
-    :func:`~cohomolab.resolutions.bar_diff` inserts them.  Dual tables hold
-    the transposed antipode blocks: the runs then give the transpose of the
-    dual leg in the plain leg's shape, since each other face's +-I is its
-    own transpose.  Elements are indexed in nonidentity order and sources
-    and targets in bar basis order, so a run, the |G| - 1 sources
-    [g_1|...|g_(m-1)|x] that share a prefix, is consecutive, by x
-    ascending.  Over a run:
+
+def _bar_values(
+    M: GModule, m: int, tables: _BarTables, vecs: Sequence[Sequence[int]]
+) -> Iterator[list[int]]:
+    """phi . D over Z for each flat cochain phi of ``vecs``, D the standard
+    resolution's differential leaving degree m >= 1 in the plain shape of
+    :func:`_cell_rows`, read in prefix runs on a leg the caller has priced
+    (:func:`_bar_leg`): per run, phi and module coordinate t, the values at
+    t of the run's sources, by x.
+
+    A run is the |G| - 1 sources [g_1|...|g_(m-1)|x] that share a prefix,
+    consecutive in bar basis order, by x ascending.  Over a run:
 
     * the first faces are the consecutive targets from ``first``, all met
       through the block of g_1;
-    * so is each inner merge face, i < m - 1, from its start;
+    * each inner merge face i < m - 1 is consecutive too, from its start,
+      met through (-1)^i I;
     * the last merge face [...|g_(m-1) x] is target ``at`` plus the index
       of g_(m-1) x in the product-table ``row`` of g_(m-1), which reads -1
       where that product is the identity;
     * the last face is the one target ``last``, the prefix itself.
 
     For m = 1 the one run has g_1 = -1: source [x] meets [] through the
-    block of x.  First and last face coincide only when every g_i is equal
-    (always for m = 1).  Only :func:`_bar_values` reads the runs; the other
-    readers call this for its caps and its target count.
-    """
-    if m < 1:
-        raise ValueError("differential starts at degree 1")
-    G = M.spec
-    size = G.order - 1
-    limits = limits or EngineLimits.from_env()
-    limits.check_bar_degree(m)
-    limits.check_cells(size ** (m - 1), size**m, "standard-resolution differential")
-    merged = tables[0]
+    block of x.  So a value is the block of g_1 on the slice of phi over
+    the first faces, plus or minus the slices over the inner merges, plus
+    or minus phi gathered through the product-table row of the last merge,
+    and plus or minus phi at the last face.  With dual ``tables``, D is the
+    dual leg transposed, read through the transposed antipode blocks.  Each
+    value is a sum of at most (longest block row) + m terms, each a block
+    entry or +-1 times an entry of phi: where first and last face coincide,
+    for [g|...|g] (always for m = 1), the two stay separate terms."""
+    merged, blocks = tables
+    d = M.rank
+    size = len(blocks)
     power = [size**k for k in range(m + 1)]
 
     def runs() -> Iterator[_Run]:
@@ -339,36 +346,10 @@ def _bar_faces(
                     inner.append((start + p % power[m - i - 2] * size, (-1) ** i))
             yield prefix[0], p % power[m - 2] * size, inner, p - p % size, merged[prefix[-1]], p
 
-    return runs(), power[m - 1]
-
-
-def _bar_values(
-    M: GModule,
-    m: int,
-    tables: _BarTables,
-    vecs: Sequence[Sequence[int]],
-    limits: EngineLimits | None,
-) -> Iterator[list[int]]:
-    """phi . D over Z for each flat cochain phi of ``vecs``, D the standard
-    resolution's differential leaving degree m >= 1, one run of
-    :func:`_bar_faces` at a time: per run, phi and module coordinate t, the
-    values at t of the run's sources, by x.  That is the block of g_1 on the
-    slice of phi over the first faces, plus or minus the slices over the
-    inner merges, plus or minus phi gathered through the product-table row
-    of the last merge, and plus or minus phi at the last face.  With dual
-    ``tables``, D is the dual leg transposed, read in the plain shape
-    through the transposed antipode blocks.  Each value is a sum of at most
-    (longest block row) + m terms, each a block entry or +-1 times an entry
-    of phi: where first and last face coincide the two stay separate
-    terms."""
-    runs, _ = _bar_faces(M, m, tables, limits)
-    blocks = tables[1]
-    d = M.rank
-    size = len(blocks)
     # cols[r][t]: coordinate t of vecs[r] per target, then the 0 that the
     # product table's -1 reads
     cols = [[[*vec[t::d], 0] for t in range(d)] for vec in vecs]
-    for a, first, inner, at, row, last in runs:
+    for a, first, inner, at, row, last in runs():
         end = first + size
         for phi in cols:
             for t in range(d):
@@ -385,12 +366,12 @@ def _bar_values(
                     v = list(map(add if sign > 0 else sub, v, col[s : s + size]))
                 seg = col[at : at + size]
                 seg.append(0)
-                merged, c = map(seg.__getitem__, row), col[last]
+                gathered, c = map(seg.__getitem__, row), col[last]
                 # the last merge and the last face, signs (-1)^(m-1) and (-1)^m
                 if m % 2:
-                    yield [y + z - c for y, z in zip(v, merged)]
+                    yield [y + z - c for y, z in zip(v, gathered)]
                 else:
-                    yield [y - z + c for y, z in zip(v, merged)]
+                    yield [y - z + c for y, z in zip(v, gathered)]
 
 
 def _morse_partner(
@@ -449,13 +430,19 @@ def _cell_rows(
 ) -> tuple[int, list[list[tuple[int, int]]]]:
     """The index of the cell [g_1|...|g_m] whose elements have the indices
     ``e``, and its d rows of the standard-resolution leg leaving degree m
-    >= 1 in the plain shape of :func:`_bar_faces`, the dual leg transposed
-    with dual ``tables``.  Row t is built from the cell alone: its first
-    face through row t of the block of g_1, its merge faces i through
-    (-1)^i and its last face through (-1)^m, in the order of
-    :func:`~cohomolab.resolutions.bar_diff`, coefficients reduced mod N,
-    zeros left out.  Where the last face is the first, for [g|...|g], its
-    (-1)^m is folded into the block's row, in column order."""
+    >= 1 in the plain shape.
+
+    That shape indexes elements in nonidentity order and cells in bar basis
+    order.  Cell [g_1|...|g_m] meets its first face [g_2|...|g_m] through
+    the first-face block of g_1 in ``tables`` (:func:`_bar_tables`), each
+    merge face i through (-1)^i I (none where g_i g_(i+1) is the identity)
+    and its last face through (-1)^m I, in the order of
+    :func:`~cohomolab.resolutions.bar_diff`.  Dual tables hold the
+    transposed antipode blocks, so their rows are those of the dual leg
+    transposed: each other face's +-I is its own transpose.  Row t is built
+    from the cell alone, coefficients reduced mod N, zeros left out.  Where
+    the last face is the first, for [g|...|g], its (-1)^m is folded into
+    the block's row, in column order."""
     d, N = M.rank, M.modulus
     merged, blocks = tables
     size = len(merged)
@@ -489,12 +476,12 @@ def _bar_pivots(
     M: GModule, m: int, tables: _BarTables
 ) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
     """The unit pivots of the standard-resolution leg leaving degree m >= 1
-    in the plain shape of :func:`_bar_faces`, read through ``tables``, as
+    in the plain shape of :func:`_cell_rows`, read through ``tables``, as
     {column: row}, and the pivot rows by row index.  Each cell c of degree
     m - 1 that :func:`_morse_partner` splits into h is a merge face of h,
     met through +-I and through no other face, so coordinate t of c is a
     pivot column in row t of h, built by :func:`_cell_rows`.  Cells are
-    indexed as in :func:`_bar_faces`; one pass over the degree-(m - 1)
+    indexed as in :func:`_cell_rows`; one pass over the degree-(m - 1)
     cells."""
     G = M.spec
     d = M.rank
@@ -533,25 +520,25 @@ def _matched_diagonal(
     M: GModule, m: int, tables: _BarTables, mod: int | None, limits: EngineLimits | None
 ) -> list[int] | None:
     """The Smith diagonal of the standard-resolution leg leaving degree m,
-    no row of it listed: a 1 per pivot of :func:`_bar_pivots`, then the
-    searched diagonal of the Schur complement; None where the pivots fail a
-    guard of :func:`~cohomolab.intlinalg.schur_complement`.  Only the pivot
-    rows are built.  Every row's complement is the packed value of one
-    cochain of packed integers, phi . D, which :func:`_bar_values` reads
-    run by run; each of its values sums at most (longest block row) + m
-    terms of absolute value at most max(largest |block entry|, 1) times an
-    entry of phi, which bounds the slots.  A dual leg has a row per cell of
-    degree m - 1 and a column per cell of degree m, so dual ``tables`` read
-    it transposed, SNF(A) = SNF(A^T), in the plain shape with transposed
-    antipode blocks: the complement is then taken over the short side, and
-    the pivots sit at the plain leg's positions."""
-    _, targets = _bar_faces(M, m, tables, limits)
-    width = M.rank * targets
+    priced by :func:`_bar_leg`, no row of it listed: a 1 per pivot of
+    :func:`_bar_pivots`, then the searched diagonal of the Schur complement;
+    None where the pivots fail a guard of
+    :func:`~cohomolab.intlinalg.schur_complement`.  Only the pivot rows are
+    built.  Every row's complement is the packed value of one cochain of
+    packed integers, phi . D, which :func:`_bar_values` reads run by run;
+    each of its values sums at most (longest block row) + m terms of
+    absolute value at most max(largest |block entry|, 1) times an entry of
+    phi, which bounds the slots.  A dual leg has a row per cell of degree
+    m - 1 and a column per cell of degree m, so dual ``tables`` read it
+    transposed, SNF(A) = SNF(A^T), in the plain shape of :func:`_cell_rows`
+    with transposed antipode blocks: the complement is then taken over the
+    short side, and the pivots sit at the plain leg's positions."""
+    width = M.rank * _bar_leg(M, m, limits)
     pivots, rows = _bar_pivots(M, m, tables)
     weight = _bar_weight(tables[1], m)
 
     def values(phi: list[int]) -> Iterator[int]:
-        return itertools.chain.from_iterable(_bar_values(M, m, tables, [phi], limits))
+        return itertools.chain.from_iterable(_bar_values(M, m, tables, [phi]))
 
     complement = schur_complement(rows, pivots, width, weight, values, mod)
     if complement is None:
@@ -563,8 +550,8 @@ def _morse_leg(
     M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None, mod: int | None
 ) -> tuple | None:
     """The Morse pivots of the standard-resolution leg leaving degree m >= 1
-    in the plain shape of :func:`_bar_faces`, solved over the critical
-    columns; None where they fail a guard of
+    in the plain shape of :func:`_cell_rows`, priced by :func:`_bar_leg`
+    and solved over the critical columns; None where they fail a guard of
     :func:`~cohomolab.intlinalg.solve_pivots`.
 
     Returns the pivots of :func:`_bar_pivots`; their rows, kept at the
@@ -574,7 +561,7 @@ def _morse_leg(
     critical coordinate i * d + t.  Every other column is a cell matched
     downward, which the caller moves cochains off through leg m - 1's
     pivots, so no R reads it."""
-    _bar_faces(M, m, tables, limits)  # the caps
+    _bar_leg(M, m, limits)
     pivots, rows = _bar_pivots(M, m, tables)
     d, size = M.rank, len(tables[0])
     columns = {}
@@ -644,7 +631,7 @@ def _bar_weight(blocks: list[_Block], m: int) -> int:
 def _bar_tables(M: GModule, dual: bool) -> _BarTables:
     """What every leg of the standard resolution reads: merged[a][b], the
     index of g_a g_b among the nonidentity elements or -1 for the identity,
-    and the first-face blocks of :func:`_bar_faces` by element index, the
+    and the first-face blocks of :func:`_cell_rows` by element index, the
     transposed antipode blocks with ``dual``.  The tables are the one
     carrier of ``dual``: every reader of a leg takes them, built once per
     call.
@@ -747,11 +734,12 @@ def _leg_rows(
     On the complete monomial resolution degree 0 is the norm N_G, its own
     antipode, and a negative degree m the dual of the differential leaving
     -m, its rows the :func:`_hom_rows` of the pairs each source meets.  A
-    standard-resolution leg is the :func:`_cell_rows` of every cell in bar
-    basis order, read through ``tables`` (:func:`_bar_tables`, built here
-    for ``dual`` when the caller passes none); a dual leg is the transpose
-    of that plain-shaped one, its sources in ascending index: the pair
-    order of the antipode-transposed matrix.
+    standard-resolution leg, priced by :func:`_bar_leg` before its first
+    row, is the :func:`_cell_rows` of every cell in bar basis order, read
+    through ``tables`` (:func:`_bar_tables`, built here for ``dual`` when
+    the caller passes none); a dual leg is the transpose of that
+    plain-shaped one, its sources in ascending index: the pair order of the
+    antipode-transposed matrix.
 
     >>> from cohomolab.group_ring import GroupSpec
     >>> from cohomolab.modules import trivial_module
@@ -762,7 +750,7 @@ def _leg_rows(
     d = M.rank
     if resolution == "bar":
         tables = tables or _bar_tables(M, dual)
-        _, targets = _bar_faces(M, m, tables, limits)
+        targets = _bar_leg(M, m, limits)
         cells = itertools.product(range(len(tables[0])), repeat=m)
         rows = (row for e in cells for row in _cell_rows(M, m, tables, e)[1])
         if not dual:
@@ -922,22 +910,20 @@ def _rows_vanish(rows: Iterable[list[tuple[int, int]]], N: int, vecs: list[list[
     return True
 
 
-def _runs_vanish(
-    M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None, vecs: list[list[int]]
-) -> bool:
+def _runs_vanish(M: GModule, m: int, tables: _BarTables, vecs: list[list[int]]) -> bool:
     """Whether phi . D vanishes, mod N where the module has one, for each
     flat cochain phi of ``vecs``, D the standard resolution's differential
-    leaving degree m, against every run of :func:`_bar_values` in turn.
-    Over Z the cochains are read at once, packed as for
-    :func:`~cohomolab.intlinalg.schur_complement`: a signed slot per
-    cochain, wider than :func:`_bar_weight` times its largest entry, so a
-    packed value is 0 only where every slot is."""
+    leaving degree m, against every run of :func:`_bar_values` in turn, on
+    a leg the caller has priced.  Over Z the cochains are read at once,
+    packed as for :func:`~cohomolab.intlinalg.schur_complement`: a signed
+    slot per cochain, wider than :func:`_bar_weight` times its largest
+    entry, so a packed value is 0 only where every slot is."""
     N = M.modulus
     if not N and len(vecs) > 1:
         top = _bar_weight(tables[1], m) * max(abs(x) for vec in vecs for x in vec)
         shifts = range(0, (top.bit_length() + 1) * len(vecs), top.bit_length() + 1)
         vecs = [[sum(x << w for x, w in zip(col, shifts)) for col in zip(*vecs)]]
-    for values in _bar_values(M, m, tables, vecs, limits):
+    for values in _bar_values(M, m, tables, vecs):
         if any(x % N for x in values) if N else any(values):
             return False
     return True
@@ -1163,7 +1149,7 @@ def _complex_group(
     by_runs = has_out and resolution == "bar" and step > 0
     rows: Iterable[list[tuple[int, int]]] = ()
     if by_runs:
-        vanishes = partial(_runs_vanish, M, k_out, tables, limits)
+        vanishes = partial(_runs_vanish, M, k_out, tables)
     morse = _morse_presentation(M, n, killed, mod, tables, limits) if want and by_runs else None
     if morse:
         pres, project, lift = morse

@@ -19,12 +19,14 @@ The resolution matrices are over 99% zero with mostly unit entries, so the
 Smith diagonal, the kernel and the saturation, over Z and over Z/N alike,
 share one sparse elimination loop (:func:`_sparse_eliminate`): it clears
 dividing pivots on {column: value} rows, which never grows coefficients,
-and leaves only what has none to the dense Smith elimination
-(:func:`_smith_eliminate`).  The gcd row echelon behind :func:`echelon_rows`
-and the quotients also works on {column: value} rows.  A Hermite basis stays
-in the form its accumulator leaves it, (pivot, {row: value}) pairs sorted by
-pivot: the canonical reduction, the coordinates, the generator columns and
-the residues all read pivots off the pairs, and no dense basis is built.
+scans each row once and again only when an elimination changes it, and
+leaves the rows that held no such pivot when scanned to the dense Smith
+elimination (:func:`_smith_eliminate`).  The gcd row echelon behind
+:func:`echelon_rows` and the quotients also works on {column: value} rows.
+A Hermite basis stays in the form its accumulator leaves it, (pivot,
+{row: value}) pairs sorted by pivot: the canonical reduction, the
+coordinates, the generator columns and the residues all read pivots off the
+pairs, and no dense basis is built.
 
 The elimination kernels accept an optional modulus: when the column span of
 the input is known to contain N*Z^n, every entry may be reduced mod N without
@@ -365,8 +367,11 @@ def _sparse_eliminate(
     over Z) equals the gcd of its row with N and divides every entry of its
     column; a unit always is one.  The loop takes the shortest row holding
     one, in its column with the fewest entries, subtracts exact multiples of
-    that row from the others to clear the column, and drops the row.  Rows
-    that stall are retried once a later elimination may have freed a pivot.
+    that row from the others to clear the column, and drops the row.  A row
+    is scanned once, and again only when an elimination changes it, so a
+    row that holds no dividing pivot when scanned stays residual even where
+    a later elimination frees one: the residual only has to be exact, not
+    short.
 
     Returns the pivots in elimination order as (g, column, row), ``row``
     being the pivot's row as it stood when dropped, and the residual rows.
@@ -380,16 +385,7 @@ def _sparse_eliminate(
     pivots: list[tuple[int, int, dict[int, int]]] = []
     heap = [(len(r), i) for i, r in live.items()]
     heapify(heap)
-    stalled: set[int] = set()  # rows seen without a pivot
-    progress = False
-    while heap or (progress and stalled):
-        if not heap:
-            # eliminations since these rows stalled may have freed a pivot
-            heap = [(len(live[i]), i) for i in stalled if i in live]
-            heapify(heap)
-            stalled.clear()
-            progress = False
-            continue
+    while heap:
         size, i = heappop(heap)
         row = live.get(i)
         if row is None or len(row) != size:
@@ -401,7 +397,6 @@ def _sparse_eliminate(
                 if g == 1 or all(live[k][j] % g == 0 for k in cols[j]):
                     best = j
         if best is None:
-            stalled.add(i)
             continue
         p = row[best]
         # the multiplier q solves q * p = x (mod N) for every x that g divides
@@ -426,9 +421,7 @@ def _sparse_eliminate(
                 heappush(heap, (len(other), k))
             else:
                 del live[k]
-            stalled.discard(k)
         pivots.append((g, best, row))
-        progress = True
     return pivots, list(live.values())
 
 

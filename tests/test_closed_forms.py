@@ -7,9 +7,10 @@ the engine, which is exercised end to end in its own test module.  The
 known-inconsistent printed displays must be reproduced, not corrected.
 """
 
+import itertools
 import re
 from concurrent.futures import ThreadPoolExecutor
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -241,6 +242,42 @@ def test_predicted_invariants_mixed_group_uses_p_part_rank():
     assert predicted_invariants("cyclo:2:1:1,0", G6, 1).as_list() == [2]
     got = tate_cohomology(parse_module("cyclo:2:1:1,0", G6), 2).invariants
     assert got.as_list() == []
+
+
+# the closed-form contract's groups: twenty groups of order at most 27,
+# cyclic and with two or three factors, over the primes 2, 3, 5 and 7
+_CONTRACT_GROUPS = [
+    (2,), (3,), (4,), (5,), (7,), (8,), (9,), (2, 2), (2, 3), (2, 4), (3, 3), (2, 6),
+    (2, 2, 2), (2, 8), (4, 4), (2, 2, 4), (3, 6), (2, 2, 6), (5, 5), (3, 9),
+]
+
+
+def _contract_modules(orders):
+    """The trivial lattice, then every irreducible cyclo:p:m:e of rank
+    (p - 1) p^(m - 1) <= 12 with m <= 2, p one of the groups' primes, and
+    its dual: each e_i < p^m with p^m | e_i o_i, and gcd(e, p^m) = 1, so
+    the action reaches a primitive root of unity."""
+    yield "trivial"
+    for p, m in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]:
+        q = p**m
+        choices = [[e for e in range(q) if e * o % q == 0] for o in orders]
+        for exps in itertools.product(*choices):
+            if gcd(*exps, q) == 1:
+                text = f"cyclo:{p}:{m}:{','.join(map(str, exps))}"
+                yield text
+                yield f"star({text})"
+
+
+@pytest.mark.parametrize("orders", _CONTRACT_GROUPS)
+def test_tate_cohomology_meets_the_closed_forms(orders):
+    # the paper's closed forms as a contract: over the 20 groups this grid
+    # is 3150 cells, each the engine's invariants against the prediction
+    G = GroupSpec.of(*orders)
+    for text in _contract_modules(orders):
+        M = parse_module(text, G)
+        for n in range(-4, 5):
+            got = tate_cohomology(M, n, want_representatives=False).invariants
+            assert got == predicted_invariants(text, G, n, kind="tate"), (text, n)
 
 
 # ---------------------------------------------------------------------------

@@ -400,12 +400,17 @@ def test_bar_degree_window_binds_on_every_route(compute, text, reps):
 
 @pytest.mark.parametrize("compute, n", [(ordinary_cohomology, 3), (homology, 2)])
 def test_bar_cell_cap_binds_on_a_rank_zero_module(compute, n):
-    # the engine's own caps read dim = 0 and pass; the row source still
-    # refuses the (|G| - 1)^m tuple walk, before it yields a row
+    # the engine's own caps read dim = 0 and pass; the leg's reader still
+    # refuses the (|G| - 1)^m tuple walk before it reads anything: the
+    # matched diagonal without representatives, and with them the Morse
+    # legs (ordinary cohomology) or the listed rows (homology)
     M = parse_module("trivial:0", GroupSpec.of(36))
-    with pytest.raises(ResourceCapExceeded, match="standard-resolution differential needs"):
-        compute(M, n, resolution="bar")
     msg = "standard-resolution differential needs a 1225 x 42875 matrix"
+    with_reps = "_morse_leg" if compute is ordinary_cohomology else "_leg_rows"
+    for reps, reader in ((False, "_matched_diagonal"), (True, with_reps)):
+        with pytest.raises(ResourceCapExceeded, match=msg) as err:
+            compute(M, n, resolution="bar", want_representatives=reps)
+        assert reader in {entry.name for entry in err.traceback}
     for dual in (False, True):
         with pytest.raises(ResourceCapExceeded, match=msg):
             next(engine._leg_rows(M, "bar", 3, dual))
@@ -644,7 +649,7 @@ def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m, dua
     vec = st.lists(entry, min_size=width, max_size=width)
     vecs = data.draw(st.lists(vec, min_size=1, max_size=3))
     vecs.append([0] * width)
-    values = engine._bar_values(M, m, engine._bar_tables(M, dual), vecs, None)
+    values = engine._bar_values(M, m, engine._bar_tables(M, dual), vecs)
     got = [[] for _ in vecs]
     for _ in range(size ** (m - 1)):
         for out in got:

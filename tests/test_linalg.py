@@ -268,6 +268,22 @@ def test_saturation_columns_give_up_on_a_residual():
     assert cols == [{0: 2, 1: 3}, {0: 3, 1: 2}]
 
 
+@pytest.mark.parametrize("N", [0, 4])
+def test_a_row_stalled_before_a_pivot_frees_it_stays_residual(N):
+    # {0: 2} is scanned first and holds no dividing pivot (3 sits in its
+    # column); eliminating column 1 then frees column 0, but the row is not
+    # changed, so it is not scanned again and goes to the dense pass
+    rows = [{0: 2}, {0: 3, 1: 1}]
+    pivots, residual = il._sparse_eliminate([dict(r) for r in rows], N)
+    assert [(g, j) for g, j, _ in pivots] == [(1, 1)] and residual == [{0: 2}]
+    D = snf(IntMatrix.from_rows([[2, 0], [3, 1]])).D.data
+    want = [D[0][0], D[1][1]]
+    assert il.smith_diagonal(rows, 2, 2, mod=N or None) == want == [1, 2]
+    assert kernel_columns([[(0, 2), (2, 1)], [(0, 3), (1, 1)]], 3) == [[1, -3, -2]]
+    # the saturation gives up there, and the engine takes the kernel instead
+    assert saturation_columns(rows) is None
+
+
 # ---------------------------------------------------------------------------
 # echelon / hermite
 
