@@ -62,11 +62,14 @@ coboundaries included, is read by :func:`_leg_rows`.  A resolution only
 lists the (target, block) pairs each source basis element meets, and
 :func:`_hom_rows` turns them into rows.  On the monomial resolution these
 are at most 6s + 1 blocks of the module's block table (``GModule.block_rows``)
-over monomial indices.  A standard-resolution row is built from its cell
-alone (:func:`_cell_rows`): [g_1|...|g_m] meets its first face through the
-matrix of g_1 from the group-element table (``GModule.element_rows``), and
-its merge faces and last face through +-I; a listed leg, the Morse pivot
-rows and the critical rows below are all built that way.  Where no row is
+over monomial indices.  Which target, generator and signs each source meets
+depends on (s, m) alone, so it is tabled once per key
+(:func:`_monomial_skeleton`), and a leg looks up only its at most 4s
+blocks.  A standard-resolution row is built from its cell alone
+(:func:`_cell_rows`): [g_1|...|g_m] meets its first face through the matrix
+of g_1 from the group-element table (``GModule.element_rows``), and its
+merge faces and last face through +-I; a listed leg, the Morse pivot rows
+and the critical rows below are all built that way.  Where no row is
 needed :func:`_bar_values` reads phi . D in prefix runs, building none: the
 |G| - 1 sources [g_1|...|g_(m-1)|x] that share a prefix meet consecutive
 first faces through one block, consecutive inner merge faces and one last
@@ -90,9 +93,11 @@ system x_j x_i -> x_i x_j (j > i), x_i^(o_i) -> 1 on the normal words
 x_1^e_1 ... x_s^e_s pairs bar cells along merge faces (:func:`_morse_partner`).
 Each pair is a +-I block of the leg, a unit for every module and modulus,
 and the cells left unpaired in degree n number C(n+s-1, s-1): the monomial
-resolution is the Morse complex of the standard one.  Once the leg is
-priced, the pivots, and their rows alone, are built from the cells before
-anything else is read (:func:`_bar_pivots`), so the leg's Smith diagonal
+resolution is the Morse complex of the standard one.  The matching depends
+on (orders, m) alone, so which cells split, and into which cell above, is
+tabled once per key (:func:`_morse_splits`), after the leg is priced.  The
+pivots, and their rows alone, are then built per module before anything
+else is read (:func:`_bar_pivots`), so the leg's Smith diagonal
 is a 1 per pivot plus the searched diagonal of the Schur complement
 (:func:`~cohomolab.intlinalg.schur_complement`).  No row of the leg is
 listed: with each column weighted by a fixed packed integer, every row's
@@ -160,11 +165,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from math import prod
 from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
+from cohomolab.group_ring import GroupSpec
 from cohomolab.intlinalg import (
     AbelianInvariants,
     QuotientPresentation,
@@ -251,29 +257,58 @@ def _hom_rows(d: int, sources: Iterable[_Source]) -> Iterator[list[tuple[int, in
             yield row
 
 
+# the most tables each skeleton keeps: the default limits meet at most 35
+# monomial keys (s <= 5, m <= 7) and four bar keys (m <= 4) per group
+_SKELETON_TABLES = 64
+# the (target, kind) faces of one monomial source, see _monomial_skeleton
+_Faces = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=_SKELETON_TABLES)
+def _monomial_skeleton(
+    s: int, m: int
+) -> tuple[tuple[_Faces, ...], tuple[tuple[int, bool, bool], ...], int]:
+    """The monomial resolution's differential leaving degree m >= 1 over
+    s generators, whatever the module: per source, in basis order, its
+    (target, kind) faces in pair order; the kinds, (i, odd, neg) in
+    first-seen order, at most 4s of them; and the number of targets.
+    Monomial (k_1, ..., k_s) meets the one that drops a power of x_i, for i
+    ascending, through a block of kind (i, k_i odd, k_1+...+k_(i-1) odd).
+    A table holds C(m+s-1, s-1) sources of at most s faces each; the
+    degree window bounds m before a leg is read."""
+    index = {mono: j for j, mono in enumerate(monomial_basis(s, m - 1))}
+    kinds: dict[tuple[int, bool, bool], int] = {}
+    table = []
+    for mono in monomial_basis(s, m):
+        faces = []
+        ksum = 0
+        for i, k in enumerate(mono):
+            if k:
+                target = mono[:i] + (k - 1,) + mono[i + 1 :]
+                kind = kinds.setdefault((i, k % 2 == 1, ksum % 2 == 1), len(kinds))
+                faces.append((index[target], kind))
+            ksum += k
+        table.append(tuple(faces))
+    return tuple(table), tuple(kinds), len(index)
+
+
 def _minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
     """The pairs each source of the monomial resolution's differential
     leaving degree m >= 1 meets, and the number of targets: monomial
     (k_1, ..., k_s) meets the one that drops a power of x_i, for i ascending,
     through (-1)^(k_1+...+k_(i-1)) times A_i - I (odd k_i) or N_i(A) (even
     k_i > 0), as in :func:`~cohomolab.resolutions.minimal_diff`; with
-    ``dual``, through their antipodes A_i^-1 - I and N_i(A)."""
-    s = M.spec.ngens
-    index = {mono: j for j, mono in enumerate(monomial_basis(s, m - 1))}
+    ``dual``, through their antipodes A_i^-1 - I and N_i(A).
+
+    Which target, generator and signs a source meets depends on (s, m)
+    alone, so it is read from :func:`_monomial_skeleton`, tabled once per
+    (s, m) and at most ``_SKELETON_TABLES`` keys; only the at most 4s blocks
+    are looked up per call."""
+    table, kinds, targets = _monomial_skeleton(M.spec.ngens, m)
     # the exponent of x_i in A_i - I, or in its antipode A_i^-1 - I
     steps = [o - 1 if dual else 1 for o in M.spec.orders]
-    sources = []
-    for mono in monomial_basis(s, m):
-        pairs = []
-        ksum = 0
-        for i, k in enumerate(mono):
-            if k:
-                target = mono[:i] + (k - 1,) + mono[i + 1 :]
-                blk = M.block_rows(i, steps[i] if k % 2 else 0, ksum % 2 == 1)
-                pairs.append((index[target], blk))
-            ksum += k
-        sources.append(pairs)
-    return sources, len(index)
+    blocks = [M.block_rows(i, steps[i] if odd else 0, neg) for i, odd, neg in kinds]
+    return [[(k, blocks[b]) for k, b in faces] for faces in table], targets
 
 
 # a prefix run of the standard resolution's differential, see _bar_values:
@@ -472,6 +507,27 @@ def _cell_rows(
     return h, rows
 
 
+@lru_cache(maxsize=_SKELETON_TABLES)
+def _morse_splits(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The Morse matching's pairs across the standard-resolution leg
+    leaving degree m >= 1 of the group with cyclic factors ``orders``,
+    whatever the module: for each cell of degree m - 1 that
+    :func:`_morse_partner` splits upward, in bar basis order, its index and
+    the element indices of its up cell.  One walk over the degree-(m - 1)
+    cells per (orders, m), at most ``_SKELETON_TABLES`` keys; a leg is
+    priced (:func:`_bar_leg`) before its table is filled, so under the
+    default cell cap a table holds at most (|G| - 1)^(m - 1) <= 1414
+    pairs."""
+    elements = GroupSpec(orders).nonidentity_elements()
+    index = {g: e for e, g in enumerate(elements)}
+    splits = []
+    for c, cell in enumerate(itertools.product(elements, repeat=m - 1)):
+        up = _morse_partner(orders, cell)
+        if up is not None and len(up) == m:
+            splits.append((c, tuple(index[g] for g in up)))
+    return tuple(splits)
+
+
 def _bar_pivots(
     M: GModule, m: int, tables: _BarTables
 ) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
@@ -481,19 +537,14 @@ def _bar_pivots(
     m - 1 that :func:`_morse_partner` splits into h is a merge face of h,
     met through +-I and through no other face, so coordinate t of c is a
     pivot column in row t of h, built by :func:`_cell_rows`.  Cells are
-    indexed as in :func:`_cell_rows`; one pass over the degree-(m - 1)
-    cells."""
-    G = M.spec
+    indexed as in :func:`_cell_rows`.  The pairs (c, h) depend on
+    (orders, m) alone and are read from :func:`_morse_splits`; only the
+    rows are built per module."""
     d = M.rank
-    elements = G.nonidentity_elements()
-    index = {g: e for e, g in enumerate(elements)}
     pivots: dict[int, int] = {}
     rows: dict[int, list[tuple[int, int]]] = {}
-    for c, cell in enumerate(itertools.product(elements, repeat=m - 1)):
-        up = _morse_partner(G.orders, cell)
-        if up is None or len(up) < m:
-            continue
-        h, cell_rows = _cell_rows(M, m, tables, [index[g] for g in up])
+    for c, up in _morse_splits(M.spec.orders, m):
+        h, cell_rows = _cell_rows(M, m, tables, up)
         for t, row in enumerate(cell_rows):
             pivots[c * d + t] = h * d + t
             rows[h * d + t] = row

@@ -21,15 +21,29 @@ element per pair and module coordinate.
 The Schur complement of unit pivots known in advance reduces each row as a
 dict, entry by entry, where the library combines the rows as packed
 integers.
+
+The faces of a monomial leg are listed from the monomial bases on every
+call, and the Morse pivots of a standard-resolution leg by walking
+:func:`~cohomolab.engine._morse_partner` over every cell, where the library
+reads both from tables built once per shape and degree.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from cohomolab.engine import FactorSet, _Block, _hom_rows, _Source
+from cohomolab.engine import (
+    FactorSet,
+    _BarTables,
+    _Block,
+    _cell_rows,
+    _hom_rows,
+    _morse_partner,
+    _Source,
+)
 from cohomolab.group_ring import GroupSpec, RingElement, RingMatrix, partial_norm
 from cohomolab.intlinalg import (
     AbelianInvariants,
@@ -493,3 +507,55 @@ def schur_complement(
         if r not in claimed and (left := reduce(row)):
             distinct[tuple(sorted(left.items()))] = None
     return [dict(key) for key in distinct]
+
+
+# ---------------------------------------------------------------------------
+# the skeletons of both resolutions, listed per call
+
+
+def minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
+    """The pairs each source of the monomial resolution's differential
+    leaving degree m >= 1 meets, and the number of targets, listed from the
+    monomial bases: monomial (k_1, ..., k_s) meets the one that drops a
+    power of x_i, for i ascending, through (-1)^(k_1+...+k_(i-1)) times
+    A_i - I (odd k_i) or N_i(A) (even k_i > 0); with ``dual``, through their
+    antipodes A_i^-1 - I and N_i(A)."""
+    s = M.spec.ngens
+    index = {mono: j for j, mono in enumerate(monomial_basis(s, m - 1))}
+    steps = [o - 1 if dual else 1 for o in M.spec.orders]
+    sources = []
+    for mono in monomial_basis(s, m):
+        pairs = []
+        ksum = 0
+        for i, k in enumerate(mono):
+            if k:
+                target = mono[:i] + (k - 1,) + mono[i + 1 :]
+                blk = M.block_rows(i, steps[i] if k % 2 else 0, ksum % 2 == 1)
+                pairs.append((index[target], blk))
+            ksum += k
+        sources.append(pairs)
+    return sources, len(index)
+
+
+def bar_pivots(
+    M: GModule, m: int, tables: _BarTables
+) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
+    """The Morse pivots of the standard-resolution leg leaving degree m >= 1
+    in the plain shape, as {column: row}, and the pivot rows by row index,
+    walking :func:`~cohomolab.engine._morse_partner` over every cell of
+    degree m - 1: each cell split into a cell h one degree up is a pivot
+    column, coordinate by coordinate, in the rows of h."""
+    d = M.rank
+    elements = M.spec.nonidentity_elements()
+    index = {g: e for e, g in enumerate(elements)}
+    pivots: dict[int, int] = {}
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for c, cell in enumerate(itertools.product(elements, repeat=m - 1)):
+        up = _morse_partner(M.spec.orders, cell)
+        if up is None or len(up) < m:
+            continue
+        h, cell_rows = _cell_rows(M, m, tables, [index[g] for g in up])
+        for t, row in enumerate(cell_rows):
+            pivots[c * d + t] = h * d + t
+            rows[h * d + t] = row
+    return pivots, rows

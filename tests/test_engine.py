@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import bar_pivots as reference_bar_pivots
 from _reference import cocycle_identity_holds as reference_identity_holds
 from _reference import column_hnf, hom_constraint_rows, invariants_structure, sigma
+from _reference import minimal_faces as reference_minimal_faces
 from _reference import schur_complement as reference_complement
 from cohomolab import engine, group_ring, resolutions, verify
 from cohomolab.closed_forms import generator_family
@@ -52,7 +54,14 @@ from cohomolab.modules import (
     zmod_module,
 )
 from cohomolab.resolutions import complete_diff, make_resolution
-from cohomolab.verify import PASS, _oracle_modules, resolution_suite, sigma_suite
+from cohomolab.verify import (
+    CAPPED,
+    PASS,
+    _oracle_modules,
+    oracle_suite,
+    resolution_suite,
+    sigma_suite,
+)
 
 G2 = GroupSpec.of(2)
 G22 = GroupSpec.of(2, 2)
@@ -407,6 +416,7 @@ def test_bar_cell_cap_binds_on_a_rank_zero_module(compute, n):
     M = parse_module("trivial:0", GroupSpec.of(36))
     msg = "standard-resolution differential needs a 1225 x 42875 matrix"
     with_reps = "_morse_leg" if compute is ordinary_cohomology else "_leg_rows"
+    engine._morse_splits.cache_clear()
     for reps, reader in ((False, "_matched_diagonal"), (True, with_reps)):
         with pytest.raises(ResourceCapExceeded, match=msg) as err:
             compute(M, n, resolution="bar", want_representatives=reps)
@@ -414,6 +424,30 @@ def test_bar_cell_cap_binds_on_a_rank_zero_module(compute, n):
     for dual in (False, True):
         with pytest.raises(ResourceCapExceeded, match=msg):
             next(engine._leg_rows(M, "bar", 3, dual))
+    assert not _was_tabled((36,), 3)
+
+
+def _was_tabled(orders, m) -> bool:
+    """Whether the bar table held the key (orders, m): a lookup that does
+    not miss."""
+    misses = engine._morse_splits.cache_info().misses
+    engine._morse_splits(orders, m)
+    return engine._morse_splits.cache_info().misses == misses
+
+
+def test_skeleton_tables_stay_under_their_bound():
+    # the monomial keys (s, m) and bar keys (orders, m) that the resolution
+    # and oracle suites read fit in the tables without eviction; the
+    # oracle's capped (2,2,4) leg leaving degree 4 is not tabled, its
+    # degree-3 one is
+    tables = (engine._monomial_skeleton, engine._morse_splits)
+    for table in tables:
+        table.cache_clear()
+    assert {r.status for r in resolution_suite() + oracle_suite()} == {PASS, CAPPED}
+    for table in tables:
+        info = table.cache_info()
+        assert 0 < info.currsize < info.maxsize == engine._SKELETON_TABLES, info
+    assert _was_tabled((2, 2, 4), 3) and not _was_tabled((2, 2, 4), 4)
 
 
 def test_hom_complex_map_checks_every_cap(monkeypatch):
@@ -618,6 +652,33 @@ def test_bar_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, dual)
         D = D.antipode_transpose()
     got = list(engine._leg_rows(M, "bar", m, dual))
     assert got == list(hom_constraint_rows(M, D)), (text, m, dual)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(_ROW_GROUPS), st.data(), st.integers(1, 7), st.booleans())
+def test_minimal_faces_equal_the_basis_listing(row_modules, orders, data, m, dual):
+    # the faces read from the (s, m) table, blocks looked up per call,
+    # against the listing from the monomial bases, as lists: pair order and
+    # the number of targets included, for s = 1..4, lattices and finite
+    # modules alike
+    G = GroupSpec(orders)
+    M = parse_module(data.draw(st.sampled_from(row_modules[orders])), G)
+    assert engine._minimal_faces(M, m, dual) == reference_minimal_faces(M, m, dual)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(1, 4), st.booleans())
+def test_bar_pivots_equal_the_morse_partner_walk(row_modules, orders, data, m, dual):
+    # the pivots and their rows from the (orders, m) table of splits
+    # against the walk of _morse_partner over every cell of degree m - 1,
+    # through plain and dual tables, over Z and mod N: insertion order
+    # included, which the complement's and the solve's walks follow
+    G = GroupSpec(orders)
+    M = parse_module(data.draw(st.sampled_from(row_modules[orders])), G)
+    tables = engine._bar_tables(M, dual)
+    got = engine._bar_pivots(M, m, tables)
+    want = reference_bar_pivots(M, m, tables)
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
 
 
 def _plain_shape(M, m, rows, dual):
