@@ -22,7 +22,7 @@ Route selection is about cost, never about semantics:
                         built.  Ordinary cohomology on the standard
                         resolution takes all of this on the critical
                         coordinates of its Morse complex (see below) and
-                        lists no leg.
+                        lists no leg unless a guard fails.
 * ``cokernel-torsion``  lattice coefficients, invariants only: the free rank
                         dim - rk d_in - rk d_out plus the torsion of the
                         Smith diagonal of the incoming map.  With both maps
@@ -43,9 +43,9 @@ Route selection is about cost, never about semantics:
 * ``congruence``        any other finite coefficient modulus N, and every
                         finite-coefficient call that wants representatives:
                         the same :func:`kernel_columns` as ``kernel``, with
-                        ``mod=N``, and quotients taken mod N; on the Morse
-                        complex for ordinary cohomology on the standard
-                        resolution.
+                        ``mod=N``, and quotients taken mod N.  Ordinary
+                        cohomology on the standard resolution takes it on
+                        the Morse complex, with or without representatives.
 * ``dual-shift``        divisible coefficients, evaluated on the dual
                         lattice one degree up.
 
@@ -112,26 +112,28 @@ resolution, and exactness never rests on the matching: a pivot that is not
 a unit, a row claimed twice or a cycle in the substitution sends the leg
 back to the plain search, which lists its rows.
 
-Representatives of ordinary cohomology on the standard resolution come from
-the Morse complex too (:func:`_morse_presentation`).  A cochain of degree n
-is moved off the cells matched downward, leg n's pivot rows, by a coboundary
-through leg n's pivot block; a cocycle that vanishes there takes -R(j) times
-its critical coordinates at each cell matched upward, a pivot column j of
-leg n + 1.  So H^n is a quotient on the d C(n+s-1, s-1) critical
-coordinates: the cocycles are the saturation of the image where |G| kills
-H, and otherwise the kernel of leg n + 1's complement at its critical rows
-and columns; the image is spanned by leg n's, once leg n - 1's pivots move
-every cochain of degree n - 1 off its own cells matched downward.  These
-complements are the monomial legs up to one sign per cell.  Each canonical
+The kernel and congruence routes read ordinary cohomology on the standard
+resolution off the Morse complex too, with or without representatives:
+:func:`_morse_complex` is one more leg source for the one quotient of
+:func:`_complex_group`, beside the listed monomial and dual legs, and its
+legs are on critical coordinates.  A cochain of degree n is moved off the
+cells matched downward, leg n's pivot rows, by a coboundary through leg n's
+pivot block; a cocycle that vanishes there takes -R(j) times its critical
+coordinates at each cell matched upward, a pivot column j of leg n + 1.  So
+H^n is a quotient on the d C(n+s-1, s-1) critical coordinates: the cocycles
+are the saturation of the image where |G| kills H, and otherwise the kernel
+of leg n + 1's complement at its critical rows and columns; the image is
+spanned by leg n's, once leg n - 1's pivots move every cochain of degree
+n - 1 off its own cells matched downward.  These complements are the
+monomial legs up to one sign per cell.  Exactness rests on the guards of
+legs n - 1, n and n + 1, and on the pivot columns, the critical cells and
+the pivot rows below splitting each degree they meet; where a guard fails
+the call lists its legs as before.  With representatives, each canonical
 residue is lifted back, a cell matched downward taking 0 and one matched
 upward -R(j) . phi, and the lifts are checked run by run against all of
 leg n + 1, which covers the rows of the cells matched upward that no
-complement reads.  Exactness rests on the guards of legs n - 1, n and
-n + 1, on the pivot columns, the critical cells and the pivot rows below
-splitting each degree they meet, and on that check; where a guard fails the
-call lists its legs as before.  The result's presentation-backed methods
-project a bar cochain onto the critical coordinates first
-(:class:`_MorsePresentation`).
+complement reads.  The result's presentation-backed methods project a bar
+cochain onto the critical coordinates first (:class:`_MorsePresentation`).
 
 The cokernel-torsion formula: Z^dim / ker d_out embeds in a
 free group, so ker d_out is saturated, of rank dim - rk d_out, and the
@@ -935,10 +937,10 @@ def _extract_representatives(
     generator: ``vanishes`` says whether phi . D vanishes, mod N where the
     module has one, for all the residues together.  That is
     :func:`_runs_vanish` on a plain standard-resolution leg and
-    :func:`_rows_vanish` on any other.  A residue on the Morse complex's
-    critical coordinates is ``lift``-ed to a bar cochain before the check.
-    Mod N the Hermite basis has a pivot in every row, so the residues lie in
-    [0, N)."""
+    :func:`_rows_vanish` on any other.  On the Morse complex ``pres`` is
+    the presentation on its critical coordinates, and each residue is
+    ``lift``-ed to a bar cochain before the check.  Mod N the Hermite basis
+    has a pivot in every row, so the residues lie in [0, N)."""
     gens = sorted((d == 0, i) for i, d in enumerate(pres.diagonal) if d != 1)
     vecs = [pres.residue(pres.generator_column(i)) for _, i in gens]
     if lift:
@@ -982,11 +984,13 @@ def _runs_vanish(M: GModule, m: int, tables: _BarTables, vecs: list[list[int]]) 
 
 @dataclass
 class _MorsePresentation:
-    """A presentation on the critical coordinates of :func:`_morse_presentation`
+    """A presentation on the critical coordinates of :func:`_morse_complex`
     with the methods of a :class:`~cohomolab.intlinalg.QuotientPresentation`
-    on bar cochains: a cochain is projected before the presentation reads
-    it, every vector it returns is lifted, and coordinates are taken only
-    of cochains that ``closed`` finds to be cocycles."""
+    that the result reads, on bar cochains: a cochain is projected before
+    the presentation reads it, every residue it returns is lifted, and
+    coordinates are taken only of cochains that ``closed`` finds to be
+    cocycles.  Everything else, the diagonal included, is the critical
+    presentation's own."""
 
     critical: QuotientPresentation
     project: Callable[[Sequence[int]], list[int]]
@@ -1004,30 +1008,22 @@ class _MorsePresentation:
             raise ValueError("vector is not in the lattice")
         return self.critical.coordinates(self.project(vec))
 
-    def generator_column(self, i: int) -> list[int]:
-        return self.lift(self.critical.generator_column(i))
-
     def residue(self, vec: Sequence[int]) -> list[int]:
         return self.lift(self.critical.residue(self.project(vec)))
 
 
-def _morse_presentation(
-    M: GModule,
-    n: int,
-    killed: bool,
-    mod: int | None,
-    tables: _BarTables,
-    limits: EngineLimits | None,
-) -> tuple[QuotientPresentation, Callable, Callable] | None:
-    """H^n(G, M) on the standard resolution as a presentation on the
-    critical coordinates of degree n (see the module docstring), with
-    ``project``, which takes a bar cocycle to the critical coordinates of a
-    cohomologous one that vanishes on the cells matched downward, and
-    ``lift``, which takes a critical vector back to the bar cochain that
-    does; None where the pivots of leg n - 1, n or n + 1 fail a guard.  The
-    cocycles are the saturation of the image where |G| kills H, and
-    otherwise the kernel of leg n + 1's complement; leg n's spans the
-    image."""
+def _morse_complex(
+    M: GModule, n: int, mod: int | None, tables: _BarTables, limits: EngineLimits | None
+) -> tuple[list, Iterator[list[tuple[int, int]]], int, Callable, Callable] | None:
+    """The Morse complex of the standard resolution at degree n, as a leg
+    source on the critical coordinates of degree n (see the module
+    docstring): the rows of leg n's complement, whose columns span the
+    image; those of leg n + 1's complement, a generator read only where a
+    kernel is needed; the critical width; ``project``, which takes a bar
+    cocycle to the critical coordinates of a cohomologous one that vanishes
+    on the cells matched downward; and ``lift``, which takes a critical
+    vector back to the bar cochain that does.  None where the pivots of leg
+    n - 1, n or n + 1 fail a guard."""
     legs = {m: _morse_leg(M, m, tables, limits, mod) for m in range(max(n - 1, 1), n + 2)}
     if None in legs.values():
         return None
@@ -1041,13 +1037,11 @@ def _morse_presentation(
             return None
     N = mod or 0
     solved, coords = legs[n + 1][2], list(legs[n + 1][3])
-    dim = len(coords)
     raw, image = _morse_complement(M, n, tables, legs[n], mod) if n else ([], [])
-    icols = _image_columns(image)
-    kcols = saturation_columns(icols) if killed else None
-    if kcols is None:
-        kernel = _morse_complement(M, n + 1, tables, legs[n + 1], mod)[1]
-        kcols = kernel_columns(kernel, dim, mod=mod)
+
+    def kernel() -> Iterator[list[tuple[int, int]]]:
+        yield from _morse_complement(M, n + 1, tables, legs[n + 1], mod)[1]
+
     width = M.rank * size**n
 
     def lift(v: Sequence[int]) -> list[int]:
@@ -1077,7 +1071,7 @@ def _morse_presentation(
         out = [vec[q] - sum(x * y[k] for k, x in row if k in y) for q, row in zip(coords, raw)]
         return [x % N for x in out] if N else out
 
-    return quotient_presentation(kcols, icols, dim, mod=mod), project, lift
+    return image, kernel(), len(coords), project, lift
 
 
 def _check_killed(inv: AbelianInvariants, order: int, n: int) -> None:
@@ -1109,7 +1103,14 @@ def _complex_group(
     is built, so a route that never touches one never pays for it.
     Invariants-only calls on a lattice or a reduction L/NL read H off the
     Smith diagonals of the two maps; any other modulus N switches kernels
-    and quotients to congruences.
+    and quotients to congruences.  Every other call runs one quotient on a
+    leg source picked once: the Morse complex of :func:`_morse_complex` for
+    a plain standard-resolution leg (ordinary cohomology), and the listed
+    legs for a monomial or dual leg or where a Morse guard fails.  The
+    image, the cocycles (the saturation of the image where |G| kills H,
+    otherwise the kernel of the outgoing rows, listed only where they
+    double as the row-by-row check) and the quotient are taken the same way
+    on either.
     """
     limits = limits or EngineLimits.from_env()
     limits.check_group_order(M.spec.order)
@@ -1195,38 +1196,33 @@ def _complex_group(
         if killed:
             _check_killed(inv, M.spec.order, n)
         return CohomologyResult(n, kind, inv, M.label, resolution, route)
-    # a plain standard-resolution leg checks its representatives run by run,
-    # and with representatives runs on the Morse complex unless a guard fails
+    # one quotient for every leg source: a plain standard-resolution leg
+    # reads the Morse complex unless a guard fails, and checks
+    # representatives run by run; any other leg is listed, checked row by row
     by_runs = has_out and resolution == "bar" and step > 0
-    rows: Iterable[list[tuple[int, int]]] = ()
-    if by_runs:
-        vanishes = partial(_runs_vanish, M, k_out, tables)
-    morse = _morse_presentation(M, n, killed, mod, tables, limits) if want and by_runs else None
+    morse = _morse_complex(M, n, mod, tables, limits) if by_runs else None
     if morse:
-        pres, project, lift = morse
+        image, out, width, project, lift = morse
     else:
-        lift = None
-        icols = _image_columns(leg(k_in)) if has_in else []
-        kcols = saturation_columns(icols) if killed else None
-        # the outgoing rows, built at most once: for the kernel, the cocycle
-        # check or both; with the run-by-run check, for the kernel alone
-        if has_out and (kcols is None or not by_runs):
-            rows = leg(k_out)
-        if kcols is None:
-            if want and not by_runs:
-                rows = list(rows)
-            kcols = kernel_columns(rows, dim, mod=mod)
-        if not want:
-            inv = quotient_invariants(kcols, icols, dim, mod=N)
-            return CohomologyResult(n, kind, inv, M.label, resolution, route)
-        pres = quotient_presentation(kcols, icols, dim, mod=mod)
+        image = leg(k_in) if has_in else ()
+        out = leg(k_out) if has_out else ()
+        width, lift = dim, None
+    icols = _image_columns(image)
+    kcols = saturation_columns(icols) if killed else None
+    if kcols is None:
+        if want and not by_runs:
+            out = list(out)  # the kernel's rows double as the check
+        kcols = kernel_columns(out, width, mod=mod)
+    if not want:
+        inv = quotient_invariants(kcols, icols, width, mod=N)
+        return CohomologyResult(n, kind, inv, M.label, resolution, route)
+    pres = quotient_presentation(kcols, icols, width, mod=mod)
     inv = pres.invariants()
     if killed:
         _check_killed(inv, M.spec.order, n)
     # a rank-0 module has no coordinates, and its cochains no values
     count = dim // M.rank if M.rank else 0
-    if not by_runs:
-        vanishes = partial(_rows_vanish, rows, N)
+    vanishes = partial(_runs_vanish, M, k_out, tables) if by_runs else partial(_rows_vanish, out, N)
     reps = _extract_representatives(pres, M, n, count, vanishes, lift)
     if lift:
         pres = _MorsePresentation(pres, project, lift, vanishes)

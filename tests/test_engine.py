@@ -848,19 +848,25 @@ _UNTRUSTED_PIVOTS = {
 }
 
 
-@pytest.mark.parametrize("text", ["trivial", "reduce:4(trivial)"])
+@pytest.mark.parametrize(
+    "text", ["trivial", "reduce:4(trivial)", "tensor(reduce:4(trivial),trivial)"]
+)
 @pytest.mark.parametrize("guard", sorted(_UNTRUSTED_PIVOTS))
 def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
     # where the pivots fail a guard the leg's diagonal is searched over its
     # transpose, as without pivots, and the answer is the same.  With
     # representatives the Morse complex of H^1, H^2 and H^3 reads leg 2 (as
     # leg n + 1, n or n - 1), so each falls back to the listed search of
-    # H's image, whose leg has 3, 9 or 27 rows.  Homology H_1 and H_2 list
+    # H's image, whose leg has 3, 9 or 27 rows; so does invariants-only
+    # congruence, the finite module that does not lift to a lattice, which
+    # then lists legs n and n + 1 as before.  Homology H_1 and H_2 list
     # dual leg 2, except invariants-only H_2 over Z, which reads leg 3 alone
     M = parse_module(text, G22)
     cases = [(ordinary_cohomology, 2, False)]
     cases += [(ordinary_cohomology, n, True) for n in (1, 2, 3)]
     cases += [(homology, n, reps) for n in (1, 2) for reps in (False, True)]
+    if M.modulus and not M.lifts_to_lattice:
+        cases += [(ordinary_cohomology, n, False) for n in (1, 3)]
     want = {
         (compute, n, reps): compute(M, n, resolution="bar", want_representatives=reps)
         for compute, n, reps in cases
@@ -899,6 +905,8 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
         assert got.route == w.route and got.invariants == w.invariants, case
         if compute is ordinary_cohomology:
             assert searched == [9 if n == 2 else 3**n], case
+            if got.route == "congruence" and not reps:
+                assert listed == [(n, False), (n + 1, False)], case
         else:
             assert ((2, True) in listed) == (reps or n == 1 or text != "trivial"), case
         if reps:
@@ -919,6 +927,46 @@ def test_trusted_pivots_never_search_a_transpose(monkeypatch):
         for compute, k in ((ordinary_cohomology, n), (homology, 2)):
             r = compute(M, k, resolution="bar")
             assert r.route in ("cokernel-torsion", "universal-coefficients")
+
+
+# finite modules that do not lift to a lattice, with the degrees they are
+# read in: invariants only, they take the congruence route
+_CONGRUENCE_CELLS = [
+    ((2, 4), "tensor(reduce:4(trivial),trivial)", range(4)),
+    ((3, 3), "tensor(reduce:3(cyclo:3:1:1,0),trivial)", range(3)),
+]
+
+
+def test_invariants_only_congruence_reads_the_morse_complex(monkeypatch):
+    # ordinary cohomology on the standard resolution with coefficients that
+    # are not a reduction L/NL reads the Morse complex without
+    # representatives too, listing no leg, and agrees with the monomial
+    # resolution and with the call that wants representatives
+    real_rows = engine._leg_rows
+
+    def refuse_bar(M, resolution, *args, **kwargs):
+        if resolution == "bar":
+            pytest.fail("listed a standard-resolution leg")
+        return real_rows(M, resolution, *args, **kwargs)
+
+    for orders, text, degrees in _CONGRUENCE_CELLS:
+        M = parse_module(text, GroupSpec(orders))
+        assert not M.lifts_to_lattice, text
+        for n in degrees:
+            want = ordinary_cohomology(M, n, want_representatives=False).invariants
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_leg_rows", refuse_bar)
+                got = ordinary_cohomology(M, n, resolution="bar", want_representatives=False)
+                reps = ordinary_cohomology(M, n, resolution="bar", want_representatives=True)
+            assert got.route == reps.route == "congruence", (text, n)
+            assert got.invariants == reps.invariants == want, (text, n)
+    # the caps still bind first: the outgoing map's dense estimate refuses
+    # H^3 over (2,2,4) before any Morse leg is priced or tabled
+    M = parse_module("tensor(reduce:4(trivial),trivial)", GroupSpec.of(2, 2, 4))
+    engine._morse_splits.cache_clear()
+    with pytest.raises(ResourceCapExceeded, match="congruence outgoing map needs a 50625 x 3375"):
+        ordinary_cohomology(M, 3, resolution="bar", want_representatives=False)
+    assert not any(_was_tabled((2, 2, 4), m) for m in range(1, 5))
 
 
 def _agree_up_to_cell_signs(got, want, d, mod):
