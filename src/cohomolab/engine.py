@@ -33,9 +33,9 @@ Route selection is about cost, never about semantics:
                         built, or, for a map with more rows than columns,
                         its columns: SNF(A) = SNF(A^T), so every diagonal
                         is eliminated over the short side.  On the standard
-                        resolution the leg first gives up the unit pivots
-                        of a Morse matching (see below), and only their
-                        Schur complement, read run by run, is searched.
+                        resolution each leg is read off its Morse complex
+                        (see below): a 1 per unit pivot, and only the
+                        critical complement is searched.
 * ``universal-coefficients``
                         a reduction L/NL of a lattice, invariants only: two
                         Smith diagonals mod N, of the incoming and the
@@ -74,8 +74,8 @@ needed :func:`_bar_values` reads phi . D in prefix runs, building none: the
 |G| - 1 sources [g_1|...|g_(m-1)|x] that share a prefix meet consecutive
 first faces through one block, consecutive inner merge faces and one last
 face through +-I, and their last merges through one row of the product
-table.  Each reader that walks a standard-resolution leg, listed, matched
-or run by run, checks its caps once first (:func:`_bar_leg`).
+table.  Each reader that walks a standard-resolution leg, listed, off the
+Morse complex or run by run, checks its caps once first (:func:`_bar_leg`).
 A dual leg (homology, negative Tate degrees) is read in the plain shape
 through dual tables (:func:`_bar_tables`), whose first-face blocks are the
 transposed antipode blocks, and listed as the transpose.  The comparison
@@ -95,22 +95,26 @@ Each pair is a +-I block of the leg, a unit for every module and modulus,
 and the cells left unpaired in degree n number C(n+s-1, s-1): the monomial
 resolution is the Morse complex of the standard one.  The matching depends
 on (orders, m) alone, so which cells split, and into which cell above, is
-tabled once per key (:func:`_morse_splits`), after the leg is priced.  The
-pivots, and their rows alone, are then built per module before anything
-else is read (:func:`_bar_pivots`), so the leg's Smith diagonal
-is a 1 per pivot plus the searched diagonal of the Schur complement
-(:func:`~cohomolab.intlinalg.schur_complement`).  No row of the leg is
-listed: with each column weighted by a fixed packed integer, every row's
-complement is the value of one cochain, which :func:`_bar_values` reads run
-by run with list arithmetic, and the slot width is bounded from the blocks.
-For the (2,2,4) trivial map of degree 3 the 3375 values are 34 distinct
-rows in 6 columns.  A dual leg is read transposed, in the plain shape with
-transposed antipode blocks and on the plain leg's pivot positions, so every
-complement is taken over the short side.  The arithmetic stays the bar
-matrices' own, so the oracle still shares nothing with the monomial
-resolution, and exactness never rests on the matching: a pivot that is not
-a unit, a row claimed twice or a cycle in the substitution sends the leg
-back to the plain search, which lists its rows.
+tabled once per key (:func:`_morse_splits`), each table grown from the one
+below it, after a leg is priced.  The pivots, and their rows alone, are then
+built per module before anything else is read (:func:`_bar_pivots`).  The
+Morse complex is chain-homotopy equivalent to the standard resolution, and
+its contractible part is exactly the matched pairs, so a leg's Smith
+diagonal is a 1 per pivot plus the Smith diagonal of its critical
+complement (:func:`_morse_smith`): the Schur complement of the pivots at
+the critical rows and columns, d C(m+s-1, s-1) x d C(m+s-2, s-1) for the
+leg leaving degree m, searched over its short side.  For the (2,2,4) leg
+leaving degree 3 that is 10 d x 6 d, where the leg has 3375 d rows.  A dual
+leg is read transposed, in the plain shape with transposed antipode blocks
+and on the plain leg's pivot positions, SNF(A) = SNF(A^T).  The arithmetic
+stays the bar matrices' own, so the oracle still shares nothing with the
+monomial resolution, and exactness never rests on the matching.  Two
+guards stand behind every read: the pivots must be units, each row may
+hold one and no substitution may cycle (:func:`_morse_leg`), and the cells
+of degrees m - 1 and m must split into those matched upward, the critical
+ones and those matched downward, each once (:func:`_morse_partition`, read
+from the tables alone).  Where either fails the leg is listed and searched
+as a whole.
 
 The kernel and congruence routes read ordinary cohomology on the standard
 resolution off the Morse complex too, with or without representatives:
@@ -180,7 +184,6 @@ from cohomolab.intlinalg import (
     quotient_invariants,
     quotient_presentation,
     saturation_columns,
-    schur_complement,
     smith_diagonal,
     solve_pivots,
 )
@@ -260,7 +263,8 @@ def _hom_rows(d: int, sources: Iterable[_Source]) -> Iterator[list[tuple[int, in
 
 
 # the most tables each skeleton keeps: the default limits meet at most 35
-# monomial keys (s <= 5, m <= 7) and four bar keys (m <= 4) per group
+# monomial keys (s <= 5, m <= 7) and five bar keys (m <= 5, the top one for
+# the partition guard of the leg leaving degree 4) per group
 _SKELETON_TABLES = 64
 # the (target, kind) faces of one monomial source, see _monomial_skeleton
 _Faces = tuple[tuple[int, int], ...]
@@ -462,6 +466,15 @@ def _morse_partner(
     return None
 
 
+def _cell_index(e: Sequence[int], size: int) -> int:
+    """The bar basis index of the cell whose elements have the indices ``e``
+    among ``size`` nonidentity elements."""
+    h = 0
+    for x in e:
+        h = h * size + x
+    return h
+
+
 def _cell_rows(
     M: GModule, m: int, tables: _BarTables, e: Sequence[int]
 ) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -484,9 +497,7 @@ def _cell_rows(
     merged, blocks = tables
     size = len(merged)
     power = [size**k for k in range(m + 1)]
-    h = 0
-    for x in e:
-        h = h * size + x
+    h = _cell_index(e, size)
     # merge i: the prefix before g_i, g_i g_(i+1), the suffix after it
     faces = [
         ((h // power[m - i + 1] * size + b) * (p := power[m - i - 1]) + h % p, (-1) ** i)
@@ -515,19 +526,49 @@ def _morse_splits(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int
     leaving degree m >= 1 of the group with cyclic factors ``orders``,
     whatever the module: for each cell of degree m - 1 that
     :func:`_morse_partner` splits upward, in bar basis order, its index and
-    the element indices of its up cell.  One walk over the degree-(m - 1)
-    cells per (orders, m), at most ``_SKELETON_TABLES`` keys; a leg is
-    priced (:func:`_bar_leg`) before its table is filled, so under the
-    default cell cap a table holds at most (|G| - 1)^(m - 1) <= 1414
-    pairs."""
+    the element indices of its up cell.
+
+    Built from the table of (orders, m - 1): :func:`_morse_partner` decides
+    at the first pair that splits or merges, so a cell [p|x] follows its
+    prefix p.  A p split into up splits [p|x] into [up|x], a p merged
+    downward merges [p|x], and only the extensions of the C(m+s-3, s-1)
+    critical prefixes (:func:`_critical_cells`) are walked, |G| - 1 each.
+    At most ``_SKELETON_TABLES`` keys.  A table holds at most one pair per
+    cell of degree m - 1, (|G| - 1)^(m - 1), and every reader first prices
+    a leg with that many columns or more (:func:`_bar_leg`): leg m for its
+    pivots, leg m - 1 for the partition of its degree m - 1.  So under the
+    default caps a table holds at most 20^3 = 8000 pairs (|G| = 21, m = 4);
+    (2,2,4) holds 3158 for m = 4."""
+    if m < 2:
+        return ()  # the one cell of degree 0 is critical
     elements = GroupSpec(orders).nonidentity_elements()
+    size = len(elements)
     index = {g: e for e, g in enumerate(elements)}
-    splits = []
-    for c, cell in enumerate(itertools.product(elements, repeat=m - 1)):
-        up = _morse_partner(orders, cell)
-        if up is not None and len(up) == m:
-            splits.append((c, tuple(index[g] for g in up)))
+    grown = _morse_splits(orders, m - 1)
+    splits = [(p * size + x, (*up, x)) for p, up in grown for x in range(size)]
+    for e in _critical_cells(orders, m - 2):
+        prefix, h = [elements[x] for x in e], _cell_index(e, size) * size
+        for x, g in enumerate(elements):
+            up = _morse_partner(orders, (*prefix, g))
+            if up is not None and len(up) == m:
+                splits.append((h + x, tuple(index[u] for u in up)))
+    splits.sort()
     return tuple(splits)
+
+
+def _morse_partition(orders: tuple[int, ...], k: int) -> bool:
+    """Whether the cells of degree k >= 0 split into those matched upward
+    (leg k + 1's pivot columns, from the table of (orders, k + 1)), the
+    critical cells and those matched downward (leg k's pivot rows, the up
+    cells of the table of (orders, k)), each once: the partition guard of
+    every read of the Morse complex, from the skeleton tables alone.  Its
+    caller prices leg k first, whose columns bound the table of
+    (orders, k + 1)."""
+    size = prod(orders) - 1
+    cells = [c for c, _ in _morse_splits(orders, k + 1)]
+    cells += [_cell_index(e, size) for e in _critical_cells(orders, k)]
+    cells += [_cell_index(up, size) for _, up in _morse_splits(orders, k)]
+    return len(cells) == len(set(cells)) == size**k
 
 
 def _bar_pivots(
@@ -569,36 +610,6 @@ def _critical_cells(orders: Sequence[int], m: int) -> list[list[int]]:
     ]
 
 
-def _matched_diagonal(
-    M: GModule, m: int, tables: _BarTables, mod: int | None, limits: EngineLimits | None
-) -> list[int] | None:
-    """The Smith diagonal of the standard-resolution leg leaving degree m,
-    priced by :func:`_bar_leg`, no row of it listed: a 1 per pivot of
-    :func:`_bar_pivots`, then the searched diagonal of the Schur complement;
-    None where the pivots fail a guard of
-    :func:`~cohomolab.intlinalg.schur_complement`.  Only the pivot rows are
-    built.  Every row's complement is the packed value of one cochain of
-    packed integers, phi . D, which :func:`_bar_values` reads run by run;
-    each of its values sums at most (longest block row) + m terms of
-    absolute value at most max(largest |block entry|, 1) times an entry of
-    phi, which bounds the slots.  A dual leg has a row per cell of degree
-    m - 1 and a column per cell of degree m, so dual ``tables`` read it
-    transposed, SNF(A) = SNF(A^T), in the plain shape of :func:`_cell_rows`
-    with transposed antipode blocks: the complement is then taken over the
-    short side, and the pivots sit at the plain leg's positions."""
-    width = M.rank * _bar_leg(M, m, limits)
-    pivots, rows = _bar_pivots(M, m, tables)
-    weight = _bar_weight(tables[1], m)
-
-    def values(phi: list[int]) -> Iterator[int]:
-        return itertools.chain.from_iterable(_bar_values(M, m, tables, [phi]))
-
-    complement = schur_complement(rows, pivots, width, weight, values, mod)
-    if complement is None:
-        return None
-    return [1] * len(pivots) + smith_diagonal(complement, len(complement), width, mod=mod)
-
-
 def _morse_leg(
     M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None, mod: int | None
 ) -> tuple | None:
@@ -613,15 +624,15 @@ def _morse_leg(
     t of the i-th cell of :func:`_critical_cells` of degree m - 1 being
     critical coordinate i * d + t.  Every other column is a cell matched
     downward, which the caller moves cochains off through leg m - 1's
-    pivots, so no R reads it."""
+    pivots, so no R reads it.  Dual ``tables`` give the dual leg's pivots,
+    transposed, for :func:`_morse_smith`.  The partition of the leg's
+    degrees is the caller's guard (:func:`_morse_partition`)."""
     _bar_leg(M, m, limits)
     pivots, rows = _bar_pivots(M, m, tables)
     d, size = M.rank, len(tables[0])
     columns = {}
     for i, e in enumerate(_critical_cells(M.spec.orders, m - 1)):
-        h = 0
-        for x in e:
-            h = h * size + x
+        h = _cell_index(e, size)
         columns.update((h * d + t, i * d + t) for t in range(d))
     kept = {r: [(k, x) for k, x in row if k in pivots or k in columns] for r, row in rows.items()}
     solved = solve_pivots(kept, pivots, mod)
@@ -634,7 +645,10 @@ def _morse_complement(
     """The rows of the critical cells of degree m of a leg that
     :func:`_morse_leg` solved, in bar coordinates, and their Schur
     complement at the critical columns, in critical coordinates: the
-    monomial resolution's leg up to one sign per cell."""
+    monomial resolution's leg up to one sign per cell, in the plain shape
+    (the dual leg transposed, with dual ``tables``).  The Morse complex
+    reads its image and kernel off it, :func:`_morse_smith` the leg's
+    Smith diagonal."""
     _, _, solved, columns = leg
     N = mod or 0
     raw, complement = [], []
@@ -650,6 +664,24 @@ def _morse_complement(
             raw.append(row)
             complement.append([(q, y) for q, x in out.items() if (y := x % N if N else x)])
     return raw, complement
+
+
+def _morse_smith(
+    M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None, mod: int | None
+) -> tuple[int, list[list[tuple[int, int]]], int, int] | None:
+    """The standard-resolution leg leaving degree m >= 1, read off the Morse
+    complex for its Smith diagonal, which is a 1 per pivot of
+    :func:`_morse_leg` plus the Smith diagonal of the critical complement
+    (see the module docstring): the number of pivots, the complement of
+    :func:`_morse_complement` and its shape.  None where the pivots fail a
+    guard of :func:`_morse_leg`, or the cells of degree m - 1 or m fail
+    :func:`_morse_partition`.  Dual ``tables`` read the dual leg
+    transposed, in the plain shape, which has the same Smith diagonal."""
+    leg = _morse_leg(M, m, tables, limits, mod)
+    if leg is None or not all(_morse_partition(M.spec.orders, k) for k in (m - 1, m)):
+        return None
+    complement = _morse_complement(M, m, tables, leg, mod)[1]
+    return len(leg[0]), complement, len(complement), len(leg[3])
 
 
 def _product_table(orders: Sequence[int]) -> list[list[int]]:
@@ -968,9 +1000,10 @@ def _runs_vanish(M: GModule, m: int, tables: _BarTables, vecs: list[list[int]]) 
     flat cochain phi of ``vecs``, D the standard resolution's differential
     leaving degree m, against every run of :func:`_bar_values` in turn, on
     a leg the caller has priced.  Over Z the cochains are read at once,
-    packed as for :func:`~cohomolab.intlinalg.schur_complement`: a signed
-    slot per cochain, wider than :func:`_bar_weight` times its largest
-    entry, so a packed value is 0 only where every slot is."""
+    packed by Kronecker substitution into one integer per coordinate: a
+    signed slot per cochain, wider than :func:`_bar_weight` times its
+    largest entry, so no slot carries into the next and a packed value is 0
+    only where every slot is."""
     N = M.modulus
     if not N and len(vecs) > 1:
         top = _bar_weight(tables[1], m) * max(abs(x) for vec in vecs for x in vec)
@@ -1027,14 +1060,8 @@ def _morse_complex(
     legs = {m: _morse_leg(M, m, tables, limits, mod) for m in range(max(n - 1, 1), n + 2)}
     if None in legs.values():
         return None
-    size = M.spec.order - 1
-    for k in range(max(n - 1, 0), n + 1):
-        # the coordinates of degree k split into leg k + 1's pivot columns,
-        # the critical ones and leg k's pivot rows, the only ones dropped
-        parts = [legs[k + 1][0], legs[k + 1][3], legs[k][0].values() if k in legs else ()]
-        count = sum(map(len, parts))
-        if count != M.rank * size**k or len(set().union(*parts)) != count:
-            return None
+    if not all(_morse_partition(M.spec.orders, k) for k in range(max(n - 1, 0), n + 1)):
+        return None
     N = mod or 0
     solved, coords = legs[n + 1][2], list(legs[n + 1][3])
     raw, image = _morse_complement(M, n, tables, legs[n], mod) if n else ([], [])
@@ -1042,7 +1069,7 @@ def _morse_complex(
     def kernel() -> Iterator[list[tuple[int, int]]]:
         yield from _morse_complement(M, n + 1, tables, legs[n + 1], mod)[1]
 
-    width = M.rank * size**n
+    width = M.rank * (M.spec.order - 1) ** n
 
     def lift(v: Sequence[int]) -> list[int]:
         # a cell matched downward takes 0, one matched upward -R(j) . v
@@ -1102,15 +1129,17 @@ def _complex_group(
     Both maps are sized from the ranks and every cap is checked before either
     is built, so a route that never touches one never pays for it.
     Invariants-only calls on a lattice or a reduction L/NL read H off the
-    Smith diagonals of the two maps; any other modulus N switches kernels
-    and quotients to congruences.  Every other call runs one quotient on a
-    leg source picked once: the Morse complex of :func:`_morse_complex` for
-    a plain standard-resolution leg (ordinary cohomology), and the listed
-    legs for a monomial or dual leg or where a Morse guard fails.  The
-    image, the cocycles (the saturation of the image where |G| kills H,
-    otherwise the kernel of the outgoing rows, listed only where they
-    double as the row-by-row check) and the quotient are taken the same way
-    on either.
+    Smith diagonals of the maps they need, d_in alone where |G| kills H;
+    each standard-resolution leg among them is read off the Morse complex
+    (:func:`_morse_smith`) and listed only where a guard fails.  Any other
+    modulus N switches kernels and quotients to congruences.  Every other
+    call runs one quotient on a leg source picked once: the Morse complex
+    of :func:`_morse_complex` for a plain standard-resolution leg (ordinary
+    cohomology), and the listed legs for a monomial or dual leg or where a
+    Morse guard fails.  The image, the cocycles (the saturation of the
+    image where |G| kills H, otherwise the kernel of the outgoing rows,
+    listed only where they double as the row-by-row check) and the quotient
+    are taken the same way on either.
     """
     limits = limits or EngineLimits.from_env()
     limits.check_group_order(M.spec.order)
@@ -1170,20 +1199,18 @@ def _complex_group(
 
     if smith:
         # the Smith diagonals of both maps, see the module docstring.  A
-        # standard-resolution leg first takes its Morse pivots, and only the
-        # Schur complement, read run by run, is searched; no row is listed
-        # unless those pivots fail a guard.  Anywhere else, and on such a
-        # fallback, SNF(A) = SNF(A^T), so a map with more rows than columns
-        # goes in as its columns and the search runs over the short side
+        # standard-resolution leg is read off the Morse complex, a 1 per
+        # pivot and its critical complement, and listed only where a guard
+        # fails.  SNF(A) = SNF(A^T), so a map with more rows than columns
+        # goes in as its columns and every search runs over the short side
         def diagonal(k: int, rows: int, cols: int) -> list[int]:
-            if resolution == "bar":
-                diag = _matched_diagonal(M, max(n, k), tables, mod, limits)
-                if diag is not None:
-                    return diag
-            source = leg(k)
+            read = _morse_smith(M, max(n, k), tables, limits, mod) if tables else None
+            units, source, rows, cols = read or (0, leg(k), rows, cols)
             if rows > cols:
-                return smith_diagonal(_image_columns(source), cols, rows, mod=mod)
-            return smith_diagonal(map(dict, source), rows, cols, mod=mod)
+                diag = smith_diagonal(_image_columns(source), cols, rows, mod=mod)
+            else:
+                diag = smith_diagonal(map(dict, source), rows, cols, mod=mod)
+            return [1] * units + diag
 
         diag_in = diagonal(k_in, dim, in_dim) if has_in else []
         diag_out = diagonal(k_out, out_dim, dim) if has_out and not killed else []

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -536,78 +536,6 @@ def solve_pivots(
                 stack.pop()
                 walking.discard(j)
     return solved
-
-
-def schur_complement(
-    rows: Mapping[int, Sequence[tuple[int, int]]],
-    pivots: dict[int, int],
-    width: int,
-    weight: int,
-    values: Callable[[list[int]], Iterable[int]],
-    mod: int | None = None,
-) -> list[dict[int, int]] | None:
-    """The distinct nonzero rows of the Schur complement of unit pivots
-    known in advance, in order of first appearance, of a matrix A with
-    ``width`` columns that is read only through ``values``; or None where
-    the pivots cannot be trusted.
-
-    ``pivots`` and ``rows`` are as for :func:`solve_pivots`, which solves
-    the R's and applies the guards.  Every other row has each entry x in a
-    pivot column j replaced by -x R(j).  Where the guards pass, one
-    unimodular block triangularization clears the pivot block, and Smith(A)
-    is the identity on the pivots plus Smith(S) of the complement S.
-    Dropping the duplicate rows of S keeps its row lattice, and so its
-    Smith form.
-
-    The rows are combined packed, by Kronecker
-    substitution: phi[k] is one integer with a signed slot of w bits per
-    non-pivot column, 1 in k's own slot for a non-pivot column k and
-    -R(j) for a pivot column j, so the value phi . A[r] = sum_k A[r][k]
-    phi[k] of row r is its complement, packed.  ``values(phi)`` yields
-    those values, one per row, in any order; it may leave out the pivot
-    rows, whose values are 0 in every slot (mod N) and decode to nothing.
-    ``weight`` bounds the sum of |A[r][k]| over the terms ``values`` adds
-    for any row (the engine takes it from the blocks a row is made of, not
-    from rows), so no slot exceeds B = weight * (largest |R entry|, at least
-    1) in absolute value; w is the least multiple of 8 with 2^(w-1) > B, so
-    no slot carries into the next and the sum is exact.  Values are
-    deduplicated before any is decoded.  Adding 2^(w-1) to every slot makes
-    each one w/8 unsigned bytes of the sum; with one-byte slots and ``mod``
-    N <= 256 a table reduces them all at once, so rows that agree only mod
-    N merge before they become dicts.
-
-    >>> rows = [[(0, 1), (1, 2)], [(0, 3), (1, 1)]]
-    >>> def values(phi):
-    ...     return [sum(x * phi[k] for k, x in row) for row in rows]
-    >>> schur_complement(dict(enumerate(rows)), {0: 0}, 2, 4, values)
-    [{1: -5}]
-    >>> schur_complement(dict(enumerate(rows)), {0: 0}, 2, 4, values, mod=4)
-    [{1: 3}]
-    >>> schur_complement({0: [(0, 2), (1, 2)]}, {0: 0}, 2, 4, values) is None
-    True
-    """
-    solved = solve_pivots(rows, pivots, mod)
-    if solved is None:
-        return None
-    N = mod or 0
-    columns = [k for k in range(width) if k not in pivots]
-    bound = weight * max((abs(y) for R in solved.values() for y in R.values()), default=1)
-    nb = (bound.bit_length() + 8) // 8  # bytes per slot
-    slot = {k: 1 << 8 * nb * s for s, k in enumerate(columns)}
-    phi = [
-        slot[k] if k in slot else -sum(y * slot[q] for q, y in solved[k].items())
-        for k in range(width)
-    ]
-    half = 1 << 8 * nb - 1  # added to every slot, each reads as nb unsigned bytes
-    offset = half * sum(slot.values())
-    size = nb * len(columns)
-    table = bytes((t - half) % N for t in range(256)) if 0 < N <= 256 and nb == 1 else None
-    distinct: dict[bytes | tuple[int, ...], None] = {}
-    for v in dict.fromkeys(values(phi)):
-        b = (v + offset).to_bytes(size, "little")
-        ys = (int.from_bytes(b[i : i + nb], "little") - half for i in range(0, size, nb))
-        distinct[b.translate(table) if table else tuple(y % N if N else y for y in ys)] = None
-    return [row for key in distinct if (row := {k: y for k, y in zip(columns, key) if y})]
 
 
 def _invariant_chain(diag: Iterable[int], N: int = 0) -> list[int]:

@@ -18,14 +18,16 @@ The pair-table identity of a factor set is checked triple by triple, one
 module vector at a time, where the library reads one vector over the third
 element per pair and module coordinate.
 
-The Schur complement of unit pivots known in advance reduces each row as a
-dict, entry by entry, where the library combines the rows as packed
-integers.
+The Schur complement of unit pivots known in advance reduces every row the
+pivots leave as a dict, entry by entry, where the library reads a
+standard-resolution leg's Smith diagonal off the critical rows and columns
+of its Morse complex alone.
 
 The faces of a monomial leg are listed from the monomial bases on every
-call, and the Morse pivots of a standard-resolution leg by walking
-:func:`~cohomolab.engine._morse_partner` over every cell, where the library
-reads both from tables built once per shape and degree.
+call, and the Morse matching of a standard-resolution leg, with its pivots,
+by walking :func:`~cohomolab.engine._morse_partner` over every cell, where
+the library reads both from tables built once per shape and degree, each
+Morse table grown from the one below it.
 """
 
 from __future__ import annotations
@@ -537,24 +539,34 @@ def minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
     return sources, len(index)
 
 
+def morse_splits(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The Morse matching's pairs across the standard-resolution leg
+    leaving degree m >= 1, walking :func:`~cohomolab.engine._morse_partner`
+    over every cell of degree m - 1: for each cell split upward, in bar
+    basis order, its index and the element indices of its up cell."""
+    elements = GroupSpec(orders).nonidentity_elements()
+    index = {g: e for e, g in enumerate(elements)}
+    splits = []
+    for c, cell in enumerate(itertools.product(elements, repeat=m - 1)):
+        up = _morse_partner(orders, cell)
+        if up is not None and len(up) == m:
+            splits.append((c, tuple(index[g] for g in up)))
+    return tuple(splits)
+
+
 def bar_pivots(
     M: GModule, m: int, tables: _BarTables
 ) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
     """The Morse pivots of the standard-resolution leg leaving degree m >= 1
     in the plain shape, as {column: row}, and the pivot rows by row index,
-    walking :func:`~cohomolab.engine._morse_partner` over every cell of
-    degree m - 1: each cell split into a cell h one degree up is a pivot
-    column, coordinate by coordinate, in the rows of h."""
+    from the walk of :func:`morse_splits`: each cell split into a cell h
+    one degree up is a pivot column, coordinate by coordinate, in the rows
+    of h."""
     d = M.rank
-    elements = M.spec.nonidentity_elements()
-    index = {g: e for e, g in enumerate(elements)}
     pivots: dict[int, int] = {}
     rows: dict[int, list[tuple[int, int]]] = {}
-    for c, cell in enumerate(itertools.product(elements, repeat=m - 1)):
-        up = _morse_partner(M.spec.orders, cell)
-        if up is None or len(up) < m:
-            continue
-        h, cell_rows = _cell_rows(M, m, tables, [index[g] for g in up])
+    for c, up in morse_splits(M.spec.orders, m):
+        h, cell_rows = _cell_rows(M, m, tables, up)
         for t, row in enumerate(cell_rows):
             pivots[c * d + t] = h * d + t
             rows[h * d + t] = row

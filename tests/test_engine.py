@@ -12,16 +12,16 @@ import itertools
 import random
 from math import comb
 from typing import Iterator
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import bar_pivots as reference_bar_pivots
 from _reference import cocycle_identity_holds as reference_identity_holds
 from _reference import column_hnf, hom_constraint_rows, invariants_structure, sigma
 from _reference import minimal_faces as reference_minimal_faces
+from _reference import morse_splits as reference_morse_splits
 from _reference import schur_complement as reference_complement
 from cohomolab import engine, group_ring, resolutions, verify
 from cohomolab.closed_forms import generator_family
@@ -323,10 +323,11 @@ def test_each_differential_is_built_at_most_once(
     monkeypatch, compute, resolution, text, reps, route
 ):
     # legs are recorded by the resolution and the degree they leave: the
-    # Hom rows of either resolution, or "runs" where a standard-resolution
-    # leg is read run by run; a call builds each of its one or two maps
-    # once, the cokernel-torsion route over Z only the incoming one wherever
-    # both exist, and no call builds a minimal_diff or bar_diff RingMatrix
+    # Hom rows of either resolution, "morse" where a Smith diagonal reads a
+    # standard-resolution leg off the Morse complex, or "runs" where one is
+    # read run by run; a call builds each of its one or two maps once, the
+    # cokernel-torsion route over Z only the incoming one wherever both
+    # exist, and no call builds a minimal_diff or bar_diff RingMatrix
     built, reference = [], []
     real_rows = engine._leg_rows
     monkeypatch.setattr(
@@ -334,9 +335,15 @@ def test_each_differential_is_built_at_most_once(
         "_leg_rows",
         lambda M, res, m, *rest: built.append((res, m)) or real_rows(M, res, m, *rest),
     )
-    # the representatives check reads a plain standard-resolution leg run
-    # by run, and so does every Smith diagonal of one, plain or dual; they
-    # build none of its rows
+    # every Smith diagonal of a standard-resolution leg, plain or dual,
+    # reads it off the Morse complex, and the representatives check reads a
+    # plain one run by run; neither lists its rows
+    real_smith = engine._morse_smith
+    monkeypatch.setattr(
+        engine,
+        "_morse_smith",
+        lambda M, m, *rest: built.append(("morse", m)) or real_smith(M, m, *rest),
+    )
     real_values = engine._bar_values
     monkeypatch.setattr(
         engine,
@@ -365,18 +372,18 @@ def test_each_differential_is_built_at_most_once(
         if route == "cokernel-torsion" and (tate or n > 0):
             # Tate degree 0's incoming leg is the norm, which leaves degree 0
             incoming = n + 1 if compute is homology else n
-            leg = "runs" if resolution == "bar" else resolution or "minimal"
+            leg = "morse" if resolution == "bar" else resolution or "minimal"
             assert built == [(leg, incoming)], (n, built)
-        runs = [m for res, m in built if res == "runs"]
         if reps and resolution == "bar" and compute is ordinary_cohomology and r.representatives:
             # on the Morse complex: the outgoing leg read run by run for the
             # check, and no leg listed
             assert built == [("runs", n + 1)], (n, built)
         elif not reps and resolution == "bar":
-            # each Smith diagonal's leg read run by run, once, and no row listed
-            assert runs and all(res == "runs" for res, _ in built), (n, built)
+            # each Smith diagonal's leg read off the Morse complex, once, and
+            # no row listed or run read
+            assert built and all(res == "morse" for res, _ in built), (n, built)
         else:
-            assert runs == [], (n, built)
+            assert not any(res in ("morse", "runs") for res, _ in built), (n, built)
 
 
 def test_factor_sets_and_the_resolution_checks_build_no_ring_matrix(monkeypatch):
@@ -411,13 +418,13 @@ def test_bar_degree_window_binds_on_every_route(compute, text, reps):
 def test_bar_cell_cap_binds_on_a_rank_zero_module(compute, n):
     # the engine's own caps read dim = 0 and pass; the leg's reader still
     # refuses the (|G| - 1)^m tuple walk before it reads anything: the
-    # matched diagonal without representatives, and with them the Morse
-    # legs (ordinary cohomology) or the listed rows (homology)
+    # Smith diagonal's Morse read without representatives, and with them
+    # the Morse legs (ordinary cohomology) or the listed rows (homology)
     M = parse_module("trivial:0", GroupSpec.of(36))
     msg = "standard-resolution differential needs a 1225 x 42875 matrix"
     with_reps = "_morse_leg" if compute is ordinary_cohomology else "_leg_rows"
     engine._morse_splits.cache_clear()
-    for reps, reader in ((False, "_matched_diagonal"), (True, with_reps)):
+    for reps, reader in ((False, "_morse_smith"), (True, with_reps)):
         with pytest.raises(ResourceCapExceeded, match=msg) as err:
             compute(M, n, resolution="bar", want_representatives=reps)
         assert reader in {entry.name for entry in err.traceback}
@@ -437,9 +444,11 @@ def _was_tabled(orders, m) -> bool:
 
 def test_skeleton_tables_stay_under_their_bound():
     # the monomial keys (s, m) and bar keys (orders, m) that the resolution
-    # and oracle suites read fit in the tables without eviction; the
-    # oracle's capped (2,2,4) leg leaving degree 4 is not tabled, its
-    # degree-3 one is
+    # and oracle suites read fit in the tables without eviction.  A bar
+    # table of (orders, m) holds a pair per cell of degree m - 1, which the
+    # reader prices as the columns of a leg first: the oracle's (2,2,4) H^3
+    # reads leg 3, whose partition guard of degree 3 tables m = 4, and its
+    # capped leg leaving degree 4 tables nothing above that
     tables = (engine._monomial_skeleton, engine._morse_splits)
     for table in tables:
         table.cache_clear()
@@ -447,7 +456,7 @@ def test_skeleton_tables_stay_under_their_bound():
     for table in tables:
         info = table.cache_info()
         assert 0 < info.currsize < info.maxsize == engine._SKELETON_TABLES, info
-    assert _was_tabled((2, 2, 4), 3) and not _was_tabled((2, 2, 4), 4)
+    assert _was_tabled((2, 2, 4), 4) and not _was_tabled((2, 2, 4), 5)
 
 
 def test_hom_complex_map_checks_every_cap(monkeypatch):
@@ -681,6 +690,24 @@ def test_bar_pivots_equal_the_morse_partner_walk(row_modules, orders, data, m, d
     assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
 
 
+_SPLIT_GROUPS = [orders for orders in _ROW_GROUPS if GroupSpec(orders).order <= 16]
+_SPLIT_GROUPS += [(4, 4), (2, 8), (16,), (3, 5)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(_SPLIT_GROUPS), st.integers(1, 4))
+@example((2, 2, 4), 4)
+@example((2, 4), 5)
+def test_prefix_built_splits_equal_the_partner_walk(orders, m):
+    # each table grown from the one below it, from a cold cache, against
+    # the walk of _morse_partner over every cell of degree m - 1, pair for
+    # pair and in order; and every degree up to m - 1 passes the partition
+    # guard on the grown tables
+    engine._morse_splits.cache_clear()
+    assert engine._morse_splits(orders, m) == reference_morse_splits(orders, m)
+    assert all(engine._morse_partition(orders, k) for k in range(m))
+
+
 def _plain_shape(M, m, rows, dual):
     """The listed ``rows`` of the standard-resolution leg leaving degree m,
     transposed when ``dual``: the plain leg's shape."""
@@ -725,59 +752,62 @@ def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m, dua
         assert ([x % N for x in out] if N else out) == want, (text, m, dual)
 
 
-def _check_run_by_run_complement(M, m, dual, mod):
-    """The complement :func:`engine._matched_diagonal` reads off the runs
-    against the reference's row-by-row complement of the listed leg,
-    transposed when dual, on the same pivots, as sets of rows: for d > 1
-    the order can differ, since runs give (run, t, x) and rows (run, x, t).
-    The built pivot rows are the listed ones, and the diagonal is the
-    searched one of the listed rows.  Returns the pivots."""
+def _check_morse_diagonal(M, m, dual, mod):
+    """The Smith diagonal :func:`engine._morse_smith` reads off the Morse
+    complex, a 1 per pivot plus the searched diagonal of the critical
+    complement, against the searched diagonal of the listed leg, and
+    against a 1 per pivot plus the searched diagonal of the reference's
+    complement of every row the pivots leave.  The built pivot rows are the
+    listed ones, and the complement has a row per critical coordinate of
+    degree m and columns in the critical coordinates of degree m - 1.
+    Returns the pivots."""
     rows = list(engine._leg_rows(M, "bar", m, dual))
     plain = _plain_shape(M, m, rows, dual)
     tables = engine._bar_tables(M, dual)
     pivots, built = engine._bar_pivots(M, m, tables)
     assert {r: dict(row) for r, row in built.items()} == {r: dict(plain[r]) for r in built}
-    got = []
-    real = engine.schur_complement
-    with mock.patch.object(engine, "schur_complement", lambda *a: got.append(real(*a)) or got[-1]):
-        diag = engine._matched_diagonal(M, m, tables, mod, None)
-    want = reference_complement(plain, pivots, mod)
-    assert want is not None and got[0] is not None
-    assert len(got[0]) == len(want)
-    assert {frozenset(r.items()) for r in got[0]} == {frozenset(r.items()) for r in want}
+    read = engine._morse_smith(M, m, tables, None, mod)
+    assert read is not None
+    units, complement, height, width = read
+    s = M.spec.ngens
+    assert units == len(pivots)
+    assert (height, width) == (M.rank * comb(m + s - 1, m), M.rank * comb(m + s - 2, m - 1))
+    assert len(complement) == height and all(k < width for row in complement for k, _ in row)
+    got = [1] * units + smith_diagonal(map(dict, complement), height, width, mod=mod)
     cols = M.rank * (M.spec.order - 1) ** (m if dual else m - 1)
-    assert diag == smith_diagonal(map(dict, rows), len(rows), cols, mod=mod)
+    assert got == smith_diagonal(map(dict, rows), len(rows), cols, mod=mod)
+    whole = reference_complement(plain, pivots, mod)
+    assert got == [1] * len(pivots) + smith_diagonal(whole, len(whole), cols, mod=mod)
     return pivots
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(1, 3), st.booleans())
 def test_matched_diagonal_equals_the_searched_one(row_modules, orders, data, m, dual):
-    # the Morse pivots of a standard-resolution leg pass every guard, the
-    # complement read off the runs is the listed leg's, and a 1 per pivot
-    # plus its searched diagonal is the searched diagonal of the listed
-    # rows: over Z and mod N in {2, 4, 6} for a lattice, mod its own N for a
-    # finite module
+    # the Morse pivots of a standard-resolution leg pass every guard, and a
+    # 1 per pivot plus the searched diagonal of the critical complement is
+    # the searched diagonal of the listed rows: over Z and mod N in
+    # {2, 4, 6} for a lattice, mod its own N for a finite module
     G = GroupSpec(orders)
     text = data.draw(st.sampled_from(row_modules[orders]))
     M = parse_module(text, G)
     mods = [M.modulus] if M.modulus else [None, data.draw(st.sampled_from((2, 4, 6)))]
     for mod in mods:
-        _check_run_by_run_complement(M, m, dual, mod)
+        _check_morse_diagonal(M, m, dual, mod)
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
 @pytest.mark.parametrize("orders, m", [((2,), 3), ((2, 2), 1)])
-def test_run_by_run_complement_of_a_leg_without_pivots(orders, m, dual):
+def test_morse_read_of_a_leg_without_pivots(orders, m, dual):
     # C2 has no pivot in any degree, and no leg leaving degree 1 has one
     M = parse_module("cyclo:2:1:1" if orders == (2,) else "trivial", GroupSpec(orders))
     for mod in (None, 4):
-        assert _check_run_by_run_complement(M, m, dual, mod) == {}
+        assert _check_morse_diagonal(M, m, dual, mod) == {}
 
 
 @pytest.mark.parametrize("compute", [ordinary_cohomology, homology, tate_cohomology])
 def test_rank_zero_module_reads_no_value(compute):
-    # a module with no coordinates: no pivot, slot or value, every group 0
+    # a module with no coordinates: no pivot, row or value, every group 0
     M = parse_module("trivial:0", G22)
     kw = {} if compute is tate_cohomology else {"resolution": "bar"}
     for n in range(3):
@@ -785,38 +815,43 @@ def test_rank_zero_module_reads_no_value(compute):
             r = compute(M, n, want_representatives=reps, **kw)
             assert r.invariants == AbelianInvariants(0, ()), (n, reps)
     for m, dual, mod in itertools.product((1, 2, 3), (False, True), (None, 4)):
-        assert engine._matched_diagonal(M, m, engine._bar_tables(M, dual), mod, None) == []
+        read = engine._morse_smith(M, m, engine._bar_tables(M, dual), None, mod)
+        assert read == (0, [], 0, 0)
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
 @pytest.mark.parametrize("m", [2, 3])
 def test_schur_complement_runs_over_the_short_side(monkeypatch, row_modules, m, dual):
-    # a dual leg is as wide as the plain one is tall, so it is read
-    # transposed: every complement is taken of a map with at least as many
-    # rows (the values the runs yield) as columns
+    # the critical complement of a leg leaving degree m has d C(m+s-1, s-1)
+    # rows and d C(m+s-2, s-1) columns, never more columns than rows, so
+    # the Smith branch searches it as its columns: no search is fed more
+    # vectors than the length of each.  Invariants only, every group and
+    # row module that lifts to a lattice, in a degree that reads leg m:
+    # H^m over a lattice, H^(m-1) over a reduction (plain legs), H_(m-1)
+    # (dual legs)
     shapes = []
-    real = engine.schur_complement
+    real = engine.smith_diagonal
 
-    def recorded(rows, pivots, width, weight, values, mod=None):
-        count = []
+    def recorded(rows, m, n, mod=None):
+        rows = list(rows)
+        shapes.append((len(rows), n))
+        return real(rows, m, n, mod=mod)
 
-        def counted(phi):
-            for v in values(phi):
-                count.append(v)
-                yield v
-
-        out = real(rows, pivots, width, weight, counted, mod)
-        shapes.append((len(count), width))
-        return out
-
-    monkeypatch.setattr(engine, "schur_complement", recorded)
+    monkeypatch.setattr(engine, "smith_diagonal", recorded)
+    compute = homology if dual else ordinary_cohomology
     for orders in _BAR_ROW_GROUPS:
         G = GroupSpec(orders)
         for text in row_modules[orders]:
             M = parse_module(text, G)
+            if M.modulus and not M.lifts_to_lattice:
+                continue
             tables = engine._bar_tables(M, dual)
-            assert engine._matched_diagonal(M, m, tables, M.modulus or None, None) is not None
-    assert shapes and all(r >= c for r, c in shapes), shapes
+            read = engine._morse_smith(M, m, tables, None, M.modulus or None)
+            _, complement, height, width = read
+            assert height >= width and len(complement) == height, (orders, text)
+            n = m - 1 if dual or M.modulus else m
+            compute(M, n, resolution="bar", want_representatives=False)
+    assert shapes and all(fed <= length for fed, length in shapes), shapes
 
 
 @pytest.mark.parametrize("orders", verify._GROUPS, ids=str)
@@ -851,7 +886,7 @@ _UNTRUSTED_PIVOTS = {
 @pytest.mark.parametrize(
     "text", ["trivial", "reduce:4(trivial)", "tensor(reduce:4(trivial),trivial)"]
 )
-@pytest.mark.parametrize("guard", sorted(_UNTRUSTED_PIVOTS))
+@pytest.mark.parametrize("guard", sorted(_UNTRUSTED_PIVOTS) + ["partition"])
 def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
     # where the pivots fail a guard the leg's diagonal is searched over its
     # transpose, as without pivots, and the answer is the same.  With
@@ -860,25 +895,43 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
     # H's image, whose leg has 3, 9 or 27 rows; so does invariants-only
     # congruence, the finite module that does not lift to a lattice, which
     # then lists legs n and n + 1 as before.  Homology H_1 and H_2 list
-    # dual leg 2, except invariants-only H_2 over Z, which reads leg 3 alone
+    # dual leg 2, except invariants-only H_2 over Z, which reads leg 3 alone.
+    # With "partition" the pivots are trusted, but the critical cells of
+    # degree 2 take in a cell matched downward, so the partition guard of
+    # degree 2 fails: each invariants-only call lists the legs it reads
+    # that meet degree 2, legs 2 and 3, and reads leg 1 off the Morse
+    # complex, unless the module takes the congruence route
     M = parse_module(text, G22)
-    cases = [(ordinary_cohomology, 2, False)]
-    cases += [(ordinary_cohomology, n, True) for n in (1, 2, 3)]
-    cases += [(homology, n, reps) for n in (1, 2) for reps in (False, True)]
-    if M.modulus and not M.lifts_to_lattice:
-        cases += [(ordinary_cohomology, n, False) for n in (1, 3)]
+    if guard == "partition":
+        cases = [(ordinary_cohomology, 2, False)] + [(homology, n, False) for n in (1, 2)]
+    else:
+        cases = [(ordinary_cohomology, 2, False)]
+        cases += [(ordinary_cohomology, n, True) for n in (1, 2, 3)]
+        cases += [(homology, n, reps) for n in (1, 2) for reps in (False, True)]
+        if M.modulus and not M.lifts_to_lattice:
+            cases += [(ordinary_cohomology, n, False) for n in (1, 3)]
+    # the tables these cases read are built here, from the true cells
     want = {
         (compute, n, reps): compute(M, n, resolution="bar", want_representatives=reps)
         for compute, n, reps in cases
     }
-    pivots, rows = _UNTRUSTED_PIVOTS[guard], list(engine._leg_rows(M, "bar", 2))
-    untrusted = pivots, {r: rows[r] for r in pivots.values()}
-    real = engine._bar_pivots
-    monkeypatch.setattr(
-        engine,
-        "_bar_pivots",
-        lambda M, m, tables: untrusted if m == 2 else real(M, m, tables),
-    )
+    if guard == "partition":
+        real_cells = engine._critical_cells
+
+        def shifted(orders, k):
+            cells = real_cells(orders, k)
+            return [list(engine._morse_splits(orders, 2)[0][1])] + cells[1:] if k == 2 else cells
+
+        monkeypatch.setattr(engine, "_critical_cells", shifted)
+    else:
+        pivots, rows = _UNTRUSTED_PIVOTS[guard], list(engine._leg_rows(M, "bar", 2))
+        untrusted = pivots, {r: rows[r] for r in pivots.values()}
+        real = engine._bar_pivots
+        monkeypatch.setattr(
+            engine,
+            "_bar_pivots",
+            lambda M, m, tables: untrusted if m == 2 else real(M, m, tables),
+        )
     searched = []
     real_columns = engine._image_columns
 
@@ -903,8 +956,15 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
         got = compute(M, n, resolution="bar", want_representatives=reps)
         case = (compute.__name__, n, reps)
         assert got.route == w.route and got.invariants == w.invariants, case
-        if compute is ordinary_cohomology:
-            assert searched == [9 if n == 2 else 3**n], case
+        if guard == "partition":
+            legs = {m for m, _ in listed}
+            assert legs & {2, 3} and (got.route == "congruence" or legs <= {2, 3}), case
+        elif compute is ordinary_cohomology:
+            # a universal-coefficients call reads leg 3 off the Morse
+            # complex, and searches its critical complement of 4 rows
+            assert searched == [9 if n == 2 else 3**n] + [4] * (
+                got.route == "universal-coefficients"
+            ), case
             if got.route == "congruence" and not reps:
                 assert listed == [(n, False), (n + 1, False)], case
         else:
@@ -915,11 +975,19 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
 
 def test_trusted_pivots_never_search_a_transpose(monkeypatch):
     # every Smith diagonal of a standard-resolution leg takes its pivots and
-    # reads the leg run by run, listing none of its rows; the oracle cells
-    # of the benchmark's largest group, both routes, plain and dual legs
-    monkeypatch.setattr(
-        engine, "_image_columns", lambda rows: pytest.fail("searched a transpose")
-    )
+    # reads the leg off the Morse complex, listing none of its rows: the
+    # only transposes searched are critical complements, of at most 10 rows
+    # where the leg has 225 or 3375; the oracle cells of the benchmark's
+    # largest group, both routes, plain and dual legs
+    searched = []
+    real_columns = engine._image_columns
+
+    def recorded(rows):
+        rows = list(rows)
+        searched.append(len(rows))
+        return real_columns(rows)
+
+    monkeypatch.setattr(engine, "_image_columns", recorded)
     monkeypatch.setattr(engine, "_leg_rows", lambda *a, **k: pytest.fail("listed a leg"))
     G = GroupSpec.of(2, 2, 4)
     for text, n in (("trivial", 3), ("reduce:4(trivial)", 2)):
@@ -927,6 +995,59 @@ def test_trusted_pivots_never_search_a_transpose(monkeypatch):
         for compute, k in ((ordinary_cohomology, n), (homology, 2)):
             r = compute(M, k, resolution="bar")
             assert r.route in ("cokernel-torsion", "universal-coefficients")
+    assert searched and max(searched) <= 10, searched
+
+
+@pytest.mark.parametrize("text", ["trivial", "trivial:2"])
+def test_a_killed_smith_cell_reads_its_incoming_leg_alone(monkeypatch, text):
+    # over Z with both maps |G| kills H, so a Smith cell reads d_in alone,
+    # leg n for H^n and leg n + 1 for H_n: every row it builds, pivot or
+    # critical, is one of that leg's (_cell_rows and _morse_leg never meet
+    # another degree, leg n + 1 of H^n in particular), and no run is read
+    degrees = []
+    real_rows, real_leg = engine._cell_rows, engine._morse_leg
+    monkeypatch.setattr(
+        engine, "_cell_rows", lambda M, m, *rest: degrees.append(m) or real_rows(M, m, *rest)
+    )
+    monkeypatch.setattr(
+        engine, "_morse_leg", lambda M, m, *rest: degrees.append(m) or real_leg(M, m, *rest)
+    )
+    monkeypatch.setattr(engine, "_bar_values", lambda *a, **k: pytest.fail("read a run"))
+    cases = [(ordinary_cohomology, n, n) for n in (1, 2, 3)]
+    cases += [(homology, n, n + 1) for n in (1, 2)]
+    for orders in ((2, 2), (2, 4), (3, 3)):
+        M = parse_module(text, GroupSpec(orders))
+        for compute, n, leg in cases:
+            degrees.clear()
+            r = compute(M, n, resolution="bar", want_representatives=False)
+            assert r.route == "cokernel-torsion", (orders, n)
+            assert degrees and set(degrees) == {leg}, (orders, compute.__name__, n, degrees)
+            assert r.invariants == compute(M, n, want_representatives=False).invariants
+
+
+def test_smith_route_fits_the_default_caps(monkeypatch):
+    # under the default caps the (2,2,4) legs leaving degree 3 take the
+    # Smith route, trivial H^3 and H_2 alike, and agree with the monomial
+    # resolution; a reduction's H^3 still prices its outgoing map dense and
+    # is refused before any leg is read or table filled (the oracle keeps
+    # reporting it CAPPED); and a lower cell cap refuses the image of H^3
+    # itself
+    G = GroupSpec.of(2, 2, 4)
+    Z = trivial_module(G)
+    for compute, n in ((ordinary_cohomology, 3), (homology, 2)):
+        r = compute(Z, n, resolution="bar", want_representatives=False)
+        assert r.route == "cokernel-torsion"
+        assert r.invariants == compute(Z, n, want_representatives=False).invariants
+    assert ordinary_cohomology(Z, 3, resolution="bar").invariant_factors() == [2, 2, 2]
+    engine._morse_splits.cache_clear()
+    with pytest.raises(
+        ResourceCapExceeded, match="universal-coefficients outgoing map needs a 50625 x 3375"
+    ):
+        ordinary_cohomology(parse_module("reduce:4(trivial)", G), 3, resolution="bar")
+    assert not any(_was_tabled((2, 2, 4), m) for m in range(1, 5))
+    monkeypatch.setenv("COHOMOLAB_MAX_CELLS", "100000")
+    with pytest.raises(ResourceCapExceeded, match="cokernel-torsion image needs a 3375 x 225"):
+        ordinary_cohomology(Z, 3, resolution="bar", want_representatives=False)
 
 
 # finite modules that do not lift to a lattice, with the degrees they are

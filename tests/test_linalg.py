@@ -728,28 +728,16 @@ def _unit_pivoted(draw):
     return dense, dict(zip(pcols, prows)), n
 
 
-def _complement(rows, pivots, mod=None):
-    """il.schur_complement of listed rows: the packed value of each row the
-    pivots leave, summed entry by entry, weighed by the sum of its |entries|."""
-    width = 1 + max([k for row in rows for k, _ in row] + list(pivots), default=-1)
-    claimed = set(pivots.values())
-    rest = [row for r, row in enumerate(rows) if r not in claimed]
-    weight = max((sum(abs(x) for _, x in row) for row in rest), default=0)
-
-    def values(phi):
-        return (sum(x * phi[k] for k, x in row) for row in rest)
-
-    return il.schur_complement(dict(enumerate(rows)), pivots, width, weight, values, mod)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_unit_pivoted(), st.sampled_from((None, 2, 4, 6)))
 def test_schur_complement_keeps_the_smith_diagonal(drawn, mod):
     # Smith(A) is a 1 per pivot plus Smith of the complement, whose columns
-    # avoid the pivot columns and whose rows are distinct
+    # avoid the pivot columns and whose rows are distinct: the reference
+    # complement that the engine's Morse read of a standard-resolution leg
+    # is checked against (test_engine)
     dense, pivots, n = drawn
     rows = [[(j, x) for j, x in enumerate(r) if x] for r in dense]
-    complement = _complement(rows, pivots, mod)
+    complement = _reference.schur_complement(rows, pivots, mod)
     assert complement is not None
     assert not any(j in pivots for r in complement for j in r)
     assert len({tuple(sorted(r.items())) for r in complement}) == len(complement)
@@ -770,64 +758,21 @@ def test_schur_complement_keeps_the_smith_diagonal(drawn, mod):
 )
 def test_schur_complement_refuses_pivots_it_cannot_trust(pivots, mod):
     rows = [[(0, 2), (1, 1)], [(1, 1), (2, -1), (0, 1)], [(2, 1), (1, -1), (3, 1)]]
-    assert _complement(rows, pivots, mod) is None
+    assert _reference.schur_complement(rows, pivots, mod) is None
     # a pivot it can trust: R(1) = {0: 1, 2: -1}
-    assert _complement(rows, {1: 1}, mod) == [{0: 1, 2: 1}, {0: 1, 3: 1}]
+    want = [{0: 1, 2: 1}, {0: 1, 3: 1}]
+    assert _reference.schur_complement(rows, {1: 1}, mod) == want
 
 
 def test_schur_complement_drops_duplicate_and_zero_rows():
     # R(0) = {1: 1}; the last row is the pivot row's copy, and reduces to 0
     rows = [[(0, 1), (1, 1)], [(1, 2)], [(0, 2), (1, 4)], [(1, 2)], [(0, 3), (1, 1)], [(1, 1), (0, 1)]]
-    assert _complement(rows, {0: 0}) == [{1: 2}, {1: -2}]
-    assert _complement(rows, {0: 0}, mod=4) == [{1: 2}]
-    assert _complement(rows[1:2] * 3, {}) == [{1: 2}]
+    assert _reference.schur_complement(rows, {0: 0}) == [{1: 2}, {1: -2}]
+    assert _reference.schur_complement(rows, {0: 0}, mod=4) == [{1: 2}]
+    assert _reference.schur_complement(rows[1:2] * 3, {}) == [{1: 2}]
 
 
 _WIDE_MODS = (None, 2, 4, 6, 2**61 - 1)
-
-
-@st.composite
-def _wide_unit_pivoted(draw):
-    # _unit_pivoted with entries up to 2^80, unreduced under the modulus and
-    # of either sign, pairs in any order and some entries split in two
-    mod = draw(st.sampled_from(_WIDE_MODS))
-    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
-    k = draw(st.integers(0, min(m, n)))
-    prows = draw(st.permutations(range(m)))[:k]
-    pcols = draw(st.permutations(range(n)))[:k]
-    wide = draw(st.booleans())  # else one-byte slots
-    entry = st.integers(-(2**80), 2**80) if wide else st.integers(-9, 9)
-    entry |= st.sampled_from((0, 0, 0, 1, -1))
-    dense = [[draw(entry) for _ in range(n)] for _ in range(m)]
-    for i, (r, c) in enumerate(zip(prows, pcols)):
-        for earlier in pcols[:i]:
-            dense[r][earlier] = 0
-        units = [u for u in range(1, min(mod or 2, 64)) if gcd(u, mod or 0) == 1]
-        unit = draw(st.sampled_from(units))
-        lift = draw(st.integers(-(2**70), 2**70)) if mod else 0
-        dense[r][c] = draw(st.sampled_from((1, -1))) * unit + lift * (mod or 0)
-    rows = []
-    for r in dense:
-        row = []
-        for j, x in enumerate(r):
-            if x and j not in pcols and draw(st.booleans()):
-                part = draw(entry)
-                row += [(j, part), (j, x - part)]
-            elif x:
-                row.append((j, x))
-        rows.append(draw(st.permutations(row)))
-    return rows, dict(zip(pcols, prows)), mod
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_wide_unit_pivoted())
-def test_packed_schur_complement_equals_the_row_by_row_one(drawn):
-    # the packed combination against the reference's dict reduction of each
-    # row, list for list and in the same order
-    rows, pivots, mod = drawn
-    want = _reference.schur_complement(rows, pivots, mod)
-    assert want is not None
-    assert _complement(rows, pivots, mod) == want
 
 
 @pytest.mark.parametrize("mod", _WIDE_MODS)
@@ -846,7 +791,21 @@ def test_packed_schur_complement_equals_the_row_by_row_one(drawn):
     ],
 )
 def test_packed_schur_complement_edge_cases(rows, pivots, mod):
-    assert _complement(rows, pivots, mod) == _reference.schur_complement(rows, pivots, mod)
+    # the degenerate shapes and the byte and 2^63 slot bounds of a complement
+    # once packed in Kronecker slots: on each, the reference complement that
+    # the engine's Morse read is checked against avoids the pivot columns,
+    # holds distinct rows, and keeps the Smith diagonal with a 1 per pivot
+    width = 1 + max([k for row in rows for k, _ in row] + list(pivots), default=-1)
+    dense = [[0] * width for _ in rows]
+    for r, row in enumerate(rows):
+        for k, x in row:
+            dense[r][k] += x
+    complement = _reference.schur_complement(rows, pivots, mod)
+    assert complement is not None
+    assert not any(j in pivots for r in complement for j in r)
+    assert len({tuple(sorted(r.items())) for r in complement}) == len(complement)
+    got = [1] * len(pivots) + il.smith_diagonal(complement, len(complement), width, mod)
+    assert got == il.smith_diagonal(dense, len(dense), width, mod)
 
 
 def test_sparse_elimination_allocates_only_the_columns_it_meets():
