@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import Callable, Sequence
 
 from cohomolab.engine import Cochain
@@ -102,7 +102,7 @@ def multiplicity_display(n: int, s: int) -> int:
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
 
 

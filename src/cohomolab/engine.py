@@ -101,20 +101,20 @@ built per module before anything else is read (:func:`_bar_pivots`).  The
 Morse complex is chain-homotopy equivalent to the standard resolution, and
 its contractible part is exactly the matched pairs, so a leg's Smith
 diagonal is a 1 per pivot plus the Smith diagonal of its critical
-complement (:func:`_morse_smith`): the Schur complement of the pivots at
-the critical rows and columns, d C(m+s-1, s-1) x d C(m+s-2, s-1) for the
+complement (:func:`_morse_complement`): the Schur complement of the pivots
+at the critical rows and columns, d C(m+s-1, s-1) x d C(m+s-2, s-1) for the
 leg leaving degree m, searched over its short side.  For the (2,2,4) leg
 leaving degree 3 that is 10 d x 6 d, where the leg has 3375 d rows.  A dual
 leg is read transposed, in the plain shape with transposed antipode blocks
 and on the plain leg's pivot positions, SNF(A) = SNF(A^T).  The arithmetic
 stays the bar matrices' own, so the oracle still shares nothing with the
-monomial resolution, and exactness never rests on the matching.  Two
-guards stand behind every read: the pivots must be units, each row may
-hold one and no substitution may cycle (:func:`_morse_leg`), and the cells
-of degrees m - 1 and m must split into those matched upward, the critical
-ones and those matched downward, each once (:func:`_morse_partition`, read
-from the tables alone).  Where either fails the leg is listed and searched
-as a whole.
+monomial resolution, and exactness never rests on the matching.  Every
+read of a leg goes through :func:`_morse_leg`, which holds two guards: the
+cells of each degree up to m must split into those matched upward, the
+critical ones and those matched downward, each once, checked as each
+table is built (:func:`_morse_splits`); and the pivots must be units, each
+row may hold one and no substitution may cycle.  Where either fails the
+leg is listed and searched as a whole.
 
 The kernel and congruence routes read ordinary cohomology on the standard
 resolution off the Morse complex too, with or without representatives:
@@ -130,9 +130,9 @@ of leg n + 1's complement at its critical rows and columns; the image is
 spanned by leg n's, once leg n - 1's pivots move every cochain of degree
 n - 1 off its own cells matched downward.  These complements are the
 monomial legs up to one sign per cell.  Exactness rests on the guards of
-legs n - 1, n and n + 1, and on the pivot columns, the critical cells and
-the pivot rows below splitting each degree they meet; where a guard fails
-the call lists its legs as before.  With representatives, each canonical
+legs n - 1, n and n + 1, so on the pivot columns, the critical cells and
+the pivot rows splitting every degree up to n + 1; where a guard fails the
+call lists its legs as before.  With representatives, each canonical
 residue is lifted back, a cell matched downward taking 0 and one matched
 upward -R(j) . phi, and the lifts are checked run by run against all of
 leg n + 1, which covers the rows of the cells matched upward that no
@@ -263,8 +263,8 @@ def _hom_rows(d: int, sources: Iterable[_Source]) -> Iterator[list[tuple[int, in
 
 
 # the most tables each skeleton keeps: the default limits meet at most 35
-# monomial keys (s <= 5, m <= 7) and five bar keys (m <= 5, the top one for
-# the partition guard of the leg leaving degree 4) per group
+# monomial keys (s <= 5, m <= 7) and five bar keys per group (m = 1..5, the
+# top one for the partition guard of the leg leaving degree 4)
 _SKELETON_TABLES = 64
 # the (target, kind) faces of one monomial source, see _monomial_skeleton
 _Faces = tuple[tuple[int, int], ...]
@@ -521,54 +521,51 @@ def _cell_rows(
 
 
 @lru_cache(maxsize=_SKELETON_TABLES)
-def _morse_splits(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _morse_splits(
+    orders: tuple[int, ...], m: int
+) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
     """The Morse matching's pairs across the standard-resolution leg
     leaving degree m >= 1 of the group with cyclic factors ``orders``,
     whatever the module: for each cell of degree m - 1 that
     :func:`_morse_partner` splits upward, in bar basis order, its index and
-    the element indices of its up cell.
+    the element indices of its up cell.  None unless the cells of every
+    degree k < m split into those matched upward (leg k + 1's pivot
+    columns), the critical ones (:func:`_critical_cells`) and those matched
+    downward (leg k's pivot rows), each once: the partition guard of every
+    read of the Morse complex, checked here for degree m - 1 against the
+    table of (orders, m - 1), which checked the degrees below it.
 
-    Built from the table of (orders, m - 1): :func:`_morse_partner` decides
-    at the first pair that splits or merges, so a cell [p|x] follows its
-    prefix p.  A p split into up splits [p|x] into [up|x], a p merged
-    downward merges [p|x], and only the extensions of the C(m+s-3, s-1)
-    critical prefixes (:func:`_critical_cells`) are walked, |G| - 1 each.
-    At most ``_SKELETON_TABLES`` keys.  A table holds at most one pair per
-    cell of degree m - 1, (|G| - 1)^(m - 1), and every reader first prices
-    a leg with that many columns or more (:func:`_bar_leg`): leg m for its
-    pivots, leg m - 1 for the partition of its degree m - 1.  So under the
-    default caps a table holds at most 20^3 = 8000 pairs (|G| = 21, m = 4);
-    (2,2,4) holds 3158 for m = 4."""
-    if m < 2:
-        return ()  # the one cell of degree 0 is critical
+    Built from that table: :func:`_morse_partner` decides at the first pair
+    that splits or merges, so a cell [p|x] follows its prefix p.  A p split
+    into up splits [p|x] into [up|x], a p merged downward merges [p|x], and
+    only the extensions of the C(m+s-3, s-1) critical prefixes are walked,
+    |G| - 1 each.  At most ``_SKELETON_TABLES`` keys.  A table holds at most
+    one pair per cell of degree m - 1, (|G| - 1)^(m - 1), and every reader
+    first prices leg m - 1 or m, whose columns are that many cells or more
+    (:func:`_bar_leg`): :func:`_morse_leg` of leg m - 1 for its guard, of
+    leg m for its pivots.  So under the default caps a table holds at most
+    20^3 = 8000 pairs (|G| = 21, m = 4); (2,2,4) holds 3158 for m = 4."""
     elements = GroupSpec(orders).nonidentity_elements()
     size = len(elements)
-    index = {g: e for e, g in enumerate(elements)}
-    grown = _morse_splits(orders, m - 1)
-    splits = [(p * size + x, (*up, x)) for p, up in grown for x in range(size)]
-    for e in _critical_cells(orders, m - 2):
-        prefix, h = [elements[x] for x in e], _cell_index(e, size) * size
-        for x, g in enumerate(elements):
-            up = _morse_partner(orders, (*prefix, g))
-            if up is not None and len(up) == m:
-                splits.append((h + x, tuple(index[u] for u in up)))
-    splits.sort()
-    return tuple(splits)
-
-
-def _morse_partition(orders: tuple[int, ...], k: int) -> bool:
-    """Whether the cells of degree k >= 0 split into those matched upward
-    (leg k + 1's pivot columns, from the table of (orders, k + 1)), the
-    critical cells and those matched downward (leg k's pivot rows, the up
-    cells of the table of (orders, k)), each once: the partition guard of
-    every read of the Morse complex, from the skeleton tables alone.  Its
-    caller prices leg k first, whose columns bound the table of
-    (orders, k + 1)."""
-    size = prod(orders) - 1
-    cells = [c for c, _ in _morse_splits(orders, k + 1)]
-    cells += [_cell_index(e, size) for e in _critical_cells(orders, k)]
-    cells += [_cell_index(up, size) for _, up in _morse_splits(orders, k)]
-    return len(cells) == len(set(cells)) == size**k
+    if m == 1:
+        grown, splits = (), []  # the one cell of degree 0 is critical
+    else:
+        grown = _morse_splits(orders, m - 1)
+        if grown is None:
+            return None
+        index = {g: e for e, g in enumerate(elements)}
+        splits = [(p * size + x, (*up, x)) for p, up in grown for x in range(size)]
+        for e in _critical_cells(orders, m - 2):
+            prefix, h = [elements[x] for x in e], _cell_index(e, size) * size
+            for x, g in enumerate(elements):
+                up = _morse_partner(orders, (*prefix, g))
+                if up is not None and len(up) == m:
+                    splits.append((h + x, tuple(index[u] for u in up)))
+        splits.sort()
+    cells = [c for c, _ in splits]
+    cells += [_cell_index(e, size) for e in _critical_cells(orders, m - 1)]
+    cells += [_cell_index(up, size) for _, up in grown]
+    return tuple(splits) if len(cells) == len(set(cells)) == size ** (m - 1) else None
 
 
 def _bar_pivots(
@@ -615,8 +612,10 @@ def _morse_leg(
 ) -> tuple | None:
     """The Morse pivots of the standard-resolution leg leaving degree m >= 1
     in the plain shape of :func:`_cell_rows`, priced by :func:`_bar_leg`
-    and solved over the critical columns; None where they fail a guard of
-    :func:`~cohomolab.intlinalg.solve_pivots`.
+    and solved over the critical columns: the one guarded read of the Morse
+    complex.  None where the cells of a degree up to m fail the partition
+    guard of :func:`_morse_splits` (the table of (orders, m + 1) is None),
+    or the pivots fail a guard of :func:`~cohomolab.intlinalg.solve_pivots`.
 
     Returns the pivots of :func:`_bar_pivots`; their rows, kept at the
     pivot columns and the critical columns; their R's, in solve order; and
@@ -625,9 +624,10 @@ def _morse_leg(
     critical coordinate i * d + t.  Every other column is a cell matched
     downward, which the caller moves cochains off through leg m - 1's
     pivots, so no R reads it.  Dual ``tables`` give the dual leg's pivots,
-    transposed, for :func:`_morse_smith`.  The partition of the leg's
-    degrees is the caller's guard (:func:`_morse_partition`)."""
+    transposed, which have the same Smith diagonal."""
     _bar_leg(M, m, limits)
+    if _morse_splits(M.spec.orders, m + 1) is None:
+        return None
     pivots, rows = _bar_pivots(M, m, tables)
     d, size = M.rank, len(tables[0])
     columns = {}
@@ -647,8 +647,9 @@ def _morse_complement(
     complement at the critical columns, in critical coordinates: the
     monomial resolution's leg up to one sign per cell, in the plain shape
     (the dual leg transposed, with dual ``tables``).  The Morse complex
-    reads its image and kernel off it, :func:`_morse_smith` the leg's
-    Smith diagonal."""
+    reads its image and kernel off it, and the Smith branch of
+    :func:`_complex_group` the leg's Smith diagonal: a 1 per pivot plus
+    the complement's."""
     _, _, solved, columns = leg
     N = mod or 0
     raw, complement = [], []
@@ -664,24 +665,6 @@ def _morse_complement(
             raw.append(row)
             complement.append([(q, y) for q, x in out.items() if (y := x % N if N else x)])
     return raw, complement
-
-
-def _morse_smith(
-    M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None, mod: int | None
-) -> tuple[int, list[list[tuple[int, int]]], int, int] | None:
-    """The standard-resolution leg leaving degree m >= 1, read off the Morse
-    complex for its Smith diagonal, which is a 1 per pivot of
-    :func:`_morse_leg` plus the Smith diagonal of the critical complement
-    (see the module docstring): the number of pivots, the complement of
-    :func:`_morse_complement` and its shape.  None where the pivots fail a
-    guard of :func:`_morse_leg`, or the cells of degree m - 1 or m fail
-    :func:`_morse_partition`.  Dual ``tables`` read the dual leg
-    transposed, in the plain shape, which has the same Smith diagonal."""
-    leg = _morse_leg(M, m, tables, limits, mod)
-    if leg is None or not all(_morse_partition(M.spec.orders, k) for k in (m - 1, m)):
-        return None
-    complement = _morse_complement(M, m, tables, leg, mod)[1]
-    return len(leg[0]), complement, len(complement), len(leg[3])
 
 
 def _product_table(orders: Sequence[int]) -> list[list[int]]:
@@ -1055,12 +1038,11 @@ def _morse_complex(
     kernel is needed; the critical width; ``project``, which takes a bar
     cocycle to the critical coordinates of a cohomologous one that vanishes
     on the cells matched downward; and ``lift``, which takes a critical
-    vector back to the bar cochain that does.  None where the pivots of leg
-    n - 1, n or n + 1 fail a guard."""
+    vector back to the bar cochain that does.  None where :func:`_morse_leg`
+    of leg n - 1, n or n + 1 fails a guard: the partition is checked in
+    every degree up to n + 1."""
     legs = {m: _morse_leg(M, m, tables, limits, mod) for m in range(max(n - 1, 1), n + 2)}
     if None in legs.values():
-        return None
-    if not all(_morse_partition(M.spec.orders, k) for k in range(max(n - 1, 0), n + 1)):
         return None
     N = mod or 0
     solved, coords = legs[n + 1][2], list(legs[n + 1][3])
@@ -1131,15 +1113,16 @@ def _complex_group(
     Invariants-only calls on a lattice or a reduction L/NL read H off the
     Smith diagonals of the maps they need, d_in alone where |G| kills H;
     each standard-resolution leg among them is read off the Morse complex
-    (:func:`_morse_smith`) and listed only where a guard fails.  Any other
-    modulus N switches kernels and quotients to congruences.  Every other
-    call runs one quotient on a leg source picked once: the Morse complex
-    of :func:`_morse_complex` for a plain standard-resolution leg (ordinary
-    cohomology), and the listed legs for a monomial or dual leg or where a
-    Morse guard fails.  The image, the cocycles (the saturation of the
-    image where |G| kills H, otherwise the kernel of the outgoing rows,
-    listed only where they double as the row-by-row check) and the quotient
-    are taken the same way on either.
+    (:func:`_morse_leg` and :func:`_morse_complement`) and listed only
+    where a guard fails.  Any other modulus N switches kernels and
+    quotients to congruences.  Every other call runs one quotient on a leg
+    source picked once: the Morse complex of :func:`_morse_complex` for a
+    plain standard-resolution leg (ordinary cohomology), and the listed
+    legs for a monomial or dual leg or where a Morse guard fails.  The
+    image, the cocycles (the saturation of the image where |G| kills H,
+    otherwise the kernel of the outgoing rows, listed only where they
+    double as the row-by-row check) and the quotient are taken the same way
+    on either.
     """
     limits = limits or EngineLimits.from_env()
     limits.check_group_order(M.spec.order)
@@ -1204,8 +1187,13 @@ def _complex_group(
         # fails.  SNF(A) = SNF(A^T), so a map with more rows than columns
         # goes in as its columns and every search runs over the short side
         def diagonal(k: int, rows: int, cols: int) -> list[int]:
-            read = _morse_smith(M, max(n, k), tables, limits, mod) if tables else None
-            units, source, rows, cols = read or (0, leg(k), rows, cols)
+            m = max(n, k)
+            read = _morse_leg(M, m, tables, limits, mod) if tables else None
+            if read:
+                source = _morse_complement(M, m, tables, read, mod)[1]
+                units, rows, cols = len(read[0]), len(source), len(read[3])
+            else:
+                units, source = 0, leg(k)
             if rows > cols:
                 diag = smith_diagonal(_image_columns(source), cols, rows, mod=mod)
             else:

@@ -168,6 +168,14 @@ def test_irreducible_tate_factors_pins():
     assert irreducible_tate_factors(2, 3, 3).as_list() == [3, 3]
 
 
+@pytest.mark.parametrize("predict", [irreducible_homology_factors, irreducible_tate_factors])
+def test_irreducible_factors_refuse_a_composite_past_float_range(predict):
+    # the primality check stays in integers: 10**400 is no float, and is
+    # refused as composite, not by an OverflowError
+    with pytest.raises(ValueError, match="is not prime"):
+        predict(1, 1, 10**400)
+
+
 def test_trivial_module_factors_grid():
     want22 = {0: [4], 1: [], 2: [2, 2], 3: [2], 4: [2, 2, 2], -1: [], -2: [2, 2]}
     for n, factors in want22.items():

@@ -323,11 +323,11 @@ def test_each_differential_is_built_at_most_once(
     monkeypatch, compute, resolution, text, reps, route
 ):
     # legs are recorded by the resolution and the degree they leave: the
-    # Hom rows of either resolution, "morse" where a Smith diagonal reads a
-    # standard-resolution leg off the Morse complex, or "runs" where one is
-    # read run by run; a call builds each of its one or two maps once, the
-    # cokernel-torsion route over Z only the incoming one wherever both
-    # exist, and no call builds a minimal_diff or bar_diff RingMatrix
+    # Hom rows of either resolution, "morse" where a standard-resolution leg
+    # is read off the Morse complex, or "runs" where one is read run by run;
+    # a call builds each of its one or two maps once, the cokernel-torsion
+    # route over Z only the incoming one wherever both exist, and no call
+    # builds a minimal_diff or bar_diff RingMatrix
     built, reference = [], []
     real_rows = engine._leg_rows
     monkeypatch.setattr(
@@ -335,14 +335,15 @@ def test_each_differential_is_built_at_most_once(
         "_leg_rows",
         lambda M, res, m, *rest: built.append((res, m)) or real_rows(M, res, m, *rest),
     )
-    # every Smith diagonal of a standard-resolution leg, plain or dual,
-    # reads it off the Morse complex, and the representatives check reads a
-    # plain one run by run; neither lists its rows
-    real_smith = engine._morse_smith
+    # every Smith diagonal of a standard-resolution leg, plain or dual, and
+    # the Morse complex of ordinary cohomology read it off the Morse complex
+    # through _morse_leg, and the representatives check reads a plain one
+    # run by run; none lists its rows
+    real_leg = engine._morse_leg
     monkeypatch.setattr(
         engine,
-        "_morse_smith",
-        lambda M, m, *rest: built.append(("morse", m)) or real_smith(M, m, *rest),
+        "_morse_leg",
+        lambda M, m, *rest: built.append(("morse", m)) or real_leg(M, m, *rest),
     )
     real_values = engine._bar_values
     monkeypatch.setattr(
@@ -374,10 +375,12 @@ def test_each_differential_is_built_at_most_once(
             incoming = n + 1 if compute is homology else n
             leg = "morse" if resolution == "bar" else resolution or "minimal"
             assert built == [(leg, incoming)], (n, built)
-        if reps and resolution == "bar" and compute is ordinary_cohomology and r.representatives:
-            # on the Morse complex: the outgoing leg read run by run for the
-            # check, and no leg listed
-            assert built == [("runs", n + 1)], (n, built)
+        if reps and resolution == "bar" and compute is ordinary_cohomology:
+            # on the Morse complex: legs n - 1, n and n + 1 read off it, the
+            # outgoing leg read run by run for the check, and no leg listed
+            morse = [("morse", m) for m in range(max(n - 1, 1), n + 2)]
+            runs = [("runs", n + 1)] if r.representatives else []
+            assert built == morse + runs, (n, built)
         elif not reps and resolution == "bar":
             # each Smith diagonal's leg read off the Morse complex, once, and
             # no row listed or run read
@@ -419,19 +422,26 @@ def test_bar_cell_cap_binds_on_a_rank_zero_module(compute, n):
     # the engine's own caps read dim = 0 and pass; the leg's reader still
     # refuses the (|G| - 1)^m tuple walk before it reads anything: the
     # Smith diagonal's Morse read without representatives, and with them
-    # the Morse legs (ordinary cohomology) or the listed rows (homology)
+    # the Morse complex's (ordinary cohomology) or the listed rows (homology)
     M = parse_module("trivial:0", GroupSpec.of(36))
     msg = "standard-resolution differential needs a 1225 x 42875 matrix"
-    with_reps = "_morse_leg" if compute is ordinary_cohomology else "_leg_rows"
+    with_reps = {"_leg_rows"}
+    if compute is ordinary_cohomology:
+        with_reps = {"_morse_complex", "_morse_leg"}
     engine._morse_splits.cache_clear()
-    for reps, reader in ((False, "_morse_smith"), (True, with_reps)):
+    for reps, readers in ((False, {"diagonal", "_morse_leg"}), (True, with_reps)):
         with pytest.raises(ResourceCapExceeded, match=msg) as err:
             compute(M, n, resolution="bar", want_representatives=reps)
-        assert reader in {entry.name for entry in err.traceback}
+        assert readers <= {entry.name for entry in err.traceback}
     for dual in (False, True):
         with pytest.raises(ResourceCapExceeded, match=msg):
             next(engine._leg_rows(M, "bar", 3, dual))
-    assert not _was_tabled((36,), 3)
+    # only a priced leg tables anything: the Morse complex of ordinary
+    # cohomology prices leg 2 first, whose guard tables m = 1..3, and the
+    # refused leg 3 tables neither its guard's m = 4 nor anything else
+    tabled = 3 if compute is ordinary_cohomology else 0
+    assert engine._morse_splits.cache_info().currsize == tabled
+    assert _was_tabled((36,), 3) == bool(tabled)
 
 
 def _was_tabled(orders, m) -> bool:
@@ -702,10 +712,10 @@ def test_prefix_built_splits_equal_the_partner_walk(orders, m):
     # each table grown from the one below it, from a cold cache, against
     # the walk of _morse_partner over every cell of degree m - 1, pair for
     # pair and in order; and every degree up to m - 1 passes the partition
-    # guard on the grown tables
+    # guard on the grown tables: none of them is None
     engine._morse_splits.cache_clear()
     assert engine._morse_splits(orders, m) == reference_morse_splits(orders, m)
-    assert all(engine._morse_partition(orders, k) for k in range(m))
+    assert all(engine._morse_splits(orders, k) is not None for k in range(1, m + 1))
 
 
 def _plain_shape(M, m, rows, dual):
@@ -752,10 +762,23 @@ def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m, dua
         assert ([x % N for x in out] if N else out) == want, (text, m, dual)
 
 
+def _morse_read(M, m, tables, mod):
+    """What the Smith branch reads of the standard-resolution leg leaving
+    degree m off the Morse complex: the number of pivots of
+    :func:`engine._morse_leg`, the critical complement of
+    :func:`engine._morse_complement` and its shape; None where a guard
+    fails."""
+    leg = engine._morse_leg(M, m, tables, None, mod)
+    if leg is None:
+        return None
+    complement = engine._morse_complement(M, m, tables, leg, mod)[1]
+    return len(leg[0]), complement, len(complement), len(leg[3])
+
+
 def _check_morse_diagonal(M, m, dual, mod):
-    """The Smith diagonal :func:`engine._morse_smith` reads off the Morse
-    complex, a 1 per pivot plus the searched diagonal of the critical
-    complement, against the searched diagonal of the listed leg, and
+    """The Smith diagonal the Smith branch reads off the Morse complex
+    (:func:`_morse_read`), a 1 per pivot plus the searched diagonal of the
+    critical complement, against the searched diagonal of the listed leg, and
     against a 1 per pivot plus the searched diagonal of the reference's
     complement of every row the pivots leave.  The built pivot rows are the
     listed ones, and the complement has a row per critical coordinate of
@@ -766,7 +789,7 @@ def _check_morse_diagonal(M, m, dual, mod):
     tables = engine._bar_tables(M, dual)
     pivots, built = engine._bar_pivots(M, m, tables)
     assert {r: dict(row) for r, row in built.items()} == {r: dict(plain[r]) for r in built}
-    read = engine._morse_smith(M, m, tables, None, mod)
+    read = _morse_read(M, m, tables, mod)
     assert read is not None
     units, complement, height, width = read
     s = M.spec.ngens
@@ -815,7 +838,7 @@ def test_rank_zero_module_reads_no_value(compute):
             r = compute(M, n, want_representatives=reps, **kw)
             assert r.invariants == AbelianInvariants(0, ()), (n, reps)
     for m, dual, mod in itertools.product((1, 2, 3), (False, True), (None, 4)):
-        read = engine._morse_smith(M, m, engine._bar_tables(M, dual), None, mod)
+        read = _morse_read(M, m, engine._bar_tables(M, dual), mod)
         assert read == (0, [], 0, 0)
 
 
@@ -846,7 +869,7 @@ def test_schur_complement_runs_over_the_short_side(monkeypatch, row_modules, m, 
             if M.modulus and not M.lifts_to_lattice:
                 continue
             tables = engine._bar_tables(M, dual)
-            read = engine._morse_smith(M, m, tables, None, M.modulus or None)
+            read = _morse_read(M, m, tables, M.modulus or None)
             _, complement, height, width = read
             assert height >= width and len(complement) == height, (orders, text)
             n = m - 1 if dual or M.modulus else m
@@ -887,7 +910,7 @@ _UNTRUSTED_PIVOTS = {
     "text", ["trivial", "reduce:4(trivial)", "tensor(reduce:4(trivial),trivial)"]
 )
 @pytest.mark.parametrize("guard", sorted(_UNTRUSTED_PIVOTS) + ["partition"])
-def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
+def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, request, guard, text):
     # where the pivots fail a guard the leg's diagonal is searched over its
     # transpose, as without pivots, and the answer is the same.  With
     # representatives the Morse complex of H^1, H^2 and H^3 reads leg 2 (as
@@ -897,13 +920,17 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
     # then lists legs n and n + 1 as before.  Homology H_1 and H_2 list
     # dual leg 2, except invariants-only H_2 over Z, which reads leg 3 alone.
     # With "partition" the pivots are trusted, but the critical cells of
-    # degree 2 take in a cell matched downward, so the partition guard of
-    # degree 2 fails: each invariants-only call lists the legs it reads
-    # that meet degree 2, legs 2 and 3, and reads leg 1 off the Morse
-    # complex, unless the module takes the congruence route
+    # degree 2 take in a cell matched downward, so every table from
+    # (orders, 3) up fails the partition guard of degree 2: each
+    # invariants-only call lists the legs it reads that meet degree 2, legs
+    # 2 and 3, and reads leg 1 off the Morse complex, unless the module
+    # takes the congruence route, whose H^1 meets degree 2 through leg 2's
+    # pivot columns and lists legs 1 and 2 as before
     M = parse_module(text, G22)
     if guard == "partition":
         cases = [(ordinary_cohomology, 2, False)] + [(homology, n, False) for n in (1, 2)]
+        if M.modulus and not M.lifts_to_lattice:
+            cases.append((ordinary_cohomology, 1, False))
     else:
         cases = [(ordinary_cohomology, 2, False)]
         cases += [(ordinary_cohomology, n, True) for n in (1, 2, 3)]
@@ -923,6 +950,10 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
             return [list(engine._morse_splits(orders, 2)[0][1])] + cells[1:] if k == 2 else cells
 
         monkeypatch.setattr(engine, "_critical_cells", shifted)
+        # the tables hold the guard's verdict: rebuild them on the shifted
+        # cells now, and on the true ones after the test
+        engine._morse_splits.cache_clear()
+        request.addfinalizer(engine._morse_splits.cache_clear)
     else:
         pivots, rows = _UNTRUSTED_PIVOTS[guard], list(engine._leg_rows(M, "bar", 2))
         untrusted = pivots, {r: rows[r] for r in pivots.values()}
@@ -959,6 +990,8 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, guard, text):
         if guard == "partition":
             legs = {m for m, _ in listed}
             assert legs & {2, 3} and (got.route == "congruence" or legs <= {2, 3}), case
+            if got.route == "congruence" and compute is ordinary_cohomology:
+                assert listed == [(n, False), (n + 1, False)], case
         elif compute is ordinary_cohomology:
             # a universal-coefficients call reads leg 3 off the Morse
             # complex, and searches its critical complement of 4 rows
