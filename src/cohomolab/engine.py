@@ -96,25 +96,34 @@ and the cells left unpaired in degree n number C(n+s-1, s-1): the monomial
 resolution is the Morse complex of the standard one.  The matching depends
 on (orders, m) alone, so which cells split, and into which cell above, is
 tabled once per key (:func:`_morse_splits`), each table grown from the one
-below it, after a leg is priced.  The pivots, and their rows alone, are then
-built per module before anything else is read (:func:`_bar_pivots`).  The
-Morse complex is chain-homotopy equivalent to the standard resolution, and
-its contractible part is exactly the matched pairs, so a leg's Smith
-diagonal is a 1 per pivot plus the Smith diagonal of its critical
-complement (:func:`_morse_complement`): the Schur complement of the pivots
-at the critical rows and columns, d C(m+s-1, s-1) x d C(m+s-2, s-1) for the
-leg leaving degree m, searched over its short side.  For the (2,2,4) leg
-leaving degree 3 that is 10 d x 6 d, where the leg has 3375 d rows.  A dual
-leg is read transposed, in the plain shape with transposed antipode blocks
-and on the plain leg's pivot positions, SNF(A) = SNF(A^T).  The arithmetic
-stays the bar matrices' own, so the oracle still shares nothing with the
-monomial resolution, and exactness never rests on the matching.  Every
-read of a leg goes through :func:`_morse_leg`, which holds two guards: the
-cells of each degree up to m must split into those matched upward, the
-critical ones and those matched downward, each once, checked as each
-table is built (:func:`_morse_splits`); and the pivots must be units, each
-row may hold one and no substitution may cycle.  Where either fails the
-leg is listed and searched as a whole.
+below it, after a leg is priced; so are the pairs the critical cells reach
+through chains of pivot rows, the gradient paths (:func:`_morse_reach`).
+Only the pivots a reader reads, and their rows alone, are then built per
+module (:func:`_bar_pivots`).  The Morse complex is chain-homotopy
+equivalent to the standard resolution, and its contractible part is
+exactly the matched pairs, so a leg's Smith diagonal is a 1 per pivot plus
+the Smith diagonal of its critical complement (:func:`_morse_complement`):
+the Schur complement of the pivots at the critical rows and columns,
+d C(m+s-1, s-1) x d C(m+s-2, s-1) for the leg leaving degree m, searched
+over its short side.  It reads the R's of the reached pivots alone, so the
+Smith branch builds and solves only those: for the (2,2,4) leg leaving
+degree 3 the complement is 10 d x 6 d, read through 31 d of the leg's
+207 d pivots, where the leg has 3375 d rows.  A dual leg is read
+transposed, in the plain shape with transposed antipode blocks and on the
+plain leg's pivot positions, SNF(A) = SNF(A^T).  The arithmetic stays the
+bar matrices' own, so the oracle still shares nothing with the monomial
+resolution, and exactness never rests on the matching.  Every read of a
+leg goes through :func:`_morse_leg`, which holds the guards.  Three hold
+whatever the module and are checked once per (orders, m), as the tables
+are built: the cells of each degree up to m must split into those matched
+upward, the critical ones and those matched downward, each once
+(:func:`_morse_splits`); each up cell must meet its split cell through one
+merge face and no other face, so every pivot is +-1; and no chain of
+substitutions may return to a cell (:func:`_morse_reach`).  So the whole
+pivot block is triangular up to order with a unit diagonal, and is counted
+whole, built or not.  The pivots built are checked once more, against the
+module's own entries (:func:`~cohomolab.intlinalg.solve_pivots`).  Where a
+guard fails the leg is listed and searched as a whole.
 
 The kernel and congruence routes read ordinary cohomology on the standard
 resolution off the Morse complex too, with or without representatives:
@@ -170,6 +179,7 @@ dim = 2 and no formula in them gives the true H^1 = Z/2.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import prod
@@ -263,8 +273,9 @@ def _hom_rows(d: int, sources: Iterable[_Source]) -> Iterator[list[tuple[int, in
 
 
 # the most tables each skeleton keeps: the default limits meet at most 35
-# monomial keys (s <= 5, m <= 7) and five bar keys per group (m = 1..5, the
-# top one for the partition guard of the leg leaving degree 4)
+# monomial keys (s <= 5, m <= 7), five split keys per group (m = 1..5, the
+# top one for the partition guard of the leg leaving degree 4) and four
+# reach keys per group (m = 1..4)
 _SKELETON_TABLES = 64
 # the (target, kind) faces of one monomial source, see _monomial_skeleton
 _Faces = tuple[tuple[int, int], ...]
@@ -475,6 +486,28 @@ def _cell_index(e: Sequence[int], size: int) -> int:
     return h
 
 
+def _cell_faces(
+    merged: list[list[int]], m: int, e: Sequence[int]
+) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """The index of the cell [g_1|...|g_m], m >= 1, whose elements have the
+    indices ``e``, the indices of its first face [g_2|...|g_m] and its last
+    face [g_1|...|g_(m-1)], and its merge faces as (index, sign): merge i
+    through (-1)^i, none where g_i g_(i+1) is the identity, that is where
+    ``merged`` (:func:`_bar_tables`) reads -1.  Cells are indexed as in
+    :func:`_cell_index`."""
+    size = len(merged)
+    h = _cell_index(e, size)
+    merges = []
+    # merge i: the prefix before g_i, then g_i g_(i+1), then the suffix
+    # after g_(i+1), which takes q = size^(m-i-1) values
+    q, sign = size ** (m - 1), 1
+    for i in range(1, m):
+        q, sign = q // size, -sign
+        if (b := merged[e[i - 1]][e[i]]) >= 0:
+            merges.append(((h // (q * size * size) * size + b) * q + h % q, sign))
+    return h, h % size ** (m - 1), h // size, merges
+
+
 def _cell_rows(
     M: GModule, m: int, tables: _BarTables, e: Sequence[int]
 ) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -495,16 +528,7 @@ def _cell_rows(
     the block's row, in column order."""
     d, N = M.rank, M.modulus
     merged, blocks = tables
-    size = len(merged)
-    power = [size**k for k in range(m + 1)]
-    h = _cell_index(e, size)
-    # merge i: the prefix before g_i, g_i g_(i+1), the suffix after it
-    faces = [
-        ((h // power[m - i + 1] * size + b) * (p := power[m - i - 1]) + h % p, (-1) ** i)
-        for i in range(1, m)
-        if (b := merged[e[i - 1]][e[i]]) >= 0
-    ]
-    first, last = h % power[m - 1], h // size
+    h, first, last, faces = _cell_faces(merged, m, e)
     if first != last:
         faces.append((last, (-1) ** m))
     rows = []
@@ -540,11 +564,13 @@ def _morse_splits(
     into up splits [p|x] into [up|x], a p merged downward merges [p|x], and
     only the extensions of the C(m+s-3, s-1) critical prefixes are walked,
     |G| - 1 each.  At most ``_SKELETON_TABLES`` keys.  A table holds at most
-    one pair per cell of degree m - 1, (|G| - 1)^(m - 1), and every reader
-    first prices leg m - 1 or m, whose columns are that many cells or more
-    (:func:`_bar_leg`): :func:`_morse_leg` of leg m - 1 for its guard, of
-    leg m for its pivots.  So under the default caps a table holds at most
-    20^3 = 8000 pairs (|G| = 21, m = 4); (2,2,4) holds 3158 for m = 4."""
+    one pair per cell of degree m - 1, (|G| - 1)^(m - 1), and every read of
+    it follows :func:`_morse_reach`, which only :func:`_morse_leg` calls,
+    once it has priced leg m - 1 or m, whose columns are that many cells or
+    more (:func:`_bar_leg`): the reach of leg m - 1 reads the table for its
+    partition guard, that of leg m for its pairs.  So under the default
+    caps a table holds at most 20^3 = 8000 pairs (|G| = 21, m = 4);
+    (2,2,4) holds 3158 for m = 4."""
     elements = GroupSpec(orders).nonidentity_elements()
     size = len(elements)
     if m == 1:
@@ -569,21 +595,21 @@ def _morse_splits(
 
 
 def _bar_pivots(
-    M: GModule, m: int, tables: _BarTables
+    M: GModule, m: int, tables: _BarTables, pairs: Iterable[tuple[int, tuple[int, ...]]]
 ) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
     """The unit pivots of the standard-resolution leg leaving degree m >= 1
-    in the plain shape of :func:`_cell_rows`, read through ``tables``, as
-    {column: row}, and the pivot rows by row index.  Each cell c of degree
-    m - 1 that :func:`_morse_partner` splits into h is a merge face of h,
-    met through +-I and through no other face, so coordinate t of c is a
-    pivot column in row t of h, built by :func:`_cell_rows`.  Cells are
-    indexed as in :func:`_cell_rows`.  The pairs (c, h) depend on
-    (orders, m) alone and are read from :func:`_morse_splits`; only the
-    rows are built per module."""
+    in the plain shape of :func:`_cell_rows` that ``pairs`` name, read
+    through ``tables``, as {column: row}, and their rows by row index.  A
+    pair (c, h) of :func:`_morse_splits` has c a merge face of h, met
+    through +-I and through no other face (:func:`_morse_reach` checks it),
+    so coordinate t of c is a pivot column in row t of h, built by
+    :func:`_cell_rows`.  Cells are indexed as in :func:`_cell_rows`.  The
+    pairs depend on (orders, m) alone; only the rows are built per
+    module."""
     d = M.rank
     pivots: dict[int, int] = {}
     rows: dict[int, list[tuple[int, int]]] = {}
-    for c, up in _morse_splits(M.spec.orders, m):
+    for c, up in pairs:
         h, cell_rows = _cell_rows(M, m, tables, up)
         for t, row in enumerate(cell_rows):
             pivots[c * d + t] = h * d + t
@@ -607,28 +633,99 @@ def _critical_cells(orders: Sequence[int], m: int) -> list[list[int]]:
     ]
 
 
+@lru_cache(maxsize=_SKELETON_TABLES)
+def _morse_reach(
+    orders: tuple[int, ...], m: int
+) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
+    """The pairs of :func:`_morse_splits` of (orders, m) that the critical
+    cells of degree m reach, in table order, whatever the module: the
+    pivots whose R's the critical complement of the leg leaving degree
+    m >= 1 reads (:func:`_morse_complement`), the gradient paths of
+    Skoldberg and Joellenbeck-Welker.  A critical cell reaches the split
+    cells among its faces, and the up cell of a reached split cell the
+    split cells among its own other faces.
+
+    None where a guard of the leg fails, so every read of the Morse
+    complex passes through here (:func:`_morse_leg`): the partition guard
+    of every degree up to m (the table of (orders, m + 1) is None); an up
+    cell that meets its split cell through any face but exactly one merge
+    face, so that some pivot might not be +-I; or a chain of substitutions
+    at the cell level that returns to a cell, split cell c needing split
+    cell k where k is another face of c's up cell.  Where the cell graph
+    has no cycle, neither has the graph of pivot coordinates, whose edges
+    it covers, so the whole pivot block is triangular up to order with a
+    unit diagonal for every module and modulus.  At most
+    ``_SKELETON_TABLES`` keys, each filled by a reader that priced leg m
+    first; a table holds at most the pairs of :func:`_morse_splits`
+    (31 of 207 for (2,2,4) and m = 3)."""
+    if _morse_splits(orders, m + 1) is None:
+        return None
+    splits = _morse_splits(orders, m)
+    merged = _merged_table(orders)
+    split = dict(splits)
+
+    def met(e: Sequence[int]) -> list[int]:
+        # a cell's first and last faces, then its merge faces
+        _, first, last, merges = _cell_faces(merged, m, e)
+        return [first, last, *[k for k, _ in merges]]
+
+    needs = {}  # split cell -> the other split cells its up cell meets
+    for c, up in splits:
+        faces = met(up)
+        if faces.count(c) != 1 or c in faces[:2]:
+            return None
+        needs[c] = [k for k in faces if k in split and k != c]
+    # no cycle: a cell is freed once every cell that needs it is, and the
+    # cells of a cycle never are
+    waiting = Counter(k for ks in needs.values() for k in ks)
+    free = [c for c in needs if not waiting[c]]
+    for c in free:
+        for k in needs[c]:
+            waiting[k] -= 1
+            if not waiting[k]:
+                free.append(k)
+    if len(free) < len(needs):
+        return None
+    todo = [k for e in _critical_cells(orders, m) for k in met(e) if k in split]
+    reached = set()
+    while todo:
+        if (c := todo.pop()) not in reached:
+            reached.add(c)
+            todo += needs[c]
+    return tuple(pair for pair in splits if pair[0] in reached)
+
+
 def _morse_leg(
-    M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None, mod: int | None
+    M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None, mod: int | None, build: str
 ) -> tuple | None:
     """The Morse pivots of the standard-resolution leg leaving degree m >= 1
     in the plain shape of :func:`_cell_rows`, priced by :func:`_bar_leg`
     and solved over the critical columns: the one guarded read of the Morse
-    complex.  None where the cells of a degree up to m fail the partition
-    guard of :func:`_morse_splits` (the table of (orders, m + 1) is None),
-    or the pivots fail a guard of :func:`~cohomolab.intlinalg.solve_pivots`.
+    complex.  None where the leg fails a guard of :func:`_morse_reach`, or
+    the built pivots one of :func:`~cohomolab.intlinalg.solve_pivots`.
 
-    Returns the pivots of :func:`_bar_pivots`; their rows, kept at the
-    pivot columns and the critical columns; their R's, in solve order; and
-    the critical columns, {bar coordinate: critical coordinate}, coordinate
-    t of the i-th cell of :func:`_critical_cells` of degree m - 1 being
-    critical coordinate i * d + t.  Every other column is a cell matched
-    downward, which the caller moves cochains off through leg m - 1's
-    pivots, so no R reads it.  Dual ``tables`` give the dual leg's pivots,
-    transposed, which have the same Smith diagonal."""
+    ``build`` names the pivots built, each reader's own: ``"every"`` pair
+    of :func:`_morse_splits` (the Morse complex's lift gives each pivot
+    column of leg n + 1 a value), the pairs ``"reached"`` by the critical
+    cells, all that a critical complement or the Morse complex's
+    projection reads, or ``"none"`` for a read of the guards alone.  The
+    guards cover the whole pivot block either way, so it is eliminated
+    whole: d per pair of :func:`_morse_splits`.
+
+    Returns the built pivots of :func:`_bar_pivots`; their rows, kept at
+    the pivot columns and the critical columns; their R's, in solve order;
+    and the critical columns, {bar coordinate: critical coordinate},
+    coordinate t of the i-th cell of :func:`_critical_cells` of degree
+    m - 1 being critical coordinate i * d + t.  Every other column is a
+    cell matched downward, which the caller moves cochains off through leg
+    m - 1's pivots, so no R reads it.  Dual ``tables`` give the dual leg's
+    pivots, transposed, which have the same Smith diagonal."""
     _bar_leg(M, m, limits)
-    if _morse_splits(M.spec.orders, m + 1) is None:
+    reached = _morse_reach(M.spec.orders, m)
+    if reached is None:
         return None
-    pivots, rows = _bar_pivots(M, m, tables)
+    pairs = {"every": _morse_splits(M.spec.orders, m), "reached": reached, "none": ()}[build]
+    pivots, rows = _bar_pivots(M, m, tables, pairs)
     d, size = M.rank, len(tables[0])
     columns = {}
     for i, e in enumerate(_critical_cells(M.spec.orders, m - 1)):
@@ -686,6 +783,13 @@ def _product_table(orders: Sequence[int]) -> list[list[int]]:
     return mul
 
 
+def _merged_table(orders: Sequence[int]) -> list[list[int]]:
+    """merged[a][b], the index of the product of the a-th and b-th
+    nonidentity elements among the nonidentity elements of the group with
+    cyclic factors ``orders``, or -1 where it is the identity."""
+    return [[c - 1 for c in row[1:]] for row in _product_table(orders)[1:]]
+
+
 def _bar_weight(blocks: list[_Block], m: int) -> int:
     """A bound on the sum of |D[r][k]| over the terms :func:`_bar_values`
     adds for one value of the standard-resolution leg D leaving degree m
@@ -710,7 +814,7 @@ def _bar_tables(M: GModule, dual: bool) -> _BarTables:
     ([[1, -1], [-1, 0]], [[[(0, 1)]], [[(0, 1)]]])
     """
     G = M.spec
-    merged = [[c - 1 for c in row[1:]] for row in _product_table(G.orders)[1:]]
+    merged = _merged_table(G.orders)
     blocks = [M.element_rows(G.inv(g) if dual else g) for g in G.nonidentity_elements()]
     if dual:  # transposed, each row by ascending column
         blocks = [
@@ -1040,8 +1144,16 @@ def _morse_complex(
     on the cells matched downward; and ``lift``, which takes a critical
     vector back to the bar cochain that does.  None where :func:`_morse_leg`
     of leg n - 1, n or n + 1 fails a guard: the partition is checked in
-    every degree up to n + 1."""
-    legs = {m: _morse_leg(M, m, tables, limits, mod) for m in range(max(n - 1, 1), n + 2)}
+    every degree up to n + 1.  All three legs are priced before any table
+    or pivot is built."""
+    degrees = range(max(n - 1, 1), n + 2)
+    for m in degrees:  # every leg is priced before any table or pivot is built
+        _bar_leg(M, m, limits)
+    # lift gives every pivot column of leg n + 1 a value; project and the
+    # complements read the pivots their critical rows reach; leg n - 1 is
+    # read for its guards alone
+    build = {n - 1: "none", n: "reached", n + 1: "every"}
+    legs = {m: _morse_leg(M, m, tables, limits, mod, build[m]) for m in degrees}
     if None in legs.values():
         return None
     N = mod or 0
@@ -1188,10 +1300,11 @@ def _complex_group(
         # goes in as its columns and every search runs over the short side
         def diagonal(k: int, rows: int, cols: int) -> list[int]:
             m = max(n, k)
-            read = _morse_leg(M, m, tables, limits, mod) if tables else None
+            read = _morse_leg(M, m, tables, limits, mod, "reached") if tables else None
             if read:
                 source = _morse_complement(M, m, tables, read, mod)[1]
-                units, rows, cols = len(read[0]), len(source), len(read[3])
+                units = M.rank * len(_morse_splits(M.spec.orders, m))
+                rows, cols = len(source), len(read[3])
             else:
                 units, source = 0, leg(k)
             if rows > cols:

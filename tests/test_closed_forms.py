@@ -9,6 +9,7 @@ known-inconsistent printed displays must be reproduced, not corrected.
 
 import itertools
 import re
+import time
 from concurrent.futures import ThreadPoolExecutor
 from math import comb, gcd
 
@@ -174,6 +175,32 @@ def test_irreducible_factors_refuse_a_composite_past_float_range(predict):
     # refused as composite, not by an OverflowError
     with pytest.raises(ValueError, match="is not prime"):
         predict(1, 1, 10**400)
+
+
+@pytest.mark.parametrize("predict", [irreducible_homology_factors, irreducible_tate_factors])
+def test_irreducible_factors_decide_a_large_prime_at_once(predict):
+    # Miller-Rabin, not trial division: the Mersenne prime 2**61 - 1 is
+    # accepted in well under a second
+    p = 2**61 - 1
+    start = time.perf_counter()
+    assert predict(1, 1, p).torsion == (p,) * len(predict(1, 1, 3).torsion)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p", [561, 2047, 3215031751])
+def test_irreducible_factors_refuse_pseudoprimes(p):
+    # a Carmichael number, and strong pseudoprimes to base 2 and to the
+    # bases 2, 3, 5 and 7
+    for predict in (irreducible_homology_factors, irreducible_tate_factors):
+        with pytest.raises(ValueError, match="is not prime"):
+            predict(1, 1, p)
+
+
+def test_irreducible_factors_refuse_a_prime_past_the_exact_bound():
+    # the Mersenne prime 2**89 - 1 passes every base, but past the bound a
+    # pass is no proof
+    with pytest.raises(ValueError, match="bound of the exact primality test"):
+        irreducible_homology_factors(1, 1, 2**89 - 1)
 
 
 def test_trivial_module_factors_grid():

@@ -338,13 +338,19 @@ def test_each_differential_is_built_at_most_once(
     # every Smith diagonal of a standard-resolution leg, plain or dual, and
     # the Morse complex of ordinary cohomology read it off the Morse complex
     # through _morse_leg, and the representatives check reads a plain one
-    # run by run; none lists its rows
+    # run by run; none lists its rows.  Each Morse read names the pivots it
+    # builds: a Smith diagonal those its critical cells reach, and the Morse
+    # complex those of leg n too, every pivot of leg n + 1, which its lift
+    # reads, and none of leg n - 1
+    builds = {}
     real_leg = engine._morse_leg
-    monkeypatch.setattr(
-        engine,
-        "_morse_leg",
-        lambda M, m, *rest: built.append(("morse", m)) or real_leg(M, m, *rest),
-    )
+
+    def morse_leg(M, m, tables, limits, mod, build):
+        built.append(("morse", m))
+        builds[m] = build
+        return real_leg(M, m, tables, limits, mod, build)
+
+    monkeypatch.setattr(engine, "_morse_leg", morse_leg)
     real_values = engine._bar_values
     monkeypatch.setattr(
         engine,
@@ -366,6 +372,7 @@ def test_each_differential_is_built_at_most_once(
     tate = compute is tate_cohomology
     for n in [-2, -1, 0, 1, 2] if tate and M.is_lattice else [0, 1, 2]:
         built.clear()
+        builds.clear()
         r = compute(M, n, want_representatives=reps, **kw)
         assert r.route == route
         assert len(built) == len(set(built)), (n, built)
@@ -381,10 +388,13 @@ def test_each_differential_is_built_at_most_once(
             morse = [("morse", m) for m in range(max(n - 1, 1), n + 2)]
             runs = [("runs", n + 1)] if r.representatives else []
             assert built == morse + runs, (n, built)
+            want = {m: {n - 1: "none", n: "reached"}.get(m, "every") for _, m in morse}
+            assert builds == want, (n, builds)
         elif not reps and resolution == "bar":
             # each Smith diagonal's leg read off the Morse complex, once, and
             # no row listed or run read
             assert built and all(res == "morse" for res, _ in built), (n, built)
+            assert set(builds.values()) == {"reached"}, (n, builds)
         else:
             assert not any(res in ("morse", "runs") for res, _ in built), (n, built)
 
@@ -427,29 +437,39 @@ def test_bar_cell_cap_binds_on_a_rank_zero_module(compute, n):
     msg = "standard-resolution differential needs a 1225 x 42875 matrix"
     with_reps = {"_leg_rows"}
     if compute is ordinary_cohomology:
-        with_reps = {"_morse_complex", "_morse_leg"}
-    engine._morse_splits.cache_clear()
+        with_reps = {"_morse_complex", "_bar_leg"}
+    _clear_bar_tables()
+    engine._monomial_skeleton.cache_clear()
     for reps, readers in ((False, {"diagonal", "_morse_leg"}), (True, with_reps)):
         with pytest.raises(ResourceCapExceeded, match=msg) as err:
             compute(M, n, resolution="bar", want_representatives=reps)
-        assert readers <= {entry.name for entry in err.traceback}
+        names = {entry.name for entry in err.traceback}
+        assert readers <= names
+        # the Morse complex prices leg 3 itself, before it reads leg 2
+        assert not (reps and compute is ordinary_cohomology and "_morse_leg" in names)
     for dual in (False, True):
         with pytest.raises(ResourceCapExceeded, match=msg):
             next(engine._leg_rows(M, "bar", 3, dual))
     # only a priced leg tables anything: the Morse complex of ordinary
-    # cohomology prices leg 2 first, whose guard tables m = 1..3, and the
-    # refused leg 3 tables neither its guard's m = 4 nor anything else
-    tabled = 3 if compute is ordinary_cohomology else 0
-    assert engine._morse_splits.cache_info().currsize == tabled
-    assert _was_tabled((36,), 3) == bool(tabled)
+    # cohomology prices legs 2, 3 and 4 before it reads any, so the
+    # refused leg 3 leaves every skeleton table empty
+    for table in (engine._monomial_skeleton, engine._morse_splits, engine._morse_reach):
+        assert table.cache_info().currsize == 0, table
+    assert not _was_tabled((36,), 3)
 
 
-def _was_tabled(orders, m) -> bool:
-    """Whether the bar table held the key (orders, m): a lookup that does
-    not miss."""
-    misses = engine._morse_splits.cache_info().misses
-    engine._morse_splits(orders, m)
-    return engine._morse_splits.cache_info().misses == misses
+def _clear_bar_tables():
+    """Empty both bar tables, which hold the guards' verdicts."""
+    engine._morse_splits.cache_clear()
+    engine._morse_reach.cache_clear()
+
+
+def _was_tabled(orders, m, table=engine._morse_splits) -> bool:
+    """Whether the bar ``table`` held the key (orders, m): a lookup that
+    does not miss."""
+    misses = table.cache_info().misses
+    table(orders, m)
+    return table.cache_info().misses == misses
 
 
 def test_skeleton_tables_stay_under_their_bound():
@@ -457,9 +477,10 @@ def test_skeleton_tables_stay_under_their_bound():
     # and oracle suites read fit in the tables without eviction.  A bar
     # table of (orders, m) holds a pair per cell of degree m - 1, which the
     # reader prices as the columns of a leg first: the oracle's (2,2,4) H^3
-    # reads leg 3, whose partition guard of degree 3 tables m = 4, and its
-    # capped leg leaving degree 4 tables nothing above that
-    tables = (engine._monomial_skeleton, engine._morse_splits)
+    # reads leg 3, whose partition guard of degree 3 tables m = 4 and whose
+    # reach tables m = 3, and its capped leg leaving degree 4 tables
+    # nothing above that
+    tables = (engine._monomial_skeleton, engine._morse_splits, engine._morse_reach)
     for table in tables:
         table.cache_clear()
     assert {r.status for r in resolution_suite() + oracle_suite()} == {PASS, CAPPED}
@@ -467,6 +488,8 @@ def test_skeleton_tables_stay_under_their_bound():
         info = table.cache_info()
         assert 0 < info.currsize < info.maxsize == engine._SKELETON_TABLES, info
     assert _was_tabled((2, 2, 4), 4) and not _was_tabled((2, 2, 4), 5)
+    reach = engine._morse_reach
+    assert _was_tabled((2, 2, 4), 3, reach) and not _was_tabled((2, 2, 4), 4, reach)
 
 
 def test_hom_complex_map_checks_every_cap(monkeypatch):
@@ -695,7 +718,7 @@ def test_bar_pivots_equal_the_morse_partner_walk(row_modules, orders, data, m, d
     G = GroupSpec(orders)
     M = parse_module(data.draw(st.sampled_from(row_modules[orders])), G)
     tables = engine._bar_tables(M, dual)
-    got = engine._bar_pivots(M, m, tables)
+    got = engine._bar_pivots(M, m, tables, engine._morse_splits(orders, m))
     want = reference_bar_pivots(M, m, tables)
     assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
 
@@ -762,17 +785,19 @@ def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m, dua
         assert ([x % N for x in out] if N else out) == want, (text, m, dual)
 
 
-def _morse_read(M, m, tables, mod):
+def _morse_read(M, m, tables, mod, build="reached"):
     """What the Smith branch reads of the standard-resolution leg leaving
-    degree m off the Morse complex: the number of pivots of
-    :func:`engine._morse_leg`, the critical complement of
-    :func:`engine._morse_complement` and its shape; None where a guard
+    degree m off the Morse complex: the number of pivots it eliminates, d
+    per pair of the (orders, m) table, the critical complement of
+    :func:`engine._morse_complement` on the pivots that
+    :func:`engine._morse_leg` builds and its shape; None where a guard
     fails."""
-    leg = engine._morse_leg(M, m, tables, None, mod)
+    leg = engine._morse_leg(M, m, tables, None, mod, build)
     if leg is None:
         return None
     complement = engine._morse_complement(M, m, tables, leg, mod)[1]
-    return len(leg[0]), complement, len(complement), len(leg[3])
+    units = M.rank * len(engine._morse_splits(M.spec.orders, m))
+    return units, complement, len(complement), len(leg[3])
 
 
 def _check_morse_diagonal(M, m, dual, mod):
@@ -787,7 +812,7 @@ def _check_morse_diagonal(M, m, dual, mod):
     rows = list(engine._leg_rows(M, "bar", m, dual))
     plain = _plain_shape(M, m, rows, dual)
     tables = engine._bar_tables(M, dual)
-    pivots, built = engine._bar_pivots(M, m, tables)
+    pivots, built = engine._bar_pivots(M, m, tables, engine._morse_splits(M.spec.orders, m))
     assert {r: dict(row) for r, row in built.items()} == {r: dict(plain[r]) for r in built}
     read = _morse_read(M, m, tables, mod)
     assert read is not None
@@ -877,6 +902,102 @@ def test_schur_complement_runs_over_the_short_side(monkeypatch, row_modules, m, 
     assert shapes and all(fed <= length for fed, length in shapes), shapes
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(1, 4), st.booleans())
+def test_reached_pivots_read_the_same_complement(row_modules, orders, data, m, dual):
+    # the Smith branch builds only the pivots that the critical cells of
+    # degree m reach, and reads the same critical complement, row for row,
+    # and the same unit count as a read of every pivot: plain and dual
+    # legs, over Z and mod N in {2, 4, 6} for a lattice, mod its own N for
+    # a finite module
+    G = GroupSpec(orders)
+    M = parse_module(data.draw(st.sampled_from(row_modules[orders])), G)
+    tables = engine._bar_tables(M, dual)
+    mods = [M.modulus] if M.modulus else [None, data.draw(st.sampled_from((2, 4, 6)))]
+    for mod in mods:
+        every = engine._morse_leg(M, m, tables, None, mod, "every")
+        reached = engine._morse_leg(M, m, tables, None, mod, "reached")
+        assert len(reached[0]) == M.rank * len(engine._morse_reach(orders, m))
+        read = _morse_read(M, m, tables, mod)
+        assert read == _morse_read(M, m, tables, mod, "every"), (orders, m, dual, mod)
+        assert read[0] == len(every[0])
+
+
+def test_smith_read_builds_only_the_reached_pivots(monkeypatch):
+    # (2,2,4) H^3 with trivial coefficients reads leg 3 on the Smith route:
+    # it eliminates all 207 pairs of the leg's pivot block, but builds the
+    # rows of the 31 that its 10 critical cells reach
+    built = []
+    real = engine._bar_pivots
+
+    def recorded(M, m, *rest):
+        pivots, rows = real(M, m, *rest)
+        built.append((m, len(rows)))
+        return pivots, rows
+
+    monkeypatch.setattr(engine, "_bar_pivots", recorded)
+    Z = trivial_module(GroupSpec.of(2, 2, 4))
+    r = ordinary_cohomology(Z, 3, resolution="bar", want_representatives=False)
+    assert r.route == "cokernel-torsion"
+    assert built == [(3, 31)]
+    assert len(engine._morse_splits((2, 2, 4), 3)) == 207
+    assert r.invariants == ordinary_cohomology(Z, 3, want_representatives=False).invariants
+
+
+# the pairs of leg 2 over C4, each set failing one module-free guard; the
+# true pairs take [x^2] into [x|x] and [x^3] into [x|x^2], whose first face
+# is [x^2]
+_UNTRUSTED_CELL_PAIRS = {
+    # [x^3|x^3] meets [x^2] through its merge face alone, but [x^2] and
+    # [x^3] then need each other: a cycle in the cell graph
+    "cycle": ((1, (2, 2)), (2, (0, 1))),
+    # [x^2|x^3] meets [x^3] through its first face, not a merge face
+    "first face": ((1, (0, 0)), (2, (1, 2))),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_UNTRUSTED_CELL_PAIRS))
+def test_a_bad_cell_graph_lists_the_leg(monkeypatch, guard):
+    # the pairs pass the partition guard, but the reach of leg 2 is None,
+    # and every call that reads the leg lists it and gets the same
+    # invariants
+    orders = (4,)
+    M = trivial_module(GroupSpec(orders))
+    cases = [
+        (ordinary_cohomology, 2, False),
+        (ordinary_cohomology, 1, True),
+        (homology, 1, False),
+    ]
+    want = {case: case[0](M, case[1], want_representatives=case[2]) for case in cases}
+    _clear_bar_tables()
+    real = engine._morse_splits
+    assert real(orders, 2) == ((1, (0, 0)), (2, (0, 1)))
+    real(orders, 3)  # the partition guard of degree 2, on the true pairs
+    untrusted = _UNTRUSTED_CELL_PAIRS[guard]
+    listed = []
+    real_rows = engine._leg_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            engine, "_morse_splits", lambda o, k: untrusted if k == 2 else real(o, k)
+        )
+        patch.setattr(
+            engine,
+            "_leg_rows",
+            lambda M, res, m, *rest: listed.append(m) or real_rows(M, res, m, *rest),
+        )
+        try:
+            assert engine._morse_reach(orders, 2) is None
+            assert engine._morse_reach(orders, 1) == ()
+            for (compute, n, reps), w in want.items():
+                listed.clear()
+                got = compute(M, n, resolution="bar", want_representatives=reps)
+                assert 2 in listed, (compute.__name__, n, reps, listed)
+                assert got.route == w.route and got.invariants == w.invariants
+        finally:
+            real.cache_clear()
+            engine._morse_reach.cache_clear()
+
+
 @pytest.mark.parametrize("orders", verify._GROUPS, ids=str)
 def test_morse_matching_leaves_the_monomial_ranks_critical(orders):
     # the paper's comparison: the matching pairs each cell with one a degree
@@ -952,8 +1073,8 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, request, guard, t
         monkeypatch.setattr(engine, "_critical_cells", shifted)
         # the tables hold the guard's verdict: rebuild them on the shifted
         # cells now, and on the true ones after the test
-        engine._morse_splits.cache_clear()
-        request.addfinalizer(engine._morse_splits.cache_clear)
+        _clear_bar_tables()
+        request.addfinalizer(_clear_bar_tables)
     else:
         pivots, rows = _UNTRUSTED_PIVOTS[guard], list(engine._leg_rows(M, "bar", 2))
         untrusted = pivots, {r: rows[r] for r in pivots.values()}
@@ -961,7 +1082,7 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, request, guard, t
         monkeypatch.setattr(
             engine,
             "_bar_pivots",
-            lambda M, m, tables: untrusted if m == 2 else real(M, m, tables),
+            lambda M, m, tables, pairs: untrusted if m == 2 else real(M, m, tables, pairs),
         )
     searched = []
     real_columns = engine._image_columns
@@ -1201,7 +1322,7 @@ def test_critical_complement_is_the_monomial_leg_up_to_cell_signs(
     mods = [M.modulus] if M.modulus else [None, data.draw(st.sampled_from((2, 4, 6)))]
     tables = engine._bar_tables(M, dual)
     for mod in mods:
-        leg = engine._morse_leg(M, m, tables, None, mod)
+        leg = engine._morse_leg(M, m, tables, None, mod, "reached")
         assert leg is not None, (text, m, dual, mod)
         _, got = engine._morse_complement(M, m, tables, leg, mod)
         assert len(got) == len(mono)
