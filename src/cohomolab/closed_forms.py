@@ -31,6 +31,7 @@ from cohomolab.group_ring import GroupSpec
 from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
+    _check_prime,
     _factorize,
     kernel_columns,
 )
@@ -99,38 +100,6 @@ def multiplicity_display(n: int, s: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Invariant-factor predictions
-
-
-# Miller-Rabin to the first 13 prime bases decides primality exactly below
-# this bound (Sorenson and Webster, Math. Comp. 86, 2017)
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def _check_prime(p: int) -> None:
-    """Raise ValueError unless p is prime.  A base that witnesses p
-    composite does so at any size; a p that no base witnesses is prime
-    below ``_PRIME_BOUND`` and refused as undecided above it."""
-    if p in _PRIME_BASES:
-        return
-    d, r = p - 1, 0
-    while d > 0 and d % 2 == 0:
-        d, r = d // 2, r + 1
-
-    def witness(a: int) -> bool:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            return False
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                return False
-        return True
-
-    if p < 2 or any(p % a == 0 or witness(a) for a in _PRIME_BASES):
-        raise ValueError(f"{p} is not prime")
-    if p >= _PRIME_BOUND:
-        raise ValueError(f"{p} is past {_PRIME_BOUND}, the bound of the exact primality test")
 
 
 def irreducible_homology_factors(n: int, s: int, p: int) -> AbelianInvariants:

@@ -22,7 +22,7 @@ Route selection is about cost, never about semantics:
                         built.  Ordinary cohomology on the standard
                         resolution takes all of this on the critical
                         coordinates of its Morse complex (see below) and
-                        lists no leg unless a guard fails.
+                        lists no leg.
 * ``cokernel-torsion``  lattice coefficients, invariants only: the free rank
                         dim - rk d_in - rk d_out plus the torsion of the
                         Smith diagonal of the incoming map.  With both maps
@@ -113,17 +113,18 @@ transposed, in the plain shape with transposed antipode blocks and on the
 plain leg's pivot positions, SNF(A) = SNF(A^T).  The arithmetic stays the
 bar matrices' own, so the oracle still shares nothing with the monomial
 resolution, and exactness never rests on the matching.  Every read of a
-leg goes through :func:`_morse_leg`, which holds the guards.  Three hold
-whatever the module and are checked once per (orders, m), as the tables
-are built: the cells of each degree up to m must split into those matched
-upward, the critical ones and those matched downward, each once
-(:func:`_morse_splits`); each up cell must meet its split cell through one
-merge face and no other face, so every pivot is +-1; and no chain of
-substitutions may return to a cell (:func:`_morse_reach`).  So the whole
-pivot block is triangular up to order with a unit diagonal, and is counted
-whole, built or not.  The pivots built are checked once more, against the
-module's own entries (:func:`~cohomolab.intlinalg.solve_pivots`).  Where a
-guard fails the leg is listed and searched as a whole.
+leg goes through the guards.  Three hold whatever the module and are
+checked once per (orders, m), as the tables are built: the cells of each
+degree up to m must split into those matched upward, the critical ones
+and those matched downward, each once (:func:`_morse_splits`); each up
+cell must meet its split cell through one merge face and no other face,
+so every pivot is +-1; and no chain of substitutions may return to a cell
+(:func:`_morse_reach`).  So the whole pivot block is triangular up to
+order with a unit diagonal, and is counted whole, built or not.  The
+pivots built are checked once more, against the module's own entries
+(:func:`~cohomolab.intlinalg.solve_pivots`, in :func:`_morse_leg`).  The
+guards are theorems of the matching, so a failed one is a fault: it
+raises :class:`VerificationError`, and no leg is listed in its place.
 
 The kernel and congruence routes read ordinary cohomology on the standard
 resolution off the Morse complex too, with or without representatives:
@@ -140,13 +141,13 @@ spanned by leg n's, once leg n - 1's pivots move every cochain of degree
 n - 1 off its own cells matched downward.  These complements are the
 monomial legs up to one sign per cell.  Exactness rests on the guards of
 legs n - 1, n and n + 1, so on the pivot columns, the critical cells and
-the pivot rows splitting every degree up to n + 1; where a guard fails the
-call lists its legs as before.  With representatives, each canonical
-residue is lifted back, a cell matched downward taking 0 and one matched
-upward -R(j) . phi, and the lifts are checked run by run against all of
-leg n + 1, which covers the rows of the cells matched upward that no
-complement reads.  The result's presentation-backed methods project a bar
-cochain onto the critical coordinates first (:class:`_MorsePresentation`).
+the pivot rows splitting every degree up to n + 1.  With representatives,
+each canonical residue is lifted back, a cell matched downward taking 0
+and one matched upward -R(j) . phi, and the lifts are checked run by run
+against all of leg n + 1, which covers the rows of the cells matched
+upward that no complement reads.  The result's presentation-backed
+methods project a bar cochain onto the critical coordinates first
+(:class:`_MorsePresentation`).
 
 The cokernel-torsion formula: Z^dim / ker d_out embeds in a
 free group, so ker d_out is saturated, of rank dim - rk d_out, and the
@@ -328,12 +329,13 @@ def _minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
     return [[(k, blocks[b]) for k, b in faces] for faces in table], targets
 
 
+_GroupTable = tuple[tuple[int, ...], ...]  # see _product_table and _merged_table
 # a prefix run of the standard resolution's differential, see _bar_values:
 # (g_1, first-face start, inner merges as (start, sign), last-merge start,
 # product-table row of g_(m-1), last face)
-_Run = tuple[int, int, list[tuple[int, int]], int, list[int], int]
+_Run = tuple[int, int, list[tuple[int, int]], int, Sequence[int], int]
 # what every leg of the standard resolution reads, see _bar_tables
-_BarTables = tuple[list[list[int]], list[_Block]]
+_BarTables = tuple[_GroupTable, list[_Block]]
 
 
 def _bar_leg(M: GModule, m: int, limits: EngineLimits | None) -> int:
@@ -487,7 +489,7 @@ def _cell_index(e: Sequence[int], size: int) -> int:
 
 
 def _cell_faces(
-    merged: list[list[int]], m: int, e: Sequence[int]
+    merged: _GroupTable, m: int, e: Sequence[int]
 ) -> tuple[int, int, int, list[tuple[int, int]]]:
     """The index of the cell [g_1|...|g_m], m >= 1, whose elements have the
     indices ``e``, the indices of its first face [g_2|...|g_m] and its last
@@ -545,19 +547,18 @@ def _cell_rows(
 
 
 @lru_cache(maxsize=_SKELETON_TABLES)
-def _morse_splits(
-    orders: tuple[int, ...], m: int
-) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
+def _morse_splits(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The Morse matching's pairs across the standard-resolution leg
     leaving degree m >= 1 of the group with cyclic factors ``orders``,
     whatever the module: for each cell of degree m - 1 that
     :func:`_morse_partner` splits upward, in bar basis order, its index and
-    the element indices of its up cell.  None unless the cells of every
-    degree k < m split into those matched upward (leg k + 1's pivot
-    columns), the critical ones (:func:`_critical_cells`) and those matched
-    downward (leg k's pivot rows), each once: the partition guard of every
-    read of the Morse complex, checked here for degree m - 1 against the
-    table of (orders, m - 1), which checked the degrees below it.
+    the element indices of its up cell.  The cells of every degree k < m
+    must split into those matched upward (leg k + 1's pivot columns), the
+    critical ones (:func:`_critical_cells`) and those matched downward (leg
+    k's pivot rows), each once, or :class:`VerificationError` is raised:
+    the partition guard of every read of the Morse complex, checked here
+    for degree m - 1 against the table of (orders, m - 1), which checked
+    the degrees below it.
 
     Built from that table: :func:`_morse_partner` decides at the first pair
     that splits or merges, so a cell [p|x] follows its prefix p.  A p split
@@ -565,20 +566,18 @@ def _morse_splits(
     only the extensions of the C(m+s-3, s-1) critical prefixes are walked,
     |G| - 1 each.  At most ``_SKELETON_TABLES`` keys.  A table holds at most
     one pair per cell of degree m - 1, (|G| - 1)^(m - 1), and every read of
-    it follows :func:`_morse_reach`, which only :func:`_morse_leg` calls,
-    once it has priced leg m - 1 or m, whose columns are that many cells or
-    more (:func:`_bar_leg`): the reach of leg m - 1 reads the table for its
-    partition guard, that of leg m for its pairs.  So under the default
-    caps a table holds at most 20^3 = 8000 pairs (|G| = 21, m = 4);
-    (2,2,4) holds 3158 for m = 4."""
+    it follows :func:`_morse_reach`, which only :func:`_morse_leg` and
+    :func:`_morse_complex` call, once they have priced leg m - 1 or m,
+    whose columns are that many cells or more (:func:`_bar_leg`): the reach
+    of leg m - 1 reads the table for its partition guard, that of leg m for
+    its pairs.  So under the default caps a table holds at most 20^3 = 8000
+    pairs (|G| = 21, m = 4); (2,2,4) holds 3158 for m = 4."""
     elements = GroupSpec(orders).nonidentity_elements()
     size = len(elements)
     if m == 1:
         grown, splits = (), []  # the one cell of degree 0 is critical
     else:
         grown = _morse_splits(orders, m - 1)
-        if grown is None:
-            return None
         index = {g: e for e, g in enumerate(elements)}
         splits = [(p * size + x, (*up, x)) for p, up in grown for x in range(size)]
         for e in _critical_cells(orders, m - 2):
@@ -591,7 +590,9 @@ def _morse_splits(
     cells = [c for c, _ in splits]
     cells += [_cell_index(e, size) for e in _critical_cells(orders, m - 1)]
     cells += [_cell_index(up, size) for _, up in grown]
-    return tuple(splits) if len(cells) == len(set(cells)) == size ** (m - 1) else None
+    if not len(cells) == len(set(cells)) == size ** (m - 1):
+        raise VerificationError(f"Morse cells of degree {m - 1} over {orders}: no partition")
+    return tuple(splits)
 
 
 def _bar_pivots(
@@ -634,9 +635,7 @@ def _critical_cells(orders: Sequence[int], m: int) -> list[list[int]]:
 
 
 @lru_cache(maxsize=_SKELETON_TABLES)
-def _morse_reach(
-    orders: tuple[int, ...], m: int
-) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
+def _morse_reach(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The pairs of :func:`_morse_splits` of (orders, m) that the critical
     cells of degree m reach, in table order, whatever the module: the
     pivots whose R's the critical complement of the leg leaving degree
@@ -645,9 +644,9 @@ def _morse_reach(
     cells among its faces, and the up cell of a reached split cell the
     split cells among its own other faces.
 
-    None where a guard of the leg fails, so every read of the Morse
-    complex passes through here (:func:`_morse_leg`): the partition guard
-    of every degree up to m (the table of (orders, m + 1) is None); an up
+    Every read of the Morse complex passes through here, so here its
+    module-free guards raise :class:`VerificationError`: the partition
+    guard of every degree up to m (the table of (orders, m + 1)); an up
     cell that meets its split cell through any face but exactly one merge
     face, so that some pivot might not be +-I; or a chain of substitutions
     at the cell level that returns to a cell, split cell c needing split
@@ -658,8 +657,7 @@ def _morse_reach(
     ``_SKELETON_TABLES`` keys, each filled by a reader that priced leg m
     first; a table holds at most the pairs of :func:`_morse_splits`
     (31 of 207 for (2,2,4) and m = 3)."""
-    if _morse_splits(orders, m + 1) is None:
-        return None
+    _morse_splits(orders, m + 1)
     splits = _morse_splits(orders, m)
     merged = _merged_table(orders)
     split = dict(splits)
@@ -673,7 +671,7 @@ def _morse_reach(
     for c, up in splits:
         faces = met(up)
         if faces.count(c) != 1 or c in faces[:2]:
-            return None
+            raise VerificationError(f"Morse pivots leaving degree {m} over {orders}: no merge face")
         needs[c] = [k for k in faces if k in split and k != c]
     # no cycle: a cell is freed once every cell that needs it is, and the
     # cells of a cycle never are
@@ -685,7 +683,7 @@ def _morse_reach(
             if not waiting[k]:
                 free.append(k)
     if len(free) < len(needs):
-        return None
+        raise VerificationError(f"Morse pivots leaving degree {m} over {orders}: a cycle")
     todo = [k for e in _critical_cells(orders, m) for k in met(e) if k in split]
     reached = set()
     while todo:
@@ -696,21 +694,21 @@ def _morse_reach(
 
 
 def _morse_leg(
-    M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None, mod: int | None, build: str
-) -> tuple | None:
+    M: GModule, m: int, tables: _BarTables, limits: EngineLimits | None, mod: int | None, every: bool
+) -> tuple:
     """The Morse pivots of the standard-resolution leg leaving degree m >= 1
     in the plain shape of :func:`_cell_rows`, priced by :func:`_bar_leg`
-    and solved over the critical columns: the one guarded read of the Morse
-    complex.  None where the leg fails a guard of :func:`_morse_reach`, or
-    the built pivots one of :func:`~cohomolab.intlinalg.solve_pivots`.
+    and solved over the critical columns: the one read of a leg's pivots.
+    It raises :class:`VerificationError` where the leg fails a guard of
+    :func:`_morse_reach`, or the built pivots one of
+    :func:`~cohomolab.intlinalg.solve_pivots`.
 
-    ``build`` names the pivots built, each reader's own: ``"every"`` pair
-    of :func:`_morse_splits` (the Morse complex's lift gives each pivot
-    column of leg n + 1 a value), the pairs ``"reached"`` by the critical
-    cells, all that a critical complement or the Morse complex's
-    projection reads, or ``"none"`` for a read of the guards alone.  The
-    guards cover the whole pivot block either way, so it is eliminated
-    whole: d per pair of :func:`_morse_splits`.
+    It builds ``every`` pair of :func:`_morse_splits` (the Morse complex's
+    lift gives each pivot column of leg n + 1 a value), or else the pairs
+    reached by the critical cells, all that a critical complement or the
+    Morse complex's projection reads.  The guards cover the whole pivot
+    block either way, so it is eliminated whole: d per pair of
+    :func:`_morse_splits`.
 
     Returns the built pivots of :func:`_bar_pivots`; their rows, kept at
     the pivot columns and the critical columns; their R's, in solve order;
@@ -721,19 +719,19 @@ def _morse_leg(
     m - 1's pivots, so no R reads it.  Dual ``tables`` give the dual leg's
     pivots, transposed, which have the same Smith diagonal."""
     _bar_leg(M, m, limits)
-    reached = _morse_reach(M.spec.orders, m)
-    if reached is None:
-        return None
-    pairs = {"every": _morse_splits(M.spec.orders, m), "reached": reached, "none": ()}[build]
-    pivots, rows = _bar_pivots(M, m, tables, pairs)
+    orders = M.spec.orders
+    reached = _morse_reach(orders, m)
+    pivots, rows = _bar_pivots(M, m, tables, _morse_splits(orders, m) if every else reached)
     d, size = M.rank, len(tables[0])
     columns = {}
-    for i, e in enumerate(_critical_cells(M.spec.orders, m - 1)):
+    for i, e in enumerate(_critical_cells(orders, m - 1)):
         h = _cell_index(e, size)
         columns.update((h * d + t, i * d + t) for t in range(d))
     kept = {r: [(k, x) for k, x in row if k in pivots or k in columns] for r, row in rows.items()}
-    solved = solve_pivots(kept, pivots, mod)
-    return None if solved is None else (pivots, kept, solved, columns)
+    try:
+        return pivots, kept, solve_pivots(kept, pivots, mod), columns
+    except ValueError as exc:
+        raise VerificationError(f"Morse pivots leaving degree {m} over {orders}: {exc}") from None
 
 
 def _morse_complement(
@@ -764,12 +762,14 @@ def _morse_complement(
     return raw, complement
 
 
-def _product_table(orders: Sequence[int]) -> list[list[int]]:
+@lru_cache(maxsize=_SKELETON_TABLES)
+def _product_table(orders: tuple[int, ...]) -> _GroupTable:
     """mul[a][b], the index of the product of the a-th and b-th elements of
-    the group with cyclic factors ``orders``, in element order.
+    the group with cyclic factors ``orders``, in element order; built once
+    per group, as tuples that no caller can change.
 
     >>> _product_table((2,))
-    [[0, 1], [1, 0]]
+    ((0, 1), (1, 0))
     """
     # built from the last factor out: (x, r) has index x * R + r
     mul = [[0]]
@@ -780,14 +780,16 @@ def _product_table(orders: Sequence[int]) -> list[list[int]]:
             for x in range(o)
             for mr in mul
         ]
-    return mul
+    return tuple(map(tuple, mul))
 
 
-def _merged_table(orders: Sequence[int]) -> list[list[int]]:
+@lru_cache(maxsize=_SKELETON_TABLES)
+def _merged_table(orders: tuple[int, ...]) -> _GroupTable:
     """merged[a][b], the index of the product of the a-th and b-th
     nonidentity elements among the nonidentity elements of the group with
-    cyclic factors ``orders``, or -1 where it is the identity."""
-    return [[c - 1 for c in row[1:]] for row in _product_table(orders)[1:]]
+    cyclic factors ``orders``, or -1 where it is the identity; built once
+    per group, as tuples."""
+    return tuple(tuple(c - 1 for c in row[1:]) for row in _product_table(orders)[1:])
 
 
 def _bar_weight(blocks: list[_Block], m: int) -> int:
@@ -811,7 +813,7 @@ def _bar_tables(M: GModule, dual: bool) -> _BarTables:
     >>> from cohomolab.group_ring import GroupSpec
     >>> from cohomolab.modules import trivial_module
     >>> _bar_tables(trivial_module(GroupSpec.of(3)), False)
-    ([[1, -1], [-1, 0]], [[[(0, 1)]], [[(0, 1)]]])
+    (((1, -1), (-1, 0)), [[[(0, 1)]], [[(0, 1)]]])
     """
     G = M.spec
     merged = _merged_table(G.orders)
@@ -1134,7 +1136,7 @@ class _MorsePresentation:
 
 def _morse_complex(
     M: GModule, n: int, mod: int | None, tables: _BarTables, limits: EngineLimits | None
-) -> tuple[list, Iterator[list[tuple[int, int]]], int, Callable, Callable] | None:
+) -> tuple[list, Iterator[list[tuple[int, int]]], int, Callable, Callable]:
     """The Morse complex of the standard resolution at degree n, as a leg
     source on the critical coordinates of degree n (see the module
     docstring): the rows of leg n's complement, whose columns span the
@@ -1142,26 +1144,23 @@ def _morse_complex(
     kernel is needed; the critical width; ``project``, which takes a bar
     cocycle to the critical coordinates of a cohomologous one that vanishes
     on the cells matched downward; and ``lift``, which takes a critical
-    vector back to the bar cochain that does.  None where :func:`_morse_leg`
-    of leg n - 1, n or n + 1 fails a guard: the partition is checked in
-    every degree up to n + 1.  All three legs are priced before any table
-    or pivot is built."""
-    degrees = range(max(n - 1, 1), n + 2)
-    for m in degrees:  # every leg is priced before any table or pivot is built
+    vector back to the bar cochain that does.  All three legs are priced
+    before any table or pivot is built; then leg n - 1's guards are read
+    (:func:`_morse_reach`), and legs n and n + 1 (:func:`_morse_leg`)."""
+    for m in range(max(n - 1, 1), n + 2):
         _bar_leg(M, m, limits)
-    # lift gives every pivot column of leg n + 1 a value; project and the
-    # complements read the pivots their critical rows reach; leg n - 1 is
-    # read for its guards alone
-    build = {n - 1: "none", n: "reached", n + 1: "every"}
-    legs = {m: _morse_leg(M, m, tables, limits, mod, build[m]) for m in degrees}
-    if None in legs.values():
-        return None
+    if n > 1:  # leg n - 1's pivots move cochains of degree n - 1; no R is read
+        _morse_reach(M.spec.orders, n - 1)
+    # project and leg n's complement read the pivots its critical rows
+    # reach; lift gives every pivot column of leg n + 1 a value
+    leg = _morse_leg(M, n, tables, limits, mod, False) if n else ()
+    top = _morse_leg(M, n + 1, tables, limits, mod, True)
     N = mod or 0
-    solved, coords = legs[n + 1][2], list(legs[n + 1][3])
-    raw, image = _morse_complement(M, n, tables, legs[n], mod) if n else ([], [])
+    solved, coords = top[2], list(top[3])
+    raw, image = _morse_complement(M, n, tables, leg, mod) if n else ([], [])
 
     def kernel() -> Iterator[list[tuple[int, int]]]:
-        yield from _morse_complement(M, n + 1, tables, legs[n + 1], mod)[1]
+        yield from _morse_complement(M, n + 1, tables, top, mod)[1]
 
     width = M.rank * (M.spec.order - 1) ** n
 
@@ -1179,7 +1178,7 @@ def _morse_complex(
         # rows, which the solve order allows one column at a time
         if not n:
             return [vec[q] for q in coords]
-        pivots, rows, order, _ = legs[n]
+        pivots, rows, order, _ = leg
         y: dict[int, int] = {}
         for j in order:
             acc, p = vec[pivots[j]], 0
@@ -1225,16 +1224,15 @@ def _complex_group(
     Invariants-only calls on a lattice or a reduction L/NL read H off the
     Smith diagonals of the maps they need, d_in alone where |G| kills H;
     each standard-resolution leg among them is read off the Morse complex
-    (:func:`_morse_leg` and :func:`_morse_complement`) and listed only
-    where a guard fails.  Any other modulus N switches kernels and
-    quotients to congruences.  Every other call runs one quotient on a leg
-    source picked once: the Morse complex of :func:`_morse_complex` for a
-    plain standard-resolution leg (ordinary cohomology), and the listed
-    legs for a monomial or dual leg or where a Morse guard fails.  The
+    (:func:`_morse_leg` and :func:`_morse_complement`).  Any other modulus
+    N switches kernels and quotients to congruences.  Every other call runs
+    one quotient on a leg source picked once: the Morse complex of
+    :func:`_morse_complex` for a plain standard-resolution leg (ordinary
+    cohomology), and the listed legs for a monomial or dual leg.  The
     image, the cocycles (the saturation of the image where |G| kills H,
     otherwise the kernel of the outgoing rows, listed only where they
     double as the row-by-row check) and the quotient are taken the same way
-    on either.
+    on either.  A failed Morse guard raises :class:`VerificationError`.
     """
     limits = limits or EngineLimits.from_env()
     limits.check_group_order(M.spec.order)
@@ -1295,13 +1293,13 @@ def _complex_group(
     if smith:
         # the Smith diagonals of both maps, see the module docstring.  A
         # standard-resolution leg is read off the Morse complex, a 1 per
-        # pivot and its critical complement, and listed only where a guard
-        # fails.  SNF(A) = SNF(A^T), so a map with more rows than columns
-        # goes in as its columns and every search runs over the short side
+        # pivot and its critical complement.  SNF(A) = SNF(A^T), so a map
+        # with more rows than columns goes in as its columns and every
+        # search runs over the short side
         def diagonal(k: int, rows: int, cols: int) -> list[int]:
             m = max(n, k)
-            read = _morse_leg(M, m, tables, limits, mod, "reached") if tables else None
-            if read:
+            if tables:
+                read = _morse_leg(M, m, tables, limits, mod, False)
                 source = _morse_complement(M, m, tables, read, mod)[1]
                 units = M.rank * len(_morse_splits(M.spec.orders, m))
                 rows, cols = len(source), len(read[3])
@@ -1325,12 +1323,11 @@ def _complex_group(
             _check_killed(inv, M.spec.order, n)
         return CohomologyResult(n, kind, inv, M.label, resolution, route)
     # one quotient for every leg source: a plain standard-resolution leg
-    # reads the Morse complex unless a guard fails, and checks
-    # representatives run by run; any other leg is listed, checked row by row
+    # reads the Morse complex and checks representatives run by run; any
+    # other leg is listed, checked row by row
     by_runs = has_out and resolution == "bar" and step > 0
-    morse = _morse_complex(M, n, mod, tables, limits) if by_runs else None
-    if morse:
-        image, out, width, project, lift = morse
+    if by_runs:
+        image, out, width, project, lift = _morse_complex(M, n, mod, tables, limits)
     else:
         image = leg(k_in) if has_in else ()
         out = leg(k_out) if has_out else ()

@@ -161,6 +161,38 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _check_prime(p: int) -> None:
+    """Raise ValueError, "p must be prime", unless p is prime.  A base that
+    witnesses p composite does so at any size; a p that no base witnesses
+    is prime below ``_PRIME_BOUND`` and refused as undecided above it."""
+    if p in _PRIME_BASES:
+        return
+    d, r = p - 1, 0
+    while d > 0 and d % 2 == 0:
+        d, r = d // 2, r + 1
+
+    def witness(a: int) -> bool:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            return False
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                return False
+        return True
+
+    if p < 2 or any(p % a == 0 or witness(a) for a in _PRIME_BASES):
+        raise ValueError(f"p must be prime: {p} is not prime")
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"p must be prime: {p} is past the bound of the exact primality test")
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -468,32 +500,33 @@ def smith_diagonal(
 
 def solve_pivots(
     rows: Mapping[int, Sequence[tuple[int, int]]], pivots: dict[int, int], mod: int | None = None
-) -> dict[int, dict[int, int]] | None:
+) -> dict[int, dict[int, int]]:
     """R(j) for each pivot column j of unit pivots known in advance, in an
-    order that solves each after every R it needs; or None where the pivots
-    cannot be trusted.
+    order that solves each after every R it needs; ValueError where the
+    pivots cannot be trusted.
 
     ``pivots`` maps a column j to the row that holds its pivot, and ``rows``
     gives the (column, value) pairs of at least those rows, by row index.
     R(j) is the pivot row of j without its pivot, each entry x in another
     pivot column k replaced by -x R(k), divided by the pivot: a solution x
     of A x = 0 on the pivot rows takes x_j = -R(j) . x on the non-pivot
-    columns.  The result is None unless every pivot is a unit (mod N with
-    ``mod``), no row holds two pivots, and no R(j) needs itself: then the
-    pivot block is triangular up to order with a unit diagonal.  A row that
-    holds two pivots has both their columns, so their R's need each other
-    and the walk meets that as a cycle.  With ``mod`` the entries are
-    symmetric residues, of absolute value at most N/2.
+    columns.  Every pivot must be a unit (mod N with ``mod``), no row may
+    hold two pivots, and no R(j) may need itself: then the pivot block is
+    triangular up to order with a unit diagonal.  A row that holds two
+    pivots has both their columns, so their R's need each other and the
+    walk meets that as a cycle.  With ``mod`` the entries are symmetric
+    residues, of absolute value at most N/2.
 
     >>> solve_pivots({0: [(0, 1), (1, 2)], 1: [(1, 1), (2, 3)]}, {0: 0, 1: 1})
     {1: {2: 3}, 0: {2: -6}}
-    >>> solve_pivots({0: [(0, 1), (1, 2)]}, {0: 0, 1: 0}) is None
-    True
+    >>> solve_pivots({0: [(0, 1), (1, 2)]}, {0: 0, 1: 0})
+    Traceback (most recent call last):
+    ValueError: R(0) needs itself
     """
     N = mod or 0
     h = N // 2
     if not all(r in rows for r in pivots.values()):
-        return None
+        raise ValueError("a pivot row is missing")
     solved: dict[int, dict[int, int]] = {}
 
     def reduce(row: Iterable[tuple[int, int]], skip: int) -> dict[int, int]:
@@ -520,14 +553,14 @@ def solve_pivots(
             for k, _ in row:
                 if k != j and k in pivots and k not in solved:
                     if k in walking:
-                        return None  # R(k) would need itself
+                        raise ValueError(f"R({k}) needs itself")
                     stack.append(k)
                     walking.add(k)
                     break
             else:
                 p = sum(x for k, x in row if k == j)
                 if (gcd(p, N) != 1) if N else p not in (1, -1):
-                    return None
+                    raise ValueError(f"the pivot of column {j} is {p}, no unit")
                 # 1/p is p over Z; a unit times a nonzero entry stays nonzero
                 inv = pow(p, -1, N) if N else p
                 solved[j] = {

@@ -15,13 +15,13 @@ resolves through the dual-degree identity on the lattice inside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from math import isqrt
 from typing import Iterable, Sequence
 
 from cohomolab.group_ring import GroupSpec
 from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
+    _check_prime,
     quotient_invariants,
 )
 from cohomolab.limits import EngineLimits, ResourceCapExceeded
@@ -274,8 +274,7 @@ class CyclotomicSpec:
     exps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
-            raise ValueError("p must be prime")
+        _check_prime(self.p)
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if len(self.exps) != self.spec.ngens:

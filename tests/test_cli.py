@@ -217,6 +217,35 @@ def test_engine_verification_failure_is_exit_four(capsys, monkeypatch):
     assert "verification failed: degree-2 group" in err and "Traceback" not in err
 
 
+def test_a_failed_morse_guard_is_exit_four(capsys, monkeypatch, request):
+    # the critical cells of degree 2 take in a cell matched downward, so
+    # the partition guard of degree 2 fails: H^2 on the standard resolution
+    # reads leg 2 off the Morse complex, and stops with exit code 4 rather
+    # than listing the leg
+    from cohomolab import engine
+
+    def clear():
+        engine._morse_splits.cache_clear()
+        engine._morse_reach.cache_clear()
+
+    real = engine._critical_cells
+
+    def shifted(orders, k):
+        cells = real(orders, k)
+        return [list(engine._morse_splits(orders, 2)[0][1])] + cells[1:] if k == 2 else cells
+
+    clear()
+    request.addfinalizer(clear)
+    monkeypatch.setattr(engine, "_critical_cells", shifted)
+    code, _, err = run(
+        capsys, "compute", "--group", "2,2", "--module", "trivial", "--degrees", "2",
+        "--resolution", "bar",
+    )
+    assert code == EXIT_VERIFY, err
+    assert "verification failed: Morse cells of degree 2 over (2, 2): no partition" in err
+    assert "Traceback" not in err
+
+
 def test_cell_cap_binds_on_cokernel_torsion_image(capsys, monkeypatch):
     # rank 60 takes the cokernel-torsion route, whose 180 x 120 image
     # matrix is over the cap even though no kernel is ever assembled; the

@@ -338,19 +338,23 @@ def test_each_differential_is_built_at_most_once(
     # every Smith diagonal of a standard-resolution leg, plain or dual, and
     # the Morse complex of ordinary cohomology read it off the Morse complex
     # through _morse_leg, and the representatives check reads a plain one
-    # run by run; none lists its rows.  Each Morse read names the pivots it
-    # builds: a Smith diagonal those its critical cells reach, and the Morse
-    # complex those of leg n too, every pivot of leg n + 1, which its lift
-    # reads, and none of leg n - 1
-    builds = {}
-    real_leg = engine._morse_leg
+    # run by run; none lists its rows.  Each Morse read says whether it
+    # builds every pivot: a Smith diagonal builds those its critical cells
+    # reach, and so does the Morse complex for leg n, but every pivot of
+    # leg n + 1, which its lift reads.  Leg n - 1's guards are read through
+    # _morse_reach alone, which every _morse_leg read calls for its own leg
+    builds, reached = {}, []
+    real_leg, real_reach = engine._morse_leg, engine._morse_reach
 
-    def morse_leg(M, m, tables, limits, mod, build):
+    def morse_leg(M, m, tables, limits, mod, every):
         built.append(("morse", m))
-        builds[m] = build
-        return real_leg(M, m, tables, limits, mod, build)
+        builds[m] = every
+        return real_leg(M, m, tables, limits, mod, every)
 
     monkeypatch.setattr(engine, "_morse_leg", morse_leg)
+    monkeypatch.setattr(
+        engine, "_morse_reach", lambda orders, m: reached.append(m) or real_reach(orders, m)
+    )
     real_values = engine._bar_values
     monkeypatch.setattr(
         engine,
@@ -373,6 +377,7 @@ def test_each_differential_is_built_at_most_once(
     for n in [-2, -1, 0, 1, 2] if tate and M.is_lattice else [0, 1, 2]:
         built.clear()
         builds.clear()
+        reached.clear()
         r = compute(M, n, want_representatives=reps, **kw)
         assert r.route == route
         assert len(built) == len(set(built)), (n, built)
@@ -383,20 +388,42 @@ def test_each_differential_is_built_at_most_once(
             leg = "morse" if resolution == "bar" else resolution or "minimal"
             assert built == [(leg, incoming)], (n, built)
         if reps and resolution == "bar" and compute is ordinary_cohomology:
-            # on the Morse complex: legs n - 1, n and n + 1 read off it, the
-            # outgoing leg read run by run for the check, and no leg listed
-            morse = [("morse", m) for m in range(max(n - 1, 1), n + 2)]
+            # on the Morse complex: the guards of leg n - 1, then the pivots
+            # of legs n and n + 1, the outgoing leg read run by run for the
+            # check, and no leg listed
+            morse = [("morse", m) for m in range(max(n, 1), n + 2)]
             runs = [("runs", n + 1)] if r.representatives else []
             assert built == morse + runs, (n, built)
-            want = {m: {n - 1: "none", n: "reached"}.get(m, "every") for _, m in morse}
-            assert builds == want, (n, builds)
+            assert builds == {m: m > n for _, m in morse}, (n, builds)
+            assert reached == list(range(max(n - 1, 1), n + 2)), (n, reached)
         elif not reps and resolution == "bar":
             # each Smith diagonal's leg read off the Morse complex, once, and
             # no row listed or run read
             assert built and all(res == "morse" for res, _ in built), (n, built)
-            assert set(builds.values()) == {"reached"}, (n, builds)
+            assert set(builds.values()) == {False}, (n, builds)
+            assert reached == [m for _, m in built], (n, reached)
         else:
             assert not any(res in ("morse", "runs") for res, _ in built), (n, built)
+
+
+def test_group_tables_are_built_once_per_group():
+    # the product table and the merged table of nonidentity elements are
+    # built once per group, however many standard-resolution legs, sigma
+    # blocks and factor-set checks read them
+    tables = (engine._product_table, engine._merged_table)
+    for table in tables:
+        table.cache_clear()
+    groups = [(2, 4), (3, 3)]
+    for orders in groups:
+        M = trivial_module(GroupSpec(orders))
+        for n, reps in itertools.product((1, 2, 3), (False, True)):
+            ordinary_cohomology(M, n, resolution="bar", want_representatives=reps)
+        homology(M, 1, resolution="bar", want_representatives=True)
+        for gamma in ordinary_cohomology(M, 2, want_representatives=True).representatives:
+            assert to_factor_set(M, gamma).cocycle_identity_holds()
+    for table in tables:
+        info = table.cache_info()
+        assert info.misses == info.currsize == len(groups) and info.hits, (table, info)
 
 
 def test_factor_sets_and_the_resolution_checks_build_no_ring_matrix(monkeypatch):
@@ -735,10 +762,12 @@ def test_prefix_built_splits_equal_the_partner_walk(orders, m):
     # each table grown from the one below it, from a cold cache, against
     # the walk of _morse_partner over every cell of degree m - 1, pair for
     # pair and in order; and every degree up to m - 1 passes the partition
-    # guard on the grown tables: none of them is None
+    # guard on the grown tables, which raises otherwise, each table below m
+    # equal to the walk too
     engine._morse_splits.cache_clear()
     assert engine._morse_splits(orders, m) == reference_morse_splits(orders, m)
-    assert all(engine._morse_splits(orders, k) is not None for k in range(1, m + 1))
+    for k in range(1, m):
+        assert engine._morse_splits(orders, k) == reference_morse_splits(orders, k), k
 
 
 def _plain_shape(M, m, rows, dual):
@@ -785,16 +814,13 @@ def test_bar_run_values_equal_the_row_products(row_modules, orders, data, m, dua
         assert ([x % N for x in out] if N else out) == want, (text, m, dual)
 
 
-def _morse_read(M, m, tables, mod, build="reached"):
+def _morse_read(M, m, tables, mod, every=False):
     """What the Smith branch reads of the standard-resolution leg leaving
     degree m off the Morse complex: the number of pivots it eliminates, d
     per pair of the (orders, m) table, the critical complement of
     :func:`engine._morse_complement` on the pivots that
-    :func:`engine._morse_leg` builds and its shape; None where a guard
-    fails."""
-    leg = engine._morse_leg(M, m, tables, None, mod, build)
-    if leg is None:
-        return None
+    :func:`engine._morse_leg` builds and its shape."""
+    leg = engine._morse_leg(M, m, tables, None, mod, every)
     complement = engine._morse_complement(M, m, tables, leg, mod)[1]
     units = M.rank * len(engine._morse_splits(M.spec.orders, m))
     return units, complement, len(complement), len(leg[3])
@@ -814,9 +840,7 @@ def _check_morse_diagonal(M, m, dual, mod):
     tables = engine._bar_tables(M, dual)
     pivots, built = engine._bar_pivots(M, m, tables, engine._morse_splits(M.spec.orders, m))
     assert {r: dict(row) for r, row in built.items()} == {r: dict(plain[r]) for r in built}
-    read = _morse_read(M, m, tables, mod)
-    assert read is not None
-    units, complement, height, width = read
+    units, complement, height, width = _morse_read(M, m, tables, mod)
     s = M.spec.ngens
     assert units == len(pivots)
     assert (height, width) == (M.rank * comb(m + s - 1, m), M.rank * comb(m + s - 2, m - 1))
@@ -906,20 +930,21 @@ def test_schur_complement_runs_over_the_short_side(monkeypatch, row_modules, m, 
 @given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(1, 4), st.booleans())
 def test_reached_pivots_read_the_same_complement(row_modules, orders, data, m, dual):
     # the Smith branch builds only the pivots that the critical cells of
-    # degree m reach, and reads the same critical complement, row for row,
-    # and the same unit count as a read of every pivot: plain and dual
-    # legs, over Z and mod N in {2, 4, 6} for a lattice, mod its own N for
-    # a finite module
+    # degree m reach (every=False), and reads the same critical complement,
+    # row for row, and the same unit count as a read of every pivot
+    # (every=True): plain and dual legs, over Z and mod N in {2, 4, 6} for
+    # a lattice, mod its own N for a finite module
     G = GroupSpec(orders)
     M = parse_module(data.draw(st.sampled_from(row_modules[orders])), G)
     tables = engine._bar_tables(M, dual)
     mods = [M.modulus] if M.modulus else [None, data.draw(st.sampled_from((2, 4, 6)))]
     for mod in mods:
-        every = engine._morse_leg(M, m, tables, None, mod, "every")
-        reached = engine._morse_leg(M, m, tables, None, mod, "reached")
+        every = engine._morse_leg(M, m, tables, None, mod, True)
+        reached = engine._morse_leg(M, m, tables, None, mod, False)
+        assert len(every[0]) == M.rank * len(engine._morse_splits(orders, m))
         assert len(reached[0]) == M.rank * len(engine._morse_reach(orders, m))
         read = _morse_read(M, m, tables, mod)
-        assert read == _morse_read(M, m, tables, mod, "every"), (orders, m, dual, mod)
+        assert read == _morse_read(M, m, tables, mod, True), (orders, m, dual, mod)
         assert read[0] == len(every[0])
 
 
@@ -957,10 +982,10 @@ _UNTRUSTED_CELL_PAIRS = {
 
 
 @pytest.mark.parametrize("guard", sorted(_UNTRUSTED_CELL_PAIRS))
-def test_a_bad_cell_graph_lists_the_leg(monkeypatch, guard):
-    # the pairs pass the partition guard, but the reach of leg 2 is None,
-    # and every call that reads the leg lists it and gets the same
-    # invariants
+def test_a_bad_cell_graph_raises_verification_error(monkeypatch, guard):
+    # the pairs pass the partition guard, but the reach of leg 2 raises,
+    # naming the group and the degree, and so does every call that reads
+    # the leg, listing none of it
     orders = (4,)
     M = trivial_module(GroupSpec(orders))
     cases = [
@@ -968,31 +993,24 @@ def test_a_bad_cell_graph_lists_the_leg(monkeypatch, guard):
         (ordinary_cohomology, 1, True),
         (homology, 1, False),
     ]
-    want = {case: case[0](M, case[1], want_representatives=case[2]) for case in cases}
     _clear_bar_tables()
     real = engine._morse_splits
     assert real(orders, 2) == ((1, (0, 0)), (2, (0, 1)))
     real(orders, 3)  # the partition guard of degree 2, on the true pairs
     untrusted = _UNTRUSTED_CELL_PAIRS[guard]
-    listed = []
-    real_rows = engine._leg_rows
+    message = "Morse pivots leaving degree 2 over \\(4,\\)"
     with monkeypatch.context() as patch:
         patch.setattr(
             engine, "_morse_splits", lambda o, k: untrusted if k == 2 else real(o, k)
         )
-        patch.setattr(
-            engine,
-            "_leg_rows",
-            lambda M, res, m, *rest: listed.append(m) or real_rows(M, res, m, *rest),
-        )
+        patch.setattr(engine, "_leg_rows", lambda *a, **k: pytest.fail("listed a leg"))
         try:
-            assert engine._morse_reach(orders, 2) is None
+            with pytest.raises(VerificationError, match=message):
+                engine._morse_reach(orders, 2)
             assert engine._morse_reach(orders, 1) == ()
-            for (compute, n, reps), w in want.items():
-                listed.clear()
-                got = compute(M, n, resolution="bar", want_representatives=reps)
-                assert 2 in listed, (compute.__name__, n, reps, listed)
-                assert got.route == w.route and got.invariants == w.invariants
+            for compute, n, reps in cases:
+                with pytest.raises(VerificationError, match=message):
+                    compute(M, n, resolution="bar", want_representatives=reps)
         finally:
             real.cache_clear()
             engine._morse_reach.cache_clear()
@@ -1027,37 +1045,52 @@ _UNTRUSTED_PIVOTS = {
 }
 
 
+# what each guard's VerificationError says, after the leg or degree it names
+_GUARD_MESSAGES = {
+    "non-unit": "the pivot of column 0 is 2, no unit",
+    "reused row": "R\\(\\d+\\) needs itself",
+    "cycle": "R\\(\\d+\\) needs itself",
+    "partition": "no partition",
+}
+
+
 @pytest.mark.parametrize(
     "text", ["trivial", "reduce:4(trivial)", "tensor(reduce:4(trivial),trivial)"]
 )
 @pytest.mark.parametrize("guard", sorted(_UNTRUSTED_PIVOTS) + ["partition"])
-def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, request, guard, text):
-    # where the pivots fail a guard the leg's diagonal is searched over its
-    # transpose, as without pivots, and the answer is the same.  With
-    # representatives the Morse complex of H^1, H^2 and H^3 reads leg 2 (as
-    # leg n + 1, n or n - 1), so each falls back to the listed search of
-    # H's image, whose leg has 3, 9 or 27 rows; so does invariants-only
-    # congruence, the finite module that does not lift to a lattice, which
-    # then lists legs n and n + 1 as before.  Homology H_1 and H_2 list
-    # dual leg 2, except invariants-only H_2 over Z, which reads leg 3 alone.
-    # With "partition" the pivots are trusted, but the critical cells of
-    # degree 2 take in a cell matched downward, so every table from
-    # (orders, 3) up fails the partition guard of degree 2: each
-    # invariants-only call lists the legs it reads that meet degree 2, legs
-    # 2 and 3, and reads leg 1 off the Morse complex, unless the module
-    # takes the congruence route, whose H^1 meets degree 2 through leg 2's
-    # pivot columns and lists legs 1 and 2 as before
+def test_untrusted_pivots_raise_verification_error(monkeypatch, request, guard, text):
+    # where the pivots of leg 2 fail a guard, every call that builds them
+    # raises VerificationError, naming the group and the degree, and lists
+    # no leg in their place.  These are a Smith diagonal of leg 2 (H^2, H_1
+    # over a lattice or a reduction, and H_2 over a reduction, which reads
+    # leg 2 as its outgoing map) and the Morse complex of H^1 and H^2, with
+    # or without representatives.  The Morse complex of H^3 reads leg 2's
+    # module-free guards alone and no pivot, so it gives the same answer;
+    # so do the calls that list dual legs (homology with representatives or
+    # on the congruence route) and invariants-only H_2 over Z, which reads
+    # leg 3 alone.  With "partition" the pivots are trusted, but the
+    # critical cells of degree 2 take in a cell matched downward, so every
+    # table from (orders, 3) up fails the partition guard of degree 2, and
+    # every case below that reads a leg off the Morse complex raises: all
+    # but homology on the congruence route
     M = parse_module(text, G22)
+    lifts = not M.modulus or M.lifts_to_lattice
     if guard == "partition":
         cases = [(ordinary_cohomology, 2, False)] + [(homology, n, False) for n in (1, 2)]
-        if M.modulus and not M.lifts_to_lattice:
+        if not lifts:
             cases.append((ordinary_cohomology, 1, False))
+        raises = {case for case in cases if lifts or case[0] is ordinary_cohomology}
     else:
         cases = [(ordinary_cohomology, 2, False)]
         cases += [(ordinary_cohomology, n, True) for n in (1, 2, 3)]
         cases += [(homology, n, reps) for n in (1, 2) for reps in (False, True)]
-        if M.modulus and not M.lifts_to_lattice:
+        if not lifts:
             cases += [(ordinary_cohomology, n, False) for n in (1, 3)]
+        # the cases that build leg 2's pivots
+        raises = {(ordinary_cohomology, n, reps) for n, reps in ((2, False), (1, True), (2, True))}
+        raises.add((homology, 1, False) if lifts else (ordinary_cohomology, 1, False))
+        if M.modulus and lifts:
+            raises.add((homology, 2, False))
     # the tables these cases read are built here, from the true cells
     want = {
         (compute, n, reps): compute(M, n, resolution="bar", want_representatives=reps)
@@ -1075,6 +1108,7 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, request, guard, t
         # cells now, and on the true ones after the test
         _clear_bar_tables()
         request.addfinalizer(_clear_bar_tables)
+        message = "Morse cells of degree 2 over \\(2, 2\\): " + _GUARD_MESSAGES[guard]
     else:
         pivots, rows = _UNTRUSTED_PIVOTS[guard], list(engine._leg_rows(M, "bar", 2))
         untrusted = pivots, {r: rows[r] for r in pivots.values()}
@@ -1084,15 +1118,7 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, request, guard, t
             "_bar_pivots",
             lambda M, m, tables, pairs: untrusted if m == 2 else real(M, m, tables, pairs),
         )
-    searched = []
-    real_columns = engine._image_columns
-
-    def recorded(rows):
-        rows = list(rows)  # the fallback streams the leg's rows
-        searched.append(len(rows))
-        return real_columns(rows)
-
-    monkeypatch.setattr(engine, "_image_columns", recorded)
+        message = "Morse pivots leaving degree 2 over \\(2, 2\\): " + _GUARD_MESSAGES[guard]
     listed = []
     real_rows = engine._leg_rows
     monkeypatch.setattr(
@@ -1103,28 +1129,19 @@ def test_untrusted_pivots_fall_back_to_the_search(monkeypatch, request, guard, t
         ),
     )
     for (compute, n, reps), w in want.items():
-        searched.clear()
         listed.clear()
-        got = compute(M, n, resolution="bar", want_representatives=reps)
         case = (compute.__name__, n, reps)
+        if (compute, n, reps) in raises:
+            with pytest.raises(VerificationError, match=message):
+                compute(M, n, resolution="bar", want_representatives=reps)
+            assert listed == [], case
+            continue
+        got = compute(M, n, resolution="bar", want_representatives=reps)
         assert got.route == w.route and got.invariants == w.invariants, case
-        if guard == "partition":
-            legs = {m for m, _ in listed}
-            assert legs & {2, 3} and (got.route == "congruence" or legs <= {2, 3}), case
-            if got.route == "congruence" and compute is ordinary_cohomology:
-                assert listed == [(n, False), (n + 1, False)], case
-        elif compute is ordinary_cohomology:
-            # a universal-coefficients call reads leg 3 off the Morse
-            # complex, and searches its critical complement of 4 rows
-            assert searched == [9 if n == 2 else 3**n] + [4] * (
-                got.route == "universal-coefficients"
-            ), case
-            if got.route == "congruence" and not reps:
-                assert listed == [(n, False), (n + 1, False)], case
-        else:
-            assert ((2, True) in listed) == (reps or n == 1 or text != "trivial"), case
+        assert all(dual for _, dual in listed), case
         if reps:
             assert got.class_group_generated_by(got.representatives) == got.invariants
+    assert raises <= set(want)
 
 
 def test_trusted_pivots_never_search_a_transpose(monkeypatch):
@@ -1150,6 +1167,33 @@ def test_trusted_pivots_never_search_a_transpose(monkeypatch):
             r = compute(M, k, resolution="bar")
             assert r.route in ("cokernel-torsion", "universal-coefficients")
     assert searched and max(searched) <= 10, searched
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (4,), (3, 3)], ids=str)
+def test_no_plain_standard_resolution_leg_is_listed(monkeypatch, orders):
+    # ordinary cohomology on the standard resolution, every route, reads
+    # its legs off the Morse complex alone, and so does every Smith
+    # diagonal, homology's dual legs included: no call lists a plain leg,
+    # and each agrees with the minimal resolution.  Only homology's
+    # quotients list legs, dual ones
+    real_rows = engine._leg_rows
+
+    def refuse_plain(M, resolution, m, dual=False, *rest):
+        if resolution == "bar" and not dual:
+            pytest.fail(f"listed the plain standard-resolution leg leaving degree {m}")
+        return real_rows(M, resolution, m, dual, *rest)
+
+    G = GroupSpec(orders)
+    N = G.order
+    computes = (ordinary_cohomology, homology)
+    for text in ["trivial", f"reduce:{N}(trivial)", f"tensor(reduce:{N}(trivial),trivial)"]:
+        M = parse_module(text, G)
+        for compute, n, reps in itertools.product(computes, range(3), (False, True)):
+            want = compute(M, n, want_representatives=reps).invariants
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_leg_rows", refuse_plain)
+                got = compute(M, n, resolution="bar", want_representatives=reps)
+            assert got.invariants == want, (text, compute.__name__, n, reps)
 
 
 @pytest.mark.parametrize("text", ["trivial", "trivial:2"])
@@ -1322,8 +1366,7 @@ def test_critical_complement_is_the_monomial_leg_up_to_cell_signs(
     mods = [M.modulus] if M.modulus else [None, data.draw(st.sampled_from((2, 4, 6)))]
     tables = engine._bar_tables(M, dual)
     for mod in mods:
-        leg = engine._morse_leg(M, m, tables, None, mod, "reached")
-        assert leg is not None, (text, m, dual, mod)
+        leg = engine._morse_leg(M, m, tables, None, mod, False)
         _, got = engine._morse_complement(M, m, tables, leg, mod)
         assert len(got) == len(mono)
         assert _agree_up_to_cell_signs(got, mono, d, mod), (text, m, dual, mod)

@@ -535,3 +535,16 @@ def test_cyclotomic_primality_by_trial_division():
             CyclotomicSpec(G, composite, 1, (1,))
     for prime in (2, 3, 5, 1021):
         assert CyclotomicSpec(G, prime, 1, (1,)).p == prime
+
+
+def test_cyclotomic_primality_is_decided_at_once():
+    # Miller-Rabin, as for the closed forms: the Mersenne prime 2**61 - 1
+    # is accepted in well under a second, and a Carmichael number and a
+    # strong pseudoprime to the bases 2, 3, 5 and 7 are refused
+    G = GroupSpec.of(2)
+    start = time.perf_counter()
+    assert CyclotomicSpec(G, 2**61 - 1, 1, (1,)).p == 2**61 - 1
+    assert time.perf_counter() - start < 1
+    for composite in (561, 3215031751):
+        with pytest.raises(ValueError, match=f"p must be prime: {composite} is not prime"):
+            CyclotomicSpec(G, composite, 1, (1,))
