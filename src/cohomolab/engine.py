@@ -28,11 +28,12 @@ Route selection is about cost, never about semantics:
                         Smith diagonal of the incoming map.  With both maps
                         the free rank is 0 and the outgoing map is never
                         assembled; degree 0 lacks one map and builds the
-                        other.  On the monomial resolution rows are
-                        streamed into :func:`smith_diagonal` as they are
-                        built, or, for a map with more rows than columns,
-                        its columns: SNF(A) = SNF(A^T), so every diagonal
-                        is eliminated over the short side.  On the standard
+                        other.  On the monomial resolution the rows of the
+                        short side go into :func:`smith_diagonal`, built
+                        straight off the leg's skeleton (see below): a map
+                        with more rows than columns goes in as its
+                        columns, SNF(A) = SNF(A^T), so every diagonal is
+                        eliminated over the short side.  On the standard
                         resolution each leg is read off its Morse complex
                         (see below): a 1 per unit pivot, and only the
                         critical complement is searched.
@@ -57,15 +58,20 @@ same streamed rows, kept as sparse {row: value} columns until the quotient
 takes their Hermite basis; that basis is also the coboundary lattice every
 representative is reduced by.  No dense Hom matrix is built.
 
-Where the rows come from: every leg, the cocycle predicates and the
-coboundaries included, is read by :func:`_leg_rows`.  A resolution only
-lists the (target, block) pairs each source basis element meets, and
+Where the rows come from: every listed leg, the cocycle predicates and
+the coboundaries included, is read by :func:`_leg_rows`.  A resolution
+only lists the (target, block) pairs each source basis element meets, and
 :func:`_hom_rows` turns them into rows.  On the monomial resolution these
 are at most 6s + 1 blocks of the module's block table (``GModule.block_rows``)
 over monomial indices.  Which target, generator and signs each source meets
 depends on (s, m) alone, so it is tabled once per key
-(:func:`_monomial_skeleton`), and a leg looks up only its at most 4s
-blocks.  A standard-resolution row is built from its cell alone
+(:func:`_monomial_skeleton`), each table grown by prefix from the tables of
+one variable fewer with no monomial basis listed, and a leg looks up only
+the blocks of the at most 4s kinds it meets.  A Smith diagonal lists no
+monomial leg: :func:`_minimal_smith_rows` writes each face's block straight
+into the {column: value} rows of the short side, plain or dual, a source or
+a target per row, and skips the faces whose block is zero (A_i - I on a
+trivial module).  A standard-resolution row is built from its cell alone
 (:func:`_cell_rows`): [g_1|...|g_m] meets its first face through the matrix
 of g_1 from the group-element table (``GModule.element_rows``), and its
 merge faces and last face through +-I; a listed leg, the Morse pivot rows
@@ -183,7 +189,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from math import prod
+from math import comb, prod
 from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -273,10 +279,11 @@ def _hom_rows(d: int, sources: Iterable[_Source]) -> Iterator[list[tuple[int, in
             yield row
 
 
-# the most tables each skeleton keeps: the default limits meet at most 35
-# monomial keys (s <= 5, m <= 7), five split keys per group (m = 1..5, the
-# top one for the partition guard of the leg leaving degree 4) and four
-# reach keys per group (m = 1..4)
+# the most tables each skeleton keeps: the default limits meet at most 40
+# monomial keys (s <= 5 and 0 <= m <= 7, the sub-tables each key is grown
+# from included), five split keys per group (m = 1..5, the top one for the
+# partition guard of the leg leaving degree 4) and four reach keys per group
+# (m = 1..4)
 _SKELETON_TABLES = 64
 # the (target, kind) faces of one monomial source, see _monomial_skeleton
 _Faces = tuple[tuple[int, int], ...]
@@ -286,28 +293,65 @@ _Faces = tuple[tuple[int, int], ...]
 def _monomial_skeleton(
     s: int, m: int
 ) -> tuple[tuple[_Faces, ...], tuple[tuple[int, bool, bool], ...], int]:
-    """The monomial resolution's differential leaving degree m >= 1 over
+    """The monomial resolution's differential leaving degree m >= 0 over
     s generators, whatever the module: per source, in basis order, its
-    (target, kind) faces in pair order; the kinds, (i, odd, neg) in
-    first-seen order, at most 4s of them; and the number of targets.
-    Monomial (k_1, ..., k_s) meets the one that drops a power of x_i, for i
+    (target, kind) faces in pair order; the kinds, (i, odd, neg) by index,
+    at most 4s of them; and the number of targets.  Monomial
+    (k_1, ..., k_s) meets the one that drops a power of x_i, for i
     ascending, through a block of kind (i, k_i odd, k_1+...+k_(i-1) odd).
-    A table holds C(m+s-1, s-1) sources of at most s faces each; the
-    degree window bounds m before a leg is read."""
-    index = {mono: j for j, mono in enumerate(monomial_basis(s, m - 1))}
+
+    Grown by prefix from the tables (s - 1, m') with m' <= m, with no basis
+    listed: the sources (k_1, rest) form consecutive blocks by descending
+    k_1, rest running through the (s - 1, m - k_1) table, and block k of
+    degree m starts at C(m - k - 1 + s - 1, s - 1).  Dropping x_1 lands at
+    rest's index in block k_1 - 1 of degree m - 1; dropping any other
+    variable is rest's own face, shifted into block k_1 of degree m - 1,
+    its kind one generator up and its sign flipped when k_1 is odd.  A table
+    holds C(m+s-1, s-1) sources of at most s faces each, and it and its
+    sub-tables share the ``_SKELETON_TABLES`` keys; the degree window bounds
+    m before a leg is read.
+
+    >>> table, kinds, targets = _monomial_skeleton(2, 2)
+    >>> table, targets
+    ((((0, 0),), ((1, 1), (0, 2)), ((1, 3),)), 2)
+    >>> kinds
+    ((0, False, False), (0, True, False), (1, True, True), (1, False, False))
+    """
+    if m == 0:
+        return ((),), (), 0
+    if s == 1:
+        return (((0, 0),),), ((0, m % 2 == 1, False),), 1
+    table: list[_Faces] = []
     kinds: dict[tuple[int, bool, bool], int] = {}
-    table = []
-    for mono in monomial_basis(s, m):
-        faces = []
-        ksum = 0
-        for i, k in enumerate(mono):
-            if k:
-                target = mono[:i] + (k - 1,) + mono[i + 1 :]
-                kind = kinds.setdefault((i, k % 2 == 1, ksum % 2 == 1), len(kinds))
-                faces.append((index[target], kind))
-            ksum += k
-        table.append(tuple(faces))
-    return tuple(table), tuple(kinds), len(index)
+    for k in range(m, -1, -1):
+        sub, sub_kinds, _ = _monomial_skeleton(s - 1, m - k)
+        odd = k % 2 == 1
+        first = kinds.setdefault((0, odd, False), len(kinds)) if k else 0
+        moved = [kinds.setdefault((i + 1, o, neg != odd), len(kinds)) for i, o, neg in sub_kinds]
+        drop = comb(m - k + s - 2, s - 1)  # block k - 1 of degree m - 1
+        shift = comb(m - k + s - 3, s - 1) if k < m else 0  # block k of degree m - 1
+        for j, faces in enumerate(sub):
+            rest = tuple((shift + t, moved[b]) for t, b in faces)
+            table.append(((drop + j, first), *rest) if k else rest)
+    return tuple(table), tuple(kinds), comb(m + s - 2, s - 1)
+
+
+def _kind_blocks(M: GModule, kinds: Iterable[tuple[int, bool, bool]], dual: bool) -> list[_Block]:
+    """The block of each kind (i, odd, neg) of :func:`_monomial_skeleton`:
+    (-1)^neg times A_i - I (odd) or N_i(A) (even); with ``dual``, their
+    antipodes A_i^-1 - I and N_i(A)."""
+    # the exponent of x_i in A_i - I, or in its antipode A_i^-1 - I
+    steps = [o - 1 if dual else 1 for o in M.spec.orders]
+    return [M.block_rows(i, steps[i] if odd else 0, neg) for i, odd, neg in kinds]
+
+
+def _transposed(blk: _Block) -> _Block:
+    """The rows of a block's transpose, each by ascending column."""
+    out: _Block = [[] for _ in blk]
+    for t, row in enumerate(blk):
+        for u, c in row:
+            out[u].append((t, c))
+    return out
 
 
 def _minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
@@ -321,12 +365,57 @@ def _minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
     Which target, generator and signs a source meets depends on (s, m)
     alone, so it is read from :func:`_monomial_skeleton`, tabled once per
     (s, m) and at most ``_SKELETON_TABLES`` keys; only the at most 4s blocks
-    are looked up per call."""
+    of the kinds the leg meets are looked up per call."""
     table, kinds, targets = _monomial_skeleton(M.spec.ngens, m)
-    # the exponent of x_i in A_i - I, or in its antipode A_i^-1 - I
-    steps = [o - 1 if dual else 1 for o in M.spec.orders]
-    blocks = [M.block_rows(i, steps[i] if odd else 0, neg) for i, odd, neg in kinds]
+    blocks = _kind_blocks(M, kinds, dual)
     return [[(k, blocks[b]) for k, b in faces] for faces in table], targets
+
+
+def _minimal_smith_rows(
+    M: GModule, m: int, dual: bool, transpose: bool
+) -> list[dict[int, int]]:
+    """The {column: value} rows of the Hom map that :func:`_leg_rows` lists
+    for the monomial resolution's leg leaving degree m, plain or ``dual``
+    (the norm N_G at m = 0, the dual of the leg leaving -m at m < 0), or
+    with ``transpose`` the rows of its transpose: the Smith input of that
+    leg, built straight off :func:`_monomial_skeleton`.
+
+    A face of source j into target k through block B puts B[t][u] at row
+    (j, t), column (k, u) of the plain map and at row (k, t), column (j, u)
+    of the dual one; the transpose swaps each row and column and reads B's
+    columns.  So every shape is the one loop over the faces, each row index
+    a source or a target, and a face through an all-zero block (A_i - I on
+    a trivial module) is skipped.
+
+    >>> from cohomolab.group_ring import GroupSpec
+    >>> from cohomolab.modules import trivial_module
+    >>> Z = trivial_module(GroupSpec.of(2))
+    >>> _minimal_smith_rows(Z, 2, False, False), _minimal_smith_rows(Z, 0, False, False)
+    ([{0: 2}], [{0: 2}])
+    """
+    d = M.rank
+    if m:
+        dual ^= m < 0
+        table, kinds, targets = _monomial_skeleton(M.spec.ngens, abs(m))
+        blocks = _kind_blocks(M, kinds, dual)
+    else:
+        table, targets, blocks = (((0, 0),),), 1, [M.block_rows(None)]
+    by_source = dual == transpose
+    live = [blk if any(blk) else None for blk in blocks]  # None: an all-zero block
+    if transpose:
+        live = [blk and _transposed(blk) for blk in live]
+    rows: list[dict[int, int]] = [{} for _ in range(d * (len(table) if by_source else targets))]
+    for j, faces in enumerate(table):
+        for k, b in faces:
+            blk = live[b]
+            if blk is None:
+                continue
+            r, c = (j * d, k * d) if by_source else (k * d, j * d)
+            for t, entries in enumerate(blk):
+                row = rows[r + t]
+                for u, x in entries:
+                    row[c + u] = x
+    return rows
 
 
 _GroupTable = tuple[tuple[int, ...], ...]  # see _product_table and _merged_table
@@ -818,11 +907,8 @@ def _bar_tables(M: GModule, dual: bool) -> _BarTables:
     G = M.spec
     merged = _merged_table(G.orders)
     blocks = [M.element_rows(G.inv(g) if dual else g) for g in G.nonidentity_elements()]
-    if dual:  # transposed, each row by ascending column
-        blocks = [
-            [[(t, c) for t, r in enumerate(b) for u, c in r if u == w] for w in range(len(b))]
-            for b in blocks
-        ]
+    if dual:
+        blocks = [_transposed(b) for b in blocks]
     return merged, blocks
 
 
@@ -1224,10 +1310,11 @@ def _complex_group(
     Invariants-only calls on a lattice or a reduction L/NL read H off the
     Smith diagonals of the maps they need, d_in alone where |G| kills H;
     each standard-resolution leg among them is read off the Morse complex
-    (:func:`_morse_leg` and :func:`_morse_complement`).  Any other modulus
-    N switches kernels and quotients to congruences.  Every other call runs
-    one quotient on a leg source picked once: the Morse complex of
-    :func:`_morse_complex` for a plain standard-resolution leg (ordinary
+    (:func:`_morse_leg` and :func:`_morse_complement`), and each monomial
+    leg straight off its skeleton (:func:`_minimal_smith_rows`).  Any other
+    modulus N switches kernels and quotients to congruences.  Every other
+    call runs one quotient on a leg source picked once: the Morse complex
+    of :func:`_morse_complex` for a plain standard-resolution leg (ordinary
     cohomology), and the listed legs for a monomial or dual leg.  The
     image, the cocycles (the saturation of the image where |G| kills H,
     otherwise the kernel of the outgoing rows, listed only where they
@@ -1293,23 +1380,21 @@ def _complex_group(
     if smith:
         # the Smith diagonals of both maps, see the module docstring.  A
         # standard-resolution leg is read off the Morse complex, a 1 per
-        # pivot and its critical complement.  SNF(A) = SNF(A^T), so a map
-        # with more rows than columns goes in as its columns and every
-        # search runs over the short side
+        # pivot and its critical complement, and a monomial leg straight off
+        # its skeleton.  SNF(A) = SNF(A^T), so a map with more rows than
+        # columns goes in as its columns and every search runs over the
+        # short side
         def diagonal(k: int, rows: int, cols: int) -> list[int]:
             m = max(n, k)
             if tables:
                 read = _morse_leg(M, m, tables, limits, mod, False)
-                source = _morse_complement(M, m, tables, read, mod)[1]
+                listed = _morse_complement(M, m, tables, read, mod)[1]
                 units = M.rank * len(_morse_splits(M.spec.orders, m))
-                rows, cols = len(source), len(read[3])
+                rows, cols = len(listed), len(read[3])
+                source = _image_columns(listed) if rows > cols else map(dict, listed)
             else:
-                units, source = 0, leg(k)
-            if rows > cols:
-                diag = smith_diagonal(_image_columns(source), cols, rows, mod=mod)
-            else:
-                diag = smith_diagonal(map(dict, source), rows, cols, mod=mod)
-            return [1] * units + diag
+                units, source = 0, _minimal_smith_rows(M, m, step < 0, rows > cols)
+            return [1] * units + smith_diagonal(source, min(rows, cols), max(rows, cols), mod=mod)
 
         diag_in = diagonal(k_in, dim, in_dim) if has_in else []
         diag_out = diagonal(k_out, out_dim, dim) if has_out and not killed else []

@@ -145,20 +145,76 @@ class AbelianInvariants:
         return list(self.torsion)
 
 
+# _factorize trial-divides by the d below this bound, then splits what is
+# left by at most this many rho steps
+_TRIAL_BOUND = 100
+_RHO_STEPS = 1 << 21
+
+
 def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
+    """The prime factorization of n as (prime, exponent) pairs, primes
+    ascending; [] for n < 2.  Trial division by d < ``_TRIAL_BOUND`` takes
+    the small primes; a cofactor left is decided by :func:`_check_prime`
+    and, where a base witnesses it composite, split by Pollard-Brent rho
+    (:func:`_rho_factor`) until every factor is checked prime.  A factor
+    the test cannot decide, or a composite the rho search cannot split,
+    raises ValueError.
+
+    >>> _factorize(360), _factorize((2**31 - 1) * 101**2)
+    ([(2, 3), (3, 2), (5, 1)], [(101, 2), (2147483647, 1)])
+    """
+    out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
+    while d < _TRIAL_BOUND and d * d <= n:
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
         d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        c = rest.pop()
+        if c >= d * d and _witnessed(c):
+            f = _rho_factor(c)
+            rest += [f, c // f]
+            continue
+        _check_prime(c)
+        out[c] = out.get(c, 0) + 1
+    return sorted(out.items())
+
+
+def _rho_factor(n: int) -> int:
+    """A factor 1 < f < n of a composite n with no prime factor below
+    ``_TRIAL_BOUND``: Pollard's rho on x -> x^2 + c with Brent's cycle
+    search and products of 128 differences per gcd, c = 1, 2, ... until
+    one splits n.  It finds a prime factor p in about sqrt(p) steps, so it
+    gives up with ValueError after ``_RHO_STEPS``, where every factor of n
+    is past about 2^40."""
+    steps = c = 0
+    while steps < _RHO_STEPS:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps < _RHO_STEPS:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    raise ValueError(f"cannot factor {n}: no factor found in {_RHO_STEPS} rho steps")
 
 
 # Miller-Rabin to the first 13 prime bases decides primality exactly below
@@ -167,12 +223,11 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-def _check_prime(p: int) -> None:
-    """Raise ValueError, "p must be prime", unless p is prime.  A base that
-    witnesses p composite does so at any size; a p that no base witnesses
-    is prime below ``_PRIME_BOUND`` and refused as undecided above it."""
+def _witnessed(p: int) -> bool:
+    """Whether p < 2, or one of ``_PRIME_BASES`` witnesses p composite:
+    a proof at any size."""
     if p in _PRIME_BASES:
-        return
+        return False
     d, r = p - 1, 0
     while d > 0 and d % 2 == 0:
         d, r = d // 2, r + 1
@@ -187,7 +242,14 @@ def _check_prime(p: int) -> None:
                 return False
         return True
 
-    if p < 2 or any(p % a == 0 or witness(a) for a in _PRIME_BASES):
+    return p < 2 or any(p % a == 0 or witness(a) for a in _PRIME_BASES)
+
+
+def _check_prime(p: int) -> None:
+    """Raise ValueError, "p must be prime", unless p is prime.  A base that
+    witnesses p composite does so at any size; a p that no base witnesses
+    is prime below ``_PRIME_BOUND`` and refused as undecided above it."""
+    if _witnessed(p):
         raise ValueError(f"p must be prime: {p} is not prime")
     if p >= _PRIME_BOUND:
         raise ValueError(f"p must be prime: {p} is past the bound of the exact primality test")

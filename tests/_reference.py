@@ -23,11 +23,12 @@ pivots leave as a dict, entry by entry, where the library reads a
 standard-resolution leg's Smith diagonal off the critical rows and columns
 of its Morse complex alone.
 
-The faces of a monomial leg are listed from the monomial bases on every
-call, and the Morse matching of a standard-resolution leg, with its pivots,
-by walking :func:`~cohomolab.engine._morse_partner` over every cell, where
-the library reads both from tables built once per shape and degree, each
-Morse table grown from the one below it.
+The skeleton and the faces of a monomial leg are listed from the monomial
+bases on every call, and the Morse matching of a standard-resolution leg,
+with its pivots, by walking :func:`~cohomolab.engine._morse_partner` over
+every cell, where the library reads both from tables built once per shape
+and degree: a monomial table grown by prefix from the tables of one
+variable fewer, each Morse table from the one below it.
 """
 
 from __future__ import annotations
@@ -513,6 +514,32 @@ def schur_complement(
 
 # ---------------------------------------------------------------------------
 # the skeletons of both resolutions, listed per call
+
+
+def monomial_skeleton(
+    s: int, m: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, bool, bool], ...], int]:
+    """The monomial resolution's differential leaving degree m >= 1 over
+    s generators, listed from the monomial bases with a dict lookup per
+    face: per source, in basis order, its (target, kind) faces in pair
+    order; the kinds, (i, odd, neg) in first-seen order; and the number of
+    targets.  Monomial (k_1, ..., k_s) meets the one that drops a power of
+    x_i, for i ascending, through a block of kind (i, k_i odd,
+    k_1+...+k_(i-1) odd)."""
+    index = {mono: j for j, mono in enumerate(monomial_basis(s, m - 1))}
+    kinds: dict[tuple[int, bool, bool], int] = {}
+    table = []
+    for mono in monomial_basis(s, m):
+        faces = []
+        ksum = 0
+        for i, k in enumerate(mono):
+            if k:
+                target = mono[:i] + (k - 1,) + mono[i + 1 :]
+                kind = kinds.setdefault((i, k % 2 == 1, ksum % 2 == 1), len(kinds))
+                faces.append((index[target], kind))
+            ksum += k
+        table.append(tuple(faces))
+    return tuple(table), tuple(kinds), len(index)
 
 
 def minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:

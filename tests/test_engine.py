@@ -21,6 +21,7 @@ from _reference import bar_pivots as reference_bar_pivots
 from _reference import cocycle_identity_holds as reference_identity_holds
 from _reference import column_hnf, hom_constraint_rows, invariants_structure, sigma
 from _reference import minimal_faces as reference_minimal_faces
+from _reference import monomial_skeleton as reference_monomial_skeleton
 from _reference import morse_splits as reference_morse_splits
 from _reference import schur_complement as reference_complement
 from cohomolab import engine, group_ring, resolutions, verify
@@ -323,17 +324,24 @@ def test_each_differential_is_built_at_most_once(
     monkeypatch, compute, resolution, text, reps, route
 ):
     # legs are recorded by the resolution and the degree they leave: the
-    # Hom rows of either resolution, "morse" where a standard-resolution leg
-    # is read off the Morse complex, or "runs" where one is read run by run;
-    # a call builds each of its one or two maps once, the cokernel-torsion
-    # route over Z only the incoming one wherever both exist, and no call
-    # builds a minimal_diff or bar_diff RingMatrix
+    # Hom rows of either resolution, "smith" where the Smith input of a
+    # monomial leg is read off its skeleton, "morse" where a
+    # standard-resolution leg is read off the Morse complex, or "runs" where
+    # one is read run by run; a call builds each of its one or two maps
+    # once, the cokernel-torsion route over Z only the incoming one wherever
+    # both exist, and no call builds a minimal_diff or bar_diff RingMatrix
     built, reference = [], []
     real_rows = engine._leg_rows
     monkeypatch.setattr(
         engine,
         "_leg_rows",
         lambda M, res, m, *rest: built.append((res, m)) or real_rows(M, res, m, *rest),
+    )
+    real_smith_rows = engine._minimal_smith_rows
+    monkeypatch.setattr(
+        engine,
+        "_minimal_smith_rows",
+        lambda M, m, *rest: built.append(("smith", m)) or real_smith_rows(M, m, *rest),
     )
     # every Smith diagonal of a standard-resolution leg, plain or dual, and
     # the Morse complex of ordinary cohomology read it off the Morse complex
@@ -385,7 +393,7 @@ def test_each_differential_is_built_at_most_once(
         if route == "cokernel-torsion" and (tate or n > 0):
             # Tate degree 0's incoming leg is the norm, which leaves degree 0
             incoming = n + 1 if compute is homology else n
-            leg = "morse" if resolution == "bar" else resolution or "minimal"
+            leg = "morse" if resolution == "bar" else "smith"
             assert built == [(leg, incoming)], (n, built)
         if reps and resolution == "bar" and compute is ordinary_cohomology:
             # on the Morse complex: the guards of leg n - 1, then the pivots
@@ -402,8 +410,12 @@ def test_each_differential_is_built_at_most_once(
             assert built and all(res == "morse" for res, _ in built), (n, built)
             assert set(builds.values()) == {False}, (n, builds)
             assert reached == [m for _, m in built], (n, reached)
+        elif not reps:
+            # each Smith diagonal of a monomial leg read off its skeleton,
+            # once, and no row listed
+            assert built and all(res == "smith" for res, _ in built), (n, built)
         else:
-            assert not any(res in ("morse", "runs") for res, _ in built), (n, built)
+            assert not any(res in ("morse", "runs", "smith") for res, _ in built), (n, built)
 
 
 def test_group_tables_are_built_once_per_group():
@@ -733,6 +745,46 @@ def test_minimal_faces_equal_the_basis_listing(row_modules, orders, data, m, dua
     G = GroupSpec(orders)
     M = parse_module(data.draw(st.sampled_from(row_modules[orders])), G)
     assert engine._minimal_faces(M, m, dual) == reference_minimal_faces(M, m, dual)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(1, 17))
+@example(5, 17)
+def test_prefix_built_skeleton_equals_the_basis_listing(s, m):
+    # the (s, m) table grown from the tables of s - 1 variables, all built
+    # afresh, against the listing from both monomial bases: each source's
+    # faces in pair order, their targets and kinds, the kinds met and the
+    # number of targets
+    engine._monomial_skeleton.cache_clear()
+    table, kinds, targets = engine._monomial_skeleton(s, m)
+    listed, listed_kinds, listed_targets = reference_monomial_skeleton(s, m)
+    assert targets == listed_targets
+    assert sorted(kinds) == sorted(listed_kinds)
+    got = [[(k, kinds[b]) for k, b in faces] for faces in table]
+    assert got == [[(k, listed_kinds[b]) for k, b in faces] for faces in listed]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(_ROW_GROUPS), st.data(), st.integers(-7, 7), st.booleans())
+def test_minimal_smith_rows_equal_the_listed_rows(row_modules, orders, data, m, dual):
+    # the Smith input of a monomial leg read off its skeleton against the
+    # listed Hom rows of the same leg, plain or dual, the norm at degree 0
+    # and dual legs at negative degrees: on the row side the same rows, on
+    # the column side their nonzero columns, and either side's Smith
+    # diagonal that of the listed rows, over Z and mod N
+    G = GroupSpec(orders)
+    text = data.draw(st.sampled_from(row_modules[orders]))
+    M = parse_module(text, G)
+    for k in (m, 0):
+        listed = list(engine._leg_rows(M, "minimal", k, dual))
+        rows = engine._minimal_smith_rows(M, k, dual, False)
+        columns = engine._minimal_smith_rows(M, k, dual, True)
+        assert rows == [dict(row) for row in listed], (text, k, dual)
+        assert [c for c in columns if c] == _image_columns(listed), (text, k, dual)
+        for mod in {None, M.modulus or G.order}:
+            want = smith_diagonal(map(dict, listed), 0, 0, mod=mod)
+            assert smith_diagonal(rows, 0, 0, mod=mod) == want, (text, k, dual, mod)
+            assert smith_diagonal(columns, 0, 0, mod=mod) == want, (text, k, dual, mod)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

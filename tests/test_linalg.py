@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from math import gcd
 
@@ -21,7 +22,9 @@ from hypothesis import strategies as st
 import _reference
 import cohomolab.intlinalg as il
 from _reference import column_hnf, columns, from_columns, is_zero, mul, snf, solve_in_span, zeros
+from cohomolab.closed_forms import trivial_module_factors
 from cohomolab.engine import _image_columns
+from cohomolab.group_ring import GroupSpec
 from cohomolab.intlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -631,6 +634,50 @@ def test_from_diagonal_equals_the_prime_power_regrouping(diag, free_rank):
     powers = [pe for d in diag if d for pe in il._factorize(d)]
     want = _reference.from_prime_powers(powers, free_rank + diag.count(0))
     assert AbelianInvariants.from_diagonal(diag, free_rank) == want
+
+
+def _trial_factors(n):
+    """The (prime, exponent) pairs of n by trial division up to sqrt(n)."""
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+def _within_a_second(call, *args):
+    start = time.perf_counter()
+    out = call(*args)
+    assert time.perf_counter() - start < 1, call
+    return out
+
+
+def test_factorize_decides_large_cofactors_at_once():
+    # trial division takes the primes below the bound alone; a cofactor is
+    # decided by Miller-Rabin, and a composite one split by Pollard-Brent rho
+    # with every factor checked, so neither a large prime nor a product of
+    # two hangs: each call returns in well under a second
+    p, q = 2**61 - 1, 2**31 - 1
+    assert _within_a_second(il._factorize, p) == [(p, 1)]
+    assert _within_a_second(il._factorize, q * p) == [(q, 1), (p, 1)]
+    assert _within_a_second(il._factorize, 101**3 * 103 * p) == [(101, 3), (103, 1), (p, 1)]
+    got = _within_a_second(lambda: [il._factorize(n) for n in range(20000)])
+    assert got == [_trial_factors(n) for n in range(20000)]
+    # the callers that hung on a large prime order return at once
+    assert _within_a_second(trivial_module_factors, 2, (p,)) == AbelianInvariants(0, (p,))
+    assert _within_a_second(GroupSpec((p,)).primary_decomposition) == {p: GroupSpec((p,))}
+
+
+def test_factorize_refuses_what_it_cannot_split(monkeypatch):
+    # a composite whose every factor is past the rho search's reach raises,
+    # rather than searching on: the square of 2**61 - 1 under a short budget
+    monkeypatch.setattr(il, "_RHO_STEPS", 1 << 12)
+    with pytest.raises(ValueError, match="cannot factor"):
+        il._factorize((2**61 - 1) ** 2)
 
 
 def test_abelian_invariants_validation():
