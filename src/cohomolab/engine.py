@@ -53,25 +53,25 @@ Route selection is about cost, never about semantics:
 All three entry points run through :func:`_complex_group`: it sizes the
 incoming and outgoing maps of a degree from the resolution ranks, checks
 every cap, and only then builds the maps its route needs, each once.  The
-image of the incoming map, where one is needed, is the transpose of the
-same streamed rows, kept as sparse {row: value} columns until the quotient
-takes their Hermite basis; that basis is also the coboundary lattice every
-representative is reduced by.  No dense Hom matrix is built.
+image of the incoming map, where one is needed, is kept as its sparse
+{row: value} columns until the quotient takes their Hermite basis; that
+basis is also the coboundary lattice every representative is reduced by.
+No dense Hom matrix is built.
 
-Where the rows come from: every listed leg, the cocycle predicates and
-the coboundaries included, is read by :func:`_leg_rows`.  A resolution
-only lists the (target, block) pairs each source basis element meets, and
-:func:`_hom_rows` turns them into rows.  On the monomial resolution these
-are at most 6s + 1 blocks of the module's block table (``GModule.block_rows``)
-over monomial indices.  Which target, generator and signs each source meets
-depends on (s, m) alone, so it is tabled once per key
-(:func:`_monomial_skeleton`), each table grown by prefix from the tables of
-one variable fewer with no monomial basis listed, and a leg looks up only
-the blocks of the at most 4s kinds it meets.  A Smith diagonal lists no
-monomial leg: :func:`_minimal_smith_rows` writes each face's block straight
-into the {column: value} rows of the short side, plain or dual, a source or
-a target per row, and skips the faces whose block is zero (A_i - I on a
-trivial module).  A standard-resolution row is built from its cell alone
+Where the rows come from: every monomial leg is built one way, by
+:func:`_minimal_rows`, as {column: value} rows of the map or of its
+transpose: the Smith input, the quotient's image (the transpose's nonzero
+rows, the map's columns) and outgoing rows, and through :func:`_leg_rows`
+the cocycle predicates, the coboundaries and verify's suites.  Its blocks
+are at most 6s + 1 entries of the module's block table
+(``GModule.block_rows``) over monomial indices.  Which target, generator and
+signs each source meets depends on (s, m) alone, so it is tabled once per
+key (:func:`_monomial_skeleton`), each table grown by prefix from the
+tables of one variable fewer with no monomial basis listed, and a leg looks
+up only the blocks of the at most 4s kinds it meets.  Each face's block goes
+straight into its rows, plain or dual, a source or a target per row, and
+the faces whose block is zero (A_i - I on a trivial module) are skipped.
+A standard-resolution row is built from its cell alone
 (:func:`_cell_rows`): [g_1|...|g_m] meets its first face through the matrix
 of g_1 from the group-element table (``GModule.element_rows``), and its
 merge faces and last face through +-I; a listed leg, the Morse pivot rows
@@ -84,11 +84,12 @@ table.  Each reader that walks a standard-resolution leg, listed, off the
 Morse complex or run by run, checks its caps once first (:func:`_bar_leg`).
 A dual leg (homology, negative Tate degrees) is read in the plain shape
 through dual tables (:func:`_bar_tables`), whose first-face blocks are the
-transposed antipode blocks, and listed as the transpose.  The comparison
-map sigma from the standard resolution to the monomial one, which factor
-sets are read through, is listed in (target, block) pairs by
+transposed antipode blocks, and listed as the transpose, whose image is
+its streamed rows transposed (:func:`_image_columns`).  The comparison map
+sigma from the standard resolution to the monomial one, which factor sets
+are read through, is listed in (target, block) pairs by
 :func:`_sigma_faces`, its blocks sums of element matrices (prefix elements
-times partial norms).
+times partial norms), and :func:`_hom_rows` turns those into rows.
 Nothing here builds a group-ring matrix.
 
 The Smith pivots of the standard resolution come from algebraic discrete
@@ -264,6 +265,8 @@ class Cochain:
 _Block = list[list[tuple[int, int]]]
 # the (target index, block) pairs one source basis element meets
 _Source = list[tuple[int, _Block]]
+# a Hom row, as (column, value) pairs
+_Row = Iterable[tuple[int, int]]
 
 
 def _hom_rows(d: int, sources: Iterable[_Source]) -> Iterator[list[tuple[int, int]]]:
@@ -354,43 +357,32 @@ def _transposed(blk: _Block) -> _Block:
     return out
 
 
-def _minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
-    """The pairs each source of the monomial resolution's differential
-    leaving degree m >= 1 meets, and the number of targets: monomial
-    (k_1, ..., k_s) meets the one that drops a power of x_i, for i ascending,
-    through (-1)^(k_1+...+k_(i-1)) times A_i - I (odd k_i) or N_i(A) (even
-    k_i > 0), as in :func:`~cohomolab.resolutions.minimal_diff`; with
-    ``dual``, through their antipodes A_i^-1 - I and N_i(A).
-
-    Which target, generator and signs a source meets depends on (s, m)
-    alone, so it is read from :func:`_monomial_skeleton`, tabled once per
-    (s, m) and at most ``_SKELETON_TABLES`` keys; only the at most 4s blocks
-    of the kinds the leg meets are looked up per call."""
-    table, kinds, targets = _monomial_skeleton(M.spec.ngens, m)
-    blocks = _kind_blocks(M, kinds, dual)
-    return [[(k, blocks[b]) for k, b in faces] for faces in table], targets
-
-
-def _minimal_smith_rows(
+def _minimal_rows(
     M: GModule, m: int, dual: bool, transpose: bool
 ) -> list[dict[int, int]]:
-    """The {column: value} rows of the Hom map that :func:`_leg_rows` lists
-    for the monomial resolution's leg leaving degree m, plain or ``dual``
-    (the norm N_G at m = 0, the dual of the leg leaving -m at m < 0), or
-    with ``transpose`` the rows of its transpose: the Smith input of that
-    leg, built straight off :func:`_monomial_skeleton`.
+    """The {column: value} Hom rows, phi -> phi . D, of the monomial
+    resolution's differential D leaving degree m, plain or ``dual`` (the
+    norm N_G at m = 0, the dual of the leg leaving -m at m < 0), or with
+    ``transpose`` the rows of its transpose, {row: value} per column of the
+    map: every monomial leg is read here, built straight off
+    :func:`_monomial_skeleton`.  Monomial (k_1, ..., k_s) meets the one
+    that drops a power of x_i, for i ascending, through
+    (-1)^(k_1+...+k_(i-1)) times A_i - I (odd k_i) or N_i(A) (even k_i > 0),
+    as in :func:`~cohomolab.resolutions.minimal_diff`; with ``dual``,
+    through their antipodes A_i^-1 - I and N_i(A).
 
     A face of source j into target k through block B puts B[t][u] at row
     (j, t), column (k, u) of the plain map and at row (k, t), column (j, u)
     of the dual one; the transpose swaps each row and column and reads B's
     columns.  So every shape is the one loop over the faces, each row index
     a source or a target, and a face through an all-zero block (A_i - I on
-    a trivial module) is skipped.
+    a trivial module) is skipped.  A plain row keeps the faces' pair order,
+    and a dual one its sources in ascending index.
 
     >>> from cohomolab.group_ring import GroupSpec
     >>> from cohomolab.modules import trivial_module
     >>> Z = trivial_module(GroupSpec.of(2))
-    >>> _minimal_smith_rows(Z, 2, False, False), _minimal_smith_rows(Z, 0, False, False)
+    >>> _minimal_rows(Z, 2, False, False), _minimal_rows(Z, 0, False, False)
     ([{0: 2}], [{0: 2}])
     """
     d = M.rank
@@ -988,18 +980,19 @@ def _leg_rows(
     dual: bool = False,
     limits: EngineLimits | None = None,
     tables: _BarTables | None = None,
-) -> Iterator[list[tuple[int, int]]]:
+) -> Iterator[_Row]:
     """The Hom rows, phi -> phi . D, of the differential D of
-    ``resolution`` leaving degree m, antipode-transposed when ``dual``.
-    On the complete monomial resolution degree 0 is the norm N_G, its own
-    antipode, and a negative degree m the dual of the differential leaving
-    -m, its rows the :func:`_hom_rows` of the pairs each source meets.  A
-    standard-resolution leg, priced by :func:`_bar_leg` before its first
-    row, is the :func:`_cell_rows` of every cell in bar basis order, read
-    through ``tables`` (:func:`_bar_tables`, built here for ``dual`` when
-    the caller passes none); a dual leg is the transpose of that
-    plain-shaped one, its sources in ascending index: the pair order of the
-    antipode-transposed matrix.
+    ``resolution`` leaving degree m, antipode-transposed when ``dual``, as
+    (column, value) pairs.  A monomial leg is the items of the rows
+    :func:`_minimal_rows` builds: on the complete resolution degree 0 is
+    the norm N_G, its own antipode, and a negative degree m the dual of the
+    differential leaving -m.  A standard-resolution leg, priced by
+    :func:`_bar_leg` before its first row, is the :func:`_cell_rows` of
+    every cell in bar basis order, read through ``tables``
+    (:func:`_bar_tables`, built here for ``dual`` when the caller passes
+    none); a dual leg is the transpose of that plain-shaped one, its
+    sources in ascending index: the pair order of the antipode-transposed
+    matrix.
 
     >>> from cohomolab.group_ring import GroupSpec
     >>> from cohomolab.modules import trivial_module
@@ -1007,36 +1000,24 @@ def _leg_rows(
     >>> list(_leg_rows(Z, "bar", 1)), list(_leg_rows(Z, "bar", 2))
     ([[]], [[(0, 2)]])
     """
-    d = M.rank
-    if resolution == "bar":
-        tables = tables or _bar_tables(M, dual)
-        targets = _bar_leg(M, m, limits)
-        cells = itertools.product(range(len(tables[0])), repeat=m)
-        rows = (row for e in cells for row in _cell_rows(M, m, tables, e)[1])
-        if not dual:
-            yield from rows
-            return
-        by_column: list[list[tuple[int, int]]] = [[] for _ in range(d * targets)]
-        for r, row in enumerate(rows):
-            for k, c in row:
-                by_column[k].append((r, c))
-        yield from by_column
+    if resolution != "bar":
+        yield from map(dict.items, _minimal_rows(M, m, dual, False))
         return
-    elif m:
-        dual ^= m < 0
-        sources, targets = _minimal_faces(M, abs(m), dual)
-    else:
-        sources, targets = [[(0, M.block_rows(None))]], 1
-    if dual:
-        by_target: list[_Source] = [[] for _ in range(targets)]
-        for src, pairs in enumerate(sources):
-            for k, blk in pairs:
-                by_target[k].append((src, blk))
-        sources = by_target
-    yield from _hom_rows(d, sources)
+    tables = tables or _bar_tables(M, dual)
+    targets = _bar_leg(M, m, limits)
+    cells = itertools.product(range(len(tables[0])), repeat=m)
+    rows = (row for e in cells for row in _cell_rows(M, m, tables, e)[1])
+    if not dual:
+        yield from rows
+        return
+    by_column: list[list[tuple[int, int]]] = [[] for _ in range(M.rank * targets)]
+    for r, row in enumerate(rows):
+        for k, c in row:
+            by_column[k].append((r, c))
+    yield from by_column
 
 
-def _image_columns(rows: Iterable[list[tuple[int, int]]]) -> list[dict[int, int]]:
+def _image_columns(rows: Iterable[_Row]) -> list[dict[int, int]]:
     """The nonzero columns of a map given by its streamed rows, in column
     order, as {row: value} dicts: the rows, transposed."""
     cols: dict[int, dict[int, int]] = {}
@@ -1046,7 +1027,7 @@ def _image_columns(rows: Iterable[list[tuple[int, int]]]) -> list[dict[int, int]
     return [cols[k] for k in sorted(cols)]
 
 
-def _apply(M: GModule, rows: Iterable[list[tuple[int, int]]], flat: Sequence[int]) -> list[int]:
+def _apply(M: GModule, rows: Iterable[_Row], flat: Sequence[int]) -> list[int]:
     """The flat cochain phi . D for a flat cochain phi and the Hom rows of D,
     reduced mod the module's modulus."""
     out = [sum(c * flat[k] for k, c in row) for row in rows]
@@ -1157,7 +1138,7 @@ def _extract_representatives(
     return tuple(Cochain.from_flat(degree, vec, count, M.rank) for vec in vecs)
 
 
-def _rows_vanish(rows: Iterable[list[tuple[int, int]]], N: int, vecs: list[list[int]]) -> bool:
+def _rows_vanish(rows: Iterable[_Row], N: int, vecs: list[list[int]]) -> bool:
     """Whether phi . D vanishes, mod N when N is set, for each flat cochain
     phi of ``vecs``, against every Hom row of D in turn."""
     for row in rows:
@@ -1311,15 +1292,17 @@ def _complex_group(
     Smith diagonals of the maps they need, d_in alone where |G| kills H;
     each standard-resolution leg among them is read off the Morse complex
     (:func:`_morse_leg` and :func:`_morse_complement`), and each monomial
-    leg straight off its skeleton (:func:`_minimal_smith_rows`).  Any other
+    leg straight off its skeleton (:func:`_minimal_rows`).  Any other
     modulus N switches kernels and quotients to congruences.  Every other
     call runs one quotient on a leg source picked once: the Morse complex
     of :func:`_morse_complex` for a plain standard-resolution leg (ordinary
-    cohomology), and the listed legs for a monomial or dual leg.  The
-    image, the cocycles (the saturation of the image where |G| kills H,
-    otherwise the kernel of the outgoing rows, listed only where they
-    double as the row-by-row check) and the quotient are taken the same way
-    on either.  A failed Morse guard raises :class:`VerificationError`.
+    cohomology), the same :func:`_minimal_rows` for a monomial leg, its
+    image the nonzero rows of the transpose, and the listed legs for a
+    dual standard-resolution leg (homology).  The image, the cocycles (the
+    saturation of the image where |G| kills H, otherwise the kernel of the
+    outgoing rows, listed only where they double as the row-by-row check)
+    and the quotient are taken the same way on each.  A failed Morse guard
+    raises :class:`VerificationError`.
     """
     limits = limits or EngineLimits.from_env()
     limits.check_group_order(M.spec.order)
@@ -1372,9 +1355,10 @@ def _complex_group(
 
     tables = _bar_tables(M, step < 0) if resolution == "bar" else None
 
-    def leg(k: int) -> Iterator[list[tuple[int, int]]]:
-        # the streamed Hom rows of the map between degrees n and k; a
-        # standard-resolution call meets only degrees >= 1 here
+    def leg(k: int) -> Iterator[_Row]:
+        # the streamed Hom rows of the map between degrees n and k, built
+        # on the first read; a standard-resolution call meets only degrees
+        # >= 1 here
         return _leg_rows(M, resolution, max(n, k), step < 0, limits, tables)
 
     if smith:
@@ -1393,7 +1377,7 @@ def _complex_group(
                 rows, cols = len(listed), len(read[3])
                 source = _image_columns(listed) if rows > cols else map(dict, listed)
             else:
-                units, source = 0, _minimal_smith_rows(M, m, step < 0, rows > cols)
+                units, source = 0, _minimal_rows(M, m, step < 0, rows > cols)
             return [1] * units + smith_diagonal(source, min(rows, cols), max(rows, cols), mod=mod)
 
         diag_in = diagonal(k_in, dim, in_dim) if has_in else []
@@ -1409,15 +1393,22 @@ def _complex_group(
         return CohomologyResult(n, kind, inv, M.label, resolution, route)
     # one quotient for every leg source: a plain standard-resolution leg
     # reads the Morse complex and checks representatives run by run; any
-    # other leg is listed, checked row by row
+    # other leg is read by leg(), checked row by row.  The image of a
+    # monomial leg is the nonzero rows of its transpose, of a dual
+    # standard-resolution leg (homology) its rows transposed
     by_runs = has_out and resolution == "bar" and step > 0
     if by_runs:
         image, out, width, project, lift = _morse_complex(M, n, mod, tables, limits)
+        icols = _image_columns(image)
     else:
-        image = leg(k_in) if has_in else ()
+        if not has_in:
+            icols = []
+        elif tables:
+            icols = _image_columns(leg(k_in))
+        else:
+            icols = [c for c in _minimal_rows(M, max(n, k_in), step < 0, True) if c]
         out = leg(k_out) if has_out else ()
         width, lift = dim, None
-    icols = _image_columns(image)
     kcols = saturation_columns(icols) if killed else None
     if kcols is None:
         if want and not by_runs:

@@ -42,18 +42,18 @@ class GModule:
     # A_i, any other element the product of its generator powers, one
     # sparse product each.  At most |G| entries of rank^2 cells, and every
     # route that fills it has passed a larger cap first: a bar leg's
-    # check_cells is at least rank^2 (|G| - 1), factor sets and the sigma
-    # check (the comparison map's blocks) pass the order cap, and minimal
-    # legs fill powers of the generators only
+    # check_cells is at least rank^2 (|G| - 1), and factor sets and the
+    # sigma check (the comparison map's blocks) pass the order cap.
+    # Minimal legs read its identity alone
     _elements: dict[tuple[int, ...], list[list[tuple[int, int]]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
     # the blocks of the monomial resolution's differentials, by
-    # :meth:`block_rows` key, each filled on first use from the element
-    # table: +-(A_i - I), +-(A_i^-1 - I), +-N_i(A) and N_G(A), so at most
-    # 6s + 1 entries, kept per instance like the element table.  N_G(A) is
-    # the product of the N_i(A), not a sum over |G| elements, which costs
-    # far more at large rank
+    # :meth:`block_rows` key, each filled on first use from the actions in
+    # O(log o_i) sparse products: +-(A_i - I), +-(A_i^-1 - I), +-N_i(A) and
+    # N_G(A), so at most 6s + 1 entries, kept per instance like the element
+    # table.  N_G(A) is the product of the N_i(A), not a sum over |G|
+    # elements, which costs far more at large rank
     _blocks: dict[tuple, list[list[tuple[int, int]]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -123,10 +123,10 @@ class GModule:
     ) -> list[list[tuple[int, int]]]:
         """Nonzero entries, row by row, of one block of the monomial
         resolution's differentials, negated when ``neg``: A_i^e - I for
-        e >= 1 (e = 1 and the antipode e = o_i - 1 are used), N_i(A) =
-        I + A_i + ... + A_i^(o_i - 1) for e = 0, and N_G(A), the product of
-        the N_i(A), for i = None.  Entries are reduced mod N, the negation
-        included."""
+        e >= 1 (e = 1 and the antipode e = o_i - 1 are used), A_i^e by
+        repeated squaring; N_i(A) = I + A_i + ... + A_i^(o_i - 1) for e = 0,
+        by doubling (:meth:`_norm`); and N_G(A), the product of the N_i(A),
+        for i = None.  Entries are reduced mod N, the negation included."""
         key = (i, e, neg)
         rows = self._blocks.get(key)
         if rows is not None:
@@ -137,8 +137,8 @@ class GModule:
                 P = _times_sparse(P, self._norm(j), self.modulus)
             terms = [(1, P)]
         elif e:
-            eye = self.element_rows(self.spec.identity())
-            terms = [(1, self.element_rows(self.spec.generator(i, e))), (-1, eye)]
+            power = _power_rows(_sparse_rows(self.actions[i].data), e, self.modulus)
+            terms = [(1, power), (-1, self.element_rows(self.spec.identity()))]
         else:
             terms = [(1, self._norm(i))]
         sign = -1 if neg else 1
@@ -148,11 +148,21 @@ class GModule:
         return rows
 
     def _norm(self, i: int) -> list[list[tuple[int, int]]]:
-        """Nonzero entries of N_i(A), row by row, summed over the element
-        table and reduced mod N."""
-        G = self.spec
-        terms = [(1, self.element_rows(G.generator(i, k))) for k in range(G.orders[i])]
-        return _sparse_rows(_combine(terms, self.rank), self.modulus)
+        """Nonzero entries of N_i(A), row by row, reduced mod N, by doubling
+        over the bits of o_i after the leading one, from N_1 = I and A:
+        N_k = I + A + ... + A^(k-1) and A^k go to N_2k = N_k (I + A^k) and
+        A^2k, then on a set bit to N_(k+1) = I + A N_k and A^(k+1).  So
+        O(log o_i) products, and no power of A is tabled."""
+        N, eye = self.modulus, self.element_rows(self.spec.identity())
+        A = _sparse_rows(self.actions[i].data)
+        norm, power = eye, A  # N_1 and A^1, from the leading bit; o_i >= 2
+        for bit in bin(self.spec.orders[i])[3:]:
+            norm = _times_sparse(norm, _plus(eye, power, N), N)
+            power = _times_sparse(power, power, N)
+            if bit == "1":
+                norm = _plus(eye, _times_sparse(A, norm, N), N)
+                power = _times_sparse(A, power, N)
+        return norm
 
     def relabel(self, label: str) -> "GModule":
         """The same module under another label: a copy of these validated
@@ -197,15 +207,30 @@ class DualDivisible:
 def _mat_pow(A: IntMatrix, k: int, mod: int = 0) -> IntMatrix:
     """A^k by repeated squaring with sparse products, reduced mod ``mod``
     after each product when it is set."""
-    out = [[(t, 1)] for t in range(A.rows)]
-    base = _sparse_rows(A.data)
+    return _dense(_power_rows(_sparse_rows(A.data), k, mod))
+
+
+def _power_rows(
+    A: list[list[tuple[int, int]]], k: int, mod: int = 0
+) -> list[list[tuple[int, int]]]:
+    """:func:`_mat_pow` on the nonzero entries of the rows of A: A^k in the
+    same form."""
+    out = [[(t, 1)] for t in range(len(A))]
     while k:
         if k & 1:
-            out = _times_sparse(out, base, mod)
+            out = _times_sparse(out, A, mod)
         k >>= 1
         if k:
-            base = _times_sparse(base, base, mod)
-    return _dense(out)
+            A = _times_sparse(A, A, mod)
+    return out
+
+
+def _plus(
+    P: list[list[tuple[int, int]]], Q: list[list[tuple[int, int]]], mod: int = 0
+) -> list[list[tuple[int, int]]]:
+    """P + Q, each given and returned by the nonzero entries of its rows,
+    reduced mod ``mod`` when it is set."""
+    return _sparse_rows(_combine([(1, P), (1, Q)], len(P)), mod)
 
 
 def _sparse_rows(data: Iterable[Sequence[int]], mod: int = 0) -> list[list[tuple[int, int]]]:

@@ -24,7 +24,10 @@ standard-resolution leg's Smith diagonal off the critical rows and columns
 of its Morse complex alone.
 
 The skeleton and the faces of a monomial leg are listed from the monomial
-bases on every call, and the Morse matching of a standard-resolution leg,
+bases on every call, and its Hom rows from those faces, a dual leg
+regrouped by target; the norm and antipode blocks are summed and powered
+through the module's element table.  The Morse matching of a
+standard-resolution leg,
 with its pivots, by walking :func:`~cohomolab.engine._morse_partner` over
 every cell, where the library reads both from tables built once per shape
 and degree: a monomial table grown by prefix from the tables of one
@@ -58,7 +61,7 @@ from cohomolab.intlinalg import (
     kernel_columns,
     quotient_invariants,
 )
-from cohomolab.modules import GModule, _combine, _dense
+from cohomolab.modules import GModule, _combine, _dense, _sparse_rows
 from cohomolab.resolutions import bar_basis, monomial_basis
 
 
@@ -72,6 +75,25 @@ def act(M: GModule, x: RingElement) -> IntMatrix:
     out = _combine([(c, M.element_rows(g)) for g, c in x.items()], d)
     A = IntMatrix(d, d, tuple(map(tuple, out)))
     return A.mod(M.modulus) if M.modulus else A
+
+
+def norm_block(M: GModule, i: int) -> list[list[tuple[int, int]]]:
+    """N_i(A) = I + A_i + ... + A_i^(o_i - 1), row by row, summed over the
+    powers of A_i read from the module's element table and reduced mod N:
+    ``GModule.block_rows(i, 0)`` as a sum of o_i matrices."""
+    G = M.spec
+    terms = [(1, M.element_rows(G.generator(i, k))) for k in range(G.orders[i])]
+    return _sparse_rows(_combine(terms, M.rank), M.modulus)
+
+
+def antipode_block(M: GModule, i: int) -> list[list[tuple[int, int]]]:
+    """A_i^(o_i - 1) - I, row by row, its power read from the module's
+    element table and reduced mod N: ``GModule.block_rows(i, o_i - 1)``
+    through every power of A_i."""
+    G = M.spec
+    power = M.element_rows(G.generator(i, G.orders[i] - 1))
+    terms = [(1, power), (-1, M.element_rows(G.identity()))]
+    return _sparse_rows(_combine(terms, M.rank), M.modulus)
 
 
 def action_power(M: GModule, i: int, k: int) -> IntMatrix:
@@ -564,6 +586,27 @@ def minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
             ksum += k
         sources.append(pairs)
     return sources, len(index)
+
+
+def minimal_rows(M: GModule, m: int, dual: bool) -> list[list[tuple[int, int]]]:
+    """The Hom rows of the monomial resolution's leg leaving degree m,
+    plain or ``dual``, through :func:`~cohomolab.engine._hom_rows` of the
+    pairs :func:`minimal_faces` lists: the norm N_G at m = 0, and at m < 0
+    the dual of the leg leaving -m.  A dual leg is regrouped by target, its
+    sources in ascending index: the pair order of the antipode-transposed
+    matrix."""
+    if m:
+        dual ^= m < 0
+        sources, targets = minimal_faces(M, abs(m), dual)
+    else:
+        sources, targets = [[(0, M.block_rows(None))]], 1
+    if dual:
+        by_target: list[_Source] = [[] for _ in range(targets)]
+        for src, pairs in enumerate(sources):
+            for k, blk in pairs:
+                by_target[k].append((src, blk))
+        sources = by_target
+    return list(_hom_rows(M.rank, sources))
 
 
 def morse_splits(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:

@@ -286,6 +286,21 @@ def test_module_size_is_capped_before_it_is_built(capsys, monkeypatch, verb, mod
     assert f"module {named!r}" in err
 
 
+def test_prime_order_group_returns_within_a_second(capsys):
+    # no block walks the powers of an action: N_i(A) is built by doubling
+    # and the antipode A_i^(o_i - 1) by repeated squaring, so the Tate
+    # cohomology of Z over the Mersenne prime 2^61 - 1 is Z/p in even
+    # degrees and 0 in odd ones, at once
+    p = 2**61 - 1
+    start = time.perf_counter()
+    payload = run_json(
+        capsys, "compute", "--group", str(p), "--module", "trivial", "--degrees=-2..2",
+        "--max-group-order", str(10**19),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert [r["invariant_factors"] for r in payload["results"]] == [[p], [], [p], [], [p]]
+
+
 @pytest.mark.parametrize("verb", ["compute", "factor-set"])
 def test_unreadable_action_file_is_exit_two(capsys, tmp_path, verb):
     args = {

@@ -17,11 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _reference import antipode_block as reference_antipode_block
 from _reference import bar_pivots as reference_bar_pivots
 from _reference import cocycle_identity_holds as reference_identity_holds
 from _reference import column_hnf, hom_constraint_rows, invariants_structure, sigma
 from _reference import minimal_faces as reference_minimal_faces
+from _reference import minimal_rows as reference_minimal_rows
 from _reference import monomial_skeleton as reference_monomial_skeleton
+from _reference import norm_block as reference_norm_block
 from _reference import morse_splits as reference_morse_splits
 from _reference import schur_complement as reference_complement
 from cohomolab import engine, group_ring, resolutions, verify
@@ -323,25 +326,29 @@ def test_incoming_map_is_capped_before_it_is_built(monkeypatch, compute, reps):
 def test_each_differential_is_built_at_most_once(
     monkeypatch, compute, resolution, text, reps, route
 ):
-    # legs are recorded by the resolution and the degree they leave: the
-    # Hom rows of either resolution, "smith" where the Smith input of a
-    # monomial leg is read off its skeleton, "morse" where a
-    # standard-resolution leg is read off the Morse complex, or "runs" where
-    # one is read run by run; a call builds each of its one or two maps
-    # once, the cokernel-torsion route over Z only the incoming one wherever
-    # both exist, and no call builds a minimal_diff or bar_diff RingMatrix
+    # legs are recorded by the resolution and the degree they leave: "bar"
+    # where a standard-resolution leg is listed, "monomial" where a
+    # monomial leg is built (every monomial read, the Smith input and the
+    # quotient's image and rows alike, goes through _minimal_rows, whose
+    # rows _leg_rows only iterates), "morse" where a standard-resolution
+    # leg is read off the Morse complex, or "runs" where one is read run by
+    # run; a call builds each of its one or two maps at most once, the
+    # cokernel-torsion route over Z only the incoming one wherever both
+    # exist, and no call builds a minimal_diff or bar_diff RingMatrix
     built, reference = [], []
     real_rows = engine._leg_rows
+
+    def leg_rows(M, res, m, *rest):
+        if res == "bar":
+            built.append((res, m))
+        return real_rows(M, res, m, *rest)
+
+    monkeypatch.setattr(engine, "_leg_rows", leg_rows)
+    real_minimal_rows = engine._minimal_rows
     monkeypatch.setattr(
         engine,
-        "_leg_rows",
-        lambda M, res, m, *rest: built.append((res, m)) or real_rows(M, res, m, *rest),
-    )
-    real_smith_rows = engine._minimal_smith_rows
-    monkeypatch.setattr(
-        engine,
-        "_minimal_smith_rows",
-        lambda M, m, *rest: built.append(("smith", m)) or real_smith_rows(M, m, *rest),
+        "_minimal_rows",
+        lambda M, m, *rest: built.append(("monomial", m)) or real_minimal_rows(M, m, *rest),
     )
     # every Smith diagonal of a standard-resolution leg, plain or dual, and
     # the Morse complex of ordinary cohomology read it off the Morse complex
@@ -393,7 +400,7 @@ def test_each_differential_is_built_at_most_once(
         if route == "cokernel-torsion" and (tate or n > 0):
             # Tate degree 0's incoming leg is the norm, which leaves degree 0
             incoming = n + 1 if compute is homology else n
-            leg = "morse" if resolution == "bar" else "smith"
+            leg = "morse" if resolution == "bar" else "monomial"
             assert built == [(leg, incoming)], (n, built)
         if reps and resolution == "bar" and compute is ordinary_cohomology:
             # on the Morse complex: the guards of leg n - 1, then the pivots
@@ -410,12 +417,13 @@ def test_each_differential_is_built_at_most_once(
             assert built and all(res == "morse" for res, _ in built), (n, built)
             assert set(builds.values()) == {False}, (n, builds)
             assert reached == [m for _, m in built], (n, reached)
-        elif not reps:
-            # each Smith diagonal of a monomial leg read off its skeleton,
-            # once, and no row listed
-            assert built and all(res == "smith" for res, _ in built), (n, built)
+        elif resolution == "bar":
+            # homology with representatives lists its dual legs
+            assert built and all(res == "bar" for res, _ in built), (n, built)
         else:
-            assert not any(res in ("morse", "runs", "smith") for res, _ in built), (n, built)
+            # each monomial leg read off its skeleton, once, whether for its
+            # Smith diagonal or for the quotient, and no row listed
+            assert built and all(res == "monomial" for res, _ in built), (n, built)
 
 
 def test_group_tables_are_built_once_per_group():
@@ -707,13 +715,30 @@ def test_minimal_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, d
         D = complete_diff(res, k)
         if dual:
             D = D.antipode_transpose()
-        got = list(engine._leg_rows(M, "minimal", k, dual))
+        got = [list(row) for row in engine._leg_rows(M, "minimal", k, dual)]
         assert got == list(hom_constraint_rows(M, D)), (text, k, dual)
     # every block kind: N_G, both parities, plain and dual legs
     for k in range(-2, 3):
         for flip in (False, True):
             list(engine._leg_rows(M, "minimal", k, flip))
     assert len(M._blocks) <= 6 * G.ngens + 1
+
+
+def test_norm_and_antipode_blocks_equal_the_element_sums(row_modules):
+    # N_i(A) by doubling and A_i^(o_i - 1) - I by repeated squaring, both
+    # signs, against the sum of the o_i powers and the power read through
+    # the element table, for every row module: lattices and finite modules,
+    # orders 2, 3 and 4
+    for orders in _ROW_GROUPS:
+        G = GroupSpec(orders)
+        for text in row_modules[orders]:
+            M = parse_module(text, G)
+            for i, o in enumerate(orders):
+                norm, antipode = reference_norm_block(M, i), reference_antipode_block(M, i)
+                assert M.block_rows(i, 0) == norm, (orders, text, i)
+                assert M.block_rows(i, o - 1) == antipode, (orders, text, i)
+                negated = [[(u, -c % M.modulus if M.modulus else -c) for u, c in row] for row in norm]
+                assert M.block_rows(i, 0, True) == negated, (orders, text, i)
 
 
 _BAR_ROW_GROUPS = [orders for orders in _ROW_GROUPS if GroupSpec(orders).order <= 9]
@@ -738,13 +763,20 @@ def test_bar_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, dual)
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.sampled_from(_ROW_GROUPS), st.data(), st.integers(1, 7), st.booleans())
 def test_minimal_faces_equal_the_basis_listing(row_modules, orders, data, m, dual):
-    # the faces read from the (s, m) table, blocks looked up per call,
-    # against the listing from the monomial bases, as lists: pair order and
-    # the number of targets included, for s = 1..4, lattices and finite
+    # the rows read from the (s, m) table, blocks looked up per call,
+    # against the Hom rows of the faces listed from the monomial bases, as
+    # lists: pair order included, and on the column side the nonzero
+    # columns and the number of columns, for s = 1..4, lattices and finite
     # modules alike
     G = GroupSpec(orders)
     M = parse_module(data.draw(st.sampled_from(row_modules[orders])), G)
-    assert engine._minimal_faces(M, m, dual) == reference_minimal_faces(M, m, dual)
+    sources, targets = reference_minimal_faces(M, m, dual)
+    listed = reference_minimal_rows(M, m, dual)
+    rows = engine._minimal_rows(M, m, dual, False)
+    columns = engine._minimal_rows(M, m, dual, True)
+    assert [list(row.items()) for row in rows] == listed
+    assert [c for c in columns if c] == _image_columns(listed)
+    assert len(columns) == M.rank * (len(sources) if dual else targets)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -767,18 +799,18 @@ def test_prefix_built_skeleton_equals_the_basis_listing(s, m):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.sampled_from(_ROW_GROUPS), st.data(), st.integers(-7, 7), st.booleans())
 def test_minimal_smith_rows_equal_the_listed_rows(row_modules, orders, data, m, dual):
-    # the Smith input of a monomial leg read off its skeleton against the
-    # listed Hom rows of the same leg, plain or dual, the norm at degree 0
-    # and dual legs at negative degrees: on the row side the same rows, on
-    # the column side their nonzero columns, and either side's Smith
-    # diagonal that of the listed rows, over Z and mod N
+    # the rows of a monomial leg read off its skeleton against the Hom rows
+    # of the same leg listed from the monomial bases, plain or dual, the
+    # norm at degree 0 and dual legs at negative degrees: on the row side
+    # the same rows, on the column side their nonzero columns, and either
+    # side's Smith diagonal that of the listed rows, over Z and mod N
     G = GroupSpec(orders)
     text = data.draw(st.sampled_from(row_modules[orders]))
     M = parse_module(text, G)
     for k in (m, 0):
-        listed = list(engine._leg_rows(M, "minimal", k, dual))
-        rows = engine._minimal_smith_rows(M, k, dual, False)
-        columns = engine._minimal_smith_rows(M, k, dual, True)
+        listed = reference_minimal_rows(M, k, dual)
+        rows = engine._minimal_rows(M, k, dual, False)
+        columns = engine._minimal_rows(M, k, dual, True)
         assert rows == [dict(row) for row in listed], (text, k, dual)
         assert [c for c in columns if c] == _image_columns(listed), (text, k, dual)
         for mod in {None, M.modulus or G.order}:

@@ -80,20 +80,37 @@ def _negated(blk):
     return [[(u, -c) for u, c in row] for row in blk]
 
 
+def _flip_first_face(monkeypatch, source):
+    """Negate the block of the first face of monomial source
+    ``source(M, m, dual)`` (None: no source) in every monomial leg the
+    engine reads, through its one row builder: at source j's rows and
+    target k's columns of a plain leg, the other way round in a dual or
+    transposed one, and back again in a transposed dual one."""
+    real = engine._minimal_rows
+
+    def flipped(M, m, dual, transpose):
+        rows = real(M, m, dual, transpose)
+        j = source(M, m, dual)
+        if j is not None:
+            d = M.rank
+            k = engine._monomial_skeleton(M.spec.ngens, m)[0][j][0][0]
+            r, c = (k, j) if dual != transpose else (j, k)
+            for row in rows[r * d : (r + 1) * d]:
+                for u in range(c * d, (c + 1) * d):
+                    if u in row:
+                        row[u] = -row[u]
+        return rows
+
+    monkeypatch.setattr(engine, "_minimal_rows", flipped)
+
+
 def test_resolution_suite_fails_on_a_flipped_minimal_block(monkeypatch):
     # x_1 x_2 meets x_2 through -(A_1 - I) instead of A_1 - I, so d.d no
     # longer vanishes on either side of degree 2; one generator has no such
     # monomial.  The dual legs of the exactness check's homology stay intact
-    real = engine._minimal_faces
-
-    def flipped(M, m, dual):
-        sources, targets = real(M, m, dual)
-        if m == 2 and M.spec.ngens > 1 and not dual:
-            (k, blk), *rest = sources[1]
-            sources = sources[:1] + [[(k, _negated(blk))] + rest] + sources[2:]
-        return sources, targets
-
-    monkeypatch.setattr(engine, "_minimal_faces", flipped)
+    _flip_first_face(
+        monkeypatch, lambda M, m, dual: 1 if m == 2 and M.spec.ngens > 1 and not dual else None
+    )
     squares = {r.name: (r.status, r.detail) for r in resolution_suite() if "squares" in r.name}
     assert squares["resolution/minimal-squares/2"] == (PASS, "d.d = 0 for n <= 5")
     for g in _GROUP_NAMES[2:]:
@@ -107,17 +124,11 @@ def test_regular_exactness_reports_a_broken_dual_leg_as_fail(monkeypatch):
     # over (2,2,2), negated: the homology of the regular module then fails
     # the engine's own cocycle check, which the suite reports instead of
     # stopping
-    real = engine._minimal_faces
-
-    def flipped(M, m, dual):
-        sources, targets = real(M, m, dual)
-        if m == 2 and dual and M.spec.orders == (2, 2, 2):
-            j = next(j for j, pairs in enumerate(sources) if len(pairs) == 2)
-            (k, blk), *rest = sources[j]
-            sources = sources[:j] + [[(k, _negated(blk))] + rest] + sources[j + 1 :]
-        return sources, targets
-
-    monkeypatch.setattr(engine, "_minimal_faces", flipped)
+    table = engine._monomial_skeleton(3, 2)[0]
+    j = next(j for j, faces in enumerate(table) if len(faces) == 2)
+    _flip_first_face(
+        monkeypatch, lambda M, m, dual: j if m == 2 and dual and M.spec.orders == (2, 2, 2) else None
+    )
     name = "resolution/regular-exactness/2,2,2"
     detail = "H_1: extracted degree-1 representative is not a cocycle"
     want = [(n, FAIL, detail) if n == name else (n, s, d) for n, s, d in _suite_green()]
