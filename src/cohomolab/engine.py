@@ -11,7 +11,10 @@ Route selection is about cost, never about semantics:
                         representatives; used for lattice coefficients
                         with representatives.  Where both maps exist the
                         kernel is the saturation of the image
-                        (:func:`saturation_columns`, see below), and d_out
+                        (:func:`saturation_columns`, see below), H is read
+                        off the pivots of its one sparse elimination, with
+                        no Hermite basis and no dense Smith form
+                        (:func:`saturation_presentation`), and d_out
                         is read once, only to check each representative:
                         row by row, or run by run without rows on a plain
                         standard-resolution leg.  Degree 0, and any image
@@ -54,8 +57,9 @@ All three entry points run through :func:`_complex_group`: it sizes the
 incoming and outgoing maps of a degree from the resolution ranks, checks
 every cap, and only then builds the maps its route needs, each once.  The
 image of the incoming map, where one is needed, is kept as its sparse
-{row: value} columns until the quotient takes their Hermite basis; that
-basis is also the coboundary lattice every representative is reduced by.
+{row: value} columns until the quotient eliminates them: where |G| kills
+H the pivot rows of that elimination, and otherwise their Hermite basis,
+are the coboundary lattice every representative is reduced by.
 No dense Hom matrix is built.
 
 Where the rows come from: every monomial leg is built one way, by
@@ -84,8 +88,9 @@ table.  Each reader that walks a standard-resolution leg, listed, off the
 Morse complex or run by run, checks its caps once first (:func:`_bar_leg`).
 A dual leg (homology, negative Tate degrees) is read in the plain shape
 through dual tables (:func:`_bar_tables`), whose first-face blocks are the
-transposed antipode blocks, and listed as the transpose, whose image is
-its streamed rows transposed (:func:`_image_columns`).  The comparison map
+transposed antipode blocks, and listed as the transpose; its image is
+the nonzero rows of that plain shape (:func:`_bar_rows`), taken as they
+stream.  The comparison map
 sigma from the standard resolution to the monomial one, which factor sets
 are read through, is listed in (target, block) pairs by
 :func:`_sigma_faces`, its blocks sums of element matrices (prefix elements
@@ -142,7 +147,8 @@ cells matched downward, leg n's pivot rows, by a coboundary through leg n's
 pivot block; a cocycle that vanishes there takes -R(j) times its critical
 coordinates at each cell matched upward, a pivot column j of leg n + 1.  So
 H^n is a quotient on the d C(n+s-1, s-1) critical coordinates: the cocycles
-are the saturation of the image where |G| kills H, and otherwise the kernel
+are the saturation of the image where |G| kills H, H then read off its
+pivots as on a monomial leg, and otherwise the kernel
 of leg n + 1's complement at its critical rows and columns; the image is
 spanned by leg n's, once leg n - 1's pivots move every cochain of degree
 n - 1 off its own cells matched downward.  These complements are the
@@ -166,7 +172,11 @@ III.10.2, and its Tate form in ch. VI), so its free rank is 0 and d_out is
 not needed; when one is missing (degree 0) its rank is 0.  Which maps exist
 is known from the degree alone, so no finiteness flag is needed.  The same
 theorem gives the kernel route its cocycles: ker d_out is saturated and
-contains im d_in with finite index, so it is the saturation of im d_in.
+contains im d_in with finite index, so it is the saturation of im d_in,
+and H is the saturation modulo L = im d_in.  The sparse elimination of L
+leaves pivot rows g Q, Q primitive with a 1 at its pivot, so H is the sum
+of the Z/g, the coprime parts merged by a Smith form of the gains alone
+(:func:`~cohomolab.intlinalg.saturation_presentation`).
 Both routes rest on the theorem, so both check it: on those degrees every
 invariant of H must divide |G| and the free rank must be 0, or the call
 raises :class:`VerificationError`.
@@ -202,6 +212,7 @@ from cohomolab.intlinalg import (
     quotient_invariants,
     quotient_presentation,
     saturation_columns,
+    saturation_presentation,
     smith_diagonal,
     solve_pivots,
 )
@@ -986,9 +997,8 @@ def _leg_rows(
     (column, value) pairs.  A monomial leg is the items of the rows
     :func:`_minimal_rows` builds: on the complete resolution degree 0 is
     the norm N_G, its own antipode, and a negative degree m the dual of the
-    differential leaving -m.  A standard-resolution leg, priced by
-    :func:`_bar_leg` before its first row, is the :func:`_cell_rows` of
-    every cell in bar basis order, read through ``tables``
+    differential leaving -m.  A standard-resolution leg is the rows of
+    :func:`_bar_rows`, priced before the first, read through ``tables``
     (:func:`_bar_tables`, built here for ``dual`` when the caller passes
     none); a dual leg is the transpose of that plain-shaped one, its
     sources in ascending index: the pair order of the antipode-transposed
@@ -1004,17 +1014,30 @@ def _leg_rows(
         yield from map(dict.items, _minimal_rows(M, m, dual, False))
         return
     tables = tables or _bar_tables(M, dual)
-    targets = _bar_leg(M, m, limits)
-    cells = itertools.product(range(len(tables[0])), repeat=m)
-    rows = (row for e in cells for row in _cell_rows(M, m, tables, e)[1])
+    rows = _bar_rows(M, m, limits, tables)
     if not dual:
         yield from rows
         return
-    by_column: list[list[tuple[int, int]]] = [[] for _ in range(M.rank * targets)]
+    # the (|G| - 1)^(m - 1) targets of the plain shape are the dual's sources
+    by_column: list[list[tuple[int, int]]] = [
+        [] for _ in range(M.rank * len(tables[0]) ** (m - 1))
+    ]
     for r, row in enumerate(rows):
         for k, c in row:
             by_column[k].append((r, c))
     yield from by_column
+
+
+def _bar_rows(
+    M: GModule, m: int, limits: EngineLimits | None, tables: _BarTables
+) -> Iterator[_Row]:
+    """The :func:`_cell_rows` of every cell of the standard-resolution leg
+    leaving degree m, in bar basis order, read through ``tables``: the leg
+    in their plain shape, priced by :func:`_bar_leg` before this returns.
+    Through dual tables these rows are the columns of the dual leg."""
+    _bar_leg(M, m, limits)
+    cells = itertools.product(range(len(tables[0])), repeat=m)
+    return (row for e in cells for row in _cell_rows(M, m, tables, e)[1])
 
 
 def _image_columns(rows: Iterable[_Row]) -> list[dict[int, int]]:
@@ -1120,8 +1143,9 @@ def _extract_representatives(
     vanishes: Callable[[list[list[int]]], bool],
     lift: Callable[[list[int]], list[int]] | None = None,
 ) -> tuple[Cochain, ...]:
-    """Each generator's residue modulo the coboundaries, torsion first,
-    checked to be a cocycle in one pass, which is skipped when there is no
+    """Each generator's residue modulo the coboundaries, torsion first by
+    ascending order (a pivot read leaves its diagonal in elimination
+    order), checked to be a cocycle in one pass, which is skipped when there is no
     generator: ``vanishes`` says whether phi . D vanishes, mod N where the
     module has one, for all the residues together.  That is
     :func:`_runs_vanish` on a plain standard-resolution leg and
@@ -1129,8 +1153,8 @@ def _extract_representatives(
     the presentation on its critical coordinates, and each residue is
     ``lift``-ed to a bar cochain before the check.  Mod N the Hermite basis
     has a pivot in every row, so the residues lie in [0, N)."""
-    gens = sorted((d == 0, i) for i, d in enumerate(pres.diagonal) if d != 1)
-    vecs = [pres.residue(pres.generator_column(i)) for _, i in gens]
+    gens = sorted((d == 0, d, i) for i, d in enumerate(pres.diagonal) if d != 1)
+    vecs = [pres.residue(pres.generator_column(i)) for _, _, i in gens]
     if lift:
         vecs = [lift(vec) for vec in vecs]
     if vecs and not vanishes(vecs):
@@ -1298,11 +1322,15 @@ def _complex_group(
     of :func:`_morse_complex` for a plain standard-resolution leg (ordinary
     cohomology), the same :func:`_minimal_rows` for a monomial leg, its
     image the nonzero rows of the transpose, and the listed legs for a
-    dual standard-resolution leg (homology).  The image, the cocycles (the
-    saturation of the image where |G| kills H, otherwise the kernel of the
-    outgoing rows, listed only where they double as the row-by-row check)
-    and the quotient are taken the same way on each.  A failed Morse guard
-    raises :class:`VerificationError`.
+    dual standard-resolution leg (homology), its image the nonzero rows of
+    the plain shape.  The image, the cocycles (the saturation of the image
+    where |G| kills H, otherwise the kernel of the outgoing rows, listed
+    only where they double as the row-by-row check) and the quotient are
+    taken the same way on each.  Where |G| kills H the quotient is read
+    off the pivots of the saturation's one sparse elimination
+    (:func:`saturation_presentation`), and otherwise through both Hermite
+    bases and a Smith form with transforms (:func:`quotient_presentation`).
+    A failed Morse guard raises :class:`VerificationError`.
     """
     limits = limits or EngineLimits.from_env()
     limits.check_group_order(M.spec.order)
@@ -1395,7 +1423,8 @@ def _complex_group(
     # reads the Morse complex and checks representatives run by run; any
     # other leg is read by leg(), checked row by row.  The image of a
     # monomial leg is the nonzero rows of its transpose, of a dual
-    # standard-resolution leg (homology) its rows transposed
+    # standard-resolution leg (homology) the nonzero rows of the plain
+    # shape its dual tables read, so no leg is transposed twice
     by_runs = has_out and resolution == "bar" and step > 0
     if by_runs:
         image, out, width, project, lift = _morse_complex(M, n, mod, tables, limits)
@@ -1404,20 +1433,24 @@ def _complex_group(
         if not has_in:
             icols = []
         elif tables:
-            icols = _image_columns(leg(k_in))
+            icols = [dict(row) for row in _bar_rows(M, max(n, k_in), limits, tables) if row]
         else:
             icols = [c for c in _minimal_rows(M, max(n, k_in), step < 0, True) if c]
         out = leg(k_out) if has_out else ()
         width, lift = dim, None
-    kcols = saturation_columns(icols) if killed else None
-    if kcols is None:
+    # a killed call always wants representatives, and reads H off the
+    # pivots that saturate the image
+    sat = saturation_columns(icols) if killed else None
+    if sat is not None:
+        pres = saturation_presentation(sat, width)
+    else:
         if want and not by_runs:
             out = list(out)  # the kernel's rows double as the check
         kcols = kernel_columns(out, width, mod=mod)
-    if not want:
-        inv = quotient_invariants(kcols, icols, width, mod=N)
-        return CohomologyResult(n, kind, inv, M.label, resolution, route)
-    pres = quotient_presentation(kcols, icols, width, mod=mod)
+        if not want:
+            inv = quotient_invariants(kcols, icols, width, mod=N)
+            return CohomologyResult(n, kind, inv, M.label, resolution, route)
+        pres = quotient_presentation(kcols, icols, width, mod=mod)
     inv = pres.invariants()
     if killed:
         _check_killed(inv, M.spec.order, n)
@@ -1682,6 +1715,7 @@ def to_factor_set(M: GModule, gamma: Cochain, *, limits: EngineLimits | None = N
     standard pair-table identity (enumerable via
     :meth:`FactorSet.cocycle_identity_holds`).
     """
+    limits = limits or EngineLimits.from_env()
     check = is_cocycle_2(M, gamma, limits=limits)
     if not check:
         raise ValueError(
@@ -1689,6 +1723,9 @@ def to_factor_set(M: GModule, gamma: Cochain, *, limits: EngineLimits | None = N
         )
     spec = M.spec
     d = M.rank
+    # the table holds d values per pair of elements: price it before sigma
+    # lists the elements
+    limits.check_cells(spec.order**2, d, "factor-set table")
     flat = _apply(M, _hom_rows(d, _sigma_faces(M, 2)), gamma.flat())
     index = {pair: col for col, pair in enumerate(bar_basis(spec, 2))}
     table = {}

@@ -8,8 +8,10 @@ workhorses are
 * :func:`kernel_columns` -- the one kernel routine, from sparse rows: a
   saturated basis of an integer kernel, or with a modulus N generators of
   the solutions of A x = 0 mod N,
-* :func:`saturation_columns` -- the saturation of a lattice from its
-  spanning columns, when sparse elimination alone clears them,
+* :func:`saturation_columns` -- the saturation of a lattice L from its
+  spanning columns, when sparse elimination alone clears them, with the
+  gain of each column; :func:`saturation_presentation` reads the quotient
+  of the saturation by L off those pivots,
 * :func:`quotient_invariants` -- structure of a lattice quotient L1/L2, over Z
   or with L1 and L2 taken modulo N*Z^n; :func:`quotient_presentation` adds
   the generator transforms.  Relations enter both as their echelon basis
@@ -762,7 +764,7 @@ def _densify(pairs: _Pairs, width: int) -> list[list[int]]:
 
 
 def _residue(v: list[int], pairs: _Pairs) -> list[int]:
-    """Reduce ``v`` in place by the Hermite basis ``pairs``; returns it."""
+    """Reduce ``v`` in place by the echelon basis ``pairs``; returns it."""
     for p, c in pairs:
         q = v[p] // c[p]
         if q:
@@ -887,26 +889,29 @@ def kernel_columns(
 
 def saturation_columns(
     cols: Iterable[Sequence[int] | dict[int, int]],
-) -> list[dict[int, int]] | None:
-    """A basis of the saturation of the lattice the columns span, as
-    {row: value} dicts, or None when :func:`_sparse_eliminate` leaves a
+) -> list[tuple[int, int, dict[int, int]]] | None:
+    """A basis of the saturation of the lattice L the columns span, read off
+    the pivots of :func:`_sparse_eliminate`, or None when it leaves a
     residual.  The columns are copied, never modified.
 
     Each pivot (g, j, row) has row[j] = +-g, and g divides its row.  With no
-    residual the pivot rows span the columns' lattice, and divided by their
-    pivots they have a unit-triangular minor on the pivot columns, as no
-    later pivot row touches an earlier pivot column: so they span a
-    saturated lattice of the same rank, the saturation.
+    residual the pivot rows span L, and the columns Q = row/row[j], each 1
+    at its pivot row j, have a unit-triangular minor on the pivot rows, as
+    no later pivot row touches an earlier pivot column: so they span a
+    saturated lattice of the rank of L, the saturation, and L is spanned by
+    the g*Q.  Returns (g, j, Q) in elimination order; g is the gain of Q,
+    and the saturation modulo L is the sum of the Z/g
+    (:func:`saturation_presentation`).
 
     >>> saturation_columns([[2, 4, 0], [0, 3, 3]])
-    [{0: 1, 1: 2}, {1: 1, 2: 1}]
+    [(2, 0, {0: 1, 1: 2}), (3, 1, {1: 1, 2: 1})]
     >>> saturation_columns([{0: 2, 1: 3}, {0: 3, 1: 2}]) is None
     True
     """
     pivots, residual = _sparse_eliminate([_dict_row(c) for c in cols], 0)
     if residual:
         return None
-    return [{j: x // g for j, x in row.items()} for g, _, row in pivots]
+    return [(g, j, {k: x // row[j] for k, x in row.items()}) for g, j, row in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -943,10 +948,12 @@ def quotient_invariants(
 class QuotientPresentation:
     """Quotient of a lattice by a sublattice, with coordinate transforms.
 
-    The quotient is span(basis)/span(relations), whose Hermite bases are
+    The quotient is span(basis)/span(relations), whose echelon bases are
     kept as the sparse (pivot, {row: value}) pairs ``_basis`` and
-    ``_relations``; :meth:`residue` reduces by the latter to canonical
-    residues.  ``diagonal`` has one entry per basis
+    ``_relations``: Hermite bases (:func:`quotient_presentation`), or the
+    pivot columns of a saturation in elimination order
+    (:func:`saturation_presentation`).  :meth:`residue` reduces by the
+    relations to canonical residues.  ``diagonal`` has one entry per basis
     position: d_i > 0 means a Z/d_i summand (1 = trivial), 0 means a free Z
     summand.  ``generator_column(i)`` lifts quotient generator i to ambient
     coordinates; ``coordinates`` is the inverse direction, mapping a lattice
@@ -1035,3 +1042,39 @@ def quotient_presentation(
     if mod:
         full = [gcd(d, mod) if d else mod for d in full]
     return QuotientPresentation(dim, el.u, el.uinv, full, hk, rel, mod)
+
+
+def saturation_presentation(
+    saturation: Sequence[tuple[int, int, dict[int, int]]], dim: int
+) -> QuotientPresentation:
+    """The saturation of a lattice L modulo L, the sum of the Z/g, with
+    transforms, from the (g, j, Q) of :func:`saturation_columns`: no
+    Hermite basis is built and no relation is solved for.
+
+    The basis is the Q and the relations the g*Q, each kept as (j, column)
+    pairs in elimination order, so :func:`_residue` and :func:`_solve` are
+    exact on them: no later column touches an earlier pivot row, where a
+    basis column holds 1 and a relation g > 0.  The diagonal is the gains
+    with identity transforms, unless the gains above 1, sorted, fail to
+    form a divisibility chain: then the Smith form of their diagonal, with
+    its transforms, merges the coprime parts, so Z/2 + Z/3 has the one
+    generator of Z/6.
+
+    >>> p = saturation_presentation(saturation_columns([[2, 0], [0, 3]]), 2)
+    >>> p.diagonal, p.generator_column(1), p.residue([5, 5])
+    ([1, 6], [1, -1], [1, 2])
+    """
+    basis = [(j, q) for _, j, q in saturation]
+    relations = [(j, {k: g * x for k, x in q.items()}) for g, j, q in saturation]
+    diag = [g for g, _, _ in saturation]
+    u, uinv = _identity(len(diag)), _identity(len(diag))
+    big = [i for i, g in enumerate(diag) if g > 1]
+    gains = sorted(diag[i] for i in big)
+    if any(b % a for a, b in zip(gains, gains[1:])):
+        rows = [[diag[i] if i == k else 0 for k in big] for i in big]
+        el = _Eliminator(rows, len(big), len(big), want_u=True, want_uinv=True)
+        for a, (i, d) in enumerate(zip(big, _smith_eliminate(el))):
+            diag[i] = d
+            for b, k in enumerate(big):
+                u[i][k], uinv[i][k] = el.u[a][b], el.uinv[a][b]
+    return QuotientPresentation(dim, u, uinv, diag, basis, relations)

@@ -301,6 +301,20 @@ def test_prime_order_group_returns_within_a_second(capsys):
     assert [r["invariant_factors"] for r in payload["results"]] == [[p], [], [p], [], [p]]
 
 
+def test_a_factor_set_over_a_prime_order_group_is_capped_at_once(capsys):
+    # the group-pair table is priced before sigma lists the group's
+    # elements, so a raised order cap leaves the cell cap to refuse it
+    p = 2**61 - 1
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "factor-set", "--group", str(p), "--case", "trivial-H2", "--indices", "1",
+        "--max-group-order", str(10**19),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CAP and out == ""
+    assert err.startswith("resource cap exceeded: factor-set table")
+
+
 @pytest.mark.parametrize("verb", ["compute", "factor-set"])
 def test_unreadable_action_file_is_exit_two(capsys, tmp_path, verb):
     args = {

@@ -10,6 +10,7 @@ monomial one, so agreement pins both).
 import hashlib
 import itertools
 import random
+from functools import partial
 from math import comb
 from typing import Iterator
 
@@ -27,7 +28,7 @@ from _reference import monomial_skeleton as reference_monomial_skeleton
 from _reference import norm_block as reference_norm_block
 from _reference import morse_splits as reference_morse_splits
 from _reference import schur_complement as reference_complement
-from cohomolab import engine, group_ring, resolutions, verify
+from cohomolab import engine, group_ring, intlinalg, resolutions, verify
 from cohomolab.closed_forms import generator_family
 from cohomolab.engine import (
     Cochain,
@@ -327,7 +328,8 @@ def test_each_differential_is_built_at_most_once(
     monkeypatch, compute, resolution, text, reps, route
 ):
     # legs are recorded by the resolution and the degree they leave: "bar"
-    # where a standard-resolution leg is listed, "monomial" where a
+    # where a standard-resolution leg is listed (every listing, plain or
+    # dual, reads _bar_rows), "monomial" where a
     # monomial leg is built (every monomial read, the Smith input and the
     # quotient's image and rows alike, goes through _minimal_rows, whose
     # rows _leg_rows only iterates), "morse" where a standard-resolution
@@ -336,14 +338,10 @@ def test_each_differential_is_built_at_most_once(
     # cokernel-torsion route over Z only the incoming one wherever both
     # exist, and no call builds a minimal_diff or bar_diff RingMatrix
     built, reference = [], []
-    real_rows = engine._leg_rows
-
-    def leg_rows(M, res, m, *rest):
-        if res == "bar":
-            built.append((res, m))
-        return real_rows(M, res, m, *rest)
-
-    monkeypatch.setattr(engine, "_leg_rows", leg_rows)
+    real_rows = engine._bar_rows
+    monkeypatch.setattr(
+        engine, "_bar_rows", lambda M, m, *rest: built.append(("bar", m)) or real_rows(M, m, *rest)
+    )
     real_minimal_rows = engine._minimal_rows
     monkeypatch.setattr(
         engine,
@@ -479,10 +477,11 @@ def test_bar_cell_cap_binds_on_a_rank_zero_module(compute, n):
     # the engine's own caps read dim = 0 and pass; the leg's reader still
     # refuses the (|G| - 1)^m tuple walk before it reads anything: the
     # Smith diagonal's Morse read without representatives, and with them
-    # the Morse complex's (ordinary cohomology) or the listed rows (homology)
+    # the Morse complex's (ordinary cohomology) or the plain-shaped rows of
+    # the dual leg (homology)
     M = parse_module("trivial:0", GroupSpec.of(36))
     msg = "standard-resolution differential needs a 1225 x 42875 matrix"
-    with_reps = {"_leg_rows"}
+    with_reps = {"_bar_rows", "_bar_leg"}
     if compute is ordinary_cohomology:
         with_reps = {"_morse_complex", "_bar_leg"}
     _clear_bar_tables()
@@ -758,6 +757,18 @@ def test_bar_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, dual)
         D = D.antipode_transpose()
     got = list(engine._leg_rows(M, "bar", m, dual))
     assert got == list(hom_constraint_rows(M, D)), (text, m, dual)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(_BAR_ROW_GROUPS), st.data(), st.integers(1, 3))
+def test_dual_bar_image_is_the_plain_shaped_rows(row_modules, orders, data, m):
+    # homology's image of a dual standard-resolution leg, the nonzero rows
+    # of the plain shape its dual tables read, against the columns of the
+    # listed dual leg: the same dicts in the same order
+    M = parse_module(data.draw(st.sampled_from(row_modules[orders])), GroupSpec(orders))
+    plain = engine._bar_rows(M, m, None, engine._bar_tables(M, True))
+    got = [dict(row) for row in plain if row]
+    assert got == _image_columns(engine._leg_rows(M, "bar", m, True)), m
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -1897,7 +1908,7 @@ def _times_three(pres):
     "route, name, corrupt, saturate",
     [
         ("cokernel-torsion", "smith_diagonal", lambda out: [3 * d for d in out], True),
-        ("kernel", "quotient_presentation", _times_three, True),
+        ("kernel", "saturation_presentation", _times_three, True),
         ("kernel", "quotient_presentation", _times_three, False),
     ],
     ids=["smith", "saturation", "fallback"],
@@ -1962,8 +1973,10 @@ _SATURATION_CALLS = [
 
 @pytest.mark.parametrize("orders", _SATURATION_GROUPS, ids=str)
 def test_saturation_and_kernel_give_the_same_presentation(monkeypatch, orders):
-    # the saturation of the image and the kernel of d_out are one lattice,
-    # and the presentation depends on the two lattices alone
+    # the saturation of the image and the kernel of d_out are one lattice:
+    # read off the saturation's pivots or through both Hermite bases, the
+    # group is the same, and each route's representatives generate it in
+    # the other route's coordinates
     G = GroupSpec.of(*orders)
     found = []
     real = engine.saturation_columns
@@ -1977,13 +1990,58 @@ def test_saturation_and_kernel_give_the_same_presentation(monkeypatch, orders):
             with monkeypatch.context() as m:
                 m.setattr(engine, "saturation_columns", lambda cols: None)
                 b = compute(M, n, want_representatives=True, **kw)
-            pa, pb = a._presentation, b._presentation
-            assert (pa._basis, pa._relations, pa.diagonal) == (
-                pb._basis, pb._relations, pb.diagonal
-            ), (text, compute.__name__, n, kw)
-            assert a.representatives == b.representatives
+            assert a.invariants == b.invariants, (text, compute.__name__, n, kw)
+            for x, y in ((a, b), (b, a)):
+                assert y.class_group_generated_by(x.representatives) == y.invariants, (
+                    text, compute.__name__, n, kw
+                )
     # every call took the saturation, or the comparison is empty
     assert found and None not in found
+
+
+def test_killed_calls_read_the_saturation_pivots(monkeypatch):
+    # where |G| kills H the presentation comes off the one sparse
+    # elimination that saturates the image, on monomial legs and on the
+    # Morse complex alike: no Hermite basis, no dense Smith
+    monkeypatch.setattr(
+        engine, "quotient_presentation", lambda *a, **k: pytest.fail("quotient_presentation")
+    )
+    calls = []
+    real = intlinalg._sparse_eliminate
+    monkeypatch.setattr(intlinalg, "_sparse_eliminate", lambda *a: calls.append(a) or real(*a))
+    for orders in _SATURATION_GROUPS:
+        G = GroupSpec.of(*orders)
+        for text in _lattice_texts(orders):
+            M = parse_module(text, G)
+            runs = [partial(tate_cohomology, M, n) for n in range(-2, 3)]
+            runs += [
+                partial(compute, M, n, resolution=res)
+                for compute in (ordinary_cohomology, homology)
+                for n in (1, 2)
+                for res in ("minimal", "bar")
+            ]
+            for run in runs:
+                calls.clear()
+                r = run(want_representatives=True)
+                assert len(calls) == 1, (orders, text, run)
+                assert r.class_group_generated_by(r.representatives) == r.invariants
+
+
+def test_coprime_gains_merge_into_one_generator(monkeypatch):
+    # over C2 x C3 the Tate groups of Z in even degrees are Z/6; in degrees
+    # -2 and 2 the saturation's gains 2 and 3 are merged by a Smith form
+    # (degree 0 has the norm's one gain 6), so each group has one
+    # representative, and it generates
+    gains = []
+    real = engine.saturation_columns
+    monkeypatch.setattr(
+        engine, "saturation_columns", lambda *a: gains.append([g for g, _, _ in real(*a)]) or real(*a)
+    )
+    for n in (-2, 0, 2):
+        r = tate_cohomology(trivial_module(G6), n, want_representatives=True)
+        assert r.invariant_factors() == [6] and len(r.representatives) == 1, n
+        assert r.class_group_generated_by(r.representatives) == r.invariants, n
+    assert [sorted(g for g in gs if g > 1) for gs in gains] == [[2, 3], [6], [2, 3]]
 
 
 def _bits(rows) -> int:
@@ -2017,8 +2075,9 @@ def test_presentation_entries_stay_small_on_the_oracle_lattices():
 
 
 # sha256 over (group, module, degree, route, invariants, representatives) of
-# every cell of test_representatives_are_pinned, in order
-_PINNED_REPRESENTATIVES = "a7ba79d47946388d6ba89b1e233e1c6e9ffe1f601ad00fbe8af42cfe85569b03"
+# every cell of test_representatives_are_pinned, in order; the killed
+# degrees read their representatives off the saturation's pivots
+_PINNED_REPRESENTATIVES = "3f116f789d1eb42b1fd42facd5b37462b3f57253a3f41a4e7466554dcbb054a9"
 
 
 def test_representatives_are_pinned():

@@ -33,6 +33,7 @@ from cohomolab.intlinalg import (
     quotient_invariants,
     quotient_presentation,
     saturation_columns,
+    saturation_presentation,
     xgcd,
 )
 
@@ -258,9 +259,50 @@ def test_saturation_columns_match_the_double_kernel():
             continue
         perp = kernel_columns(([(j, x) for j, x in enumerate(c) if x] for c in cols), n)
         want = kernel_columns(([(j, x) for j, x in enumerate(c) if x] for c in perp), n)
-        assert column_hnf(sat, n) == column_hnf(want, n), cols
+        qcols = [q for _, _, q in sat]
+        assert column_hnf(qcols, n) == column_hnf(want, n), cols
+        # each column is 1 at its pivot row, and the g*Q span L itself
+        assert all(q[j] == 1 for _, j, q in sat), cols
+        spanned = [{k: g * x for k, x in q.items()} for g, _, q in sat]
+        assert column_hnf(spanned, n) == column_hnf(cols, n), cols
         seen["saturated"] += 1
-        seen["non-unit"] += column_hnf(sat, n) != column_hnf(cols, n)
+        seen["non-unit"] += column_hnf(qcols, n) != column_hnf(cols, n)
+    assert all(seen.values()), seen
+
+
+def test_saturation_presentation_is_the_quotient_by_the_lattice():
+    # the pivot read of sat(L)/L against the Hermite one: the same group,
+    # and a coordinate map that sends generator i to e_i and L to 0, with
+    # residues constant on the classes of L
+    rng = random.Random(2037)
+    seen = {"merged": 0, "chain": 0}
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        cols = [
+            [rng.choice((0, 0, 0, 0, 1, -1, 2, -2, 3, 6)) for _ in range(n)]
+            for _ in range(rng.randint(1, 6))
+        ]
+        sat = saturation_columns(cols)
+        if sat is None:
+            continue
+        pres = saturation_presentation(sat, n)
+        want = quotient_presentation([q for _, _, q in sat], cols, n)
+        assert pres.invariants() == want.invariants(), cols
+        gains = sorted(g for g, _, _ in sat if g > 1)
+        seen["merged" if any(b % a for a, b in zip(gains, gains[1:])) else "chain"] += 1
+        diag = pres.diagonal
+        for i in range(len(diag)):
+            e = [int(k == i) % d if d else int(k == i) for k, d in enumerate(diag)]
+            assert pres.coordinates(pres.generator_column(i)) == e, cols
+        for _ in range(3):
+            a = [rng.randint(-3, 3) for _ in cols]
+            lat = [sum(x * c[k] for x, c in zip(a, cols)) for k in range(n)]
+            assert pres.coordinates(lat) == [0] * len(diag), cols
+            b = [rng.randint(-3, 3) for _ in sat]
+            v = [sum(x * q.get(k, 0) for x, (_, _, q) in zip(b, sat)) for k in range(n)]
+            res = pres.residue(v)
+            assert pres.residue([x + y for x, y in zip(v, lat)]) == res, cols
+            assert want.residue(res) == want.residue(v), cols
     assert all(seen.values()), seen
 
 
