@@ -223,6 +223,9 @@ def cmd_factor_set(args) -> int:
             raise CliError(
                 f"case {args.case} lives on {have.label!r}, not {args.module!r}"
             )
+    # the identity check walks all |G|^3 triples, d values each: price it
+    # before the table is built
+    limits.check_cells(spec.order**2, spec.order * gen.module.rank, "factor-set identity check")
     try:
         fs = to_factor_set(gen.module, gen.cochain, limits=limits)
     except ValueError as exc:

@@ -323,7 +323,7 @@ def _solve_exact(B: IntMatrix, target: Sequence[int]) -> list[int]:
     when the target is in the image.
     """
     rows = [[*r, -t] for r, t in zip(B.data, target)]
-    for col in kernel_columns((enumerate(r) for r in rows), B.cols + 1):
+    for col in kernel_columns(rows, B.cols + 1):
         lam = col[-1]
         if lam in (1, -1):
             return [lam * x for x in col[:-1]]
@@ -346,10 +346,7 @@ def _socle_element(module: GModule, p: int, K: int) -> tuple[int, ...]:
     determinant +-p; the vector is scaled so that its first nonzero residue
     is 1, which makes the element canonical.
     """
-    d = module.rank
-    A = module.actions[0]
-    rows = ([(c, A.data[r][c] - (r == c)) for c in range(d)] for r in range(d))
-    for col in kernel_columns(rows, d, mod=p):
+    for col in kernel_columns(_first_action_minus_identity(module).data, module.rank, mod=p):
         unit = pow(next(x for x in col if x), -1, p)
         return tuple(p ** (K - 1) * (unit * x % p) for x in col)
     raise ArithmeticError("module has no socle generator")

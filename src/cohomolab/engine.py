@@ -62,13 +62,16 @@ H the pivot rows of that elimination, and otherwise their Hermite basis,
 are the coboundary lattice every representative is reduced by.
 No dense Hom matrix is built.
 
-Where the rows come from: every monomial leg is built one way, by
-:func:`_minimal_rows`, as {column: value} rows of the map or of its
-transpose: the Smith input, the quotient's image (the transpose's nonzero
-rows, the map's columns) and outgoing rows, and through :func:`_leg_rows`
-the cocycle predicates, the coboundaries and verify's suites.  Its blocks
-are at most 6s + 1 entries of the module's block table
-(``GModule.block_rows``) over monomial indices.  Which target, generator and
+Where the rows come from: every map here is written straight into
+{column: value} rows, the one Hom-row format, which every reader takes
+down to :mod:`~cohomolab.intlinalg`; no map is listed as (target, block)
+pairs first.  Only module blocks stay lists of (column, value) pairs per
+row.  Every monomial leg is built one way, by :func:`_minimal_rows`, as
+rows of the map or of its transpose: the Smith input, the quotient's image
+(the transpose's nonzero rows, the map's columns) and outgoing rows, and
+through :func:`_leg_rows` the cocycle predicates, the coboundaries and
+verify's suites.  Its blocks are at most 6s + 1 entries of the module's
+block table (``GModule.block_rows``) over monomial indices.  Which target, generator and
 signs each source meets depends on (s, m) alone, so it is tabled once per
 key (:func:`_monomial_skeleton`), each table grown by prefix from the
 tables of one variable fewer with no monomial basis listed, and a leg looks
@@ -88,14 +91,14 @@ table.  Each reader that walks a standard-resolution leg, listed, off the
 Morse complex or run by run, checks its caps once first (:func:`_bar_leg`).
 A dual leg (homology, negative Tate degrees) is read in the plain shape
 through dual tables (:func:`_bar_tables`), whose first-face blocks are the
-transposed antipode blocks, and listed as the transpose; its image is
-the nonzero rows of that plain shape (:func:`_bar_rows`), taken as they
-stream.  The comparison map
-sigma from the standard resolution to the monomial one, which factor sets
-are read through, is listed in (target, block) pairs by
-:func:`_sigma_faces`, its blocks sums of element matrices (prefix elements
-times partial norms), and :func:`_hom_rows` turns those into rows.
-Nothing here builds a group-ring matrix.
+transposed antipode blocks, and listed as the transpose (:func:`_columns`,
+the one transpose of rows); its image is the nonzero rows of that plain
+shape (:func:`_bar_rows`), taken as they stream.  The comparison map sigma
+from the standard resolution to the monomial one, which factor sets and
+verify's sigma suite read, has one builder too, :func:`_sigma_rows`: each
+block, a sum of element matrices (prefix elements times partial norms), is
+written straight into its source's rows.  Nothing here builds a
+group-ring matrix.
 
 The Smith pivots of the standard resolution come from algebraic discrete
 Morse theory (E. Skoldberg, "Morse theory from an algebraic viewpoint",
@@ -274,23 +277,8 @@ class Cochain:
 
 # a module block, as the nonzero entries of its rows
 _Block = list[list[tuple[int, int]]]
-# the (target index, block) pairs one source basis element meets
-_Source = list[tuple[int, _Block]]
-# a Hom row, as (column, value) pairs
-_Row = Iterable[tuple[int, int]]
-
-
-def _hom_rows(d: int, sources: Iterable[_Source]) -> Iterator[list[tuple[int, int]]]:
-    """The Hom rows of a map given by the pairs each source meets: per
-    source and module coordinate t, row t of each block at its target's
-    coordinates, in pair order."""
-    for pairs in sources:
-        for t in range(d):
-            row: list[tuple[int, int]] = []
-            for k, blk in pairs:
-                base = k * d
-                row += [(base + u, c) for u, c in blk[t]]
-            yield row
+# a Hom row, as {column: nonzero value}: the one row format of every map
+_Row = dict[int, int]
 
 
 # the most tables each skeleton keeps: the default limits meet at most 40
@@ -368,9 +356,7 @@ def _transposed(blk: _Block) -> _Block:
     return out
 
 
-def _minimal_rows(
-    M: GModule, m: int, dual: bool, transpose: bool
-) -> list[dict[int, int]]:
+def _minimal_rows(M: GModule, m: int, dual: bool, transpose: bool) -> list[_Row]:
     """The {column: value} Hom rows, phi -> phi . D, of the monomial
     resolution's differential D leaving degree m, plain or ``dual`` (the
     norm N_G at m = 0, the dual of the leg leaving -m at m < 0), or with
@@ -407,7 +393,7 @@ def _minimal_rows(
     live = [blk if any(blk) else None for blk in blocks]  # None: an all-zero block
     if transpose:
         live = [blk and _transposed(blk) for blk in live]
-    rows: list[dict[int, int]] = [{} for _ in range(d * (len(table) if by_source else targets))]
+    rows: list[_Row] = [{} for _ in range(d * (len(table) if by_source else targets))]
     for j, faces in enumerate(table):
         for k, b in faces:
             blk = live[b]
@@ -604,7 +590,7 @@ def _cell_faces(
 
 def _cell_rows(
     M: GModule, m: int, tables: _BarTables, e: Sequence[int]
-) -> tuple[int, list[list[tuple[int, int]]]]:
+) -> tuple[int, list[_Row]]:
     """The index of the cell [g_1|...|g_m] whose elements have the indices
     ``e``, and its d rows of the standard-resolution leg leaving degree m
     >= 1 in the plain shape.
@@ -634,7 +620,7 @@ def _cell_rows(
         row = {first * d + u: x for u, x in head}
         for k, sign in faces:
             row[k * d + t] = sign
-        rows.append([(k, y) for k, x in row.items() if (y := x % N if N else x)])
+        rows.append({k: y for k, x in row.items() if (y := x % N if N else x)})
     return h, rows
 
 
@@ -689,7 +675,7 @@ def _morse_splits(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int
 
 def _bar_pivots(
     M: GModule, m: int, tables: _BarTables, pairs: Iterable[tuple[int, tuple[int, ...]]]
-) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
+) -> tuple[dict[int, int], dict[int, _Row]]:
     """The unit pivots of the standard-resolution leg leaving degree m >= 1
     in the plain shape of :func:`_cell_rows` that ``pairs`` name, read
     through ``tables``, as {column: row}, and their rows by row index.  A
@@ -701,7 +687,7 @@ def _bar_pivots(
     module."""
     d = M.rank
     pivots: dict[int, int] = {}
-    rows: dict[int, list[tuple[int, int]]] = {}
+    rows: dict[int, _Row] = {}
     for c, up in pairs:
         h, cell_rows = _cell_rows(M, m, tables, up)
         for t, row in enumerate(cell_rows):
@@ -819,7 +805,7 @@ def _morse_leg(
     for i, e in enumerate(_critical_cells(orders, m - 1)):
         h = _cell_index(e, size)
         columns.update((h * d + t, i * d + t) for t in range(d))
-    kept = {r: [(k, x) for k, x in row if k in pivots or k in columns] for r, row in rows.items()}
+    kept = {r: {k: x for k, x in row.items() if k in pivots or k in columns} for r, row in rows.items()}
     try:
         return pivots, kept, solve_pivots(kept, pivots, mod), columns
     except ValueError as exc:
@@ -828,7 +814,7 @@ def _morse_leg(
 
 def _morse_complement(
     M: GModule, m: int, tables: _BarTables, leg: tuple, mod: int | None
-) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+) -> tuple[list[_Row], list[_Row]]:
     """The rows of the critical cells of degree m of a leg that
     :func:`_morse_leg` solved, in bar coordinates, and their Schur
     complement at the critical columns, in critical coordinates: the
@@ -843,14 +829,14 @@ def _morse_complement(
     for e in _critical_cells(M.spec.orders, m):
         for row in _cell_rows(M, m, tables, e)[1]:
             out: dict[int, int] = {}
-            for k, x in row:
+            for k, x in row.items():
                 if k in solved:
                     for q, y in solved[k].items():
                         out[columns[q]] = out.get(columns[q], 0) - x * y
                 elif k in columns:
                     out[columns[k]] = out.get(columns[k], 0) + x
             raw.append(row)
-            complement.append([(q, y) for q, x in out.items() if (y := x % N if N else x)])
+            complement.append({q: y for q, x in out.items() if (y := x % N if N else x)})
     return raw, complement
 
 
@@ -915,20 +901,26 @@ def _bar_tables(M: GModule, dual: bool) -> _BarTables:
     return merged, blocks
 
 
-def _sigma_faces(M: GModule, m: int) -> list[_Source]:
-    """The pairs each source of the standard resolution meets under the
-    comparison map sigma_m into the monomial resolution, m = 1 or 2, in bar
-    basis order; the targets are the degree-m monomials.
+def _sigma_rows(M: GModule, m: int) -> list[_Row]:
+    """The Hom rows of the comparison map sigma_m from the standard
+    resolution into the monomial resolution, m = 0, 1 or 2: d rows per
+    source, in bar basis order, with columns on the degree-m monomials.
+    sigma_0 is the identity of P_0 = Z[G].
 
     Write g = a_1^k_1 ... a_s^k_s, g_<i for its factors before a_i, and
     N_i(k) = 1 + a_i + ... + a_i^(k-1).  Source [g] meets x_i, for each
     k_i > 0, through g_<i N_i(k_i).  Source [g|h] meets, for i ascending
     with k = g_i > 0 and j <= i ascending with l = h_j > 0, x_i^2 through
-    floor((k + l) / o_i) g_<i h_<i when j = i (no pair when that is 0), and
+    floor((k + l) / o_i) g_<i h_<i when j = i (nothing when that is 0), and
     x_j x_i through -g_<i h_<j N_j(l) N_i(k) when j < i: the sign makes up
     for the one d gives the mixed monomial.  Each block is a sum of the
-    module's element matrices, reduced mod N, and is built once per call.
+    module's element matrices, reduced mod N, built once per call, and its
+    row t is written straight into the source's row t at its target's
+    columns.
     """
+    d = M.rank
+    if not m:
+        return [{t: 1} for t in range(d)]
     G = M.spec
     s = G.ngens
     elements = G.elements()
@@ -943,31 +935,35 @@ def _sigma_faces(M: GModule, m: int) -> list[_Source]:
         for i in range(s)
     ]
     blocks: dict[tuple, _Block] = {}
+    rows: list[_Row] = []
 
-    def block(c: int, outer: int, runs: tuple[tuple[int, int], ...]) -> _Block:
-        # c g N_i(k) ... over the (i, k) of ``runs``, as a sum of elements
+    def put(k: int, c: int, outer: int, runs: tuple[tuple[int, int], ...]) -> None:
+        # c g N_i(k) ... over the (i, k) of ``runs``, as a sum of elements,
+        # into the current source's rows at target k
         key = (c, outer, runs)
         blk = blocks.get(key)
         if blk is None:
             elems = [elements[outer]]
-            for i, k in runs:
-                elems = [e[:i] + (e[i] + b,) + e[i + 1 :] for e in elems for b in range(k)]
-            terms = [(c, M.element_rows(e)) for e in elems]
-            blk = blocks[key] = _sparse_rows(_combine(terms, M.rank), M.modulus)
-        return blk
+            for i, e in runs:
+                elems = [g[:i] + (g[i] + b,) + g[i + 1 :] for g in elems for b in range(e)]
+            terms = [(c, M.element_rows(g)) for g in elems]
+            blk = blocks[key] = _sparse_rows(_combine(terms, d), M.modulus)
+        base = k * d
+        for row, brow in zip(source, blk):
+            for u, x in brow:
+                row[base + u] = x
 
     if m == 1:
-        return [
-            [(target[i][0], block(1, a // tails[i] * tails[i], ((i, k),)))
-             for i, k in enumerate(g) if k]
-            for a, g in enumerate(elements)
-            if a
-        ]
+        for a, g in enumerate(elements[1:], 1):
+            rows += (source := [{} for _ in range(d)])
+            for i, k in enumerate(g):
+                if k:
+                    put(target[i][0], 1, a // tails[i] * tails[i], ((i, k),))
+        return rows
     mul = _product_table(G.orders)
-    sources = []
     for a, b in itertools.product(range(1, len(elements)), repeat=2):
         g, h = elements[a], elements[b]
-        pairs = []
+        rows += (source := [{} for _ in range(d)])
         for i, k in enumerate(g):
             if not k:
                 continue
@@ -977,11 +973,10 @@ def _sigma_faces(M: GModule, m: int) -> list[_Source]:
                     continue
                 outer = mul[head][b // tails[j] * tails[j]]
                 if j < i:
-                    pairs.append((target[i][j], block(-1, outer, ((j, l), (i, k)))))
+                    put(target[i][j], -1, outer, ((j, l), (i, k)))
                 elif q := (k + l) // G.orders[i]:
-                    pairs.append((target[i][i], block(q, outer, ())))
-        sources.append(pairs)
-    return sources
+                    put(target[i][i], q, outer, ())
+    return rows
 
 
 def _leg_rows(
@@ -993,39 +988,29 @@ def _leg_rows(
     tables: _BarTables | None = None,
 ) -> Iterator[_Row]:
     """The Hom rows, phi -> phi . D, of the differential D of
-    ``resolution`` leaving degree m, antipode-transposed when ``dual``, as
-    (column, value) pairs.  A monomial leg is the items of the rows
-    :func:`_minimal_rows` builds: on the complete resolution degree 0 is
-    the norm N_G, its own antipode, and a negative degree m the dual of the
-    differential leaving -m.  A standard-resolution leg is the rows of
-    :func:`_bar_rows`, priced before the first, read through ``tables``
-    (:func:`_bar_tables`, built here for ``dual`` when the caller passes
-    none); a dual leg is the transpose of that plain-shaped one, its
-    sources in ascending index: the pair order of the antipode-transposed
-    matrix.
+    ``resolution`` leaving degree m, antipode-transposed when ``dual``.  A
+    monomial leg is the rows :func:`_minimal_rows` builds: on the complete
+    resolution degree 0 is the norm N_G, its own antipode, and a negative
+    degree m the dual of the differential leaving -m.  A
+    standard-resolution leg is the rows of :func:`_bar_rows`, priced before
+    the first, read through ``tables`` (:func:`_bar_tables`, built here for
+    ``dual`` when the caller passes none); a dual leg is the transpose of
+    that plain-shaped one (:func:`_columns`), its sources in ascending
+    index: the entry order of the antipode-transposed matrix.
 
     >>> from cohomolab.group_ring import GroupSpec
     >>> from cohomolab.modules import trivial_module
     >>> Z = trivial_module(GroupSpec.of(2))
     >>> list(_leg_rows(Z, "bar", 1)), list(_leg_rows(Z, "bar", 2))
-    ([[]], [[(0, 2)]])
+    ([{}], [{0: 2}])
     """
     if resolution != "bar":
-        yield from map(dict.items, _minimal_rows(M, m, dual, False))
+        yield from _minimal_rows(M, m, dual, False)
         return
     tables = tables or _bar_tables(M, dual)
     rows = _bar_rows(M, m, limits, tables)
-    if not dual:
-        yield from rows
-        return
     # the (|G| - 1)^(m - 1) targets of the plain shape are the dual's sources
-    by_column: list[list[tuple[int, int]]] = [
-        [] for _ in range(M.rank * len(tables[0]) ** (m - 1))
-    ]
-    for r, row in enumerate(rows):
-        for k, c in row:
-            by_column[k].append((r, c))
-    yield from by_column
+    yield from _columns(rows, M.rank * len(tables[0]) ** (m - 1)) if dual else rows
 
 
 def _bar_rows(
@@ -1040,21 +1025,27 @@ def _bar_rows(
     return (row for e in cells for row in _cell_rows(M, m, tables, e)[1])
 
 
-def _image_columns(rows: Iterable[_Row]) -> list[dict[int, int]]:
-    """The nonzero columns of a map given by its streamed rows, in column
+def _columns(rows: Iterable[_Row], width: int) -> list[_Row]:
+    """The ``width`` columns of a map given by its streamed rows, in column
     order, as {row: value} dicts: the rows, transposed."""
-    cols: dict[int, dict[int, int]] = {}
+    cols: list[_Row] = [{} for _ in range(width)]
     for r, row in enumerate(rows):
-        for k, c in row:
-            cols.setdefault(k, {})[r] = c
-    return [cols[k] for k in sorted(cols)]
+        for k, c in row.items():
+            cols[k][r] = c
+    return cols
 
 
 def _apply(M: GModule, rows: Iterable[_Row], flat: Sequence[int]) -> list[int]:
     """The flat cochain phi . D for a flat cochain phi and the Hom rows of D,
     reduced mod the module's modulus."""
-    out = [sum(c * flat[k] for k, c in row) for row in rows]
-    return [x % M.modulus for x in out] if M.modulus else out
+    # a plain loop: the rows are short, sigma's one or two entries
+    N, out = M.modulus, []
+    for row in rows:
+        x = 0
+        for k, c in row.items():
+            x += c * flat[k]
+        out.append(x % N if N else x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1168,7 +1159,7 @@ def _rows_vanish(rows: Iterable[_Row], N: int, vecs: list[list[int]]) -> bool:
     for row in rows:
         for vec in vecs:
             x = 0
-            for k, c in row:
+            for k, c in row.items():
                 x += c * vec[k]
             if x % N if N else x:
                 return False
@@ -1227,12 +1218,12 @@ class _MorsePresentation:
 
 def _morse_complex(
     M: GModule, n: int, mod: int | None, tables: _BarTables, limits: EngineLimits | None
-) -> tuple[list, Iterator[list[tuple[int, int]]], int, Callable, Callable]:
+) -> tuple[list[_Row], Iterator[_Row], int, Callable, Callable]:
     """The Morse complex of the standard resolution at degree n, as a leg
     source on the critical coordinates of degree n (see the module
-    docstring): the rows of leg n's complement, whose columns span the
-    image; those of leg n + 1's complement, a generator read only where a
-    kernel is needed; the critical width; ``project``, which takes a bar
+    docstring): the nonzero columns of leg n's complement, which span the
+    image; the rows of leg n + 1's complement, a generator read only where
+    a kernel is needed; the critical width; ``project``, which takes a bar
     cocycle to the critical coordinates of a cohomologous one that vanishes
     on the cells matched downward; and ``lift``, which takes a critical
     vector back to the bar cochain that does.  All three legs are priced
@@ -1248,9 +1239,10 @@ def _morse_complex(
     top = _morse_leg(M, n + 1, tables, limits, mod, True)
     N = mod or 0
     solved, coords = top[2], list(top[3])
-    raw, image = _morse_complement(M, n, tables, leg, mod) if n else ([], [])
+    raw, complement = _morse_complement(M, n, tables, leg, mod) if n else ([], [])
+    image = [c for c in _columns(complement, len(leg[3])) if c] if n else []
 
-    def kernel() -> Iterator[list[tuple[int, int]]]:
+    def kernel() -> Iterator[_Row]:
         yield from _morse_complement(M, n + 1, tables, top, mod)[1]
 
     width = M.rank * (M.spec.order - 1) ** n
@@ -1272,14 +1264,10 @@ def _morse_complex(
         pivots, rows, order, _ = leg
         y: dict[int, int] = {}
         for j in order:
-            acc, p = vec[pivots[j]], 0
-            for k, x in rows[pivots[j]]:
-                if k == j:
-                    p += x
-                elif k in y:
-                    acc -= x * y[k]
-            y[j] = acc * pow(p, -1, N) % N if N else acc * p
-        out = [vec[q] - sum(x * y[k] for k, x in row if k in y) for q, row in zip(coords, raw)]
+            row = rows[pivots[j]]
+            acc = vec[pivots[j]] - sum(x * y[k] for k, x in row.items() if k in y)
+            y[j] = acc * pow(row[j], -1, N) % N if N else acc * row[j]
+        out = [vec[q] - sum(x * y[k] for k, x in row.items() if k in y) for q, row in zip(coords, raw)]
         return [x % N for x in out] if N else out
 
     return image, kernel(), len(coords), project, lift
@@ -1402,8 +1390,9 @@ def _complex_group(
                 read = _morse_leg(M, m, tables, limits, mod, False)
                 listed = _morse_complement(M, m, tables, read, mod)[1]
                 units = M.rank * len(_morse_splits(M.spec.orders, m))
+                # a complement has no fewer rows than columns: its columns go in
                 rows, cols = len(listed), len(read[3])
-                source = _image_columns(listed) if rows > cols else map(dict, listed)
+                source = _columns(listed, cols)
             else:
                 units, source = 0, _minimal_rows(M, m, step < 0, rows > cols)
             return [1] * units + smith_diagonal(source, min(rows, cols), max(rows, cols), mod=mod)
@@ -1427,13 +1416,12 @@ def _complex_group(
     # shape its dual tables read, so no leg is transposed twice
     by_runs = has_out and resolution == "bar" and step > 0
     if by_runs:
-        image, out, width, project, lift = _morse_complex(M, n, mod, tables, limits)
-        icols = _image_columns(image)
+        icols, out, width, project, lift = _morse_complex(M, n, mod, tables, limits)
     else:
         if not has_in:
             icols = []
         elif tables:
-            icols = [dict(row) for row in _bar_rows(M, max(n, k_in), limits, tables) if row]
+            icols = [row for row in _bar_rows(M, max(n, k_in), limits, tables) if row]
         else:
             icols = [c for c in _minimal_rows(M, max(n, k_in), step < 0, True) if c]
         out = leg(k_out) if has_out else ()
@@ -1726,7 +1714,7 @@ def to_factor_set(M: GModule, gamma: Cochain, *, limits: EngineLimits | None = N
     # the table holds d values per pair of elements: price it before sigma
     # lists the elements
     limits.check_cells(spec.order**2, d, "factor-set table")
-    flat = _apply(M, _hom_rows(d, _sigma_faces(M, 2)), gamma.flat())
+    flat = _apply(M, _sigma_rows(M, 2), gamma.flat())
     index = {pair: col for col, pair in enumerate(bar_basis(spec, 2))}
     table = {}
     ident = spec.identity()

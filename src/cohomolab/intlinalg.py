@@ -5,9 +5,9 @@ floating point anywhere.  Matrices are immutable tuples of row tuples.  The
 workhorses are
 
 * :func:`smith_diagonal` -- the Smith diagonal, without transforms,
-* :func:`kernel_columns` -- the one kernel routine, from sparse rows: a
-  saturated basis of an integer kernel, or with a modulus N generators of
-  the solutions of A x = 0 mod N,
+* :func:`kernel_columns` -- the one kernel routine, from dense or
+  {column: value} rows: a saturated basis of an integer kernel, or with a
+  modulus N generators of the solutions of A x = 0 mod N,
 * :func:`saturation_columns` -- the saturation of a lattice L from its
   spanning columns, when sparse elimination alone clears them, with the
   gain of each column; :func:`saturation_presentation` reads the quotient
@@ -563,14 +563,14 @@ def smith_diagonal(
 
 
 def solve_pivots(
-    rows: Mapping[int, Sequence[tuple[int, int]]], pivots: dict[int, int], mod: int | None = None
+    rows: Mapping[int, dict[int, int]], pivots: dict[int, int], mod: int | None = None
 ) -> dict[int, dict[int, int]]:
     """R(j) for each pivot column j of unit pivots known in advance, in an
     order that solves each after every R it needs; ValueError where the
     pivots cannot be trusted.
 
     ``pivots`` maps a column j to the row that holds its pivot, and ``rows``
-    gives the (column, value) pairs of at least those rows, by row index.
+    gives at least those rows as {column: value} dicts, by row index.
     R(j) is the pivot row of j without its pivot, each entry x in another
     pivot column k replaced by -x R(k), divided by the pivot: a solution x
     of A x = 0 on the pivot rows takes x_j = -R(j) . x on the non-pivot
@@ -581,9 +581,9 @@ def solve_pivots(
     walk meets that as a cycle.  With ``mod`` the entries are symmetric
     residues, of absolute value at most N/2.
 
-    >>> solve_pivots({0: [(0, 1), (1, 2)], 1: [(1, 1), (2, 3)]}, {0: 0, 1: 1})
+    >>> solve_pivots({0: {0: 1, 1: 2}, 1: {1: 1, 2: 3}}, {0: 0, 1: 1})
     {1: {2: 3}, 0: {2: -6}}
-    >>> solve_pivots({0: [(0, 1), (1, 2)]}, {0: 0, 1: 0})
+    >>> solve_pivots({0: {0: 1, 1: 2}}, {0: 0, 1: 0})
     Traceback (most recent call last):
     ValueError: R(0) needs itself
     """
@@ -593,9 +593,9 @@ def solve_pivots(
         raise ValueError("a pivot row is missing")
     solved: dict[int, dict[int, int]] = {}
 
-    def reduce(row: Iterable[tuple[int, int]], skip: int) -> dict[int, int]:
+    def reduce(row: dict[int, int], skip: int) -> dict[int, int]:
         out: dict[int, int] = {}
-        for k, x in row:
+        for k, x in row.items():
             sub = solved.get(k)
             if sub is None:
                 out[k] = out.get(k, 0) + x
@@ -614,7 +614,7 @@ def solve_pivots(
         while stack:
             j = stack[-1]
             row = rows[pivots[j]]
-            for k, _ in row:
+            for k in row:
                 if k != j and k in pivots and k not in solved:
                     if k in walking:
                         raise ValueError(f"R({k}) needs itself")
@@ -622,7 +622,7 @@ def solve_pivots(
                     walking.add(k)
                     break
             else:
-                p = sum(x for k, x in row if k == j)
+                p = row.get(j, 0)
                 if (gcd(p, N) != 1) if N else p not in (1, -1):
                     raise ValueError(f"the pivot of column {j} is {p}, no unit")
                 # 1/p is p over Z; a unit times a nonzero entry stays nonzero
@@ -819,16 +819,16 @@ def echelon_rows(rows: Iterable[Sequence[int]], mod: int | None = None) -> list[
 
 
 def kernel_columns(
-    rows: Iterable[Iterable[tuple[int, int]]], n: int, mod: int | None = None
+    rows: Iterable[Sequence[int] | dict[int, int]], n: int, mod: int | None = None
 ) -> list[list[int]]:
     """Generators of {x in Z^n : A x = 0}, or of {x : A x = 0 mod N} with
     ``mod`` N, as columns.
 
-    ``rows`` yields the rows of A as sparse (index, coefficient) pairs;
-    repeated indices add up.  Over Z the columns are a saturated basis: the
-    quotient of Z^n by their span is torsion free.  With ``mod`` they
-    generate the solutions together with N*Z^n, every entry lies in [0, N)
-    and no column is zero.
+    ``rows`` yields the rows of A, each dense or a {column: value} dict of
+    its nonzero entries, copied, never modified.  Over Z the columns are a
+    saturated basis: the quotient of Z^n by their span is torsion free.
+    With ``mod`` they generate the solutions together with N*Z^n, every
+    entry lies in [0, N) and no column is zero.
 
     :func:`_sparse_eliminate` clears the dividing pivots.  A pivot (g, j,
     row) fixes x_j = -(row[j]/g)^-1 * sum_{k != j} (row[k]/g) x_k modulo
@@ -841,21 +841,15 @@ def kernel_columns(
     generator extends to a solution by adding the pivots'
     back-substitution, in reverse elimination order.
 
-    >>> kernel_columns([[(0, 2), (1, 3)]], 2)
+    >>> kernel_columns([[2, 3]], 2)
     [[3, -2]]
-    >>> kernel_columns([[(0, 1), (1, -1), (2, 2)], [(2, 3)]], 4)
+    >>> kernel_columns([{0: 1, 1: -1, 2: 2}, {2: 3}], 4)
     [[1, 1, 0, 0], [0, 0, 0, 1]]
-    >>> kernel_columns([[(0, 2), (1, 2)]], 2, mod=4)
+    >>> kernel_columns([{0: 2, 1: 2}], 2, mod=4)
     [[2, 0], [3, 1]]
     """
     N = mod or 0
-    sparse = []
-    for r in rows:
-        row: dict[int, int] = {}
-        for k, c in r:
-            row[k] = row.get(k, 0) + c
-        sparse.append(_dict_row(row, N))
-    pivots, residual = _sparse_eliminate(sparse, N)
+    pivots, residual = _sparse_eliminate([_dict_row(r, N) for r in rows], N)
     used = sorted({j for row in residual for j in row})
     basis: list[dict[int, int]] = []  # generators before back-substitution
     if residual:

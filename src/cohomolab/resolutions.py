@@ -9,9 +9,10 @@ ring in fixed bases:
 
 Both extend to a complete (doubly infinite) resolution for Tate cohomology
 by splicing the dual complex along the norm map in degree 0.  The comparison
-chain map from the standard resolution to the monomial one, in degrees 1
-and 2, is never built as a ring matrix: the engine lists its blocks
-directly (``engine._sigma_faces``), as it does for both differentials.
+chain map from the standard resolution to the monomial one, in degrees 0
+to 2, is never built as a ring matrix: the engine writes its Hom rows
+straight from its blocks (``engine._sigma_rows``), as it does for both
+differentials.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ from cohomolab.closed_forms import (
 )
 from cohomolab.engine import (
     VerificationError,
-    _hom_rows,
     _leg_rows,
-    _sigma_faces,
+    _Row,
+    _sigma_rows,
     homology,
     is_cocycle_1,
     is_cocycle_2,
@@ -92,11 +92,9 @@ def _regular_module(spec: GroupSpec) -> GModule:
 # Suites
 
 
-def _composite(
-    first: Iterable[list[tuple[int, int]]], then: Iterable[list[tuple[int, int]]]
-) -> list[dict[int, int]]:
+def _composite(first: Iterable[_Row], then: Iterable[_Row]) -> list[_Row]:
     """The rows of the map ``then`` after ``first``, each map given by its
-    Hom rows, as {column: value} dicts without zeros.
+    {column: value} Hom rows, as such dicts without zeros.
 
     Over the regular module this is the Hom leg of a product of group-ring
     matrices: the leg of A B is that of B after that of A (G is abelian),
@@ -107,19 +105,11 @@ def _composite(
     out = []
     for row in then:
         acc: dict[int, int] = {}
-        for k, c in row:
-            for u, x in inner[k]:
+        for k, c in row.items():
+            for u, x in inner[k].items():
                 acc[u] = acc.get(u, 0) + c * x
         out.append({u: x for u, x in acc.items() if x})
     return out
-
-
-def _sigma_rows(M: GModule, m: int) -> Iterable[list[tuple[int, int]]]:
-    """The Hom rows of the comparison map sigma_m, sigma_0 being the
-    identity of P_0 = Z[G]."""
-    if m:
-        return _hom_rows(M.rank, _sigma_faces(M, m))
-    return ([(t, 1)] for t in range(M.rank))
 
 
 def resolution_suite(limits: EngineLimits | None = None) -> list[CheckResult]:

@@ -4,8 +4,10 @@ The row references work on group-ring matrices
 (:class:`~cohomolab.group_ring.RingMatrix`) entry by entry: a ring element
 acts on a module as the sum of its element matrices, a Hom leg is read off
 the entries of a differential, and the comparison map sigma is built as a
-ring matrix.  The library itself never builds any of these; its faces
-functions list the same blocks directly.
+ring matrix.  The library itself never builds any of these; its row
+builders write the same blocks straight into {column: value} rows.  The
+references list their Hom rows as (column, value) pairs through their own
+:func:`_hom_rows`, so they share no row writer with the library.
 
 The Hermite references keep every basis dense and find each pivot by
 scanning, where the library keeps (pivot, {row: value}) pairs.  The Smith
@@ -27,8 +29,7 @@ The skeleton and the faces of a monomial leg are listed from the monomial
 bases on every call, and its Hom rows from those faces, a dual leg
 regrouped by target; the norm and antipode blocks are summed and powered
 through the module's element table.  The Morse matching of a
-standard-resolution leg,
-with its pivots, by walking :func:`~cohomolab.engine._morse_partner` over
+standard-resolution leg is listed with its pivots by walking :func:`~cohomolab.engine._morse_partner` over
 every cell, where the library reads both from tables built once per shape
 and degree: a monomial table grown by prefix from the tables of one
 variable fewer, each Morse table from the one below it.
@@ -46,9 +47,8 @@ from cohomolab.engine import (
     _BarTables,
     _Block,
     _cell_rows,
-    _hom_rows,
     _morse_partner,
-    _Source,
+    _Row,
 )
 from cohomolab.group_ring import GroupSpec, RingElement, RingMatrix, partial_norm
 from cohomolab.intlinalg import (
@@ -102,14 +102,32 @@ def action_power(M: GModule, i: int, k: int) -> IntMatrix:
     return _dense(M.element_rows(M.spec.generator(i, k)))
 
 
+# the (target index, block) pairs one source basis element meets
+_Source = list[tuple[int, _Block]]
+
+
+def _hom_rows(d: int, sources: Iterable[_Source]) -> Iterator[list[tuple[int, int]]]:
+    """The Hom rows of a map given by the pairs each source meets, as
+    (column, value) lists: per source and module coordinate t, row t of
+    each block at its target's coordinates, in pair order."""
+    for pairs in sources:
+        for t in range(d):
+            row: list[tuple[int, int]] = []
+            for k, blk in pairs:
+                base = k * d
+                row += [(base + u, c) for u, c in blk[t]]
+            yield row
+
+
 def hom_constraint_rows(M: GModule, D: RingMatrix) -> Iterator[list[tuple[int, int]]]:
     """Rows of the map phi -> phi . D between Hom-spaces, as sparse
     (index, coeff) lists, streamed.
 
     Source j (a column of D) meets target i (a row of D) through act(D[i, j]),
-    in the entry order of D; dimensions (d*cols(D)) x (d*rows(D)).  It shares
-    only :func:`~cohomolab.engine._hom_rows` with the library's legs, not
-    their blocks or their regroup.
+    in the entry order of D; dimensions (d*cols(D)) x (d*rows(D)).  It
+    shares no row writer with the library: the (column, value) lists of
+    :func:`_hom_rows` are compared with the library's {column: value} rows
+    entry for entry, in order.
     """
     cache: dict[RingElement, _Block] = {}
     sources: list[_Source] = [[] for _ in range(D.cols)]
@@ -411,11 +429,7 @@ def invariants_submodule(m: GModule) -> IntMatrix:
 
     For a finite module the columns generate M^G together with N*Z^rank.
     """
-    rows = (
-        [(j, A.data[i][j] - (i == j)) for j in range(m.rank)]
-        for A in m.actions
-        for i in range(m.rank)
-    )
+    rows = ([A.data[i][j] - (i == j) for j in range(m.rank)] for A in m.actions for i in range(m.rank))
     return from_columns(kernel_columns(rows, m.rank, mod=m.modulus), m.rank)
 
 
@@ -590,8 +604,8 @@ def minimal_faces(M: GModule, m: int, dual: bool) -> tuple[list[_Source], int]:
 
 def minimal_rows(M: GModule, m: int, dual: bool) -> list[list[tuple[int, int]]]:
     """The Hom rows of the monomial resolution's leg leaving degree m,
-    plain or ``dual``, through :func:`~cohomolab.engine._hom_rows` of the
-    pairs :func:`minimal_faces` lists: the norm N_G at m = 0, and at m < 0
+    plain or ``dual``, through :func:`_hom_rows` of the pairs
+    :func:`minimal_faces` lists: the norm N_G at m = 0, and at m < 0
     the dual of the leg leaving -m.  A dual leg is regrouped by target, its
     sources in ascending index: the pair order of the antipode-transposed
     matrix."""
@@ -626,7 +640,7 @@ def morse_splits(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int,
 
 def bar_pivots(
     M: GModule, m: int, tables: _BarTables
-) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]]]:
+) -> tuple[dict[int, int], dict[int, _Row]]:
     """The Morse pivots of the standard-resolution leg leaving degree m >= 1
     in the plain shape, as {column: row}, and the pivot rows by row index,
     from the walk of :func:`morse_splits`: each cell split into a cell h
@@ -634,7 +648,7 @@ def bar_pivots(
     of h."""
     d = M.rank
     pivots: dict[int, int] = {}
-    rows: dict[int, list[tuple[int, int]]] = {}
+    rows: dict[int, _Row] = {}
     for c, up in morse_splits(M.spec.orders, m):
         h, cell_rows = _cell_rows(M, m, tables, up)
         for t, row in enumerate(cell_rows):

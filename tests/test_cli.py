@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 from cohomolab import cli
 from cohomolab.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
-from cohomolab.closed_forms import GENERATOR_CASES
+from cohomolab.closed_forms import GENERATOR_CASES, generating_cocycle
+from cohomolab.engine import to_factor_set
+from cohomolab.group_ring import GroupSpec
+from cohomolab.limits import EngineLimits, ResourceCapExceeded
 from cohomolab.verify import SUITE_NAMES
 
 
@@ -303,7 +306,8 @@ def test_prime_order_group_returns_within_a_second(capsys):
 
 def test_a_factor_set_over_a_prime_order_group_is_capped_at_once(capsys):
     # the group-pair table is priced before sigma lists the group's
-    # elements, so a raised order cap leaves the cell cap to refuse it
+    # elements, so a raised order cap leaves the cell cap to refuse it; the
+    # command prices the identity check's |G|^3 walk before either
     p = 2**61 - 1
     start = time.perf_counter()
     code, out, err = run(
@@ -312,7 +316,34 @@ def test_a_factor_set_over_a_prime_order_group_is_capped_at_once(capsys):
     )
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_CAP and out == ""
-    assert err.startswith("resource cap exceeded: factor-set table")
+    assert err.startswith("resource cap exceeded: factor-set identity check")
+    gen = generating_cocycle("trivial-H2", GroupSpec.of(p), (1,))
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapExceeded, match="^factor-set table"):
+        to_factor_set(gen.module, gen.cochain, limits=EngineLimits(max_group_order=10**19))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p, code", [(101, EXIT_OK), (251, EXIT_CAP)])
+def test_a_factor_set_identity_check_is_priced_first(capsys, p, code):
+    # the check walks |G|^3 triples, d values each, so a |G|^2 x |G| d
+    # price: (101) fits the default cell cap and prints its table, (251)
+    # would take seconds and is refused at once, before any table is built
+    with mock.patch("cohomolab.cli.to_factor_set", wraps=cli.to_factor_set) as built:
+        start = time.perf_counter()
+        got, out, err = run(
+            capsys, "factor-set", "--group", str(p), "--case", "trivial-H2", "--indices", "1",
+            "--max-group-order", "1000", "--format", "json",
+        )
+    assert got == code, err
+    if code == EXIT_CAP:
+        assert time.perf_counter() - start < 1.0
+        assert out == "" and not built.called
+        assert err.startswith("resource cap exceeded: factor-set identity check")
+        assert f"{p * p} x {p} matrix" in err
+    else:
+        payload = json.loads(out)
+        assert payload["group"] == [p] and built.called
 
 
 @pytest.mark.parametrize("verb", ["compute", "factor-set"])
@@ -580,7 +611,7 @@ def test_verify_sigma_suite(capsys):
 def test_verify_sigma_suite_honours_the_caps(capsys, monkeypatch):
     # every group passes the order cap before any leg or comparison map is built
     over = AssertionError("built over the cap")
-    with mock.patch("cohomolab.verify._sigma_faces", side_effect=over), mock.patch(
+    with mock.patch("cohomolab.verify._sigma_rows", side_effect=over), mock.patch(
         "cohomolab.verify._leg_rows", side_effect=over
     ):
         code, _, err = run(capsys, "verify", "--suite", "sigma", "--max-group-order", "2")

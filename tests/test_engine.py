@@ -34,7 +34,7 @@ from cohomolab.engine import (
     Cochain,
     VerificationError,
     _apply,
-    _image_columns,
+    _columns,
     _leg_rows,
     coboundary_0,
     coboundary_1,
@@ -90,13 +90,13 @@ def _inv(result):
 
 
 def _dense_rows(M, rows, width):
-    """Streamed Hom rows as dense rows of the given width, reduced mod the
-    module's modulus."""
+    """Streamed {column: value} Hom rows as dense rows of the given width,
+    reduced mod the module's modulus."""
     N = M.modulus
     out = []
     for sparse in rows:
         row = [0] * width
-        for k, c in sparse:
+        for k, c in sparse.items():
             row[k] += c
         out.append([x % N for x in row] if N else row)
     return out
@@ -643,8 +643,15 @@ def test_lattice_lift_flag_is_set_by_reduction_alone():
 
 def _dense_columns(H):
     """The nonzero columns of dense rows, in the {row: value} form
-    :func:`_image_columns` returns."""
+    :func:`_columns` returns."""
     return [{r: x for r, x in enumerate(c) if x} for c in zip(*H) if any(c)]
+
+
+def _listed_columns(rows, width):
+    """The nonzero columns of a map of ``width`` columns given by its
+    reference rows, (column, value) lists: :func:`_columns` of the rows as
+    dicts, the empty columns dropped."""
+    return [c for c in _columns(map(dict, rows), width) if c]
 
 
 @pytest.mark.parametrize(
@@ -665,14 +672,14 @@ def test_streamed_image_columns_match_the_dense_map(text, orders, resolution):
         # cohomology: the image in degree n + 1 (on the minimal resolution
         # the library's leg reads the rows off monomial indices instead)
         D = res.diff(n + 1)
-        got = _image_columns(hom_constraint_rows(M, D))
+        got = _listed_columns(hom_constraint_rows(M, D), d * D.rows)
         assert got == _dense_columns(_hom_map(M, res, n)), n
         # homology: the antipode-transposed leg into degree n, whose rows
         # are wider (degree n + 1) than the degree-n chains
         T = D.antipode_transpose()
         assert T.rows > T.cols
-        got = _image_columns(hom_constraint_rows(M, T))
-        dense = _dense_rows(M, hom_constraint_rows(M, T), d * T.rows)
+        got = _listed_columns(hom_constraint_rows(M, T), d * T.rows)
+        dense = _dense_rows(M, map(dict, hom_constraint_rows(M, T)), d * T.rows)
         assert got == _dense_columns(dense), n
 
 
@@ -714,7 +721,7 @@ def test_minimal_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, d
         D = complete_diff(res, k)
         if dual:
             D = D.antipode_transpose()
-        got = [list(row) for row in engine._leg_rows(M, "minimal", k, dual)]
+        got = [list(row.items()) for row in engine._leg_rows(M, "minimal", k, dual)]
         assert got == list(hom_constraint_rows(M, D)), (text, k, dual)
     # every block kind: N_G, both parities, plain and dual legs
     for k in range(-2, 3):
@@ -755,7 +762,7 @@ def test_bar_rows_equal_the_ring_matrix_rows(row_modules, orders, data, m, dual)
     D = resolutions.bar_diff(G, m)
     if dual:
         D = D.antipode_transpose()
-    got = list(engine._leg_rows(M, "bar", m, dual))
+    got = [list(row.items()) for row in engine._leg_rows(M, "bar", m, dual)]
     assert got == list(hom_constraint_rows(M, D)), (text, m, dual)
 
 
@@ -767,8 +774,9 @@ def test_dual_bar_image_is_the_plain_shaped_rows(row_modules, orders, data, m):
     # listed dual leg: the same dicts in the same order
     M = parse_module(data.draw(st.sampled_from(row_modules[orders])), GroupSpec(orders))
     plain = engine._bar_rows(M, m, None, engine._bar_tables(M, True))
-    got = [dict(row) for row in plain if row]
-    assert got == _image_columns(engine._leg_rows(M, "bar", m, True)), m
+    got = [row for row in plain if row]
+    width = M.rank * (M.spec.order - 1) ** m
+    assert got == [c for c in _columns(engine._leg_rows(M, "bar", m, True), width) if c], m
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -786,7 +794,7 @@ def test_minimal_faces_equal_the_basis_listing(row_modules, orders, data, m, dua
     rows = engine._minimal_rows(M, m, dual, False)
     columns = engine._minimal_rows(M, m, dual, True)
     assert [list(row.items()) for row in rows] == listed
-    assert [c for c in columns if c] == _image_columns(listed)
+    assert [c for c in columns if c] == _listed_columns(listed, len(columns))
     assert len(columns) == M.rank * (len(sources) if dual else targets)
 
 
@@ -823,7 +831,7 @@ def test_minimal_smith_rows_equal_the_listed_rows(row_modules, orders, data, m, 
         rows = engine._minimal_rows(M, k, dual, False)
         columns = engine._minimal_rows(M, k, dual, True)
         assert rows == [dict(row) for row in listed], (text, k, dual)
-        assert [c for c in columns if c] == _image_columns(listed), (text, k, dual)
+        assert [c for c in columns if c] == _listed_columns(listed, len(columns)), (text, k, dual)
         for mod in {None, M.modulus or G.order}:
             want = smith_diagonal(map(dict, listed), 0, 0, mod=mod)
             assert smith_diagonal(rows, 0, 0, mod=mod) == want, (text, k, dual, mod)
@@ -868,13 +876,7 @@ def test_prefix_built_splits_equal_the_partner_walk(orders, m):
 def _plain_shape(M, m, rows, dual):
     """The listed ``rows`` of the standard-resolution leg leaving degree m,
     transposed when ``dual``: the plain leg's shape."""
-    if not dual:
-        return rows
-    plain = [[] for _ in range(M.rank * (M.spec.order - 1) ** m)]
-    for r, row in enumerate(rows):
-        for k, x in row:
-            plain[k].append((r, x))
-    return plain
+    return _columns(rows, M.rank * (M.spec.order - 1) ** m) if dual else rows
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -934,16 +936,16 @@ def _check_morse_diagonal(M, m, dual, mod):
     plain = _plain_shape(M, m, rows, dual)
     tables = engine._bar_tables(M, dual)
     pivots, built = engine._bar_pivots(M, m, tables, engine._morse_splits(M.spec.orders, m))
-    assert {r: dict(row) for r, row in built.items()} == {r: dict(plain[r]) for r in built}
+    assert built == {r: plain[r] for r in built}
     units, complement, height, width = _morse_read(M, m, tables, mod)
     s = M.spec.ngens
     assert units == len(pivots)
     assert (height, width) == (M.rank * comb(m + s - 1, m), M.rank * comb(m + s - 2, m - 1))
-    assert len(complement) == height and all(k < width for row in complement for k, _ in row)
-    got = [1] * units + smith_diagonal(map(dict, complement), height, width, mod=mod)
+    assert len(complement) == height and all(k < width for row in complement for k in row)
+    got = [1] * units + smith_diagonal(complement, height, width, mod=mod)
     cols = M.rank * (M.spec.order - 1) ** (m if dual else m - 1)
-    assert got == smith_diagonal(map(dict, rows), len(rows), cols, mod=mod)
-    whole = reference_complement(plain, pivots, mod)
+    assert got == smith_diagonal(rows, len(rows), cols, mod=mod)
+    whole = reference_complement([list(row.items()) for row in plain], pivots, mod)
     assert got == [1] * len(pivots) + smith_diagonal(whole, len(whole), cols, mod=mod)
     return pivots
 
@@ -1132,7 +1134,7 @@ def test_morse_matching_leaves_the_monomial_ranks_critical(orders):
 
 # pivots of the 9 x 3 leg of H^2 over (2, 2) on the bar resolution, each set
 # failing one guard; the leg's Morse pivot is {2: 3}, and row 0, of [g|g],
-# is [(0, 2)]
+# is {0: 2}
 _UNTRUSTED_PIVOTS = {
     "non-unit": {2: 3, 0: 0},
     "reused row": {2: 3, 1: 3},
@@ -1246,14 +1248,14 @@ def test_trusted_pivots_never_search_a_transpose(monkeypatch):
     # where the leg has 225 or 3375; the oracle cells of the benchmark's
     # largest group, both routes, plain and dual legs
     searched = []
-    real_columns = engine._image_columns
+    real_columns = engine._columns
 
-    def recorded(rows):
+    def recorded(rows, width):
         rows = list(rows)
         searched.append(len(rows))
-        return real_columns(rows)
+        return real_columns(rows, width)
 
-    monkeypatch.setattr(engine, "_image_columns", recorded)
+    monkeypatch.setattr(engine, "_columns", recorded)
     monkeypatch.setattr(engine, "_leg_rows", lambda *a, **k: pytest.fail("listed a leg"))
     G = GroupSpec.of(2, 2, 4)
     for text, n in (("trivial", 3), ("reduce:4(trivial)", 2)):
@@ -1384,7 +1386,7 @@ def test_invariants_only_congruence_reads_the_morse_complex(monkeypatch):
 
 
 def _agree_up_to_cell_signs(got, want, d, mod):
-    """Whether two maps, as rows of (column, value) pairs over d coordinates
+    """Whether two maps, as {column: value} rows over d coordinates
     per cell, agree mod N with ``mod`` up to one sign per row cell and one
     per column cell: block (i, j) of ``got`` is e_i f_j times block (i, j)
     of ``want``, for signs e and f that every block pins alike."""
@@ -1393,7 +1395,7 @@ def _agree_up_to_cell_signs(got, want, d, mod):
     def blocks(rows, sign=1):
         out = {}
         for r, row in enumerate(rows):
-            for k, x in row:
+            for k, x in row.items():
                 blk = out.setdefault((r // d, k // d), {})
                 blk[r % d, k % d] = blk.get((r % d, k % d), 0) + sign * x
         return {key: {u: y for u, x in blk.items() if (y := x % N if N else x)}
@@ -1453,11 +1455,7 @@ def test_critical_complement_is_the_monomial_leg_up_to_cell_signs(
     d = M.rank
     mono = list(engine._leg_rows(M, "minimal", m, dual))
     if dual:  # transposed into the plain shape
-        plain = [[] for _ in range(d * comb(m + G.ngens - 1, m))]
-        for r, row in enumerate(mono):
-            for k, x in row:
-                plain[k].append((r, x))
-        mono = plain
+        mono = _columns(mono, d * comb(m + G.ngens - 1, m))
     mods = [M.modulus] if M.modulus else [None, data.draw(st.sampled_from((2, 4, 6)))]
     tables = engine._bar_tables(M, dual)
     for mod in mods:
@@ -1509,7 +1507,7 @@ def test_bar_representatives_stay_on_the_critical_coordinates(monkeypatch):
 
         monkeypatch.setattr(engine, name, call)
 
-    recorded("_image_columns", len)
+    recorded("_columns", lambda rows, width: len(rows))
     recorded("saturation_columns", lambda cols: 1 + max((k for c in cols for k in c), default=-1))
     recorded("kernel_columns", lambda rows, n, *rest: n)
     recorded("quotient_presentation", lambda basis, relations, dim, *rest: dim)
@@ -1544,13 +1542,13 @@ _SIGMA_ROW_GROUPS = [(2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 3)]
 
 @pytest.mark.parametrize("orders", _SIGMA_ROW_GROUPS, ids=str)
 def test_sigma_rows_equal_the_ring_matrix_rows(row_modules, orders):
-    # the comparison map's faces against blocks of act() over the sigma
-    # RingMatrix, as lists: pair order included
+    # the comparison map's rows against blocks of act() over the sigma
+    # RingMatrix, as lists: entry order included
     G = GroupSpec(orders)
     for text in row_modules[orders]:
         M = parse_module(text, G)
-        for m in (1, 2):
-            got = list(engine._hom_rows(M.rank, engine._sigma_faces(M, m)))
+        for m in (0, 1, 2):
+            got = [list(row.items()) for row in engine._sigma_rows(M, m)]
             assert got == list(hom_constraint_rows(M, sigma(G, m))), (text, m)
 
 
@@ -1559,10 +1557,10 @@ def test_bar_rows_merge_first_and_last_face():
     # through -I; act(g + 1) = 2 vanishes mod 2, and -1 reads 1 there
     G = GroupSpec.of(3)
     Z = trivial_module(G)
-    assert list(engine._leg_rows(Z, "bar", 1)) == [[], []]
-    assert list(engine._leg_rows(Z, "bar", 2))[0] == [(0, 2), (1, -1)]
+    assert list(engine._leg_rows(Z, "bar", 1)) == [{}, {}]
+    assert list(list(engine._leg_rows(Z, "bar", 2))[0].items()) == [(0, 2), (1, -1)]
     Z2 = parse_module("reduce:2(trivial)", G)
-    assert list(engine._leg_rows(Z2, "bar", 2))[0] == [(1, 1)]
+    assert list(engine._leg_rows(Z2, "bar", 2))[0] == {1: 1}
 
 
 def test_ordinary_rejects_negative_degree_and_window():
@@ -1748,7 +1746,7 @@ def test_homology_bar_oracle():
                 assert r.class_group_generated_by(r.representatives) == a, (orders, text, n)
                 if n:
                     D = resolutions.bar_diff(G, n).antipode_transpose()
-                    rows = list(hom_constraint_rows(M, D))
+                    rows = list(map(dict, hom_constraint_rows(M, D)))
                     for rep in r.representatives:
                         assert not any(_apply(M, rows, rep.flat())), (orders, text, n)
 

@@ -23,7 +23,7 @@ import _reference
 import cohomolab.intlinalg as il
 from _reference import column_hnf, columns, from_columns, is_zero, mul, snf, solve_in_span, zeros
 from cohomolab.closed_forms import trivial_module_factors
-from cohomolab.engine import _image_columns
+from cohomolab.engine import _columns
 from cohomolab.group_ring import GroupSpec
 from cohomolab.intlinalg import (
     AbelianInvariants,
@@ -170,8 +170,7 @@ def test_snf_properties_hypothesis(A):
 
 def _kernel(A: IntMatrix) -> IntMatrix:
     """:func:`kernel_columns` of a dense matrix, as matrix columns."""
-    rows = ([(j, x) for j, x in enumerate(r) if x] for r in A.data)
-    return from_columns(kernel_columns(rows, A.cols), A.cols)
+    return from_columns(kernel_columns(A.data, A.cols), A.cols)
 
 
 def test_kernel_basis_pinned():
@@ -187,11 +186,6 @@ def test_kernel_basis_zero_map():
 def test_kernel_basis_injective_map():
     K = _kernel(IntMatrix.from_rows([[1, 0], [0, 2], [3, 3]]))
     assert K.cols == 0
-
-
-def test_kernel_columns_sums_repeated_indices():
-    # the row reads 2*x0 - 2*x1 = 0
-    assert kernel_columns([[(0, 1), (0, 1), (1, -2)]], 2) == [[1, 1]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -218,7 +212,9 @@ def _dense_kernel_reference(rows, n):
 
 def test_kernel_columns_sparse_draws_match_dense_reference():
     # sparse 0/+-1/+-2 rows, the shape of resolution matrices: unit pivots,
-    # non-unit dividing pivots, a dense residual and back-substitution
+    # non-unit dividing pivots, a dense residual and back-substitution.
+    # The same rows as {column: value} dicts give the same columns, over Z
+    # and mod N, and are not modified
     rng = random.Random(2024)
     seen = {"unit": 0, "non-unit": 0, "residual": 0, "back-substituted": 0}
     for _ in range(200):
@@ -226,7 +222,15 @@ def test_kernel_columns_sparse_draws_match_dense_reference():
         n = rng.randint(1, 14)
         rows = [[rng.choice((0, 0, 0, 0, 0, 1, -1, 2, -2)) for _ in range(n)] for _ in range(m)]
         want, rank = _dense_kernel_reference(rows, n)
-        K = kernel_columns(([(j, x) for j, x in enumerate(r) if x] for r in rows), n)
+        K = kernel_columns(rows, n)
+        dicts = [{j: x for j, x in enumerate(r) if x} for r in rows]
+        kept = [dict(r) for r in dicts]
+        assert kernel_columns(iter(dicts), n) == K, rows
+        N = rng.choice((2, 3, 4, 6))
+        KN = kernel_columns(rows, n, mod=N)
+        assert kernel_columns(dicts, n, mod=N) == KN, (rows, N)
+        assert all(sum(c * x[j] for j, c in enumerate(r)) % N == 0 for r in rows for x in KN)
+        assert dicts == kept
         A = IntMatrix.from_rows(rows, cols=n)
         assert is_zero(mul(A, from_columns(K, n)))
         assert len(K) == n - rank
@@ -257,8 +261,8 @@ def test_saturation_columns_match_the_double_kernel():
         if sat is None:
             seen["residual"] += 1
             continue
-        perp = kernel_columns(([(j, x) for j, x in enumerate(c) if x] for c in cols), n)
-        want = kernel_columns(([(j, x) for j, x in enumerate(c) if x] for c in perp), n)
+        perp = kernel_columns(cols, n)
+        want = kernel_columns(perp, n)
         qcols = [q for _, _, q in sat]
         assert column_hnf(qcols, n) == column_hnf(want, n), cols
         # each column is 1 at its pivot row, and the g*Q span L itself
@@ -324,7 +328,7 @@ def test_a_row_stalled_before_a_pivot_frees_it_stays_residual(N):
     D = snf(IntMatrix.from_rows([[2, 0], [3, 1]])).D.data
     want = [D[0][0], D[1][1]]
     assert il.smith_diagonal(rows, 2, 2, mod=N or None) == want == [1, 2]
-    assert kernel_columns([[(0, 2), (2, 1)], [(0, 3), (1, 1)]], 3) == [[1, -3, -2]]
+    assert kernel_columns([{0: 2, 2: 1}, {0: 3, 1: 1}], 3) == [[1, -3, -2]]
     # the saturation gives up there, and the engine takes the kernel instead
     assert saturation_columns(rows) is None
 
@@ -579,7 +583,7 @@ def test_sparse_presentation_matches_the_dense_reference(case):
 def _brute_congruence_solutions(constraints, n, N):
     sols = set()
     for x in itertools.product(range(N), repeat=n):
-        if all(sum(c * x[i] for i, c in row) % N == 0 for row in constraints):
+        if all(sum(c * x[i] for i, c in row.items()) % N == 0 for row in constraints):
             sols.add(x)
     return sols
 
@@ -592,7 +596,7 @@ def test_congruence_kernel_exhaustive_small():
         nrows = rng.randint(0, 3)
         constraints = []
         for _ in range(nrows):
-            row = [(i, rng.randint(-5, 5)) for i in range(n) if rng.random() < 0.8]
+            row = {i: rng.randint(-5, 5) for i in range(n) if rng.random() < 0.8}
             constraints.append(row)
         cols = kernel_columns(constraints, n, mod=N)
         h = column_hnf(cols, n, mod=N)
@@ -618,14 +622,13 @@ def _sparse_congruences(draw):
 @given(_sparse_congruences())
 def test_congruence_kernel_matches_the_integer_kernel_route(case):
     rows, n, N = case
-    sparse = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
-    cols = kernel_columns(sparse, n, mod=N)
+    cols = kernel_columns(rows, n, mod=N)
     for x in cols:
         assert any(x) and all(0 <= v < N for v in x)
-        assert all(sum(c * x[j] for j, c in r) % N == 0 for r in sparse)
+        assert all(sum(c * x[j] for j, c in enumerate(r)) % N == 0 for r in rows)
     # the same set through the N = 0 branch: A x = N y over Z, projected to x
     m = len(rows)
-    aug = [[(j, x) for j, x in enumerate(r) if x] + [(n + i, -N)] for i, r in enumerate(rows)]
+    aug = [[*r, *(-N * (k == i) for k in range(m))] for i, r in enumerate(rows)]
     lifted = [c[:n] for c in kernel_columns(aug, n + m)]
     assert column_hnf(cols, n, mod=N) == column_hnf(lifted, n, mod=N), case
 
@@ -795,7 +798,7 @@ def test_smith_diagonal_dict_rows_match_snf():
             assert got == diag, f"{rows} mod={mod}"
             assert il.smith_diagonal(rows, m, n, mod) == got
             # SNF(A) = SNF(A^T): the engine feeds a tall map as its columns
-            cols = _image_columns(list(r.items()) for r in dicts)
+            cols = _columns(dicts, n)
             assert il.smith_diagonal(cols, n, m, mod) == got
 
 

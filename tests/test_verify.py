@@ -76,10 +76,6 @@ def test_sigma_suite_green():
     ]
 
 
-def _negated(blk):
-    return [[(u, -c) for u, c in row] for row in blk]
-
-
 def _flip_first_face(monkeypatch, source):
     """Negate the block of the first face of monomial source
     ``source(M, m, dual)`` (None: no source) in every monomial leg the
@@ -136,23 +132,21 @@ def test_regular_exactness_reports_a_broken_dual_leg_as_fail(monkeypatch):
 
 
 def test_sigma_suite_fails_on_a_flipped_mixed_block(monkeypatch):
-    # sigma_2 with the sign of its x_j x_i blocks (j < i) flipped is no
-    # longer a chain map in degree 2; degree 1 is untouched
-    real = verify._sigma_faces
+    # sigma_2 with the sign of its x_j x_i blocks (j < i) flipped, the
+    # columns of the mixed monomials negated, is no longer a chain map in
+    # degree 2; degree 1 is untouched
+    real = verify._sigma_rows
 
     def flipped(M, m):
-        sources = real(M, m)
+        rows = real(M, m)
         if m == 2:
             mixed = {
                 k for k, mono in enumerate(monomial_basis(M.spec.ngens, 2)) if max(mono) == 1
             }
-            sources = [
-                [(k, _negated(blk) if k in mixed else blk) for k, blk in pairs]
-                for pairs in sources
-            ]
-        return sources
+            rows = [{j: -c if j // M.rank in mixed else c for j, c in row.items()} for row in rows]
+        return rows
 
-    monkeypatch.setattr(verify, "_sigma_faces", flipped)
+    monkeypatch.setattr(verify, "_sigma_rows", flipped)
     assert _triples(sigma_suite()) == [
         (f"sigma/chain-map/{g}", FAIL, "degree 1 ok, degree 2 BROKEN") for g in _SIGMA_NAMES
     ]
