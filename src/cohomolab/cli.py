@@ -24,6 +24,7 @@ from cohomolab.closed_forms import (
     predicted_invariants,
 )
 from cohomolab.engine import (
+    FactorSet,
     VerificationError,
     ordinary_cohomology,
     tate_cohomology,
@@ -225,13 +226,13 @@ def cmd_factor_set(args) -> int:
             )
     # the identity check walks all |G|^3 triples, d values each: price it
     # before the table is built
-    limits.check_cells(spec.order**2, spec.order * gen.module.rank, "factor-set identity check")
+    FactorSet.price_identity_check(gen.module, limits)
     try:
         fs = to_factor_set(gen.module, gen.cochain, limits=limits)
     except ValueError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    if not fs.cocycle_identity_holds():
+    if not fs.cocycle_identity_holds(limits=limits):
         print("verification failed: pair-table identity does not hold", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -111,8 +111,10 @@ and the cells left unpaired in degree n number C(n+s-1, s-1): the monomial
 resolution is the Morse complex of the standard one.  The matching depends
 on (orders, m) alone, so which cells split, and into which cell above, is
 tabled once per key (:func:`_morse_splits`), each table grown from the one
-below it, after a leg is priced; so are the pairs the critical cells reach
-through chains of pivot rows, the gradient paths (:func:`_morse_reach`).
+below it and the one walk of the critical cells' extensions a degree below
+(:func:`_morse_walk`), after a leg is priced; so are the critical cells
+(:func:`_critical_cells`) and the pairs they reach through chains of pivot
+rows, the gradient paths (:func:`_morse_reach`).
 Only the pivots a reader reads, and their rows alone, are then built per
 module (:func:`_bar_pivots`).  The Morse complex is chain-homotopy
 equivalent to the standard resolution, and its contractible part is
@@ -131,7 +133,9 @@ resolution, and exactness never rests on the matching.  Every read of a
 leg goes through the guards.  Three hold whatever the module and are
 checked once per (orders, m), as the tables are built: the cells of each
 degree up to m must split into those matched upward, the critical ones
-and those matched downward, each once (:func:`_morse_splits`); each up
+and those matched downward, each once, which the walk of each degree
+reads off its critical cells and the up cells of the tables at and below
+it, building no table above (:func:`_morse_walk`); each up
 cell must meet its split cell through one merge face and no other face,
 so every pivot is +-1; and no chain of substitutions may return to a cell
 (:func:`_morse_reach`).  So the whole pivot block is triangular up to
@@ -283,9 +287,9 @@ _Row = dict[int, int]
 
 # the most tables each skeleton keeps: the default limits meet at most 40
 # monomial keys (s <= 5 and 0 <= m <= 7, the sub-tables each key is grown
-# from included), five split keys per group (m = 1..5, the top one for the
-# partition guard of the leg leaving degree 4) and four reach keys per group
-# (m = 1..4)
+# from included), and per group four split keys and four reach keys
+# (m = 1..4, up to the leg leaving degree 4) and five walk keys and five
+# critical-cell keys (m = 0..4)
 _SKELETON_TABLES = 64
 # the (target, kind) faces of one monomial source, see _monomial_skeleton
 _Faces = tuple[tuple[int, int], ...]
@@ -625,52 +629,87 @@ def _cell_rows(
 
 
 @lru_cache(maxsize=_SKELETON_TABLES)
+def _morse_walk(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The Morse matching's walk of degree m >= 0 over the group with cyclic
+    factors ``orders``, whatever the module: each cell [e|x] of degree m
+    with e critical of degree m - 1 (for m = 0 the one empty cell) is
+    classified by :func:`_morse_partner` as split upward, critical or
+    merged downward, and the split ones are returned as in
+    :func:`_morse_splits`, each with the element indices of its up cell.
+
+    Here the partition guard of degree m is read, or
+    :class:`VerificationError` raised.  Write S_k, C_k and D_k for the cells
+    of degree k matched upward (the split cells of the table of
+    (orders, k + 1)), critical (:func:`_critical_cells`) and matched
+    downward (the up cells of the table of (orders, k)), E(X) for the
+    extensions [p|x] of the cells p in X, and W_s, W_c and W_d for the
+    walk's split, critical and merged cells, which split E(C_(m-1)), each
+    cell once.  The guard checks, counting repeats, that C_m = W_c and
+    D_m = E(D_(m-1)) + W_d.  The tables are grown by the prefix rule
+    (:func:`_morse_splits`), so S_m = E(S_(m-1)) + W_s.  If S_(m-1),
+    C_(m-1) and D_(m-1) split degree m - 1, each cell once (the guard of
+    degree m - 1, read by its walk, down to degree 0, whose one cell, the
+    empty one, is critical), their extensions split degree m, each cell
+    once, since every cell of degree m has one prefix.  So S_m, C_m and D_m,
+    which regroup E(S_(m-1)), W_s, W_c, W_d and E(D_(m-1)), split the
+    (|G| - 1)^m cells of degree m, each cell once: the partition
+    that counting S_m + C_m + D_m against (|G| - 1)^m distinct cells
+    checks, read off a walk of (|G| - 1) C(m+s-2, s-1) cells and the tables
+    of (orders, m) and (orders, m - 1), with no table above (orders, m)
+    built for it."""
+    elements = GroupSpec(orders).nonidentity_elements()
+    size = len(elements)
+    index = {g: e for e, g in enumerate(elements)}
+    walked = [(0, ())]
+    if m:
+        walked = [
+            (_cell_index(e, size) * size + x, (*map(elements.__getitem__, e), g))
+            for e in _critical_cells(orders, m - 1) for x, g in enumerate(elements)
+        ]
+    splits, critical, merged = [], [], []
+    for h, cell in walked:
+        partner = _morse_partner(orders, cell)
+        if partner is None:
+            critical.append(h)
+        elif len(partner) > m:
+            splits.append((h, tuple(index[g] for g in partner)))
+        else:
+            merged.append(h)
+    ups = [_cell_index(up, size) for _, up in _morse_splits(orders, m)] if m else []
+    if m > 1:  # and the extensions of the up cells of degree m - 1
+        merged += [_cell_index(up, size) * size + x
+                   for _, up in _morse_splits(orders, m - 1) for x in range(size)]
+    cells = [_cell_index(e, size) for e in _critical_cells(orders, m)]
+    if sorted(critical) != sorted(cells) or sorted(ups) != sorted(merged):
+        raise VerificationError(f"Morse cells of degree {m} over {orders}: no partition")
+    return tuple(splits)
+
+
+@lru_cache(maxsize=_SKELETON_TABLES)
 def _morse_splits(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The Morse matching's pairs across the standard-resolution leg
     leaving degree m >= 1 of the group with cyclic factors ``orders``,
     whatever the module: for each cell of degree m - 1 that
     :func:`_morse_partner` splits upward, in bar basis order, its index and
-    the element indices of its up cell.  The cells of every degree k < m
-    must split into those matched upward (leg k + 1's pivot columns), the
-    critical ones (:func:`_critical_cells`) and those matched downward (leg
-    k's pivot rows), each once, or :class:`VerificationError` is raised:
-    the partition guard of every read of the Morse complex, checked here
-    for degree m - 1 against the table of (orders, m - 1), which checked
-    the degrees below it.
+    the element indices of its up cell.
 
-    Built from that table: :func:`_morse_partner` decides at the first pair
-    that splits or merges, so a cell [p|x] follows its prefix p.  A p split
-    into up splits [p|x] into [up|x], a p merged downward merges [p|x], and
-    only the extensions of the C(m+s-3, s-1) critical prefixes are walked,
-    |G| - 1 each.  At most ``_SKELETON_TABLES`` keys.  A table holds at most
-    one pair per cell of degree m - 1, (|G| - 1)^(m - 1), and every read of
-    it follows :func:`_morse_reach`, which only :func:`_morse_leg` and
-    :func:`_morse_complex` call, once they have priced leg m - 1 or m,
-    whose columns are that many cells or more (:func:`_bar_leg`): the reach
-    of leg m - 1 reads the table for its partition guard, that of leg m for
-    its pairs.  So under the default caps a table holds at most 20^3 = 8000
-    pairs (|G| = 21, m = 4); (2,2,4) holds 3158 for m = 4."""
-    elements = GroupSpec(orders).nonidentity_elements()
-    size = len(elements)
-    if m == 1:
-        grown, splits = (), []  # the one cell of degree 0 is critical
-    else:
-        grown = _morse_splits(orders, m - 1)
-        index = {g: e for e, g in enumerate(elements)}
-        splits = [(p * size + x, (*up, x)) for p, up in grown for x in range(size)]
-        for e in _critical_cells(orders, m - 2):
-            prefix, h = [elements[x] for x in e], _cell_index(e, size) * size
-            for x, g in enumerate(elements):
-                up = _morse_partner(orders, (*prefix, g))
-                if up is not None and len(up) == m:
-                    splits.append((h + x, tuple(index[u] for u in up)))
-        splits.sort()
-    cells = [c for c, _ in splits]
-    cells += [_cell_index(e, size) for e in _critical_cells(orders, m - 1)]
-    cells += [_cell_index(up, size) for _, up in grown]
-    if not len(cells) == len(set(cells)) == size ** (m - 1):
-        raise VerificationError(f"Morse cells of degree {m - 1} over {orders}: no partition")
-    return tuple(splits)
+    Grown from the table of (orders, m - 1) and the walk of degree m - 1
+    (:func:`_morse_walk`), which read the partition guard of every degree
+    below m: :func:`_morse_partner` decides at the first pair that splits
+    or merges, so a cell [p|x] follows its prefix p.  A p split into up
+    splits [p|x] into [up|x], a p merged downward merges [p|x], and only
+    the extensions of the C(m+s-3, s-1) critical prefixes are walked,
+    |G| - 1 each, once per degree.  At most ``_SKELETON_TABLES`` keys.  A
+    table holds at most one pair per cell of degree m - 1, (|G| - 1)^(m - 1),
+    and every read of it follows :func:`_morse_reach`, which only
+    :func:`_morse_leg` and :func:`_morse_complex` call, once they have
+    priced leg m, whose columns are that many cells or more
+    (:func:`_bar_leg`).  So under the default caps a table holds at most
+    20^3 = 8000 pairs (|G| = 21, m = 4); (2,2,4) holds 207 for m = 3."""
+    size = prod(orders) - 1
+    grown = _morse_splits(orders, m - 1) if m > 1 else ()
+    splits = [(p * size + x, (*up, x)) for p, up in grown for x in range(size)]
+    return tuple(sorted(splits + list(_morse_walk(orders, m - 1))))
 
 
 def _bar_pivots(
@@ -696,20 +735,26 @@ def _bar_pivots(
     return pivots, rows
 
 
-def _critical_cells(orders: Sequence[int], m: int) -> list[list[int]]:
+@lru_cache(maxsize=_SKELETON_TABLES)
+def _critical_cells(orders: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
     """The cells of degree m that :func:`_morse_partner` leaves unmatched,
     as element indices, one per monomial of degree m in basis order: x^k is
     the cell of k_i letters of x_i for i descending, alternately x_i and
     x_i^(o_i - 1), since only a letter after a later generator's, or the
-    rest of o_i after x_i, is neither split nor merged."""
+    rest of o_i after x_i, is neither split nor merged.  Tabled once per
+    (orders, m), whatever the module, for the walk of degree m + 1
+    (:func:`_morse_walk`), the guard of degree m and the reads of the legs
+    leaving degrees m and m + 1 (:func:`_morse_reach`, :func:`_morse_leg`
+    and :func:`_morse_complement`); C(m+s-1, s-1) cells of m indices each,
+    at most ``_SKELETON_TABLES`` keys."""
     s = len(orders)
     # x_i^e has the index e * o_(i+1) ... o_s among the elements
     stride = [prod(orders[i + 1 :]) for i in range(s)]
-    return [
-        [(orders[i] - 1 if j % 2 else 1) * stride[i] - 1
-         for i in reversed(range(s)) for j in range(k[i])]
+    return tuple(
+        tuple((orders[i] - 1 if j % 2 else 1) * stride[i] - 1
+              for i in reversed(range(s)) for j in range(k[i]))
         for k in monomial_basis(s, m)
-    ]
+    )
 
 
 @lru_cache(maxsize=_SKELETON_TABLES)
@@ -724,7 +769,8 @@ def _morse_reach(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int,
 
     Every read of the Morse complex passes through here, so here its
     module-free guards raise :class:`VerificationError`: the partition
-    guard of every degree up to m (the table of (orders, m + 1)); an up
+    guard of every degree up to m (the walk of degree m,
+    :func:`_morse_walk`, and the tables below it); an up
     cell that meets its split cell through any face but exactly one merge
     face, so that some pivot might not be +-I; or a chain of substitutions
     at the cell level that returns to a cell, split cell c needing split
@@ -735,7 +781,7 @@ def _morse_reach(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int,
     ``_SKELETON_TABLES`` keys, each filled by a reader that priced leg m
     first; a table holds at most the pairs of :func:`_morse_splits`
     (31 of 207 for (2,2,4) and m = 3)."""
-    _morse_splits(orders, m + 1)
+    _morse_walk(orders, m)
     splits = _morse_splits(orders, m)
     merged = _merged_table(orders)
     split = dict(splits)
@@ -1664,11 +1710,21 @@ class FactorSet:
     def __call__(self, g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
         return self.table[(g, h)]
 
-    def cocycle_identity_holds(self) -> bool:
+    @staticmethod
+    def price_identity_check(M: GModule, limits: EngineLimits | None = None) -> None:
+        """Refuse, by ``limits`` (from the environment when None), the
+        |G|^3 triples of :meth:`cocycle_identity_holds` over ``M``, d values
+        each, priced as a |G|^2 x |G| d matrix."""
+        order = M.spec.order
+        limits = limits or EngineLimits.from_env()
+        limits.check_cells(order**2, order * M.rank, "factor-set identity check")
+
+    def cocycle_identity_holds(self, *, limits: EngineLimits | None = None) -> bool:
         """Full enumeration of g f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0,
         reduced mod N: per pair (g, h) and module coordinate t, one vector
-        over all k."""
+        over all k, priced first (:meth:`price_identity_check`)."""
         M = self.module
+        self.price_identity_check(M, limits)
         N = M.modulus
         elements = M.spec.elements()
         n = len(elements)

@@ -52,8 +52,9 @@ class GModule:
     # :meth:`block_rows` key, each filled on first use from the actions in
     # O(log o_i) sparse products: +-(A_i - I), +-(A_i^-1 - I), +-N_i(A) and
     # N_G(A), so at most 6s + 1 entries, kept per instance like the element
-    # table.  N_G(A) is the product of the N_i(A), not a sum over |G|
-    # elements, which costs far more at large rank
+    # table.  A negated block negates its twin's entries, and N_G(A) is the
+    # product of the tabled N_i(A), not a sum over |G| elements, which
+    # costs far more at large rank
     _blocks: dict[tuple, list[list[tuple[int, int]]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -125,26 +126,28 @@ class GModule:
         resolution's differentials, negated when ``neg``: A_i^e - I for
         e >= 1 (e = 1 and the antipode e = o_i - 1 are used), A_i^e by
         repeated squaring; N_i(A) = I + A_i + ... + A_i^(o_i - 1) for e = 0,
-        by doubling (:meth:`_norm`); and N_G(A), the product of the N_i(A),
-        for i = None.  Entries are reduced mod N, the negation included."""
+        by doubling (:meth:`_norm`); and N_G(A), the product of the tabled
+        N_i(A), for i = None.  Entries are reduced mod N, the negation
+        included: a negated block is its tabled twin, negated."""
         key = (i, e, neg)
         rows = self._blocks.get(key)
         if rows is not None:
             return rows
-        if i is None:
-            P = self._norm(0)
+        N = self.modulus
+        if neg:
+            rows = [[(j, -x % N if N else -x) for j, x in row] for row in self.block_rows(i, e)]
+        elif i is None:
+            rows = self.block_rows(0)
             for j in range(1, self.spec.ngens):
-                P = _times_sparse(P, self._norm(j), self.modulus)
-            terms = [(1, P)]
+                rows = _times_sparse(rows, self.block_rows(j), N)
         elif e:
-            power = _power_rows(_sparse_rows(self.actions[i].data), e, self.modulus)
-            terms = [(1, power), (-1, self.element_rows(self.spec.identity()))]
+            power = _power_rows(_sparse_rows(self.actions[i].data), e, N)
+            rows = _sparse_rows(
+                _combine([(1, power), (-1, self.element_rows(self.spec.identity()))], self.rank), N
+            )
         else:
-            terms = [(1, self._norm(i))]
-        sign = -1 if neg else 1
-        rows = self._blocks[key] = _sparse_rows(
-            _combine([(sign * c, P) for c, P in terms], self.rank), self.modulus
-        )
+            rows = self._norm(i)
+        self._blocks[key] = rows
         return rows
 
     def _norm(self, i: int) -> list[list[tuple[int, int]]]:

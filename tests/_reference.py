@@ -28,11 +28,13 @@ of its Morse complex alone.
 The skeleton and the faces of a monomial leg are listed from the monomial
 bases on every call, and its Hom rows from those faces, a dual leg
 regrouped by target; the norm and antipode blocks are summed and powered
-through the module's element table.  The Morse matching of a
-standard-resolution leg is listed with its pivots by walking :func:`~cohomolab.engine._morse_partner` over
-every cell, where the library reads both from tables built once per shape
-and degree: a monomial table grown by prefix from the tables of one
-variable fewer, each Morse table from the one below it.
+through the module's element table.  The Morse matching classifies every
+cell of a degree by :func:`~cohomolab.engine._morse_partner` alone, and a
+standard-resolution leg's pivots are listed from it, where the library
+reads both from tables built once per shape and degree by a prefix rule: a
+monomial table grown from the tables of one variable fewer, each Morse
+table from the one below it and the walk of the critical cells'
+extensions.
 """
 
 from __future__ import annotations
@@ -623,19 +625,34 @@ def minimal_rows(M: GModule, m: int, dual: bool) -> list[list[tuple[int, int]]]:
     return list(_hom_rows(M.rank, sources))
 
 
-def morse_splits(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The Morse matching's pairs across the standard-resolution leg
-    leaving degree m >= 1, walking :func:`~cohomolab.engine._morse_partner`
-    over every cell of degree m - 1: for each cell split upward, in bar
-    basis order, its index and the element indices of its up cell."""
+def morse_cells(
+    orders: tuple[int, ...], m: int
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], list[int], list[int]]:
+    """Every cell of degree m >= 0 classified by
+    :func:`~cohomolab.engine._morse_partner` alone, with no prefix rule: the
+    cells split upward, each with the element indices of its up cell, the
+    critical cells and the cells merged downward, by index in bar basis
+    order."""
     elements = GroupSpec(orders).nonidentity_elements()
     index = {g: e for e, g in enumerate(elements)}
-    splits = []
-    for c, cell in enumerate(itertools.product(elements, repeat=m - 1)):
-        up = _morse_partner(orders, cell)
-        if up is not None and len(up) == m:
-            splits.append((c, tuple(index[g] for g in up)))
-    return tuple(splits)
+    splits, critical, merged = [], [], []
+    for c, cell in enumerate(itertools.product(elements, repeat=m)):
+        partner = _morse_partner(orders, cell)
+        if partner is None:
+            critical.append(c)
+        elif len(partner) > m:
+            splits.append((c, tuple(index[g] for g in partner)))
+        else:
+            merged.append(c)
+    return tuple(splits), critical, merged
+
+
+def morse_splits(orders: tuple[int, ...], m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The Morse matching's pairs across the standard-resolution leg
+    leaving degree m >= 1, from :func:`morse_cells` of degree m - 1: for
+    each cell split upward, in bar basis order, its index and the element
+    indices of its up cell."""
+    return morse_cells(orders, m - 1)[0]
 
 
 def bar_pivots(

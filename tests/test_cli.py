@@ -227,15 +227,17 @@ def test_a_failed_morse_guard_is_exit_four(capsys, monkeypatch, request):
     # than listing the leg
     from cohomolab import engine
 
+    tables = (engine._critical_cells, engine._morse_walk, engine._morse_splits, engine._morse_reach)
+
     def clear():
-        engine._morse_splits.cache_clear()
-        engine._morse_reach.cache_clear()
+        for table in tables:
+            table.cache_clear()
 
     real = engine._critical_cells
 
     def shifted(orders, k):
         cells = real(orders, k)
-        return [list(engine._morse_splits(orders, 2)[0][1])] + cells[1:] if k == 2 else cells
+        return (engine._morse_splits(orders, 2)[0][1], *cells[1:]) if k == 2 else cells
 
     clear()
     request.addfinalizer(clear)

@@ -10,6 +10,7 @@ monomial one, so agreement pins both).
 import hashlib
 import itertools
 import random
+import time
 from functools import partial
 from math import comb
 from typing import Iterator
@@ -26,10 +27,11 @@ from _reference import minimal_faces as reference_minimal_faces
 from _reference import minimal_rows as reference_minimal_rows
 from _reference import monomial_skeleton as reference_monomial_skeleton
 from _reference import norm_block as reference_norm_block
+from _reference import morse_cells as reference_morse_cells
 from _reference import morse_splits as reference_morse_splits
 from _reference import schur_complement as reference_complement
 from cohomolab import engine, group_ring, intlinalg, resolutions, verify
-from cohomolab.closed_forms import generator_family
+from cohomolab.closed_forms import generating_cocycle, generator_family
 from cohomolab.engine import (
     Cochain,
     VerificationError,
@@ -499,15 +501,21 @@ def test_bar_cell_cap_binds_on_a_rank_zero_module(compute, n):
     # only a priced leg tables anything: the Morse complex of ordinary
     # cohomology prices legs 2, 3 and 4 before it reads any, so the
     # refused leg 3 leaves every skeleton table empty
-    for table in (engine._monomial_skeleton, engine._morse_splits, engine._morse_reach):
+    for table in (engine._monomial_skeleton, engine._morse_walk, engine._morse_splits,
+                  engine._morse_reach):
         assert table.cache_info().currsize == 0, table
     assert not _was_tabled((36,), 3)
 
 
+# the bar tables, which hold the guards' verdicts, and the critical cells
+# that the partition guard reads, bound before any test patches them
+_BAR_TABLES = (engine._critical_cells, engine._morse_walk, engine._morse_splits, engine._morse_reach)
+
+
 def _clear_bar_tables():
-    """Empty both bar tables, which hold the guards' verdicts."""
-    engine._morse_splits.cache_clear()
-    engine._morse_reach.cache_clear()
+    """Empty every table of ``_BAR_TABLES``."""
+    for table in _BAR_TABLES:
+        table.cache_clear()
 
 
 def _was_tabled(orders, m, table=engine._morse_splits) -> bool:
@@ -523,17 +531,22 @@ def test_skeleton_tables_stay_under_their_bound():
     # and oracle suites read fit in the tables without eviction.  A bar
     # table of (orders, m) holds a pair per cell of degree m - 1, which the
     # reader prices as the columns of a leg first: the oracle's (2,2,4) H^3
-    # reads leg 3, whose partition guard of degree 3 tables m = 4 and whose
-    # reach tables m = 3, and its capped leg leaving degree 4 tables
-    # nothing above that
-    tables = (engine._monomial_skeleton, engine._morse_splits, engine._morse_reach)
+    # reads leg 3, whose partition guard of degree 3 is the walk of degree
+    # 3 and tables nothing above m = 3, which its reach tables too, and its
+    # capped leg leaving degree 4 tables nothing above that
+    tables = (
+        engine._monomial_skeleton, engine._critical_cells, engine._morse_walk,
+        engine._morse_splits, engine._morse_reach,
+    )
     for table in tables:
         table.cache_clear()
     assert {r.status for r in resolution_suite() + oracle_suite()} == {PASS, CAPPED}
     for table in tables:
         info = table.cache_info()
         assert 0 < info.currsize < info.maxsize == engine._SKELETON_TABLES, info
-    assert _was_tabled((2, 2, 4), 4) and not _was_tabled((2, 2, 4), 5)
+    assert _was_tabled((2, 2, 4), 3) and not _was_tabled((2, 2, 4), 4)
+    walk = engine._morse_walk
+    assert _was_tabled((2, 2, 4), 3, walk) and not _was_tabled((2, 2, 4), 4, walk)
     reach = engine._morse_reach
     assert _was_tabled((2, 2, 4), 3, reach) and not _was_tabled((2, 2, 4), 4, reach)
 
@@ -867,10 +880,36 @@ def test_prefix_built_splits_equal_the_partner_walk(orders, m):
     # pair and in order; and every degree up to m - 1 passes the partition
     # guard on the grown tables, which raises otherwise, each table below m
     # equal to the walk too
-    engine._morse_splits.cache_clear()
+    _clear_bar_tables()
     assert engine._morse_splits(orders, m) == reference_morse_splits(orders, m)
     for k in range(1, m):
         assert engine._morse_splits(orders, k) == reference_morse_splits(orders, k), k
+
+
+@pytest.mark.parametrize("orders", sorted(set(verify._GROUPS + verify._SIGMA_GROUPS)), ids=str)
+def test_the_walk_and_the_tables_classify_every_cell_as_the_partner_does(orders):
+    # the prefix rule that the partition guard rests on: a cell [p|x] is
+    # split, critical or merged as _morse_partner says of the whole cell,
+    # for every cell of degrees 0..4, while the tables and the walks read
+    # _morse_partner on the extensions of critical cells alone.  The walk
+    # of degree m holds the split cells whose prefix is critical, the table
+    # of (orders, m + 1) every split cell, with its up cell, and the table
+    # of (orders, m) every cell merged downward, as its up cells; the
+    # critical cells are _critical_cells' and nothing else
+    _clear_bar_tables()
+    size = GroupSpec(orders).order - 1
+    critical = []
+    for m in range(5):
+        below = set(critical)
+        splits, critical, merged = reference_morse_cells(orders, m)
+        walk = tuple(pair for pair in splits if pair[0] // size in below)
+        assert tuple(sorted(engine._morse_walk(orders, m))) == walk, m
+        assert engine._morse_splits(orders, m + 1) == splits, m
+        cells = [engine._cell_index(e, size) for e in engine._critical_cells(orders, m)]
+        assert sorted(cells) == critical, m
+        ups = [engine._cell_index(up, size) for _, up in engine._morse_splits(orders, m)] if m else []
+        assert sorted(ups) == merged, m
+    _clear_bar_tables()
 
 
 def _plain_shape(M, m, rows, dual):
@@ -1093,7 +1132,7 @@ def test_a_bad_cell_graph_raises_verification_error(monkeypatch, guard):
     _clear_bar_tables()
     real = engine._morse_splits
     assert real(orders, 2) == ((1, (0, 0)), (2, (0, 1)))
-    real(orders, 3)  # the partition guard of degree 2, on the true pairs
+    engine._morse_walk(orders, 2)  # the partition guard of degree 2, on the true pairs
     untrusted = _UNTRUSTED_CELL_PAIRS[guard]
     message = "Morse pivots leaving degree 2 over \\(4,\\)"
     with monkeypatch.context() as patch:
@@ -1109,8 +1148,28 @@ def test_a_bad_cell_graph_raises_verification_error(monkeypatch, guard):
                 with pytest.raises(VerificationError, match=message):
                     compute(M, n, resolution="bar", want_representatives=reps)
         finally:
-            real.cache_clear()
-            engine._morse_reach.cache_clear()
+            _clear_bar_tables()
+
+
+@pytest.mark.parametrize("guard", sorted(_UNTRUSTED_CELL_PAIRS))
+def test_a_table_with_other_up_cells_fails_the_partition_guard(monkeypatch, guard):
+    # the walk of degree 2 reads the up cells of the table of (orders, 2)
+    # itself: pairs whose up cells are not the cells that the walk merges
+    # downward fail the partition guard of degree 2, before the reach of
+    # leg 2 reads a pivot guard off them
+    orders = (4,)
+    _clear_bar_tables()
+    real = engine._morse_splits
+    untrusted = _UNTRUSTED_CELL_PAIRS[guard]
+    message = "Morse cells of degree 2 over \\(4,\\): no partition"
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_morse_splits", lambda o, k: untrusted if k == 2 else real(o, k))
+        try:
+            for read in (engine._morse_walk, engine._morse_reach):
+                with pytest.raises(VerificationError, match=message):
+                    read(orders, 2)
+        finally:
+            _clear_bar_tables()
 
 
 @pytest.mark.parametrize("orders", verify._GROUPS, ids=str)
@@ -1198,7 +1257,7 @@ def test_untrusted_pivots_raise_verification_error(monkeypatch, request, guard, 
 
         def shifted(orders, k):
             cells = real_cells(orders, k)
-            return [list(engine._morse_splits(orders, 2)[0][1])] + cells[1:] if k == 2 else cells
+            return (engine._morse_splits(orders, 2)[0][1], *cells[1:]) if k == 2 else cells
 
         monkeypatch.setattr(engine, "_critical_cells", shifted)
         # the tables hold the guard's verdict: rebuild them on the shifted
@@ -1443,7 +1502,7 @@ def test_critical_complement_is_the_monomial_leg_up_to_cell_signs(
     for k in (m - 1, m):
         cells = engine._critical_cells(orders, k)
         unmatched = [
-            [G.nonidentity_elements().index(g) for g in cell]
+            tuple(G.nonidentity_elements().index(g) for g in cell)
             for cell in itertools.product(G.nonidentity_elements(), repeat=k)
             if engine._morse_partner(orders, cell) is None
         ]
@@ -2240,6 +2299,27 @@ def test_factor_set_identity_fails_on_a_raised_entry(text, step, holds):
     table = dict(f.table)
     table[(a, b)] = (table[(a, b)][0] + step,)
     assert engine.FactorSet(M, table).cocycle_identity_holds() is holds
+
+
+def test_the_library_prices_the_factor_set_identity_check():
+    # the check walks |G|^3 triples, d values each, and prices them as the
+    # factor-set command does, a |G|^2 x |G| d matrix, under the caller's
+    # limits or the environment's: over (251) the table fits a raised order
+    # cap, but the walk is refused at once instead of taking seconds
+    limits = EngineLimits(max_group_order=1000)
+    gen = generating_cocycle("trivial-H2", GroupSpec.of(251), (1,))
+    fs = to_factor_set(gen.module, gen.cochain, limits=limits)
+    for given_limits in (limits, None):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapExceeded, match="factor-set identity check needs a 63001 x 251"):
+            fs.cocycle_identity_holds(limits=given_limits)
+        assert time.perf_counter() - start < 0.1
+    # the price is exact: over (4) the walk is 16 x 4 cells
+    M = trivial_module(GroupSpec.of(4))
+    small = to_factor_set(M, ordinary_cohomology(M, 2, want_representatives=True).representatives[0])
+    assert small.cocycle_identity_holds(limits=EngineLimits(max_cells=64))
+    with pytest.raises(ResourceCapExceeded, match="16 x 4 matrix"):
+        small.cocycle_identity_holds(limits=EngineLimits(max_cells=63))
 
 
 @pytest.mark.parametrize(
